@@ -24,6 +24,16 @@ fn bench_partition_build(c: &mut Criterion) {
             });
         }
     }
+    // The repository benchmark's `plan_grid` subject (BENCHMARK.json):
+    // `partition.ms` and `partition.columns_ms` as `cargo bench` sees them.
+    let m = spfactor::matrix::gen::paper::lap_grid(70);
+    let f = factor_of(&m);
+    group.bench_with_input(BenchmarkId::new("g25", m.name), &f, |b, f| {
+        b.iter(|| Partition::build(f, &PartitionParams::with_grain(25)))
+    });
+    group.bench_with_input(BenchmarkId::new("columns", m.name), &f, |b, f| {
+        b.iter(|| Partition::columns(f))
+    });
     group.finish();
 }
 

@@ -34,10 +34,17 @@ use spfactor::{DepsEngine, OrderEngine, Pipeline, Recorder, SimulateEngine};
 static ALLOC: TrackingAllocator = TrackingAllocator::new();
 
 /// Schema identifier validated by `scripts/verify.sh`.
-const SCHEMA: &str = "spfactor-bench-scale/1";
+const SCHEMA: &str = "spfactor-bench-scale/2";
 
 /// The spans the pipeline brackets with `phase.*.peak_bytes` gauges.
-const PHASES: [&str; 5] = ["order", "symbolic", "partition", "sched", "simulate"];
+const PHASES: [&str; 6] = [
+    "order",
+    "symbolic",
+    "partition",
+    "deps",
+    "sched",
+    "simulate",
+];
 
 /// Grid sides for the full sweep: n = side^2 columns, 10^4 → 10^6.
 const FULL_SIDES: [usize; 5] = [100, 200, 400, 700, 1000];

@@ -606,9 +606,9 @@ impl Pipeline {
             None => SymbolicFactor::from_pattern(&permuted),
         });
 
-        let (partition, deps) = phase_peak(rec, "partition", || {
+        let partition = phase_peak(rec, "partition", || {
             let _phase = rec.map(|r| r.span("phase.partition"));
-            let partition = match (self.scheme, rec) {
+            match (self.scheme, rec) {
                 (Scheme::Block, Some(r)) => Partition::build_traced(&factor, &self.params, r),
                 (Scheme::Block, None) => Partition::build(&factor, &self.params),
                 (Scheme::Wrap, Some(r)) => {
@@ -617,14 +617,15 @@ impl Pipeline {
                     p
                 }
                 (Scheme::Wrap, None) => Partition::columns(&factor),
-            };
-            let deps = match rec {
-                Some(r) => {
-                    partition::build_dependencies_traced(self.deps_engine, &factor, &partition, r)
-                }
-                None => partition::build_dependencies(self.deps_engine, &factor, &partition),
-            };
-            (partition, deps)
+            }
+        });
+
+        let deps = phase_peak(rec, "deps", || match rec {
+            Some(r) => {
+                let _phase = r.span("phase.deps");
+                partition::build_dependencies_traced(self.deps_engine, &factor, &partition, r)
+            }
+            None => partition::build_dependencies(self.deps_engine, &factor, &partition),
         });
 
         let assignment = phase_peak(rec, "sched", || {

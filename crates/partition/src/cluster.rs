@@ -44,18 +44,6 @@ pub fn identify_clusters(factor: &SymbolicFactor, params: &PartitionParams) -> V
     out
 }
 
-/// Maps each column to its cluster id.
-pub fn cluster_of_column(clusters: &[Cluster], n: usize) -> Vec<usize> {
-    let mut map = vec![usize::MAX; n];
-    for c in clusters {
-        for slot in &mut map[c.cols.lo..=c.cols.hi] {
-            *slot = c.id;
-        }
-    }
-    debug_assert!(map.iter().all(|&c| c != usize::MAX));
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,17 +160,6 @@ mod tests {
         let cs = identify_clusters(&f, &PartitionParams::with_grain(4));
         assert!(cs.iter().all(|c| c.is_single()));
         check_clusters_partition_columns(&cs, 6);
-    }
-
-    #[test]
-    fn cluster_of_column_maps_every_column() {
-        let p = gen::lap9(7, 7);
-        let f = factor_of(&p);
-        let cs = identify_clusters(&f, &PartitionParams::with_grain(4));
-        let map = cluster_of_column(&cs, 49);
-        for (j, &cid) in map.iter().enumerate() {
-            assert!(cs[cid].cols.contains(j));
-        }
     }
 
     #[test]

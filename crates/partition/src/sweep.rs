@@ -47,7 +47,7 @@
 
 use crate::block::UnitShape;
 use crate::deps::{category_of, dependencies, dependencies_traced, record_graph_stats, DepGraph};
-use crate::units::Partition;
+use crate::units::{advance, split_at, Partition, Segmentation};
 use spfactor_interval::Interval;
 use spfactor_symbolic::SymbolicFactor;
 use spfactor_trace::Recorder;
@@ -160,10 +160,8 @@ fn default_threads() -> usize {
 /// Immutable lookup tables shared by every worker thread.
 struct SweepPlan<'a> {
     factor: &'a SymbolicFactor,
-    /// Flattened ownership segmentations: column `j`'s segments are
-    /// `seg[seg_start[j]..seg_start[j + 1]]` (ascending, disjoint).
-    seg_start: Vec<usize>,
-    seg: Vec<(Interval, u32)>,
+    /// Every column's ownership segmentation (ascending, disjoint).
+    segs: Segmentation,
     /// Transpose of the strict-lower structure: row `j`'s entries are
     /// `(k, pos)` pairs with `L(j,k)` stored, `k < j` ascending, `pos` the
     /// index of `j` in `factor.col(k)`. Row `j`'s slice is
@@ -216,13 +214,6 @@ fn build_cat_tables() -> ([u8; 9], [u8; 27]) {
 impl<'a> SweepPlan<'a> {
     fn new(factor: &'a SymbolicFactor, partition: &'a Partition) -> Self {
         let n = factor.n();
-        let mut seg_start = Vec::with_capacity(n + 1);
-        let mut seg = Vec::new();
-        seg_start.push(0);
-        for j in 0..n {
-            partition.column_ownership(j, &mut seg);
-            seg_start.push(seg.len());
-        }
         // Counting sort of the strict-lower entries by row: iterating
         // columns ascending keeps each row list k-ascending.
         let mut row_start = vec![0usize; n + 1];
@@ -261,8 +252,7 @@ impl<'a> SweepPlan<'a> {
         let (cat1, cat2) = build_cat_tables();
         SweepPlan {
             factor,
-            seg_start,
-            seg,
+            segs: partition.segmentation(),
             row_start,
             row_adj,
             snode,
@@ -270,10 +260,6 @@ impl<'a> SweepPlan<'a> {
             cat1,
             cat2,
         }
-    }
-
-    fn col_segs(&self, j: usize) -> &[(Interval, u32)] {
-        &self.seg[self.seg_start[j]..self.seg_start[j + 1]]
     }
 
     fn row_pairs(&self, j: usize) -> &[(u32, u32)] {
@@ -404,7 +390,7 @@ impl SweepOut {
 /// `rows(k)[pos..]`.
 fn process_target_column(plan: &SweepPlan, j: usize, out: &mut SweepOut) {
     out.columns += 1;
-    let tsegs = plan.col_segs(j);
+    let tsegs = plan.segs.col(j);
     // Scaling ops: the diagonal's unit (the first target segment always
     // contains row j) feeds every other unit holding entries of column j.
     let lower = plan.factor.col(j);
@@ -446,7 +432,7 @@ fn process_target_column(plan: &SweepPlan, j: usize, out: &mut SweepOut) {
     for &(k, pos) in plan.row_pairs(j) {
         out.pairs += 1;
         let rows = plan.factor.col(k as usize);
-        let ssegs = plan.col_segs(k as usize);
+        let ssegs = plan.segs.col(k as usize);
         // The (j, k) source element's unit is fixed for this pair.
         let mut si = ssegs.partition_point(|s| s.0.hi < j);
         debug_assert!(ssegs[si].0.contains(j));
@@ -512,37 +498,6 @@ fn process_target_column(plan: &SweepPlan, j: usize, out: &mut SweepOut) {
         }
         prev_segments = out.segments - segments_before;
     }
-}
-
-/// Returns the end of the prefix of `rows[idx..end]` with values `<= hi`,
-/// as an absolute index. One compare against the slice's last row settles
-/// the dominant case — a single segment covering the whole remainder —
-/// before falling back to binary search.
-#[inline]
-fn split_at(rows: &[usize], idx: usize, end: usize, hi: usize) -> usize {
-    if rows[end - 1] <= hi {
-        end
-    } else {
-        idx + rows[idx..end].partition_point(|&r| r <= hi)
-    }
-}
-
-/// Advances `idx` to the first segment whose interval reaches row `i`
-/// (caller guarantees one exists). A few linear steps cover the dense-run
-/// common case; sparse columns inside wide segmentations — where stored
-/// rows skip dozens of segments at a time — fall through to a binary
-/// search so the advance is logarithmic, not linear, in the skip length.
-#[inline]
-fn advance(segs: &[(Interval, u32)], mut idx: usize, i: usize) -> usize {
-    let mut linear = 0;
-    while segs[idx].0.hi < i {
-        idx += 1;
-        linear += 1;
-        if linear == 4 {
-            return idx + segs[idx..].partition_point(|s| s.0.hi < i);
-        }
-    }
-    idx
 }
 
 /// Aggregated sweep work counters (the `deps.engine.*` metrics).

@@ -12,11 +12,12 @@
 //! block is partitioned into at most Pd equal sized units".
 
 use crate::block::{Cluster, ClusterKind, UnitBlock, UnitShape};
-use crate::cluster::{cluster_of_column, identify_clusters};
+use crate::cluster::identify_clusters;
 use crate::PartitionParams;
 use spfactor_interval::Interval;
-use spfactor_symbolic::{ops, SymbolicFactor};
+use spfactor_symbolic::{fundamental_supernodes, ops, SymbolicFactor};
 use spfactor_trace::Recorder;
+use std::ops::Range;
 
 /// The result of partitioning a symbolic factor: clusters, unit blocks in
 /// allocation scan order, and the element → unit ownership map.
@@ -41,9 +42,8 @@ pub struct Partition {
 /// sub-rectangle units laid out row-major from `first_unit`.
 #[derive(Clone, Debug)]
 pub(crate) struct RectGrid {
-    /// The rectangle's full row extent (one maximal run of dense rows).
-    pub rows: Interval,
-    /// Row chunks, ascending and contiguous, tiling `rows`.
+    /// Row chunks, ascending and contiguous, tiling the rectangle's row
+    /// extent (one maximal run of dense rows).
     pub row_chunks: Vec<Interval>,
     /// Column chunks, ascending and contiguous, tiling the strip columns.
     pub col_chunks: Vec<Interval>,
@@ -123,19 +123,107 @@ fn rectangle_grid(h: usize, w: usize, g: usize) -> (usize, usize) {
     best
 }
 
+/// Flattened per-column ownership segmentations: column `j`'s segments
+/// are `segs[start[j]..start[j + 1]]`, ascending and disjoint.
+pub(crate) struct Segmentation {
+    start: Vec<usize>,
+    segs: Vec<(Interval, u32)>,
+}
+
+impl Segmentation {
+    /// Column `j`'s segments.
+    #[inline]
+    pub(crate) fn col(&self, j: usize) -> &[(Interval, u32)] {
+        &self.segs[self.start[j]..self.start[j + 1]]
+    }
+}
+
+/// What the work tally walked (the `partition.work.*` counters).
+struct WorkTally {
+    /// Non-empty sorted row runs split against a segmentation: one scaling
+    /// run per column plus one update tail per (supernode, target column).
+    pairs: u64,
+    /// Pieces those runs fell into.
+    segments: u64,
+}
+
+/// Returns the end of the prefix of `rows[idx..end]` with values `<= hi`,
+/// as an absolute index (`rows[idx] <= hi` is the caller's guarantee).
+/// One compare against the slice's last row settles the dominant case — a
+/// single segment covering the whole remainder; otherwise the boundary is
+/// galloped to from `idx`, since a piece is a handful of rows (one chunk
+/// of a dense block) however long the remainder is.
+#[inline]
+pub(crate) fn split_at(rows: &[usize], idx: usize, end: usize, hi: usize) -> usize {
+    debug_assert!(rows[idx] <= hi);
+    if rows[end - 1] <= hi {
+        return end;
+    }
+    let mut lo = idx;
+    let mut step = 1;
+    while lo + step < end && rows[lo + step] <= hi {
+        lo += step;
+        step *= 2;
+    }
+    let upper = (lo + step).min(end);
+    lo + 1 + rows[lo + 1..upper].partition_point(|&r| r <= hi)
+}
+
+/// Advances `idx` to the first segment whose interval reaches row `i`
+/// (caller guarantees one exists). A few linear steps cover the dense-run
+/// common case; sparse columns inside wide segmentations — where stored
+/// rows skip dozens of segments at a time — fall through to a binary
+/// search so the advance is logarithmic, not linear, in the skip length.
+#[inline]
+pub(crate) fn advance(segs: &[(Interval, u32)], mut idx: usize, i: usize) -> usize {
+    let mut linear = 0;
+    while segs[idx].0.hi < i {
+        idx += 1;
+        linear += 1;
+        if linear == 4 {
+            return idx + segs[idx..].partition_point(|s| s.0.hi < i);
+        }
+    }
+    idx
+}
+
+/// Splits the ascending `rows` at the boundaries of `segs` (which must
+/// cover every row) and calls `f(unit, piece)` for each non-empty piece,
+/// `piece` an index range into `rows`. Returns the number of pieces.
+#[inline]
+fn split_rows(
+    rows: &[usize],
+    segs: &[(Interval, u32)],
+    mut f: impl FnMut(u32, Range<usize>),
+) -> u64 {
+    let mut pieces = 0;
+    let mut si = 0;
+    let mut idx = 0;
+    while idx < rows.len() {
+        si = advance(segs, si, rows[idx]);
+        debug_assert!(segs[si].0.contains(rows[idx]));
+        let end = split_at(rows, idx, rows.len(), segs[si].0.hi);
+        f(segs[si].1, idx..end);
+        pieces += 1;
+        idx = end;
+    }
+    pieces
+}
+
 impl Partition {
     /// Runs cluster identification and unit partitioning on `factor`.
     pub fn build(factor: &SymbolicFactor, params: &PartitionParams) -> Partition {
         let clusters = identify_clusters(factor, params);
-        Self::from_clusters(factor, clusters, *params)
+        Self::from_clusters(factor, clusters, *params).0
     }
 
     /// [`build`](Self::build) with instrumentation: times cluster
     /// identification (`partition.identify_clusters`) and unit layout
-    /// (`partition.split_units`) separately and records the resulting
-    /// shape of the partition — cluster counts by kind, unit counts by
-    /// shape, total work — as `partition.*` gauges (see
-    /// `docs/METRICS.md`).
+    /// (`partition.split_units`) separately, counts the tails and segment
+    /// pieces the work tally walked (`partition.work.pairs` /
+    /// `partition.work.segments`) and records the resulting shape of the
+    /// partition — cluster counts by kind, unit counts by shape, total
+    /// work — as `partition.*` gauges (see `docs/METRICS.md`).
     pub fn build_traced(
         factor: &SymbolicFactor,
         params: &PartitionParams,
@@ -144,9 +232,11 @@ impl Partition {
         let clusters = recorder.time("partition.identify_clusters", || {
             identify_clusters(factor, params)
         });
-        let part = recorder.time("partition.split_units", || {
+        let (part, tally) = recorder.time("partition.split_units", || {
             Self::from_clusters(factor, clusters, *params)
         });
+        recorder.incr("partition.work.pairs", tally.pairs);
+        recorder.incr("partition.work.segments", tally.segments);
         part.record_stats(recorder);
         part
     }
@@ -176,33 +266,55 @@ impl Partition {
     }
 
     /// A degenerate partition with one column unit per column — the layout
-    /// the *wrap-mapped* baseline scheme assigns processors over.
+    /// the *wrap-mapped* baseline scheme assigns processors over. Column
+    /// `j`'s unit owns the whole column and does the work landing in it
+    /// ([`ops::column_work`]), so there is no geometry to lay out:
+    /// `O(nnz(L))`.
     pub fn columns(factor: &SymbolicFactor) -> Partition {
-        let clusters: Vec<Cluster> = (0..factor.n())
-            .map(|j| Cluster {
-                id: j,
-                cols: Interval::point(j),
-                kind: ClusterKind::SingleColumn,
-            })
-            .collect();
-        Self::from_clusters(
-            factor,
-            clusters,
-            PartitionParams {
+        let n = factor.n();
+        let work = ops::column_work(factor);
+        let mut owner: Vec<u32> = Vec::with_capacity(factor.num_entries());
+        owner.extend(0..n as u32);
+        for j in 0..n {
+            owner.extend(std::iter::repeat_n(j as u32, factor.col_count(j)));
+        }
+        Partition {
+            clusters: (0..n)
+                .map(|j| Cluster {
+                    id: j,
+                    cols: Interval::point(j),
+                    kind: ClusterKind::SingleColumn,
+                })
+                .collect(),
+            units: (0..n)
+                .map(|j| UnitBlock {
+                    id: j,
+                    cluster: j,
+                    shape: UnitShape::Column { col: j },
+                    elements: 1 + factor.col_count(j),
+                    work: work[j],
+                })
+                .collect(),
+            params: PartitionParams {
                 grain_triangle: 1,
                 grain_rectangle: 1,
                 min_cluster_width: usize::MAX,
                 relax_zeros: 0,
             },
-        )
+            owner,
+            layouts: (0..n)
+                .map(|j| ClusterLayout::Single { unit: j as u32 })
+                .collect(),
+        }
     }
 
+    /// Lays `clusters` out into unit blocks, then fills ownership and
+    /// work ([`fill_ownership_and_work`](Self::fill_ownership_and_work)).
     fn from_clusters(
         factor: &SymbolicFactor,
         clusters: Vec<Cluster>,
         params: PartitionParams,
-    ) -> Partition {
-        let n = factor.n();
+    ) -> (Partition, WorkTally) {
         let mut units: Vec<UnitBlock> = Vec::new();
         let mut layouts: Vec<ClusterLayout> = Vec::with_capacity(clusters.len());
 
@@ -279,7 +391,6 @@ impl Partition {
                             }
                         }
                         rects.push(RectGrid {
-                            rows: rr,
                             row_chunks,
                             col_chunks,
                             first_unit: first as u32,
@@ -295,85 +406,101 @@ impl Partition {
             }
         }
 
-        // Ownership map over all factor entries.
-        let col_cluster = cluster_of_column(&clusters, n);
-        let chunk_of = |chs: &[Interval], x: usize| -> usize {
-            // Chunks are contiguous and sorted; binary search by lo.
-            chs.partition_point(|c| c.hi < x)
-        };
-        let mut owner = vec![u32::MAX; factor.num_entries()];
-        let resolve = |i: usize, j: usize| -> u32 {
-            let cid = col_cluster[j];
-            match &layouts[cid] {
-                ClusterLayout::Single { unit } => *unit,
-                ClusterLayout::Strip {
-                    tri_chunks,
-                    tri_unit,
-                    tri_rect_unit,
-                    rects,
-                } => {
-                    let cl = &clusters[cid];
-                    if i <= cl.cols.hi {
-                        // Triangle element.
-                        let r = chunk_of(tri_chunks, i);
-                        let c = chunk_of(tri_chunks, j);
-                        debug_assert!(r >= c);
-                        if r == c {
-                            tri_unit[r]
-                        } else {
-                            tri_rect_unit[r * tri_chunks.len() + c]
-                        }
-                    } else {
-                        // Below-rectangle element: find the run holding i.
-                        let ri = rects.partition_point(|g| g.rows.hi < i);
-                        let g = &rects[ri];
-                        debug_assert!(g.rows.contains(i));
-                        let r = chunk_of(&g.row_chunks, i);
-                        let c = chunk_of(&g.col_chunks, j);
-                        g.first_unit + (r * g.col_chunks.len() + c) as u32
-                    }
-                }
-            }
-        };
-        for j in 0..n {
-            let d = factor.entry_id(j, j).expect("diagonal entry");
-            owner[d] = resolve(j, j);
-            for &i in factor.col(j) {
-                let e = factor.entry_id(i, j).expect("stored entry");
-                owner[e] = resolve(i, j);
-            }
-        }
-        debug_assert!(owner.iter().all(|&u| u != u32::MAX));
-
-        // Element counts per unit.
-        for &u in &owner {
-            units[u as usize].elements += 1;
-        }
-        // Work per unit under the paper's cost model: 2 per update pair on
-        // the target element, 1 per diagonal scaling of a strict-lower
-        // element.
-        {
-            let mut work = vec![0usize; units.len()];
-            ops::for_each_update(factor, |op| {
-                let t = owner[factor.entry_id(op.i, op.j).unwrap()];
-                work[t as usize] += 2;
-            });
-            ops::for_each_scaling(factor, |i, j| {
-                let t = owner[factor.entry_id(i, j).unwrap()];
-                work[t as usize] += 1;
-            });
-            for (u, w) in units.iter_mut().zip(work) {
-                u.work = w;
-            }
-        }
-
-        Partition {
+        let mut part = Partition {
             clusters,
             units,
             params,
-            owner,
+            owner: Vec::new(),
             layouts,
+        };
+        let tally = part.fill_ownership_and_work(factor);
+        (part, tally)
+    }
+
+    /// Fills the ownership map and every unit's `elements` and `work`
+    /// from the ownership segmentation alone — no update pair is
+    /// enumerated.
+    ///
+    /// Within one segment of a target column the owning unit is constant,
+    /// so a sorted run of target rows is counted by splitting it at the
+    /// segment boundaries ([`split_rows`]):
+    ///
+    /// * *Ownership and scalings.* Column `j`'s strict-lower entries have
+    ///   consecutive entry ids; each piece of `col(j)` fills its id range
+    ///   with the owning unit and adds one scaling per entry.
+    /// * *Updates*, grouped by fundamental supernode `S = [k0..=k1]` on
+    ///   the source side. Every column `k ∈ S` stores `{k+1..=k1} ∪ B`
+    ///   with `B = col(k1)`, so the update pairs `(i, j, k)` of the whole
+    ///   supernode into one target column `j = rows(k0)[b]` are
+    ///   `min(b + 1, |S|)` copies of the single tail `rows(k0)[b..]`: `j`
+    ///   inside `S` is updated by the `j − k0 = b + 1` columns left of
+    ///   it, `j ∈ B` by all `|S|`. The tail is split once and each piece
+    ///   adds `2 · copies · len` to its owner.
+    ///
+    /// `Θ(Σ_S |rows(k0_S)| · segments)` against the per-pair replay's
+    /// `Θ(Σ_k c_k² · log c)`.
+    fn fill_ownership_and_work(&mut self, factor: &SymbolicFactor) -> WorkTally {
+        let n = factor.n();
+        let segs = self.segmentation();
+        let mut owner = vec![u32::MAX; factor.num_entries()];
+        let mut elements = vec![0usize; self.units.len()];
+        let mut work = vec![0usize; self.units.len()];
+        let mut tally = WorkTally {
+            pairs: 0,
+            segments: 0,
+        };
+
+        let mut base = n;
+        for j in 0..n {
+            let col_segs = segs.col(j);
+            // The first segment always contains row j.
+            let diag = col_segs[0].1;
+            owner[j] = diag;
+            elements[diag as usize] += 1;
+            let rows = factor.col(j);
+            tally.pairs += u64::from(!rows.is_empty());
+            tally.segments += split_rows(rows, col_segs, |unit, piece| {
+                owner[base + piece.start..base + piece.end].fill(unit);
+                elements[unit as usize] += piece.len();
+                work[unit as usize] += piece.len();
+            });
+            base += rows.len();
         }
+        debug_assert!(owner.iter().all(|&u| u != u32::MAX));
+
+        for sn in fundamental_supernodes(factor) {
+            let rows = factor.col(sn.start);
+            tally.pairs += rows.len() as u64;
+            for (b, &j) in rows.iter().enumerate() {
+                let weight = 2 * (b + 1).min(sn.len());
+                tally.segments += split_rows(&rows[b..], segs.col(j), |unit, piece| {
+                    work[unit as usize] += weight * piece.len();
+                });
+            }
+        }
+
+        self.owner = owner;
+        for ((u, e), w) in self.units.iter_mut().zip(elements).zip(work) {
+            u.elements = e;
+            u.work = w;
+        }
+        tally
+    }
+
+    /// The ownership segmentation of every column
+    /// ([`column_ownership`](Self::column_ownership)) in one flat table —
+    /// the geometry view the work tally and the deps sweep both walk.
+    /// Transient: callers build it, walk it and drop it.
+    pub(crate) fn segmentation(&self) -> Segmentation {
+        let n = self.clusters.last().map_or(0, |c| c.cols.hi + 1);
+        let mut start = Vec::with_capacity(n + 1);
+        let mut segs = Vec::new();
+        start.push(0);
+        for j in 0..n {
+            self.column_ownership(j, &mut segs);
+            start.push(segs.len());
+        }
+        Segmentation { start, segs }
     }
 
     /// The unit owning factor entry `(i, j)` (`i >= j`, must be a stored

@@ -17,19 +17,11 @@
 
 use crate::Assignment;
 use spfactor_partition::Partition;
-use spfactor_symbolic::{ops, SymbolicFactor};
+use spfactor_symbolic::ops::column_work;
+use spfactor_symbolic::SymbolicFactor;
 
 /// Target number of subtrees per processor before LPT assignment.
 const SPLIT_FACTOR: usize = 4;
-
-/// Computes the per-column target work (paper cost model): updates and
-/// scalings landing in each column.
-pub fn column_work(factor: &SymbolicFactor) -> Vec<usize> {
-    let mut w = vec![0usize; factor.n()];
-    ops::for_each_update(factor, |op| w[op.j] += 2);
-    ops::for_each_scaling(factor, |_i, j| w[j] += 1);
-    w
-}
 
 /// Proportional (subtree-based) allocation of a partition's unit blocks.
 pub fn proportional_allocation(
@@ -128,13 +120,6 @@ mod tests {
         let f = SymbolicFactor::from_pattern(&p.permute(&perm));
         let part = Partition::build(&f, &PartitionParams::with_grain(4));
         (f, part)
-    }
-
-    #[test]
-    fn column_work_sums_to_total() {
-        let p = gen::lap9(8, 8);
-        let (f, _) = setup(&p);
-        assert_eq!(column_work(&f).iter().sum::<usize>(), f.paper_work());
     }
 
     #[test]

@@ -35,7 +35,8 @@ use spfactor::mp::{FaultPlan, MpConfig, MpError};
 use spfactor::numeric::NumericFactor;
 use spfactor::sched::{ScheduleArtifact, ScheduleKey, Scheme};
 use spfactor::{
-    mp, numeric, NetworkModel, OrderEngine, Ordering, PartitionParams, Pipeline, Recorder,
+    mp, numeric, DepsEngine, NetworkModel, OrderEngine, Ordering, PartitionParams, Pipeline,
+    Recorder,
 };
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -499,7 +500,11 @@ impl Shared {
                 .order_engine(request.order_engine)
                 .params(request.params)
                 .scheme(request.scheme)
-                .processors(request.nprocs);
+                .processors(request.nprocs)
+                // The engine `sched::rebuild_artifact` uses on the
+                // store-load path, so one key has one origin. Serial:
+                // the worker threads already fill the cores.
+                .deps_engine(DepsEngine::Sweep);
             if let Some(rec) = &self.recorder {
                 pipeline = pipeline.with_recorder(rec.clone());
             }

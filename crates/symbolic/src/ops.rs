@@ -58,10 +58,44 @@ pub fn total_work(factor: &SymbolicFactor) -> usize {
     w
 }
 
+/// Work landing in each target column under the paper's cost model, in
+/// closed form: the `b`-th stored row `j` of a column `k` with `c_k`
+/// strict-lower entries is the target column of the `c_k − b` update
+/// pairs `(i, j, k)`, `i ∈ rows(k)[b..]`, at 2 units each, and column `j`
+/// scales its own `c_j` entries at 1 unit each. One pass over the stored
+/// entries, `O(nnz(L))`; sums to [`SymbolicFactor::paper_work`].
+pub fn column_work(factor: &SymbolicFactor) -> Vec<usize> {
+    let mut w: Vec<usize> = (0..factor.n()).map(|j| factor.col_count(j)).collect();
+    for k in 0..factor.n() {
+        let rows = factor.col(k);
+        for (b, &j) in rows.iter().enumerate() {
+            w[j] += 2 * (rows.len() - b);
+        }
+    }
+    w
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use spfactor_matrix::{gen, SymmetricPattern};
+
+    #[test]
+    fn column_work_matches_enumeration() {
+        for p in [
+            gen::lap9(7, 7),
+            gen::grid5(5, 8),
+            gen::power_network(50, 10, 4),
+            SymmetricPattern::from_edges(2, []),
+        ] {
+            let f = SymbolicFactor::from_pattern(&p);
+            let mut w = vec![0usize; f.n()];
+            for_each_update(&f, |op| w[op.j] += 2);
+            for_each_scaling(&f, |_i, j| w[j] += 1);
+            assert_eq!(column_work(&f), w);
+            assert_eq!(w.iter().sum::<usize>(), f.paper_work());
+        }
+    }
 
     #[test]
     fn updates_of_single_dense_column() {

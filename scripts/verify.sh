@@ -40,6 +40,9 @@ cargo test -q -p spfactor --test mp_cross_validation
 echo "==> deps equivalence smoke: sweep engines vs element oracle"
 cargo test -q -p spfactor --test deps_equivalence deps_engines_identical_on_all_paper_matrices
 
+echo "==> partition equivalence smoke: closed-form ownership + work vs per-update oracle"
+cargo test -q -p spfactor --test partition_equivalence partition_matches_oracle_on_all_paper_matrices
+
 echo "==> chaos smoke: seeded fault injection cross-validates exactly"
 cargo test -q -p spfactor --test chaos_mp chaos_smoke
 cargo test -q -p spfactor-matrix --test io_robustness
@@ -91,7 +94,7 @@ echo "==> scale smoke: schema of BENCH_scale.json, peak-bytes gauges populated"
 # the tracking-allocator plumbing end to end.
 scale_json="$(mktemp)"
 scripts/bench.sh --scale --smoke --out "$scale_json" > /dev/null
-for field in '"schema": "spfactor-bench-scale/1"' \
+for field in '"schema": "spfactor-bench-scale/2"' \
              '"order_engine": "compressed"' \
              '"max_n"' '"max_peak_bytes"' \
              '"sizes"' '"phases_ms"' '"peak_bytes"' \

@@ -85,6 +85,7 @@ mod enabled {
             "phase.order",
             "phase.symbolic",
             "phase.partition",
+            "phase.deps",
             "phase.sched",
             "phase.simulate",
             "order.compute",
@@ -110,6 +111,8 @@ mod enabled {
             "order.mmd.passes",
             "order.mmd.eliminations",
             "order.mmd.degree_updates",
+            "partition.work.pairs",
+            "partition.work.segments",
             "simulate.traffic.remote_fetches",
             "simulate.traffic.cache_hits",
             "simulate.traffic.local_accesses",
@@ -123,6 +126,9 @@ mod enabled {
         // MMD eliminates every supervariable exactly once; there are at
         // most n of them.
         assert!(rec.counter("order.mmd.eliminations") <= result.factor.n() as u64);
+        // The work tally splits at most one row run per factor entry.
+        assert!(rec.counter("partition.work.pairs") <= result.factor.num_entries() as u64);
+        assert!(rec.counter("partition.work.segments") >= rec.counter("partition.work.pairs"));
         // The ten dependency categories partition the update operations.
         let per_category: u64 = (1..=10)
             .map(|c| rec.counter(&format!("partition.deps.category.{c}")))
@@ -459,7 +465,14 @@ mod enabled {
         // Every phase publishes its heap high-water mark when the
         // running binary (this one) installs the tracking allocator.
         let (_result, rec) = run_lap30_block();
-        for phase in ["order", "symbolic", "partition", "sched", "simulate"] {
+        for phase in [
+            "order",
+            "symbolic",
+            "partition",
+            "deps",
+            "sched",
+            "simulate",
+        ] {
             let gauge = format!("phase.{phase}.peak_bytes");
             let peak = rec.gauge_value(&gauge).unwrap_or_else(|| {
                 panic!("gauge {gauge} missing; recorded: {:?}", rec.gauge_names())

@@ -214,6 +214,33 @@ fn cached_artifact_factors_are_bit_identical_to_fresh_runs() {
 }
 
 #[test]
+fn cold_built_artifact_equals_an_element_planned_one() {
+    // Cold builds plan their dependencies with the serial sweep engine
+    // (as the store-load path does); the deps engine is not part of the
+    // key, so the artifact must be the one the element oracle plans.
+    for scheme in [Scheme::Block, Scheme::Wrap] {
+        let request = grid_request(9, 8, 5).scheme(scheme);
+        let service = SolverService::start(ServeConfig::default());
+        let resp = service.solve(request.clone()).unwrap();
+        assert!(!resp.cache_hit);
+        let served = &resp.artifact;
+        let oracle = spfactor::partition::build_dependencies(
+            spfactor::DepsEngine::Element,
+            served.factor(),
+            served.partition(),
+        );
+        assert_eq!(served.deps(), &oracle, "{scheme:?}: cold-built deps");
+        let planned = Pipeline::new(request.pattern.clone())
+            .scheme(scheme)
+            .processors(4)
+            .deps_engine(spfactor::DepsEngine::Element)
+            .plan();
+        assert_eq!(served.key(), planned.key());
+        assert_eq!(served.fingerprint(), planned.fingerprint(), "{scheme:?}");
+    }
+}
+
+#[test]
 fn served_factor_matches_pipeline_run_executed_factor() {
     // Sharper still: `Pipeline::run()` under the message-passing
     // backend factors values synthesized (seed 42) from the *permuted*
