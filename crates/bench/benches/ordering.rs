@@ -1,8 +1,9 @@
-//! Criterion benches for the ordering stage: MMD (the paper's choice)
-//! against RCM and nested dissection on the paper's matrices.
+//! Criterion benches for the ordering stage: MMD (the paper's choice) on
+//! the oracle and under both engines, against RCM and nested dissection,
+//! on the paper's matrices.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spfactor::Ordering;
+use spfactor::{OrderEngine, Ordering};
 
 fn bench_orderings(c: &mut Criterion) {
     let mut group = c.benchmark_group("ordering");
@@ -21,6 +22,15 @@ fn bench_orderings(c: &mut Criterion) {
                 b.iter(|| spfactor::order::order(pattern, method))
             });
         }
+        let id = BenchmarkId::new("mmd-oracle", m.name);
+        group.bench_with_input(id, &m.pattern, |b, pattern| {
+            b.iter(|| spfactor::order::mmd::multiple_minimum_degree(pattern, 0))
+        });
+        let id = BenchmarkId::new("mmd-compressed", m.name);
+        group.bench_with_input(id, &m.pattern, |b, pattern| {
+            let mmd = Ordering::paper_default();
+            b.iter(|| spfactor::order::order_with_engine(pattern, mmd, OrderEngine::Compressed))
+        });
     }
     group.finish();
 }

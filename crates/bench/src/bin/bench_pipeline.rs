@@ -6,8 +6,8 @@
 //! the production grain 25, and a large generated
 //! 9-point grid, running the simulate phase under all three
 //! [`SimulateEngine`]s, the deps phase under all three
-//! [`DepsEngine`]s and the order phase under both [`OrderEngine`]s, and
-//! writes the results as `BENCH_pipeline.json`. It
+//! [`DepsEngine`]s and the order phase under the `mmd` oracle and both
+//! [`OrderEngine`]s, and writes the results as `BENCH_pipeline.json`. It
 //! also times the AMD ordering against the paper's MMD on every matrix
 //! (`order_alt`), recording the factor sizes each produces. The headline
 //! numbers are the large-grid speedups of the closed-form engines over
@@ -24,7 +24,8 @@
 //! identical to the full run. Every run also cross-checks that the
 //! simulate engines return bit-identical reports and the deps engines
 //! bit-identical graphs, aborting if they do not — a committed baseline
-//! is always an equivalence witness too.
+//! is always an equivalence witness too; likewise `OrderEngine::Direct`
+//! must return the oracle's permutation.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -36,7 +37,7 @@ use spfactor::simulate::{simulate, SimulateEngine};
 use spfactor::{OrderEngine, Ordering, Partition, PartitionParams, SymbolicFactor};
 
 /// Schema identifier validated by `scripts/bench.sh --smoke`.
-const SCHEMA: &str = "spfactor-bench-pipeline/3";
+const SCHEMA: &str = "spfactor-bench-pipeline/4";
 
 const ORDER_ENGINES: [OrderEngine; 2] = [OrderEngine::Direct, OrderEngine::Compressed];
 
@@ -102,10 +103,15 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
 fn bench_matrix(m: &TestMatrix, label: &str, nprocs: usize, grain: usize) -> MatrixResult {
     let reps = if m.pattern.n() <= 2_000 { 3 } else { 1 };
 
-    // MMD under both ordering engines; the compressed engine must stay
-    // within 5% of the direct factor size (it is bit-identical on
-    // incompressible graphs, and at worst regime-equivalent elsewhere).
-    let mut order_ms = Vec::new();
+    // MMD on the oracle, then under both ordering engines (one driver,
+    // without and with up-front compression). Direct must reproduce the
+    // oracle; the compressed engine must stay within 5% of the direct
+    // factor size (it is bit-identical on incompressible graphs, and at
+    // worst regime-equivalent elsewhere).
+    let (oracle_perm, oracle_ms) = best_of(reps, || {
+        spfactor::order::mmd::multiple_minimum_degree(&m.pattern, 0)
+    });
+    let mut order_ms = vec![("oracle", oracle_ms)];
     let mut perms = Vec::new();
     for engine in ORDER_ENGINES {
         let (p, best) = best_of(reps, || {
@@ -116,6 +122,8 @@ fn bench_matrix(m: &TestMatrix, label: &str, nprocs: usize, grain: usize) -> Mat
     }
     let compressed_perm = perms.pop().expect("two permutations");
     let perm = perms.pop().expect("two permutations");
+    assert_eq!(perm, oracle_perm, "{label}: Direct left the oracle");
+    let (direct_ms, compressed_ms) = (order_ms[1].1, order_ms[2].1);
     // AMD next to MMD: same interface, cheaper degree maintenance; record
     // the fill each produces so the speed/quality trade-off is tracked.
     let (amd_perm, amd_ms) = best_of(reps, || {
@@ -137,7 +145,7 @@ fn bench_matrix(m: &TestMatrix, label: &str, nprocs: usize, grain: usize) -> Mat
     let amd_factor_entries =
         SymbolicFactor::from_pattern(&m.pattern.permute(&amd_perm)).num_entries();
     let order_alt = OrderAlt {
-        mmd_ms: order_ms[0].1,
+        mmd_ms: direct_ms,
         amd_ms,
         mmd_factor_entries: factor.num_entries(),
         amd_factor_entries,
@@ -184,9 +192,9 @@ fn bench_matrix(m: &TestMatrix, label: &str, nprocs: usize, grain: usize) -> Mat
         factor_entries: factor.num_entries(),
         nprocs,
         phases_ms: [
-            // Continuity with schema /2: the phase column stays the
-            // direct engine; per-engine timings live in order_ms.
-            ("order", order_ms[0].1),
+            // The phase column is the default engine (Direct); oracle
+            // and per-engine timings live in order_ms.
+            ("order", direct_ms),
             ("symbolic", symbolic_ms),
             ("partition", partition_ms),
             // Continuity with schema /1: the phase column stays the
@@ -195,7 +203,7 @@ fn bench_matrix(m: &TestMatrix, label: &str, nprocs: usize, grain: usize) -> Mat
             ("sched", sched_ms),
         ],
         speedup_deps_sweep_parallel: speedup(deps_ms[0].1, deps_ms[2].1),
-        speedup_order_compressed: speedup(order_ms[0].1, order_ms[1].1),
+        speedup_order_compressed: speedup(oracle_ms, compressed_ms),
         order_ms,
         deps_ms,
         order_alt,
@@ -269,7 +277,7 @@ fn json_document(mode: &str, large_grid: &str, results: &[MatrixResult]) -> Stri
         writeln!(s, "      \"work_total\": {},", r.work_total).unwrap();
         writeln!(
             s,
-            "      \"speedup_order_compressed_over_direct\": {:.2},",
+            "      \"speedup_order_compressed_over_oracle\": {:.2},",
             r.speedup_order_compressed
         )
         .unwrap();

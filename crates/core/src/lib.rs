@@ -397,13 +397,13 @@ impl Pipeline {
     }
 
     /// Selects the ordering engine (default: [`OrderEngine::Direct`],
-    /// which runs the ordering on the original graph).
+    /// the minimum-degree driver on the original graph).
     /// [`OrderEngine::Compressed`] first merges indistinguishable
-    /// columns into supervariables and runs weighted minimum degree on
-    /// the compressed quotient graph — much faster on large problems,
-    /// and bit-identical to `Direct` when nothing compresses — see
-    /// `docs/PERFORMANCE.md`. The engine is part of the schedule cache
-    /// identity ([`ScheduleKey`]).
+    /// columns into supervariables and runs the same driver, weighted,
+    /// on the compressed quotient graph — smaller where the pattern
+    /// compresses, and bit-identical to `Direct` when nothing does —
+    /// see `docs/PERFORMANCE.md`. The engine is part of the schedule
+    /// cache identity ([`ScheduleKey`]).
     ///
     /// ```
     /// use spfactor::{OrderEngine, Pipeline};

@@ -28,24 +28,44 @@ impl SymmetricPattern {
     /// (checked with a panic — generators are trusted code; use [`crate::Coo`]
     /// for fallible assembly).
     pub fn from_edges<I: IntoIterator<Item = (usize, usize)>>(n: usize, edges: I) -> Self {
-        let mut per_col: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // Count per column while canonicalizing, prefix-sum, scatter, then
+        // sort and deduplicate each column where it lies.
+        let edges = edges.into_iter();
+        let mut lower: Vec<(usize, usize)> = Vec::with_capacity(edges.size_hint().0);
+        let mut colptr = vec![0usize; n + 1];
         for (i, j) in edges {
             assert!(i < n && j < n, "edge ({i}, {j}) out of bounds for n = {n}");
             if i == j {
                 continue;
             }
             let (r, c) = if i > j { (i, j) } else { (j, i) };
-            per_col[c].push(r);
+            colptr[c + 1] += 1;
+            lower.push((r, c));
         }
-        let mut colptr = Vec::with_capacity(n + 1);
-        let mut rowidx = Vec::new();
-        colptr.push(0);
-        for col in &mut per_col {
-            col.sort_unstable();
-            col.dedup();
-            rowidx.extend_from_slice(col);
-            colptr.push(rowidx.len());
+        for c in 0..n {
+            colptr[c + 1] += colptr[c];
         }
+        let mut next = colptr.clone();
+        let mut rowidx = vec![0usize; lower.len()];
+        for (r, c) in lower {
+            rowidx[next[c]] = r;
+            next[c] += 1;
+        }
+        let mut write = 0;
+        for c in 0..n {
+            let (start, end) = (colptr[c], colptr[c + 1]);
+            rowidx[start..end].sort_unstable();
+            colptr[c] = write;
+            for k in start..end {
+                let r = rowidx[k];
+                if write == colptr[c] || rowidx[write - 1] != r {
+                    rowidx[write] = r;
+                    write += 1;
+                }
+            }
+        }
+        colptr[n] = write;
+        rowidx.truncate(write);
         SymmetricPattern { n, colptr, rowidx }
     }
 
@@ -266,6 +286,14 @@ impl SymmetricCsc {
         )
     }
 
+    /// Whether the strict lower triangle has exactly the structure
+    /// `pattern` — `self.pattern() == *pattern` without building anything.
+    pub fn has_pattern(&self, pattern: &SymmetricPattern) -> bool {
+        self.n == pattern.n()
+            && self.nnz_lower() == pattern.nnz_lower()
+            && (0..self.n).all(|j| self.col_rows(j)[1..] == *pattern.col(j))
+    }
+
     /// Full symmetric matrix-vector product `y = A x`.
     pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n);
@@ -444,6 +472,10 @@ mod tests {
         )
         .unwrap();
         let p = m.pattern();
+        assert!(m.has_pattern(&p));
+        assert!(!m.has_pattern(&SymmetricPattern::from_edges(3, [(2, 0)])));
+        assert!(!m.has_pattern(&SymmetricPattern::from_edges(3, [(2, 0), (1, 0)])));
+        assert!(!m.has_pattern(&SymmetricPattern::from_edges(4, [(2, 0), (2, 1)])));
         assert!(p.contains(2, 0));
         assert!(p.contains(2, 1));
         assert_eq!(p.nnz_strict_lower(), 2);

@@ -30,7 +30,7 @@ pub use grid::{grid5, grid5_fe, grid7, lap9};
 pub use lshape::lshape;
 pub use power::power_network;
 
-use crate::{Coo, SymmetricCsc, SymmetricPattern};
+use crate::{SymmetricCsc, SymmetricPattern};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,16 +45,25 @@ use rand::{Rng, SeedableRng};
 pub fn spd_from_pattern(pattern: &SymmetricPattern, seed: u64) -> SymmetricCsc {
     let mut rng = SmallRng::seed_from_u64(seed);
     let n = pattern.n();
-    let mut coo = Coo::with_capacity(n, pattern.nnz_lower());
+    // A pattern column is already the sorted strict-lower part of the CSC
+    // column: put the diagonal slot in front and draw in storage order.
+    let mut colptr = Vec::with_capacity(n + 1);
+    let mut rowidx = Vec::with_capacity(pattern.nnz_lower());
+    let mut values = Vec::with_capacity(pattern.nnz_lower());
+    colptr.push(0);
     for j in 0..n {
-        coo.push(j, j, 0.0).expect("diagonal in bounds");
+        rowidx.push(j);
+        values.push(0.0);
         for &i in pattern.col(j) {
             let mag: f64 = rng.gen_range(0.1..=1.0);
             let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
-            coo.push(i, j, sign * mag).expect("entry in bounds");
+            rowidx.push(i);
+            values.push(sign * mag);
         }
+        colptr.push(rowidx.len());
     }
-    let mut m = coo.to_csc();
+    let mut m = SymmetricCsc::from_parts(n, colptr, rowidx, values)
+        .expect("pattern columns are sorted, strictly lower and in bounds");
     m.make_diagonally_dominant();
     m
 }

@@ -1,4 +1,7 @@
-//! Compressed-graph minimum degree: the `OrderEngine::Compressed` path.
+//! The minimum-degree driver behind both [`crate::OrderEngine`]s:
+//! `Direct` runs `weighted_min_degree` on the pattern with unit
+//! weights, `Compressed` runs it on the quotient pattern of
+//! [`GraphCompression::analyze`].
 //!
 //! Two ideas stack here, both exploiting structure the per-variable
 //! oracle in [`crate::mmd`] ignores:
@@ -25,12 +28,15 @@
 //!
 //! The elimination logic itself — external degrees, multiple
 //! elimination with tolerance `delta`, indistinguishable-variable
-//! merging, element absorption — mirrors [`crate::mmd`] decision for
-//! decision, so on a graph with no compressible nodes the compressed
-//! engine reproduces the oracle's permutation bit for bit (asserted in
-//! tests). Where compression does fire, the permutation differs but the
-//! fill stays in the same regime; `tests/order_engine.rs` pins the
-//! bound and `EXPERIMENTS.md` records measured ratios.
+//! merging, element absorption — follows [`crate::mmd`], and
+//! `tests/order_engine.rs` holds the unit-weight driver to the oracle's
+//! permutation and counters. That equality rests on one shared rule, the
+//! **start-of-step twin rule**: two variables merge iff their adjacency,
+//! cleaned at the start of the merge step, is identical. (Until both
+//! sides fixed that point in time they disagreed on ≈3 % of random
+//! geometric graphs, see `EXPERIMENTS.md`.) Where compression fires, the
+//! permutation differs from the direct one but the fill stays in the
+//! same regime; `tests/order_engine.rs` pins the bound.
 
 use spfactor_matrix::{Permutation, SymmetricPattern};
 
@@ -128,17 +134,14 @@ impl GraphCompression {
         }
         let nc = member_lists.len();
 
-        // Quotient edges between distinct supervariables, deduplicated.
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        for (i, j) in pattern.iter_entries() {
-            let (a, b) = (rep_of[i], rep_of[j]);
-            if a != b {
-                edges.push((a.max(b), a.min(b)));
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        let compressed = SymmetricPattern::from_edges(nc, edges);
+        // Quotient edges between distinct supervariables (`from_edges`
+        // deduplicates). Nothing merged: the quotient is the pattern.
+        let compressed = if nc == n {
+            pattern.clone()
+        } else {
+            let quotient = pattern.iter_entries().map(|(i, j)| (rep_of[i], rep_of[j]));
+            SymmetricPattern::from_edges(nc, quotient)
+        };
 
         let weights: Vec<usize> = member_lists.iter().map(|m| m.len()).collect();
         let mut member_ptr = Vec::with_capacity(nc + 1);
@@ -194,9 +197,9 @@ impl GraphCompression {
     }
 }
 
-/// Work counters of one compressed minimum-degree run, recorded by the
-/// traced entry points under the `order.mmd.*` names.
-#[derive(Clone, Copy, Debug, Default)]
+/// Work counters of one minimum-degree run (driver or oracle), recorded
+/// by the traced entry points under the `order.mmd.*` names.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MdCounters {
     /// Elimination passes (rounds of multiple elimination).
     pub passes: u64,
@@ -205,7 +208,7 @@ pub struct MdCounters {
     /// Degree recomputations.
     pub degree_updates: u64,
     /// Indistinguishable-variable merges performed *during* elimination
-    /// (on top of the up-front compression).
+    /// (on top of any up-front compression).
     pub merges: u64,
 }
 
@@ -361,22 +364,16 @@ impl Quotient {
         d
     }
 
-    /// Merges indistinguishable variables among `candidates` (identical
-    /// cleaned quotient adjacency), with a cheap screen in front of the
-    /// oracle's exact comparison: each candidate gets a *commutative*
-    /// hash of its cleaned closed adjacency (no clone, no sort), and
-    /// only candidates sharing a hash pay for the exact signature. The
-    /// outcome matches the oracle's sequential merge: signature equality
-    /// is invariant under merges performed earlier in the same pass
-    /// (a merged variable appears in one candidate's pre-merge closed
-    /// adjacency iff it appears in its twin's, because indistinguishable
-    /// variables share closed neighborhoods), so grouping by the
-    /// pre-merge hash and resolving each group exactly — in ascending
-    /// candidate order, so the representative is the smallest member,
-    /// as in the oracle — produces the same merges.
+    /// Merges indistinguishable variables among `candidates` under the
+    /// start-of-step twin rule (module docs), with a cheap screen in
+    /// front of the oracle's exact comparison: every candidate is cleaned
+    /// and given a *commutative* hash of its closed adjacency (no clone,
+    /// no sort) before anything merges, and only candidates sharing a
+    /// hash pay for the exact signature. Each hash group is resolved in
+    /// ascending candidate order on those same start-of-step lists, so
+    /// the representative is the smallest member, as in the oracle.
     ///
-    /// Also cleans every live candidate as a side effect (hash needs the
-    /// cleaned lists), which the caller's degree scans rely on.
+    /// The caller's degree scans rely on the cleaning done here.
     fn merge_indistinguishable(&mut self, candidates: &[usize]) {
         fn mix(mut x: u64) -> u64 {
             // splitmix64 finalizer.
@@ -386,9 +383,6 @@ impl Quotient {
         }
         let mut sigs: Vec<(u64, usize)> = Vec::with_capacity(candidates.len());
         for &v in candidates {
-            if !self.live(v) {
-                continue;
-            }
             self.clean(v);
             let mut hv = mix(v as u64);
             for &u in &self.adj_vars[v] {
@@ -416,15 +410,12 @@ impl Quotient {
 
     /// Oracle-style exact merge over `sigs[lo..hi]` (one hash group,
     /// ascending candidate order because the sort tie-breaks on the id).
+    /// No re-clean: a twin merged a moment ago must stay in the lists.
     fn merge_group(&mut self, lo: usize, hi: usize, sigs: &[(u64, usize)]) {
         use std::collections::hash_map::Entry;
         use std::collections::HashMap;
         let mut exact: HashMap<(Vec<usize>, Vec<usize>), usize> = HashMap::new();
         for &(_, v) in &sigs[lo..hi] {
-            if !self.live(v) {
-                continue;
-            }
-            self.clean(v);
             let mut vars = self.adj_vars[v].clone();
             vars.push(v);
             vars.sort_unstable();
@@ -462,8 +453,13 @@ impl DegreeBuckets {
         }
     }
 
+    /// Grows on demand: the approximate degree is an upper bound that
+    /// can exceed the total weight the array was sized for.
     #[inline]
     fn push(&mut self, v: usize, d: usize) {
+        if d >= self.bucket.len() {
+            self.bucket.resize(d + 1, Vec::new());
+        }
         self.bucket[d].push(v);
         if d < self.cur_min {
             self.cur_min = d;
@@ -496,8 +492,7 @@ impl DegreeBuckets {
 /// Runs weighted multiple minimum degree (or its approximate-degree
 /// variant) on `pattern` with initial supervariable `weights`, returning
 /// the elimination order of the (compressed) variables and the work
-/// counters. Decision-for-decision equivalent to the oracle in
-/// [`crate::mmd`] when all weights are 1.
+/// counters. With unit weights: the oracle's permutation and counters.
 pub(crate) fn weighted_min_degree(
     pattern: &SymmetricPattern,
     weights: &[usize],
@@ -529,7 +524,7 @@ pub(crate) fn weighted_min_degree(
     while eliminated < n {
         counters.passes += 1;
         let mindeg = buckets.min_degree(&q);
-        let hi = mindeg.saturating_add(delta).min(total_weight);
+        let hi = mindeg.saturating_add(delta).min(buckets.bucket.len() - 1);
         candidates.clear();
         candidates.extend_from_slice(&buckets.bucket[mindeg]);
         for d in (mindeg + 1)..=hi {
@@ -682,6 +677,17 @@ pub(crate) fn weighted_min_degree(
     (order, counters)
 }
 
+/// `OrderEngine::Direct`: the driver on the pattern itself, unit weights.
+pub(crate) fn direct_min_degree(
+    pattern: &SymmetricPattern,
+    delta: usize,
+    approx: bool,
+) -> (Permutation, MdCounters) {
+    let (order, counters) = weighted_min_degree(pattern, &vec![1; pattern.n()], delta, approx);
+    let perm = Permutation::from_vec(order).expect("every variable eliminated exactly once");
+    (perm, counters)
+}
+
 /// Compressed-graph minimum degree end to end: analyze → weighted MD on
 /// the quotient graph → expand. Returns the permutation, the
 /// compression statistics, and the elimination counters.
@@ -699,7 +705,7 @@ pub(crate) fn compressed_min_degree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mmd::{elimination_fill, multiple_minimum_degree};
+    use crate::mmd::{elimination_fill, minimum_degree_counted, multiple_minimum_degree};
     use spfactor_matrix::gen;
 
     fn fill_under(pattern: &SymmetricPattern, perm: &Permutation) -> usize {
@@ -756,18 +762,20 @@ mod tests {
 
     #[test]
     fn weighted_md_with_unit_weights_matches_oracle() {
-        // On a non-compressing pattern the whole compressed path must
-        // reproduce the oracle's permutation bit for bit.
+        // Permutation and counters, exact and approximate degrees; where
+        // nothing compresses the whole compressed path agrees as well.
         for p in [
             gen::lap9(8, 8),
             gen::grid5(7, 5),
             gen::power_network(50, 9, 3),
         ] {
-            let oracle = multiple_minimum_degree(&p, 0);
-            let gc = GraphCompression::analyze(&p);
-            if gc.n_compressed() == p.n() {
-                let (perm, _, _) = compressed_min_degree(&p, 0, false);
-                assert_eq!(perm, oracle, "n = {}", p.n());
+            for (delta, approx) in [(0, false), (1, false), (2, false), (0, true)] {
+                let oracle = minimum_degree_counted(&p, delta, approx);
+                assert_eq!(direct_min_degree(&p, delta, approx), oracle);
+                let (perm, gc, counters) = compressed_min_degree(&p, delta, approx);
+                if gc.n_compressed() == p.n() {
+                    assert_eq!((perm, counters), oracle, "n = {}", p.n());
+                }
             }
         }
     }

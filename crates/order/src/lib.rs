@@ -2,8 +2,9 @@
 //!
 //! The paper orders every test matrix with *Liu's modified multiple minimum
 //! degree* scheme (reference \[10\] of the paper) before partitioning. This
-//! crate implements that algorithm from scratch ([`mmd`]), together with
-//! the supporting cast a sparse direct solver needs:
+//! crate implements that algorithm from scratch — [`mmd`] is the readable
+//! oracle, [`compress`] the driver every engine runs — together with the
+//! supporting cast a sparse direct solver needs:
 //!
 //! * [`etree`] — elimination trees and postorderings;
 //! * [`rcm`] — reverse Cuthill-McKee (bandwidth-oriented baseline);
@@ -93,22 +94,25 @@ impl Ordering {
 
 /// Execution strategy for the minimum-degree family, selected on the
 /// pipeline like `SimulateEngine` and `DepsEngine`: same fill regime,
-/// different cost.
+/// different cost. Both variants run the one bucketed quotient-graph
+/// driver in [`compress`]; the per-variable oracle in [`mmd`] is the
+/// spec that driver is tested against and is run by no engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum OrderEngine {
-    /// The per-variable oracle in [`mmd`]: exact, simple, and the
-    /// reference every other engine is validated against.
+    /// The driver on the pattern as given (degree-bucketed candidate
+    /// selection, no per-pass full scans, no allocation on the
+    /// degree-update path): the oracle's permutation, several times
+    /// faster.
     #[default]
     Direct,
-    /// Compressed-graph engine ([`compress`]): collapses
-    /// indistinguishable nodes into weighted supervariables up front,
-    /// orders the quotient graph with a degree-bucketed driver (no
-    /// per-pass full scans, no allocation on the degree-update path),
-    /// and expands the permutation back. Applies to
-    /// [`Ordering::MultipleMinimumDegree`] and
-    /// [`Ordering::ApproximateMinimumDegree`]; every other method has no
-    /// quotient-graph formulation here and falls back to the direct
-    /// algorithm unchanged.
+    /// The same driver after up-front compression: indistinguishable
+    /// nodes collapse into weighted supervariables, the quotient graph is
+    /// ordered, and the permutation is expanded back. Identical to
+    /// `Direct` where nothing compresses, fill-equivalent elsewhere.
+    ///
+    /// Either way only [`Ordering::MultipleMinimumDegree`] and
+    /// [`Ordering::ApproximateMinimumDegree`] have engines; every other
+    /// method ignores the selector.
     Compressed,
 }
 
@@ -123,17 +127,10 @@ impl OrderEngine {
     }
 }
 
-/// Computes the permutation for `pattern` under the selected method.
-/// `perm[new] = old` as everywhere in the workspace.
+/// Computes the permutation for `pattern` under the selected method on
+/// the default engine. `perm[new] = old` as everywhere in the workspace.
 pub fn order(pattern: &SymmetricPattern, method: Ordering) -> Permutation {
-    match method {
-        Ordering::Natural => Permutation::identity(pattern.n()),
-        Ordering::ReverseCuthillMcKee => rcm::reverse_cuthill_mckee(pattern),
-        Ordering::MultipleMinimumDegree { delta } => mmd::multiple_minimum_degree(pattern, delta),
-        Ordering::NestedDissection => nested::nested_dissection(pattern),
-        Ordering::MinimumFill => mf::minimum_fill(pattern),
-        Ordering::ApproximateMinimumDegree => mmd::approximate_minimum_degree(pattern),
-    }
+    order_with_engine(pattern, method, OrderEngine::Direct)
 }
 
 /// [`order`] with instrumentation: times the whole computation under the
@@ -163,24 +160,14 @@ pub fn order_traced(
     order_with_engine_traced(pattern, method, OrderEngine::Direct, recorder)
 }
 
-/// [`order`] under an explicit [`OrderEngine`]. `Direct` is exactly
-/// [`order`]; `Compressed` routes the minimum-degree methods through
-/// [`compress`] and falls back to the direct algorithm for everything
-/// else.
+/// [`order`] under an explicit [`OrderEngine`], which only the
+/// minimum-degree methods look at.
 pub fn order_with_engine(
     pattern: &SymmetricPattern,
     method: Ordering,
     engine: OrderEngine,
 ) -> Permutation {
-    match (engine, method) {
-        (OrderEngine::Compressed, Ordering::MultipleMinimumDegree { delta }) => {
-            compress::compressed_min_degree(pattern, delta, false).0
-        }
-        (OrderEngine::Compressed, Ordering::ApproximateMinimumDegree) => {
-            compress::compressed_min_degree(pattern, 0, true).0
-        }
-        _ => order(pattern, method),
-    }
+    dispatch(pattern, method, engine, None)
 }
 
 /// [`order_with_engine`] with instrumentation: the `order.compute` span,
@@ -197,37 +184,54 @@ pub fn order_with_engine_traced(
     let _span = recorder.span("order.compute");
     recorder.incr(&format!("order.alg.{}", method.name()), 1);
     recorder.incr(&format!("order.engine.{}", engine.name()), 1);
-    match (engine, method) {
-        (OrderEngine::Compressed, Ordering::MultipleMinimumDegree { delta }) => {
-            compressed_traced(pattern, delta, false, recorder)
+    dispatch(pattern, method, engine, Some(recorder))
+}
+
+fn dispatch(
+    pattern: &SymmetricPattern,
+    method: Ordering,
+    engine: OrderEngine,
+    recorder: Option<&Recorder>,
+) -> Permutation {
+    match method {
+        Ordering::Natural => Permutation::identity(pattern.n()),
+        Ordering::ReverseCuthillMcKee => rcm::reverse_cuthill_mckee(pattern),
+        Ordering::MultipleMinimumDegree { delta } => {
+            min_degree(pattern, delta, false, engine, recorder)
         }
-        (OrderEngine::Compressed, Ordering::ApproximateMinimumDegree) => {
-            compressed_traced(pattern, 0, true, recorder)
-        }
-        (_, Ordering::MultipleMinimumDegree { delta }) => {
-            mmd::multiple_minimum_degree_traced(pattern, delta, recorder)
-        }
-        (_, Ordering::ApproximateMinimumDegree) => {
-            mmd::approximate_minimum_degree_traced(pattern, recorder)
-        }
-        (_, other) => order(pattern, other),
+        Ordering::NestedDissection => nested::nested_dissection(pattern),
+        Ordering::MinimumFill => mf::minimum_fill(pattern),
+        Ordering::ApproximateMinimumDegree => min_degree(pattern, 0, true, engine, recorder),
     }
 }
 
-fn compressed_traced(
+/// The one minimum-degree entry: the driver in [`compress`], with or
+/// without up-front compression.
+fn min_degree(
     pattern: &SymmetricPattern,
     delta: usize,
     approx: bool,
-    recorder: &Recorder,
+    engine: OrderEngine,
+    recorder: Option<&Recorder>,
 ) -> Permutation {
-    let (perm, gc, counters) = compress::compressed_min_degree(pattern, delta, approx);
-    recorder.gauge("order.compress.original", gc.n_original() as f64);
-    recorder.gauge("order.compress.nodes", gc.n_compressed() as f64);
-    recorder.gauge("order.compress.ratio", gc.ratio());
-    recorder.incr("order.mmd.passes", counters.passes);
-    recorder.incr("order.mmd.eliminations", counters.eliminations);
-    recorder.incr("order.mmd.degree_updates", counters.degree_updates);
-    recorder.incr("order.mmd.supervariable_merges", counters.merges);
+    let (perm, counters) = match engine {
+        OrderEngine::Direct => compress::direct_min_degree(pattern, delta, approx),
+        OrderEngine::Compressed => {
+            let (perm, gc, counters) = compress::compressed_min_degree(pattern, delta, approx);
+            if let Some(rec) = recorder {
+                rec.gauge("order.compress.original", gc.n_original() as f64);
+                rec.gauge("order.compress.nodes", gc.n_compressed() as f64);
+                rec.gauge("order.compress.ratio", gc.ratio());
+            }
+            (perm, counters)
+        }
+    };
+    if let Some(rec) = recorder {
+        rec.incr("order.mmd.passes", counters.passes);
+        rec.incr("order.mmd.eliminations", counters.eliminations);
+        rec.incr("order.mmd.degree_updates", counters.degree_updates);
+        rec.incr("order.mmd.supervariable_merges", counters.merges);
+    }
     perm
 }
 

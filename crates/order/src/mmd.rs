@@ -15,9 +15,17 @@
 //! The exact tie-breaking differs from Liu's Fortran `GENMMD`, so fill
 //! counts differ from the paper's by a few percent; `EXPERIMENTS.md`
 //! records the deltas.
+//!
+//! This module is the *oracle*: simple, allocation-happy, and run by no
+//! pipeline, service, bin or table path. `OrderEngine::Direct` runs the
+//! bucketed driver in [`crate::compress`], which `tests/order_engine.rs`
+//! holds to this module's permutation and counters. The one rule both
+//! must share to the letter is the **start-of-step twin rule**: two
+//! variables merge iff their adjacency, cleaned at the start of the merge
+//! step (before any merge of that step), is identical.
 
+use crate::compress::MdCounters;
 use spfactor_matrix::{Permutation, SymmetricPattern};
-use spfactor_trace::Recorder;
 
 /// Sentinel degree for dead variables.
 const DEAD: usize = usize::MAX;
@@ -192,42 +200,37 @@ impl QuotientGraph {
     }
 
     /// Merges indistinguishable variables among `candidates`: variables
-    /// whose cleaned quotient adjacency (variables ∪ self, elements) are
-    /// identical. Returns the representatives that absorbed someone.
-    fn merge_indistinguishable(&mut self, candidates: &[usize]) -> Vec<usize> {
-        use std::collections::HashMap;
-        // Signature: sorted cleaned adjacency including self.
-        let mut sigs: HashMap<(Vec<usize>, Vec<usize>), usize> = HashMap::new();
-        let mut absorbed_into = Vec::new();
+    /// whose quotient adjacency (variables ∪ self, elements), cleaned at
+    /// the start of this step, is identical. Every candidate is cleaned
+    /// before the first is signed, so a variable merged earlier in the
+    /// loop still appears in later signatures exactly as it does in the
+    /// stored ones.
+    fn merge_indistinguishable(&mut self, candidates: &[usize]) {
+        use std::collections::hash_map::Entry;
         for &v in candidates {
-            if !self.live(v) {
-                continue;
-            }
             self.clean(v);
+        }
+        let mut sigs = std::collections::HashMap::new();
+        for &v in candidates {
             let mut vars = self.adj_vars[v].clone();
             vars.push(v);
             vars.sort_unstable();
             let elems = self.adj_elems[v].clone(); // sorted by clean()
             match sigs.entry((vars, elems)) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
+                Entry::Vacant(slot) => {
                     slot.insert(v);
                 }
-                std::collections::hash_map::Entry::Occupied(slot) => {
+                Entry::Occupied(slot) => {
                     let rep = *slot.get();
-                    // Merge v into rep.
                     self.state[v] = VarState::Merged;
                     self.degree[v] = DEAD;
                     self.weight[rep] += self.weight[v];
                     let mut sub = std::mem::take(&mut self.members[v]);
                     self.members[rep].push(v);
                     self.members[rep].append(&mut sub);
-                    absorbed_into.push(rep);
                 }
             }
         }
-        absorbed_into.sort_unstable();
-        absorbed_into.dedup();
-        absorbed_into
     }
 }
 
@@ -240,19 +243,7 @@ impl QuotientGraph {
 ///
 /// Returns `perm[new] = old`.
 pub fn multiple_minimum_degree(pattern: &SymmetricPattern, delta: usize) -> Permutation {
-    minimum_degree_impl(pattern, delta, false, None)
-}
-
-/// [`multiple_minimum_degree`] with instrumentation: records the number
-/// of elimination passes, supervariable eliminations, degree updates and
-/// indistinguishable-variable merges under `order.mmd.*` (see
-/// `docs/METRICS.md`).
-pub fn multiple_minimum_degree_traced(
-    pattern: &SymmetricPattern,
-    delta: usize,
-    recorder: &Recorder,
-) -> Permutation {
-    minimum_degree_impl(pattern, delta, false, Some(recorder))
+    minimum_degree_counted(pattern, delta, false).0
 }
 
 /// Approximate minimum degree: the same quotient-graph elimination as
@@ -266,37 +257,25 @@ pub fn multiple_minimum_degree_traced(
 /// update. Included as a comparison point; the production ordering
 /// remains [`multiple_minimum_degree`].
 pub fn approximate_minimum_degree(pattern: &SymmetricPattern) -> Permutation {
-    minimum_degree_impl(pattern, 0, true, None)
+    minimum_degree_counted(pattern, 0, true).0
 }
 
-/// [`approximate_minimum_degree`] with instrumentation; records the same
-/// `order.mmd.*` counters as [`multiple_minimum_degree_traced`].
-pub fn approximate_minimum_degree_traced(
-    pattern: &SymmetricPattern,
-    recorder: &Recorder,
-) -> Permutation {
-    minimum_degree_impl(pattern, 0, true, Some(recorder))
-}
-
-fn minimum_degree_impl(
+/// The oracle itself: the permutation together with the pass,
+/// elimination, degree-update and merge tallies the driver's
+/// `order.mmd.*` counters must reproduce.
+pub fn minimum_degree_counted(
     pattern: &SymmetricPattern,
     delta: usize,
     approx: bool,
-    recorder: Option<&Recorder>,
-) -> Permutation {
+) -> (Permutation, MdCounters) {
     let n = pattern.n();
     let mut q = QuotientGraph::new(pattern);
     let mut order: Vec<usize> = Vec::with_capacity(n);
     let mut eliminated = 0usize;
-    // Tallied in locals and recorded once at the end, keeping the
-    // recorder's mutex entirely out of the elimination loop.
-    let mut passes = 0u64;
-    let mut eliminations = 0u64;
-    let mut degree_updates = 0u64;
-    let mut merges = 0u64;
+    let mut counters = MdCounters::default();
 
     while eliminated < n {
-        passes += 1;
+        counters.passes += 1;
         // Minimum degree among live variables.
         let mindeg = (0..n)
             .filter(|&v| q.live(v))
@@ -319,7 +298,7 @@ fn minimum_degree_impl(
                 continue;
             }
             let (_e, boundary) = q.eliminate(v);
-            eliminations += 1;
+            counters.eliminations += 1;
             // Emit v and everything merged into it, supervariable members
             // eliminated consecutively (paper's "mass" numbering).
             order.push(v);
@@ -340,13 +319,13 @@ fn minimum_degree_impl(
         // Merge indistinguishable variables among the touched set, then
         // recompute degrees. Variables merged away here (live before, dead
         // after) are exactly the pass's supervariable absorptions.
-        let live_before = touched.iter().filter(|&&u| q.live(u)).count() as u64;
+        let live_before = touched.len() as u64;
         q.merge_indistinguishable(&touched);
         let mut live_after = 0u64;
         for &u in &touched {
             if q.live(u) {
                 live_after += 1;
-                degree_updates += 1;
+                counters.degree_updates += 1;
                 if approx {
                     q.update_degree_approx(u);
                 } else {
@@ -354,17 +333,12 @@ fn minimum_degree_impl(
                 }
             }
         }
-        merges += live_before - live_after;
+        counters.merges += live_before - live_after;
     }
 
-    if let Some(rec) = recorder {
-        rec.incr("order.mmd.passes", passes);
-        rec.incr("order.mmd.eliminations", eliminations);
-        rec.incr("order.mmd.degree_updates", degree_updates);
-        rec.incr("order.mmd.supervariable_merges", merges);
-    }
     debug_assert_eq!(order.len(), n);
-    Permutation::from_vec(order).expect("MMD eliminates every variable exactly once")
+    let perm = Permutation::from_vec(order).expect("MMD eliminates every variable exactly once");
+    (perm, counters)
 }
 
 /// Counts the fill-in (number of strict-lower factor entries that are zero

@@ -5,7 +5,7 @@
 //! pseudo-peripheral vertex, number the two halves recursively, then the
 //! separator last. Small subgraphs fall back to minimum degree.
 
-use crate::mmd::multiple_minimum_degree;
+use crate::Ordering;
 use spfactor_matrix::{Graph, Permutation, SymmetricPattern};
 
 /// Subgraphs at or below this size are ordered with MMD instead of being
@@ -102,7 +102,7 @@ fn order_leaf(g: &Graph, verts: &[usize], order: &mut Vec<usize>) {
         }
     }
     let sub = SymmetricPattern::from_edges(verts.len(), edges);
-    let perm = multiple_minimum_degree(&sub, 0);
+    let perm = crate::order(&sub, Ordering::paper_default());
     for new in 0..verts.len() {
         order.push(verts[perm.old_of(new)]);
     }

@@ -245,14 +245,20 @@ impl SolveRequest {
 
     /// The [`ScheduleKey`] this request resolves through the cache.
     pub fn key(&self) -> ScheduleKey {
-        ScheduleKey::new(
-            &self.pattern,
-            self.ordering,
-            self.order_engine,
-            self.params,
-            self.scheme,
-            self.nprocs,
-        )
+        self.key_for_hash(self.pattern.structural_hash())
+    }
+
+    /// [`Self::key`] for a caller that has already hashed the pattern.
+    fn key_for_hash(&self, structural_hash: u64) -> ScheduleKey {
+        ScheduleKey {
+            structural_hash,
+            n: self.pattern.n(),
+            ordering: self.ordering,
+            order_engine: self.order_engine,
+            params: self.params,
+            scheme: self.scheme,
+            nprocs: self.nprocs,
+        }
     }
 }
 
@@ -460,13 +466,15 @@ impl Shared {
         }
 
         let n = request.pattern.n();
+        // The one hash of the request: the cache key, and `expected` below.
         let expected_hash = request.pattern.structural_hash();
         for batch in &request.batches {
-            let got = batch.values.pattern().structural_hash();
-            if got != expected_hash {
+            // Compared array against array; only a mismatch pays for the
+            // pattern and hash its error reports.
+            if !batch.values.has_pattern(&request.pattern) {
                 return Err(ServeError::ValuesMismatch {
                     expected: expected_hash,
-                    got,
+                    got: batch.values.pattern().structural_hash(),
                 });
             }
             for b in &batch.rhs {
@@ -479,7 +487,7 @@ impl Shared {
             }
         }
 
-        let key = request.key();
+        let key = request.key_for_hash(expected_hash);
         let mut built_here = false;
         let mut warm_start = false;
         let build_started = Instant::now();

@@ -40,6 +40,9 @@ cargo test -q -p spfactor --test mp_cross_validation
 echo "==> deps equivalence smoke: sweep engines vs element oracle"
 cargo test -q -p spfactor --test deps_equivalence deps_engines_identical_on_all_paper_matrices
 
+echo "==> order equivalence smoke: OrderEngine::Direct (the driver) vs the mmd oracle"
+cargo test -q -p spfactor --test order_engine direct_matches_oracle
+
 echo "==> partition equivalence smoke: closed-form ownership + work vs per-update oracle"
 cargo test -q -p spfactor --test partition_equivalence partition_matches_oracle_on_all_paper_matrices
 
@@ -72,12 +75,12 @@ rm -f "$metrics_json"
 echo "==> bench smoke run: schema of BENCH_pipeline.json"
 bench_json="$(mktemp)"
 scripts/bench.sh --smoke --out "$bench_json" > /dev/null
-for field in '"schema": "spfactor-bench-pipeline/3"' \
+for field in '"schema": "spfactor-bench-pipeline/4"' \
              '"large_grid_speedup"' '"large_grid_deps_speedup"' \
              '"large_grid_order_speedup"' \
              '"matrices"' '"phases_ms"' \
-             '"order_ms"' '"compressed"' \
-             '"speedup_order_compressed_over_direct"' \
+             '"order_ms"' '"oracle"' '"direct"' '"compressed"' \
+             '"speedup_order_compressed_over_oracle"' \
              '"deps_ms"' '"sweep_parallel"' \
              '"speedup_deps_sweep_parallel_over_element"' \
              '"order_alt"' '"amd_factor_entries"' \

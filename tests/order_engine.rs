@@ -1,12 +1,80 @@
-//! The ordering-engine contract: [`OrderEngine::Compressed`] must
-//! produce *valid* permutations whose fill stays in the same regime as
-//! the direct engine's, bit-deterministically, on arbitrary SPD
-//! structures — not just the paper matrices its unit tests cover.
+//! The ordering-engine contract. [`OrderEngine::Direct`] is the bucketed
+//! driver and must reproduce the `mmd` oracle — permutation and work
+//! counters — on every input; [`OrderEngine::Compressed`] must produce
+//! *valid* permutations whose fill stays in the same regime,
+//! bit-deterministically, on arbitrary SPD structures — not just the
+//! paper matrices its unit tests cover.
 
 use proptest::prelude::*;
-use spfactor::order::mmd::elimination_fill;
-use spfactor::order::{order_with_engine, OrderEngine};
+use spfactor::matrix::gen;
+use spfactor::order::mmd::{elimination_fill, minimum_degree_counted};
+use spfactor::order::{order_with_engine, order_with_engine_traced, OrderEngine};
+use spfactor::trace::Recorder;
 use spfactor::{Ordering, Pipeline, SymmetricPattern};
+
+/// The minimum-degree family as the engines see it.
+const METHODS: [Ordering; 4] = [
+    Ordering::MultipleMinimumDegree { delta: 0 },
+    Ordering::MultipleMinimumDegree { delta: 1 },
+    Ordering::MultipleMinimumDegree { delta: 2 },
+    Ordering::ApproximateMinimumDegree,
+];
+
+/// `Direct` against the oracle under `method`: same permutation, and the
+/// four `order.mmd.*` counters equal to the oracle's own tallies.
+fn check_direct_against_oracle(label: &str, pattern: &SymmetricPattern, method: Ordering) {
+    let (oracle, tallies) = match method {
+        Ordering::MultipleMinimumDegree { delta } => minimum_degree_counted(pattern, delta, false),
+        Ordering::ApproximateMinimumDegree => minimum_degree_counted(pattern, 0, true),
+        other => unreachable!("{other:?} has no oracle"),
+    };
+    let rec = Recorder::new();
+    let direct = order_with_engine_traced(pattern, method, OrderEngine::Direct, &rec);
+    assert_eq!(
+        direct.as_slice(),
+        oracle.as_slice(),
+        "{label} {method:?}: Direct left the oracle's permutation"
+    );
+    if rec.is_enabled() {
+        let counted = [
+            rec.counter("order.mmd.passes"),
+            rec.counter("order.mmd.eliminations"),
+            rec.counter("order.mmd.degree_updates"),
+            rec.counter("order.mmd.supervariable_merges"),
+        ];
+        let expected = [
+            tallies.passes,
+            tallies.eliminations,
+            tallies.degree_updates,
+            tallies.merges,
+        ];
+        assert_eq!(
+            counted, expected,
+            "{label} {method:?}: order.mmd.* counters"
+        );
+    }
+}
+
+/// The structured inputs both oracle tests and the checksum pins cover.
+fn structured_inputs() -> Vec<(String, SymmetricPattern)> {
+    let mut inputs: Vec<(String, SymmetricPattern)> = gen::paper::all()
+        .into_iter()
+        .map(|m| (m.name.to_string(), m.pattern))
+        .collect();
+    for side in [8, 15, 30] {
+        inputs.push((
+            format!("lap_grid({side})"),
+            gen::paper::lap_grid(side).pattern,
+        ));
+    }
+    inputs.push(("grid5_fe(20,20)".into(), gen::grid5_fe(20, 20)));
+    inputs.push(("frame_shell(6,12)".into(), gen::frame_shell(6, 12)));
+    inputs.push((
+        "power_network(400,40,5)".into(),
+        gen::power_network(400, 40, 5),
+    ));
+    inputs
+}
 
 /// Random connected-ish symmetric pattern: a random geometric graph of
 /// `n` points with mean degree `deg`.
@@ -37,6 +105,13 @@ fn assert_fill_in_regime(label: &str, direct: usize, compressed: usize) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn prop_direct_matches_oracle(pattern in arb_pattern()) {
+        for method in METHODS {
+            check_direct_against_oracle("random pattern", &pattern, method);
+        }
+    }
 
     #[test]
     fn prop_compressed_is_valid_and_fill_stays_in_regime(
@@ -71,6 +146,89 @@ proptest! {
         let a = order_with_engine(&pattern, method, OrderEngine::Compressed);
         let b = order_with_engine(&pattern, method, OrderEngine::Compressed);
         prop_assert_eq!(a.as_slice(), b.as_slice());
+    }
+}
+
+#[test]
+fn direct_matches_oracle() {
+    for (label, pattern) in structured_inputs() {
+        for method in METHODS {
+            check_direct_against_oracle(&label, &pattern, method);
+        }
+    }
+}
+
+/// The two inputs on which driver and oracle disagreed before both were
+/// put on the start-of-step twin rule: the oracle missed a merge because
+/// it signed a candidate after an earlier merge of the same step had been
+/// cleaned out of its list, while its twin's stored signature kept it.
+#[test]
+fn direct_matches_oracle_on_the_formerly_divergent_inputs() {
+    let pi = std::f64::consts::PI;
+    let a = gen::random_geometric(178, (6.0 / (pi * 178.0)).sqrt(), 4);
+    let b = gen::random_geometric(326, (3.0 / (pi * 326.0)).sqrt(), 8);
+    for method in METHODS {
+        check_direct_against_oracle("random_geometric(178, deg 6, seed 4)", &a, method);
+        check_direct_against_oracle("random_geometric(326, deg 3, seed 8)", &b, method);
+    }
+}
+
+/// The approximate degree is an upper bound and can exceed the total
+/// weight: on this small dense graph it used to index past the degree
+/// buckets and panic.
+#[test]
+fn compressed_amd_survives_degree_bounds_above_total_weight() {
+    let r = (8.0 / (std::f64::consts::PI * 26.0)).sqrt();
+    let p = gen::random_geometric(26, r, 13);
+    let method = Ordering::ApproximateMinimumDegree;
+    let perm = order_with_engine(&p, method, OrderEngine::Compressed);
+    assert_eq!(perm.len(), 26);
+    check_direct_against_oracle("random_geometric(26, deg 8, seed 13)", &p, method);
+    assert!(Pipeline::new(p)
+        .ordering(method)
+        .order_engine(OrderEngine::Compressed)
+        .try_plan()
+        .is_ok());
+}
+
+/// FNV-1a over the four methods' permutations of one input.
+fn permutation_checksum(pattern: &SymmetricPattern, engine: OrderEngine) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for method in METHODS {
+        let perm = order_with_engine(pattern, method, engine);
+        for &old in perm.as_slice() {
+            for byte in (old as u64).to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// Both engines' permutations are pinned to the values they had before
+/// `Direct` moved off the oracle and the twin rule was fixed: on the
+/// structured inputs neither change moves a single column.
+#[test]
+fn permutations_are_pinned_to_the_pre_driver_values() {
+    // (Compressed, Direct), in `structured_inputs` order.
+    const PINS: [(u64, u64); 11] = [
+        (0xad2ffa3a1e47f069, 0x2afde6c297cd4985),
+        (0x1f08092f3a41b7a9, 0x1f08092f3a41b7a9),
+        (0xbcd896572b338ca5, 0xbcd896572b338ca5),
+        (0xc67102c9d1aa4191, 0xc67102c9d1aa4191),
+        (0xafb0dc428a59cf75, 0xafb0dc428a59cf75),
+        (0x3703567d19d7ad65, 0x3703567d19d7ad65),
+        (0x27bfcb9e3f513545, 0x27bfcb9e3f513545),
+        (0xc67102c9d1aa4191, 0xc67102c9d1aa4191),
+        (0x8e2d03c1268f673d, 0x93b0bac2eab63ac9),
+        (0x4f59c77d96e865c5, 0x4f59c77d96e865c5),
+        (0x7414ebc3c58b1c1d, 0x439a0d5120b2a315),
+    ];
+    for ((label, pattern), (compressed, direct)) in structured_inputs().into_iter().zip(PINS) {
+        let got = permutation_checksum(&pattern, OrderEngine::Compressed);
+        assert_eq!(got, compressed, "{label}: Compressed permutation moved");
+        let got = permutation_checksum(&pattern, OrderEngine::Direct);
+        assert_eq!(got, direct, "{label}: Direct permutation moved");
     }
 }
 

@@ -55,6 +55,36 @@ fn hits_and_misses_are_counted_per_key() {
 }
 
 #[test]
+fn values_mismatch_reports_both_structural_hashes() {
+    // Validation compares the CSC arrays directly; the error must still
+    // carry the two hashes it always carried, and a matching request must
+    // still resolve under the key `SolveRequest::key` computes.
+    let service = SolverService::start(ServeConfig::default());
+    let good = grid_request(6, 6, 1);
+    let resp = service.solve(good.clone()).unwrap();
+    assert_eq!(resp.key, good.key());
+    assert_eq!(resp.key.structural_hash, gen::lap9(6, 6).structural_hash());
+
+    // Same dimension, one edge fewer; then a different dimension.
+    let mut thinner = gen::lap9(6, 6).iter_entries().collect::<Vec<_>>();
+    thinner.pop();
+    let thinner = spfactor::SymmetricPattern::from_edges(36, thinner);
+    for other in [thinner, gen::lap9(7, 5)] {
+        let mut bad = good.clone();
+        bad.batches[0].values = gen::spd_from_pattern(&other, 1);
+        match service.solve(bad).unwrap_err() {
+            ServeError::ValuesMismatch { expected, got } => {
+                assert_eq!(expected, gen::lap9(6, 6).structural_hash());
+                assert_eq!(got, other.structural_hash());
+            }
+            e => panic!("expected ValuesMismatch, got {e:?}"),
+        }
+    }
+    // Rejected before the cache: one miss, from the good request alone.
+    assert_eq!(service.cache_stats().misses, 1);
+}
+
+#[test]
 fn ordering_engine_is_pinned_in_the_cache_key() {
     // A schedule planned under one ordering engine must never be served
     // to a request for another: the engine is part of the ScheduleKey,
