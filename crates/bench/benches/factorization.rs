@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spfactor::numeric::{
     cholesky, cholesky_block_parallel, cholesky_multifrontal, cholesky_supernodal,
-    parallel::cholesky_parallel, solve,
+    parallel::cholesky_parallel, solve, solve_many_permuted,
 };
 use spfactor::{Ordering, SymbolicFactor};
 
@@ -80,5 +80,33 @@ fn bench_solve(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cholesky, bench_solve);
+/// The repository benchmark's `factor_grid` subject (BENCHMARK.json),
+/// lap9 80² under MMD: `numeric.cholesky_ms`, `numeric.solve_ms` (eight
+/// right-hand sides) and `matrix.permute_values_ms` as `cargo bench` sees
+/// them.
+fn bench_factor_grid(c: &mut Criterion) {
+    let mut group = c.benchmark_group("factor_grid");
+    group.sample_size(30);
+    let m = spfactor::matrix::gen::paper::lap_grid(80);
+    let perm = spfactor::order::order(&m.pattern, Ordering::paper_default());
+    let a = spfactor::matrix::gen::spd_from_pattern(&m.pattern, 1);
+    let pa = a.permute(&perm);
+    let f = SymbolicFactor::from_pattern(&pa.pattern());
+    let l = cholesky(&pa, &f).unwrap();
+    let rhs: Vec<Vec<f64>> = (0..8)
+        .map(|k| (0..a.n()).map(|i| ((i + k) as f64).sin()).collect())
+        .collect();
+    group.bench_function(BenchmarkId::new("cholesky", m.name), |b| {
+        b.iter(|| cholesky(&pa, &f).unwrap())
+    });
+    group.bench_function(BenchmarkId::new("solve_x8", m.name), |b| {
+        b.iter(|| solve_many_permuted(&l, &perm, &rhs))
+    });
+    group.bench_function(BenchmarkId::new("permute", m.name), |b| {
+        b.iter(|| a.permute(&perm))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_factor_grid, bench_cholesky, bench_solve);
 criterion_main!(benches);

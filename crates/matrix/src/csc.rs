@@ -315,14 +315,44 @@ impl SymmetricCsc {
     /// Symmetric permutation `P A Pᵀ` (`perm[new] = old`), preserving values.
     pub fn permute(&self, perm: &Permutation) -> SymmetricCsc {
         assert_eq!(perm.len(), self.n);
-        let mut coo = crate::Coo::with_capacity(self.n, self.nnz_lower());
-        for j in 0..self.n {
-            for (&i, &v) in self.col_rows(j).iter().zip(self.col_values(j)) {
-                coo.push(perm.new_of(i), perm.new_of(j), v)
-                    .expect("permuted index in bounds");
+        let n = self.n;
+        // Count per new column, prefix-sum, scatter (diagonal into each
+        // column's first slot), then sort each column's off-diagonals
+        // where they lie.
+        let mut colptr = vec![0usize; n + 1];
+        for j in 0..n {
+            let nj = perm.new_of(j);
+            colptr[nj + 1] += 1;
+            for &i in &self.col_rows(j)[1..] {
+                colptr[nj.min(perm.new_of(i)) + 1] += 1;
             }
         }
-        coo.to_csc()
+        for c in 0..n {
+            colptr[c + 1] += colptr[c];
+        }
+        let mut next: Vec<usize> = colptr[..n].iter().map(|&p| p + 1).collect();
+        let mut entries = vec![(0usize, 0.0f64); self.nnz_lower()];
+        for j in 0..n {
+            let nj = perm.new_of(j);
+            let (rows, values) = (self.col_rows(j), self.col_values(j));
+            entries[colptr[nj]] = (nj, values[0]);
+            for (&i, &v) in rows[1..].iter().zip(&values[1..]) {
+                let ni = perm.new_of(i);
+                let (r, c) = if ni > nj { (ni, nj) } else { (nj, ni) };
+                entries[next[c]] = (r, v);
+                next[c] += 1;
+            }
+        }
+        for c in 0..n {
+            entries[colptr[c] + 1..colptr[c + 1]].sort_unstable_by_key(|&(r, _)| r);
+        }
+        let (rowidx, values) = entries.into_iter().unzip();
+        SymmetricCsc {
+            n,
+            colptr,
+            rowidx,
+            values,
+        }
     }
 
     /// Makes the matrix strictly diagonally dominant (hence SPD) in place:

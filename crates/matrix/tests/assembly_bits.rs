@@ -2,14 +2,15 @@
 //! their CSC arrays in flat passes; what they return is pinned here to
 //! what the per-column-`Vec` and `Coo` assemblies they replaced returned:
 //! the structural hash of every generator, every value bit of an SPD fill
-//! of each, and `from_edges` against a set-based reference on edge lists
-//! with duplicates, both directions and self loops.
+//! of each, `from_edges` against a set-based reference on edge lists
+//! with duplicates, both directions and self loops, and
+//! `SymmetricCsc::permute` against the `Coo` assembly it replaced.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use spfactor_matrix::gen::{self, paper};
-use spfactor_matrix::{Coo, SymmetricCsc, SymmetricPattern};
+use spfactor_matrix::{Coo, Permutation, SymmetricCsc, SymmetricPattern};
 
 fn generators() -> Vec<(&'static str, SymmetricPattern)> {
     let mut all = vec![
@@ -95,6 +96,72 @@ fn direct_csc_fill_equals_coo_assembly() {
             value_bits_hash(&direct),
             "{name}"
         );
+    }
+}
+
+/// A fixed shuffle of `0..n` (Fisher–Yates on a 64-bit LCG).
+fn shuffled(n: usize, seed: u64) -> Permutation {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut perm: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        perm.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    Permutation::from_vec(perm).expect("a shuffle is a bijection")
+}
+
+/// `SymmetricCsc::permute` as it was: every entry pushed through `Coo`.
+fn permute_via_coo(m: &SymmetricCsc, perm: &Permutation) -> SymmetricCsc {
+    let mut coo = Coo::with_capacity(m.n(), m.nnz_lower());
+    for j in 0..m.n() {
+        for (&i, &v) in m.col_rows(j).iter().zip(m.col_values(j)) {
+            coo.push(perm.new_of(i), perm.new_of(j), v)
+                .expect("permuted index in bounds");
+        }
+    }
+    coo.to_csc()
+}
+
+#[test]
+fn permute_is_bit_identical_to_the_coo_assembly() {
+    // value_bits_hash of spd_from_pattern(_, 7).permute(shuffled(n, 5)),
+    // recorded from the `Coo` route before it was replaced.
+    const PINS: [u64; 14] = [
+        0x5a1edbb8449f9660, // grid5(7,5)
+        0x527f0cd52eed5191, // lap9(40,40)
+        0x5236e368f0260b11, // grid5_fe(6,4)
+        0x8cb641cc2788b786, // grid7(4,3,5)
+        0xbfe2a087818a9329, // frame_shell(6,12)
+        0x8c25e5cf0396af2f, // lshape(9)
+        0xc80ef04a8c0b70d2, // power_network(400,40,5)
+        0x4933ae7914292b25, // random_geometric(300,0.08,11)
+        0x23bf3e4cf78d84b8, // fig2_grid
+        0xad1c09d18df23e38, // BUS1138
+        0x738c54d07ab3e6de, // CANN1072
+        0xdc6a35b858304474, // DWT512
+        0xc5b02aa223aea3b5, // LAP30
+        0xf04409173ad9562b, // LSHP1009
+    ];
+    let generators = generators();
+    assert_eq!(generators.len(), PINS.len());
+    for ((name, pattern), pin) in generators.into_iter().zip(PINS) {
+        let m = gen::spd_from_pattern(&pattern, 7);
+        let perm = shuffled(m.n(), 5);
+        let got = m.permute(&perm);
+        assert_eq!(got, permute_via_coo(&m, &perm), "{name}");
+        assert_eq!(value_bits_hash(&got), pin, "{name}: pinned bits");
+        // The result upholds the type's invariants and inverts cleanly.
+        let (mut colptr, mut rowidx, mut values) = (vec![0usize], Vec::new(), Vec::new());
+        for j in 0..got.n() {
+            rowidx.extend_from_slice(got.col_rows(j));
+            values.extend_from_slice(got.col_values(j));
+            colptr.push(rowidx.len());
+        }
+        SymmetricCsc::from_parts(got.n(), colptr, rowidx, values).expect("valid CSC");
+        assert_eq!(got.permute(&perm.inverted()), m, "{name}: round trip");
+        assert_eq!(m.permute(&Permutation::identity(m.n())), m, "{name}");
     }
 }
 

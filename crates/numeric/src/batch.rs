@@ -43,18 +43,14 @@ where
         .collect()
 }
 
+/// Right-hand sides solved per pass over L.
+const LANES: usize = 8;
+
 /// Solves `L Lᵀ x = b` for every right-hand side in `rhs`, in the
 /// factor's (permuted) coordinate system. Each solution is bit-identical
 /// to a standalone [`lower_solve`] + [`upper_solve`] pair.
 pub fn solve_many(l: &NumericFactor, rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    rhs.iter()
-        .map(|b| {
-            let mut x = b.clone();
-            lower_solve(l, &mut x);
-            upper_solve(l, &mut x);
-            x
-        })
-        .collect()
+    solve_batch(l, None, rhs)
 }
 
 /// Solves the original system `A x = b` for every right-hand side: each
@@ -66,14 +62,69 @@ pub fn solve_many_permuted(
     perm: &Permutation,
     rhs: &[Vec<f64>],
 ) -> Vec<Vec<f64>> {
-    rhs.iter()
-        .map(|b| {
-            let mut u = perm.apply(b);
-            lower_solve(l, &mut u);
-            upper_solve(l, &mut u);
-            perm.apply_inverse(&u)
-        })
-        .collect()
+    solve_batch(l, Some(perm), rhs)
+}
+
+/// Up to [`LANES`] right-hand sides share one forward and one backward
+/// pass over L; a lone right-hand side takes the scalar solves. Without
+/// a permutation, factor and original coordinates coincide.
+fn solve_batch(l: &NumericFactor, perm: Option<&Permutation>, rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let n = l.n();
+    let old_of = |new: usize| perm.map_or(new, |p| p.old_of(new));
+    let new_of = |old: usize| perm.map_or(old, |p| p.new_of(old));
+    let mut out = Vec::with_capacity(rhs.len());
+    for chunk in rhs.chunks(LANES) {
+        for b in chunk {
+            assert_eq!(b.len(), n);
+        }
+        if let [b] = chunk {
+            let mut x: Vec<f64> = (0..n).map(|new| b[old_of(new)]).collect();
+            lower_solve(l, &mut x);
+            upper_solve(l, &mut x);
+            out.push((0..n).map(|old| x[new_of(old)]).collect());
+            continue;
+        }
+        // Interleave: x[i][lane] is entry i of the chunk's lane-th
+        // right-hand side; lanes past the chunk stay zero and are dropped.
+        let mut x = vec![[0.0f64; LANES]; n];
+        for (lane, b) in chunk.iter().enumerate() {
+            for (new, xi) in x.iter_mut().enumerate() {
+                xi[lane] = b[old_of(new)];
+            }
+        }
+        solve_lanes(l, &mut x);
+        out.extend(
+            (0..chunk.len()).map(|lane| (0..n).map(|old| x[new_of(old)][lane]).collect::<Vec<_>>()),
+        );
+    }
+    out
+}
+
+/// [`lower_solve`] then [`upper_solve`] on [`LANES`] interleaved vectors
+/// at once: every lane sees the scalar solves' operations in their order,
+/// and each entry of L is read once per triangle instead of once per
+/// right-hand side.
+fn solve_lanes(l: &NumericFactor, x: &mut [[f64; LANES]]) {
+    for j in 0..l.n() {
+        let d = l.diag(j);
+        let yj = x[j].map(|b| b / d);
+        x[j] = yj;
+        for (&i, &v) in l.col_rows(j).iter().zip(l.col_vals(j)) {
+            for (b, y) in x[i].iter_mut().zip(yj) {
+                *b -= v * y;
+            }
+        }
+    }
+    for j in (0..l.n()).rev() {
+        let mut acc = x[j];
+        for (&i, &v) in l.col_rows(j).iter().zip(l.col_vals(j)) {
+            for (a, b) in acc.iter_mut().zip(x[i]) {
+                *a -= v * b;
+            }
+        }
+        let d = l.diag(j);
+        x[j] = acc.map(|a| a / d);
+    }
 }
 
 #[cfg(test)]

@@ -97,11 +97,48 @@ impl NumericFactor {
     }
 }
 
-/// Left-looking simplicial Cholesky: computes `L` such that `A = L Lᵀ`.
+/// Subtracts the contributions of `W` source columns that share the row
+/// tail `tail` from column `j`'s accumulator and pivot: `p[w]` is the
+/// position of `L(j, k_w)` in `vals`, the entries below it pair up with
+/// `tail`. Each `acc[i]` is gathered once and receives its `W`
+/// subtractions in the order of `p` (ascending `k`). Returns the pivot.
+#[inline(always)]
+fn apply_sources<const W: usize>(
+    p: [usize; W],
+    tail: &[usize],
+    vals: &[f64],
+    acc: &mut [f64],
+    mut dj: f64,
+) -> f64 {
+    let l = p.map(|p| vals[p]);
+    for ljk in l {
+        dj -= ljk * ljk;
+    }
+    let below = p.map(|p| &vals[p + 1..p + 1 + tail.len()]);
+    for (r, &i) in tail.iter().enumerate() {
+        let mut x = acc[i];
+        for w in 0..W {
+            x -= l[w] * below[w][r];
+        }
+        acc[i] = x;
+    }
+    dj
+}
+
+/// Left-looking Cholesky: computes `L` such that `A = L Lᵀ`.
 ///
 /// `a` must be symmetric positive definite with a structure contained in
 /// the symbolic factor's (which holds whenever `symbolic` was computed
 /// from `a`'s pattern).
+///
+/// Column `j` is updated by the columns of row `j` of L, read from the
+/// factor's shared [`row structure`](SymbolicFactor::row_structure) in
+/// ascending `k`. Consecutive sources from one fundamental supernode have
+/// the same row indices below `j`, so they are applied four (two, one) at
+/// a time to each gathered accumulator entry — every entry still receives
+/// its subtractions one by one in ascending `k`, which keeps the result
+/// bit-identical to the one-source-at-a-time kernel and to the parallel
+/// executors pinned against it.
 pub fn cholesky(
     a: &SymmetricCsc,
     symbolic: &SymbolicFactor,
@@ -113,26 +150,18 @@ pub fn cholesky(
             symbolic.n()
         )));
     }
-    // Copy the symbolic structure.
-    let mut colptr = Vec::with_capacity(n + 1);
-    colptr.push(0);
-    let mut rowidx: Vec<usize> = Vec::with_capacity(symbolic.nnz_strict_lower());
-    for j in 0..n {
-        rowidx.extend_from_slice(symbolic.col(j));
-        colptr.push(rowidx.len());
-    }
+    let colptr = symbolic.colptr().to_vec();
+    let rowidx = symbolic.rowidx().to_vec();
+    let rows = symbolic.row_structure();
     let mut diag = vec![0.0f64; n];
     let mut vals = vec![0.0f64; rowidx.len()];
-
-    // Row lists: for each row i, the columns k < i with L(i, k) != 0 and
-    // the position of that value — built incrementally as columns finish.
-    let mut row_cols: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n]; // (k, pos)
-                                                                      // Dense accumulator.
+    // Dense accumulator.
     let mut acc = vec![0.0f64; n];
 
     for j in 0..n {
         let struct_j = &rowidx[colptr[j]..colptr[j + 1]];
-        // Scatter A's column j.
+        // Scatter A's column j; both row lists ascend, so membership in
+        // the symbolic structure is one merge walk.
         let a_rows = a.col_rows(j);
         let a_vals = a.col_values(j);
         if a_rows.first() != Some(&j) {
@@ -141,8 +170,12 @@ pub fn cholesky(
             )));
         }
         let mut dj = a_vals[0];
+        let mut cursor = 0;
         for (&i, &v) in a_rows[1..].iter().zip(&a_vals[1..]) {
-            if !symbolic.contains(i, j) {
+            while cursor < struct_j.len() && struct_j[cursor] < i {
+                cursor += 1;
+            }
+            if struct_j.get(cursor) != Some(&i) {
                 return Err(NumericError::StructureMismatch(format!(
                     "A({i}, {j}) not present in symbolic factor"
                 )));
@@ -151,19 +184,33 @@ pub fn cholesky(
         }
         // Left-looking update: for every k with L(j, k) != 0, subtract
         // L(j, k) * L(:, k) from the accumulator (rows > j) and from the
-        // diagonal. Row lists give the ks in ascending order.
-        for &(k, pos) in &row_cols[j] {
-            let ljk = vals[pos];
-            dj -= ljk * ljk;
-            // Rows of column k strictly below j contribute.
-            let (s, e) = (colptr[k], colptr[k + 1]);
-            // The entries of column k are sorted; those > j start right
-            // after `pos`.
-            for idx in (pos + 1)..e {
-                let i = rowidx[idx];
-                acc[i] -= ljk * vals[idx];
+        // diagonal, one supernode run of sources at a time.
+        let sources = rows.row(j);
+        let mut t = 0;
+        while t < sources.len() {
+            let snode = rows.supernode_of(sources[t].0 as usize);
+            let mut run_end = t + 1;
+            while run_end < sources.len() && rows.supernode_of(sources[run_end].0 as usize) == snode
+            {
+                run_end += 1;
             }
-            let _ = s;
+            // Position of L(j, k) in `vals`; the entries of column k are
+            // sorted, so those below row j start right after it.
+            let at = |s: usize| colptr[sources[s].0 as usize] + sources[s].1 as usize;
+            let tail = &rowidx[at(t) + 1..colptr[sources[t].0 as usize + 1]];
+            while run_end - t >= 4 {
+                let p = [at(t), at(t + 1), at(t + 2), at(t + 3)];
+                dj = apply_sources(p, tail, &vals, &mut acc, dj);
+                t += 4;
+            }
+            if run_end - t >= 2 {
+                dj = apply_sources([at(t), at(t + 1)], tail, &vals, &mut acc, dj);
+                t += 2;
+            }
+            if run_end - t == 1 {
+                dj = apply_sources([at(t)], tail, &vals, &mut acc, dj);
+                t += 1;
+            }
         }
         // NaN-safe: a plain `dj <= 0.0` would let a NaN pivot through.
         if dj.is_nan() || dj <= 0.0 {
@@ -171,13 +218,10 @@ pub fn cholesky(
         }
         let ljj = dj.sqrt();
         diag[j] = ljj;
-        // Gather, scale, and register in row lists.
-        for (off, &i) in struct_j.iter().enumerate() {
-            let pos = colptr[j] + off;
-            let v = acc[i] / ljj;
-            vals[pos] = v;
+        // Gather and scale.
+        for (v, &i) in vals[colptr[j]..colptr[j + 1]].iter_mut().zip(struct_j) {
+            *v = acc[i] / ljj;
             acc[i] = 0.0;
-            row_cols[i].push((j, pos));
         }
     }
 
@@ -264,6 +308,52 @@ mod tests {
             cholesky(&a, &wrong),
             Err(NumericError::StructureMismatch(_))
         ));
+    }
+
+    #[test]
+    fn rejects_entry_outside_symbolic_structure() {
+        // Path 0-1-2-3 has no fill; values on the 4-cycle add A(3, 0).
+        let path = SymmetricPattern::from_edges(4, [(1, 0), (2, 1), (3, 2)]);
+        let cycle = SymmetricPattern::from_edges(4, [(1, 0), (2, 1), (3, 2), (3, 0)]);
+        let symbolic = SymbolicFactor::from_pattern(&path);
+        let a = gen::spd_from_pattern(&cycle, 1);
+        assert_eq!(
+            cholesky(&a, &symbolic),
+            Err(NumericError::StructureMismatch(
+                "A(3, 0) not present in symbolic factor".into()
+            ))
+        );
+        // Past the end of a column's structure as well as inside it.
+        let a = gen::spd_from_pattern(&SymmetricPattern::from_edges(4, [(2, 0)]), 1);
+        assert_eq!(
+            cholesky(&a, &symbolic),
+            Err(NumericError::StructureMismatch(
+                "A(2, 0) not present in symbolic factor".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn failures_name_the_first_failing_column() {
+        // Non-SPD and NaN diagonals deep in the matrix fail at their own
+        // column, not earlier and not later.
+        let p = gen::lap9(6, 6);
+        let f = SymbolicFactor::from_pattern(&p);
+        let good = gen::spd_from_pattern(&p, 4);
+        for (col, bad) in [(0usize, -1.0), (13, 0.0), (20, f64::NAN), (35, -3.0)] {
+            let mut coo = Coo::new(good.n());
+            for j in 0..good.n() {
+                for (&i, &v) in good.col_rows(j).iter().zip(good.col_values(j)) {
+                    let v = if i == j && j == col { bad } else { v };
+                    coo.push(i, j, v).unwrap();
+                }
+            }
+            assert_eq!(
+                cholesky(&coo.to_csc(), &f),
+                Err(NumericError::NotPositiveDefinite(col)),
+                "diagonal {col} = {bad}"
+            );
+        }
     }
 
     #[test]

@@ -79,11 +79,11 @@ fn cholesky_parallel_impl(
     }
 
     // Column dependency counts: deps(j) = #{k < j : L(j,k) != 0} = the
-    // number of times j appears as a row in earlier columns.
-    let mut dep_count: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-    for (i, _j) in (0..n).flat_map(|j| symbolic.col(j).iter().map(move |&i| (i, j))) {
-        *dep_count[i].get_mut() += 1;
-    }
+    // length of row j of L.
+    let rows = symbolic.row_structure();
+    let dep_count: Vec<AtomicUsize> = (0..n)
+        .map(|j| AtomicUsize::new(rows.row_count(j)))
+        .collect();
 
     // Published column results.
     let columns: Vec<OnceLock<ColumnData>> = (0..n).map(|_| OnceLock::new()).collect();
@@ -139,14 +139,12 @@ fn cholesky_parallel_impl(
                         acc[pos_of(i)] = v;
                     }
                     // Updating columns: all k < j with L(j,k) != 0, in
-                    // ascending order for bit-identical accumulation.
-                    // These are found by scanning published predecessor
-                    // columns... we collect them from the symbolic row
-                    // structure: k is an updater of j iff j ∈ struct(L_k).
-                    for k in updaters(symbolic, j) {
+                    // ascending order for bit-identical accumulation —
+                    // row j of L, with the position of j in column k.
+                    for &(k, pj) in rows.row(j) {
+                        let (k, pj) = (k as usize, pj as usize);
                         let col_k = columns[k].get().expect("dependency published");
                         let rows_k = symbolic.col(k);
-                        let pj = rows_k.binary_search(&j).expect("L(j,k) nonzero");
                         let ljk = col_k.vals[pj];
                         dj -= ljk * ljk;
                         for (&i, &v) in rows_k[pj + 1..].iter().zip(&col_k.vals[pj + 1..]) {
@@ -211,39 +209,20 @@ fn cholesky_parallel_impl(
     }
 
     // Assemble the NumericFactor.
-    let mut colptr = Vec::with_capacity(n + 1);
-    colptr.push(0);
-    let mut rowidx = Vec::with_capacity(symbolic.nnz_strict_lower());
     let mut vals = Vec::with_capacity(symbolic.nnz_strict_lower());
     let mut diag = Vec::with_capacity(n);
-    for (j, cell) in columns.iter().enumerate() {
+    for cell in &columns {
         let col = cell.get().expect("all columns computed");
         diag.push(col.diag);
-        rowidx.extend_from_slice(symbolic.col(j));
         vals.extend_from_slice(&col.vals);
-        colptr.push(rowidx.len());
     }
-    Ok(NumericFactor::from_parts(n, diag, vals, colptr, rowidx))
-}
-
-/// The ascending list of columns `k < j` that update column `j`
-/// (`L(j, k) ≠ 0`). Computed from the symbolic structure row-wise; cached
-/// construction would be better for repeated use, but factorization calls
-/// this once per column.
-fn updaters(symbolic: &SymbolicFactor, j: usize) -> Vec<usize> {
-    // Walk the elimination-tree row subtree? Simplest correct form: check
-    // every k in the subtree below j... To stay O(row length), precompute
-    // would be ideal; here we exploit that k updates j iff j ∈ struct(L_k),
-    // and those k form exactly the row structure of row j, which we get by
-    // climbing the etree from each A-entry. For clarity and testability we
-    // scan the candidate set given by the etree row characterization.
-    let mut ks = Vec::new();
-    for k in 0..j {
-        if symbolic.col(k).binary_search(&j).is_ok() {
-            ks.push(k);
-        }
-    }
-    ks
+    Ok(NumericFactor::from_parts(
+        n,
+        diag,
+        vals,
+        symbolic.colptr().to_vec(),
+        symbolic.rowidx().to_vec(),
+    ))
 }
 
 #[cfg(test)]
@@ -311,16 +290,5 @@ mod tests {
         let f = SymbolicFactor::from_pattern(&a.pattern());
         let l = cholesky_parallel(&a, &f, 4).unwrap();
         assert_eq!(l.diag(0), 4.0);
-    }
-
-    #[test]
-    fn updaters_match_row_structure() {
-        let p = gen::lap9(5, 5);
-        let f = SymbolicFactor::from_pattern(&p);
-        for j in 0..25 {
-            for k in updaters(&f, j) {
-                assert!(f.contains(j, k));
-            }
-        }
     }
 }

@@ -49,7 +49,7 @@ use crate::block::UnitShape;
 use crate::deps::{category_of, dependencies, dependencies_traced, record_graph_stats, DepGraph};
 use crate::units::{advance, split_at, Partition, Segmentation};
 use spfactor_interval::Interval;
-use spfactor_symbolic::SymbolicFactor;
+use spfactor_symbolic::{RowStructure, SymbolicFactor};
 use spfactor_trace::Recorder;
 
 /// Selects how the unit-block dependency graph is built.
@@ -162,16 +162,14 @@ struct SweepPlan<'a> {
     factor: &'a SymbolicFactor,
     /// Every column's ownership segmentation (ascending, disjoint).
     segs: Segmentation,
-    /// Transpose of the strict-lower structure: row `j`'s entries are
-    /// `(k, pos)` pairs with `L(j,k)` stored, `k < j` ascending, `pos` the
-    /// index of `j` in `factor.col(k)`. Row `j`'s slice is
-    /// `row_adj[row_start[j]..row_start[j + 1]]`.
-    row_start: Vec<usize>,
-    row_adj: Vec<(u32, u32)>,
-    /// Fundamental-supernode id per column: columns of one supernode have
-    /// identical factor structure below any shared row, which lets the
-    /// walk replay a repeated source pair instead of re-sweeping it.
-    snode: Vec<u32>,
+    /// Transpose of the strict-lower structure: row `j`'s `(k, pos)`
+    /// pairs with `L(j,k)` stored, and the fundamental-supernode id per
+    /// column — columns of one supernode have identical factor structure
+    /// below any shared row, which lets the walk replay a repeated source
+    /// pair instead of re-sweeping it. Built for this plan and dropped
+    /// with it rather than cached in the factor: a schedule outlives its
+    /// dependency phase, and most are never factored numerically.
+    rows: RowStructure,
     /// Shape class per unit (0 = column, 1 = triangle, 2 = rectangle):
     /// classification touches this dense byte table instead of the much
     /// larger `units` array — the segment loop's hottest lookups.
@@ -213,33 +211,6 @@ fn build_cat_tables() -> ([u8; 9], [u8; 27]) {
 
 impl<'a> SweepPlan<'a> {
     fn new(factor: &'a SymbolicFactor, partition: &'a Partition) -> Self {
-        let n = factor.n();
-        // Counting sort of the strict-lower entries by row: iterating
-        // columns ascending keeps each row list k-ascending.
-        let mut row_start = vec![0usize; n + 1];
-        for k in 0..n {
-            for &i in factor.col(k) {
-                row_start[i + 1] += 1;
-            }
-        }
-        for j in 0..n {
-            row_start[j + 1] += row_start[j];
-        }
-        let mut row_adj = vec![(0u32, 0u32); row_start[n]];
-        let mut cursor = row_start.clone();
-        for k in 0..n {
-            for (pos, &i) in factor.col(k).iter().enumerate() {
-                row_adj[cursor[i]] = (k as u32, pos as u32);
-                cursor[i] += 1;
-            }
-        }
-        let mut snode = vec![0u32; n];
-        for (id, sn) in spfactor_symbolic::fundamental_supernodes(factor)
-            .iter()
-            .enumerate()
-        {
-            snode[sn.clone()].fill(id as u32);
-        }
         let class = partition
             .units
             .iter()
@@ -253,17 +224,11 @@ impl<'a> SweepPlan<'a> {
         SweepPlan {
             factor,
             segs: partition.segmentation(),
-            row_start,
-            row_adj,
-            snode,
+            rows: RowStructure::build(factor),
             class,
             cat1,
             cat2,
         }
-    }
-
-    fn row_pairs(&self, j: usize) -> &[(u32, u32)] {
-        &self.row_adj[self.row_start[j]..self.row_start[j + 1]]
     }
 }
 
@@ -429,7 +394,7 @@ fn process_target_column(plan: &SweepPlan, j: usize, out: &mut SweepOut) {
     let mut prev_tail: &[(Interval, u32)] = &[];
     let mut prev_delta = [0usize; 10];
     let mut prev_segments = 0u64;
-    for &(k, pos) in plan.row_pairs(j) {
+    for &(k, pos) in plan.rows.row(j) {
         out.pairs += 1;
         let rows = plan.factor.col(k as usize);
         let ssegs = plan.segs.col(k as usize);
@@ -437,7 +402,7 @@ fn process_target_column(plan: &SweepPlan, j: usize, out: &mut SweepOut) {
         let mut si = ssegs.partition_point(|s| s.0.hi < j);
         debug_assert!(ssegs[si].0.contains(j));
         let s_j = ssegs[si].1;
-        let snode = plan.snode[k as usize];
+        let snode = plan.rows.supernode_of(k as usize);
         let tail = &ssegs[si..];
         if snode == prev_snode && s_j == prev_sj && tail == prev_tail {
             for (acc, d) in out.cats.iter_mut().zip(prev_delta) {
@@ -560,10 +525,7 @@ fn sweep_impl(
         .iter()
         .map(|cl| {
             (cl.cols.lo..=cl.cols.hi)
-                .map(|j| {
-                    1 + factor.col_count(j) as u64
-                        + (plan.row_start[j + 1] - plan.row_start[j]) as u64
-                })
+                .map(|j| 1 + factor.col_count(j) as u64 + plan.rows.row_count(j) as u64)
                 .sum()
         })
         .collect();

@@ -1,8 +1,10 @@
 //! Structure of the Cholesky factor L.
 
+use crate::rows::RowStructure;
 use spfactor_matrix::SymmetricPattern;
 use spfactor_order::etree::{rows_of, EliminationTree, NONE};
 use spfactor_trace::Recorder;
+use std::sync::{Arc, OnceLock};
 
 /// Strict-lower column counts of the Cholesky factor of `pattern`,
 /// computed from the elimination tree alone — no factor structure is
@@ -42,6 +44,9 @@ pub struct SymbolicFactor {
     etree: EliminationTree,
     /// Strict-lower nonzeros of A (for fill accounting).
     nnz_a_strict: usize,
+    /// The transpose of the structure, built on first use and shared by
+    /// clones; derived data, so not part of [`Self::fingerprint`].
+    rows: Arc<OnceLock<RowStructure>>,
 }
 
 impl SymbolicFactor {
@@ -100,6 +105,7 @@ impl SymbolicFactor {
             rowidx,
             etree,
             nnz_a_strict: pattern.nnz_strict_lower(),
+            rows: Arc::default(),
         }
     }
 
@@ -132,6 +138,27 @@ impl SymbolicFactor {
     #[inline]
     pub fn col(&self, j: usize) -> &[usize] {
         &self.rowidx[self.colptr[j]..self.colptr[j + 1]]
+    }
+
+    /// Column start offsets into [`Self::rowidx`] (`n + 1` entries).
+    #[inline]
+    pub fn colptr(&self) -> &[usize] {
+        &self.colptr
+    }
+
+    /// Strict-lower row indices of every column, concatenated.
+    #[inline]
+    pub fn rowidx(&self) -> &[usize] {
+        &self.rowidx
+    }
+
+    /// The row structure of L — for each row `j` the columns `k < j` with
+    /// `L(j, k)` stored. Built on the first call (one `O(nnz(L))` counting
+    /// sort) and shared with every clone of this factor, so the numeric
+    /// kernel pays for the transpose once however many value sets are
+    /// factored against this structure.
+    pub fn row_structure(&self) -> &RowStructure {
+        self.rows.get_or_init(|| RowStructure::build(self))
     }
 
     /// Number of strict-lower entries in column `j` (excluding diagonal).

@@ -10,12 +10,17 @@
 //! * [`SymbolicFactor`] — the factor structure, its elimination tree, fill
 //!   and operation counts;
 //! * [`supernode`] — fundamental and relaxed supernode detection, the basis
-//!   of the paper's *cluster* identification.
+//!   of the paper's *cluster* identification;
+//! * [`RowStructure`] — the transpose of the factor structure, built once
+//!   per factor and read by the numeric kernel and the sweep dependency
+//!   engine alike.
 
 pub mod factor;
 pub mod ops;
+pub mod rows;
 pub mod supernode;
 
 pub use factor::{col_counts, SymbolicFactor};
 pub use ops::{for_each_scaling, for_each_update, UpdateOp};
+pub use rows::RowStructure;
 pub use supernode::{fundamental_supernodes, relaxed_supernodes};

@@ -46,6 +46,9 @@ cargo test -q -p spfactor --test order_engine direct_matches_oracle
 echo "==> partition equivalence smoke: closed-form ownership + work vs per-update oracle"
 cargo test -q -p spfactor --test partition_equivalence partition_matches_oracle_on_all_paper_matrices
 
+echo "==> numeric kernel bits: blocked cholesky + multi-RHS solves vs the kept oracles"
+cargo test -q -p spfactor --test numeric_kernel_bits
+
 echo "==> chaos smoke: seeded fault injection cross-validates exactly"
 cargo test -q -p spfactor --test chaos_mp chaos_smoke
 cargo test -q -p spfactor-matrix --test io_robustness

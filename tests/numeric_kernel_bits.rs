@@ -1,0 +1,356 @@
+//! Pinned bits: the supernode-blocked `numeric::cholesky` and the
+//! lane-interleaved `solve_many(_permuted)` must return exactly what the
+//! kernels they replaced returned.
+//!
+//! The oracles below are those kernels, kept verbatim: a left-looking
+//! factorization that applies one source column at a time from row lists
+//! it builds as columns finish, and one forward plus one backward
+//! substitution per right-hand side. Blocking by supernode only changes
+//! how many sources ride one gather of `acc[i]`, never the order in which
+//! one `acc[i]` receives its subtractions, so equality here is `==` on
+//! `NumericFactor` and on every solution vector — no tolerance.
+
+use proptest::prelude::*;
+use spfactor::matrix::gen::{self, paper};
+use spfactor::matrix::SymmetricCsc;
+use spfactor::numeric::solve::{lower_solve, upper_solve};
+use spfactor::numeric::{cholesky, solve_many, solve_many_permuted, NumericFactor};
+use spfactor::order::{order, Ordering};
+use spfactor::partition::{build_dependencies, dependencies};
+use spfactor::{
+    DepsEngine, NumericError, Partition, PartitionParams, Permutation, SymbolicFactor,
+    SymmetricPattern,
+};
+
+/// The kernel `numeric::cholesky` had before it read the factor's row
+/// structure, statement for statement.
+fn oracle_cholesky(
+    a: &SymmetricCsc,
+    symbolic: &SymbolicFactor,
+) -> Result<NumericFactor, NumericError> {
+    let n = a.n();
+    if n != symbolic.n() {
+        return Err(NumericError::StructureMismatch(format!(
+            "matrix is {n}, symbolic factor is {}",
+            symbolic.n()
+        )));
+    }
+    let mut colptr = Vec::with_capacity(n + 1);
+    colptr.push(0);
+    let mut rowidx: Vec<usize> = Vec::with_capacity(symbolic.nnz_strict_lower());
+    for j in 0..n {
+        rowidx.extend_from_slice(symbolic.col(j));
+        colptr.push(rowidx.len());
+    }
+    let mut diag = vec![0.0f64; n];
+    let mut vals = vec![0.0f64; rowidx.len()];
+    let mut row_cols: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n]; // (k, pos)
+    let mut acc = vec![0.0f64; n];
+
+    for j in 0..n {
+        let struct_j = &rowidx[colptr[j]..colptr[j + 1]];
+        let a_rows = a.col_rows(j);
+        let a_vals = a.col_values(j);
+        if a_rows.first() != Some(&j) {
+            return Err(NumericError::StructureMismatch(format!(
+                "column {j} of A does not start with its diagonal"
+            )));
+        }
+        let mut dj = a_vals[0];
+        for (&i, &v) in a_rows[1..].iter().zip(&a_vals[1..]) {
+            if !symbolic.contains(i, j) {
+                return Err(NumericError::StructureMismatch(format!(
+                    "A({i}, {j}) not present in symbolic factor"
+                )));
+            }
+            acc[i] = v;
+        }
+        for &(k, pos) in &row_cols[j] {
+            let ljk = vals[pos];
+            dj -= ljk * ljk;
+            let e = colptr[k + 1];
+            for idx in (pos + 1)..e {
+                let i = rowidx[idx];
+                acc[i] -= ljk * vals[idx];
+            }
+        }
+        if dj.is_nan() || dj <= 0.0 {
+            return Err(NumericError::NotPositiveDefinite(j));
+        }
+        let ljj = dj.sqrt();
+        diag[j] = ljj;
+        for (off, &i) in struct_j.iter().enumerate() {
+            let pos = colptr[j] + off;
+            let v = acc[i] / ljj;
+            vals[pos] = v;
+            acc[i] = 0.0;
+            row_cols[i].push((j, pos));
+        }
+    }
+    Ok(NumericFactor::from_parts(n, diag, vals, colptr, rowidx))
+}
+
+/// `solve_many` as it was: both triangles streamed once per right-hand
+/// side.
+fn oracle_solve_many(l: &NumericFactor, rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    rhs.iter()
+        .map(|b| {
+            let mut x = b.clone();
+            lower_solve(l, &mut x);
+            upper_solve(l, &mut x);
+            x
+        })
+        .collect()
+}
+
+/// `solve_many_permuted` as it was.
+fn oracle_solve_many_permuted(
+    l: &NumericFactor,
+    perm: &Permutation,
+    rhs: &[Vec<f64>],
+) -> Vec<Vec<f64>> {
+    rhs.iter()
+        .map(|b| {
+            let mut u = perm.apply(b);
+            lower_solve(l, &mut u);
+            upper_solve(l, &mut u);
+            perm.apply_inverse(&u)
+        })
+        .collect()
+}
+
+const ORDERINGS: [Ordering; 4] = [
+    Ordering::Natural,
+    Ordering::ReverseCuthillMcKee,
+    Ordering::MultipleMinimumDegree { delta: 0 },
+    Ordering::NestedDissection,
+];
+
+fn rhs_set(n: usize, count: usize) -> Vec<Vec<f64>> {
+    (0..count)
+        .map(|k| {
+            (0..n)
+                .map(|i| ((i * (k + 3)) as f64 * 0.37).sin() + k as f64 - 1.5)
+                .collect()
+        })
+        .collect()
+}
+
+/// Longest run of consecutive same-supernode sources in each row, as a
+/// set of lengths capped at 5 — which of the kernel's 4/2/1 paths and
+/// their combinations a subject reaches.
+fn run_lengths(f: &SymbolicFactor, seen: &mut [bool; 6]) {
+    let rows = f.row_structure();
+    for j in 0..f.n() {
+        let mut run = 0usize;
+        let mut prev = u32::MAX;
+        for &(k, _) in rows.row(j) {
+            let sn = rows.supernode_of(k as usize);
+            if sn != prev && run > 0 {
+                seen[run.min(5)] = true;
+                run = 0;
+            }
+            prev = sn;
+            run += 1;
+        }
+        if run > 0 {
+            seen[run.min(5)] = true;
+        }
+    }
+}
+
+/// Factor and solves of `pattern` under `method`, new against old;
+/// returns the symbolic factor they ran on.
+fn assert_bits(
+    pattern: &SymmetricPattern,
+    method: Ordering,
+    seed: u64,
+    what: &str,
+) -> SymbolicFactor {
+    let perm = order(pattern, method);
+    let a = gen::spd_from_pattern(pattern, seed);
+    let pa = a.permute(&perm);
+    let f = SymbolicFactor::from_pattern(&pa.pattern());
+    let want = oracle_cholesky(&pa, &f).expect("SPD");
+    let got = cholesky(&pa, &f).expect("SPD");
+    assert_eq!(got, want, "{what} {method:?}: factor");
+    // A clone made before the row structure existed shares it.
+    assert_eq!(cholesky(&pa, &f.clone()).expect("SPD"), want);
+    for count in [0usize, 1, 3, 8, 9, 17] {
+        let rhs = rhs_set(a.n(), count);
+        assert_eq!(
+            solve_many(&got, &rhs),
+            oracle_solve_many(&want, &rhs),
+            "{what} {method:?}: solve_many x{count}"
+        );
+        assert_eq!(
+            solve_many_permuted(&got, &perm, &rhs),
+            oracle_solve_many_permuted(&want, &perm, &rhs),
+            "{what} {method:?}: solve_many_permuted x{count}"
+        );
+    }
+    f
+}
+
+fn subjects() -> Vec<(String, SymmetricPattern)> {
+    let mut all: Vec<(String, SymmetricPattern)> = paper::all()
+        .into_iter()
+        .map(|m| (m.name.to_string(), m.pattern))
+        .collect();
+    for side in [8usize, 13, 21, 40] {
+        all.push((format!("lap9 {side}²"), gen::lap9(side, side)));
+    }
+    all.push(("grid5_fe(20,20)".into(), gen::grid5_fe(20, 20)));
+    all.push(("frame_shell(6,12)".into(), gen::frame_shell(6, 12)));
+    all.push((
+        "power_network(400,40,5)".into(),
+        gen::power_network(400, 40, 5),
+    ));
+    all
+}
+
+#[test]
+fn kernel_matches_oracle_on_every_subject_and_ordering() {
+    let mut seen = [false; 6];
+    for (name, pattern) in subjects() {
+        for (s, method) in ORDERINGS.into_iter().enumerate() {
+            let f = assert_bits(&pattern, method, 11 + s as u64, &name);
+            run_lengths(&f, &mut seen);
+        }
+    }
+    assert_eq!(
+        seen,
+        [false, true, true, true, true, true],
+        "supernode runs of length 1, 2, 3, 4 and 5+ must all occur"
+    );
+}
+
+#[test]
+fn kernel_matches_oracle_on_the_benchmark_grid() {
+    // lap9 80² under MMD: the repository benchmark's `factor_grid`.
+    assert_bits(&gen::lap9(80, 80), Ordering::paper_default(), 5, "lap9 80²");
+}
+
+#[test]
+fn failures_are_the_oracles_failures() {
+    let p = gen::lap9(9, 9);
+    let perm = order(&p, Ordering::paper_default());
+    let pp = p.permute(&perm);
+    let f = SymbolicFactor::from_pattern(&pp);
+    let good = gen::spd_from_pattern(&pp, 2);
+    // Rebuilds `good` with one value replaced.
+    let with_value = |col: usize, row: usize, v: f64| {
+        let mut colptr = vec![0usize];
+        let (mut rowidx, mut values) = (Vec::new(), Vec::new());
+        for j in 0..good.n() {
+            for (&i, &x) in good.col_rows(j).iter().zip(good.col_values(j)) {
+                rowidx.push(i);
+                values.push(if (i, j) == (row, col) { v } else { x });
+            }
+            colptr.push(rowidx.len());
+        }
+        SymmetricCsc::from_parts(good.n(), colptr, rowidx, values).expect("same structure")
+    };
+    for col in [0usize, 17, 40, 80] {
+        for bad in [-1.0, 0.0, f64::NAN] {
+            let a = with_value(col, col, bad);
+            let want = oracle_cholesky(&a, &f);
+            assert_eq!(want, Err(NumericError::NotPositiveDefinite(col)));
+            assert_eq!(cholesky(&a, &f), want, "diagonal {col} = {bad}");
+        }
+    }
+    // A NaN below the diagonal surfaces at the first pivot it reaches.
+    let (col, row) = (3usize, good.col_rows(3)[1]);
+    let a = with_value(col, row, f64::NAN);
+    let want = oracle_cholesky(&a, &f);
+    assert!(matches!(want, Err(NumericError::NotPositiveDefinite(_))));
+    assert_eq!(cholesky(&a, &f), want);
+    // Values on a structure the symbolic factor does not contain.
+    let other = gen::spd_from_pattern(&gen::grid5(9, 9), 2);
+    let f5 = SymbolicFactor::from_pattern(&other.pattern());
+    let want = oracle_cholesky(&good, &f5);
+    assert!(matches!(want, Err(NumericError::StructureMismatch(_))));
+    assert_eq!(cholesky(&good, &f5), want);
+}
+
+#[test]
+fn row_structure_is_the_naive_transpose() {
+    for (name, pattern) in subjects() {
+        let perm = order(&pattern, Ordering::paper_default());
+        let f = SymbolicFactor::from_pattern(&pattern.permute(&perm));
+        let mut naive: Vec<Vec<(u32, u32)>> = vec![Vec::new(); f.n()];
+        for k in 0..f.n() {
+            for (pos, &i) in f.col(k).iter().enumerate() {
+                naive[i].push((k as u32, pos as u32));
+            }
+        }
+        let rows = f.row_structure();
+        for (j, want) in naive.iter().enumerate() {
+            assert_eq!(rows.row(j), &want[..], "{name}: row {j}");
+        }
+    }
+}
+
+#[test]
+fn sweep_engines_on_the_one_transpose_match_the_element_oracle() {
+    // The sweep builds its rows with the same `RowStructure::build` the
+    // factor caches for the kernel; `tests/deps_equivalence.rs` is the
+    // full pin, this is the same check on this file's subjects, before
+    // and after the factor has cached its own copy.
+    for (name, pattern) in subjects() {
+        let perm = order(&pattern, Ordering::paper_default());
+        let f = SymbolicFactor::from_pattern(&pattern.permute(&perm));
+        let before = f.clone();
+        for part in [
+            Partition::build(&f, &PartitionParams::with_grain(4)),
+            Partition::columns(&f),
+        ] {
+            let oracle = dependencies(&f, &part);
+            for engine in [DepsEngine::Sweep, DepsEngine::SweepParallel] {
+                assert_eq!(
+                    build_dependencies(engine, &f, &part),
+                    oracle,
+                    "{name} {engine:?}"
+                );
+            }
+            f.row_structure();
+        }
+        // Neither the fingerprint nor a clone taken earlier can tell that
+        // the row structure now exists.
+        assert_eq!(before.fingerprint(), f.fingerprint());
+        assert!(std::ptr::eq(before.row_structure(), f.row_structure()));
+    }
+}
+
+fn arb_pattern() -> impl Strategy<Value = SymmetricPattern> {
+    (5usize..120, 2.0f64..10.0, any::<u64>()).prop_map(|(n, deg, seed)| {
+        let r = (deg / (std::f64::consts::PI * n as f64)).sqrt();
+        gen::random_geometric(n, r, seed)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn prop_kernel_and_solves_match_oracle(
+        pattern in arb_pattern(),
+        which in 0usize..4,
+        seed in any::<u64>(),
+        count in 0usize..20,
+    ) {
+        let method = ORDERINGS[which];
+        let perm = order(&pattern, method);
+        let pa = gen::spd_from_pattern(&pattern, seed).permute(&perm);
+        let f = SymbolicFactor::from_pattern(&pa.pattern());
+        let want = oracle_cholesky(&pa, &f).expect("SPD");
+        let got = cholesky(&pa, &f).expect("SPD");
+        prop_assert_eq!(&got, &want);
+        let rhs = rhs_set(pa.n(), count);
+        prop_assert_eq!(solve_many(&got, &rhs), oracle_solve_many(&want, &rhs));
+        prop_assert_eq!(
+            solve_many_permuted(&got, &perm, &rhs),
+            oracle_solve_many_permuted(&want, &perm, &rhs)
+        );
+    }
+}
