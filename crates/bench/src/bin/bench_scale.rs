@@ -5,10 +5,15 @@
 //! ([`OrderEngine::Compressed`], [`DepsEngine::SweepParallel`],
 //! [`SimulateEngine::BlockParallel`], grain 25, 16 processors) and
 //! writes `BENCH_scale.json`: per size, the column count, factor
-//! entries, end-to-end wall time, per-phase milliseconds and — because
+//! entries, end-to-end wall time, per-phase milliseconds, the
+//! `deps.engine.*` / `simulate.engine.*` cost counters and — because
 //! this binary installs [`spfactor::trace::alloc::TrackingAllocator`]
 //! as its global allocator — the per-phase heap high-water marks the
-//! pipeline publishes as `phase.*.peak_bytes` gauges.
+//! pipeline publishes as `phase.*.peak_bytes` gauges; over the sizes,
+//! the fitted log-log slope of every phase against `n`.
+//!
+//! No oracle reaches these sizes, so before a size is recorded the cheap
+//! global identities are asserted on its result ([`check_identities`]).
 //!
 //! ```text
 //! cargo run --release -p spfactor-bench --bin bench_scale
@@ -27,14 +32,15 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
+use spfactor::partition::{build_dependencies, DepCategory, UnitShape};
 use spfactor::trace::alloc::TrackingAllocator;
-use spfactor::{DepsEngine, OrderEngine, Pipeline, Recorder, SimulateEngine};
+use spfactor::{DepsEngine, OrderEngine, Pipeline, PipelineResult, Recorder, SimulateEngine};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator::new();
 
 /// Schema identifier validated by `scripts/verify.sh`.
-const SCHEMA: &str = "spfactor-bench-scale/2";
+const SCHEMA: &str = "spfactor-bench-scale/3";
 
 /// The spans the pipeline brackets with `phase.*.peak_bytes` gauges.
 const PHASES: [&str; 6] = [
@@ -44,6 +50,18 @@ const PHASES: [&str; 6] = [
     "deps",
     "sched",
     "simulate",
+];
+
+/// The engine cost counters recorded per size (`docs/METRICS.md`).
+const COUNTERS: [&str; 8] = [
+    "deps.engine.columns",
+    "deps.engine.pairs",
+    "deps.engine.segments",
+    "deps.engine.walked_segments",
+    "simulate.engine.columns",
+    "simulate.engine.unit_visits",
+    "simulate.engine.unit_hits",
+    "simulate.engine.interval_pieces",
 ];
 
 /// Grid sides for the full sweep: n = side^2 columns, 10^4 → 10^6.
@@ -61,6 +79,55 @@ struct SizeResult {
     total_ms: f64,
     phases_ms: Vec<(&'static str, f64)>,
     peak_bytes: Vec<(&'static str, u64)>,
+    counters: Vec<(&'static str, u64)>,
+}
+
+/// Asserts what must hold of any correct result and costs next to
+/// nothing to check, then hands back the factor's size:
+///
+/// * the unit work sums to the factor's closed-form operation total;
+/// * every operation is either in one of the ten categories or internal
+///   to a unit, and without zero relaxation the internal ones have a
+///   closed form — a dense triangle of width `m` keeps `m(m²−1)/6`
+///   updates and `m(m−1)/2` scalings to itself, a single column its
+///   scalings, a rectangle nothing;
+/// * the serial sweep finds the graph the parallel sweep found.
+fn check_identities(result: PipelineResult) -> (usize, usize) {
+    let PipelineResult {
+        factor,
+        partition,
+        deps,
+        ..
+    } = result;
+    assert_eq!(partition.params.relax_zeros, 0);
+    assert_eq!(partition.total_work(), factor.paper_work(), "unit work");
+    let counts = (0..factor.n()).map(|k| factor.col_count(k));
+    let operations: usize = counts.map(|c| c * (c + 1) / 2 + c).sum();
+    let internal: usize = partition
+        .units
+        .iter()
+        .map(|u| match u.shape {
+            UnitShape::Column { col } => factor.col_count(col),
+            UnitShape::Triangle { extent } => {
+                let m = extent.len();
+                m * (m * m - 1) / 6 + m * (m - 1) / 2
+            }
+            UnitShape::Rectangle { .. } => 0,
+        })
+        .sum();
+    let categorized = |g: &spfactor::DepGraph| -> usize {
+        DepCategory::all()
+            .iter()
+            .map(|&c| g.ops_in_category(c))
+            .sum()
+    };
+    let (edges, ops) = (deps.num_edges(), categorized(&deps));
+    assert_eq!(ops + internal, operations, "category ops");
+    drop(deps);
+    let serial = build_dependencies(DepsEngine::Sweep, &factor, &partition);
+    assert_eq!(serial.num_edges(), edges, "Sweep vs SweepParallel edges");
+    assert_eq!(categorized(&serial), ops, "Sweep vs SweepParallel ops");
+    (factor.n(), factor.num_entries())
 }
 
 fn bench_side(side: usize) -> SizeResult {
@@ -90,14 +157,37 @@ fn bench_side(side: usize) -> SizeResult {
         assert!(peak > 0.0, "phase.{phase}.peak_bytes not populated");
         peak_bytes.push((phase, peak as u64));
     }
+    let counters = COUNTERS.map(|name| (name, rec.counter(name))).to_vec();
+    let (n, factor_entries) = check_identities(result);
     SizeResult {
         side,
-        n: result.factor.n(),
-        factor_entries: result.factor.num_entries(),
+        n,
+        factor_entries,
         total_ms,
         phases_ms,
         peak_bytes,
+        counters,
     }
+}
+
+/// Least-squares slope of `ln y` against `ln n` over the sizes; `None`
+/// with fewer than two of them.
+fn loglog_slope(results: &[SizeResult], y: impl Fn(&SizeResult) -> f64) -> Option<f64> {
+    if results.len() < 2 {
+        return None;
+    }
+    let pts: Vec<(f64, f64)> = results
+        .iter()
+        .map(|r| ((r.n as f64).ln(), y(r).max(1e-9).ln()))
+        .collect();
+    let k = pts.len() as f64;
+    let (mx, my) = (
+        pts.iter().map(|p| p.0).sum::<f64>() / k,
+        pts.iter().map(|p| p.1).sum::<f64>() / k,
+    );
+    let sxy: f64 = pts.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum();
+    let sxx: f64 = pts.iter().map(|p| (p.0 - mx) * (p.0 - mx)).sum();
+    Some(sxy / sxx)
 }
 
 fn json_document(mode: &str, results: &[SizeResult]) -> String {
@@ -118,6 +208,36 @@ fn json_document(mode: &str, results: &[SizeResult]) -> String {
     writeln!(s, "  \"nprocs\": {NPROCS},").unwrap();
     writeln!(s, "  \"max_n\": {max_n},").unwrap();
     writeln!(s, "  \"max_peak_bytes\": {max_peak},").unwrap();
+    // Fitted exponents against n: every phase's time, the total, the
+    // factor's own growth and the deps heap peak.
+    let mut slopes: Vec<(String, Option<f64>)> = (0..PHASES.len())
+        .map(|p| {
+            let slope = loglog_slope(results, |r| r.phases_ms[p].1);
+            (PHASES[p].to_string(), slope)
+        })
+        .collect();
+    slopes.push(("total".into(), loglog_slope(results, |r| r.total_ms)));
+    slopes.push((
+        "factor_entries".into(),
+        loglog_slope(results, |r| r.factor_entries as f64),
+    ));
+    let deps = PHASES
+        .iter()
+        .position(|&p| p == "deps")
+        .expect("deps phase");
+    slopes.push((
+        "deps_peak_bytes".into(),
+        loglog_slope(results, |r| r.peak_bytes[deps].1 as f64),
+    ));
+    writeln!(s, "  \"slopes\": {{").unwrap();
+    for (j, (name, slope)) in slopes.iter().enumerate() {
+        let comma = if j + 1 < slopes.len() { "," } else { "" };
+        match slope {
+            Some(v) => writeln!(s, "    \"{name}\": {v:.3}{comma}").unwrap(),
+            None => writeln!(s, "    \"{name}\": null{comma}").unwrap(),
+        }
+    }
+    writeln!(s, "  }},").unwrap();
     writeln!(s, "  \"sizes\": [").unwrap();
     for (i, r) in results.iter().enumerate() {
         writeln!(s, "    {{").unwrap();
@@ -135,6 +255,12 @@ fn json_document(mode: &str, results: &[SizeResult]) -> String {
         for (j, (name, b)) in r.peak_bytes.iter().enumerate() {
             let comma = if j + 1 < r.peak_bytes.len() { "," } else { "" };
             writeln!(s, "        \"{name}\": {b}{comma}").unwrap();
+        }
+        writeln!(s, "      }},").unwrap();
+        writeln!(s, "      \"counters\": {{").unwrap();
+        for (j, (name, v)) in r.counters.iter().enumerate() {
+            let comma = if j + 1 < r.counters.len() { "," } else { "" };
+            writeln!(s, "        \"{name}\": {v}{comma}").unwrap();
         }
         writeln!(s, "      }}").unwrap();
         let comma = if i + 1 < results.len() { "," } else { "" };

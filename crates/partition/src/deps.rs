@@ -189,10 +189,13 @@ pub fn category_of(externals: &[&UnitShape], target: &UnitShape) -> Option<DepCa
 /// tests pin between the element oracle and the sweep engines.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DepGraph {
-    /// `preds[u]` — sorted, distinct unit ids whose data unit `u` reads.
-    preds: Vec<Vec<u32>>,
-    /// `succs[u]` — sorted, distinct unit ids that read data of `u`.
-    succs: Vec<Vec<u32>>,
+    /// Predecessor lists in CSR form: unit `u` reads the data of the
+    /// sorted, distinct units `pred_ids[pred_start[u]..pred_start[u + 1]]`.
+    pred_start: Vec<usize>,
+    pred_ids: Vec<u32>,
+    /// Successor lists, same layout: the units that read data of `u`.
+    succ_start: Vec<usize>,
+    succ_ids: Vec<u32>,
     /// Update-operation counts per category (paper numbering 1..=10 at
     /// index `number - 1`).
     category_ops: [usize; 10],
@@ -201,24 +204,24 @@ pub struct DepGraph {
 impl DepGraph {
     /// Predecessor units of `u` (sorted, distinct).
     pub fn preds(&self, u: usize) -> &[u32] {
-        &self.preds[u]
+        &self.pred_ids[self.pred_start[u]..self.pred_start[u + 1]]
     }
 
     /// Successor units of `u` (sorted, distinct).
     pub fn succs(&self, u: usize) -> &[u32] {
-        &self.succs[u]
+        &self.succ_ids[self.succ_start[u]..self.succ_start[u + 1]]
     }
 
     /// Number of units.
     pub fn num_units(&self) -> usize {
-        self.preds.len()
+        self.pred_start.len() - 1
     }
 
     /// Units with no predecessors — the paper's *independent* units,
     /// allocated first by the scheduler.
     pub fn independent_units(&self) -> Vec<usize> {
-        (0..self.preds.len())
-            .filter(|&u| self.preds[u].is_empty())
+        (0..self.num_units())
+            .filter(|&u| self.preds(u).is_empty())
             .collect()
     }
 
@@ -229,32 +232,52 @@ impl DepGraph {
 
     /// Total dependency edges.
     pub fn num_edges(&self) -> usize {
-        self.preds.iter().map(Vec::len).sum()
+        self.pred_ids.len()
     }
 
     /// Assembles a graph from raw (unsorted, possibly duplicated)
     /// predecessor lists plus the category tallies: sorts and
-    /// deduplicates each list, then derives the successor lists. Shared
-    /// by the element and sweep builders so both produce identical
-    /// representations from identical edge multisets.
+    /// deduplicates each list into the flat predecessor table, then
+    /// derives the successor table by counting. Shared by the element and
+    /// sweep builders so both produce identical representations from
+    /// identical edge multisets.
     pub(crate) fn assemble(mut preds: Vec<Vec<u32>>, category_ops: [usize; 10]) -> DepGraph {
+        let nu = preds.len();
+        let mut pred_start = Vec::with_capacity(nu + 1);
+        pred_start.push(0);
+        let mut edges = 0;
         for l in &mut preds {
             l.sort_unstable();
             l.dedup();
+            edges += l.len();
+            pred_start.push(edges);
         }
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); preds.len()];
-        for (u, l) in preds.iter().enumerate() {
-            for &s in l {
-                succs[s as usize].push(u as u32);
+        let mut pred_ids = Vec::with_capacity(edges);
+        let mut succ_start = vec![0usize; nu + 1];
+        for l in preds {
+            for &s in &l {
+                succ_start[s as usize + 1] += 1;
+            }
+            pred_ids.extend_from_slice(&l);
+        }
+        for u in 0..nu {
+            succ_start[u + 1] += succ_start[u];
+        }
+        // Scattering targets in ascending order leaves every successor
+        // list sorted and distinct, like the predecessor lists it mirrors.
+        let mut succ_ids = vec![0u32; edges];
+        let mut cursor = succ_start.clone();
+        for u in 0..nu {
+            for &s in &pred_ids[pred_start[u]..pred_start[u + 1]] {
+                succ_ids[cursor[s as usize]] = u as u32;
+                cursor[s as usize] += 1;
             }
         }
-        for l in &mut succs {
-            l.sort_unstable();
-            l.dedup();
-        }
         DepGraph {
-            preds,
-            succs,
+            pred_start,
+            pred_ids,
+            succ_start,
+            succ_ids,
             category_ops,
         }
     }

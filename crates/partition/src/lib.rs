@@ -30,7 +30,7 @@ pub use deps::{
     DepCategory, DepGraph,
 };
 pub use sweep::{build_dependencies, build_dependencies_traced, sweep_dependencies, DepsEngine};
-pub use units::Partition;
+pub use units::{Partition, TaggedRun, TargetScratch, UpdateTarget};
 
 /// Tunable parameters of the partitioner.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

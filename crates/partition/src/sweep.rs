@@ -2,55 +2,70 @@
 //!
 //! The element builder in [`deps`](crate::deps) replays every update and
 //! scaling operation of the factorization: `Θ(Σ_k c_k²)` work with a heap
-//! allocation per externally-sourced operation. On large grids that makes
-//! dependency analysis the pipeline's dominant cost — the inversion §3.3
-//! of the paper warns about, where symbolic analysis outweighs the
-//! communication study it feeds.
+//! allocation per externally-sourced operation. The sweep engine computes
+//! the *same* ten-category graph from unit-block geometry alone, one
+//! **source run** at a time.
 //!
-//! The sweep engine computes the *same* ten-category graph from unit-block
-//! geometry alone:
+//! A source run is a maximal set of consecutive columns `ka..=kb` of one
+//! fundamental supernode with one ownership segmentation (one diagonal
+//! chunk of a strip that also shares a column chunk in every
+//! below-rectangle; a single-column cluster is a run of its own). Its
+//! columns store the same rows `S` below `kb` (`struct(L_{k+1}) =
+//! struct(L_k) \ {k+1}`), owned alike, so everything they do to the
+//! columns right of the run is one computation taken `kb − ka + 1` times:
 //!
-//! * For a fixed pair of columns `(k, j)` with `L(j,k)` stored, the update
-//!   operations are `L(i,j) -= L(i,k)·L(j,k)` for every stored `i ≥ j` in
-//!   column `k`. The owner of `(j,k)` is one fixed unit; the owners of
-//!   `(i,k)` and `(i,j)` are **piecewise constant in `i`** — the partition
-//!   assigns contiguous row intervals of a column to one unit
-//!   ([`Partition::column_ownership`]). Merging the two segmentations and
-//!   splitting column `k`'s sorted row list at segment boundaries with
-//!   binary searches yields, per merged segment, a `(source, source,
-//!   target)` unit triple and an exact operation count — no per-operation
-//!   work at all.
-//! * Scaling operations are the same sweep with a single source (the
-//!   diagonal-owning unit) against the target segmentation of column `j`.
+//! * `S` is cut into **pieces** of consecutive rows with one owner (the
+//!   run's segmentation against the gaps of `S`), each labelled with the
+//!   segment it lies in;
+//! * the update targets of a column with rows `S` are the clique
+//!   `{(i, j) : i, j ∈ S, i ≥ j}`, and
+//!   [`Partition::for_each_update_target`] reports every unit holding
+//!   any of them, with the pieces inside its row and column extents —
+//!   the owners of `(i, k)` and `(j, k)`. A rectangle's operations are
+//!   `|row piece| · |column piece|` per pair of pieces, a triangle's and a
+//!   column's the pairs `i ≥ j`; each count lands in one category;
+//! * what the run does to itself is closed-form: for `k < j` both in the
+//!   run, `(i, k)` and the target `(i, j)` have the same owner, so the
+//!   only external source is the owner of `(j, k)` — the run's first
+//!   segment — feeding every other owner down the column, and the
+//!   scalings are that same shape.
 //!
-//! Dependency *edges* and category *tallies* both fall out of the segment
-//! walk: every operation in a merged segment contributes the identical
-//! external-source set, so the *sets* of edges agree with the element
-//! oracle exactly and the per-category counts are plain multiplications.
+//! One level up, the runs of a supernode that ends its cluster share the
+//! rows `B` below the cluster, and own them through the same trailing
+//! segments (the row chunks of the below-rectangles; a single column's
+//! one segment): two rows have one owner in one run iff they do in every
+//! run, and the owners' shapes agree. So each run sweeps only the columns
+//! up to the cluster's last, and the clique of `B` — everything right of
+//! the cluster — is swept once for the supernode, each label standing
+//! for its owner in every run: all of them get the edge, the tallies are
+//! taken once per column.
 //!
-//! A further collapse exploits *fundamental supernodes*: columns of one
-//! supernode have identical factor structure below any shared row
-//! (`struct(L_{k+1}) = struct(L_k) \ {k+1}`), so consecutive source pairs
-//! `(k, j)`, `(k+1, j)` whose `(j, ·)`-owning unit and ownership-
-//! segmentation tails also agree produce *verbatim-identical* sweeps —
-//! the walk replays the previous pair's category/segment deltas and skips
-//! its (all-duplicate) edge pushes.
+//! Edges and tallies both fall out of the pieces: every operation in a
+//! pair of pieces has the identical external-source set, so the *sets* of
+//! edges agree with the element oracle exactly and the per-category
+//! counts are plain multiplications. Nothing is walked per `(k, j)` pair,
+//! no unit is examined that holds no target, and an edge is proposed
+//! about once — what remains is the size of the graph itself.
 //!
-//! **Parallelism.** Every edge and every categorized operation generated
-//! while processing target column `j` lands on units of `j`'s cluster, and
-//! unit ids are scan-ordered by cluster — so partitioning the cluster list
-//! into contiguous ranges gives worker threads *disjoint* unit-id ranges
-//! to fill. Per-thread predecessor lists concatenate in cluster order and
-//! category counts merge by integer addition, making the result
-//! bit-identical for every thread count (pinned by
+//! **Parallelism.** Runs are independent. Their list is cut into
+//! items of at most a quarter of a thread's share of the estimated work,
+//! handed out dynamically; each worker proposes predecessors into lists
+//! of its own, `DepGraph::assemble` sorts and deduplicates the
+//! concatenation, and category counts merge by integer addition — the
+//! graph is bit-identical for every thread count (pinned by
 //! `tests/deps_equivalence.rs`).
 
 use crate::block::UnitShape;
 use crate::deps::{category_of, dependencies, dependencies_traced, record_graph_stats, DepGraph};
-use crate::units::{advance, split_at, Partition, Segmentation};
+use crate::units::{
+    advance, split_at, Partition, Segmentation, TaggedRun, TargetScratch, UpdateTarget,
+};
 use spfactor_interval::Interval;
-use spfactor_symbolic::{RowStructure, SymbolicFactor};
+use spfactor_symbolic::{fundamental_supernodes, SymbolicFactor};
 use spfactor_trace::Recorder;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Selects how the unit-block dependency graph is built.
 ///
@@ -63,7 +78,7 @@ use spfactor_trace::Recorder;
 /// | engine | cost | threads |
 /// |---|---|---|
 /// | `Element` | `Θ(Σ_k c_k²)` operation replay | 1 |
-/// | `Sweep` | `Θ(Σ_{(j,k)} segments)` geometry sweep | 1 |
+/// | `Sweep` | `Θ(Σ_runs (pieces + units holding a target) + edges)` geometry sweep | 1 |
 /// | `SweepParallel` | as `Sweep` | `available_parallelism` |
 ///
 /// `Element` is the oracle — the direct enumeration of the paper's §3.3
@@ -75,10 +90,10 @@ pub enum DepsEngine {
     /// Per-operation replay of every update and scaling (the oracle).
     #[default]
     Element,
-    /// Sorted-extent sweep over unit geometry, single-threaded.
+    /// Source-run sweep over unit geometry, single-threaded.
     Sweep,
-    /// The same sweep fanned out over crossbeam scoped threads, one
-    /// contiguous range of target clusters per worker.
+    /// The same sweep with ranges of supernodes handed out dynamically to
+    /// crossbeam scoped threads.
     SweepParallel,
 }
 
@@ -109,8 +124,8 @@ pub fn build_dependencies(
 /// [`build_dependencies`] with instrumentation. The element engine emits
 /// its historical `partition.deps` span; the sweep engines run under the
 /// spans `deps.engine.sweep` / `deps.engine.sweep_parallel` and emit the
-/// `deps.engine.columns` / `.pairs` / `.segments` counters and the
-/// `deps.engine.threads` gauge (see `docs/METRICS.md`). All engines
+/// `deps.engine.columns` / `.pairs` / `.segments` / `.walked_segments`
+/// counters and the `deps.engine.threads` gauge (see `docs/METRICS.md`). All engines
 /// record the shared `partition.deps.edges` / `.independent_units` gauges
 /// and the `partition.deps.category.<n>` counters.
 pub fn build_dependencies_traced(
@@ -133,6 +148,7 @@ pub fn build_dependencies_traced(
             recorder.incr("deps.engine.columns", tallies.columns);
             recorder.incr("deps.engine.pairs", tallies.pairs);
             recorder.incr("deps.engine.segments", tallies.segments);
+            recorder.incr("deps.engine.walked_segments", tallies.walked_segments);
             record_graph_stats(&graph, recorder);
             graph
         }
@@ -160,19 +176,14 @@ fn default_threads() -> usize {
 /// Immutable lookup tables shared by every worker thread.
 struct SweepPlan<'a> {
     factor: &'a SymbolicFactor,
+    partition: &'a Partition,
     /// Every column's ownership segmentation (ascending, disjoint).
     segs: Segmentation,
-    /// Transpose of the strict-lower structure: row `j`'s `(k, pos)`
-    /// pairs with `L(j,k)` stored, and the fundamental-supernode id per
-    /// column — columns of one supernode have identical factor structure
-    /// below any shared row, which lets the walk replay a repeated source
-    /// pair instead of re-sweeping it. Built for this plan and dropped
-    /// with it rather than cached in the factor: a schedule outlives its
-    /// dependency phase, and most are never factored numerically.
-    rows: RowStructure,
+    /// The source runs, ascending.
+    runs: Vec<SourceRun>,
     /// Shape class per unit (0 = column, 1 = triangle, 2 = rectangle):
     /// classification touches this dense byte table instead of the much
-    /// larger `units` array — the segment loop's hottest lookups.
+    /// larger `units` array.
     class: Vec<u8>,
     /// `cat1[s * 3 + t]` — paper category number for one external of
     /// class `s` updating a target of class `t`, `0` = none. Built by
@@ -182,6 +193,20 @@ struct SweepPlan<'a> {
     cat1: [u8; 9],
     /// `cat2[(a * 3 + b) * 3 + t]` — same for two distinct externals.
     cat2: [u8; 27],
+}
+
+/// A maximal set of consecutive columns of one fundamental supernode
+/// (they store the same rows below the last of them) with one ownership
+/// segmentation, and how far right it sweeps by itself.
+struct SourceRun {
+    cols: Range<usize>,
+    /// The last column the run sweeps into: its cluster's last when the
+    /// rows below the cluster are swept once for the whole supernode,
+    /// else no limit.
+    last_col: usize,
+    /// For the last run of such a supernode, how many runs the supernode
+    /// has (they end with this one); otherwise 0.
+    closes: usize,
 }
 
 /// Tabulates [`category_of`] over the three shape variants.
@@ -221,337 +246,422 @@ impl<'a> SweepPlan<'a> {
             })
             .collect();
         let (cat1, cat2) = build_cat_tables();
+        let segs = partition.segmentation();
+        // When a supernode of several columns ends its cluster, the rows
+        // below it are below the cluster and every run owns them through
+        // the same trailing segments: swept once, by the last run.
+        let mut runs = Vec::new();
+        let mut cluster = 0;
+        for sn in fundamental_supernodes(factor) {
+            let last = sn.end - 1;
+            cluster += partition.clusters[cluster..].partition_point(|c| c.cols.hi < last);
+            let shared = sn.len() > 1 && partition.clusters[cluster].cols.hi == last;
+            let first_run = runs.len();
+            let mut k = sn.start;
+            while k < sn.end {
+                let end = (k + 1..sn.end)
+                    .find(|&c| segs.col(c) != segs.col(k))
+                    .unwrap_or(sn.end);
+                runs.push(SourceRun {
+                    cols: k..end,
+                    last_col: if shared { last } else { usize::MAX },
+                    closes: 0,
+                });
+                k = end;
+            }
+            if shared && factor.col_count(last) > 0 {
+                let count = runs.len() - first_run;
+                runs[first_run + count - 1].closes = count;
+            }
+        }
         SweepPlan {
             factor,
-            segs: partition.segmentation(),
-            rows: RowStructure::build(factor),
+            partition,
+            segs,
+            runs,
             class,
             cat1,
             cat2,
         }
     }
-}
 
-/// A tiny open-addressing `u32` set (linear probing, `u32::MAX` = empty
-/// slot). The segment walk proposes the same `(source, target)` edge tens
-/// of times on average; membership-checking here keeps the predecessor
-/// lists at their final distinct size instead of materializing every
-/// proposal — the difference between ~10⁸ list appends and ~10⁷ on
-/// LAP200.
-#[derive(Clone, Default)]
-struct FastSet {
-    slots: Vec<u32>,
-    len: u32,
-}
-
-impl FastSet {
-    /// Inserts `x`; returns `true` if it was not present.
-    #[inline]
-    fn insert(&mut self, x: u32) -> bool {
-        if self.slots.is_empty() {
-            self.slots.resize(16, u32::MAX);
-        } else if (self.len as usize + 1) * 4 > self.slots.len() * 3 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (x.wrapping_mul(0x9E37_79B9) as usize) & mask;
-        loop {
-            let slot = self.slots[i];
-            if slot == u32::MAX {
-                self.slots[i] = x;
-                self.len += 1;
-                return true;
+    /// The work items of the sweep: contiguous ranges of runs (by
+    /// index), closed as soon as their estimated cost reaches `1 / parts`
+    /// of the total — so no item is heavier than that unless it is a
+    /// single run.
+    fn work_items(&self, parts: usize) -> Vec<Range<usize>> {
+        // A run's cost follows the units holding its targets, about one
+        // per `grain` of them, and at least one per row: the targets in
+        // the columns it sweeps into — up to `last_col`, against all its
+        // rows — and, for the run that closes a supernode, the clique of
+        // the rows below.
+        let grain = self.partition.params.grain_rectangle.max(1);
+        let weight = |run: &SourceRun| {
+            let kb = run.cols.end - 1;
+            let m = self.factor.col_count(kb);
+            let inside = run.last_col.saturating_sub(kb).min(m);
+            let below = m - inside;
+            let mut targets = inside * inside / 2 + inside * below;
+            if run.closes > 0 {
+                targets += below * below / 2;
             }
-            if slot == x {
-                return false;
+            1 + m + targets / grain
+        };
+        let total: usize = self.runs.iter().map(weight).sum();
+        let limit = total.div_ceil(parts.max(1));
+        let mut items = Vec::new();
+        let (mut start, mut acc) = (0, 0);
+        for (idx, run) in self.runs.iter().enumerate() {
+            acc += weight(run);
+            if acc >= limit || idx + 1 == self.runs.len() {
+                items.push(start..idx + 1);
+                (start, acc) = (idx + 1, 0);
             }
-            i = (i + 1) & mask;
         }
-    }
-
-    #[cold]
-    fn grow(&mut self) {
-        let doubled = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![u32::MAX; doubled]);
-        let mask = self.slots.len() - 1;
-        for x in old.into_iter().filter(|&x| x != u32::MAX) {
-            let mut i = (x.wrapping_mul(0x9E37_79B9) as usize) & mask;
-            while self.slots[i] != u32::MAX {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = x;
-        }
+        items
     }
 }
 
-/// Per-thread output: predecessor lists for one contiguous unit-id range
-/// plus category tallies and work counters.
-struct SweepOut {
-    /// First unit id of this thread's range.
-    unit_base: u32,
-    /// `preds[u - unit_base]` — distinct predecessor pushes in first-seen
-    /// order (final sorting happens in [`DepGraph::assemble`]).
-    preds: Vec<Vec<u32>>,
-    /// `seen[u - unit_base]` — membership sets backing the dedup. Exact:
-    /// every edge into unit `u` arises while some column of `u`'s own
-    /// cluster is the target, and one thread processes that whole cluster.
-    seen: Vec<FastSet>,
-    /// The most recently proposed `(target, source)` edge. Runs propose
-    /// the run-constant `s_j` edge between every source-segment edge, so
-    /// immediate repeats are common; membership only ever grows, so
-    /// "same as last attempt" always means "already inserted" — one
-    /// register compare instead of a set probe.
-    last_key: u64,
-    cats: [usize; 10],
+/// Sweep work counters (the `deps.engine.*` metrics). `pairs` and
+/// `segments` count what the sweep *covers* — every `(k, j)` pair, and
+/// for each the pieces of column `k` from row `j` on, whether handled
+/// once or multiplied through a run — `walked_segments` the pieces it
+/// actually handled.
+#[derive(Clone, Copy, Default)]
+struct SweepCounters {
     columns: u64,
     pairs: u64,
     segments: u64,
+    walked_segments: u64,
+}
+
+/// The owners behind the labels of a set of pieces: label `t` stands for
+/// the units `units[t * per_label..][..per_label]` — the unit owning the
+/// piece in each of `per_label` source runs that are swept as one. Every
+/// one of them gets the edge; the first stands for all in tallies.
+#[derive(Clone, Copy)]
+struct Owners<'a> {
+    units: &'a [u32],
+    per_label: usize,
+}
+
+impl Owners<'_> {
+    #[inline]
+    fn of(&self, label: u32) -> &[u32] {
+        &self.units[label as usize * self.per_label..][..self.per_label]
+    }
+
+    #[inline]
+    fn first(&self, label: u32) -> u32 {
+        self.units[label as usize * self.per_label]
+    }
+}
+
+/// One worker's output: raw predecessor lists plus category tallies and
+/// work counters.
+struct SweepOut {
+    /// `preds[u]` — proposed predecessors of unit `u` in first-seen order
+    /// ([`DepGraph::assemble`] sorts and deduplicates). An edge is
+    /// proposed about once per supernode it arises from, so the lists
+    /// stay within a small factor of their distinct size.
+    preds: Vec<Vec<u32>>,
+    /// The most recently proposed `(target, source)` edge: neighbouring
+    /// pieces and neighbouring runs are often one owner's, so immediate
+    /// repeats are common.
+    last_key: u64,
+    cats: [usize; 10],
+    counters: SweepCounters,
+    /// Scratch: the pieces of the rows being swept, for each the rows
+    /// from it on, and the owner table of their labels.
+    pieces: Vec<TaggedRun>,
+    rows_from: Vec<usize>,
+    owner_units: Vec<u32>,
+    targets: TargetScratch,
 }
 
 impl SweepOut {
-    fn new(unit_base: u32, unit_len: usize) -> Self {
+    fn new(nunits: usize) -> Self {
         SweepOut {
-            unit_base,
-            preds: vec![Vec::new(); unit_len],
-            seen: vec![FastSet::default(); unit_len],
+            preds: vec![Vec::new(); nunits],
             last_key: u64::MAX,
             cats: [0; 10],
-            columns: 0,
-            pairs: 0,
-            segments: 0,
+            counters: SweepCounters::default(),
+            pieces: Vec::new(),
+            rows_from: Vec::new(),
+            owner_units: Vec::new(),
+            targets: TargetScratch::default(),
         }
     }
 
     #[inline]
-    fn push_edges(&mut self, tgt: u32, ext: &[u32]) {
-        let li = (tgt - self.unit_base) as usize;
-        for &s in ext {
-            let key = ((tgt as u64) << 32) | s as u64;
-            if key == self.last_key {
-                continue;
-            }
-            self.last_key = key;
-            if self.seen[li].insert(s) {
-                self.preds[li].push(s);
+    fn push_edges(&mut self, tgt: u32, sources: &[u32]) {
+        for &src in sources {
+            let key = ((tgt as u64) << 32) | src as u64;
+            if src != tgt && key != self.last_key {
+                self.last_key = key;
+                self.preds[tgt as usize].push(src);
             }
         }
     }
 
-    /// One merged segment of `count` scaling operations sourced from the
-    /// diagonal-owning unit `src` (`src != tgt` checked by the caller).
+    /// Tallies `count` operations reading units `s_i` and `s_j` into
+    /// `tgt`, mirroring the element builder's `record`: dedup
+    /// `{s_i, s_j}`, drop the target, classify the survivors (an empty
+    /// set means the operation is internal).
     #[inline]
-    fn emit_scaling(&mut self, src: u32, tgt: u32, count: usize, plan: &SweepPlan) {
-        self.push_edges(tgt, &[src]);
-        let c =
-            plan.cat1[plan.class[src as usize] as usize * 3 + plan.class[tgt as usize] as usize];
+    fn tally(&mut self, plan: &SweepPlan, s_i: u32, s_j: u32, tgt: u32, count: usize) {
+        let class = |u: u32| plan.class[u as usize] as usize;
+        let t = class(tgt);
+        let c = if s_i == tgt || s_i == s_j {
+            if s_j == tgt {
+                return;
+            }
+            plan.cat1[class(s_j) * 3 + t]
+        } else if s_j == tgt {
+            plan.cat1[class(s_i) * 3 + t]
+        } else {
+            plan.cat2[(class(s_i) * 3 + class(s_j)) * 3 + t]
+        };
         if c != 0 {
             self.cats[c as usize - 1] += count;
         }
     }
 }
 
-/// Sweeps all operations targeting column `j`: the scalings of its
-/// strict-lower entries and, for every stored `L(j,k)`, the update tail
-/// `rows(k)[pos..]`.
-fn process_target_column(plan: &SweepPlan, j: usize, out: &mut SweepOut) {
-    out.columns += 1;
-    let tsegs = plan.segs.col(j);
-    // Scaling ops: the diagonal's unit (the first target segment always
-    // contains row j) feeds every other unit holding entries of column j.
-    let lower = plan.factor.col(j);
-    debug_assert!(tsegs[0].0.contains(j));
-    let d_unit = tsegs[0].1;
-    let mut ti = 0usize;
-    let mut idx = 0usize;
-    while idx < lower.len() {
-        let i = lower[idx];
-        ti = advance(tsegs, ti, i);
-        debug_assert!(tsegs[ti].0.contains(i));
-        let take = split_at(lower, idx, lower.len(), tsegs[ti].0.hi) - idx;
-        if tsegs[ti].1 != d_unit {
-            out.emit_scaling(d_unit, tsegs[ti].1, take, plan);
-        }
-        out.segments += 1;
-        idx += take;
-    }
-    // Update ops, one source column k at a time. The walk is organized
-    // as runs over the *target* segmentation: within one run the target
-    // unit and the `(j, k)`-owning source unit `s_j` are fixed and only
-    // the `(i, k)` owner `s_i` varies, so `s_j`'s edge is pushed once per
-    // run and the category index reduces to one table lookup per source
-    // segment. The per-segment classification mirrors the element
-    // builder's `record` exactly: dedup `{s_i, s_j}`, drop the target,
-    // classify the survivors (empty set → the operation is internal).
-    // Replay state: when consecutive pairs come from one fundamental
-    // supernode, share the source unit of `(j, k)`, and their ownership
-    // segmentations agree from row `j` on, the two sweeps are verbatim
-    // repeats — the supernode guarantees the row tails below `j` are
-    // identical (`struct(L_{k+1}) = struct(L_k) \ {k+1}` and `j > k`).
-    // Such a pair replays the previous pair's category/segment deltas and
-    // skips its pushes (every proposed edge is already present).
-    let mut prev_snode = u32::MAX;
-    let mut prev_sj = 0u32;
-    let mut prev_tail: &[(Interval, u32)] = &[];
-    let mut prev_delta = [0usize; 10];
-    let mut prev_segments = 0u64;
-    for &(k, pos) in plan.rows.row(j) {
-        out.pairs += 1;
-        let rows = plan.factor.col(k as usize);
-        let ssegs = plan.segs.col(k as usize);
-        // The (j, k) source element's unit is fixed for this pair.
-        let mut si = ssegs.partition_point(|s| s.0.hi < j);
-        debug_assert!(ssegs[si].0.contains(j));
-        let s_j = ssegs[si].1;
-        let snode = plan.rows.supernode_of(k as usize);
-        let tail = &ssegs[si..];
-        if snode == prev_snode && s_j == prev_sj && tail == prev_tail {
-            for (acc, d) in out.cats.iter_mut().zip(prev_delta) {
-                *acc += d;
-            }
-            out.segments += prev_segments;
-            continue;
-        }
-        let cats_before = out.cats;
-        let segments_before = out.segments;
-        let cls_sj = plan.class[s_j as usize] as usize;
-        let mut ti = 0usize;
-        let mut idx = pos as usize;
-        while idx < rows.len() {
-            let i = rows[idx];
-            ti = advance(tsegs, ti, i);
-            debug_assert!(tsegs[ti].0.contains(i));
-            let (t_iv, tgt) = tsegs[ti];
-            let run_end = split_at(rows, idx, rows.len(), t_iv.hi);
-            let t = plan.class[tgt as usize] as usize;
-            let sj_ext = s_j != tgt;
-            if sj_ext {
-                out.push_edges(tgt, &[s_j]);
-            }
-            let cat_sj = plan.cat1[cls_sj * 3 + t];
-            let pair_const = cls_sj * 3 + t;
-            while idx < run_end {
-                let i = rows[idx];
-                si = advance(ssegs, si, i);
-                debug_assert!(ssegs[si].0.contains(i));
-                let take = split_at(rows, idx, run_end, ssegs[si].0.hi) - idx;
-                let s_i = ssegs[si].1;
-                out.segments += 1;
-                if s_i == tgt {
-                    // ext = {s_j} (or empty when s_j == tgt too).
-                    if sj_ext && cat_sj != 0 {
-                        out.cats[cat_sj as usize - 1] += take;
-                    }
-                } else {
-                    out.push_edges(tgt, &[s_i]);
-                    let c = if !sj_ext || s_i == s_j {
-                        plan.cat1[plan.class[s_i as usize] as usize * 3 + t]
-                    } else {
-                        plan.cat2[plan.class[s_i as usize] as usize * 9 + pair_const]
-                    };
-                    if c != 0 {
-                        out.cats[c as usize - 1] += take;
-                    }
+/// Cuts the ascending `rows` into maximal pieces of consecutive rows
+/// inside one segment of `segs` (which must cover them), each labelled
+/// with the segment's index.
+fn label_rows(rows: &[usize], segs: &[(Interval, u32)], pieces: &mut Vec<TaggedRun>) {
+    pieces.clear();
+    let mut si = 0;
+    let mut idx = 0;
+    while idx < rows.len() {
+        si = advance(segs, si, rows[idx]);
+        let end = split_at(rows, idx, rows.len(), segs[si].0.hi);
+        while idx < end {
+            // Dense blocks make the whole stretch one piece; otherwise
+            // find the gap.
+            let mut last = end - 1;
+            if rows[last] - rows[idx] != last - idx {
+                last = idx;
+                while rows[last + 1] == rows[last] + 1 {
+                    last += 1;
                 }
-                idx += take;
             }
+            let piece = Interval {
+                lo: rows[idx],
+                hi: rows[last],
+            };
+            pieces.push((piece, si as u32));
+            idx = last + 1;
         }
-        prev_snode = snode;
-        prev_sj = s_j;
-        prev_tail = tail;
-        for (d, (now, was)) in prev_delta.iter_mut().zip(out.cats.iter().zip(cats_before)) {
-            *d = now - was;
-        }
-        prev_segments = out.segments - segments_before;
     }
 }
 
-/// Aggregated sweep work counters (the `deps.engine.*` metrics).
-struct SweepTallies {
-    columns: u64,
-    pairs: u64,
-    segments: u64,
+/// Sweeps, `copies` times over, the updates of the columns up to
+/// `last_col` by a source column whose rows are `pieces`, labelled with
+/// their `owners`: the partition reports every unit holding a target with
+/// the pieces inside its row extent — the `(i, k)` read — and inside its
+/// column extent — the `(j, k)` — and every pair of pieces is one count
+/// in one category.
+fn sweep_clique(
+    plan: &SweepPlan,
+    pieces: &[TaggedRun],
+    owners: Owners<'_>,
+    copies: usize,
+    last_col: usize,
+    out: &mut SweepOut,
+) {
+    // A column target reads a suffix of the pieces; from `uniform` on
+    // they have one label, so past it the suffix is one read.
+    let mut rows_from = std::mem::take(&mut out.rows_from);
+    rows_from.clear();
+    rows_from.resize(pieces.len() + 1, 0);
+    for (p, (piece, _)) in pieces.iter().enumerate().rev() {
+        rows_from[p] = rows_from[p + 1] + piece.len();
+    }
+    let uniform = pieces
+        .iter()
+        .rposition(|&(_, t)| Some(t) != pieces.last().map(|l| l.1))
+        .map_or(0, |p| p + 1);
+    let mut targets = std::mem::take(&mut out.targets);
+    plan.partition
+        .for_each_update_target(pieces, last_col, &mut targets, |target| match target {
+            UpdateTarget::Column { unit, col, run: p } => {
+                // Targets (i, col) for the rows i >= col.
+                let s_j = owners.first(pieces[p].1);
+                let mut skip = col - pieces[p].0.lo;
+                for &(piece, t_i) in pieces.iter().take(uniform).skip(p) {
+                    out.push_edges(unit, owners.of(t_i));
+                    out.tally(
+                        plan,
+                        owners.first(t_i),
+                        s_j,
+                        unit,
+                        copies * (piece.len() - skip),
+                    );
+                    skip = 0;
+                }
+                let rest = p.max(uniform);
+                if rest < pieces.len() {
+                    let t_i = pieces[rest].1;
+                    out.push_edges(unit, owners.of(t_i));
+                    out.tally(
+                        plan,
+                        owners.first(t_i),
+                        s_j,
+                        unit,
+                        copies * (rows_from[rest] - skip),
+                    );
+                }
+                out.counters.segments += (copies * (pieces.len() - p)) as u64;
+                out.counters.walked_segments += (uniform.saturating_sub(p) + 1) as u64;
+            }
+            UpdateTarget::Triangle { unit, pieces: tri } => {
+                // Pairs i >= j inside the extent: within a piece, then
+                // against every later piece.
+                for (x, &(cols, t_j)) in tri.iter().enumerate() {
+                    let (m, s_j) = (cols.len(), owners.first(t_j));
+                    out.push_edges(unit, owners.of(t_j));
+                    out.tally(plan, s_j, s_j, unit, copies * m * (m + 1) / 2);
+                    for &(rows, t_i) in &tri[x + 1..] {
+                        out.tally(plan, owners.first(t_i), s_j, unit, copies * m * rows.len());
+                    }
+                    out.counters.segments += (copies * m * (tri.len() - x)) as u64;
+                }
+                out.counters.walked_segments += tri.len() as u64;
+            }
+            UpdateTarget::Rectangle { unit, rows, cols } => {
+                for &(cols, t_j) in cols {
+                    let s_j = owners.first(t_j);
+                    out.push_edges(unit, owners.of(t_j));
+                    for &(rows, t_i) in rows {
+                        let count = copies * rows.len() * cols.len();
+                        out.tally(plan, owners.first(t_i), s_j, unit, count);
+                    }
+                    out.counters.segments += (copies * cols.len() * rows.len()) as u64;
+                }
+                for &(_, t_i) in rows {
+                    out.push_edges(unit, owners.of(t_i));
+                }
+                out.counters.walked_segments += (rows.len() + cols.len()) as u64;
+            }
+        });
+    out.targets = targets;
+    out.rows_from = rows_from;
 }
 
-/// Splits the cluster list into at most `nthreads` contiguous ranges of
-/// near-equal total weight. Deterministic for a given weight vector and
-/// thread count; always covers every cluster.
-fn cluster_ranges(weights: &[u64], nthreads: usize) -> Vec<(usize, usize)> {
-    let nc = weights.len();
-    let mut remaining: u64 = weights.iter().sum();
-    let mut ranges = Vec::with_capacity(nthreads);
-    let mut start = 0usize;
-    for t in 0..nthreads {
-        if start >= nc {
-            break;
-        }
-        if t + 1 == nthreads {
-            ranges.push((start, nc));
-            break;
-        }
-        let target = remaining.div_ceil((nthreads - t) as u64);
-        let mut acc = 0u64;
-        let mut end = start;
-        while end < nc && (end == start || acc < target) {
-            acc += weights[end];
-            end += 1;
-        }
-        remaining -= acc;
-        ranges.push((start, end));
-        start = end;
+/// Sweeps every operation sourced from the columns `run` of one source
+/// run (see the module docs) into the columns up to `last_col`: their
+/// scalings, their updates of one another, and — once, taken
+/// `run.len()` times — their updates of the columns right of the run.
+fn sweep_run(plan: &SweepPlan, run: &SourceRun, out: &mut SweepOut) {
+    let kb = run.cols.end - 1;
+    let copies = run.cols.len();
+    let rows = plan.factor.col(kb);
+    let ssegs = plan.segs.col(kb);
+    let mut pieces = std::mem::take(&mut out.pieces);
+    let mut units = std::mem::take(&mut out.owner_units);
+    label_rows(rows, ssegs, &mut pieces);
+    units.clear();
+    units.extend(ssegs.iter().map(|s| s.1));
+    // The first segment holds the run's own columns as rows: its unit
+    // owns every (j, k) with both in the run, and every diagonal.
+    let own = units[0];
+
+    // Inside the run: column k scales its entries, and updates column
+    // j > k of the run, reading (k, k) or (j, k) — both `own`'s — into
+    // entries (i, ·) whose owner also owns (i, k).
+    let inner = copies * (copies - 1) / 2;
+    for &(piece, label) in &pieces {
+        let unit = units[label as usize];
+        out.push_edges(unit, &[own]);
+        out.tally(plan, own, own, unit, (copies + inner) * piece.len());
     }
-    ranges
+    let c = &mut out.counters;
+    c.columns += copies as u64;
+    c.pairs += (inner + copies * rows.len()) as u64;
+    c.segments += ((copies + inner) * (pieces.len() + 1) - 1) as u64;
+    c.walked_segments += pieces.len() as u64;
+
+    // Right of the run.
+    let owners = Owners {
+        units: &units,
+        per_label: 1,
+    };
+    sweep_clique(plan, &pieces, owners, copies, run.last_col, out);
+    out.pieces = pieces;
+    out.owner_units = units;
+}
+
+/// Sweeps, once for all the `runs` of a supernode that ends its
+/// cluster, their updates of the columns right of the cluster: the clique
+/// of the rows below it. Every run owns those rows through the same
+/// trailing segments — the row chunks of the below-rectangles, or a
+/// single column's one segment — so a piece is labelled with its trailing
+/// segment, and an edge goes out from every run's owner of it.
+fn sweep_below(plan: &SweepPlan, runs: &[SourceRun], out: &mut SweepOut) {
+    let first = runs[0].cols.start;
+    let last = runs[runs.len() - 1].cols.end - 1;
+    let ssegs = plan.segs.col(last);
+    // All of a single column's segments trail; a strip's past the last
+    // diagonal chunk do.
+    let single = plan.class[ssegs[0].1 as usize] == 0;
+    let trailing = ssegs.len() - usize::from(!single);
+    let mut pieces = std::mem::take(&mut out.pieces);
+    let mut units = std::mem::take(&mut out.owner_units);
+    label_rows(
+        plan.factor.col(last),
+        &ssegs[ssegs.len() - trailing..],
+        &mut pieces,
+    );
+    units.clear();
+    for label in 0..trailing {
+        units.extend(runs.iter().map(|run| {
+            let segs = plan.segs.col(run.cols.start);
+            segs[segs.len() - trailing + label].1
+        }));
+    }
+    let owners = Owners {
+        units: &units,
+        per_label: runs.len(),
+    };
+    out.counters.walked_segments += pieces.len() as u64;
+    sweep_clique(plan, &pieces, owners, last + 1 - first, usize::MAX, out);
+    out.pieces = pieces;
+    out.owner_units = units;
 }
 
 fn sweep_impl(
     factor: &SymbolicFactor,
     partition: &Partition,
     nthreads: usize,
-) -> (DepGraph, SweepTallies) {
-    let nu = partition.num_units();
-    let nc = partition.clusters.len();
+) -> (DepGraph, SweepCounters) {
     let plan = SweepPlan::new(factor, partition);
-    // First unit id of each cluster: unit ids are scan-ordered by
-    // cluster, so each cluster owns one contiguous id range.
-    let mut unit_first = vec![nu; nc + 1];
-    for (idx, u) in partition.units.iter().enumerate().rev() {
-        unit_first[u.cluster] = idx;
-    }
-    debug_assert!(unit_first.iter().all(|&f| f <= nu));
-    // Balance by per-column sweep cost: one scaling walk plus one update
-    // walk per stored row entry, each bounded by the column's entry
-    // count.
-    let weights: Vec<u64> = partition
-        .clusters
-        .iter()
-        .map(|cl| {
-            (cl.cols.lo..=cl.cols.hi)
-                .map(|j| 1 + factor.col_count(j) as u64 + plan.rows.row_count(j) as u64)
-                .sum()
-        })
-        .collect();
-    let nthreads = nthreads.clamp(1, nc.max(1));
-    let ranges = cluster_ranges(&weights, nthreads);
-
-    let run_range = |&(c0, c1): &(usize, usize)| -> SweepOut {
-        let base = unit_first[c0];
-        let len = unit_first[c1] - base;
-        let mut out = SweepOut::new(base as u32, len);
-        for cl in &partition.clusters[c0..c1] {
-            for j in cl.cols.lo..=cl.cols.hi {
-                process_target_column(&plan, j, &mut out);
+    let nthreads = nthreads.max(1);
+    // Items fine enough that the last one running cannot hold the others
+    // up for long, handed out dynamically.
+    let items = plan.work_items(4 * nthreads);
+    let next = AtomicUsize::new(0);
+    let work = || -> SweepOut {
+        let mut out = SweepOut::new(partition.num_units());
+        while let Some(item) = items.get(next.fetch_add(1, Ordering::Relaxed)) {
+            for idx in item.clone() {
+                let run = &plan.runs[idx];
+                sweep_run(&plan, run, &mut out);
+                if run.closes > 0 {
+                    sweep_below(&plan, &plan.runs[idx + 1 - run.closes..=idx], &mut out);
+                }
             }
         }
         out
     };
-
-    let outs: Vec<SweepOut> = if ranges.len() <= 1 {
-        ranges.iter().map(run_range).collect()
+    let mut outs: Vec<SweepOut> = if nthreads == 1 || items.len() <= 1 {
+        vec![work()]
     } else {
         crossbeam::scope(|s| {
-            let run_range = &run_range;
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|r| s.spawn(move |_| run_range(r)))
+            let handles: Vec<_> = (0..nthreads.min(items.len()))
+                .map(|_| s.spawn(|_| work()))
                 .collect();
             handles
                 .into_iter()
@@ -561,31 +671,47 @@ fn sweep_impl(
         .expect("sweep scope panicked")
     };
 
-    // Stitch: ranges are cluster-ordered and unit-disjoint, so the
-    // per-thread predecessor lists concatenate into the full unit range;
-    // tallies merge by addition. Both steps are order-deterministic.
-    let mut preds: Vec<Vec<u32>> = Vec::with_capacity(nu);
-    let mut cats = [0usize; 10];
-    let mut tallies = SweepTallies {
-        columns: 0,
-        pairs: 0,
-        segments: 0,
-    };
+    // Stitch: every worker proposes into any unit, so lists are
+    // concatenated; `assemble` sorts and deduplicates, and tallies merge
+    // by addition — the graph does not depend on which worker ran what.
+    let mut total = outs.pop().expect("at least one worker");
     for out in outs {
-        debug_assert_eq!(preds.len(), out.unit_base as usize);
-        preds.extend(out.preds);
-        for (acc, c) in cats.iter_mut().zip(out.cats) {
+        for (slot, list) in total.preds.iter_mut().zip(out.preds) {
+            if slot.is_empty() {
+                *slot = list;
+            } else {
+                slot.extend_from_slice(&list);
+            }
+        }
+        for (acc, c) in total.cats.iter_mut().zip(out.cats) {
             *acc += c;
         }
-        tallies.columns += out.columns;
-        tallies.pairs += out.pairs;
-        tallies.segments += out.segments;
+        total.counters.columns += out.counters.columns;
+        total.counters.pairs += out.counters.pairs;
+        total.counters.segments += out.counters.segments;
+        total.counters.walked_segments += out.counters.walked_segments;
     }
-    // Clusters past the last processed column (none today) would leave a
-    // tail of unitless entries; pad defensively so the graph always spans
-    // every unit.
-    preds.resize(nu, Vec::new());
-    (DepGraph::assemble(preds, cats), tallies)
+    // Sorting the lists is most of what `assemble` does, and they are
+    // independent: with workers to spare they sort them in slices first
+    // (`assemble` then finds every list in order).
+    if nthreads > 1 {
+        let per_slice = total.preds.len().div_ceil(8 * nthreads).max(1);
+        let slices = Mutex::new(total.preds.chunks_mut(per_slice));
+        crossbeam::scope(|s| {
+            for _ in 0..nthreads {
+                s.spawn(|_| loop {
+                    let slice = slices.lock().expect("sort worker panicked").next();
+                    let Some(slice) = slice else { break };
+                    for list in slice {
+                        list.sort_unstable();
+                        list.dedup();
+                    }
+                });
+            }
+        })
+        .expect("sort scope panicked");
+    }
+    (DepGraph::assemble(total.preds, total.cats), total.counters)
 }
 
 #[cfg(test)]
@@ -606,23 +732,6 @@ mod tests {
         assert_eq!(DepsEngine::Sweep.name(), "sweep");
         assert_eq!(DepsEngine::SweepParallel.name(), "sweep_parallel");
         assert_eq!(DepsEngine::default(), DepsEngine::Element);
-    }
-
-    #[test]
-    fn cluster_ranges_cover_and_balance() {
-        let w = vec![5u64, 1, 1, 1, 8, 1, 1, 2];
-        for t in 1..=10 {
-            let rs = cluster_ranges(&w, t);
-            assert!(rs.len() <= t);
-            assert_eq!(rs[0].0, 0);
-            assert_eq!(rs.last().unwrap().1, w.len());
-            for pair in rs.windows(2) {
-                assert_eq!(pair[0].1, pair[1].0, "ranges must tile");
-            }
-            for &(a, b) in &rs {
-                assert!(a < b, "empty range");
-            }
-        }
     }
 
     #[test]
@@ -679,5 +788,13 @@ mod tests {
         let nnz: usize = (0..f.n()).map(|j| f.col_count(j)).sum();
         assert_eq!(t.pairs, nnz as u64);
         assert!(t.segments >= t.pairs, "each pair walks >= 1 segment");
+        assert!(t.walked_segments > 0 && t.walked_segments <= t.segments);
+        // What is covered and what is walked is a property of the
+        // partition, not of how the supernodes were dealt out.
+        let (_, t3) = sweep_impl(&f, &part, 3);
+        assert_eq!(
+            (t3.columns, t3.pairs, t3.segments, t3.walked_segments),
+            (t.columns, t.pairs, t.segments, t.walked_segments)
+        );
     }
 }

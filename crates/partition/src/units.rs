@@ -77,6 +77,220 @@ pub(crate) enum ClusterLayout {
     },
 }
 
+impl RectGrid {
+    /// The rectangle's row extent (one maximal run of dense rows).
+    fn rows(&self) -> Interval {
+        Interval {
+            lo: self.row_chunks[0].lo,
+            hi: self.row_chunks[self.row_chunks.len() - 1].hi,
+        }
+    }
+}
+
+/// A run of consecutive rows with a label of the caller's choosing —
+/// the unit or processor owning those entries of a source column, say.
+/// [`Partition::for_each_update_target`] carries the label through to
+/// every piece it cuts from the run.
+pub type TaggedRun = (Interval, u32);
+
+/// A unit block that owns update targets of one source column, reported
+/// by [`Partition::for_each_update_target`] with the pieces of the
+/// source column's row set `S` that fall inside its extents — the source
+/// entries its updates read.
+#[derive(Clone, Copy, Debug)]
+pub enum UpdateTarget<'a> {
+    /// A single-column unit whose column `col` is in `S`; it owns the
+    /// targets `(i, col)` for every `i ∈ S`, `i >= col`, so it reads the
+    /// suffix of `S` from `col` on: `runs[run]` from `col`, then every
+    /// later run (left to the caller — materializing it per column unit
+    /// would be quadratic in `|S|`).
+    Column {
+        /// The unit id.
+        unit: u32,
+        /// Its column.
+        col: usize,
+        /// Index of the run holding `col`.
+        run: usize,
+    },
+    /// A diagonal sub-triangle: `pieces = S ∩ extent`, non-empty.
+    Triangle {
+        /// The unit id.
+        unit: u32,
+        /// Ascending, disjoint pieces of `S` inside the extent.
+        pieces: &'a [TaggedRun],
+    },
+    /// A sub-rectangle: `rows = S ∩ row extent` and
+    /// `cols = S ∩ column extent`, both non-empty.
+    Rectangle {
+        /// The unit id.
+        unit: u32,
+        /// Ascending, disjoint pieces of `S` inside the row extent.
+        rows: &'a [TaggedRun],
+        /// Ascending, disjoint pieces of `S` inside the column extent.
+        cols: &'a [TaggedRun],
+    },
+}
+
+/// One chunk of a chunk axis met by the source rows: the chunk's index
+/// and the range of [`TargetScratch::pieces`] holding `S ∩ chunk`.
+type ChunkHit = (u32, Range<usize>);
+
+/// Reusable buffers of [`Partition::for_each_update_target`].
+#[derive(Debug, Default)]
+pub struct TargetScratch {
+    /// Pieces of `S`, chunk by chunk, for the cluster being visited.
+    pieces: Vec<TaggedRun>,
+    /// `S ∩ columns(cluster)`.
+    col_runs: Vec<TaggedRun>,
+    /// Hit chunks of the triangle axis, of the current below-rectangle's
+    /// row axis, and of its column axis.
+    tri: Vec<ChunkHit>,
+    rows: Vec<ChunkHit>,
+    cols: Vec<ChunkHit>,
+}
+
+/// Splits `rows` (labelled `tag`) at the boundaries of the contiguous,
+/// ascending `chunks` (which must cover it), appending each non-empty
+/// piece to `pieces` and recording it under its chunk in `hits`; a chunk
+/// reached by consecutive calls keeps one entry.
+fn split_run(
+    rows: Interval,
+    tag: u32,
+    chunks: &[Interval],
+    hits: &mut Vec<ChunkHit>,
+    pieces: &mut Vec<TaggedRun>,
+) {
+    let mut c = chunks.partition_point(|ch| ch.hi < rows.lo);
+    let mut lo = rows.lo;
+    loop {
+        let hi = rows.hi.min(chunks[c].hi);
+        pieces.push((Interval { lo, hi }, tag));
+        match hits.last_mut() {
+            Some((idx, range)) if *idx as usize == c => range.end = pieces.len(),
+            _ => hits.push((c as u32, pieces.len() - 1..pieces.len())),
+        }
+        if hi == rows.hi {
+            return;
+        }
+        lo = hi + 1;
+        c += 1;
+    }
+}
+
+/// The [`Partition::for_each_update_target`] step for one strip with
+/// columns `cols`; `runs[0]` is the first run of `S` reaching them.
+fn strip_targets(
+    layout: &ClusterLayout,
+    cols: Interval,
+    runs: &[TaggedRun],
+    scratch: &mut TargetScratch,
+    f: &mut impl FnMut(UpdateTarget<'_>),
+) {
+    let ClusterLayout::Strip {
+        tri_chunks,
+        tri_unit,
+        tri_rect_unit,
+        rects,
+    } = layout
+    else {
+        unreachable!("single-column clusters are reported by the caller");
+    };
+    let TargetScratch {
+        pieces,
+        col_runs,
+        tri: tri_hits,
+        rows: row_hits,
+        cols: col_hits,
+    } = scratch;
+    pieces.clear();
+    col_runs.clear();
+    tri_hits.clear();
+    // Column side: S ∩ cols, split along the triangle's diagonal chunks.
+    let mut below = 0; // first run reaching past the strip's columns
+    for &(run, tag) in runs.iter().take_while(|(r, _)| r.lo <= cols.hi) {
+        let clipped = Interval {
+            lo: run.lo.max(cols.lo),
+            hi: run.hi.min(cols.hi),
+        };
+        col_runs.push((clipped, tag));
+        split_run(clipped, tag, tri_chunks, tri_hits, pieces);
+        below += usize::from(run.hi <= cols.hi);
+    }
+    let t = tri_chunks.len();
+    for &(d, ref range) in tri_hits.iter() {
+        f(UpdateTarget::Triangle {
+            unit: tri_unit[d as usize],
+            pieces: &pieces[range.clone()],
+        });
+    }
+    for (b, &(r, ref below_piece)) in tri_hits.iter().enumerate().skip(1) {
+        for &(c, ref left_piece) in &tri_hits[..b] {
+            f(UpdateTarget::Rectangle {
+                unit: tri_rect_unit[r as usize * t + c as usize],
+                rows: &pieces[below_piece.clone()],
+                cols: &pieces[left_piece.clone()],
+            });
+        }
+    }
+    // Row side below the triangle, one rectangle at a time: its hit row
+    // chunks, then the products with its hit column chunks. (The runs of
+    // a factor column all land in rectangles — their rows are the union
+    // of the strip's column structures, and a column in S carries S's
+    // tail — but a run in a gap is simply passed over.)
+    let mut gi = 0;
+    let mut col_hits_for = usize::MAX; // column-chunk count `col_hits` was split for
+    row_hits.clear();
+    let mut emit = |grid: &RectGrid, row_hits: &mut Vec<ChunkHit>, pieces: &mut Vec<TaggedRun>| {
+        let pc = grid.col_chunks.len();
+        if col_hits_for != pc {
+            col_hits_for = pc;
+            col_hits.clear();
+            for &(run, tag) in col_runs.iter() {
+                split_run(run, tag, &grid.col_chunks, col_hits, pieces);
+            }
+        }
+        for &(r, ref row_piece) in row_hits.iter() {
+            for &(c, ref col_piece) in col_hits.iter() {
+                f(UpdateTarget::Rectangle {
+                    unit: grid.first_unit + r * pc as u32 + c,
+                    rows: &pieces[row_piece.clone()],
+                    cols: &pieces[col_piece.clone()],
+                });
+            }
+        }
+        row_hits.clear();
+    };
+    for &(run, tag) in &runs[below..] {
+        let mut lo = run.lo.max(cols.hi + 1);
+        while gi < rects.len() {
+            let extent = rects[gi].rows();
+            if extent.hi < lo {
+                if !row_hits.is_empty() {
+                    emit(&rects[gi], row_hits, pieces);
+                }
+                gi += 1;
+                gi += rects[gi..].partition_point(|g| g.rows().hi < lo);
+                continue;
+            }
+            if extent.lo > run.hi {
+                break;
+            }
+            let piece = Interval {
+                lo: lo.max(extent.lo),
+                hi: run.hi.min(extent.hi),
+            };
+            split_run(piece, tag, &rects[gi].row_chunks, row_hits, pieces);
+            if run.hi <= extent.hi {
+                break;
+            }
+            lo = extent.hi + 1;
+        }
+    }
+    if !row_hits.is_empty() {
+        emit(&rects[gi], row_hits, pieces);
+    }
+}
+
 /// Splits `extent` into `t` near-equal contiguous chunks.
 fn chunks(extent: Interval, t: usize) -> Vec<Interval> {
     let w = extent.len();
@@ -566,6 +780,55 @@ impl Partition {
         }
     }
 
+    /// Calls `f` once for every unit block that owns an update target, in
+    /// a column up to `last_col`, of a source column whose strict-lower
+    /// row set `S` is the union of `runs` (ascending, disjoint; labels are
+    /// the caller's). The targets are the clique
+    /// `{(i, j) : i, j ∈ S, i >= j}`, so these are exactly the units
+    /// whose row extent meets `S` and whose column extent meets
+    /// `S ∩ [0, last_col]`; they are reported in ascending unit-id order.
+    /// `last_col` must be the last column of a cluster (or anything from
+    /// the last row of `S` up, for no limit).
+    ///
+    /// The walk follows the hits, not the layout: a cluster is entered
+    /// only through a column in `S`, each chunk axis of a strip (the
+    /// triangle's diagonal chunks; a below-rectangle's row and column
+    /// chunks) is split against `S` once, and the units reported are the
+    /// hit-row × hit-column chunk products. Rectangles no run of `S`
+    /// reaches are skipped by binary search, so the cost is
+    /// `O(runs + pieces + units reported)`.
+    pub fn for_each_update_target(
+        &self,
+        runs: &[TaggedRun],
+        last_col: usize,
+        scratch: &mut TargetScratch,
+        mut f: impl FnMut(UpdateTarget<'_>),
+    ) {
+        let Some((first, _)) = runs.first() else {
+            return;
+        };
+        let mut col = first.lo;
+        let mut ri = 0; // first run reaching `col`
+        let mut cid = 0;
+        while col <= last_col {
+            if self.clusters[cid].cols.hi < col {
+                cid += 1;
+                cid += self.clusters[cid..].partition_point(|c| c.cols.hi < col);
+            }
+            let cols = self.clusters[cid].cols;
+            debug_assert!(cols.hi <= last_col, "last_col splits a cluster");
+            match &self.layouts[cid] {
+                &ClusterLayout::Single { unit } => f(UpdateTarget::Column { unit, col, run: ri }),
+                layout => strip_targets(layout, cols, &runs[ri..], scratch, &mut f),
+            }
+            while ri < runs.len() && runs[ri].0.hi <= cols.hi {
+                ri += 1;
+            }
+            let Some((run, _)) = runs.get(ri) else { return };
+            col = run.lo.max(cols.hi + 1);
+        }
+    }
+
     /// Number of unit blocks.
     pub fn num_units(&self) -> usize {
         self.units.len()
@@ -745,6 +1008,146 @@ mod tests {
         // Cluster ids are non-decreasing along the unit list.
         for w in part.units.windows(2) {
             assert!(w[0].cluster <= w[1].cluster);
+        }
+    }
+
+    /// Maximal runs of an ascending row list, each labelled with its
+    /// ordinal.
+    fn runs_of(rows: &[usize]) -> Vec<TaggedRun> {
+        let set = spfactor_interval::IntervalSet::from_sorted_points(rows);
+        set.runs().iter().copied().zip(0..).collect()
+    }
+
+    /// `runs ∩ extent`, labels kept.
+    fn clip(runs: &[TaggedRun], extent: Interval) -> Vec<TaggedRun> {
+        runs.iter()
+            .filter_map(|(r, tag)| Some((r.intersection(&extent)?, *tag)))
+            .collect()
+    }
+
+    /// What the query reports for `runs`: `(unit, row pieces, column
+    /// pieces)`, a column unit's rows being the suffix left to the caller.
+    fn update_targets(
+        part: &Partition,
+        runs: &[TaggedRun],
+        last_col: usize,
+    ) -> Vec<(u32, Vec<TaggedRun>, Vec<TaggedRun>)> {
+        let mut scratch = TargetScratch::default();
+        let mut got = Vec::new();
+        part.for_each_update_target(runs, last_col, &mut scratch, |t| {
+            got.push(match t {
+                UpdateTarget::Column { unit, col, run } => {
+                    assert!(runs[run].0.contains(col));
+                    (unit, Vec::new(), vec![(Interval::point(col), runs[run].1)])
+                }
+                UpdateTarget::Triangle { unit, pieces } => (unit, pieces.to_vec(), pieces.to_vec()),
+                UpdateTarget::Rectangle { unit, rows, cols } => {
+                    (unit, rows.to_vec(), cols.to_vec())
+                }
+            })
+        });
+        got
+    }
+
+    /// Every unit of `part` in columns up to `last_col` whose row and
+    /// column extents both meet `runs`, with the exact pieces, in unit
+    /// order.
+    fn brute_force_targets(
+        part: &Partition,
+        runs: &[TaggedRun],
+        last_col: usize,
+    ) -> Vec<(u32, Vec<TaggedRun>, Vec<TaggedRun>)> {
+        // `before[r]` rows of the set lie below row `r`: an extent meets
+        // the set iff the count grows across it.
+        let n = part.clusters.last().map_or(0, |c| c.cols.hi + 1);
+        let mut before = vec![0u32; n + 2];
+        for (run, _) in runs {
+            before[run.lo + 1..=run.hi + 1].fill(1);
+        }
+        for r in 1..before.len() {
+            before[r] += before[r - 1];
+        }
+        let meets = |iv: Interval| before[iv.hi + 1] > before[iv.lo];
+        part.units
+            .iter()
+            .filter(|u| u.shape.col_extent().hi <= last_col && meets(u.shape.col_extent()))
+            .filter_map(|u| {
+                let cols = clip(runs, u.shape.col_extent());
+                if matches!(u.shape, UnitShape::Column { .. }) {
+                    return Some((u.id as u32, Vec::new(), cols));
+                }
+                let rows = clip(runs, u.shape.row_extent());
+                (!rows.is_empty()).then_some((u.id as u32, rows, cols))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn update_targets_match_brute_force_on_paper_matrices() {
+        for m in gen::paper::all() {
+            let f = factor_of(&m.pattern);
+            // The column limit is exercised on the wrap layout and one
+            // block partition only (the limit stops the cluster loop; the
+            // strip walk under it is the same).
+            let mut parts = vec![(Partition::columns(&f), "wrap".to_string(), true)];
+            for grain in [4usize, 25] {
+                for relax in 0..=3 {
+                    let mut params = PartitionParams::with_grain(grain);
+                    params.relax_zeros = relax;
+                    let what = format!("g={grain} relax={relax}");
+                    let limited = grain == 4 && relax == 0;
+                    parts.push((Partition::build(&f, &params), what, limited));
+                }
+            }
+            for (part, what, limited) in &parts {
+                for k in 0..f.n() {
+                    let runs = runs_of(f.col(k));
+                    // No limit, then the cluster of the column's middle row.
+                    let mid = f.col(k).get(f.col_count(k) / 2).copied().unwrap_or(k);
+                    let cluster = part.clusters.partition_point(|c| c.cols.hi < mid);
+                    let limits = [usize::MAX, part.clusters[cluster].cols.hi];
+                    for &last_col in &limits[..1 + usize::from(*limited)] {
+                        assert_eq!(
+                            update_targets(part, &runs, last_col),
+                            brute_force_targets(part, &runs, last_col),
+                            "{} {what}: source column {k} up to {last_col}",
+                            m.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn update_targets_accept_arbitrary_run_sets() {
+        // Not a factor column: runs straddling cluster and rectangle
+        // boundaries, adjacent runs, and runs falling into the gaps
+        // between rectangles.
+        let f = factor_of(&gen::lap9(12, 12));
+        let mut params = PartitionParams::with_grain(4);
+        params.min_cluster_width = 2;
+        let part = Partition::build(&f, &params);
+        let n = f.n();
+        for (start, len, gap) in [
+            (0usize, 3usize, 2usize),
+            (5, 9, 1),
+            (1, 1, 1),
+            (2, 4, 0),
+            (40, 30, 7),
+        ] {
+            let mut runs = Vec::new();
+            let mut lo = start;
+            while lo < n {
+                runs.push((Interval::new(lo, (lo + len - 1).min(n - 1)), lo as u32));
+                lo += len + gap;
+            }
+            assert_eq!(
+                update_targets(&part, &runs, usize::MAX),
+                brute_force_targets(&part, &runs, usize::MAX),
+                "runs of {len} from {start} every {}",
+                len + gap
+            );
         }
     }
 

@@ -3,14 +3,15 @@
 //! The per-element oracle in the crate root replays every update
 //! operation — `O(Σ_k c_k²)` bitset touches — which is exact but far too
 //! slow for production-scale matrices. This module computes the *same*
-//! [`TrafficReport`] and [`WorkReport`] analytically, reasoning at
-//! unit-block granularity with interval algebra (the supernodal/block
-//! principle of Ng & Peyton and Rothberg & Gupta applied to the paper's
-//! simulation method).
+//! [`TrafficReport`] analytically, reasoning at unit-block granularity
+//! (the supernodal/block principle of Ng & Peyton and Rothberg & Gupta
+//! applied to the paper's simulation method); the [`WorkReport`] is the
+//! partition's closed-form unit work summed per processor, as in the
+//! oracle.
 //!
 //! # Why a closed form exists
 //!
-//! Both paper metrics decompose exactly by source column:
+//! The traffic metric decomposes exactly by source column:
 //!
 //! * a strict-lower entry `(r, k)` is read **only** by the outer-product
 //!   updates of column `k`, so "distinct remote elements fetched" can be
@@ -21,20 +22,21 @@
 //! For source column `k` with row set `S = rows(k)`, the update targets
 //! form the lower-triangle clique on `S` (the fill lemma guarantees every
 //! such `(i, j)` is a factor entry). A unit block with row extent `R` and
-//! column extent `C` therefore owns exactly `|S∩R| · |S∩C|` of those
-//! targets (triangles: `m(m+1)/2` with `m = |S∩E|`), and the source rows
-//! its processor reads are `(S∩R) ∪ (S∩C)` — all computable from the
-//! interval runs of `S` without visiting a single element. Per-processor
-//! distinct counts are interval-set unions; attribution to owning
-//! processors walks the union against the ownership segments of column
-//! `k`. Work units fall out of the same sweep (2 per clique target, 1 per
-//! strict-lower entry scaled).
+//! column extent `C` holds targets iff `S` meets both, and the source rows
+//! its processor then reads are `(S∩R) ∪ (S∩C)`.
+//! [`Partition::for_each_update_target`] reports exactly those units —
+//! the hit-row × hit-column chunk products of every cluster a column of
+//! `S` enters, never a unit without a target — with the two pieces of
+//! `S`. A processor's read set is a bitmask over the positions of `S`:
+//! a piece sets a range of bits, the union over its units is the OR, and
+//! the distinct remote elements are the set bits under each other
+//! processor's ownership segment of column `k`.
 //!
 //! # Parallelism and determinism
 //!
 //! Because the tally is independent per source column, the
-//! [`SimulateEngine::BlockParallel`] driver partitions columns across
-//! crossbeam scoped worker threads (the same harness as
+//! [`SimulateEngine::BlockParallel`] driver hands dynamic chunks of
+//! columns to crossbeam scoped worker threads (the same harness as
 //! `spfactor-numeric`'s parallel executor), each accumulating a private
 //! `Partial`, and merges them by elementwise addition — associative and
 //! commutative over integers, so the reports are bit-identical to the
@@ -43,7 +45,7 @@
 use crate::{data_traffic, data_traffic_traced, work_distribution, work_distribution_traced};
 use crate::{TrafficReport, WorkReport};
 use spfactor_interval::Interval;
-use spfactor_partition::{Partition, UnitBlock, UnitShape};
+use spfactor_partition::{Partition, TaggedRun, TargetScratch, UpdateTarget};
 use spfactor_sched::Assignment;
 use spfactor_symbolic::SymbolicFactor;
 use spfactor_trace::Recorder;
@@ -57,7 +59,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// | Engine | Complexity | Threads |
 /// |---|---|---|
 /// | `Element` | `O(Σ_k c_k²)` element touches | 1 |
-/// | `Block` | `O(Σ_k (runs(S_k) + units touched))` interval ops | 1 |
+/// | `Block` | `O(Σ_k (c_k + units holding a target of k))` bit-range ops | 1 |
 /// | `BlockParallel` | as `Block` | `available_parallelism` |
 ///
 /// `Element` is the oracle — the direct transcription of the paper's §4
@@ -98,11 +100,23 @@ pub fn simulate(
             data_traffic(factor, partition, assignment),
             work_distribution(partition, assignment),
         ),
-        SimulateEngine::Block => block_reports(factor, partition, assignment, 1, None),
+        SimulateEngine::Block => simulate_block(factor, partition, assignment, 1),
         SimulateEngine::BlockParallel => {
-            block_reports(factor, partition, assignment, default_threads(), None)
+            simulate_block(factor, partition, assignment, default_threads())
         }
     }
+}
+
+/// The block engine with an explicit worker-thread count (`1` = serial).
+/// Exposed so tests can pin bit-equality across thread counts;
+/// [`simulate`] picks the count from the engine.
+pub fn simulate_block(
+    factor: &SymbolicFactor,
+    partition: &Partition,
+    assignment: &Assignment,
+    nthreads: usize,
+) -> (TrafficReport, WorkReport) {
+    block_reports(factor, partition, assignment, nthreads, None)
 }
 
 /// [`simulate`] with instrumentation. The element engine emits its
@@ -156,18 +170,11 @@ fn default_threads() -> usize {
 /// Immutable lookup tables shared by every worker thread.
 struct Plan<'a> {
     factor: &'a SymbolicFactor,
+    partition: &'a Partition,
     /// `owner[entry_id] = unit id`.
     owner: &'a [u32],
     /// `proc_of_unit[unit] = processor`.
     proc_of_unit: &'a [u32],
-    units: &'a [UnitBlock],
-    /// Column → cluster id (clusters tile the columns).
-    col_cluster: Vec<u32>,
-    /// Cluster → `[start, end)` range into `units` (scan order).
-    unit_range: Vec<(u32, u32)>,
-    /// `col_base[k]` — entry id of the first strict-lower entry of
-    /// column `k` (ids are contiguous per column, row-ascending).
-    col_base: Vec<usize>,
     nprocs: usize,
 }
 
@@ -177,37 +184,11 @@ impl<'a> Plan<'a> {
         partition: &'a Partition,
         assignment: &'a Assignment,
     ) -> Self {
-        let n = factor.n();
-        let mut col_cluster = vec![0u32; n];
-        for cl in &partition.clusters {
-            for slot in &mut col_cluster[cl.cols.lo..=cl.cols.hi] {
-                *slot = cl.id as u32;
-            }
-        }
-        let mut unit_range = vec![(0u32, 0u32); partition.clusters.len()];
-        for u in &partition.units {
-            let r = &mut unit_range[u.cluster];
-            if r.1 == 0 {
-                *r = (u.id as u32, u.id as u32 + 1);
-            } else {
-                r.1 = u.id as u32 + 1;
-            }
-        }
-        let mut col_base = Vec::with_capacity(n + 1);
-        let mut acc = n;
-        for j in 0..n {
-            col_base.push(acc);
-            acc += factor.col_count(j);
-        }
-        col_base.push(acc);
         Plan {
             factor,
+            partition,
             owner: partition.owner_map(),
             proc_of_unit: &assignment.proc_of_unit,
-            units: &partition.units,
-            col_cluster,
-            unit_range,
-            col_base,
             nprocs: assignment.nprocs,
         }
     }
@@ -222,19 +203,16 @@ impl<'a> Plan<'a> {
 struct Partial {
     per_proc: Vec<usize>,
     pair: Vec<usize>,
-    /// Work per unit under the paper's cost model.
-    work_unit: Vec<usize>,
     columns: u64,
     unit_visits: u64,
     pieces: u64,
 }
 
 impl Partial {
-    fn new(nprocs: usize, nunits: usize) -> Self {
+    fn new(nprocs: usize) -> Self {
         Partial {
             per_proc: vec![0; nprocs],
             pair: vec![0; nprocs * nprocs],
-            work_unit: vec![0; nunits],
             columns: 0,
             unit_visits: 0,
             pieces: 0,
@@ -248,9 +226,6 @@ impl Partial {
         for (a, b) in self.pair.iter_mut().zip(&other.pair) {
             *a += b;
         }
-        for (a, b) in self.work_unit.iter_mut().zip(&other.work_unit) {
-            *a += b;
-        }
         self.columns += other.columns;
         self.unit_visits += other.unit_visits;
         self.pieces += other.pieces;
@@ -259,70 +234,80 @@ impl Partial {
 
 /// Reusable per-thread scratch buffers.
 struct Scratch {
-    /// Maximal runs of the current source column's row set.
-    runs: Vec<Interval>,
-    /// Ownership segments of the current column: `(row span, proc)`.
-    segs: Vec<(Interval, u32)>,
-    /// Read-set pieces collected per processor this column.
-    pieces: Vec<Vec<Interval>>,
-    /// Per-processor lowest column-unit column touched (suffix-union
-    /// shortcut for wrap-style partitions); `usize::MAX` = none.
-    col_min: Vec<usize>,
-    /// Processors with pieces or `col_min` set this column.
+    /// Maximal runs of the current source column's row set `S`, each
+    /// labelled with `run.lo − (rows of S before the run)`: a row `r` of
+    /// a piece labelled `t` is the `(r − t)`-th row of `S`.
+    runs: Vec<TaggedRun>,
+    /// Ownership segments of the current column: positions in `S`
+    /// (inclusive) and the owning processor.
+    segs: Vec<(usize, usize, u32)>,
+    /// Buffers of the partition's target walk.
+    targets: TargetScratch,
+    /// Read sets: bit `i` of processor `p`'s words is set when `p` reads
+    /// the `i`-th row of `S`. `words` per processor, all clear between
+    /// columns.
+    read: Vec<u64>,
+    words: usize,
+    /// Per-processor lowest position read from on by a column unit (its
+    /// read set is a suffix of `S`): `usize::MAX` while the processor
+    /// reads nothing, `usize::MAX - 1` once it reads but no suffix.
+    suffix_from: Vec<usize>,
+    /// Processors that read anything this column.
     dirty: Vec<u32>,
     /// Per-processor stamp for diagonal-read deduplication.
     stamp: Vec<usize>,
-    /// Merge buffer for the union sweep.
-    merged: Vec<Interval>,
 }
 
 impl Scratch {
-    fn new(nprocs: usize) -> Self {
+    fn new(plan: &Plan<'_>) -> Self {
+        let longest = (0..plan.factor.n())
+            .map(|k| plan.factor.col_count(k))
+            .max()
+            .unwrap_or(0);
+        let words = longest.div_ceil(64);
         Scratch {
             runs: Vec::new(),
             segs: Vec::new(),
-            pieces: (0..nprocs).map(|_| Vec::new()).collect(),
-            col_min: vec![usize::MAX; nprocs],
+            targets: TargetScratch::default(),
+            read: vec![0; words * plan.nprocs],
+            words,
+            suffix_from: vec![usize::MAX; plan.nprocs],
             dirty: Vec::new(),
-            stamp: vec![usize::MAX; nprocs],
-            merged: Vec::new(),
+            stamp: vec![usize::MAX; plan.nprocs],
         }
     }
 }
 
-/// Appends `runs ∩ iv` to `out`; returns the number of integers added.
+/// Sets bits `lo..=hi`.
 #[inline]
-fn intersect_append(runs: &[Interval], iv: Interval, out: &mut Vec<Interval>) -> usize {
-    let mut count = 0usize;
-    let start = runs.partition_point(|r| r.hi < iv.lo);
-    for r in &runs[start..] {
-        if r.lo > iv.hi {
-            break;
-        }
-        let lo = r.lo.max(iv.lo);
-        let hi = r.hi.min(iv.hi);
-        count += hi - lo + 1;
-        out.push(Interval { lo, hi });
+fn set_bits(words: &mut [u64], lo: usize, hi: usize) {
+    let (wl, wh) = (lo / 64, hi / 64);
+    let first = !0u64 << (lo % 64);
+    let last = !0u64 >> (63 - hi % 64);
+    if wl == wh {
+        words[wl] |= first & last;
+    } else {
+        words[wl] |= first;
+        words[wl + 1..wh].fill(!0);
+        words[wh] |= last;
     }
-    count
 }
 
-/// Number of integers in `runs ∩ iv` without materializing them.
+/// Number of set bits among `lo..=hi`.
 #[inline]
-fn intersect_count(runs: &[Interval], iv: Interval) -> usize {
-    let mut count = 0usize;
-    let start = runs.partition_point(|r| r.hi < iv.lo);
-    for r in &runs[start..] {
-        if r.lo > iv.hi {
-            break;
-        }
-        count += r.hi.min(iv.hi) - r.lo.max(iv.lo) + 1;
+fn count_bits(words: &[u64], lo: usize, hi: usize) -> usize {
+    let (wl, wh) = (lo / 64, hi / 64);
+    let first = !0u64 << (lo % 64);
+    let last = !0u64 >> (63 - hi % 64);
+    if wl == wh {
+        return (words[wl] & first & last).count_ones() as usize;
     }
-    count
+    let inner: u32 = words[wl + 1..wh].iter().map(|w| w.count_ones()).sum();
+    ((words[wl] & first).count_ones() + inner + (words[wh] & last).count_ones()) as usize
 }
 
-/// Processes source column `k`: scaling work + diagonal traffic for the
-/// column, then the update clique over its row set.
+/// Processes source column `k`: diagonal traffic for the column's
+/// scalings, then the read sets of the update clique over its row set.
 fn process_column(plan: &Plan<'_>, k: usize, scratch: &mut Scratch, out: &mut Partial) {
     let rows = plan.factor.col(k);
     out.columns += 1;
@@ -330,43 +315,59 @@ fn process_column(plan: &Plan<'_>, k: usize, scratch: &mut Scratch, out: &mut Pa
         return;
     }
     let np = plan.nprocs;
-    let base = plan.col_base[k];
+    // Entry ids are contiguous per column, row-ascending, after the
+    // diagonals.
+    let base = plan.factor.n() + plan.factor.colptr()[k];
     // Split the scratch borrows so the buffers can be used together.
     let Scratch {
         runs,
         segs,
-        pieces,
-        col_min,
+        targets,
+        read,
+        words,
+        suffix_from,
         dirty,
         stamp,
-        merged,
     } = scratch;
+    let words = *words;
 
-    // --- Ownership segments of column k + scaling work (1 unit per
-    // strict-lower entry, charged to its owning unit). ---
+    // --- Ownership segments of column k and the maximal runs of its row
+    // set, in one pass over the column. ---
     segs.clear();
+    runs.clear();
     {
-        let mut start = 0usize;
+        let mut seg_start = 0;
+        let mut run_start = 0;
         let mut cur = plan.proc_of_entry(base);
-        out.work_unit[plan.owner[base] as usize] += 1;
         for off in 1..rows.len() {
-            let eid = base + off;
-            out.work_unit[plan.owner[eid] as usize] += 1;
-            let p = plan.proc_of_entry(eid);
+            let p = plan.proc_of_entry(base + off);
             if p != cur {
-                segs.push((Interval::new(rows[start], rows[off - 1]), cur));
-                start = off;
+                segs.push((seg_start, off - 1, cur));
+                seg_start = off;
                 cur = p;
             }
+            if rows[off] != rows[off - 1] + 1 {
+                let run = Interval {
+                    lo: rows[run_start],
+                    hi: rows[off - 1],
+                };
+                runs.push((run, (run.lo - run_start) as u32));
+                run_start = off;
+            }
         }
-        segs.push((Interval::new(rows[start], rows[rows.len() - 1]), cur));
+        segs.push((seg_start, rows.len() - 1, cur));
+        let run = Interval {
+            lo: rows[run_start],
+            hi: rows[rows.len() - 1],
+        };
+        runs.push((run, (run.lo - run_start) as u32));
     }
 
     // --- Diagonal reads: every processor owning a strict-lower entry of
     // column k fetches (k, k) once. ---
     {
         let q = plan.proc_of_entry(k); // diagonal entry id is k
-        for &(_, p) in segs.iter() {
+        for &(_, _, p) in segs.iter() {
             let p = p as usize;
             if p as u32 != q && stamp[p] != k {
                 stamp[p] = k;
@@ -376,152 +377,61 @@ fn process_column(plan: &Plan<'_>, k: usize, scratch: &mut Scratch, out: &mut Pa
         }
     }
 
-    // --- Maximal runs of the row set of column k. ---
-    runs.clear();
-    {
-        let mut lo = rows[0];
-        let mut hi = rows[0];
-        for &r in &rows[1..] {
-            if r == hi + 1 {
-                hi = r;
-            } else {
-                runs.push(Interval { lo, hi });
-                lo = r;
-                hi = r;
-            }
-        }
-        runs.push(Interval { lo, hi });
-    }
-
-    // --- Update clique sweep: visit every unit of every cluster whose
-    // column range meets the row set. ---
-    let mut last_cluster = u32::MAX;
-    for ri in 0..runs.len() {
-        let run = runs[ri];
-        let mut cid = plan.col_cluster[run.lo];
-        if last_cluster != u32::MAX && cid <= last_cluster {
-            cid = last_cluster + 1;
-        }
-        let cid_hi = plan.col_cluster[run.hi];
-        while cid <= cid_hi {
-            last_cluster = cid;
-            let (us, ue) = plan.unit_range[cid as usize];
-            for u in us..ue {
-                out.unit_visits += 1;
-                let u = u as usize;
-                let p = plan.proc_of_unit[u] as usize;
-                match plan.units[u].shape {
-                    UnitShape::Column { col } => {
-                        // A column unit has targets only when its column
-                        // is in the row set; its read set is the suffix
-                        // S ∩ [col, ∞), so per processor only the lowest
-                        // such column matters.
-                        let pos = rows.partition_point(|&r| r < col);
-                        if pos < rows.len() && rows[pos] == col {
-                            let m = rows.len() - pos;
-                            out.work_unit[u] += 2 * m;
-                            if col_min[p] == usize::MAX && pieces[p].is_empty() {
-                                dirty.push(p as u32);
-                            }
-                            if col < col_min[p] {
-                                col_min[p] = col;
-                            }
-                        }
+    // --- Update clique: the units owning targets, straight from the
+    // partition's chunk tables; each marks, for its processor, the
+    // pieces of S inside its row and column extents as read. ---
+    let proc_of_unit = plan.proc_of_unit;
+    let mut visits = 0u64;
+    let mut npieces = 0u64;
+    plan.partition
+        .for_each_update_target(runs, usize::MAX, targets, |target| {
+            visits += 1;
+            let (unit, rows, cols): (u32, &[TaggedRun], &[TaggedRun]) = match target {
+                UpdateTarget::Column { unit, col, run } => {
+                    // Reads the suffix of S from `col`: per processor only
+                    // the lowest such column matters.
+                    let p = proc_of_unit[unit as usize] as usize;
+                    if suffix_from[p] == usize::MAX {
+                        dirty.push(p as u32);
                     }
-                    UnitShape::Triangle { extent } => {
-                        let before = pieces[p].len();
-                        let m = intersect_append(runs, extent, &mut pieces[p]);
-                        if m > 0 {
-                            out.work_unit[u] += m * (m + 1);
-                            out.pieces += (pieces[p].len() - before) as u64;
-                            if before == 0 && col_min[p] == usize::MAX {
-                                dirty.push(p as u32);
-                            }
-                        }
-                    }
-                    UnitShape::Rectangle { cols, rows: rrows } => {
-                        let mc = intersect_count(runs, cols);
-                        if mc == 0 {
-                            continue;
-                        }
-                        let mr = intersect_count(runs, rrows);
-                        if mr == 0 {
-                            continue;
-                        }
-                        out.work_unit[u] += 2 * mc * mr;
-                        let before = pieces[p].len();
-                        intersect_append(runs, cols, &mut pieces[p]);
-                        intersect_append(runs, rrows, &mut pieces[p]);
-                        out.pieces += (pieces[p].len() - before) as u64;
-                        if before == 0 && col_min[p] == usize::MAX {
-                            dirty.push(p as u32);
-                        }
-                    }
+                    suffix_from[p] = suffix_from[p].min(col - runs[run].1 as usize);
+                    return;
                 }
+                UpdateTarget::Triangle { unit, pieces } => (unit, pieces, &[]),
+                UpdateTarget::Rectangle { unit, rows, cols } => (unit, rows, cols),
+            };
+            let p = proc_of_unit[unit as usize] as usize;
+            let mine = &mut read[p * words..(p + 1) * words];
+            if suffix_from[p] == usize::MAX {
+                suffix_from[p] = usize::MAX - 1;
+                dirty.push(p as u32);
             }
-            cid += 1;
-        }
-    }
+            for &(piece, offset) in rows.iter().chain(cols) {
+                set_bits(mine, piece.lo - offset as usize, piece.hi - offset as usize);
+            }
+            npieces += (rows.len() + cols.len()) as u64;
+        });
+    out.unit_visits += visits;
+    out.pieces += npieces;
 
-    // --- Per-processor union + attribution against the ownership
-    // segments of column k. ---
+    // --- Per processor: every distinct element read counts one unit of
+    // traffic from the processor owning it, unless that is the reader. ---
     for &p in dirty.iter() {
         let p = p as usize;
-        let mut buf = std::mem::take(&mut pieces[p]);
-        if col_min[p] != usize::MAX {
-            // The union of the suffixes S ∩ [c, ∞) over this processor's
-            // column units is the suffix from the lowest such c; c ∈ S
-            // guarantees the interval is non-empty.
-            let suffix = Interval {
-                lo: col_min[p],
-                hi: rows[rows.len() - 1],
-            };
-            intersect_append(runs, suffix, &mut buf);
-            col_min[p] = usize::MAX;
+        let mine = &mut read[p * words..(p + 1) * words];
+        let from = std::mem::replace(&mut suffix_from[p], usize::MAX);
+        if from < rows.len() {
+            set_bits(mine, from, rows.len() - 1);
         }
-        buf.sort_unstable_by_key(|iv| iv.lo);
-        // Merge. Pieces are sub-runs of S, so overlapping or adjacent
-        // pieces always lie inside one maximal run of S and the merged
-        // interval still contains only members of S.
-        merged.clear();
-        for iv in buf.drain(..) {
-            match merged.last_mut() {
-                Some(last) if iv.lo <= last.hi + 1 => {
-                    if iv.hi > last.hi {
-                        last.hi = iv.hi;
-                    }
-                }
-                _ => merged.push(iv),
+        for &(lo, hi, q) in segs.iter() {
+            let q = q as usize;
+            if q != p {
+                let c = count_bits(mine, lo, hi);
+                out.per_proc[p] += c;
+                out.pair[q * np + p] += c;
             }
         }
-        pieces[p] = buf; // hand the drained allocation back
-                         // Attribute each union element to the processor owning it in
-                         // column k; remote elements count one unit of traffic.
-        let mut si = 0usize;
-        for &m in merged.iter() {
-            while si < segs.len() && segs[si].0.hi < m.lo {
-                si += 1;
-            }
-            let mut sj = si;
-            while sj < segs.len() && segs[sj].0.lo <= m.hi {
-                let seg = segs[sj];
-                let lo = seg.0.lo.max(m.lo);
-                let hi = seg.0.hi.min(m.hi);
-                debug_assert!(lo <= hi);
-                let q = seg.1 as usize;
-                if q != p {
-                    let c = hi - lo + 1;
-                    out.per_proc[p] += c;
-                    out.pair[q * np + p] += c;
-                }
-                if seg.0.hi <= m.hi {
-                    sj += 1;
-                } else {
-                    break;
-                }
-            }
-            si = sj;
-        }
+        mine[..rows.len().div_ceil(64)].fill(0);
     }
     dirty.clear();
 }
@@ -538,13 +448,12 @@ fn block_reports(
 ) -> (TrafficReport, WorkReport) {
     let n = factor.n();
     let nprocs = assignment.nprocs;
-    let nunits = partition.num_units();
     let plan = Plan::new(factor, partition, assignment);
     let nthreads = nthreads.clamp(1, n.max(1));
 
     let total_partial = if nthreads <= 1 || n == 0 {
-        let mut scratch = Scratch::new(nprocs);
-        let mut out = Partial::new(nprocs, nunits);
+        let mut scratch = Scratch::new(&plan);
+        let mut out = Partial::new(nprocs);
         for k in 0..n {
             process_column(&plan, k, &mut scratch, &mut out);
         }
@@ -562,8 +471,8 @@ fn block_reports(
                 .map(|_| {
                     let next = &next;
                     s.spawn(move |_| {
-                        let mut scratch = Scratch::new(nprocs);
-                        let mut out = Partial::new(nprocs, nunits);
+                        let mut scratch = Scratch::new(plan_ref);
+                        let mut out = Partial::new(nprocs);
                         loop {
                             let start = next.fetch_add(chunk, Ordering::Relaxed);
                             if start >= n {
@@ -583,7 +492,7 @@ fn block_reports(
                 .collect()
         })
         .expect("simulate scope panicked");
-        let mut total = Partial::new(nprocs, nunits);
+        let mut total = Partial::new(nprocs);
         for p in &partials {
             total.absorb(p);
         }
@@ -593,35 +502,17 @@ fn block_reports(
     if let Some(rec) = recorder {
         rec.incr("simulate.engine.columns", total_partial.columns);
         rec.incr("simulate.engine.unit_visits", total_partial.unit_visits);
+        rec.incr("simulate.engine.unit_hits", total_partial.unit_visits);
         rec.incr("simulate.engine.interval_pieces", total_partial.pieces);
     }
 
-    // The analytic per-unit work must agree with the enumeration-based
-    // tallies stored on the partition (cross-checked in tests too).
-    debug_assert!(
-        total_partial
-            .work_unit
-            .iter()
-            .zip(partition.units.iter())
-            .all(|(w, u)| *w == u.work),
-        "analytic work diverged from enumerated unit work"
-    );
-
-    let mut work_per_proc = vec![0usize; nprocs];
-    for (u, w) in total_partial.work_unit.iter().enumerate() {
-        work_per_proc[assignment.proc_of(u)] += w;
-    }
     let traffic = TrafficReport {
         total: total_partial.per_proc.iter().sum(),
         per_proc: total_partial.per_proc,
         pair_matrix: total_partial.pair,
         nprocs,
     };
-    let work = WorkReport {
-        total: work_per_proc.iter().sum(),
-        per_proc: work_per_proc,
-    };
-    (traffic, work)
+    (traffic, work_distribution(partition, assignment))
 }
 
 #[cfg(test)]

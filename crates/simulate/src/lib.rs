@@ -26,7 +26,7 @@ pub mod engine;
 pub mod timed;
 pub mod trisolve;
 
-pub use engine::{simulate, simulate_traced, SimulateEngine};
+pub use engine::{simulate, simulate_block, simulate_traced, SimulateEngine};
 
 use bitset::BitSet;
 use spfactor_partition::Partition;

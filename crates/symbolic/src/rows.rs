@@ -2,15 +2,13 @@
 //! pattern.
 //!
 //! Column `j` of a left-looking factorization is updated by every column
-//! `k < j` with `L(j, k) ≠ 0` — row `j` of L. Both the numeric kernel
-//! (`spfactor-numeric`) and the sweep dependency engine
-//! (`spfactor-partition`) walk the factor that way, so the transpose is
-//! built here and nowhere else. The kernel runs many times per factor
-//! and reads the copy the factor caches
+//! `k < j` with `L(j, k) ≠ 0` — row `j` of L. The numeric kernels
+//! (`spfactor-numeric`) walk the factor that way, so the transpose is
+//! built here and nowhere else. A kernel runs many times per factor and
+//! reads the copy the factor caches on first use
 //! ([`SymbolicFactor::row_structure`](crate::SymbolicFactor::row_structure));
-//! the sweep runs once per plan and [`build`](RowStructure::build)s one
-//! for the duration of the dependency phase, so a plan that is never
-//! factored numerically retains nothing.
+//! the analysis phases go source column by source column and never ask
+//! for it, so a plan that is never factored numerically retains nothing.
 
 use crate::supernode::fundamental_supernodes;
 use crate::SymbolicFactor;

@@ -40,6 +40,10 @@ cargo test -q -p spfactor --test mp_cross_validation
 echo "==> deps equivalence smoke: sweep engines vs element oracle"
 cargo test -q -p spfactor --test deps_equivalence deps_engines_identical_on_all_paper_matrices
 
+echo "==> benchmark-subject equivalence: lap9 70x70 g25 P=16, block + wrap, threads 1/2/5"
+cargo test -q -p spfactor --test deps_equivalence deps_engines_identical_on_the_benchmark_subject
+cargo test -q -p spfactor --test engine_equivalence engines_identical_on_the_benchmark_subject
+
 echo "==> order equivalence smoke: OrderEngine::Direct (the driver) vs the mmd oracle"
 cargo test -q -p spfactor --test order_engine direct_matches_oracle
 
@@ -96,14 +100,16 @@ rm -f "$bench_json"
 
 echo "==> scale smoke: schema of BENCH_scale.json, peak-bytes gauges populated"
 # The smoke run itself asserts every phase.*.peak_bytes gauge is
-# populated (the binary panics otherwise), so passing here witnesses
-# the tracking-allocator plumbing end to end.
+# populated and the cheap global identities hold (the binary panics
+# otherwise), so passing here witnesses the tracking-allocator plumbing
+# end to end.
 scale_json="$(mktemp)"
 scripts/bench.sh --scale --smoke --out "$scale_json" > /dev/null
-for field in '"schema": "spfactor-bench-scale/2"' \
+for field in '"schema": "spfactor-bench-scale/3"' \
              '"order_engine": "compressed"' \
-             '"max_n"' '"max_peak_bytes"' \
-             '"sizes"' '"phases_ms"' '"peak_bytes"' \
+             '"max_n"' '"max_peak_bytes"' '"slopes"' \
+             '"sizes"' '"phases_ms"' '"peak_bytes"' '"counters"' \
+             '"deps.engine.walked_segments"' '"simulate.engine.unit_hits"' \
              '"factor_entries"' '"total_ms"'; do
   grep -qF "$field" "$scale_json" \
     || { echo "scale bench JSON missing $field"; exit 1; }

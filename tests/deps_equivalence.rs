@@ -71,6 +71,30 @@ fn deps_engines_identical_on_scaled_grid() {
     assert_engines_agree(&r, grid.name);
 }
 
+#[test]
+fn deps_engines_identical_on_the_benchmark_subject() {
+    // `plan_grid` of the repository benchmark: lap9 70 x 70 at grain 25,
+    // P = 16, under the engines it runs — and the wrap partition of the
+    // same factor. Wide strips, deep below-rectangles, and (wrap) nothing
+    // but single-column clusters.
+    let grid = spfactor::matrix::gen::lap9(70, 70);
+    for scheme in [Scheme::Block, Scheme::Wrap] {
+        let r = Pipeline::new(grid.clone())
+            .grain(25)
+            .scheme(scheme)
+            .processors(16)
+            .order_engine(spfactor::OrderEngine::Compressed)
+            .deps_engine(DepsEngine::SweepParallel)
+            .run();
+        let oracle = dependencies(&r.factor, &r.partition);
+        assert_eq!(oracle, r.deps, "{scheme:?}: pipeline deps diverge");
+        for threads in [1usize, 2, 5] {
+            let got = sweep_dependencies(&r.factor, &r.partition, threads);
+            assert_eq!(got, oracle, "{scheme:?}: sweep T={threads} diverges");
+        }
+    }
+}
+
 /// Random connected-ish symmetric pattern: a random geometric graph of
 /// `n` points with mean degree `deg` (the strategy of
 /// `tests/property_pipeline.rs`).
@@ -90,12 +114,13 @@ proptest! {
         grain in 1usize..30,
         width in 1usize..8,
         relax in 0usize..3,
-        threads in 1usize..9,
+        threads in 1usize..17,
+        nprocs in 1usize..17,
     ) {
         let mut params = spfactor::PartitionParams::with_grain(grain);
         params.min_cluster_width = width;
         params.relax_zeros = relax;
-        let r = Pipeline::new(pattern).params(params).run();
+        let r = Pipeline::new(pattern).params(params).processors(nprocs).run();
         let oracle = dependencies(&r.factor, &r.partition);
         prop_assert_eq!(
             &oracle,

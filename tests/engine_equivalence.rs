@@ -56,3 +56,30 @@ fn engines_identical_on_figure2_and_scaled_grid() {
     let grid = spfactor::matrix::gen::paper::lap_grid(24);
     assert_engines_agree(grid.pattern, grid.name, Scheme::Block);
 }
+
+#[test]
+fn engines_identical_on_the_benchmark_subject() {
+    // `plan_grid` of the repository benchmark: lap9 70 x 70 at grain 25,
+    // P = 16 — and the wrap partition of the same factor — with the
+    // worker count pinned, not left to the machine.
+    let grid = spfactor::matrix::gen::lap9(70, 70);
+    for scheme in [Scheme::Block, Scheme::Wrap] {
+        let base = Pipeline::new(grid.clone())
+            .grain(25)
+            .scheme(scheme)
+            .processors(16)
+            .order_engine(spfactor::OrderEngine::Compressed)
+            .deps_engine(spfactor::DepsEngine::SweepParallel)
+            .run();
+        for threads in [1usize, 2, 5] {
+            let (traffic, work) = spfactor::simulate::simulate_block(
+                &base.factor,
+                &base.partition,
+                &base.assignment,
+                threads,
+            );
+            assert_eq!(traffic, base.traffic, "{scheme:?} T={threads}: traffic");
+            assert_eq!(work, base.work, "{scheme:?} T={threads}: work");
+        }
+    }
+}

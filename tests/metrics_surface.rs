@@ -313,6 +313,11 @@ mod enabled {
             );
         }
         assert_eq!(rec.gauge_value("simulate.engine.threads"), Some(1.0));
+        // The walk examines only units that hold a target.
+        assert_eq!(
+            rec.counter("simulate.engine.unit_hits"),
+            rec.counter("simulate.engine.unit_visits")
+        );
         // Shared gauges agree with the returned reports (and therefore
         // with what the element engine would have recorded).
         assert_eq!(
@@ -355,6 +360,9 @@ mod enabled {
         assert_eq!(rec.counter("deps.engine.pairs"), nnz);
         assert!(rec.counter("deps.engine.segments") >= nnz);
         assert_eq!(rec.gauge_value("deps.engine.threads"), Some(1.0));
+        // What the sweep handled itself is at most what it covered.
+        let walked = rec.counter("deps.engine.walked_segments");
+        assert!(walked > 0 && walked <= rec.counter("deps.engine.segments"));
         // Shared gauges and category counters agree with the returned
         // graph (and therefore with what the element engine records).
         assert_eq!(

@@ -292,11 +292,11 @@ fn row_structure_is_the_naive_transpose() {
 }
 
 #[test]
-fn sweep_engines_on_the_one_transpose_match_the_element_oracle() {
-    // The sweep builds its rows with the same `RowStructure::build` the
-    // factor caches for the kernel; `tests/deps_equivalence.rs` is the
-    // full pin, this is the same check on this file's subjects, before
-    // and after the factor has cached its own copy.
+fn sweep_engines_match_the_element_oracle_around_the_cached_rows() {
+    // The sweep goes source column by source column and reads no row
+    // structure; `tests/deps_equivalence.rs` is the full pin, this is the
+    // same check on this file's subjects, before and after the factor has
+    // cached the kernel's copy.
     for (name, pattern) in subjects() {
         let perm = order(&pattern, Ordering::paper_default());
         let f = SymbolicFactor::from_pattern(&pattern.permute(&perm));

@@ -64,7 +64,8 @@ proptest! {
     fn prop_simulate_engines_agree(
         pattern in arb_pattern(),
         grain in 1usize..30,
-        nprocs in 1usize..12,
+        nprocs in 1usize..17,
+        threads in 1usize..17,
         wrap in any::<bool>(),
     ) {
         // The block closed-form engines must reproduce the element
@@ -86,6 +87,14 @@ proptest! {
             prop_assert_eq!(&r.traffic, &base.traffic, "{:?} traffic", engine);
             prop_assert_eq!(&r.work, &base.work, "{:?} work", engine);
         }
+        let (traffic, work) = spfactor::simulate::simulate_block(
+            &base.factor,
+            &base.partition,
+            &base.assignment,
+            threads,
+        );
+        prop_assert_eq!(&traffic, &base.traffic, "T={} traffic", threads);
+        prop_assert_eq!(&work, &base.work, "T={} work", threads);
     }
 
     #[test]
