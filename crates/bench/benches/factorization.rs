@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spfactor::numeric::{
-    cholesky, cholesky_block_parallel, cholesky_multifrontal, cholesky_supernodal,
-    parallel::cholesky_parallel, solve, solve_many_permuted,
+    cholesky, cholesky_block_parallel, cholesky_supernodal, parallel::cholesky_parallel, solve,
+    solve_many_permuted,
 };
 use spfactor::{Ordering, SymbolicFactor};
 
@@ -34,11 +34,6 @@ fn bench_cholesky(c: &mut Criterion) {
             BenchmarkId::new("supernodal", m.name),
             &(&a, &f),
             |b, (a, f)| b.iter(|| cholesky_supernodal(a, f, 0).unwrap()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("multifrontal", m.name),
-            &(&a, &f),
-            |b, (a, f)| b.iter(|| cholesky_multifrontal(a, f, 0).unwrap()),
         );
         for threads in [2usize, 4, 8] {
             group.bench_with_input(

@@ -6,17 +6,17 @@
 //! ```text
 //! cargo run -p spfactor-bench --bin metrics
 //! ```
-//!
-//! With `--no-default-features` the instrumentation compiles to no-ops
-//! and the document comes out empty (but well-formed).
 
 use std::sync::Arc;
 
-use spfactor::simulate::timed::{simulate_timed_traced, CommModel, OrderPolicy};
-use spfactor::{numeric, Pipeline, Recorder};
+use spfactor::simulate::timed::{simulate_timed_policy, CommModel, OrderPolicy};
+use spfactor::{numeric, trace, Pipeline, Recorder};
 
 fn main() {
+    // One recorder in scope for everything below: the pipeline and the
+    // four extra calls all find it there.
     let rec = Arc::new(Recorder::new());
+    let _scope = trace::scope(&rec);
 
     // Phases 1–5 (order → symbolic → partition → sched → simulate) on
     // the paper's primary configuration: LAP30, grain 4, 16 processors.
@@ -24,22 +24,20 @@ fn main() {
     let result = Pipeline::new(m.pattern.clone())
         .grain(4)
         .processors(16)
-        .with_recorder(rec.clone())
         .run();
 
     // The interval-tree dependency builder (alternative to the exact
     // enumeration the pipeline uses); records the interval query counters.
-    spfactor::partition::geometric_dependencies_traced(&result.factor, &result.partition, &rec);
+    spfactor::partition::geometric_dependencies(&result.factor, &result.partition);
 
     // Timed simulation (idle-time breakdown of the same schedule).
-    simulate_timed_traced(
+    simulate_timed_policy(
         &result.factor,
         &result.partition,
         &result.deps,
         &result.assignment,
         &CommModel::default(),
         OrderPolicy::ScanOrder,
-        &rec,
     );
 
     // Phase 6: numeric factorization, both executors, under one span.
@@ -47,15 +45,13 @@ fn main() {
         let _phase = rec.span("phase.numeric");
         let permuted = m.pattern.permute(&result.permutation);
         let a = spfactor::matrix::gen::spd_from_pattern(&permuted, 42);
-        numeric::cholesky_parallel_traced(&a, &result.factor, 4, &rec)
-            .expect("LAP30 SPD factorization");
-        numeric::cholesky_block_parallel_traced(
+        numeric::cholesky_parallel(&a, &result.factor, 4).expect("LAP30 SPD factorization");
+        numeric::cholesky_block_parallel(
             &a,
             &result.factor,
             &result.partition,
             &result.deps,
             &result.assignment,
-            &rec,
         )
         .expect("LAP30 block-parallel factorization");
     }

@@ -77,7 +77,7 @@ pub use spfactor_simulate::{SimulateEngine, TrafficReport, WorkReport};
 pub use spfactor_symbolic::SymbolicFactor;
 pub use spfactor_trace::{CriticalPathReport, Timeline, TimelineSink};
 
-use spfactor_simulate::timed::{simulate_timed_observed, CommModel, OrderPolicy, TimedReport};
+use spfactor_simulate::timed::{simulate_timed_timeline, CommModel, OrderPolicy, TimedReport};
 
 /// Workspace-wide error taxonomy: every way the stack can fail, as a
 /// value. Matrix construction and IO failures, numeric factorization
@@ -185,28 +185,6 @@ const EXECUTION_VALUES_SEED: u64 = 42;
 /// Bottleneck units kept in the pipeline's critical-path report.
 const TIMELINE_TOP_K: usize = 10;
 
-/// Brackets one pipeline phase with the heap high-water mark: resets
-/// the tracking allocator's peak before the phase and publishes a
-/// `phase.<name>.peak_bytes` gauge after it. A no-op unless the running
-/// binary installed [`trace::alloc::TrackingAllocator`] as its global
-/// allocator (see `docs/METRICS.md`).
-fn phase_peak<T>(rec: Option<&Recorder>, name: &str, f: impl FnOnce() -> T) -> T {
-    let track = rec.is_some() && trace::alloc::installed();
-    if track {
-        trace::alloc::reset_peak();
-    }
-    let out = f();
-    if track {
-        if let Some(r) = rec {
-            r.gauge(
-                &format!("phase.{name}.peak_bytes"),
-                trace::alloc::peak_bytes() as f64,
-            );
-        }
-    }
-    out
-}
-
 /// Timelines captured when the pipeline runs with
 /// [`Pipeline::timeline`]`(true)`.
 #[derive(Clone, Debug)]
@@ -277,15 +255,18 @@ impl Pipeline {
     /// let result = Pipeline::new(spfactor::matrix::gen::lap9(6, 6))
     ///     .with_recorder(rec.clone())
     ///     .run();
-    /// if rec.is_enabled() {
-    ///     // The symbolic phase reported its fill-in as a gauge.
-    ///     assert_eq!(
-    ///         rec.gauge_value("symbolic.fill_in"),
-    ///         Some(result.factor.fill_in() as f64),
-    ///     );
-    ///     assert!(result.metrics().unwrap().span_stats("phase.order").is_some());
-    /// }
+    /// // The symbolic phase reported its fill-in as a gauge.
+    /// assert_eq!(
+    ///     rec.gauge_value("symbolic.fill_in"),
+    ///     Some(result.factor.fill_in() as f64),
+    /// );
+    /// assert!(result.metrics().unwrap().span_stats("phase.order").is_some());
     /// ```
+    ///
+    /// The pipeline puts the recorder in scope ([`trace::scope`]) on the
+    /// calling thread for the length of each run, over whatever scope the
+    /// caller may have open; without one, a run records into the caller's
+    /// scope if there is one and nowhere otherwise.
     pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
         self.recorder = Some(recorder);
         self
@@ -536,10 +517,11 @@ impl Pipeline {
     /// rejected up front, and a failed message-passing execution
     /// (non-SPD values, injected faults, watchdog) surfaces as a value.
     ///
-    /// With a recorder attached (see [`Pipeline::with_recorder`]) each
-    /// stage runs under a `phase.*` span and the instrumented variants of
-    /// the phase entry points, so the recorder ends up with the complete
-    /// metrics surface of the run.
+    /// With a recorder attached (see [`Pipeline::with_recorder`]) the run
+    /// happens under that recorder's scope: each stage opens its
+    /// `phase.*` guard (span and heap peak) and the phase entry points
+    /// record into the scope they find, so the recorder ends up with the
+    /// complete metrics surface of the run.
     ///
     /// Internally this is [`Pipeline::try_run_ref`]; callers that solve
     /// repeatedly should keep the pipeline and call the borrowing entry
@@ -587,60 +569,40 @@ impl Pipeline {
     /// ```
     pub fn try_plan(&self) -> Result<ScheduleArtifact, PipelineError> {
         self.validate()?;
-        let rec = self.recorder.as_deref();
+        let _scope = self.recorder.as_ref().map(trace::scope);
+        let rec = trace::current();
 
-        let perm = phase_peak(rec, "order", || match rec {
-            Some(r) => {
-                let _phase = r.span("phase.order");
-                order::order_with_engine_traced(&self.pattern, self.ordering, self.order_engine, r)
-            }
-            None => order::order_with_engine(&self.pattern, self.ordering, self.order_engine),
-        });
+        let perm = {
+            let _phase = rec.phase("order");
+            order::order_with_engine(&self.pattern, self.ordering, self.order_engine)
+        };
         let permuted = self.pattern.permute(&perm);
 
-        let factor = phase_peak(rec, "symbolic", || match rec {
-            Some(r) => {
-                let _phase = r.span("phase.symbolic");
-                SymbolicFactor::from_pattern_traced(&permuted, r)
-            }
-            None => SymbolicFactor::from_pattern(&permuted),
-        });
+        let factor = {
+            let _phase = rec.phase("symbolic");
+            SymbolicFactor::from_pattern(&permuted)
+        };
 
-        let partition = phase_peak(rec, "partition", || {
-            let _phase = rec.map(|r| r.span("phase.partition"));
-            match (self.scheme, rec) {
-                (Scheme::Block, Some(r)) => Partition::build_traced(&factor, &self.params, r),
-                (Scheme::Block, None) => Partition::build(&factor, &self.params),
-                (Scheme::Wrap, Some(r)) => {
-                    let p = r.time("partition.columns", || Partition::columns(&factor));
-                    p.record_stats(r);
-                    p
-                }
-                (Scheme::Wrap, None) => Partition::columns(&factor),
+        let partition = {
+            let _phase = rec.phase("partition");
+            match self.scheme {
+                Scheme::Block => Partition::build(&factor, &self.params),
+                Scheme::Wrap => Partition::columns(&factor),
             }
-        });
+        };
 
-        let deps = phase_peak(rec, "deps", || match rec {
-            Some(r) => {
-                let _phase = r.span("phase.deps");
-                partition::build_dependencies_traced(self.deps_engine, &factor, &partition, r)
-            }
-            None => partition::build_dependencies(self.deps_engine, &factor, &partition),
-        });
+        let deps = {
+            let _phase = rec.phase("deps");
+            partition::build_dependencies(self.deps_engine, &factor, &partition)
+        };
 
-        let assignment = phase_peak(rec, "sched", || {
-            let _phase = rec.map(|r| r.span("phase.sched"));
-            match (self.scheme, rec) {
-                (Scheme::Block, Some(r)) => {
-                    sched::block_allocation_traced(&partition, &deps, self.nprocs, r)
-                }
-                (Scheme::Block, None) => sched::block_allocation(&partition, &deps, self.nprocs),
-                (Scheme::Wrap, Some(r)) => {
-                    sched::wrap_allocation_traced(&partition, self.nprocs, r)
-                }
-                (Scheme::Wrap, None) => sched::wrap_allocation(&partition, self.nprocs),
+        let assignment = {
+            let _phase = rec.phase("sched");
+            match self.scheme {
+                Scheme::Block => sched::block_allocation(&partition, &deps, self.nprocs),
+                Scheme::Wrap => sched::wrap_allocation(&partition, self.nprocs),
             }
-        });
+        };
 
         Ok(ScheduleArtifact::new(
             self.key(),
@@ -713,8 +675,8 @@ impl Pipeline {
         &self,
         artifact: &ScheduleArtifact,
     ) -> Result<PipelineResult, PipelineError> {
-        let recorder = self.recorder.clone();
-        let rec = recorder.as_deref();
+        let _scope = self.recorder.as_ref().map(trace::scope);
+        let rec = trace::current();
         let (factor, partition, deps, assignment) = (
             artifact.factor(),
             artifact.partition(),
@@ -722,53 +684,41 @@ impl Pipeline {
             artifact.assignment(),
         );
 
-        let (traffic, work) = phase_peak(rec, "simulate", || {
-            let _phase = rec.map(|r| r.span("phase.simulate"));
-            match rec {
-                Some(r) => simulate::simulate_traced(self.engine, factor, partition, assignment, r),
-                None => simulate::simulate(self.engine, factor, partition, assignment),
-            }
-        });
+        let (traffic, work) = {
+            let _phase = rec.phase("simulate");
+            simulate::simulate(self.engine, factor, partition, assignment)
+        };
 
         // Virtual-clock timeline: re-run the schedule through the timed
         // simulator with a sink attached and analyze the event DAG.
-        let simulated = if self.timeline {
-            let _phase = rec.map(|r| r.span("phase.timeline"));
+        let simulated = self.timeline.then(|| {
+            let _phase = rec.phase("timeline");
             let sink = TimelineSink::new();
-            let timed = simulate_timed_observed(
+            let timed = simulate_timed_timeline(
                 factor,
                 partition,
                 deps,
                 assignment,
                 &CommModel::default(),
                 OrderPolicy::ScanOrder,
-                rec,
-                Some(&sink),
+                &sink,
             );
             let timeline = sink.finish();
             let critical_path = timeline.critical_path(TIMELINE_TOP_K);
-            if let Some(r) = rec {
-                r.gauge("timeline.events", timeline.events.len() as f64);
-                r.gauge("timeline.makespan", timed.makespan);
-                r.gauge("timeline.critical.hops", critical_path.hops.len() as f64);
-                r.gauge("timeline.critical.compute", critical_path.compute);
-                r.gauge("timeline.critical.transfer", critical_path.transfer);
-                r.gauge("timeline.critical.wait", critical_path.wait);
-            }
-            Some((timeline, timed, critical_path))
-        } else {
-            None
-        };
+            rec.gauge("timeline.events", timeline.events.len() as f64);
+            rec.gauge("timeline.makespan", timed.makespan);
+            rec.gauge("timeline.critical.hops", critical_path.hops.len() as f64);
+            rec.gauge("timeline.critical.compute", critical_path.compute);
+            rec.gauge("timeline.critical.transfer", critical_path.transfer);
+            rec.gauge("timeline.critical.wait", critical_path.wait);
+            (timeline, timed, critical_path)
+        });
 
-        let mp_sink = if self.timeline {
-            Some(TimelineSink::new())
-        } else {
-            None
-        };
+        let mp_sink = self.timeline.then(TimelineSink::new);
         let execution = match self.execution {
             ExecutionBackend::Analytic => None,
             ExecutionBackend::MessagePassing(model) => {
-                let _phase = rec.map(|r| r.span("phase.execute"));
+                let _phase = rec.phase("execute");
                 let permuted = self.pattern.permute(artifact.permutation());
                 let a = matrix::gen::spd_from_pattern(&permuted, EXECUTION_VALUES_SEED);
                 let config = match self.fault_plan.clone() {
@@ -778,14 +728,13 @@ impl Pipeline {
                     },
                     None => mp::MpConfig::reliable(model),
                 };
-                let report = mp::execute_observed(
+                let report = mp::execute_config_timeline(
                     &a,
                     factor,
                     partition,
                     deps,
                     assignment,
                     &config,
-                    rec,
                     mp_sink.as_ref(),
                 )?;
                 Some(report)
@@ -794,9 +743,9 @@ impl Pipeline {
 
         let timeline = simulated.map(|(simulated, timed, critical_path)| {
             let executed = mp_sink.map(|s| s.finish()).filter(|t| !t.events.is_empty());
-            if let (Some(r), Some(t)) = (rec, executed.as_ref()) {
-                r.gauge("timeline.mp.events", t.events.len() as f64);
-                r.gauge("timeline.mp.makespan", t.makespan());
+            if let (true, Some(t)) = (rec.is_recording(), &executed) {
+                rec.gauge("timeline.mp.events", t.events.len() as f64);
+                rec.gauge("timeline.mp.makespan", t.makespan());
             }
             TimelineCapture {
                 simulated,
@@ -816,7 +765,7 @@ impl Pipeline {
             work,
             execution,
             timeline,
-            recorder,
+            recorder: self.recorder.clone(),
         })
     }
 }
@@ -854,7 +803,7 @@ impl PipelineResult {
     /// with [`Pipeline::with_recorder`]. Use [`Recorder::to_json`] or
     /// [`Recorder::to_table`] to export it; the metric names are
     /// documented in `docs/METRICS.md`.
-    pub fn metrics(&self) -> Option<&Recorder> {
+    pub fn metrics(&self) -> Option<&'_ Recorder> {
         self.recorder.as_deref()
     }
 }
@@ -1069,21 +1018,34 @@ mod tests {
             .with_recorder(rec.clone())
             .run();
         let tl = r.timeline.as_ref().unwrap();
-        if rec.is_enabled() {
-            assert_eq!(
-                rec.gauge_value("timeline.events"),
-                Some(tl.simulated.events.len() as f64)
-            );
-            assert_eq!(
-                rec.gauge_value("timeline.makespan"),
-                Some(tl.timed.makespan)
-            );
-            assert_eq!(
-                rec.gauge_value("timeline.critical.hops"),
-                Some(tl.critical_path.hops.len() as f64)
-            );
-            assert!(rec.span_stats("phase.timeline").is_some());
-        }
+        assert_eq!(
+            rec.gauge_value("timeline.events"),
+            Some(tl.simulated.events.len() as f64)
+        );
+        assert_eq!(
+            rec.gauge_value("timeline.makespan"),
+            Some(tl.timed.makespan)
+        );
+        assert_eq!(
+            rec.gauge_value("timeline.critical.hops"),
+            Some(tl.critical_path.hops.len() as f64)
+        );
+        assert!(rec.span_stats("phase.timeline").is_some());
+    }
+
+    #[test]
+    fn attached_recorder_takes_precedence_over_the_callers_scope() {
+        let (a, b) = (Arc::new(Recorder::new()), Arc::new(Recorder::new()));
+        let _scope = trace::scope(&a);
+        let p = gen::lap9(6, 6);
+        Pipeline::new(p.clone()).with_recorder(b.clone()).run();
+        assert!(b.span_stats("phase.order").is_some());
+        assert!(a.span_names().is_empty() && a.counter_names().is_empty());
+        // Without one of its own the run records into the scope it is in.
+        let r = Pipeline::new(p).run();
+        assert!(a.span_stats("phase.order").is_some());
+        assert!(r.metrics().is_none());
+        assert_eq!(b.span_stats("phase.order").unwrap().count, 1);
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub mod runtime;
 
 pub use error::{MpError, ProcLastEvent};
 pub use fault::{CrashPlan, FaultPlan, FaultTrace, MpConfig, RetryPolicy, StallPlan};
-pub use runtime::{execute_config, execute_config_observed, execute_with};
+pub use runtime::{execute_config, execute_config_timeline};
 
 use spfactor_matrix::SymmetricCsc;
 use spfactor_numeric::NumericFactor;
@@ -98,7 +98,7 @@ use spfactor_partition::{DepGraph, Partition};
 use spfactor_sched::Assignment;
 use spfactor_simulate::{TrafficReport, WorkReport};
 use spfactor_symbolic::SymbolicFactor;
-use spfactor_trace::{Recorder, TimelineSink};
+use spfactor_trace::Current;
 
 /// Cost model of the virtual network and processors.
 ///
@@ -274,7 +274,8 @@ impl MpReport {
 /// `assignment` are the artifacts of the structural pipeline. Returns
 /// the factor and the observed statistics, or a typed [`MpError`]
 /// (numeric failures pick the lowest failing column deterministically).
-/// To run under an explicit fault plan, use [`execute_config`].
+/// To run under an explicit fault plan, use [`execute_config`]; both
+/// record the same `mp.*` metrics under a recorder scope.
 pub fn execute(
     a: &SymmetricCsc,
     symbolic: &SymbolicFactor,
@@ -283,109 +284,51 @@ pub fn execute(
     assignment: &Assignment,
     network: &NetworkModel,
 ) -> Result<MpReport, MpError> {
-    runtime::execute_with(a, symbolic, partition, deps, assignment, network)
-}
-
-/// [`execute_config`] with instrumentation: times the run under the span
-/// `mp.execute`, bumps the `mp.*` counters (`mp.msgs_sent`, `mp.bytes`,
-/// `mp.cache_hits`, `mp.remote_fetches`, `mp.local_accesses`,
-/// `mp.idle_ns`, `mp.busy_ns`, `mp.units_run`, plus the resilience
-/// counters `mp.fault.dropped`, `mp.fault.duplicated`,
-/// `mp.fault.delayed`, `mp.fault.reordered`, `mp.fault.stalls`,
-/// `mp.retry.requests`, `mp.retry.queries`, `mp.retry.stale` — always
-/// present, all zero on a reliable network) and records the headline
-/// gauges `mp.traffic.total`, `mp.work.max`, `mp.estimated_time` plus
-/// per-processor gauges `mp.proc.<p>.traffic`, `mp.proc.<p>.work` and
-/// `mp.proc.<p>.msgs_sent` (see `docs/METRICS.md`).
-pub fn execute_traced(
-    a: &SymmetricCsc,
-    symbolic: &SymbolicFactor,
-    partition: &Partition,
-    deps: &DepGraph,
-    assignment: &Assignment,
-    config: &MpConfig,
-    recorder: &Recorder,
-) -> Result<MpReport, MpError> {
-    execute_observed(
-        a,
-        symbolic,
-        partition,
-        deps,
-        assignment,
-        config,
-        Some(recorder),
-        None,
-    )
-}
-
-/// The fully observable entry point: [`execute_config`] with an
-/// optional [`Recorder`] (spans, `mp.*` counters and gauges — exactly
-/// [`execute_traced`]'s surface) and an optional [`TimelineSink`]
-/// collecting the wall-clock event timeline
-/// ([`runtime::execute_config_observed`]). Either observer may be
-/// omitted independently; with both `None` this is plain
-/// [`execute_config`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_observed(
-    a: &SymmetricCsc,
-    symbolic: &SymbolicFactor,
-    partition: &Partition,
-    deps: &DepGraph,
-    assignment: &Assignment,
-    config: &MpConfig,
-    recorder: Option<&Recorder>,
-    sink: Option<&TimelineSink>,
-) -> Result<MpReport, MpError> {
-    let run =
-        || runtime::execute_config_observed(a, symbolic, partition, deps, assignment, config, sink);
-    let report = match recorder {
-        Some(rec) => rec.time("mp.execute", run)?,
-        None => run()?,
-    };
-    if let Some(rec) = recorder {
-        record_mp_metrics(rec, &report);
-    }
-    Ok(report)
+    let config = MpConfig::reliable(*network);
+    execute_config(a, symbolic, partition, deps, assignment, &config)
 }
 
 /// Bumps the `mp.*` counters and gauges for a completed run (the metric
-/// surface documented on [`execute_traced`]).
-fn record_mp_metrics(recorder: &Recorder, report: &MpReport) {
+/// surface documented on [`execute_config`]).
+pub(crate) fn record_mp_metrics(rec: &Current, report: &MpReport) {
+    if !rec.is_recording() {
+        return;
+    }
     let sum = |f: fn(&ProcStats) -> usize| report.per_proc.iter().map(f).sum::<usize>() as u64;
-    recorder.incr("mp.msgs_sent", sum(|s| s.msgs_sent));
-    recorder.incr("mp.bytes", sum(|s| s.bytes_sent));
-    recorder.incr("mp.cache_hits", sum(|s| s.cache_hits));
-    recorder.incr("mp.remote_fetches", sum(|s| s.traffic));
-    recorder.incr("mp.local_accesses", sum(|s| s.local_accesses));
-    recorder.incr("mp.units_run", sum(|s| s.units));
-    recorder.incr(
+    rec.incr("mp.msgs_sent", sum(|s| s.msgs_sent));
+    rec.incr("mp.bytes", sum(|s| s.bytes_sent));
+    rec.incr("mp.cache_hits", sum(|s| s.cache_hits));
+    rec.incr("mp.remote_fetches", sum(|s| s.traffic));
+    rec.incr("mp.local_accesses", sum(|s| s.local_accesses));
+    rec.incr("mp.units_run", sum(|s| s.units));
+    rec.incr(
         "mp.idle_ns",
         report.per_proc.iter().map(|s| s.idle_ns).sum(),
     );
-    recorder.incr(
+    rec.incr(
         "mp.busy_ns",
         report.per_proc.iter().map(|s| s.busy_ns).sum(),
     );
     // Resilience counters are recorded unconditionally so the metric
     // surface is identical on reliable and faulty runs (zeros count).
-    recorder.incr("mp.fault.dropped", report.faults.dropped as u64);
-    recorder.incr("mp.fault.duplicated", report.faults.duplicated as u64);
-    recorder.incr("mp.fault.delayed", report.faults.delayed as u64);
-    recorder.incr("mp.fault.reordered", report.faults.reordered as u64);
-    recorder.incr("mp.fault.stalls", report.faults.stalls as u64);
-    recorder.incr("mp.retry.requests", report.faults.retries as u64);
-    recorder.incr("mp.retry.queries", report.faults.queries as u64);
-    recorder.incr("mp.retry.stale", report.faults.stale as u64);
-    recorder.gauge("mp.traffic.total", sum(|s| s.traffic) as f64);
-    recorder.gauge(
+    rec.incr("mp.fault.dropped", report.faults.dropped as u64);
+    rec.incr("mp.fault.duplicated", report.faults.duplicated as u64);
+    rec.incr("mp.fault.delayed", report.faults.delayed as u64);
+    rec.incr("mp.fault.reordered", report.faults.reordered as u64);
+    rec.incr("mp.fault.stalls", report.faults.stalls as u64);
+    rec.incr("mp.retry.requests", report.faults.retries as u64);
+    rec.incr("mp.retry.queries", report.faults.queries as u64);
+    rec.incr("mp.retry.stale", report.faults.stale as u64);
+    rec.gauge("mp.traffic.total", sum(|s| s.traffic) as f64);
+    rec.gauge(
         "mp.work.max",
         report.per_proc.iter().map(|s| s.work).max().unwrap_or(0) as f64,
     );
-    recorder.gauge("mp.estimated_time", report.estimated_time);
+    rec.gauge("mp.estimated_time", report.estimated_time);
     for (p, s) in report.per_proc.iter().enumerate() {
-        recorder.gauge(&format!("mp.proc.{p}.traffic"), s.traffic as f64);
-        recorder.gauge(&format!("mp.proc.{p}.work"), s.work as f64);
-        recorder.gauge(&format!("mp.proc.{p}.msgs_sent"), s.msgs_sent as f64);
+        rec.gauge(&format!("mp.proc.{p}.traffic"), s.traffic as f64);
+        rec.gauge(&format!("mp.proc.{p}.work"), s.work as f64);
+        rec.gauge(&format!("mp.proc.{p}.msgs_sent"), s.msgs_sent as f64);
     }
 }
 

@@ -77,7 +77,7 @@
 //!
 //! ## Observation
 //!
-//! [`execute_config_observed`] additionally streams a wall-clock event
+//! [`execute_config_timeline`] additionally streams a wall-clock event
 //! timeline into a [`TimelineSink`]: each worker buffers typed
 //! [`TimelineEvent`]s locally (ready/wait/start/end/transfer, stamped
 //! in seconds since a shared run epoch) and flushes the buffer once at
@@ -95,13 +95,13 @@
 //! The byte accounting charges 4 bytes per id or header word and 8 per
 //! value: a [`Msg::Done`] is 4 bytes, a [`Msg::Query`] 8, a request
 //! `4 + 4·k` for `k` ids, a reply `12·k` (id + value per element). These
-//! feed the `mp.bytes` counter; the [`NetworkModel`] charges per
+//! feed the `mp.bytes` counter; the [`crate::NetworkModel`] charges per
 //! *element* and per *message*, so the estimate is independent of this
 //! convention.
 
 use crate::error::ProcLastEvent;
 use crate::fault::{FaultInjector, FaultPlan, FaultStats, FaultTrace, MpConfig, RetryPolicy};
-use crate::{MpError, MpReport, NetworkModel, ProcStats};
+use crate::{MpError, MpReport, ProcStats};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use spfactor_matrix::SymmetricCsc;
 use spfactor_numeric::{NumericError, NumericFactor};
@@ -909,29 +909,21 @@ impl Worker<'_> {
     }
 }
 
-/// Runs the schedule on the virtual machine under a reliable network.
-/// See [`crate::execute`].
-pub fn execute_with(
-    a: &SymmetricCsc,
-    symbolic: &SymbolicFactor,
-    partition: &Partition,
-    deps: &DepGraph,
-    assignment: &Assignment,
-    network: &NetworkModel,
-) -> Result<MpReport, MpError> {
-    execute_config(
-        a,
-        symbolic,
-        partition,
-        deps,
-        assignment,
-        &MpConfig::reliable(*network),
-    )
-}
-
 /// Runs the schedule on the virtual machine under an explicit
 /// [`MpConfig`] — cost model, fault plan, retry policy and watchdog.
 /// See [`crate::execute`] for the protocol contract.
+///
+/// Under a recorder scope: times the run under the span `mp.execute`,
+/// bumps the `mp.*` counters (`mp.msgs_sent`, `mp.bytes`,
+/// `mp.cache_hits`, `mp.remote_fetches`, `mp.local_accesses`,
+/// `mp.idle_ns`, `mp.busy_ns`, `mp.units_run`, plus the resilience
+/// counters `mp.fault.dropped`, `mp.fault.duplicated`,
+/// `mp.fault.delayed`, `mp.fault.reordered`, `mp.fault.stalls`,
+/// `mp.retry.requests`, `mp.retry.queries`, `mp.retry.stale` — always
+/// present, all zero on a reliable network) and records the headline
+/// gauges `mp.traffic.total`, `mp.work.max`, `mp.estimated_time` plus
+/// per-processor gauges `mp.proc.<p>.traffic`, `mp.proc.<p>.work` and
+/// `mp.proc.<p>.msgs_sent` (see `docs/METRICS.md`).
 pub fn execute_config(
     a: &SymmetricCsc,
     symbolic: &SymbolicFactor,
@@ -940,7 +932,7 @@ pub fn execute_config(
     assignment: &Assignment,
     config: &MpConfig,
 ) -> Result<MpReport, MpError> {
-    execute_config_observed(a, symbolic, partition, deps, assignment, config, None)
+    execute_config_timeline(a, symbolic, partition, deps, assignment, config, None)
 }
 
 /// [`execute_config`] with wall-clock timeline capture: when `sink` is
@@ -949,7 +941,24 @@ pub fn execute_config(
 /// including on aborted runs, so a failure still leaves a trace to
 /// inspect. Capture costs one local `Vec` push per event; without a
 /// sink the run is byte-for-byte the uninstrumented one.
-pub fn execute_config_observed(
+pub fn execute_config_timeline(
+    a: &SymmetricCsc,
+    symbolic: &SymbolicFactor,
+    partition: &Partition,
+    deps: &DepGraph,
+    assignment: &Assignment,
+    config: &MpConfig,
+    sink: Option<&TimelineSink>,
+) -> Result<MpReport, MpError> {
+    let rec = spfactor_trace::current();
+    let report = rec.time("mp.execute", || {
+        run(a, symbolic, partition, deps, assignment, config, sink)
+    })?;
+    crate::record_mp_metrics(&rec, &report);
+    Ok(report)
+}
+
+fn run(
     a: &SymmetricCsc,
     symbolic: &SymbolicFactor,
     partition: &Partition,
@@ -1292,6 +1301,7 @@ pub fn execute_config_observed(
 mod tests {
     use super::*;
     use crate::fault::{CrashPlan, StallPlan};
+    use crate::{execute, NetworkModel};
     use spfactor_matrix::{gen, SymmetricPattern};
     use spfactor_order::{order, Ordering};
     use spfactor_partition::{dependencies, PartitionParams};
@@ -1347,7 +1357,7 @@ mod tests {
         assign: &Assignment,
     ) -> MpReport {
         let report =
-            execute_with(a, f, part, deps, assign, &NetworkModel::default()).expect("mp execute");
+            execute(a, f, part, deps, assign, &NetworkModel::default()).expect("mp execute");
         // Factor is the sequential factor, bit for bit (stronger than
         // the 1e-10 acceptance bound).
         let seq = spfactor_numeric::cholesky(a, f).unwrap();
@@ -1473,7 +1483,7 @@ mod tests {
         let deps = dependencies(&f, &part);
         let assign = block_allocation(&part, &deps, 2);
         assert_eq!(
-            execute_with(&a, &f, &part, &deps, &assign, &NetworkModel::default()).unwrap_err(),
+            execute(&a, &f, &part, &deps, &assign, &NetworkModel::default()).unwrap_err(),
             MpError::Numeric(NumericError::NotPositiveDefinite(1))
         );
     }
@@ -1484,7 +1494,7 @@ mod tests {
         let (a, _, part, deps, assign) = setup_block(&p, 4, 2, 1);
         let other = SymbolicFactor::from_pattern(&gen::lap9(3, 3));
         assert!(matches!(
-            execute_with(&a, &other, &part, &deps, &assign, &NetworkModel::default()),
+            execute(&a, &other, &part, &deps, &assign, &NetworkModel::default()),
             Err(MpError::Numeric(NumericError::StructureMismatch(_)))
         ));
     }
@@ -1623,7 +1633,7 @@ mod tests {
         let (a, f, part, deps, assign) = setup_wrap(&gen::lap9(8, 8), 4, 9);
         let sink = TimelineSink::new();
         let config = MpConfig::reliable(NetworkModel::default());
-        let report = execute_config_observed(&a, &f, &part, &deps, &assign, &config, Some(&sink))
+        let report = execute_config_timeline(&a, &f, &part, &deps, &assign, &config, Some(&sink))
             .expect("observed mp execute");
         // Capture must not perturb the computation.
         assert_eq!(report.factor, spfactor_numeric::cholesky(&a, &f).unwrap());
@@ -1693,7 +1703,7 @@ mod tests {
     fn unobserved_run_records_no_events() {
         let (a, f, part, deps, assign) = setup_block(&gen::lap9(6, 6), 4, 2, 5);
         let config = MpConfig::reliable(NetworkModel::default());
-        let report = execute_config_observed(&a, &f, &part, &deps, &assign, &config, None)
+        let report = execute_config_timeline(&a, &f, &part, &deps, &assign, &config, None)
             .expect("mp execute");
         assert_eq!(report.factor, spfactor_numeric::cholesky(&a, &f).unwrap());
     }

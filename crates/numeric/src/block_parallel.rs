@@ -21,7 +21,6 @@ use spfactor_matrix::SymmetricCsc;
 use spfactor_partition::{DepGraph, Partition};
 use spfactor_sched::Assignment;
 use spfactor_symbolic::{ops, SymbolicFactor};
-use spfactor_trace::Recorder;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
 use std::time::Instant;
 
@@ -68,6 +67,11 @@ impl SharedVals {
 
 /// Executes the unit-block schedule numerically. Returns a factor
 /// bit-identical to [`crate::cholesky`].
+///
+/// Under a recorder scope the span `numeric.block_parallel` times the
+/// whole call, `numeric.block.busy_ns` / `idle_ns` sum per-processor busy
+/// and idle wall time over the simulated processors, and
+/// `numeric.block.units` counts unit blocks executed.
 pub fn cholesky_block_parallel(
     a: &SymmetricCsc,
     symbolic: &SymbolicFactor,
@@ -75,34 +79,9 @@ pub fn cholesky_block_parallel(
     deps: &DepGraph,
     assignment: &Assignment,
 ) -> Result<NumericFactor, NumericError> {
-    cholesky_block_parallel_impl(a, symbolic, partition, deps, assignment, None)
-}
-
-/// [`cholesky_block_parallel`] that additionally records per-processor
-/// busy and idle wall time into `recorder`: `numeric.block.busy_ns` /
-/// `idle_ns` are summed over the simulated processors,
-/// `numeric.block.units` counts unit blocks executed, and the span
-/// `numeric.block_parallel` times the whole call.
-pub fn cholesky_block_parallel_traced(
-    a: &SymmetricCsc,
-    symbolic: &SymbolicFactor,
-    partition: &Partition,
-    deps: &DepGraph,
-    assignment: &Assignment,
-    recorder: &Recorder,
-) -> Result<NumericFactor, NumericError> {
-    let _span = recorder.span("numeric.block_parallel");
-    cholesky_block_parallel_impl(a, symbolic, partition, deps, assignment, Some(recorder))
-}
-
-fn cholesky_block_parallel_impl(
-    a: &SymmetricCsc,
-    symbolic: &SymbolicFactor,
-    partition: &Partition,
-    deps: &DepGraph,
-    assignment: &Assignment,
-    recorder: Option<&Recorder>,
-) -> Result<NumericFactor, NumericError> {
+    let rec = &spfactor_trace::current();
+    let recording = rec.is_recording();
+    let _span = rec.span("numeric.block_parallel");
     let n = a.n();
     if n != symbolic.n() {
         return Err(NumericError::StructureMismatch(format!(
@@ -194,12 +173,13 @@ fn cholesky_block_parallel_impl(
             scope.spawn(move |_| {
                 let _ = p;
                 // Per-processor tallies, merged into the recorder (if
-                // any) once at exit so the hot loop stays lock-free.
+                // any) once at exit so the hot loop stays lock-free; the
+                // clock is read only when someone is listening.
                 let mut busy_ns = 0u64;
                 let mut idle_ns = 0u64;
                 let mut units_run = 0u64;
                 loop {
-                    let wait = recorder.map(|_| Instant::now());
+                    let wait = recording.then(Instant::now);
                     let Ok(u) = rx.recv() else { break };
                     if let Some(t) = wait {
                         idle_ns += t.elapsed().as_nanos() as u64;
@@ -207,7 +187,7 @@ fn cholesky_block_parallel_impl(
                     if u == SENTINEL {
                         break;
                     }
-                    let work = recorder.map(|_| Instant::now());
+                    let work = recording.then(Instant::now);
                     if !failed.load(AtomicOrdering::Acquire) {
                         // Interleave updates and finalization column by
                         // column: for each owned column (ascending), apply
@@ -295,12 +275,10 @@ fn cholesky_block_parallel_impl(
                         break;
                     }
                 }
-                if let Some(rec) = recorder {
-                    rec.incr("numeric.block.busy_ns", busy_ns);
-                    rec.incr("numeric.block.idle_ns", idle_ns);
-                    rec.incr("numeric.block.units", units_run);
-                    rec.incr("numeric.block.threads", 1);
-                }
+                rec.incr("numeric.block.busy_ns", busy_ns);
+                rec.incr("numeric.block.idle_ns", idle_ns);
+                rec.incr("numeric.block.units", units_run);
+                rec.incr("numeric.block.threads", 1);
             });
         }
     })

@@ -18,9 +18,6 @@
 //!   assignment) numerically, one thread per simulated processor, again
 //!   bit-identical — the sharpest possible check that the dependency
 //!   analysis is complete;
-//! * [`multifrontal::cholesky_multifrontal`] — frontal-matrix
-//!   factorization over the supernodal elimination tree (update matrices
-//!   on a stack), the third classic organization;
 //! * [`solve`] — forward/backward substitution and a whole-pipeline
 //!   [`solve::SpdSolver`] for `Ax = b`;
 //! * [`batch`] — amortized entry points factoring many value sets and
@@ -30,16 +27,14 @@
 pub mod batch;
 pub mod block_parallel;
 pub mod factor;
-pub mod multifrontal;
 pub mod parallel;
 pub mod solve;
 pub mod supernodal;
 
 pub use batch::{factorize_many, solve_many, solve_many_permuted};
-pub use block_parallel::{cholesky_block_parallel, cholesky_block_parallel_traced};
+pub use block_parallel::cholesky_block_parallel;
 pub use factor::{cholesky, NumericFactor};
-pub use multifrontal::cholesky_multifrontal;
-pub use parallel::{cholesky_parallel, cholesky_parallel_traced};
+pub use parallel::cholesky_parallel;
 pub use solve::SpdSolver;
 pub use supernodal::cholesky_supernodal;
 

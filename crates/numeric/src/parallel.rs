@@ -14,7 +14,6 @@ use crate::NumericError;
 use crossbeam::channel;
 use spfactor_matrix::SymmetricCsc;
 use spfactor_symbolic::SymbolicFactor;
-use spfactor_trace::Recorder;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -31,35 +30,19 @@ struct ColumnData {
 ///
 /// Produces results bit-identical to [`crate::cholesky`]. Errors (loss of
 /// positive definiteness) are detected exactly as in the sequential code.
+///
+/// Under a recorder scope the span `numeric.parallel` times the whole
+/// call, `numeric.parallel.busy_ns` / `idle_ns` sum per-thread busy and
+/// idle wall time across all workers, and `numeric.parallel.columns`
+/// counts columns actually computed.
 pub fn cholesky_parallel(
     a: &SymmetricCsc,
     symbolic: &SymbolicFactor,
     nthreads: usize,
 ) -> Result<NumericFactor, NumericError> {
-    cholesky_parallel_impl(a, symbolic, nthreads, None)
-}
-
-/// [`cholesky_parallel`] that additionally records per-thread busy and
-/// idle wall time (and the column count) into `recorder`:
-/// `numeric.parallel.busy_ns` / `idle_ns` are summed across all workers,
-/// `numeric.parallel.columns` counts columns actually computed, and the
-/// span `numeric.parallel` times the whole call.
-pub fn cholesky_parallel_traced(
-    a: &SymmetricCsc,
-    symbolic: &SymbolicFactor,
-    nthreads: usize,
-    recorder: &Recorder,
-) -> Result<NumericFactor, NumericError> {
-    let _span = recorder.span("numeric.parallel");
-    cholesky_parallel_impl(a, symbolic, nthreads, Some(recorder))
-}
-
-fn cholesky_parallel_impl(
-    a: &SymmetricCsc,
-    symbolic: &SymbolicFactor,
-    nthreads: usize,
-    recorder: Option<&Recorder>,
-) -> Result<NumericFactor, NumericError> {
+    let rec = &spfactor_trace::current();
+    let recording = rec.is_recording();
+    let _span = rec.span("numeric.parallel");
     let n = a.n();
     if n != symbolic.n() {
         return Err(NumericError::StructureMismatch(format!(
@@ -111,12 +94,13 @@ fn cholesky_parallel_impl(
             let first_error = &first_error;
             scope.spawn(move |_| {
                 // Per-thread tallies, merged into the recorder (if any)
-                // once at thread exit so the hot loop stays lock-free.
+                // once at thread exit so the hot loop stays lock-free;
+                // the clock is read only when someone is listening.
                 let mut busy_ns = 0u64;
                 let mut idle_ns = 0u64;
                 let mut cols_done = 0u64;
                 loop {
-                    let wait = recorder.map(|_| Instant::now());
+                    let wait = recording.then(Instant::now);
                     let Ok(j) = rx.recv() else { break };
                     if let Some(t) = wait {
                         idle_ns += t.elapsed().as_nanos() as u64;
@@ -125,7 +109,7 @@ fn cholesky_parallel_impl(
                         let _ = tx.send(SENTINEL);
                         break;
                     }
-                    let work = recorder.map(|_| Instant::now());
+                    let work = recording.then(Instant::now);
                     // Compute column j left-looking.
                     let struct_j = symbolic.col(j);
                     let mut acc: Vec<f64> = vec![0.0; struct_j.len()];
@@ -192,12 +176,10 @@ fn cholesky_parallel_impl(
                         break;
                     }
                 }
-                if let Some(rec) = recorder {
-                    rec.incr("numeric.parallel.busy_ns", busy_ns);
-                    rec.incr("numeric.parallel.idle_ns", idle_ns);
-                    rec.incr("numeric.parallel.columns", cols_done);
-                    rec.incr("numeric.parallel.threads", 1);
-                }
+                rec.incr("numeric.parallel.busy_ns", busy_ns);
+                rec.incr("numeric.parallel.idle_ns", idle_ns);
+                rec.incr("numeric.parallel.columns", cols_done);
+                rec.incr("numeric.parallel.threads", 1);
             });
         }
         drop(tx);

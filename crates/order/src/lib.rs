@@ -47,7 +47,7 @@ pub mod rcm;
 pub use compress::GraphCompression;
 
 use spfactor_matrix::{Permutation, SymmetricPattern};
-use spfactor_trace::Recorder;
+use spfactor_trace::Current;
 
 /// Ordering algorithm selector for [`order`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -129,79 +129,58 @@ impl OrderEngine {
 
 /// Computes the permutation for `pattern` under the selected method on
 /// the default engine. `perm[new] = old` as everywhere in the workspace.
+///
+/// Under a recorder scope this is instrumented as described on
+/// [`order_with_engine`]:
+///
+/// ```
+/// use std::sync::Arc;
+/// use spfactor_order::{order, Ordering};
+/// use spfactor_trace::{scope, Recorder};
+///
+/// let pattern = spfactor_matrix::gen::lap9(4, 4);
+/// let rec = Arc::new(Recorder::new());
+/// let perm = {
+///     let _scope = scope(&rec);
+///     order(&pattern, Ordering::paper_default())
+/// };
+/// assert_eq!(perm.len(), 16);
+/// assert!(rec.counter("order.mmd.passes") > 0);
+/// assert_eq!(rec.counter("order.alg.mmd"), 1);
+/// ```
 pub fn order(pattern: &SymmetricPattern, method: Ordering) -> Permutation {
     order_with_engine(pattern, method, OrderEngine::Direct)
 }
 
-/// [`order`] with instrumentation: times the whole computation under the
-/// span `order.compute`, records which algorithm ran as the
-/// `order.alg.<name>` counter (names from [`Ordering::name`]) and, for
-/// the minimum-degree methods, the `order.mmd.*` work counters (see
-/// `docs/METRICS.md`).
-///
-/// ```
-/// use spfactor_order::{order_traced, Ordering};
-/// use spfactor_trace::Recorder;
-///
-/// let pattern = spfactor_matrix::gen::lap9(4, 4);
-/// let rec = Recorder::new();
-/// let perm = order_traced(&pattern, Ordering::paper_default(), &rec);
-/// assert_eq!(perm.len(), 16);
-/// if rec.is_enabled() {
-///     assert!(rec.counter("order.mmd.passes") > 0);
-///     assert_eq!(rec.counter("order.alg.mmd"), 1);
-/// }
-/// ```
-pub fn order_traced(
-    pattern: &SymmetricPattern,
-    method: Ordering,
-    recorder: &Recorder,
-) -> Permutation {
-    order_with_engine_traced(pattern, method, OrderEngine::Direct, recorder)
-}
-
 /// [`order`] under an explicit [`OrderEngine`], which only the
 /// minimum-degree methods look at.
+///
+/// Under a recorder scope: the `order.compute` span, the
+/// `order.alg.<name>` (names from [`Ordering::name`]) and
+/// `order.engine.<name>` counters, the `order.mmd.*` work counters for
+/// the minimum-degree family, and — on the compressed engine — the
+/// `order.compress.{original,nodes,ratio}` gauges (see
+/// `docs/METRICS.md`).
 pub fn order_with_engine(
     pattern: &SymmetricPattern,
     method: Ordering,
     engine: OrderEngine,
 ) -> Permutation {
-    dispatch(pattern, method, engine, None)
-}
-
-/// [`order_with_engine`] with instrumentation: the `order.compute` span,
-/// the `order.alg.<name>` and `order.engine.<name>` counters, the
-/// `order.mmd.*` work counters for the minimum-degree family, and — on
-/// the compressed engine — the `order.compress.{original,nodes,ratio}`
-/// gauges (see `docs/METRICS.md`).
-pub fn order_with_engine_traced(
-    pattern: &SymmetricPattern,
-    method: Ordering,
-    engine: OrderEngine,
-    recorder: &Recorder,
-) -> Permutation {
-    let _span = recorder.span("order.compute");
-    recorder.incr(&format!("order.alg.{}", method.name()), 1);
-    recorder.incr(&format!("order.engine.{}", engine.name()), 1);
-    dispatch(pattern, method, engine, Some(recorder))
-}
-
-fn dispatch(
-    pattern: &SymmetricPattern,
-    method: Ordering,
-    engine: OrderEngine,
-    recorder: Option<&Recorder>,
-) -> Permutation {
+    let rec = spfactor_trace::current();
+    let _span = rec.span("order.compute");
+    if rec.is_recording() {
+        rec.incr(&format!("order.alg.{}", method.name()), 1);
+        rec.incr(&format!("order.engine.{}", engine.name()), 1);
+    }
     match method {
         Ordering::Natural => Permutation::identity(pattern.n()),
         Ordering::ReverseCuthillMcKee => rcm::reverse_cuthill_mckee(pattern),
         Ordering::MultipleMinimumDegree { delta } => {
-            min_degree(pattern, delta, false, engine, recorder)
+            min_degree(pattern, delta, false, engine, &rec)
         }
         Ordering::NestedDissection => nested::nested_dissection(pattern),
         Ordering::MinimumFill => mf::minimum_fill(pattern),
-        Ordering::ApproximateMinimumDegree => min_degree(pattern, 0, true, engine, recorder),
+        Ordering::ApproximateMinimumDegree => min_degree(pattern, 0, true, engine, &rec),
     }
 }
 
@@ -212,26 +191,22 @@ fn min_degree(
     delta: usize,
     approx: bool,
     engine: OrderEngine,
-    recorder: Option<&Recorder>,
+    rec: &Current,
 ) -> Permutation {
     let (perm, counters) = match engine {
         OrderEngine::Direct => compress::direct_min_degree(pattern, delta, approx),
         OrderEngine::Compressed => {
             let (perm, gc, counters) = compress::compressed_min_degree(pattern, delta, approx);
-            if let Some(rec) = recorder {
-                rec.gauge("order.compress.original", gc.n_original() as f64);
-                rec.gauge("order.compress.nodes", gc.n_compressed() as f64);
-                rec.gauge("order.compress.ratio", gc.ratio());
-            }
+            rec.gauge("order.compress.original", gc.n_original() as f64);
+            rec.gauge("order.compress.nodes", gc.n_compressed() as f64);
+            rec.gauge("order.compress.ratio", gc.ratio());
             (perm, counters)
         }
     };
-    if let Some(rec) = recorder {
-        rec.incr("order.mmd.passes", counters.passes);
-        rec.incr("order.mmd.eliminations", counters.eliminations);
-        rec.incr("order.mmd.degree_updates", counters.degree_updates);
-        rec.incr("order.mmd.supervariable_merges", counters.merges);
-    }
+    rec.incr("order.mmd.passes", counters.passes);
+    rec.incr("order.mmd.eliminations", counters.eliminations);
+    rec.incr("order.mmd.degree_updates", counters.degree_updates);
+    rec.incr("order.mmd.supervariable_merges", counters.merges);
     perm
 }
 

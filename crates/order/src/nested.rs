@@ -5,7 +5,6 @@
 //! pseudo-peripheral vertex, number the two halves recursively, then the
 //! separator last. Small subgraphs fall back to minimum degree.
 
-use crate::Ordering;
 use spfactor_matrix::{Graph, Permutation, SymmetricPattern};
 
 /// Subgraphs at or below this size are ordered with MMD instead of being
@@ -102,7 +101,9 @@ fn order_leaf(g: &Graph, verts: &[usize], order: &mut Vec<usize>) {
         }
     }
     let sub = SymmetricPattern::from_edges(verts.len(), edges);
-    let perm = crate::order(&sub, Ordering::paper_default());
+    // The driver itself, not `crate::order`: leaves are part of this
+    // ordering, not orderings of their own, and record nothing.
+    let (perm, _) = crate::compress::direct_min_degree(&sub, 0, false);
     for new in 0..verts.len() {
         order.push(verts[perm.old_of(new)]);
     }

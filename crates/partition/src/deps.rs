@@ -33,7 +33,7 @@
 use crate::block::UnitShape;
 use crate::units::Partition;
 use spfactor_symbolic::{ops, SymbolicFactor};
-use spfactor_trace::Recorder;
+use spfactor_trace::Current;
 
 /// The paper's ten dependency categories (§3.3, Figure 4).
 ///
@@ -286,7 +286,20 @@ impl DepGraph {
 /// Builds the exact dependency graph of `partition` by enumerating every
 /// update and scaling operation of the factorization, and tallies the
 /// paper's ten categories.
+///
+/// Under a recorder scope: times the construction under the span
+/// `partition.deps` and records the graph's shape — edge count,
+/// independent-unit count and the per-category operation histogram
+/// `partition.deps.category.1` … `.10` (see `docs/METRICS.md`).
 pub fn dependencies(factor: &SymbolicFactor, partition: &Partition) -> DepGraph {
+    let rec = spfactor_trace::current();
+    let graph = rec.time("partition.deps", || enumerate(factor, partition));
+    record_graph_stats(&graph, &rec);
+    graph
+}
+
+/// The element oracle itself: one visit per update and scaling operation.
+fn enumerate(factor: &SymbolicFactor, partition: &Partition) -> DepGraph {
     let nu = partition.num_units();
     let owner = partition.owner_map();
     let eid = |i: usize, j: usize| factor.entry_id(i, j).expect("factor entry");
@@ -345,32 +358,21 @@ pub fn dependencies(factor: &SymbolicFactor, partition: &Partition) -> DepGraph 
 /// `partition.deps.independent_units` gauges and the per-category
 /// operation counters `partition.deps.category.1` … `.10` — identically
 /// for every engine (see `docs/METRICS.md`).
-pub(crate) fn record_graph_stats(graph: &DepGraph, recorder: &Recorder) {
-    recorder.gauge("partition.deps.edges", graph.num_edges() as f64);
-    recorder.gauge(
+pub(crate) fn record_graph_stats(graph: &DepGraph, rec: &Current) {
+    if !rec.is_recording() {
+        return;
+    }
+    rec.gauge("partition.deps.edges", graph.num_edges() as f64);
+    rec.gauge(
         "partition.deps.independent_units",
         graph.independent_units().len() as f64,
     );
     for c in DepCategory::all() {
-        recorder.incr(
+        rec.incr(
             &format!("partition.deps.category.{}", c.number()),
             graph.ops_in_category(c) as u64,
         );
     }
-}
-
-/// [`dependencies`] with instrumentation: times the construction under
-/// the span `partition.deps` and records the graph's shape — edge count,
-/// independent-unit count and the per-category operation histogram
-/// `partition.deps.category.1` … `.10` (see `docs/METRICS.md`).
-pub fn dependencies_traced(
-    factor: &SymbolicFactor,
-    partition: &Partition,
-    recorder: &Recorder,
-) -> DepGraph {
-    let graph = recorder.time("partition.deps", || dependencies(factor, partition));
-    record_graph_stats(&graph, recorder);
-    graph
 }
 
 /// Geometric (interval-tree) dependency construction — the paper's own
@@ -391,29 +393,15 @@ pub fn dependencies_traced(
 /// sufficient, because the dense blocks are embedded in a sparse matrix
 /// (zeros between blocks break some candidate pairs). Tests assert the
 /// containment; the exact builder remains the one the scheduler uses.
-pub fn geometric_dependencies(factor: &SymbolicFactor, partition: &Partition) -> Vec<Vec<u32>> {
-    geometric_dependencies_impl(factor, partition, None)
-}
-
-/// [`geometric_dependencies`] with instrumentation: times the build under
-/// the span `partition.deps.geometric` and counts the interval-tree work —
+///
+/// Under a recorder scope: times the build under the span
+/// `partition.deps.geometric` and counts the interval-tree work —
 /// `partition.interval.queries` (one per `for_each_overlapping` call, two
 /// per target unit) and `partition.interval.candidates` (total overlap
 /// reports before column-order pruning). See `docs/METRICS.md`.
-pub fn geometric_dependencies_traced(
-    factor: &SymbolicFactor,
-    partition: &Partition,
-    recorder: &Recorder,
-) -> Vec<Vec<u32>> {
-    let _span = recorder.span("partition.deps.geometric");
-    geometric_dependencies_impl(factor, partition, Some(recorder))
-}
-
-fn geometric_dependencies_impl(
-    factor: &SymbolicFactor,
-    partition: &Partition,
-    recorder: Option<&Recorder>,
-) -> Vec<Vec<u32>> {
+pub fn geometric_dependencies(factor: &SymbolicFactor, partition: &Partition) -> Vec<Vec<u32>> {
+    let rec = spfactor_trace::current();
+    let _span = rec.span("partition.deps.geometric");
     use spfactor_interval::{Interval, IntervalTree};
     let nu = partition.num_units();
     // Row span of each unit: for columns, the diagonal through the last
@@ -458,10 +446,8 @@ fn geometric_dependencies_impl(
             }
         }
     }
-    if let Some(rec) = recorder {
-        rec.incr("partition.interval.queries", queries);
-        rec.incr("partition.interval.candidates", candidates);
-    }
+    rec.incr("partition.interval.queries", queries);
+    rec.incr("partition.interval.candidates", candidates);
     preds
 }
 

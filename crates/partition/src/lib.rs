@@ -25,11 +25,8 @@ pub mod units;
 
 pub use block::{Cluster, ClusterKind, UnitBlock, UnitShape};
 pub use cluster::identify_clusters;
-pub use deps::{
-    dependencies, dependencies_traced, geometric_dependencies, geometric_dependencies_traced,
-    DepCategory, DepGraph,
-};
-pub use sweep::{build_dependencies, build_dependencies_traced, sweep_dependencies, DepsEngine};
+pub use deps::{dependencies, geometric_dependencies, DepCategory, DepGraph};
+pub use sweep::{build_dependencies, sweep_dependencies, DepsEngine};
 pub use units::{Partition, TaggedRun, TargetScratch, UpdateTarget};
 
 /// Tunable parameters of the partitioner.

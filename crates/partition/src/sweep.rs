@@ -56,13 +56,12 @@
 //! `tests/deps_equivalence.rs`).
 
 use crate::block::UnitShape;
-use crate::deps::{category_of, dependencies, dependencies_traced, record_graph_stats, DepGraph};
+use crate::deps::{category_of, dependencies, record_graph_stats, DepGraph};
 use crate::units::{
     advance, split_at, Partition, Segmentation, TaggedRun, TargetScratch, UpdateTarget,
 };
 use spfactor_interval::Interval;
 use spfactor_symbolic::{fundamental_supernodes, SymbolicFactor};
-use spfactor_trace::Recorder;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -109,50 +108,34 @@ impl DepsEngine {
 }
 
 /// Builds the dependency graph with the selected engine.
+///
+/// Under a recorder scope the element engine emits its historical
+/// `partition.deps` span; the sweep engines run under the spans
+/// `deps.engine.sweep` / `deps.engine.sweep_parallel` and emit the
+/// `deps.engine.columns` / `.pairs` / `.segments` / `.walked_segments`
+/// counters and the `deps.engine.threads` gauge (see `docs/METRICS.md`).
+/// All engines record the shared `partition.deps.edges` /
+/// `.independent_units` gauges and the `partition.deps.category.<n>`
+/// counters.
 pub fn build_dependencies(
     engine: DepsEngine,
     factor: &SymbolicFactor,
     partition: &Partition,
 ) -> DepGraph {
-    match engine {
-        DepsEngine::Element => dependencies(factor, partition),
-        DepsEngine::Sweep => sweep_dependencies(factor, partition, 1),
-        DepsEngine::SweepParallel => sweep_dependencies(factor, partition, default_threads()),
-    }
-}
-
-/// [`build_dependencies`] with instrumentation. The element engine emits
-/// its historical `partition.deps` span; the sweep engines run under the
-/// spans `deps.engine.sweep` / `deps.engine.sweep_parallel` and emit the
-/// `deps.engine.columns` / `.pairs` / `.segments` / `.walked_segments`
-/// counters and the `deps.engine.threads` gauge (see `docs/METRICS.md`). All engines
-/// record the shared `partition.deps.edges` / `.independent_units` gauges
-/// and the `partition.deps.category.<n>` counters.
-pub fn build_dependencies_traced(
-    engine: DepsEngine,
-    factor: &SymbolicFactor,
-    partition: &Partition,
-    recorder: &Recorder,
-) -> DepGraph {
-    match engine {
-        DepsEngine::Element => dependencies_traced(factor, partition, recorder),
-        DepsEngine::Sweep | DepsEngine::SweepParallel => {
-            let threads = if engine == DepsEngine::Sweep {
-                1
-            } else {
-                default_threads()
-            };
-            let span = format!("deps.engine.{}", engine.name());
-            let (graph, tallies) = recorder.time(&span, || sweep_impl(factor, partition, threads));
-            recorder.gauge("deps.engine.threads", threads as f64);
-            recorder.incr("deps.engine.columns", tallies.columns);
-            recorder.incr("deps.engine.pairs", tallies.pairs);
-            recorder.incr("deps.engine.segments", tallies.segments);
-            recorder.incr("deps.engine.walked_segments", tallies.walked_segments);
-            record_graph_stats(&graph, recorder);
-            graph
-        }
-    }
+    let (threads, span) = match engine {
+        DepsEngine::Element => return dependencies(factor, partition),
+        DepsEngine::Sweep => (1, "deps.engine.sweep"),
+        DepsEngine::SweepParallel => (default_threads(), "deps.engine.sweep_parallel"),
+    };
+    let rec = spfactor_trace::current();
+    let (graph, tallies) = rec.time(span, || sweep_impl(factor, partition, threads));
+    rec.gauge("deps.engine.threads", threads as f64);
+    rec.incr("deps.engine.columns", tallies.columns);
+    rec.incr("deps.engine.pairs", tallies.pairs);
+    rec.incr("deps.engine.segments", tallies.segments);
+    rec.incr("deps.engine.walked_segments", tallies.walked_segments);
+    record_graph_stats(&graph, &rec);
+    graph
 }
 
 /// The sweep construction with an explicit worker-thread count

@@ -16,7 +16,7 @@ use crate::cluster::identify_clusters;
 use crate::PartitionParams;
 use spfactor_interval::Interval;
 use spfactor_symbolic::{fundamental_supernodes, ops, SymbolicFactor};
-use spfactor_trace::Recorder;
+use spfactor_trace::Current;
 use std::ops::Range;
 
 /// The result of partitioning a symbolic factor: clusters, unit blocks in
@@ -426,41 +426,37 @@ fn split_rows(
 
 impl Partition {
     /// Runs cluster identification and unit partitioning on `factor`.
-    pub fn build(factor: &SymbolicFactor, params: &PartitionParams) -> Partition {
-        let clusters = identify_clusters(factor, params);
-        Self::from_clusters(factor, clusters, *params).0
-    }
-
-    /// [`build`](Self::build) with instrumentation: times cluster
-    /// identification (`partition.identify_clusters`) and unit layout
+    ///
+    /// Under a recorder scope: times cluster identification
+    /// (`partition.identify_clusters`) and unit layout
     /// (`partition.split_units`) separately, counts the tails and segment
     /// pieces the work tally walked (`partition.work.pairs` /
     /// `partition.work.segments`) and records the resulting shape of the
     /// partition — cluster counts by kind, unit counts by shape, total
     /// work — as `partition.*` gauges (see `docs/METRICS.md`).
-    pub fn build_traced(
-        factor: &SymbolicFactor,
-        params: &PartitionParams,
-        recorder: &Recorder,
-    ) -> Partition {
-        let clusters = recorder.time("partition.identify_clusters", || {
+    pub fn build(factor: &SymbolicFactor, params: &PartitionParams) -> Partition {
+        let rec = spfactor_trace::current();
+        let clusters = rec.time("partition.identify_clusters", || {
             identify_clusters(factor, params)
         });
-        let (part, tally) = recorder.time("partition.split_units", || {
+        let (part, tally) = rec.time("partition.split_units", || {
             Self::from_clusters(factor, clusters, *params)
         });
-        recorder.incr("partition.work.pairs", tally.pairs);
-        recorder.incr("partition.work.segments", tally.segments);
-        part.record_stats(recorder);
+        rec.incr("partition.work.pairs", tally.pairs);
+        rec.incr("partition.work.segments", tally.segments);
+        part.record_stats(&rec);
         part
     }
 
     /// Records this partition's shape as `partition.*` gauges.
-    pub fn record_stats(&self, recorder: &Recorder) {
+    fn record_stats(&self, rec: &Current) {
+        if !rec.is_recording() {
+            return;
+        }
         let strips = self.clusters.iter().filter(|c| !c.is_single()).count();
-        recorder.gauge("partition.clusters", self.clusters.len() as f64);
-        recorder.gauge("partition.clusters.strip", strips as f64);
-        recorder.gauge(
+        rec.gauge("partition.clusters", self.clusters.len() as f64);
+        rec.gauge("partition.clusters.strip", strips as f64);
+        rec.gauge(
             "partition.clusters.single_column",
             (self.clusters.len() - strips) as f64,
         );
@@ -472,19 +468,27 @@ impl Partition {
                 UnitShape::Rectangle { .. } => by_shape[2] += 1,
             }
         }
-        recorder.gauge("partition.units", self.units.len() as f64);
-        recorder.gauge("partition.units.column", by_shape[0] as f64);
-        recorder.gauge("partition.units.triangle", by_shape[1] as f64);
-        recorder.gauge("partition.units.rectangle", by_shape[2] as f64);
-        recorder.gauge("partition.total_work", self.total_work() as f64);
+        rec.gauge("partition.units", self.units.len() as f64);
+        rec.gauge("partition.units.column", by_shape[0] as f64);
+        rec.gauge("partition.units.triangle", by_shape[1] as f64);
+        rec.gauge("partition.units.rectangle", by_shape[2] as f64);
+        rec.gauge("partition.total_work", self.total_work() as f64);
     }
 
     /// A degenerate partition with one column unit per column — the layout
     /// the *wrap-mapped* baseline scheme assigns processors over. Column
     /// `j`'s unit owns the whole column and does the work landing in it
     /// ([`ops::column_work`]), so there is no geometry to lay out:
-    /// `O(nnz(L))`.
+    /// `O(nnz(L))`. Under a recorder scope: the `partition.columns` span
+    /// and the same `partition.*` shape gauges as [`build`](Self::build).
     pub fn columns(factor: &SymbolicFactor) -> Partition {
+        let rec = spfactor_trace::current();
+        let part = rec.time("partition.columns", || Self::column_units(factor));
+        part.record_stats(&rec);
+        part
+    }
+
+    fn column_units(factor: &SymbolicFactor) -> Partition {
         let n = factor.n();
         let work = ops::column_work(factor);
         let mut owner: Vec<u32> = Vec::with_capacity(factor.num_entries());

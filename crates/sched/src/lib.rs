@@ -36,7 +36,7 @@ pub use artifact::{
 pub use order::{processor_queues, topological_order};
 
 use spfactor_partition::{DepGraph, Partition, UnitShape};
-use spfactor_trace::Recorder;
+use spfactor_trace::Current;
 
 /// A unit-block → processor assignment.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,6 +64,29 @@ impl Assignment {
     }
 }
 
+/// Branch tallies for one [`block_allocation`] run, accumulated in locals
+/// so the recorder mutex stays out of the allocation loop.
+#[derive(Default)]
+struct AllocStats {
+    independent_wrap: u64,
+    dependent_pred: u64,
+    dependent_pool: u64,
+    triangle_pred: u64,
+    triangle_pool: u64,
+    rect_rr: u64,
+}
+
+impl AllocStats {
+    fn record(&self, rec: &Current) {
+        rec.incr("sched.alloc.independent_wrap", self.independent_wrap);
+        rec.incr("sched.alloc.dependent_pred", self.dependent_pred);
+        rec.incr("sched.alloc.dependent_pool", self.dependent_pool);
+        rec.incr("sched.alloc.triangle_pred", self.triangle_pred);
+        rec.incr("sched.alloc.triangle_pool", self.triangle_pool);
+        rec.incr("sched.alloc.rect_rr", self.rect_rr);
+    }
+}
+
 /// The paper's block allocation algorithm (§3.4).
 ///
 /// 1. Independent columns (single-column units with no predecessors) are
@@ -79,55 +102,16 @@ impl Assignment {
 ///    `Pt` — the processors used in the triangle — walked in round-robin
 ///    order of increasing accumulated work, re-sorted after each
 ///    rectangle.
-pub fn block_allocation(partition: &Partition, deps: &DepGraph, nprocs: usize) -> Assignment {
-    block_allocation_impl(partition, deps, nprocs, None)
-}
-
-/// [`block_allocation`] with instrumentation: times the allocation under
-/// the span `sched.block_allocation` and counts how often each heuristic
-/// branch fired — `sched.alloc.independent_wrap`, `.dependent_pred`,
+///
+/// Under a recorder scope: times the allocation under the span
+/// `sched.block_allocation` and counts how often each heuristic branch
+/// fired — `sched.alloc.independent_wrap`, `.dependent_pred`,
 /// `.dependent_pool`, `.triangle_pred`, `.triangle_pool` and `.rect_rr`
 /// (see `docs/METRICS.md`). The branch counts sum to the number of units.
-pub fn block_allocation_traced(
-    partition: &Partition,
-    deps: &DepGraph,
-    nprocs: usize,
-    recorder: &Recorder,
-) -> Assignment {
-    let _span = recorder.span("sched.block_allocation");
-    block_allocation_impl(partition, deps, nprocs, Some(recorder))
-}
-
-/// Branch tallies for one [`block_allocation`] run, accumulated in locals
-/// so the recorder mutex stays out of the allocation loop.
-#[derive(Default)]
-struct AllocStats {
-    independent_wrap: u64,
-    dependent_pred: u64,
-    dependent_pool: u64,
-    triangle_pred: u64,
-    triangle_pool: u64,
-    rect_rr: u64,
-}
-
-impl AllocStats {
-    fn record(&self, recorder: &Recorder) {
-        recorder.incr("sched.alloc.independent_wrap", self.independent_wrap);
-        recorder.incr("sched.alloc.dependent_pred", self.dependent_pred);
-        recorder.incr("sched.alloc.dependent_pool", self.dependent_pool);
-        recorder.incr("sched.alloc.triangle_pred", self.triangle_pred);
-        recorder.incr("sched.alloc.triangle_pool", self.triangle_pool);
-        recorder.incr("sched.alloc.rect_rr", self.rect_rr);
-    }
-}
-
-fn block_allocation_impl(
-    partition: &Partition,
-    deps: &DepGraph,
-    nprocs: usize,
-    recorder: Option<&Recorder>,
-) -> Assignment {
+pub fn block_allocation(partition: &Partition, deps: &DepGraph, nprocs: usize) -> Assignment {
     assert!(nprocs > 0, "need at least one processor");
+    let rec = spfactor_trace::current();
+    let _span = rec.span("sched.block_allocation");
     let mut stats = AllocStats::default();
     let nu = partition.num_units();
     const UNASSIGNED: u32 = u32::MAX;
@@ -280,9 +264,7 @@ fn block_allocation_impl(
     }
 
     debug_assert!(proc_of_unit.iter().all(|&p| p != UNASSIGNED));
-    if let Some(rec) = recorder {
-        stats.record(rec);
-    }
+    stats.record(&rec);
     Assignment {
         nprocs,
         proc_of_unit,
@@ -292,9 +274,15 @@ fn block_allocation_impl(
 /// The wrap-mapped column scheme: over a per-column partition
 /// ([`Partition::columns`]), column `j` is assigned to processor
 /// `j mod nprocs`.
+///
+/// Under a recorder scope: times the assignment under the span
+/// `sched.wrap_allocation` and counts the wrapped columns as
+/// `sched.alloc.wrap_columns`.
 pub fn wrap_allocation(partition: &Partition, nprocs: usize) -> Assignment {
     assert!(nprocs > 0, "need at least one processor");
-    let proc_of_unit = partition
+    let rec = spfactor_trace::current();
+    let _span = rec.span("sched.wrap_allocation");
+    let proc_of_unit: Vec<u32> = partition
         .units
         .iter()
         .map(|u| match u.shape {
@@ -302,28 +290,11 @@ pub fn wrap_allocation(partition: &Partition, nprocs: usize) -> Assignment {
             _ => panic!("wrap_allocation requires a per-column partition"),
         })
         .collect();
+    rec.incr("sched.alloc.wrap_columns", proc_of_unit.len() as u64);
     Assignment {
         nprocs,
         proc_of_unit,
     }
-}
-
-/// [`wrap_allocation`] with instrumentation: times the assignment under
-/// the span `sched.wrap_allocation` and counts the wrapped columns as
-/// `sched.alloc.wrap_columns`.
-pub fn wrap_allocation_traced(
-    partition: &Partition,
-    nprocs: usize,
-    recorder: &Recorder,
-) -> Assignment {
-    let assignment = recorder.time("sched.wrap_allocation", || {
-        wrap_allocation(partition, nprocs)
-    });
-    recorder.incr(
-        "sched.alloc.wrap_columns",
-        assignment.proc_of_unit.len() as u64,
-    );
-    assignment
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //!   builds race.
 //!
 //! Hit/miss/wait/evict counts are kept in lock-free [`CacheStats`]
-//! counters (always available, even with the `trace` feature off) and
+//! counters (always available, recorder or not) and
 //! mirrored onto an optional [`Recorder`] as `serve.cache.*` metrics;
 //! builds run under the `serve.build` span.
 

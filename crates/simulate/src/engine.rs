@@ -42,13 +42,13 @@
 //! commutative over integers, so the reports are bit-identical to the
 //! serial engines for every thread count.
 
-use crate::{data_traffic, data_traffic_traced, work_distribution, work_distribution_traced};
+use crate::{data_traffic, record_traffic, record_work, work_distribution, work_report};
 use crate::{TrafficReport, WorkReport};
 use spfactor_interval::Interval;
 use spfactor_partition::{Partition, TaggedRun, TargetScratch, UpdateTarget};
 use spfactor_sched::Assignment;
 use spfactor_symbolic::SymbolicFactor;
-use spfactor_trace::Recorder;
+use spfactor_trace::Current;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which implementation computes the traffic and work reports.
@@ -89,75 +89,49 @@ impl SimulateEngine {
 }
 
 /// Runs the selected engine, returning the paper's two reports.
+///
+/// Under a recorder scope the element engine emits its historical
+/// `simulate.data_traffic` / `simulate.work_distribution` surface; the
+/// block engines run under the spans `simulate.engine.block` /
+/// `simulate.engine.block_parallel` and emit the `simulate.engine.*`
+/// counters (see `docs/METRICS.md`). All engines record the shared
+/// `simulate.traffic.*` / `simulate.work.*` gauges.
 pub fn simulate(
     engine: SimulateEngine,
     factor: &SymbolicFactor,
     partition: &Partition,
     assignment: &Assignment,
 ) -> (TrafficReport, WorkReport) {
-    match engine {
-        SimulateEngine::Element => (
-            data_traffic(factor, partition, assignment),
-            work_distribution(partition, assignment),
-        ),
-        SimulateEngine::Block => simulate_block(factor, partition, assignment, 1),
-        SimulateEngine::BlockParallel => {
-            simulate_block(factor, partition, assignment, default_threads())
+    let (threads, span) = match engine {
+        SimulateEngine::Element => {
+            return (
+                data_traffic(factor, partition, assignment),
+                work_distribution(partition, assignment),
+            )
         }
-    }
+        SimulateEngine::Block => (1, "simulate.engine.block"),
+        SimulateEngine::BlockParallel => (default_threads(), "simulate.engine.block_parallel"),
+    };
+    let rec = spfactor_trace::current();
+    let (traffic, work) = rec.time(span, || {
+        block_reports(factor, partition, assignment, threads, &rec)
+    });
+    rec.gauge("simulate.engine.threads", threads as f64);
+    record_traffic(&rec, &traffic);
+    record_work(&rec, &work);
+    (traffic, work)
 }
 
-/// The block engine with an explicit worker-thread count (`1` = serial).
-/// Exposed so tests can pin bit-equality across thread counts;
-/// [`simulate`] picks the count from the engine.
+/// The block engine with an explicit worker-thread count (`1` = serial),
+/// recording nothing. Exposed so tests can pin bit-equality across
+/// thread counts; [`simulate`] picks the count from the engine.
 pub fn simulate_block(
     factor: &SymbolicFactor,
     partition: &Partition,
     assignment: &Assignment,
     nthreads: usize,
 ) -> (TrafficReport, WorkReport) {
-    block_reports(factor, partition, assignment, nthreads, None)
-}
-
-/// [`simulate`] with instrumentation. The element engine emits its
-/// historical `simulate.data_traffic` / `simulate.work_distribution`
-/// surface; the block engines run under the spans
-/// `simulate.engine.block` / `simulate.engine.block_parallel` and emit
-/// the `simulate.engine.*` counters (see `docs/METRICS.md`). All engines
-/// record the shared `simulate.traffic.*` / `simulate.work.*` gauges.
-pub fn simulate_traced(
-    engine: SimulateEngine,
-    factor: &SymbolicFactor,
-    partition: &Partition,
-    assignment: &Assignment,
-    recorder: &Recorder,
-) -> (TrafficReport, WorkReport) {
-    match engine {
-        SimulateEngine::Element => (
-            data_traffic_traced(factor, partition, assignment, recorder),
-            work_distribution_traced(partition, assignment, recorder),
-        ),
-        SimulateEngine::Block | SimulateEngine::BlockParallel => {
-            let threads = if engine == SimulateEngine::Block {
-                1
-            } else {
-                default_threads()
-            };
-            let span = format!("simulate.engine.{}", engine.name());
-            let (traffic, work) = recorder.time(&span, || {
-                block_reports(factor, partition, assignment, threads, Some(recorder))
-            });
-            recorder.gauge("simulate.engine.threads", threads as f64);
-            recorder.gauge("simulate.traffic.total", traffic.total as f64);
-            recorder.gauge("simulate.traffic.mean", traffic.mean_f64());
-            recorder.gauge("simulate.traffic.max_pair", traffic.max_pair() as f64);
-            recorder.gauge("simulate.work.total", work.total as f64);
-            recorder.gauge("simulate.work.max", work.max() as f64);
-            recorder.gauge("simulate.work.imbalance", work.imbalance());
-            recorder.gauge("simulate.work.efficiency", work.efficiency());
-            (traffic, work)
-        }
-    }
+    block_reports(factor, partition, assignment, nthreads, &Current::default())
 }
 
 /// Worker threads for [`SimulateEngine::BlockParallel`].
@@ -444,7 +418,7 @@ fn block_reports(
     partition: &Partition,
     assignment: &Assignment,
     nthreads: usize,
-    recorder: Option<&Recorder>,
+    rec: &Current,
 ) -> (TrafficReport, WorkReport) {
     let n = factor.n();
     let nprocs = assignment.nprocs;
@@ -499,12 +473,10 @@ fn block_reports(
         total
     };
 
-    if let Some(rec) = recorder {
-        rec.incr("simulate.engine.columns", total_partial.columns);
-        rec.incr("simulate.engine.unit_visits", total_partial.unit_visits);
-        rec.incr("simulate.engine.unit_hits", total_partial.unit_visits);
-        rec.incr("simulate.engine.interval_pieces", total_partial.pieces);
-    }
+    rec.incr("simulate.engine.columns", total_partial.columns);
+    rec.incr("simulate.engine.unit_visits", total_partial.unit_visits);
+    rec.incr("simulate.engine.unit_hits", total_partial.unit_visits);
+    rec.incr("simulate.engine.interval_pieces", total_partial.pieces);
 
     let traffic = TrafficReport {
         total: total_partial.per_proc.iter().sum(),
@@ -512,7 +484,7 @@ fn block_reports(
         pair_matrix: total_partial.pair,
         nprocs,
     };
-    (traffic, work_distribution(partition, assignment))
+    (traffic, work_report(partition, assignment))
 }
 
 #[cfg(test)]
@@ -533,7 +505,7 @@ mod tests {
         let (tb, wb) = simulate(SimulateEngine::Block, f, part, a);
         assert_eq!(te, tb, "block traffic diverged from element oracle");
         assert_eq!(we, wb, "block work diverged from element oracle");
-        let (tp, wp) = block_reports(f, part, a, 4, None);
+        let (tp, wp) = simulate_block(f, part, a, 4);
         assert_eq!(te, tp, "parallel traffic diverged");
         assert_eq!(we, wp, "parallel work diverged");
     }
@@ -636,9 +608,9 @@ mod tests {
         let part = Partition::build(&f, &PartitionParams::with_grain(4));
         let deps = dependencies(&f, &part);
         let a = block_allocation(&part, &deps, 8);
-        let (t1, w1) = block_reports(&f, &part, &a, 1, None);
+        let (t1, w1) = simulate_block(&f, &part, &a, 1);
         for threads in [2, 3, 5, 13] {
-            let (t, w) = block_reports(&f, &part, &a, threads, None);
+            let (t, w) = simulate_block(&f, &part, &a, threads);
             assert_eq!(t, t1);
             assert_eq!(w, w1);
         }
@@ -659,18 +631,21 @@ mod tests {
         let part = Partition::build(&f, &PartitionParams::with_grain(4));
         let deps = dependencies(&f, &part);
         let a = block_allocation(&part, &deps, 4);
-        let rec = Recorder::new();
-        let (t, w) = simulate_traced(SimulateEngine::Block, &f, &part, &a, &rec);
-        if rec.is_enabled() {
-            assert_eq!(rec.counter("simulate.engine.columns"), f.n() as u64);
-            assert!(rec.counter("simulate.engine.unit_visits") > 0);
-            assert_eq!(
-                rec.gauge_value("simulate.traffic.total"),
-                Some(t.total as f64)
-            );
-            assert_eq!(rec.gauge_value("simulate.work.total"), Some(w.total as f64));
-            assert_eq!(rec.gauge_value("simulate.engine.threads"), Some(1.0));
-            assert!(rec.span_stats("simulate.engine.block").is_some());
-        }
+        let rec = std::sync::Arc::new(spfactor_trace::Recorder::new());
+        let (t, w) = {
+            let _scope = spfactor_trace::scope(&rec);
+            simulate(SimulateEngine::Block, &f, &part, &a)
+        };
+        assert_eq!(rec.counter("simulate.engine.columns"), f.n() as u64);
+        assert!(rec.counter("simulate.engine.unit_visits") > 0);
+        assert_eq!(
+            rec.gauge_value("simulate.traffic.total"),
+            Some(t.total as f64)
+        );
+        assert_eq!(rec.gauge_value("simulate.work.total"), Some(w.total as f64));
+        assert_eq!(rec.gauge_value("simulate.engine.threads"), Some(1.0));
+        assert!(rec.span_stats("simulate.engine.block").is_some());
+        // The block engine is not the element path: none of its spans.
+        assert!(rec.span_stats("simulate.work_distribution").is_none());
     }
 }

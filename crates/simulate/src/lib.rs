@@ -26,13 +26,13 @@ pub mod engine;
 pub mod timed;
 pub mod trisolve;
 
-pub use engine::{simulate, simulate_block, simulate_traced, SimulateEngine};
+pub use engine::{simulate, simulate_block, SimulateEngine};
 
 use bitset::BitSet;
 use spfactor_partition::Partition;
 use spfactor_sched::Assignment;
 use spfactor_symbolic::{ops, SymbolicFactor};
-use spfactor_trace::Recorder;
+use spfactor_trace::Current;
 
 /// Result of the data-traffic simulation.
 #[derive(Clone, Debug, PartialEq)]
@@ -89,42 +89,46 @@ impl TrafficReport {
 /// Every update (and diagonal scaling) operation makes the target
 /// element's processor read the source elements; the first read of a
 /// remote element counts one unit of traffic (local caching thereafter).
-pub fn data_traffic(
-    factor: &SymbolicFactor,
-    partition: &Partition,
-    assignment: &Assignment,
-) -> TrafficReport {
-    data_traffic_impl(factor, partition, assignment, None)
-}
-
-/// [`data_traffic`] with instrumentation: times the simulation under the
-/// span `simulate.data_traffic`, counts every source-element access by
+///
+/// Under a recorder scope: times the simulation under the span
+/// `simulate.data_traffic`, counts every source-element access by
 /// outcome — `simulate.traffic.remote_fetches` (first remote read, the
 /// unit of paper traffic), `simulate.traffic.cache_hits` (remote element
 /// already fetched) and `simulate.traffic.local_accesses` — and records
 /// the report's totals as `simulate.traffic.*` gauges (see
 /// `docs/METRICS.md`).
-pub fn data_traffic_traced(
+pub fn data_traffic(
     factor: &SymbolicFactor,
     partition: &Partition,
     assignment: &Assignment,
-    recorder: &Recorder,
 ) -> TrafficReport {
-    let report = recorder.time("simulate.data_traffic", || {
-        data_traffic_impl(factor, partition, assignment, Some(recorder))
+    let rec = spfactor_trace::current();
+    let (report, accesses) = rec.time("simulate.data_traffic", || {
+        element_traffic(factor, partition, assignment)
     });
-    recorder.gauge("simulate.traffic.total", report.total as f64);
-    recorder.gauge("simulate.traffic.mean", report.mean_f64());
-    recorder.gauge("simulate.traffic.max_pair", report.max_pair() as f64);
+    rec.incr("simulate.traffic.remote_fetches", accesses[0]);
+    rec.incr("simulate.traffic.cache_hits", accesses[1]);
+    rec.incr("simulate.traffic.local_accesses", accesses[2]);
+    record_traffic(&rec, &report);
     report
 }
 
-fn data_traffic_impl(
+/// The `simulate.traffic.*` gauges every engine records.
+pub(crate) fn record_traffic(rec: &Current, report: &TrafficReport) {
+    if rec.is_recording() {
+        rec.gauge("simulate.traffic.total", report.total as f64);
+        rec.gauge("simulate.traffic.mean", report.mean_f64());
+        rec.gauge("simulate.traffic.max_pair", report.max_pair() as f64);
+    }
+}
+
+/// The element oracle: replays every operation, returning the report and
+/// the access tallies `[remote fetch, cache hit, local]`.
+fn element_traffic(
     factor: &SymbolicFactor,
     partition: &Partition,
     assignment: &Assignment,
-    recorder: Option<&Recorder>,
-) -> TrafficReport {
+) -> (TrafficReport, [u64; 3]) {
     let nprocs = assignment.nprocs;
     let owner = partition.owner_map();
     let entries = factor.num_entries();
@@ -132,7 +136,6 @@ fn data_traffic_impl(
     let mut seen: Vec<BitSet> = (0..nprocs).map(|_| BitSet::new(entries)).collect();
     let mut per_proc = vec![0usize; nprocs];
     let mut pair_matrix = vec![0usize; nprocs * nprocs];
-    // Access tallies [remote fetch, cache hit, local], recorded at the end.
     let mut accesses = [0u64; 3];
 
     let eid = |i: usize, j: usize| factor.entry_id(i, j).expect("factor entry");
@@ -189,17 +192,13 @@ fn data_traffic_impl(
         );
     });
 
-    if let Some(rec) = recorder {
-        rec.incr("simulate.traffic.remote_fetches", accesses[0]);
-        rec.incr("simulate.traffic.cache_hits", accesses[1]);
-        rec.incr("simulate.traffic.local_accesses", accesses[2]);
-    }
-    TrafficReport {
+    let report = TrafficReport {
         total: per_proc.iter().sum(),
         per_proc,
         pair_matrix,
         nprocs,
-    }
+    };
+    (report, accesses)
 }
 
 /// Result of the work-distribution analysis.
@@ -247,7 +246,21 @@ impl WorkReport {
 }
 
 /// Computes the work distribution of an assignment.
+///
+/// Under a recorder scope: the span `simulate.work_distribution` and the
+/// report's headline numbers — `simulate.work.total`, `.max`,
+/// `.imbalance` (the paper's Δ) and `.efficiency` — as gauges (see
+/// `docs/METRICS.md`).
 pub fn work_distribution(partition: &Partition, assignment: &Assignment) -> WorkReport {
+    let rec = spfactor_trace::current();
+    let report = rec.time("simulate.work_distribution", || {
+        work_report(partition, assignment)
+    });
+    record_work(&rec, &report);
+    report
+}
+
+pub(crate) fn work_report(partition: &Partition, assignment: &Assignment) -> WorkReport {
     let per_proc = assignment.work_per_proc(partition);
     WorkReport {
         total: per_proc.iter().sum(),
@@ -255,22 +268,14 @@ pub fn work_distribution(partition: &Partition, assignment: &Assignment) -> Work
     }
 }
 
-/// [`work_distribution`] with instrumentation: records the report's
-/// headline numbers — `simulate.work.total`, `.max`, `.imbalance` (the
-/// paper's Δ) and `.efficiency` — as gauges (see `docs/METRICS.md`).
-pub fn work_distribution_traced(
-    partition: &Partition,
-    assignment: &Assignment,
-    recorder: &Recorder,
-) -> WorkReport {
-    let report = recorder.time("simulate.work_distribution", || {
-        work_distribution(partition, assignment)
-    });
-    recorder.gauge("simulate.work.total", report.total as f64);
-    recorder.gauge("simulate.work.max", report.max() as f64);
-    recorder.gauge("simulate.work.imbalance", report.imbalance());
-    recorder.gauge("simulate.work.efficiency", report.efficiency());
-    report
+/// The `simulate.work.*` gauges every engine records.
+pub(crate) fn record_work(rec: &Current, report: &WorkReport) {
+    if rec.is_recording() {
+        rec.gauge("simulate.work.total", report.total as f64);
+        rec.gauge("simulate.work.max", report.max() as f64);
+        rec.gauge("simulate.work.imbalance", report.imbalance());
+        rec.gauge("simulate.work.efficiency", report.efficiency());
+    }
 }
 
 #[cfg(test)]

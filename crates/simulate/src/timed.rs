@@ -12,7 +12,6 @@ use spfactor_partition::{DepGraph, Partition};
 use spfactor_sched::Assignment;
 use spfactor_symbolic::{ops, SymbolicFactor};
 use spfactor_trace::timeline::{EventKind, StartEdge, TimelineEvent, TimelineSink};
-use spfactor_trace::Recorder;
 use std::collections::BinaryHeap;
 
 /// Bytes transferred per remote factor element (one `f64`).
@@ -136,6 +135,12 @@ pub fn simulate_timed(
 }
 
 /// [`simulate_timed`] with an explicit intra-processor ordering policy.
+///
+/// Under a recorder scope the run is timed as the span `simulate.timed`
+/// and its idle-time breakdown recorded as `simulate.timed.*` gauges: the
+/// makespan, the aggregate busy time split into compute vs. communication
+/// (transfer) components, and the idle fraction that the paper's untimed
+/// metrics assume is negligible.
 pub fn simulate_timed_policy(
     factor: &SymbolicFactor,
     partition: &Partition,
@@ -144,35 +149,7 @@ pub fn simulate_timed_policy(
     model: &CommModel,
     policy: OrderPolicy,
 ) -> TimedReport {
-    simulate_timed_impl(
-        factor, partition, deps, assignment, model, policy, None, None,
-    )
-}
-
-/// [`simulate_timed_policy`] that additionally records the idle-time
-/// breakdown into `recorder`: the makespan, the aggregate busy time split
-/// into compute vs. communication (transfer) components, and the idle
-/// fraction that the paper's untimed metrics assume is negligible.
-pub fn simulate_timed_traced(
-    factor: &SymbolicFactor,
-    partition: &Partition,
-    deps: &DepGraph,
-    assignment: &Assignment,
-    model: &CommModel,
-    policy: OrderPolicy,
-    recorder: &Recorder,
-) -> TimedReport {
-    let _span = recorder.span("simulate.timed");
-    simulate_timed_impl(
-        factor,
-        partition,
-        deps,
-        assignment,
-        model,
-        policy,
-        Some(recorder),
-        None,
-    )
+    run(factor, partition, deps, assignment, model, policy, None)
 }
 
 /// [`simulate_timed_policy`] that additionally emits the full event
@@ -191,48 +168,28 @@ pub fn simulate_timed_timeline(
     policy: OrderPolicy,
     sink: &TimelineSink,
 ) -> TimedReport {
-    simulate_timed_impl(
+    run(
         factor,
         partition,
         deps,
         assignment,
         model,
         policy,
-        None,
         Some(sink),
     )
 }
 
-/// The fully general entry point: optional metric recording and
-/// optional timeline capture in one run.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_timed_observed(
+fn run(
     factor: &SymbolicFactor,
     partition: &Partition,
     deps: &DepGraph,
     assignment: &Assignment,
     model: &CommModel,
     policy: OrderPolicy,
-    recorder: Option<&Recorder>,
     sink: Option<&TimelineSink>,
 ) -> TimedReport {
-    let _span = recorder.map(|r| r.span("simulate.timed"));
-    simulate_timed_impl(
-        factor, partition, deps, assignment, model, policy, recorder, sink,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simulate_timed_impl(
-    factor: &SymbolicFactor,
-    partition: &Partition,
-    deps: &DepGraph,
-    assignment: &Assignment,
-    model: &CommModel,
-    policy: OrderPolicy,
-    recorder: Option<&Recorder>,
-    sink: Option<&TimelineSink>,
-) -> TimedReport {
+    let rec = spfactor_trace::current();
+    let _span = rec.span("simulate.timed");
     let nu = partition.num_units();
     let nprocs = assignment.nprocs;
     let capture = sink.is_some();
@@ -503,7 +460,7 @@ fn simulate_timed_impl(
 
     let total_work: f64 = partition.units.iter().map(|u| u.work as f64).sum();
     let seq = total_work * model.per_work;
-    if let Some(rec) = recorder {
+    if rec.is_recording() {
         let busy_total: f64 = busy.iter().sum();
         let capacity = makespan * nprocs as f64;
         let idle_total = (capacity - busy_total).max(0.0);

@@ -3,7 +3,6 @@
 use crate::rows::RowStructure;
 use spfactor_matrix::SymmetricPattern;
 use spfactor_order::etree::{rows_of, EliminationTree, NONE};
-use spfactor_trace::Recorder;
 use std::sync::{Arc, OnceLock};
 
 /// Strict-lower column counts of the Cholesky factor of `pattern`,
@@ -59,7 +58,30 @@ impl SymbolicFactor {
     /// arrays are allocated exactly once at their final size and each
     /// column is merged in place — no per-column set is materialized.
     /// `O(nnz(L))` amortized plus the per-column sorts.
+    ///
+    /// Under a recorder scope the construction is timed as the span
+    /// `symbolic.from_pattern` and the factor's headline statistics are
+    /// recorded as `symbolic.*` gauges — `n`, `nnz_lower`, `fill_in`,
+    /// `flops`, `paper_work` and the fundamental supernode count (see
+    /// `docs/METRICS.md`).
     pub fn from_pattern(pattern: &SymmetricPattern) -> Self {
+        let rec = spfactor_trace::current();
+        let factor = rec.time("symbolic.from_pattern", || Self::build(pattern));
+        if rec.is_recording() {
+            rec.gauge("symbolic.n", factor.n() as f64);
+            rec.gauge("symbolic.nnz_lower", factor.nnz_lower() as f64);
+            rec.gauge("symbolic.fill_in", factor.fill_in() as f64);
+            rec.gauge("symbolic.flops", factor.flop_count() as f64);
+            rec.gauge("symbolic.paper_work", factor.paper_work() as f64);
+            rec.gauge(
+                "symbolic.fundamental_supernodes",
+                crate::supernode::fundamental_supernodes(&factor).len() as f64,
+            );
+        }
+        factor
+    }
+
+    fn build(pattern: &SymmetricPattern) -> Self {
         let n = pattern.n();
         let etree = EliminationTree::from_pattern(pattern);
         let counts = col_counts(pattern, &etree);
@@ -107,25 +129,6 @@ impl SymbolicFactor {
             nnz_a_strict: pattern.nnz_strict_lower(),
             rows: Arc::default(),
         }
-    }
-
-    /// [`from_pattern`](Self::from_pattern) with instrumentation: times
-    /// the construction under the span `symbolic.from_pattern` and records
-    /// the factor's headline statistics as `symbolic.*` gauges — `n`,
-    /// `nnz_lower`, `fill_in`, `flops`, `paper_work` and the fundamental
-    /// supernode count (see `docs/METRICS.md`).
-    pub fn from_pattern_traced(pattern: &SymmetricPattern, recorder: &Recorder) -> Self {
-        let factor = recorder.time("symbolic.from_pattern", || Self::from_pattern(pattern));
-        recorder.gauge("symbolic.n", factor.n() as f64);
-        recorder.gauge("symbolic.nnz_lower", factor.nnz_lower() as f64);
-        recorder.gauge("symbolic.fill_in", factor.fill_in() as f64);
-        recorder.gauge("symbolic.flops", factor.flop_count() as f64);
-        recorder.gauge("symbolic.paper_work", factor.paper_work() as f64);
-        recorder.gauge(
-            "symbolic.fundamental_supernodes",
-            crate::supernode::fundamental_supernodes(&factor).len() as f64,
-        );
-        factor
     }
 
     /// Matrix dimension.

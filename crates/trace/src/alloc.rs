@@ -11,8 +11,9 @@
 //!     spfactor_trace::alloc::TrackingAllocator::new();
 //! ```
 //!
-//! The pipeline brackets each phase with [`reset_peak`] / [`peak_bytes`]
-//! and publishes the mark as a `phase.<name>.peak_bytes` gauge. In
+//! The pipeline's phase guard ([`crate::Current::phase`]) brackets each
+//! phase with [`reset_peak`] / [`peak_bytes`] and publishes the mark as
+//! a `phase.<name>.peak_bytes` gauge next to the `phase.<name>` span. In
 //! binaries that do *not* install the allocator, [`installed`] stays
 //! `false` and the gauges are simply not recorded — library code never
 //! pays for tracking it didn't ask for.
@@ -124,12 +125,17 @@ pub fn reset_peak() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{current, scope, Recorder};
+    use std::sync::{Arc, Mutex};
 
     // The test binary does not install the allocator, so the atomics
-    // are exercised directly through the bookkeeping helpers.
+    // are exercised directly through the bookkeeping helpers — by one
+    // test at a time.
+    static STATICS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn add_sub_track_peak() {
-        // Serialize against other tests touching the statics.
+        let _serial = STATICS.lock().unwrap_or_else(|e| e.into_inner());
         CURRENT.store(0, Ordering::Relaxed);
         PEAK.store(0, Ordering::Relaxed);
         add(100);
@@ -143,6 +149,35 @@ mod tests {
         add(5);
         assert_eq!(peak_bytes(), 45);
         sub(45);
+        assert!(!installed());
+    }
+
+    #[test]
+    fn phase_guard_resets_the_peak_only_under_a_recorder() {
+        let _serial = STATICS.lock().unwrap_or_else(|e| e.into_inner());
+        CURRENT.store(0, Ordering::Relaxed);
+        PEAK.store(0, Ordering::Relaxed);
+        add(100);
+        sub(60);
+        assert!(installed());
+
+        // Nothing in scope: the mark an outside measurement is reading
+        // stays where it was, and no recorder hears of the phase.
+        let bystander = Recorder::new();
+        drop(current().phase("quiet"));
+        assert_eq!(peak_bytes(), 100);
+        assert_eq!(bystander.to_table(), "(no metrics recorded)\n");
+
+        // In scope: span and peak come from the same guard.
+        let rec = Arc::new(Recorder::new());
+        {
+            let _scope = scope(&rec);
+            let _phase = current().phase("loud");
+            add(10);
+        }
+        assert_eq!(rec.gauge_value("phase.loud.peak_bytes"), Some(50.0));
+        assert_eq!(rec.span_stats("phase.loud").unwrap().count, 1);
+        sub(50);
         assert!(!installed());
     }
 }

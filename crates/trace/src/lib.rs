@@ -26,15 +26,16 @@
 //! workers join. Only span open/close and the final bulk recording take
 //! the lock.
 //!
-//! # Compile-time removal
+//! # Ambient scope
 //!
-//! Instrumentation is behind the `trace` cargo feature (on by default).
-//! With `--no-default-features` the recorder stores nothing and every
-//! method body is an `#[inline]` empty stub, so the instrumented code
-//! paths cost nothing. The API is identical in both modes — reads return
-//! zero/`None`, and [`Recorder::to_json`] still emits a document with the
-//! same top-level keys — so callers never need `cfg` guards. Use
-//! [`Recorder::is_enabled`] when behaviour must differ at runtime.
+//! No phase entry point takes a recorder. A caller that wants metrics
+//! puts one in scope on its thread with [`scope`]; each public phase
+//! entry ([`current`] is the handle it resolves, once, on the calling
+//! thread) then records into it, and with nothing in scope every
+//! operation on the handle is a no-op that neither locks nor allocates.
+//! The scope is per thread: a thread spawned inside it sees none, so the
+//! parallel engines hand their workers the resolved handle and record
+//! after the join. See "How recording is scoped" in `docs/METRICS.md`.
 //!
 //! # Example
 //!
@@ -48,12 +49,9 @@
 //! }
 //! rec.gauge("symbolic.fill_in", 42.0);
 //!
-//! if rec.is_enabled() {
-//!     assert_eq!(rec.counter("order.mmd.degree_updates"), 3);
-//!     assert_eq!(rec.gauge_value("symbolic.fill_in"), Some(42.0));
-//!     assert_eq!(rec.span_stats("phase.order").unwrap().count, 1);
-//! }
-//! // The JSON export always has the same shape, traced or not.
+//! assert_eq!(rec.counter("order.mmd.degree_updates"), 3);
+//! assert_eq!(rec.gauge_value("symbolic.fill_in"), Some(42.0));
+//! assert_eq!(rec.span_stats("phase.order").unwrap().count, 1);
 //! assert!(rec.to_json().contains("\"counters\""));
 //! ```
 
@@ -68,13 +66,11 @@ pub use timeline::{
     CriticalPathReport, EventKind, StartEdge, Timeline, TimelineEvent, TimelineSink,
 };
 
-use std::fmt::Write as _;
-
-#[cfg(feature = "trace")]
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-#[cfg(feature = "trace")]
-use std::sync::Mutex;
-#[cfg(feature = "trace")]
+use std::fmt::Write as _;
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Accumulated timing for one span name: how many times it was entered
@@ -94,7 +90,6 @@ impl SpanStats {
     }
 }
 
-#[cfg(feature = "trace")]
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, u64>,
@@ -102,23 +97,29 @@ struct Inner {
     spans: BTreeMap<String, SpanStats>,
 }
 
+/// Applies `f` to the entry under `name`, allocating the key only on
+/// first insert.
+fn upsert<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_string()).or_default()),
+    }
+}
+
 /// Thread-safe sink for counters, gauges and span timings.
 ///
-/// See the [crate docs](crate) for the metric taxonomy and the
-/// compile-out behaviour of the `trace` feature.
+/// See the [crate docs](crate) for the metric taxonomy and for how a
+/// recorder is put in [`scope`].
 ///
 /// ```
 /// use spfactor_trace::Recorder;
 /// let rec = Recorder::new();
 /// rec.incr("partition.clusters_visited", 1);
 /// rec.incr("partition.clusters_visited", 4);
-/// if rec.is_enabled() {
-///     assert_eq!(rec.counter("partition.clusters_visited"), 5);
-/// }
+/// assert_eq!(rec.counter("partition.clusters_visited"), 5);
 /// ```
 #[derive(Default)]
 pub struct Recorder {
-    #[cfg(feature = "trace")]
     inner: Mutex<Inner>,
 }
 
@@ -128,14 +129,13 @@ impl Recorder {
         Self::default()
     }
 
-    /// `true` when the crate was built with the `trace` feature, i.e.
-    /// when recording actually stores data.
+    /// `true`: a recorder always stores what it is given. (Whether
+    /// anything *is* recorded depends on a recorder being in [`scope`].)
     #[inline]
     pub const fn is_enabled(&self) -> bool {
-        cfg!(feature = "trace")
+        true
     }
 
-    #[cfg(feature = "trace")]
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         // A poisoned recorder only means a panic elsewhere; metrics
         // gathered so far are still worth exporting.
@@ -143,25 +143,13 @@ impl Recorder {
     }
 
     /// Adds `by` to the named monotonic counter.
-    #[inline]
     pub fn incr(&self, name: &str, by: u64) {
-        #[cfg(feature = "trace")]
-        {
-            *self.lock().counters.entry(name.to_string()).or_insert(0) += by;
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = (name, by);
+        upsert(&mut self.lock().counters, name, |v| *v += by);
     }
 
     /// Sets the named gauge to `value` (last write wins).
-    #[inline]
     pub fn gauge(&self, name: &str, value: f64) {
-        #[cfg(feature = "trace")]
-        {
-            self.lock().gauges.insert(name.to_string(), value);
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = (name, value);
+        upsert(&mut self.lock().gauges, name, |v| *v = value);
     }
 
     /// Opens a wall-clock span; the elapsed time is recorded under
@@ -175,32 +163,18 @@ impl Recorder {
     ///     let _outer = rec.span("phase.partition");
     ///     let _inner = rec.span("partition.deps");
     /// } // both recorded here, inner first
-    /// if rec.is_enabled() {
-    ///     assert_eq!(rec.span_stats("phase.partition").unwrap().count, 1);
-    ///     assert_eq!(rec.span_stats("partition.deps").unwrap().count, 1);
-    /// }
+    /// assert_eq!(rec.span_stats("phase.partition").unwrap().count, 1);
+    /// assert_eq!(rec.span_stats("partition.deps").unwrap().count, 1);
     /// ```
-    #[inline]
     pub fn span(&self, name: &str) -> Span<'_> {
-        #[cfg(feature = "trace")]
-        {
-            Span {
-                recorder: self,
-                name: name.to_string(),
-                start: Instant::now(),
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = name;
-            Span {
-                _recorder: std::marker::PhantomData,
-            }
+        Span {
+            recorder: self,
+            name: name.to_string(),
+            start: Instant::now(),
         }
     }
 
     /// Runs `f` inside a span named `name` and returns its result.
-    #[inline]
     pub fn time<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
         let _span = self.span(name);
         f()
@@ -209,95 +183,41 @@ impl Recorder {
     /// Directly records one span activation of `elapsed_ns` nanoseconds.
     /// Useful when a duration was measured elsewhere (e.g. per-thread
     /// busy time summed locally and merged after a join).
-    #[inline]
     pub fn record_span_ns(&self, name: &str, elapsed_ns: u64) {
-        #[cfg(feature = "trace")]
-        {
-            let mut inner = self.lock();
-            let stats = inner.spans.entry(name.to_string()).or_default();
+        upsert(&mut self.lock().spans, name, |stats| {
             stats.count += 1;
             stats.total_ns += elapsed_ns;
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = (name, elapsed_ns);
+        });
     }
 
-    /// Current value of a counter (0 if never incremented or tracing is
-    /// disabled).
+    /// Current value of a counter (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.lock().counters.get(name).copied().unwrap_or(0)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = name;
-            0
-        }
+        self.lock().counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Current value of a gauge (`None` if never set or tracing is
-    /// disabled).
+    /// Current value of a gauge (`None` if never set).
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        #[cfg(feature = "trace")]
-        {
-            self.lock().gauges.get(name).copied()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = name;
-            None
-        }
+        self.lock().gauges.get(name).copied()
     }
 
-    /// Accumulated stats for a span name (`None` if never entered or
-    /// tracing is disabled).
+    /// Accumulated stats for a span name (`None` if never entered).
     pub fn span_stats(&self, name: &str) -> Option<SpanStats> {
-        #[cfg(feature = "trace")]
-        {
-            self.lock().spans.get(name).copied()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = name;
-            None
-        }
+        self.lock().spans.get(name).copied()
     }
 
     /// Names of all recorded counters, sorted.
     pub fn counter_names(&self) -> Vec<String> {
-        #[cfg(feature = "trace")]
-        {
-            self.lock().counters.keys().cloned().collect()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            Vec::new()
-        }
+        self.lock().counters.keys().cloned().collect()
     }
 
     /// Names of all recorded gauges, sorted.
     pub fn gauge_names(&self) -> Vec<String> {
-        #[cfg(feature = "trace")]
-        {
-            self.lock().gauges.keys().cloned().collect()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            Vec::new()
-        }
+        self.lock().gauges.keys().cloned().collect()
     }
 
     /// Names of all recorded spans, sorted.
     pub fn span_names(&self) -> Vec<String> {
-        #[cfg(feature = "trace")]
-        {
-            self.lock().spans.keys().cloned().collect()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            Vec::new()
-        }
+        self.lock().spans.keys().cloned().collect()
     }
 
     /// Serializes everything recorded as one JSON document:
@@ -314,51 +234,40 @@ impl Recorder {
     /// storage is `BTreeMap`-backed — so exports are byte-identical for
     /// the same recorded state regardless of insertion order, thread
     /// interleaving or thread count, and metric diffs between runs are
-    /// stable. Non-finite gauge values serialize as `null`. With the
-    /// `trace` feature off the same three top-level keys are emitted,
-    /// empty.
+    /// stable. Non-finite gauge values serialize as `null`. An empty
+    /// recorder emits the same three top-level keys, empty.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        #[cfg(feature = "trace")]
         let inner = self.lock();
-        #[cfg(feature = "trace")]
-        {
-            for (i, (k, v)) in inner.counters.iter().enumerate() {
-                let sep = if i == 0 { "" } else { "," };
-                let _ = write!(out, "{sep}\n    \"{}\": {v}", escape_json(k));
-            }
-            if !inner.counters.is_empty() {
-                out.push_str("\n  ");
-            }
+        let mut out = String::from("{\n  \"counters\": {");
+        for (i, (k, v)) in inner.counters.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(out, "{sep}\n    \"{}\": {v}", escape_json(k));
+        }
+        if !inner.counters.is_empty() {
+            out.push_str("\n  ");
         }
         out.push_str("},\n  \"gauges\": {");
-        #[cfg(feature = "trace")]
-        {
-            for (i, (k, v)) in inner.gauges.iter().enumerate() {
-                let sep = if i == 0 { "" } else { "," };
-                let _ = write!(out, "{sep}\n    \"{}\": {}", escape_json(k), json_f64(*v));
-            }
-            if !inner.gauges.is_empty() {
-                out.push_str("\n  ");
-            }
+        for (i, (k, v)) in inner.gauges.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(out, "{sep}\n    \"{}\": {}", escape_json(k), json_f64(*v));
+        }
+        if !inner.gauges.is_empty() {
+            out.push_str("\n  ");
         }
         out.push_str("},\n  \"spans\": {");
-        #[cfg(feature = "trace")]
-        {
-            for (i, (k, s)) in inner.spans.iter().enumerate() {
-                let sep = if i == 0 { "" } else { "," };
-                let _ = write!(
-                    out,
-                    "{sep}\n    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"mean_ns\": {}}}",
-                    escape_json(k),
-                    s.count,
-                    s.total_ns,
-                    s.mean_ns()
-                );
-            }
-            if !inner.spans.is_empty() {
-                out.push_str("\n  ");
-            }
+        for (i, (k, s)) in inner.spans.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(
+                out,
+                "{sep}\n    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"mean_ns\": {}}}",
+                escape_json(k),
+                s.count,
+                s.total_ns,
+                s.mean_ns()
+            );
+        }
+        if !inner.spans.is_empty() {
+            out.push_str("\n  ");
         }
         out.push_str("}\n}\n");
         out
@@ -369,40 +278,37 @@ impl Recorder {
     /// empty recorder renders as `(no metrics recorded)`.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
-        #[cfg(feature = "trace")]
-        {
-            let inner = self.lock();
-            let width = inner
-                .counters
-                .keys()
-                .chain(inner.gauges.keys())
-                .chain(inner.spans.keys())
-                .map(|k| k.len())
-                .max()
-                .unwrap_or(0);
-            if !inner.spans.is_empty() {
-                out.push_str("spans (name, count, total, mean):\n");
-                for (k, s) in &inner.spans {
-                    let _ = writeln!(
-                        out,
-                        "  {k:<width$}  {:>8}  {:>12}  {:>12}",
-                        s.count,
-                        fmt_ns(s.total_ns),
-                        fmt_ns(s.mean_ns())
-                    );
-                }
+        let inner = self.lock();
+        let width = inner
+            .counters
+            .keys()
+            .chain(inner.gauges.keys())
+            .chain(inner.spans.keys())
+            .map(|k| k.len())
+            .max()
+            .unwrap_or(0);
+        if !inner.spans.is_empty() {
+            out.push_str("spans (name, count, total, mean):\n");
+            for (k, s) in &inner.spans {
+                let _ = writeln!(
+                    out,
+                    "  {k:<width$}  {:>8}  {:>12}  {:>12}",
+                    s.count,
+                    fmt_ns(s.total_ns),
+                    fmt_ns(s.mean_ns())
+                );
             }
-            if !inner.counters.is_empty() {
-                out.push_str("counters:\n");
-                for (k, v) in &inner.counters {
-                    let _ = writeln!(out, "  {k:<width$}  {v:>12}");
-                }
+        }
+        if !inner.counters.is_empty() {
+            out.push_str("counters:\n");
+            for (k, v) in &inner.counters {
+                let _ = writeln!(out, "  {k:<width$}  {v:>12}");
             }
-            if !inner.gauges.is_empty() {
-                out.push_str("gauges:\n");
-                for (k, v) in &inner.gauges {
-                    let _ = writeln!(out, "  {k:<width$}  {v:>12}");
-                }
+        }
+        if !inner.gauges.is_empty() {
+            out.push_str("gauges:\n");
+            for (k, v) in &inner.gauges {
+                let _ = writeln!(out, "  {k:<width$}  {v:>12}");
             }
         }
         if out.is_empty() {
@@ -415,7 +321,6 @@ impl Recorder {
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
-            .field("enabled", &self.is_enabled())
             .field("counters", &self.counter_names().len())
             .field("gauges", &self.gauge_names().len())
             .field("spans", &self.span_names().len())
@@ -427,22 +332,165 @@ impl std::fmt::Debug for Recorder {
 /// wall-clock time when dropped.
 #[must_use = "a span records time only when it is eventually dropped"]
 pub struct Span<'a> {
-    #[cfg(feature = "trace")]
     recorder: &'a Recorder,
-    #[cfg(feature = "trace")]
     name: String,
-    #[cfg(feature = "trace")]
     start: Instant,
-    #[cfg(not(feature = "trace"))]
-    _recorder: std::marker::PhantomData<&'a Recorder>,
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        #[cfg(feature = "trace")]
-        {
-            let elapsed = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.recorder.record_span_ns(&self.name, elapsed);
+        self.recorder
+            .record_span_ns(&self.name, elapsed_ns(self.start));
+    }
+}
+
+fn elapsed_ns(start: Instant) -> u64 {
+    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
+
+thread_local! {
+    /// The recorder in scope on this thread, if any.
+    static SCOPE: RefCell<Option<Arc<Recorder>>> = const { RefCell::new(None) };
+}
+
+/// Puts `recorder` in scope on the calling thread until the returned
+/// guard drops: every phase entry point called from this thread in the
+/// meantime records into it. Scopes nest — the guard restores whatever
+/// was in scope before, also when it is dropped by an unwinding panic —
+/// and do not cross threads.
+///
+/// ```
+/// use std::sync::Arc;
+/// use spfactor_trace::{current, scope, Recorder};
+///
+/// let rec = Arc::new(Recorder::new());
+/// {
+///     let _scope = scope(&rec);
+///     current().incr("seen", 1);
+/// }
+/// current().incr("seen", 1); // nothing in scope: a no-op
+/// assert_eq!(rec.counter("seen"), 1);
+/// ```
+pub fn scope(recorder: &Arc<Recorder>) -> Scope {
+    let previous = SCOPE.with(|s| s.replace(Some(Arc::clone(recorder))));
+    Scope {
+        previous,
+        _this_thread: PhantomData,
+    }
+}
+
+/// Guard returned by [`scope`]; restores the previous scope when
+/// dropped. Not `Send`: it must drop on the thread that opened it.
+#[must_use = "the recorder leaves scope as soon as the guard is dropped"]
+pub struct Scope {
+    previous: Option<Arc<Recorder>>,
+    _this_thread: PhantomData<*const ()>,
+}
+
+impl Drop for Scope {
+    fn drop(&mut self) {
+        // `try_with`: a guard outliving the thread's locals has nothing
+        // left to restore, and `Drop` must not panic.
+        let _ = SCOPE.try_with(|s| *s.borrow_mut() = self.previous.take());
+    }
+}
+
+/// The recorder in scope on the calling thread, as a handle that is
+/// cheap to carry around: a phase entry point resolves it once and
+/// passes `&Current` (or [`Current::is_recording`]) to its helpers and
+/// worker threads, which never look the thread-local up themselves.
+pub fn current() -> Current {
+    Current(SCOPE.with(|s| s.borrow().clone()))
+}
+
+/// Handle to the recorder that was in [`scope`] when [`current`] was
+/// called. With nothing in scope every method is a no-op that takes no
+/// lock, makes no allocation and leaves [`alloc`] alone.
+#[derive(Clone, Debug, Default)]
+pub struct Current(Option<Arc<Recorder>>);
+
+impl Current {
+    /// Whether a recorder is attached. Work done only to feed a metric
+    /// belongs behind this check.
+    #[inline]
+    pub fn is_recording(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// [`Recorder::incr`] on the recorder in scope.
+    #[inline]
+    pub fn incr(&self, name: &str, by: u64) {
+        if let Some(r) = &self.0 {
+            r.incr(name, by);
+        }
+    }
+
+    /// [`Recorder::gauge`] on the recorder in scope.
+    #[inline]
+    pub fn gauge(&self, name: &str, value: f64) {
+        if let Some(r) = &self.0 {
+            r.gauge(name, value);
+        }
+    }
+
+    /// [`Recorder::span`] on the recorder in scope (`None`, which times
+    /// nothing, without one).
+    #[inline]
+    pub fn span(&self, name: &str) -> Option<Span<'_>> {
+        self.0.as_deref().map(|r| r.span(name))
+    }
+
+    /// Runs `f` inside a span named `name` and returns its result.
+    #[inline]
+    pub fn time<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
+        let _span = self.span(name);
+        f()
+    }
+
+    /// Opens pipeline phase `name`: one guard that records the span
+    /// `phase.<name>` and — when the binary installed
+    /// [`alloc::TrackingAllocator`] — the heap high-water mark over the
+    /// same stretch as the gauge `phase.<name>.peak_bytes`, so the two
+    /// cannot disagree about where the phase starts and ends. Without a
+    /// recorder the guard is inert: in particular it does not reset the
+    /// process-wide peak mark, which other measurements may be reading.
+    pub fn phase(&self, name: &str) -> Phase {
+        Phase(self.0.clone().map(|recorder| {
+            let span = format!("phase.{name}");
+            let heap = alloc::installed();
+            if heap {
+                alloc::reset_peak();
+            }
+            PhaseInner {
+                recorder,
+                span,
+                heap,
+                start: Instant::now(),
+            }
+        }))
+    }
+}
+
+/// RAII guard returned by [`Current::phase`].
+#[must_use = "a phase is recorded when the guard is dropped"]
+pub struct Phase(Option<PhaseInner>);
+
+struct PhaseInner {
+    recorder: Arc<Recorder>,
+    span: String,
+    heap: bool,
+    start: Instant,
+}
+
+impl Drop for Phase {
+    fn drop(&mut self) {
+        let Some(p) = self.0.take() else { return };
+        let elapsed = elapsed_ns(p.start);
+        let peak = alloc::peak_bytes();
+        p.recorder.record_span_ns(&p.span, elapsed);
+        if p.heap {
+            p.recorder
+                .gauge(&format!("{}.peak_bytes", p.span), peak as f64);
         }
     }
 }
@@ -476,7 +524,6 @@ pub(crate) fn json_f64(v: f64) -> String {
 }
 
 /// Formats nanoseconds with a readable unit for table output.
-#[cfg_attr(not(feature = "trace"), allow(dead_code))]
 fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.3}s", ns as f64 / 1e9)
@@ -495,19 +542,88 @@ mod tests {
 
     #[test]
     fn disabled_mode_is_silent_but_shaped() {
-        // Runs in both modes; asserts only shape invariants.
-        let rec = Recorder::new();
-        rec.incr("a", 1);
-        rec.gauge("b", 2.0);
-        rec.time("c", || ());
-        let json = rec.to_json();
+        // Nothing in scope: the handle swallows everything.
+        let bystander = Recorder::new();
+        let off = current();
+        assert!(!off.is_recording());
+        off.incr("a", 1);
+        off.gauge("b", 2.0);
+        assert!(off.span("d").is_none());
+        assert_eq!(off.time("e", || 7), 7);
+        drop(off.phase("f"));
+        let json = bystander.to_json();
         for key in ["\"counters\"", "\"gauges\"", "\"spans\""] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        assert!(!rec.to_table().is_empty());
+        assert_eq!(bystander.to_table(), "(no metrics recorded)\n");
     }
 
-    #[cfg(feature = "trace")]
+    fn in_scope() -> Option<Arc<Recorder>> {
+        current().0
+    }
+
+    #[test]
+    fn nested_scopes_restore_the_outer_recorder() {
+        let (a, b) = (Arc::new(Recorder::new()), Arc::new(Recorder::new()));
+        assert!(in_scope().is_none());
+        {
+            let _a = scope(&a);
+            current().incr("n", 1);
+            {
+                let _b = scope(&b);
+                current().incr("n", 10);
+                assert!(Arc::ptr_eq(&in_scope().unwrap(), &b));
+            }
+            assert!(Arc::ptr_eq(&in_scope().unwrap(), &a));
+            current().incr("n", 100);
+        }
+        assert!(in_scope().is_none());
+        assert_eq!((a.counter("n"), b.counter("n")), (101, 10));
+    }
+
+    #[test]
+    fn unwinding_through_a_scope_restores_the_previous_one() {
+        let (a, b) = (Arc::new(Recorder::new()), Arc::new(Recorder::new()));
+        let _a = scope(&a);
+        let caught = std::panic::catch_unwind(|| {
+            let _b = scope(&b);
+            panic!("unwind through the inner scope");
+        });
+        assert!(caught.is_err());
+        assert!(Arc::ptr_eq(&in_scope().unwrap(), &a));
+    }
+
+    #[test]
+    fn a_thread_spawned_inside_a_scope_sees_none() {
+        let rec = Arc::new(Recorder::new());
+        let _scope = scope(&rec);
+        let resolved = current();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!current().is_recording());
+                current().incr("from.lookup", 1);
+                // The handle resolved by the parent is what workers use.
+                resolved.incr("from.handle", 1);
+            });
+        });
+        assert_eq!(rec.counter("from.lookup"), 0);
+        assert_eq!(rec.counter("from.handle"), 1);
+    }
+
+    #[test]
+    fn handle_records_into_the_recorder_it_resolved() {
+        let rec = Arc::new(Recorder::new());
+        let handle = {
+            let _scope = scope(&rec);
+            current()
+        };
+        assert!(handle.is_recording());
+        handle.gauge("g", 1.5);
+        drop(handle.span("s"));
+        assert_eq!(rec.gauge_value("g"), Some(1.5));
+        assert_eq!(rec.span_stats("s").unwrap().count, 1);
+    }
+
     mod traced {
         use super::super::*;
 

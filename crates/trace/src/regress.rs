@@ -268,11 +268,9 @@ mod tests {
         let base = parse(BASE).unwrap();
         let rec = Recorder::new();
         compare(&base, &base, &RegressOptions::default()).record(&rec);
-        if rec.is_enabled() {
-            assert_eq!(rec.gauge_value("bench.regression.checked"), Some(3.0));
-            assert_eq!(rec.gauge_value("bench.regression.count"), Some(0.0));
-            assert_eq!(rec.gauge_value("bench.regression.max_ratio"), Some(1.0));
-            assert_eq!(rec.gauge_value("bench.regression.missing"), Some(0.0));
-        }
+        assert_eq!(rec.gauge_value("bench.regression.checked"), Some(3.0));
+        assert_eq!(rec.gauge_value("bench.regression.count"), Some(0.0));
+        assert_eq!(rec.gauge_value("bench.regression.max_ratio"), Some(1.0));
+        assert_eq!(rec.gauge_value("bench.regression.missing"), Some(0.0));
     }
 }

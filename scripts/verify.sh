@@ -4,8 +4,8 @@
 #   scripts/verify.sh
 #
 # Tier-1 (the gate every PR must keep green) plus the observability
-# checks: the trace feature must compile out cleanly and the rustdoc
-# surface must stay warning-free.
+# checks: one instrumentation path (no twins, no compile-out build), the
+# metrics doc held to the code, and a warning-free rustdoc surface.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,8 +64,18 @@ echo "==> chaos-serve smoke: failover + warm-restart drill"
 cargo test -q -p spfactor --test chaos_serve chaos_serve_smoke
 cargo test -q -p spfactor-sched --test artifact_robustness
 
-echo "==> trace feature off: cargo test --no-default-features"
-cargo test -q --workspace --no-default-features
+echo "==> one instrumentation path: no twins, no recorder plumbing, no trace feature"
+# A phase has one public entry that finds its recorder through
+# spfactor_trace::current(). (clippy -D warnings above turns a leftover
+# cfg(feature = "trace") into an unexpected_cfgs error too.)
+if grep -rnE 'pub fn \w+_(traced|observed)\b|Option<&Recorder>|feature *= *"trace"' \
+     crates tests examples; then
+  echo "instrumentation twin, recorder parameter or trace feature found (see docs/METRICS.md, \"How recording is scoped\")"
+  exit 1
+fi
+
+echo "==> metrics doc: docs/METRICS.md rows == recorded names"
+cargo test -q -p spfactor --test metrics_doc
 
 echo "==> rustdoc (deny warnings): cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

@@ -2,10 +2,6 @@
 //! a pipeline run with a recorder attached must emit the advertised
 //! spans, counters and gauges, and the gauge values must agree with the
 //! artifacts the pipeline returns.
-//!
-//! With `--no-default-features` the instrumentation compiles to no-ops;
-//! the shape-only assertions below still hold (same JSON skeleton, no
-//! entries).
 
 use spfactor::{Pipeline, Recorder};
 use std::sync::Arc;
@@ -48,7 +44,6 @@ fn result_carries_the_recorder() {
     assert!(bare.metrics().is_none());
 }
 
-#[cfg(feature = "trace")]
 mod enabled {
     use super::*;
     use spfactor::Scheme;
@@ -716,16 +711,16 @@ mod enabled {
     }
 }
 
-#[cfg(not(feature = "trace"))]
-mod disabled {
-    use super::*;
-
-    #[test]
-    fn disabled_instrumentation_records_nothing() {
-        let (_result, rec) = run_lap30_block();
-        assert!(!rec.is_enabled());
-        assert!(rec.counter_names().is_empty());
-        assert!(rec.gauge_names().is_empty());
-        assert!(rec.span_names().is_empty());
-    }
+/// Recording is opt-in per run: with no recorder attached and none in
+/// scope the pipeline records nowhere — a recorder that merely exists
+/// stays empty — and the result carries no metrics.
+#[test]
+fn unscoped_run_leaves_a_bystander_recorder_empty() {
+    let bystander = Recorder::new();
+    let m = spfactor::matrix::gen::paper::lap30();
+    let result = Pipeline::new(m.pattern).grain(4).processors(16).run();
+    assert!(result.metrics().is_none());
+    assert!(bystander.counter_names().is_empty());
+    assert!(bystander.gauge_names().is_empty());
+    assert!(bystander.span_names().is_empty());
 }

@@ -8,9 +8,10 @@
 use proptest::prelude::*;
 use spfactor::matrix::gen;
 use spfactor::order::mmd::{elimination_fill, minimum_degree_counted};
-use spfactor::order::{order_with_engine, order_with_engine_traced, OrderEngine};
-use spfactor::trace::Recorder;
+use spfactor::order::{order_with_engine, OrderEngine};
+use spfactor::trace::{scope, Recorder};
 use spfactor::{Ordering, Pipeline, SymmetricPattern};
+use std::sync::Arc;
 
 /// The minimum-degree family as the engines see it.
 const METHODS: [Ordering; 4] = [
@@ -28,8 +29,11 @@ fn check_direct_against_oracle(label: &str, pattern: &SymmetricPattern, method: 
         Ordering::ApproximateMinimumDegree => minimum_degree_counted(pattern, 0, true),
         other => unreachable!("{other:?} has no oracle"),
     };
-    let rec = Recorder::new();
-    let direct = order_with_engine_traced(pattern, method, OrderEngine::Direct, &rec);
+    let rec = Arc::new(Recorder::new());
+    let direct = {
+        let _scope = scope(&rec);
+        order_with_engine(pattern, method, OrderEngine::Direct)
+    };
     assert_eq!(
         direct.as_slice(),
         oracle.as_slice(),
@@ -162,6 +166,29 @@ fn direct_matches_oracle() {
 /// put on the start-of-step twin rule: the oracle missed a merge because
 /// it signed a candidate after an earlier merge of the same step had been
 /// cleaned out of its list, while its twin's stored signature kept it.
+/// Nested dissection orders its leaf subgraphs with the minimum-degree
+/// driver; those are steps of one ordering, not orderings of their own,
+/// so a traced ND run reports itself and nothing from the MMD family.
+#[test]
+fn nested_dissection_leaves_record_nothing() {
+    let rec = Arc::new(Recorder::new());
+    {
+        let _scope = scope(&rec);
+        order_with_engine(
+            &gen::lap9(20, 20),
+            Ordering::NestedDissection,
+            OrderEngine::Direct,
+        );
+    }
+    assert_eq!(
+        rec.counter_names(),
+        ["order.alg.nd", "order.engine.direct"],
+        "leaf orderings leaked into the ND run's metrics"
+    );
+    assert_eq!(rec.counter("order.alg.nd"), 1);
+    assert_eq!(rec.span_stats("order.compute").map(|s| s.count), Some(1));
+}
+
 #[test]
 fn direct_matches_oracle_on_the_formerly_divergent_inputs() {
     let pi = std::f64::consts::PI;

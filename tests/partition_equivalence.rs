@@ -15,7 +15,9 @@ use proptest::prelude::*;
 use spfactor::order::{order, Ordering};
 use spfactor::partition::UnitShape;
 use spfactor::symbolic::ops;
+use spfactor::trace::scope;
 use spfactor::{Partition, PartitionParams, Recorder, SymbolicFactor, SymmetricPattern};
+use std::sync::Arc;
 
 fn factor_of(p: &SymmetricPattern) -> SymbolicFactor {
     let perm = order(p, Ordering::paper_default());
@@ -124,12 +126,12 @@ fn column_partition_matches_oracle_on_all_paper_matrices() {
 #[test]
 fn work_tally_walks_tails_not_update_pairs() {
     let f = factor_of(&spfactor::matrix::gen::lap9(40, 40));
-    let rec = Recorder::new();
-    let part = Partition::build_traced(&f, &PartitionParams::with_grain(25), &rec);
+    let rec = Arc::new(Recorder::new());
+    let part = {
+        let _scope = scope(&rec);
+        Partition::build(&f, &PartitionParams::with_grain(25))
+    };
     assert_matches_oracle(&f, &part, "lap9 40x40 g=25");
-    if !cfg!(feature = "trace") {
-        return;
-    }
     let pairs = rec.counter("partition.work.pairs");
     let segments = rec.counter("partition.work.segments");
     let mut updates = 0u64;
