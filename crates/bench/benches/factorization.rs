@@ -1,12 +1,14 @@
 //! Criterion benches for the numerical phase: sequential vs. parallel
-//! Cholesky on the column DAG, and the triangular solves.
+//! Cholesky on the column DAG, the two executors of the unit-block
+//! schedule, and the triangular solves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spfactor::numeric::{
     cholesky, cholesky_block_parallel, cholesky_supernodal, parallel::cholesky_parallel, solve,
     solve_many_permuted,
 };
-use spfactor::{Ordering, SymbolicFactor};
+use spfactor::partition::build_dependencies;
+use spfactor::{DepsEngine, NetworkModel, Ordering, Partition, PartitionParams, SymbolicFactor};
 
 fn setup(
     m: &spfactor::matrix::gen::paper::TestMatrix,
@@ -43,8 +45,8 @@ fn bench_cholesky(c: &mut Criterion) {
             );
         }
         // The paper's own schedule, executed numerically.
-        let part = spfactor::Partition::build(&f, &spfactor::PartitionParams::with_grain(25));
-        let deps = spfactor::partition::dependencies(&f, &part);
+        let part = Partition::build(&f, &PartitionParams::with_grain(25));
+        let deps = build_dependencies(DepsEngine::Sweep, &f, &part);
         let assign = spfactor::sched::block_allocation(&part, &deps, 8);
         group.bench_with_input(
             BenchmarkId::new("block_schedule_p8", m.name),
@@ -78,7 +80,9 @@ fn bench_solve(c: &mut Criterion) {
 /// The repository benchmark's `factor_grid` subject (BENCHMARK.json),
 /// lap9 80² under MMD: `numeric.cholesky_ms`, `numeric.solve_ms` (eight
 /// right-hand sides) and `matrix.permute_values_ms` as `cargo bench` sees
-/// them.
+/// them, plus its traced profile's two schedule executors on the same
+/// grain-25, two-processor plan (`numeric.block_parallel_ms`,
+/// `mp.execute_ms`).
 fn bench_factor_grid(c: &mut Criterion) {
     let mut group = c.benchmark_group("factor_grid");
     group.sample_size(30);
@@ -99,6 +103,16 @@ fn bench_factor_grid(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("permute", m.name), |b| {
         b.iter(|| a.permute(&perm))
+    });
+    let part = Partition::build(&f, &PartitionParams::with_grain(25));
+    let deps = build_dependencies(DepsEngine::Sweep, &f, &part);
+    let assign = spfactor::sched::block_allocation(&part, &deps, 2);
+    group.bench_function(BenchmarkId::new("block_parallel_p2", m.name), |b| {
+        b.iter(|| cholesky_block_parallel(&pa, &f, &part, &deps, &assign).unwrap())
+    });
+    let free = NetworkModel::free();
+    group.bench_function(BenchmarkId::new("mp_p2", m.name), |b| {
+        b.iter(|| spfactor::mp::execute(&pa, &f, &part, &deps, &assign, &free).unwrap())
     });
     group.finish();
 }

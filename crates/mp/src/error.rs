@@ -40,7 +40,7 @@ impl std::fmt::Display for ProcLastEvent {
 #[derive(Clone, Debug, PartialEq)]
 pub enum MpError {
     /// A virtual processor hit a numeric error (non-positive pivot or a
-    /// structure mismatch); deterministic — lowest failing column wins.
+    /// structure mismatch) — the one the sequential kernel reports.
     Numeric(NumericError),
     /// The [`crate::MpConfig`] is internally inconsistent (probability
     /// outside `[0, 1]`, fault target beyond the processor count, zero

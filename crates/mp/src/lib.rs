@@ -272,8 +272,9 @@ impl MpReport {
 /// `a` must be symmetric positive definite with the structure the
 /// symbolic factor was computed from; `partition`, `deps` and
 /// `assignment` are the artifacts of the structural pipeline. Returns
-/// the factor and the observed statistics, or a typed [`MpError`]
-/// (numeric failures pick the lowest failing column deterministically).
+/// the factor and the observed statistics, or a typed [`MpError`] (a
+/// numeric failure is the error [`spfactor_numeric::cholesky`] returns
+/// for `a`, whichever processor met a failing pivot first).
 /// To run under an explicit fault plan, use [`execute_config`]; both
 /// record the same `mp.*` metrics under a recorder scope.
 pub fn execute(

@@ -14,18 +14,19 @@
 //!    down on [`Msg::Done`] notifications (local predecessors count down
 //!    directly on completion);
 //! 2. **prefetch**: scan the unit's update and scaling operations in
-//!    execution order, classify every source access as local / cache hit
+//!    execution order (the same [`UnitKernel::walk`] that step 3
+//!    executes), classify every source access as local / cache hit
 //!    / new remote fetch, and send one [`Msg::Request`] per owning
 //!    processor batching all newly needed element ids (fan-out); block
 //!    until the matching [`Msg::Reply`]s arrive and install the values
 //!    in the local cache — elements are fetched **once** and reused from
 //!    the cache thereafter, the paper's traffic rule;
-//! 3. **execute** the unit exactly like
-//!    [`spfactor_numeric::cholesky_block_parallel`]: per owned column,
-//!    apply the update operations targeting it (ascending source-column
-//!    order), then take the diagonal square root and scale the owned
-//!    off-diagonals — so the factor is bit-identical to the sequential
-//!    one;
+//! 3. **execute** the unit on the private store with the kernel
+//!    [`spfactor_numeric::cholesky_block_parallel`] runs on shared memory
+//!    ([`UnitKernel::run`]: per owned column the updates in ascending
+//!    source-column order, then the diagonal square root and the scaling
+//!    of the owned off-diagonals) — so the factor is bit-identical to the
+//!    sequential one;
 //! 4. **notify**: count down local successors and send one [`Msg::Done`]
 //!    to every other processor owning a successor.
 //!
@@ -104,10 +105,10 @@ use crate::fault::{FaultInjector, FaultPlan, FaultStats, FaultTrace, MpConfig, R
 use crate::{MpError, MpReport, ProcStats};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use spfactor_matrix::SymmetricCsc;
-use spfactor_numeric::{NumericError, NumericFactor};
+use spfactor_numeric::unit::{Step, UnitKernel};
 use spfactor_partition::{DepGraph, Partition};
 use spfactor_sched::{processor_queues, Assignment};
-use spfactor_symbolic::{ops, SymbolicFactor};
+use spfactor_symbolic::SymbolicFactor;
 use spfactor_trace::{EventKind, StartEdge, TimelineEvent, TimelineSink};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -209,16 +210,6 @@ enum StopCause {
     Watchdog(usize),
 }
 
-/// One update operation with entry-id positions (diagonal `j` at id `j`,
-/// strict entries at `n + compressed position`); `s1 == s2` for diagonal
-/// targets.
-#[derive(Clone, Copy)]
-struct OpRec {
-    tgt: u32,
-    s1: u32,
-    s2: u32,
-}
-
 /// What one virtual processor hands back when its thread ends.
 struct Outcome {
     stats: ProcStats,
@@ -226,7 +217,8 @@ struct Outcome {
     /// column).
     fetched_from: Vec<usize>,
     vals: Vec<f64>,
-    error: Option<NumericError>,
+    /// Column of a pivot that was not positive, if one was met.
+    error: Option<usize>,
     fault: FaultStats,
     crashed: bool,
     /// Timeline events buffered during the run (empty when no sink was
@@ -251,16 +243,13 @@ enum Received {
 struct Worker<'a> {
     me: usize,
     nprocs: usize,
-    n: usize,
     rx: Receiver<Msg>,
     txs: &'a [Sender<Msg>],
     events: &'a Sender<Event>,
     queue: &'a [u32],
     deps: &'a DepGraph,
     assignment: &'a Assignment,
-    unit_ops: &'a [Vec<OpRec>],
-    unit_entries: &'a [Vec<u32>],
-    col_of: &'a [u32],
+    kernel: &'a UnitKernel<'a>,
     proc_of_entry: &'a [u32],
     unit_of_entry: &'a [u32],
     plan: &'a FaultPlan,
@@ -630,17 +619,17 @@ impl Worker<'_> {
     /// cache hit, or a new remote fetch queued for the owner's batch.
     /// Classification happens before any fault can strike, so traffic is
     /// schedule-determined even on faulty runs.
-    fn touch(&mut self, src: u32) {
-        let sp = self.proc_of_entry[src as usize] as usize;
+    fn touch(&mut self, src: usize) {
+        let sp = self.proc_of_entry[src] as usize;
         if sp == self.me {
             self.stats.local_accesses += 1;
-        } else if self.cached[src as usize] {
+        } else if self.cached[src] {
             self.stats.cache_hits += 1;
         } else {
-            self.cached[src as usize] = true;
+            self.cached[src] = true;
             self.stats.traffic += 1;
             self.fetched_from[sp] += 1;
-            self.want[sp].push(src);
+            self.want[sp].push(src as u32);
         }
     }
 
@@ -648,21 +637,21 @@ impl Worker<'_> {
     /// remote source element not yet cached — one batched message per
     /// owning processor.
     fn prefetch(&mut self, u: usize) {
-        let ops_list = self.unit_ops;
-        for r in &ops_list[u] {
-            self.touch(r.s1);
-            if r.s2 != r.s1 {
-                self.touch(r.s2);
+        let kernel = self.kernel;
+        let _ = kernel.walk(u, |step| {
+            match step {
+                Step::Update { s1, s2, .. } => {
+                    self.touch(s1);
+                    if s2 != s1 {
+                        self.touch(s2);
+                    }
+                }
+                Step::Pivot(_) => {}
+                // Scaling reads the final diagonal of the entry's column.
+                Step::Scale { diag, .. } => self.touch(diag),
             }
-        }
-        // Scaling reads the final diagonal of the entry's column
-        // (diagonal ids are exactly the column indices).
-        let entries_list = self.unit_entries;
-        for &id in &entries_list[u] {
-            if id as usize >= self.n {
-                self.touch(self.col_of[id as usize]);
-            }
-        }
+            Ok::<(), std::convert::Infallible>(())
+        });
         for sp in 0..self.nprocs {
             if self.want[sp].is_empty() {
                 continue;
@@ -700,46 +689,10 @@ impl Worker<'_> {
         }
     }
 
-    /// Runs unit `u` on the private value store — the same per-column
-    /// interleaving of updates and finalization as the shared-memory
-    /// block executor, so per-element arithmetic order is sequential.
-    /// Returns the failing column on a non-positive (or NaN) pivot.
+    /// Runs unit `u` on the private value store. Returns the failing
+    /// column on a non-positive (or NaN) pivot.
     fn execute_unit(&mut self, u: usize) -> Result<(), usize> {
-        let ops_list: &[OpRec] = &self.unit_ops[u];
-        let entries_list: &[u32] = &self.unit_entries[u];
-        let col_of = self.col_of;
-        let mut oi = 0usize;
-        let mut ei = 0usize;
-        while ei < entries_list.len() {
-            let col = col_of[entries_list[ei] as usize];
-            while oi < ops_list.len() && col_of[ops_list[oi].tgt as usize] == col {
-                let r = ops_list[oi];
-                self.vals[r.tgt as usize] -= self.vals[r.s1 as usize] * self.vals[r.s2 as usize];
-                self.stats.work += 2;
-                oi += 1;
-            }
-            let start = ei;
-            while ei < entries_list.len() && col_of[entries_list[ei] as usize] == col {
-                ei += 1;
-            }
-            for &id in &entries_list[start..ei] {
-                let id = id as usize;
-                if id == col as usize {
-                    // Diagonal ids sort before strict entries (>= n), so
-                    // the pivot is finalized before its column scales.
-                    let d = self.vals[id];
-                    // NaN-safe: a plain `d <= 0.0` would let NaN through.
-                    if d.is_nan() || d <= 0.0 {
-                        return Err(col as usize);
-                    }
-                    self.vals[id] = d.sqrt();
-                } else {
-                    self.vals[id] /= self.vals[col as usize];
-                    self.stats.work += 1;
-                }
-            }
-        }
-        debug_assert_eq!(oi, ops_list.len(), "update op targeting a non-owned column");
+        self.stats.work += self.kernel.run(u, &mut self.vals)?;
         Ok(())
     }
 
@@ -902,7 +855,7 @@ impl Worker<'_> {
             stats: self.stats,
             fetched_from: self.fetched_from,
             vals: self.vals,
-            error: error.map(NumericError::NotPositiveDefinite),
+            error,
             crashed,
             timeline: self.timeline,
         }
@@ -967,76 +920,13 @@ fn run(
     config: &MpConfig,
     sink: Option<&TimelineSink>,
 ) -> Result<MpReport, MpError> {
-    let n = a.n();
     let nprocs = assignment.nprocs;
     config.validate(nprocs).map_err(MpError::InvalidConfig)?;
-    if n != symbolic.n() {
-        return Err(MpError::Numeric(NumericError::StructureMismatch(format!(
-            "matrix is {n}, symbolic factor is {}",
-            symbolic.n()
-        ))));
-    }
+    let kernel = UnitKernel::new(symbolic, partition).map_err(MpError::Numeric)?;
+    let seed = kernel.seed(a).map_err(MpError::Numeric)?;
     let nu = partition.num_units();
-    let entries = symbolic.num_entries();
-
-    // Seed values of A in entry-id layout (zeros where fill).
-    let mut seed = vec![0.0f64; entries];
-    for j in 0..n {
-        let rows = a.col_rows(j);
-        let avals = a.col_values(j);
-        seed[j] = avals[0];
-        for (&i, &v) in rows[1..].iter().zip(&avals[1..]) {
-            let id = symbolic.entry_id(i, j).ok_or_else(|| {
-                MpError::Numeric(NumericError::StructureMismatch(format!(
-                    "A({i}, {j}) not in factor"
-                )))
-            })?;
-            seed[id] = v;
-        }
-    }
-
-    // Per-unit work scripts, identical to the shared-memory block
-    // executor: updates grouped by target column in ascending
-    // source-column order, owned entries sorted by (column, id).
+    let entries = seed.len();
     let owner = partition.owner_map();
-    let mut unit_ops: Vec<Vec<OpRec>> = vec![Vec::new(); nu];
-    let mut bad_op = false;
-    ops::for_each_update(symbolic, |op| {
-        let (tgt, s1, s2) = match (
-            symbolic.entry_id(op.i, op.j),
-            symbolic.entry_id(op.i, op.k),
-            symbolic.entry_id(op.j, op.k),
-        ) {
-            (Some(t), Some(a1), Some(a2)) => (t, a1, a2),
-            _ => {
-                bad_op = true;
-                return;
-            }
-        };
-        unit_ops[owner[tgt] as usize].push(OpRec {
-            tgt: tgt as u32,
-            s1: s1 as u32,
-            s2: s2 as u32,
-        });
-    });
-    if bad_op {
-        return Err(MpError::Numeric(NumericError::StructureMismatch(
-            "update operation references an entry missing from the factor".into(),
-        )));
-    }
-    let col_of: Vec<u32> = (0..entries)
-        .map(|id| symbolic.entry_coords(id).1 as u32)
-        .collect();
-    for ops_list in &mut unit_ops {
-        ops_list.sort_by_key(|r| col_of[r.tgt as usize]);
-    }
-    let mut unit_entries: Vec<Vec<u32>> = vec![Vec::new(); nu];
-    for (id, &u) in owner.iter().enumerate() {
-        unit_entries[u as usize].push(id as u32);
-    }
-    for list in &mut unit_entries {
-        list.sort_by_key(|&id| (col_of[id as usize], id));
-    }
 
     let proc_of_entry: Vec<u32> = owner
         .iter()
@@ -1073,16 +963,13 @@ fn run(
                 let worker = Worker {
                     me: p,
                     nprocs,
-                    n,
                     rx,
                     txs,
                     events: event_tx,
                     queue: &queues[p],
                     deps,
                     assignment,
-                    unit_ops: &unit_ops,
-                    unit_entries: &unit_entries,
-                    col_of: &col_of,
+                    kernel: &kernel,
                     proc_of_entry: &proc_of_entry,
                     unit_of_entry: owner,
                     plan: &config.fault,
@@ -1206,17 +1093,10 @@ fn run(
         }
     }
 
-    // Deterministic error selection: the lowest failing column, taken
-    // from the joined outcomes rather than event arrival order.
-    if let Some(e) = outcomes
-        .iter()
-        .filter_map(|o| o.error.as_ref())
-        .min_by_key(|e| match e {
-            NumericError::NotPositiveDefinite(col) => *col,
-            NumericError::StructureMismatch(_) => usize::MAX,
-        })
-    {
-        return Err(MpError::Numeric(e.clone()));
+    // Which failing pivot a processor reached first depends on timing;
+    // the error reported is the sequential kernel's, which does not.
+    if let Some(col) = outcomes.iter().find_map(|o| o.error) {
+        return Err(MpError::Numeric(kernel.pivot_error(a, col)));
     }
     match cause {
         None => {}
@@ -1257,22 +1137,11 @@ fn run(
         }
     }
 
-    // Gather each entry's final value from its owner and repackage into
-    // the NumericFactor layout.
-    let mut values = vec![0.0f64; entries];
-    for (e, v) in values.iter_mut().enumerate() {
-        *v = outcomes[proc_of_entry[e] as usize].vals[e];
-    }
-    let mut colptr = Vec::with_capacity(n + 1);
-    colptr.push(0usize);
-    let mut rowidx = Vec::with_capacity(symbolic.nnz_strict_lower());
-    for j in 0..n {
-        rowidx.extend_from_slice(symbolic.col(j));
-        colptr.push(rowidx.len());
-    }
-    let diag: Vec<f64> = values[..n].to_vec();
-    let vals: Vec<f64> = values[n..].to_vec();
-    let factor = NumericFactor::from_parts(n, diag, vals, colptr, rowidx);
+    // Gather each entry's final value from its owner.
+    let values: Vec<f64> = (0..entries)
+        .map(|e| outcomes[proc_of_entry[e] as usize].vals[e])
+        .collect();
+    let factor = kernel.into_factor(values);
 
     let mut pair_matrix = vec![0usize; nprocs * nprocs];
     for (dst, o) in outcomes.iter().enumerate() {
@@ -1303,6 +1172,7 @@ mod tests {
     use crate::fault::{CrashPlan, StallPlan};
     use crate::{execute, NetworkModel};
     use spfactor_matrix::{gen, SymmetricPattern};
+    use spfactor_numeric::NumericError;
     use spfactor_order::{order, Ordering};
     use spfactor_partition::{dependencies, PartitionParams};
     use spfactor_sched::{block_allocation, wrap_allocation};

@@ -74,10 +74,9 @@ impl NumericFactor {
         z
     }
 
-    /// Assembles a factor from its raw storage arrays. Used by the
-    /// executors in this crate and by external runtimes (e.g.
-    /// `spfactor-mp`) that compute the values under their own execution
-    /// discipline; `diag` holds the `n` diagonal values, `vals` the
+    /// Assembles a factor from its raw storage arrays, for the kernels
+    /// and executors in this crate that compute the values under their
+    /// own discipline; `diag` holds the `n` diagonal values, `vals` the
     /// strict-lower values in the column-compressed layout described by
     /// `colptr`/`rowidx`.
     pub fn from_parts(

@@ -18,6 +18,9 @@
 //!   assignment) numerically, one thread per simulated processor, again
 //!   bit-identical — the sharpest possible check that the dependency
 //!   analysis is complete;
+//! * [`mod@unit`] — what one unit block computes, walked straight off the
+//!   factor's row structure: the kernel under that executor and under the
+//!   message-passing one in `spfactor-mp`;
 //! * [`solve`] — forward/backward substitution and a whole-pipeline
 //!   [`solve::SpdSolver`] for `Ax = b`;
 //! * [`batch`] — amortized entry points factoring many value sets and
@@ -30,6 +33,7 @@ pub mod factor;
 pub mod parallel;
 pub mod solve;
 pub mod supernodal;
+pub mod unit;
 
 pub use batch::{factorize_many, solve_many, solve_many_permuted};
 pub use block_parallel::cholesky_block_parallel;

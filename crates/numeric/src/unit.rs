@@ -1,0 +1,287 @@
+//! What one **unit block** of the paper's partition computes — the one
+//! place that knows.
+//!
+//! Both schedule executors — [`crate::cholesky_block_parallel`] (shared
+//! memory) and `spfactor_mp::execute` (message passing) — are transports
+//! around this module: they decide *when* a unit runs and how the values
+//! it reads got there; [`UnitKernel::walk`] decides *what* it does. The
+//! walk goes straight off the factor's structure: for each column `j` the
+//! unit owns entries of, row `j` of L ([`SymbolicFactor::row_structure`])
+//! lists the source columns `k` in ascending order, and the owned rows
+//! are merged against the tail of column `k` below `L(j, k)`. Entry ids
+//! are positions (`n + colptr[k] + offset`), so there is no lookup that
+//! could miss, and nothing is stored per update pair.
+//!
+//! Ascending `k` per target element is the sequential kernel's summation
+//! order, so a factor computed by running every unit once, each after the
+//! units it depends on, is `==` [`crate::cholesky`]'s.
+
+use crate::factor::NumericFactor;
+use crate::NumericError;
+use spfactor_matrix::SymmetricCsc;
+use spfactor_partition::Partition;
+use spfactor_symbolic::{RowStructure, SymbolicFactor};
+
+/// One operation of a unit block, on entry ids (diagonal `j` at `j`,
+/// strict entries at `n +` their column-compressed position).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// `values[tgt] -= values[s1] * values[s2]`: target `L(i, j)` takes
+    /// `L(i, k) · L(j, k)`; `s1 == s2` when the target is a diagonal.
+    Update {
+        /// The owned target entry.
+        tgt: usize,
+        /// `L(i, k)`.
+        s1: usize,
+        /// `L(j, k)`.
+        s2: usize,
+    },
+    /// `values[j] = sqrt(values[j])`: the owned diagonal of column `j`
+    /// has received all its updates.
+    Pivot(usize),
+    /// `values[id] /= values[diag]`: an owned strict entry is scaled by
+    /// the final diagonal of its column.
+    Scale {
+        /// The owned strict entry.
+        id: usize,
+        /// The diagonal of its column (the column index).
+        diag: usize,
+    },
+}
+
+/// The unit blocks of one partition as executable work. Pattern-only and
+/// `O(entries)` to build: the owned entries of every unit plus borrowed
+/// structure.
+pub struct UnitKernel<'a> {
+    symbolic: &'a SymbolicFactor,
+    rows: &'a RowStructure,
+    /// Unit `u` owns `entries[start[u]..start[u + 1]]`.
+    start: Vec<usize>,
+    /// Entry ids grouped by owning unit, each group in `(column, id)`
+    /// order — a column's diagonal before its strict entries.
+    entries: Vec<u32>,
+}
+
+impl<'a> UnitKernel<'a> {
+    /// Groups the factor's entries by owning unit (one counting sort).
+    /// Fails if `partition` was not built for `symbolic`'s structure.
+    pub fn new(symbolic: &'a SymbolicFactor, partition: &Partition) -> Result<Self, NumericError> {
+        let owner = partition.owner_map();
+        if owner.len() != symbolic.num_entries() || u32::try_from(owner.len()).is_err() {
+            return Err(NumericError::StructureMismatch(format!(
+                "partition owns {} entries, symbolic factor has {}",
+                owner.len(),
+                symbolic.num_entries()
+            )));
+        }
+        let mut start = vec![0usize; partition.num_units() + 1];
+        for &u in owner {
+            start[u as usize + 1] += 1;
+        }
+        for u in 1..start.len() {
+            start[u] += start[u - 1];
+        }
+        let mut cursor = start.clone();
+        let mut entries = vec![0u32; owner.len()];
+        let (n, colptr) = (symbolic.n(), symbolic.colptr());
+        for j in 0..n {
+            for id in std::iter::once(j).chain(n + colptr[j]..n + colptr[j + 1]) {
+                let at = &mut cursor[owner[id] as usize];
+                entries[*at] = id as u32;
+                *at += 1;
+            }
+        }
+        Ok(UnitKernel {
+            symbolic,
+            rows: symbolic.row_structure(),
+            start,
+            entries,
+        })
+    }
+
+    /// The values of `a` in entry-id layout, zero where L has fill.
+    pub fn seed(&self, a: &SymmetricCsc) -> Result<Vec<f64>, NumericError> {
+        let n = a.n();
+        if n != self.symbolic.n() {
+            return Err(NumericError::StructureMismatch(format!(
+                "matrix is {n}, symbolic factor is {}",
+                self.symbolic.n()
+            )));
+        }
+        let mut values = vec![0.0f64; self.symbolic.num_entries()];
+        for j in 0..n {
+            let (rows, avals) = (a.col_rows(j), a.col_values(j));
+            values[j] = avals[0];
+            for (&i, &v) in rows[1..].iter().zip(&avals[1..]) {
+                let id = self.symbolic.entry_id(i, j).ok_or_else(|| {
+                    NumericError::StructureMismatch(format!("A({i}, {j}) not in factor"))
+                })?;
+                values[id] = v;
+            }
+        }
+        Ok(values)
+    }
+
+    /// Visits the operations of unit `u` in execution order: per owned
+    /// column `j` ascending, the updates into its owned entries (source
+    /// column `k` ascending, then target row ascending), then the pivot
+    /// if the diagonal is owned, then one scaling per owned strict entry.
+    /// Stops at the first error `visit` returns.
+    pub fn walk<E>(&self, u: usize, mut visit: impl FnMut(Step) -> Result<(), E>) -> Result<(), E> {
+        let n = self.symbolic.n();
+        let (colptr, rowidx) = (self.symbolic.colptr(), self.symbolic.rowidx());
+        let mut owned = &self.entries[self.start[u]..self.start[u + 1]];
+        while let Some(&first) = owned.first() {
+            let j = self.symbolic.entry_coords(first as usize).1;
+            let strict_ids = n + colptr[j]..n + colptr[j + 1];
+            let len = owned
+                .iter()
+                .position(|&id| id as usize != j && !strict_ids.contains(&(id as usize)))
+                .unwrap_or(owned.len());
+            let (column, rest) = owned.split_at(len);
+            owned = rest;
+            let has_diag = first as usize == j;
+            let strict = &column[has_diag as usize..];
+            for &(k, pos) in self.rows.row(j) {
+                // L(j, k); column k is sorted, so its rows below j — all
+                // of them rows of column j — follow it.
+                let at = colptr[k as usize] + pos as usize;
+                let ljk = n + at;
+                if has_diag {
+                    visit(Step::Update {
+                        tgt: j,
+                        s1: ljk,
+                        s2: ljk,
+                    })?;
+                }
+                let Some(&lowest) = strict.first() else {
+                    continue;
+                };
+                let end = colptr[k as usize + 1];
+                let lowest = rowidx[lowest as usize - n];
+                let mut q = at + 1 + rowidx[at + 1..end].partition_point(|&r| r < lowest);
+                for &tgt in strict {
+                    let i = rowidx[tgt as usize - n];
+                    while q < end && rowidx[q] < i {
+                        q += 1;
+                    }
+                    if q == end {
+                        break;
+                    }
+                    if rowidx[q] == i {
+                        visit(Step::Update {
+                            tgt: tgt as usize,
+                            s1: n + q,
+                            s2: ljk,
+                        })?;
+                        q += 1;
+                    }
+                }
+            }
+            if has_diag {
+                visit(Step::Pivot(j))?;
+            }
+            for &id in strict {
+                visit(Step::Scale {
+                    id: id as usize,
+                    diag: j,
+                })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Executes unit `u` on `values` (entry-id layout): the entries the
+    /// unit owns become final. Returns the work done under the paper's
+    /// cost model (2 per update, 1 per scaling), or the column whose pivot
+    /// was not positive (or NaN); the unit stops there.
+    pub fn run(&self, u: usize, values: &mut [f64]) -> Result<usize, usize> {
+        assert_eq!(values.len(), self.entries.len(), "one value per entry");
+        // SAFETY: the walk yields ids below `entries.len()`, and the
+        // exclusive borrow rules out any concurrent access.
+        unsafe { self.run_shared(u, values.as_mut_ptr()) }
+    }
+
+    /// [`Self::run`] on a value array other threads are working on too.
+    ///
+    /// # Safety
+    ///
+    /// `values` must point to [`SymbolicFactor::num_entries`] values. For
+    /// the duration of the call no other thread may access the entries
+    /// unit `u` owns, and none may write the entries it reads — which is
+    /// what running `u` after all its `DepGraph` predecessors have
+    /// completed, with that completion published to this thread,
+    /// guarantees.
+    pub unsafe fn run_shared(&self, u: usize, values: *mut f64) -> Result<usize, usize> {
+        let mut work = 0;
+        self.walk(u, |step| {
+            // SAFETY: every id the walk yields is an entry id, in bounds
+            // by the caller's contract; written ids are owned by `u`.
+            unsafe {
+                match step {
+                    Step::Update { tgt, s1, s2 } => {
+                        *values.add(tgt) -= *values.add(s1) * *values.add(s2);
+                        work += 2;
+                    }
+                    Step::Pivot(j) => {
+                        let d = *values.add(j);
+                        // NaN-safe: a plain `d <= 0.0` would let a NaN
+                        // pivot through.
+                        if d.is_nan() || d <= 0.0 {
+                            return Err(j);
+                        }
+                        *values.add(j) = d.sqrt();
+                    }
+                    Step::Scale { id, diag } => {
+                        *values.add(id) /= *values.add(diag);
+                        work += 1;
+                    }
+                }
+            }
+            Ok(())
+        })?;
+        Ok(work)
+    }
+
+    /// The error to report once some unit's pivot failed at `col`.
+    /// Units run concurrently, so which failing column is seen first
+    /// varies; the sequential kernel does the same arithmetic in column
+    /// order, so its error names the lowest one, every time.
+    pub fn pivot_error(&self, a: &SymmetricCsc, col: usize) -> NumericError {
+        crate::cholesky(a, self.symbolic)
+            .err()
+            .unwrap_or(NumericError::NotPositiveDefinite(col))
+    }
+
+    /// Repackages a finished value array (entry-id layout) as the factor.
+    pub fn into_factor(self, mut values: Vec<f64>) -> NumericFactor {
+        let n = self.symbolic.n();
+        let vals = values.split_off(n);
+        values.shrink_to_fit();
+        NumericFactor::from_parts(
+            n,
+            values,
+            vals,
+            self.symbolic.colptr().to_vec(),
+            self.symbolic.rowidx().to_vec(),
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spfactor_matrix::gen;
+
+    // The walk and `run` are pinned in tests/numeric_kernel_bits.rs.
+    #[test]
+    fn a_partition_of_another_factor_is_a_typed_error() {
+        let f = SymbolicFactor::from_pattern(&gen::lap9(4, 4));
+        let other = SymbolicFactor::from_pattern(&gen::lap9(3, 3));
+        let part = Partition::columns(&f);
+        assert!(matches!(
+            UnitKernel::new(&other, &part),
+            Err(NumericError::StructureMismatch(_))
+        ));
+    }
+}

@@ -4,8 +4,9 @@
 #   scripts/verify.sh
 #
 # Tier-1 (the gate every PR must keep green) plus the observability
-# checks: one instrumentation path (no twins, no compile-out build), the
-# metrics doc held to the code, and a warning-free rustdoc surface.
+# checks: one instrumentation path (no twins, no compile-out build), one
+# unit-block kernel under both schedule executors, the metrics doc held
+# to the code, and a warning-free rustdoc surface.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,6 +74,18 @@ if grep -rnE 'pub fn \w+_(traced|observed)\b|Option<&Recorder>|feature *= *"trac
   echo "instrumentation twin, recorder parameter or trace feature found (see docs/METRICS.md, \"How recording is scoped\")"
   exit 1
 fi
+
+echo "==> one unit kernel: no per-update-pair scripts in the schedule executors"
+# What a unit block computes is numeric::unit's business alone; the two
+# executors are transports around it (docs/ARCHITECTURE.md, "One unit
+# kernel, two transports").
+if grep -rnE 'for_each_update|entry_id\(|struct OpRec' \
+     crates/numeric/src/block_parallel.rs crates/mp/src; then
+  echo "a schedule executor enumerates update pairs itself (see crates/numeric/src/unit.rs)"
+  exit 1
+fi
+cargo test -q -p spfactor --test numeric_kernel_bits unit
+cargo test -q -p spfactor --test metrics_surface block_parallel_allocates_nothing_per_update_pair
 
 echo "==> metrics doc: docs/METRICS.md rows == recorded names"
 cargo test -q -p spfactor --test metrics_doc

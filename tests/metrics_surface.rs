@@ -485,6 +485,54 @@ mod enabled {
     }
 
     #[test]
+    fn block_parallel_allocates_nothing_per_update_pair() {
+        use spfactor::matrix::gen;
+        use spfactor::trace::alloc;
+        use spfactor::{numeric, partition, sched, Partition, PartitionParams, SymbolicFactor};
+        // The allocator's high-water mark is process-wide, so the bound is
+        // checked with no other test running: unless this process already
+        // runs one test at a time, the test re-runs itself alone.
+        const ALONE: &str = "--test-threads=1";
+        if !std::env::args().any(|arg| arg == ALONE) {
+            let me = std::env::current_exe().expect("test binary path");
+            let name = "enabled::block_parallel_allocates_nothing_per_update_pair";
+            let child = std::process::Command::new(me)
+                .args(["--exact", name, ALONE])
+                .output()
+                .expect("re-run alone");
+            assert!(
+                child.status.success(),
+                "{}{}",
+                String::from_utf8_lossy(&child.stdout),
+                String::from_utf8_lossy(&child.stderr)
+            );
+            return;
+        }
+        // lap9 40² at grain 25 on 4 processors: 707,509 update pairs over
+        // 37,991 entries. Values, entry lists, row structure, channels
+        // and the returned factor are a few tens of bytes per entry; a
+        // script of the update pairs alone was 223.
+        let pattern = gen::lap9(40, 40);
+        let perm = spfactor::order::order(&pattern, spfactor::Ordering::paper_default());
+        let a = gen::spd_from_pattern(&pattern.permute(&perm), 3);
+        let f = SymbolicFactor::from_pattern(&a.pattern());
+        let part = Partition::build(&f, &PartitionParams::with_grain(25));
+        let deps = partition::dependencies(&f, &part);
+        let assign = sched::block_allocation(&part, &deps, 4);
+        alloc::reset_peak();
+        let before = alloc::current_bytes();
+        let factor = numeric::cholesky_block_parallel(&a, &f, &part, &deps, &assign).expect("SPD");
+        let peak = alloc::peak_bytes() - before;
+        assert_eq!(factor, numeric::cholesky(&a, &f).expect("SPD"));
+        assert!(
+            peak < 128 * f.num_entries(),
+            "heap peak {peak} B over {} entries = {} B per entry",
+            f.num_entries(),
+            peak / f.num_entries()
+        );
+    }
+
+    #[test]
     fn compressed_order_engine_emits_its_surface() {
         // Selecting the compressed engine records the engine counter,
         // the compression-ratio gauges and the weighted-MD work

@@ -9,17 +9,26 @@
 //! how many sources ride one gather of `acc[i]`, never the order in which
 //! one `acc[i]` receives its subtractions, so equality here is `==` on
 //! `NumericFactor` and on every solution vector — no tolerance.
+//!
+//! The same goes for the unit-block kernel under both schedule executors
+//! (`numeric::unit`): the per-unit scripts the executors used to build by
+//! replaying every update pair are kept here as the oracle of its walk.
 
 use proptest::prelude::*;
 use spfactor::matrix::gen::{self, paper};
 use spfactor::matrix::SymmetricCsc;
 use spfactor::numeric::solve::{lower_solve, upper_solve};
-use spfactor::numeric::{cholesky, solve_many, solve_many_permuted, NumericFactor};
+use spfactor::numeric::unit::{Step, UnitKernel};
+use spfactor::numeric::{
+    cholesky, cholesky_block_parallel, cholesky_parallel, solve_many, solve_many_permuted,
+    NumericFactor,
+};
 use spfactor::order::{order, Ordering};
 use spfactor::partition::{build_dependencies, dependencies};
+use spfactor::symbolic::ops;
 use spfactor::{
-    DepsEngine, NumericError, Partition, PartitionParams, Permutation, SymbolicFactor,
-    SymmetricPattern,
+    mp, sched, DepsEngine, MpError, NetworkModel, NumericError, Partition, PartitionParams,
+    Permutation, SymbolicFactor, SymmetricPattern,
 };
 
 /// The kernel `numeric::cholesky` had before it read the factor's row
@@ -115,6 +124,80 @@ fn oracle_solve_many_permuted(
             lower_solve(l, &mut u);
             upper_solve(l, &mut u);
             perm.apply_inverse(&u)
+        })
+        .collect()
+}
+
+/// The per-unit work scripts both schedule executors built before they
+/// shared `numeric::unit` — every update pair of the factorization
+/// replayed, three `entry_id` searches each, grouped by owning unit and
+/// stable-sorted by target column; owned entries sorted by `(column, id)`
+/// — followed by their per-column execution loop, recorded as steps.
+fn oracle_unit_scripts(symbolic: &SymbolicFactor, partition: &Partition) -> Vec<Vec<Step>> {
+    let nu = partition.num_units();
+    let entries = symbolic.num_entries();
+    let owner = partition.owner_map();
+    let eid = |i: usize, j: usize| symbolic.entry_id(i, j).expect("factor entry");
+    let mut unit_ops: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); nu];
+    ops::for_each_update(symbolic, |op| {
+        let tgt = eid(op.i, op.j);
+        unit_ops[owner[tgt] as usize].push((
+            tgt as u32,
+            eid(op.i, op.k) as u32,
+            eid(op.j, op.k) as u32,
+        ));
+    });
+    let col_of: Vec<u32> = (0..entries)
+        .map(|id| symbolic.entry_coords(id).1 as u32)
+        .collect();
+    for ops_list in &mut unit_ops {
+        ops_list.sort_by_key(|r| col_of[r.0 as usize]);
+    }
+    let mut unit_entries: Vec<Vec<u32>> = vec![Vec::new(); nu];
+    for (id, &u) in owner.iter().enumerate() {
+        unit_entries[u as usize].push(id as u32);
+    }
+    for list in &mut unit_entries {
+        list.sort_by_key(|&id| (col_of[id as usize], id));
+    }
+
+    (0..nu)
+        .map(|u| {
+            let (ops_list, entries_list) = (&unit_ops[u], &unit_entries[u]);
+            let mut steps = Vec::new();
+            let (mut oi, mut ei) = (0usize, 0usize);
+            while ei < entries_list.len() {
+                let col = col_of[entries_list[ei] as usize];
+                while oi < ops_list.len() && col_of[ops_list[oi].0 as usize] == col {
+                    let (tgt, s1, s2) = ops_list[oi];
+                    steps.push(Step::Update {
+                        tgt: tgt as usize,
+                        s1: s1 as usize,
+                        s2: s2 as usize,
+                    });
+                    oi += 1;
+                }
+                let start = ei;
+                while ei < entries_list.len() && col_of[entries_list[ei] as usize] == col {
+                    ei += 1;
+                }
+                for &id in &entries_list[start..ei] {
+                    steps.push(if id == col {
+                        Step::Pivot(col as usize)
+                    } else {
+                        Step::Scale {
+                            id: id as usize,
+                            diag: col as usize,
+                        }
+                    });
+                }
+            }
+            assert_eq!(
+                oi,
+                ops_list.len(),
+                "update into a column the unit owns nothing of"
+            );
+            steps
         })
         .collect()
 }
@@ -271,6 +354,131 @@ fn failures_are_the_oracles_failures() {
     let want = oracle_cholesky(&good, &f5);
     assert!(matches!(want, Err(NumericError::StructureMismatch(_))));
     assert_eq!(cholesky(&good, &f5), want);
+}
+
+/// A 12-column matrix with two pivots that fail independently: a path
+/// 0–9 whose last diagonal is −5, and the pair 10–11 with `A(10,10) = −1`.
+/// Column 10 waits for nothing, column 9 for the whole path, so a
+/// parallel executor meets 10 first; the sequential kernel stops at 9.
+fn two_failing_pivots() -> SymmetricCsc {
+    let mut colptr = vec![0usize];
+    let (mut rowidx, mut values) = (Vec::new(), Vec::new());
+    for j in 0..12usize {
+        rowidx.push(j);
+        values.push(match j {
+            9 => -5.0,
+            10 => -1.0,
+            _ => 4.0,
+        });
+        if j != 9 && j != 11 {
+            rowidx.push(j + 1);
+            values.push(-1.0);
+        }
+        colptr.push(rowidx.len());
+    }
+    SymmetricCsc::from_parts(12, colptr, rowidx, values).expect("valid CSC")
+}
+
+#[test]
+fn executors_report_the_sequential_kernels_pivot() {
+    let a = two_failing_pivots();
+    let f = SymbolicFactor::from_pattern(&a.pattern());
+    let want = Err(NumericError::NotPositiveDefinite(9));
+    assert_eq!(oracle_cholesky(&a, &f), want);
+    assert_eq!(cholesky(&a, &f), want);
+    assert_eq!(cholesky_parallel(&a, &f, 2), want);
+    let part = Partition::columns(&f);
+    let deps = dependencies(&f, &part);
+    let assign = sched::wrap_allocation(&part, 2);
+    for _ in 0..20 {
+        assert_eq!(cholesky_block_parallel(&a, &f, &part, &deps, &assign), want);
+    }
+    for run in 0..200 {
+        assert_eq!(
+            mp::execute(&a, &f, &part, &deps, &assign, &NetworkModel::default()).map(|r| r.factor),
+            Err(MpError::Numeric(NumericError::NotPositiveDefinite(9))),
+            "mp run {run}"
+        );
+    }
+}
+
+/// The subjects of the unit-kernel pins: name, SPD values under MMD,
+/// symbolic factor.
+fn unit_subjects() -> Vec<(String, SymmetricCsc, SymbolicFactor)> {
+    let mut patterns: Vec<(String, SymmetricPattern)> = paper::all()
+        .into_iter()
+        .map(|m| (m.name.to_string(), m.pattern))
+        .collect();
+    for side in [8usize, 21, 40] {
+        patterns.push((format!("lap9 {side}²"), gen::lap9(side, side)));
+    }
+    patterns.push((
+        "power_network(400,40,5)".into(),
+        gen::power_network(400, 40, 5),
+    ));
+    patterns
+        .into_iter()
+        .map(|(name, pattern)| {
+            let perm = order(&pattern, Ordering::paper_default());
+            let a = gen::spd_from_pattern(&pattern.permute(&perm), 13);
+            let f = SymbolicFactor::from_pattern(&a.pattern());
+            (name, a, f)
+        })
+        .collect()
+}
+
+fn unit_partitions(f: &SymbolicFactor) -> [(&'static str, Partition); 3] {
+    [
+        (
+            "block g4",
+            Partition::build(f, &PartitionParams::with_grain(4)),
+        ),
+        (
+            "block g25",
+            Partition::build(f, &PartitionParams::with_grain(25)),
+        ),
+        ("wrap", Partition::columns(f)),
+    ]
+}
+
+#[test]
+fn unit_walk_is_the_script_replay() {
+    for (name, _, f) in unit_subjects() {
+        for (scheme, part) in unit_partitions(&f) {
+            let kernel = UnitKernel::new(&f, &part).expect("partition of this factor");
+            let oracle = oracle_unit_scripts(&f, &part);
+            for (u, want) in oracle.iter().enumerate() {
+                let mut got = Vec::with_capacity(want.len());
+                let walked: Result<(), ()> = kernel.walk(u, |step| {
+                    got.push(step);
+                    Ok(())
+                });
+                assert_eq!(walked, Ok(()));
+                assert!(
+                    got == *want,
+                    "{name} {scheme}: unit {u} walks another script"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn units_run_in_topological_order_match_cholesky() {
+    for (name, a, f) in unit_subjects() {
+        let want = cholesky(&a, &f).expect("SPD");
+        for (scheme, part) in unit_partitions(&f) {
+            let kernel = UnitKernel::new(&f, &part).expect("partition of this factor");
+            let mut values = kernel.seed(&a).expect("A inside the factor");
+            let mut work = 0usize;
+            let deps = build_dependencies(DepsEngine::Sweep, &f, &part);
+            for u in sched::topological_order(&deps) {
+                work += kernel.run(u as usize, &mut values).expect("SPD");
+            }
+            assert_eq!(work, f.paper_work(), "{name} {scheme}: work");
+            assert_eq!(kernel.into_factor(values), want, "{name} {scheme}: factor");
+        }
+    }
 }
 
 #[test]
