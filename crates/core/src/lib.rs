@@ -474,6 +474,23 @@ impl Pipeline {
                 message: "matrix has zero columns".into(),
             });
         }
+        // The minimum-degree driver (also nested dissection's leaf
+        // ordering) keeps 32-bit ids and offsets; a pattern beyond them is
+        // refused here rather than truncated there.
+        if matches!(
+            self.ordering,
+            Ordering::MultipleMinimumDegree { .. }
+                | Ordering::ApproximateMinimumDegree
+                | Ordering::NestedDissection
+        ) {
+            let (n, nnz) = (self.pattern.n(), self.pattern.nnz_strict_lower());
+            order::compress::check_index_range(n, nnz).map_err(|message| {
+                SpfactorError::InvalidParameter {
+                    param: "pattern",
+                    message,
+                }
+            })?;
+        }
         if self.nprocs == 0 {
             return Err(SpfactorError::InvalidParameter {
                 param: "processors",

@@ -149,7 +149,7 @@ impl SymmetricPattern {
 
     /// The adjacency graph of the full symmetric matrix (no self loops).
     pub fn to_graph(&self) -> Graph {
-        Graph::from_edges(self.n, self.iter_entries())
+        Graph::from_lower_csc(self.n, &self.colptr, &self.rowidx)
     }
 
     /// A stable 64-bit hash of the structure (dimension, column pointers,

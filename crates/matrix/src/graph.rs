@@ -39,6 +39,36 @@ impl Graph {
         Graph { n, xadj, adj }
     }
 
+    /// The graph of a canonical strict-lower CSC structure (ascending,
+    /// duplicate-free rows `> j` per column) in two flat passes: count,
+    /// then fill. Column `j` receives its smaller neighbours from the
+    /// columns before it and appends its own rows, so every list comes
+    /// out sorted without a sort.
+    pub(crate) fn from_lower_csc(n: usize, colptr: &[usize], rowidx: &[usize]) -> Self {
+        let mut xadj = vec![0usize; n + 1];
+        for j in 0..n {
+            let rows = &rowidx[colptr[j]..colptr[j + 1]];
+            xadj[j + 1] += rows.len();
+            for &i in rows {
+                xadj[i + 1] += 1;
+            }
+        }
+        for v in 0..n {
+            xadj[v + 1] += xadj[v];
+        }
+        let mut next = xadj.clone();
+        let mut adj = vec![0usize; 2 * rowidx.len()];
+        for j in 0..n {
+            for &i in &rowidx[colptr[j]..colptr[j + 1]] {
+                adj[next[j]] = i;
+                next[j] += 1;
+                adj[next[i]] = j;
+                next[i] += 1;
+            }
+        }
+        Graph { n, xadj, adj }
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn n(&self) -> usize {
@@ -214,6 +244,30 @@ mod tests {
     fn pseudo_peripheral_single_vertex() {
         let g = Graph::from_edges(1, std::iter::empty());
         assert_eq!(g.pseudo_peripheral(0), 0);
+    }
+
+    #[test]
+    fn to_graph_equals_the_from_edges_route_on_every_generator() {
+        use crate::gen;
+        let mut patterns = vec![
+            gen::grid5(7, 5),
+            gen::lap9(9, 6),
+            gen::grid5_fe(4, 5),
+            gen::grid7(3, 4, 5),
+            gen::lshape(6),
+            gen::frame_shell(4, 7),
+            gen::power_network(150, 20, 3),
+            gen::random_geometric(120, 0.13, 5),
+            gen::paper::fig2_grid().pattern,
+            gen::paper::lap_grid(12).pattern,
+            crate::SymmetricPattern::from_edges(0, []),
+            crate::SymmetricPattern::from_edges(3, []),
+        ];
+        patterns.extend(gen::paper::all().into_iter().map(|m| m.pattern));
+        for p in patterns {
+            let via_edges = Graph::from_edges(p.n(), p.iter_entries());
+            assert_eq!(p.to_graph(), via_edges, "n = {}", p.n());
+        }
     }
 
     #[test]

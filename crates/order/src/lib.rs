@@ -21,8 +21,8 @@
 //!
 //! | method | fill quality | runtime | when to use |
 //! |---|---|---|---|
-//! | `MultipleMinimumDegree` | best on the paper's matrices | slowest of the degree family — exact external degrees, multiple elimination per pass | the paper's configuration; the default everywhere |
-//! | `ApproximateMinimumDegree` | within a few percent of MMD | substantially cheaper per elimination — upper-bound degrees avoid reach-set scans | large problems where ordering time shows up in the front end |
+//! | `MultipleMinimumDegree` | best on the paper's matrices | exact external degrees, multiple elimination per pass; 0.2–6 ms on the paper's matrices, 0.14 s on a 200×200 grid | the paper's configuration; the default everywhere |
+//! | `ApproximateMinimumDegree` | 1.0–1.9× MMD's factor entries (+3 % on BUS1138, +91 % on LSHP1009) | about MMD's: 0.6–1.4× its time — each update is cheaper (a sum of boundary weights, no scan), but the extra fill makes for more and larger updates | a comparison point; MMD is at least as good on every tracked matrix |
 //! | `ReverseCuthillMcKee` | poor (bandwidth, not fill) | near-linear BFS | banded structures; baseline comparisons |
 //! | `NestedDissection` | good asymptotics on meshes, weaker constants here | separator BFS per level | regular grids at scale |
 //! | `MinimumFill` | often lowest fill | much slower — simulates fill per candidate | small matrices; fill-quality reference |
@@ -94,21 +94,22 @@ impl Ordering {
 
 /// Execution strategy for the minimum-degree family, selected on the
 /// pipeline like `SimulateEngine` and `DepsEngine`: same fill regime,
-/// different cost. Both variants run the one bucketed quotient-graph
+/// different cost. Both variants run the one flat quotient-graph
 /// driver in [`compress`]; the per-variable oracle in [`mmd`] is the
 /// spec that driver is tested against and is run by no engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum OrderEngine {
-    /// The driver on the pattern as given (degree-bucketed candidate
-    /// selection, no per-pass full scans, no allocation on the
-    /// degree-update path): the oracle's permutation, several times
+    /// The driver on the pattern as given (degree lists instead of
+    /// per-pass scans, flat arrays sized once, nothing allocated per
+    /// elimination or degree update): the oracle's permutation, 3–23×
     /// faster.
     #[default]
     Direct,
     /// The same driver after up-front compression: indistinguishable
     /// nodes collapse into weighted supervariables, the quotient graph is
     /// ordered, and the permutation is expanded back. Identical to
-    /// `Direct` where nothing compresses, fill-equivalent elsewhere.
+    /// `Direct` where nothing compresses (the pre-pass then hands the
+    /// driver the graph it hashed), fill-equivalent elsewhere.
     ///
     /// Either way only [`Ordering::MultipleMinimumDegree`] and
     /// [`Ordering::ApproximateMinimumDegree`] have engines; every other
@@ -131,7 +132,8 @@ impl OrderEngine {
 /// the default engine. `perm[new] = old` as everywhere in the workspace.
 ///
 /// Under a recorder scope this is instrumented as described on
-/// [`order_with_engine`]:
+/// [`order_with_engine`], which also documents the size limit this
+/// panics on:
 ///
 /// ```
 /// use std::sync::Arc;
@@ -157,10 +159,17 @@ pub fn order(pattern: &SymmetricPattern, method: Ordering) -> Permutation {
 ///
 /// Under a recorder scope: the `order.compute` span, the
 /// `order.alg.<name>` (names from [`Ordering::name`]) and
-/// `order.engine.<name>` counters, the `order.mmd.*` work counters for
-/// the minimum-degree family, and — on the compressed engine — the
-/// `order.compress.{original,nodes,ratio}` gauges (see
-/// `docs/METRICS.md`).
+/// `order.engine.<name>` counters, the `order.mmd.*` and
+/// `order.driver.*` work counters for the minimum-degree family, and —
+/// on the compressed engine — the `order.compress.{original,nodes,ratio}`
+/// gauges (see `docs/METRICS.md`).
+///
+/// # Panics
+/// The minimum-degree driver (also nested dissection's leaf ordering)
+/// keeps 32-bit ids and offsets and panics on a pattern with `u32::MAX`
+/// or more columns or more than `u32::MAX / 2` off-diagonal nonzeros
+/// ([`compress::check_index_range`]); `Pipeline` rejects such a pattern
+/// with a typed `InvalidParameter` before it gets here.
 pub fn order_with_engine(
     pattern: &SymmetricPattern,
     method: Ordering,
@@ -193,20 +202,25 @@ fn min_degree(
     engine: OrderEngine,
     rec: &Current,
 ) -> Permutation {
-    let (perm, counters) = match engine {
+    let (perm, counters, work) = match engine {
         OrderEngine::Direct => compress::direct_min_degree(pattern, delta, approx),
         OrderEngine::Compressed => {
-            let (perm, gc, counters) = compress::compressed_min_degree(pattern, delta, approx);
+            let (perm, gc, counters, work) =
+                compress::compressed_min_degree(pattern, delta, approx);
             rec.gauge("order.compress.original", gc.n_original() as f64);
             rec.gauge("order.compress.nodes", gc.n_compressed() as f64);
             rec.gauge("order.compress.ratio", gc.ratio());
-            (perm, counters)
+            (perm, counters, work)
         }
     };
     rec.incr("order.mmd.passes", counters.passes);
     rec.incr("order.mmd.eliminations", counters.eliminations);
     rec.incr("order.mmd.degree_updates", counters.degree_updates);
     rec.incr("order.mmd.supervariable_merges", counters.merges);
+    rec.incr("order.driver.scanned_entries", work.scanned_entries);
+    rec.incr("order.driver.full_scans", work.full_scans);
+    rec.incr("order.driver.twin_compares", work.twin_compares);
+    rec.incr("order.driver.compactions", work.compactions);
     perm
 }
 

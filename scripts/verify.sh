@@ -47,6 +47,17 @@ cargo test -q -p spfactor --test engine_equivalence engines_identical_on_the_ben
 
 echo "==> order equivalence smoke: OrderEngine::Direct (the driver) vs the mmd oracle"
 cargo test -q -p spfactor --test order_engine direct_matches_oracle
+cargo test -q -p spfactor --test order_engine permutations_are_pinned_to_the_pre_driver_values
+# The driver's wider oracle checks (lap9 120², 200 random geometric
+# graphs) are ignored unoptimized: the oracle needs seconds per input.
+cargo test --release -q -p spfactor-order driver_matches_oracle
+# The driver's quotient graph lives in flat arrays (docs/PERFORMANCE.md,
+# "The two ordering engines, one driver"); a per-variable Vec of Vecs
+# coming back is the regression this line is here for.
+if grep -n 'Vec<Vec<' crates/order/src/compress.rs; then
+  echo "nested Vec state returned to the minimum-degree driver"
+  exit 1
+fi
 
 echo "==> partition equivalence smoke: closed-form ownership + work vs per-update oracle"
 cargo test -q -p spfactor --test partition_equivalence partition_matches_oracle_on_all_paper_matrices

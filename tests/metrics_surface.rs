@@ -106,6 +106,8 @@ mod enabled {
             "order.mmd.passes",
             "order.mmd.eliminations",
             "order.mmd.degree_updates",
+            "order.driver.scanned_entries",
+            "order.driver.full_scans",
             "partition.work.pairs",
             "partition.work.segments",
             "simulate.traffic.remote_fetches",
@@ -118,6 +120,11 @@ mod enabled {
                 rec.counter_names()
             );
         }
+        // Every merge passed an exact comparison first.
+        assert!(
+            rec.counter("order.driver.twin_compares")
+                >= rec.counter("order.mmd.supervariable_merges")
+        );
         // MMD eliminates every supervariable exactly once; there are at
         // most n of them.
         assert!(rec.counter("order.mmd.eliminations") <= result.factor.n() as u64);
