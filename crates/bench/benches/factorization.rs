@@ -1,11 +1,10 @@
-//! Criterion benches for the numerical phase: sequential vs. parallel
-//! Cholesky on the column DAG, the two executors of the unit-block
-//! schedule, and the triangular solves.
+//! Criterion benches for the numerical phase: sequential and supernodal
+//! Cholesky, the two executors of the unit-block schedule, and the
+//! triangular solves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spfactor::numeric::{
-    cholesky, cholesky_block_parallel, cholesky_supernodal, parallel::cholesky_parallel, solve,
-    solve_many_permuted,
+    cholesky, cholesky_block_parallel, cholesky_supernodal, solve, solve_many_permuted,
 };
 use spfactor::partition::build_dependencies;
 use spfactor::{DepsEngine, NetworkModel, Ordering, Partition, PartitionParams, SymbolicFactor};
@@ -37,13 +36,6 @@ fn bench_cholesky(c: &mut Criterion) {
             &(&a, &f),
             |b, (a, f)| b.iter(|| cholesky_supernodal(a, f, 0).unwrap()),
         );
-        for threads in [2usize, 4, 8] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("parallel_t{threads}"), m.name),
-                &(&a, &f),
-                |b, (a, f)| b.iter(|| cholesky_parallel(a, f, threads).unwrap()),
-            );
-        }
         // The paper's own schedule, executed numerically.
         let part = Partition::build(&f, &PartitionParams::with_grain(25));
         let deps = build_dependencies(DepsEngine::Sweep, &f, &part);

@@ -42,6 +42,8 @@ fn bench_timed(c: &mut Criterion) {
                 &r.deps,
                 &r.assignment,
                 &model,
+                spfactor::simulate::timed::OrderPolicy::ScanOrder,
+                None,
             )
         })
     });

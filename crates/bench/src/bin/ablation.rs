@@ -11,7 +11,7 @@
 use spfactor::sched::{
     alt, block_allocation, proportional::proportional_allocation, wrap_allocation,
 };
-use spfactor::simulate::timed::{simulate_timed_policy, CommModel, OrderPolicy};
+use spfactor::simulate::timed::{simulate_timed, CommModel, OrderPolicy};
 use spfactor::{Ordering, Partition, PartitionParams, SymbolicFactor};
 
 fn main() {
@@ -86,8 +86,8 @@ fn main() {
     for (label, p, d, a) in rows {
         let traffic = spfactor::simulate::data_traffic(&f, p, &a);
         let work = spfactor::simulate::work_distribution(p, &a);
-        let scan = simulate_timed_policy(&f, p, d, &a, &model, OrderPolicy::ScanOrder);
-        let cp = simulate_timed_policy(&f, p, d, &a, &model, OrderPolicy::CriticalPathFirst);
+        let scan = simulate_timed(&f, p, d, &a, &model, OrderPolicy::ScanOrder, None);
+        let cp = simulate_timed(&f, p, d, &a, &model, OrderPolicy::CriticalPathFirst, None);
         println!(
             "{:>16} | {:>8} | {:>6.2} | {:>10.0} | {:>10.0}",
             label,

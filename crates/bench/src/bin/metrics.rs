@@ -9,12 +9,12 @@
 
 use std::sync::Arc;
 
-use spfactor::simulate::timed::{simulate_timed_policy, CommModel, OrderPolicy};
+use spfactor::simulate::timed::{simulate_timed, CommModel, OrderPolicy};
 use spfactor::{numeric, trace, Pipeline, Recorder};
 
 fn main() {
     // One recorder in scope for everything below: the pipeline and the
-    // four extra calls all find it there.
+    // two extra calls find it there.
     let rec = Arc::new(Recorder::new());
     let _scope = trace::scope(&rec);
 
@@ -26,26 +26,22 @@ fn main() {
         .processors(16)
         .run();
 
-    // The interval-tree dependency builder (alternative to the exact
-    // enumeration the pipeline uses); records the interval query counters.
-    spfactor::partition::geometric_dependencies(&result.factor, &result.partition);
-
     // Timed simulation (idle-time breakdown of the same schedule).
-    simulate_timed_policy(
+    simulate_timed(
         &result.factor,
         &result.partition,
         &result.deps,
         &result.assignment,
         &CommModel::default(),
         OrderPolicy::ScanOrder,
+        None,
     );
 
-    // Phase 6: numeric factorization, both executors, under one span.
+    // Phase 6: numeric factorization by the schedule executor.
     {
         let _phase = rec.span("phase.numeric");
         let permuted = m.pattern.permute(&result.permutation);
         let a = spfactor::matrix::gen::spd_from_pattern(&permuted, 42);
-        numeric::cholesky_parallel(&a, &result.factor, 4).expect("LAP30 SPD factorization");
         numeric::cholesky_block_parallel(
             &a,
             &result.factor,

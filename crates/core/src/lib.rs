@@ -16,14 +16,15 @@
 //!   nested dissection, elimination trees;
 //! * [`symbolic`] — symbolic factorization, supernodes, update-operation
 //!   enumeration;
-//! * [`interval`] — the interval-tree substrate of the dependency engine;
+//! * [`interval`] — closed integer intervals and interval sets: the
+//!   extents that describe unit blocks;
 //! * [`partition`] — clusters, unit blocks, the ten dependency categories;
 //! * [`sched`] — the paper's block allocation, the wrap-mapped baseline,
 //!   ablation allocators;
 //! * [`simulate`] — data traffic, load imbalance, hot-spots, timed
 //!   simulation;
-//! * [`numeric`] — real Cholesky factorization, triangular solves, and a
-//!   parallel DAG executor;
+//! * [`numeric`] — real Cholesky factorization, triangular solves, and
+//!   the executor of the unit-block schedule on threads;
 //! * [`mp`] — a virtual message-passing machine that *executes* the
 //!   schedule (threads + mailboxes, no shared values) and cross-validates
 //!   the analytic simulator.
@@ -77,7 +78,7 @@ pub use spfactor_simulate::{SimulateEngine, TrafficReport, WorkReport};
 pub use spfactor_symbolic::SymbolicFactor;
 pub use spfactor_trace::{CriticalPathReport, Timeline, TimelineSink};
 
-use spfactor_simulate::timed::{simulate_timed_timeline, CommModel, OrderPolicy, TimedReport};
+use spfactor_simulate::timed::{simulate_timed, CommModel, OrderPolicy, TimedReport};
 
 /// Workspace-wide error taxonomy: every way the stack can fail, as a
 /// value. Matrix construction and IO failures, numeric factorization
@@ -524,7 +525,7 @@ impl Pipeline {
     /// [`Pipeline::try_run`] kept for ergonomic callers (examples,
     /// benches, tests on known-good inputs); code that handles failures
     /// should call `try_run` and match the [`PipelineError`].
-    pub fn run(self) -> PipelineResult {
+    pub fn run(&self) -> PipelineResult {
         self.try_run()
             .unwrap_or_else(|e| panic!("pipeline failed: {e}"))
     }
@@ -540,27 +541,12 @@ impl Pipeline {
     /// record into the scope they find, so the recorder ends up with the
     /// complete metrics surface of the run.
     ///
-    /// Internally this is [`Pipeline::try_run_ref`]; callers that solve
-    /// repeatedly should keep the pipeline and call the borrowing entry
-    /// points (or better, plan once with [`Pipeline::try_plan`] and
-    /// reuse the [`ScheduleArtifact`]).
-    pub fn try_run(self) -> Result<PipelineResult, PipelineError> {
-        self.try_run_ref()
-    }
-
-    /// Borrowing form of [`Pipeline::try_run`]: runs every stage without
-    /// consuming the builder, so one configured pipeline can be run many
-    /// times (each run re-plans; see [`Pipeline::try_plan`] /
+    /// The builder is borrowed, so one configured pipeline can be run
+    /// many times; each run re-plans (see [`Pipeline::try_plan`] /
     /// [`Pipeline::try_run_planned`] to amortize the front end instead).
-    pub fn try_run_ref(&self) -> Result<PipelineResult, PipelineError> {
+    pub fn try_run(&self) -> Result<PipelineResult, PipelineError> {
         let artifact = self.try_plan()?;
         self.run_planned_unchecked(&artifact)
-    }
-
-    /// Borrowing, panicking form of [`Pipeline::try_run_ref`].
-    pub fn run_ref(&self) -> PipelineResult {
-        self.try_run_ref()
-            .unwrap_or_else(|e| panic!("pipeline failed: {e}"))
     }
 
     /// Runs the pattern-only front end — ordering, symbolic
@@ -580,7 +566,7 @@ impl Pipeline {
     /// // Re-running against the artifact skips the whole front end and
     /// // produces the identical result.
     /// let cached = pipeline.try_run_planned(&artifact).unwrap();
-    /// let fresh = pipeline.try_run_ref().unwrap();
+    /// let fresh = pipeline.try_run().unwrap();
     /// assert_eq!(cached.traffic, fresh.traffic);
     /// assert_eq!(cached.work, fresh.work);
     /// ```
@@ -711,14 +697,14 @@ impl Pipeline {
         let simulated = self.timeline.then(|| {
             let _phase = rec.phase("timeline");
             let sink = TimelineSink::new();
-            let timed = simulate_timed_timeline(
+            let timed = simulate_timed(
                 factor,
                 partition,
                 deps,
                 assignment,
                 &CommModel::default(),
                 OrderPolicy::ScanOrder,
-                &sink,
+                Some(&sink),
             );
             let timeline = sink.finish();
             let critical_path = timeline.critical_path(TIMELINE_TOP_K);
@@ -745,7 +731,7 @@ impl Pipeline {
                     },
                     None => mp::MpConfig::reliable(model),
                 };
-                let report = mp::execute_config_timeline(
+                let report = mp::execute_config(
                     &a,
                     factor,
                     partition,
@@ -1071,7 +1057,7 @@ mod tests {
         let pipeline = Pipeline::new(p).processors(6);
         let artifact = pipeline.try_plan().expect("plans");
         let planned = pipeline.try_run_planned(&artifact).expect("runs");
-        let fresh = pipeline.try_run_ref().expect("runs");
+        let fresh = pipeline.try_run().expect("runs");
         assert_eq!(planned.traffic, fresh.traffic);
         assert_eq!(planned.work, fresh.work);
         assert_eq!(planned.deps, fresh.deps);

@@ -1,22 +1,16 @@
-//! Interval substrate for the dependency engine.
+//! Intervals and interval sets: the extent vocabulary of the partitioner.
 //!
-//! The paper computes inter-block dependencies "using this classification
-//! and the interval tree structure" (§3.3). Blocks are described by row and
-//! column *extents* — closed integer intervals — and every one of the ten
-//! dependency categories reduces to extent-intersection tests. This crate
-//! provides:
+//! Blocks are described by row and column *extents* — closed integer
+//! intervals — and every one of the paper's ten dependency categories
+//! (§3.3) reduces to extent-intersection tests. This crate provides:
 //!
 //! * [`Interval`] — a closed integer interval with intersection tests;
-//! * [`IntervalTree`] — a static augmented tree answering "which stored
-//!   intervals overlap this query" in `O(log n + k)`;
 //! * [`IntervalSet`] — a sorted set of disjoint intervals with union /
 //!   intersection, used for row-coverage bookkeeping.
 
 mod set;
-mod tree;
 
 pub use set::IntervalSet;
-pub use tree::IntervalTree;
 
 /// A closed integer interval `[lo, hi]` (`lo <= hi`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -90,7 +90,7 @@ pub mod runtime;
 
 pub use error::{MpError, ProcLastEvent};
 pub use fault::{CrashPlan, FaultPlan, FaultTrace, MpConfig, RetryPolicy, StallPlan};
-pub use runtime::{execute_config, execute_config_timeline};
+pub use runtime::execute_config;
 
 use spfactor_matrix::SymmetricCsc;
 use spfactor_numeric::NumericFactor;
@@ -286,7 +286,7 @@ pub fn execute(
     network: &NetworkModel,
 ) -> Result<MpReport, MpError> {
     let config = MpConfig::reliable(*network);
-    execute_config(a, symbolic, partition, deps, assignment, &config)
+    execute_config(a, symbolic, partition, deps, assignment, &config, None)
 }
 
 /// Bumps the `mp.*` counters and gauges for a completed run (the metric

@@ -78,8 +78,8 @@
 //!
 //! ## Observation
 //!
-//! [`execute_config_timeline`] additionally streams a wall-clock event
-//! timeline into a [`TimelineSink`]: each worker buffers typed
+//! Given a sink, [`execute_config`] additionally streams a wall-clock
+//! event timeline into the [`TimelineSink`]: each worker buffers typed
 //! [`TimelineEvent`]s locally (ready/wait/start/end/transfer, stamped
 //! in seconds since a shared run epoch) and flushes the buffer once at
 //! join, so the hot path never touches the shared sink. The resulting
@@ -877,24 +877,13 @@ impl Worker<'_> {
 /// gauges `mp.traffic.total`, `mp.work.max`, `mp.estimated_time` plus
 /// per-processor gauges `mp.proc.<p>.traffic`, `mp.proc.<p>.work` and
 /// `mp.proc.<p>.msgs_sent` (see `docs/METRICS.md`).
+///
+/// When `sink` is supplied, every worker records [`TimelineEvent`]s
+/// (seconds since a shared run epoch) and flushes them into the sink
+/// after the join — including on aborted runs, so a failure still leaves
+/// a trace to inspect. Capture costs one local `Vec` push per event;
+/// without a sink the run is byte-for-byte the uninstrumented one.
 pub fn execute_config(
-    a: &SymmetricCsc,
-    symbolic: &SymbolicFactor,
-    partition: &Partition,
-    deps: &DepGraph,
-    assignment: &Assignment,
-    config: &MpConfig,
-) -> Result<MpReport, MpError> {
-    execute_config_timeline(a, symbolic, partition, deps, assignment, config, None)
-}
-
-/// [`execute_config`] with wall-clock timeline capture: when `sink` is
-/// supplied, every worker records [`TimelineEvent`]s (seconds since a
-/// shared run epoch) and flushes them into the sink after the join —
-/// including on aborted runs, so a failure still leaves a trace to
-/// inspect. Capture costs one local `Vec` push per event; without a
-/// sink the run is byte-for-byte the uninstrumented one.
-pub fn execute_config_timeline(
     a: &SymmetricCsc,
     symbolic: &SymbolicFactor,
     partition: &Partition,
@@ -1249,8 +1238,8 @@ mod tests {
         assign: &Assignment,
         config: &MpConfig,
     ) -> MpReport {
-        let report =
-            execute_config(a, f, part, deps, assign, config).expect("mp execute under faults");
+        let report = execute_config(a, f, part, deps, assign, config, None)
+            .expect("mp execute under faults");
         let seq = spfactor_numeric::cholesky(a, f).unwrap();
         assert_eq!(report.factor, seq, "factor must survive the fault plan");
         assert_eq!(report.traffic_report(), data_traffic(f, part, assign));
@@ -1375,7 +1364,15 @@ mod tests {
         let mut bad = FaultPlan::none();
         bad.drop = 2.0;
         assert!(matches!(
-            execute_config(&a, &f, &part, &deps, &assign, &MpConfig::with_fault(bad)),
+            execute_config(
+                &a,
+                &f,
+                &part,
+                &deps,
+                &assign,
+                &MpConfig::with_fault(bad),
+                None
+            ),
             Err(MpError::InvalidConfig(_))
         ));
     }
@@ -1438,6 +1435,7 @@ mod tests {
             &deps,
             &assign,
             &MpConfig::with_fault(plan).watchdog(budget),
+            None,
         )
         .unwrap_err();
         assert!(started.elapsed() < budget, "announced crash must not wait");
@@ -1470,7 +1468,7 @@ mod tests {
         }
         .watchdog(watchdog);
         let started = Instant::now();
-        let err = execute_config(&a, &f, &part, &deps, &assign, &config).unwrap_err();
+        let err = execute_config(&a, &f, &part, &deps, &assign, &config, None).unwrap_err();
         // Peers must discover the dead processor via their retry budgets
         // (or, at the latest, the watchdog) — never hang.
         assert!(started.elapsed() < 2 * watchdog);
@@ -1503,7 +1501,7 @@ mod tests {
         let (a, f, part, deps, assign) = setup_wrap(&gen::lap9(8, 8), 4, 9);
         let sink = TimelineSink::new();
         let config = MpConfig::reliable(NetworkModel::default());
-        let report = execute_config_timeline(&a, &f, &part, &deps, &assign, &config, Some(&sink))
+        let report = execute_config(&a, &f, &part, &deps, &assign, &config, Some(&sink))
             .expect("observed mp execute");
         // Capture must not perturb the computation.
         assert_eq!(report.factor, spfactor_numeric::cholesky(&a, &f).unwrap());
@@ -1573,8 +1571,8 @@ mod tests {
     fn unobserved_run_records_no_events() {
         let (a, f, part, deps, assign) = setup_block(&gen::lap9(6, 6), 4, 2, 5);
         let config = MpConfig::reliable(NetworkModel::default());
-        let report = execute_config_timeline(&a, &f, &part, &deps, &assign, &config, None)
-            .expect("mp execute");
+        let report =
+            execute_config(&a, &f, &part, &deps, &assign, &config, None).expect("mp execute");
         assert_eq!(report.factor, spfactor_numeric::cholesky(&a, &f).unwrap());
     }
 
@@ -1599,7 +1597,7 @@ mod tests {
             ..MpConfig::with_fault(plan)
         }
         .watchdog(Duration::from_millis(300));
-        let err = execute_config(&a, &f, &part, &deps, &assign, &config).unwrap_err();
+        let err = execute_config(&a, &f, &part, &deps, &assign, &config, None).unwrap_err();
         match err {
             MpError::WatchdogTimeout {
                 nprocs,

@@ -10,14 +10,12 @@
 //! * [`supernodal::cholesky_supernodal`] — blocked right-looking
 //!   factorization over the same supernodes the partitioner clusters,
 //!   demonstrating numerically the dense-block premise of the paper;
-//! * [`parallel::cholesky_parallel`] — a multi-threaded executor that runs
-//!   the column-level dependency DAG (the basis of the paper's block DAG)
-//!   on real threads and produces bit-identical results;
 //! * [`block_parallel::cholesky_block_parallel`] — executes the **paper's
 //!   own schedule** (unit blocks, block dependency graph, processor
-//!   assignment) numerically, one thread per simulated processor, again
-//!   bit-identical — the sharpest possible check that the dependency
-//!   analysis is complete;
+//!   assignment) numerically, one thread per simulated processor,
+//!   bit-identical to [`cholesky`] — the sharpest possible check that the
+//!   dependency analysis is complete (on `Partition::columns` it is the
+//!   classic column DAG);
 //! * [`mod@unit`] — what one unit block computes, walked straight off the
 //!   factor's row structure: the kernel under that executor and under the
 //!   message-passing one in `spfactor-mp`;
@@ -30,7 +28,6 @@
 pub mod batch;
 pub mod block_parallel;
 pub mod factor;
-pub mod parallel;
 pub mod solve;
 pub mod supernodal;
 pub mod unit;
@@ -38,7 +35,6 @@ pub mod unit;
 pub use batch::{factorize_many, solve_many, solve_many_permuted};
 pub use block_parallel::cholesky_block_parallel;
 pub use factor::{cholesky, NumericFactor};
-pub use parallel::cholesky_parallel;
 pub use solve::SpdSolver;
 pub use supernodal::cholesky_supernodal;
 

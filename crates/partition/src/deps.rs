@@ -56,10 +56,8 @@ use spfactor_trace::Current;
 /// | 9 | [`TwoRectsUpdateTri`](Self::TwoRectsUpdateTri) | two distinct sub-rectangles supply `(i,k)` and `(j,k)`; the target `(i,j)` sits in a sub-triangle of a later strip |
 /// |10 | [`TwoRectsUpdateRect`](Self::TwoRectsUpdateRect) | two sub-rectangles (the template admits `R1 = R2`) update a sub-rectangle of a later strip — the dominant category on large grids |
 ///
-/// The geometric dependency builder evaluates these templates with
-/// interval intersection tests over block extents (see
-/// [`geometric_dependencies`]); the exact builder ([`dependencies`])
-/// tallies how many element operations fall in each category, exposed via
+/// The exact builder ([`dependencies`]) tallies how many element
+/// operations fall in each category, exposed via
 /// [`DepGraph::ops_in_category`] and the `partition.deps.category.<n>`
 /// metrics documented in `docs/METRICS.md`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -375,82 +373,6 @@ pub(crate) fn record_graph_stats(graph: &DepGraph, rec: &Current) {
     }
 }
 
-/// Geometric (interval-tree) dependency construction — the paper's own
-/// §3.3 strategy: "using this classification and the interval tree
-/// structure, the partitioner computes the dependencies efficiently".
-///
-/// A source unit `S` can feed target `T` only if `S` lies strictly to the
-/// left (`cols(S).lo < cols(T).lo`, sources live in earlier columns) or
-/// supplies the diagonal for scaling (`cols(S)` meets `cols(T)`), **and**
-/// `S`'s row span intersects `T`'s row-or-column span (the source
-/// elements `(i,k)`, `(j,k)` have row indices equal to the target's `i`
-/// or `j`). These are the intersection tests of the ten templates,
-/// evaluated with an [`IntervalTree`](spfactor_interval::IntervalTree)
-/// over row spans.
-///
-/// The geometric graph is a **superset** of the exact one returned by
-/// [`dependencies`]: intersection of extents is necessary but not
-/// sufficient, because the dense blocks are embedded in a sparse matrix
-/// (zeros between blocks break some candidate pairs). Tests assert the
-/// containment; the exact builder remains the one the scheduler uses.
-///
-/// Under a recorder scope: times the build under the span
-/// `partition.deps.geometric` and counts the interval-tree work —
-/// `partition.interval.queries` (one per `for_each_overlapping` call, two
-/// per target unit) and `partition.interval.candidates` (total overlap
-/// reports before column-order pruning). See `docs/METRICS.md`.
-pub fn geometric_dependencies(factor: &SymbolicFactor, partition: &Partition) -> Vec<Vec<u32>> {
-    let rec = spfactor_trace::current();
-    let _span = rec.span("partition.deps.geometric");
-    use spfactor_interval::{Interval, IntervalTree};
-    let nu = partition.num_units();
-    // Row span of each unit: for columns, the diagonal through the last
-    // stored row of that column; for triangles/rectangles, their extent.
-    let row_span = |u: usize| -> Interval {
-        match &partition.units[u].shape {
-            UnitShape::Column { col } => {
-                let hi = factor.col(*col).last().copied().unwrap_or(*col);
-                Interval::new(*col, hi)
-            }
-            UnitShape::Triangle { extent } => *extent,
-            UnitShape::Rectangle { rows, .. } => *rows,
-        }
-    };
-    let tree = IntervalTree::build((0..nu).map(|u| (row_span(u), u as u32)).collect());
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); nu];
-    let mut queries = 0u64;
-    let mut candidates = 0u64;
-    for (t, pred_list) in preds.iter_mut().enumerate() {
-        let tcols = partition.units[t].shape.col_extent();
-        let trows = partition.units[t].shape.row_extent();
-        // Candidate sources: row span meets the target's column span
-        // (supplying the (j, k) factor of a pair, or the diagonal for a
-        // scaling) or the target's row span (supplying (i, k)).
-        let mut cand: Vec<u32> = Vec::new();
-        tree.for_each_overlapping(tcols, |_, &s| cand.push(s));
-        tree.for_each_overlapping(trows, |_, &s| cand.push(s));
-        queries += 2;
-        candidates += cand.len() as u64;
-        cand.sort_unstable();
-        cand.dedup();
-        for s in cand {
-            if s as usize == t {
-                continue;
-            }
-            let scols = partition.units[s as usize].shape.col_extent();
-            // Sources live in columns at or before the target's: a pair
-            // source has k < j <= cols(T).hi; the scaling source (the
-            // diagonal) has k = j within cols(T).
-            if scols.lo <= tcols.hi {
-                pred_list.push(s);
-            }
-        }
-    }
-    rec.incr("partition.interval.queries", queries);
-    rec.incr("partition.interval.candidates", candidates);
-    preds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,50 +564,6 @@ mod tests {
                 assert_eq!(g.ops_in_category(c), 0, "{c:?}");
             }
         }
-    }
-
-    #[test]
-    fn geometric_graph_contains_exact_graph() {
-        // The interval-tree construction must never miss an exact edge —
-        // on several structures and grains.
-        for (p, grain) in [
-            (gen::lap9(10, 10), 4usize),
-            (gen::lap9(10, 10), 25),
-            (gen::grid5(8, 8), 4),
-            (gen::power_network(60, 12, 3), 4),
-        ] {
-            let f = factor_of(&p);
-            let part = Partition::build(&f, &PartitionParams::with_grain(grain));
-            let exact = dependencies(&f, &part);
-            let geo = geometric_dependencies(&f, &part);
-            for (u, geo_u) in geo.iter().enumerate() {
-                for &s in exact.preds(u) {
-                    assert!(
-                        geo_u.contains(&s),
-                        "geometric graph missing exact edge {s} -> {u} (grain {grain})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn geometric_graph_is_reasonably_tight() {
-        // The over-approximation should stay within a small factor of the
-        // exact edge count on a mesh problem (it prunes by both column
-        // order and row intersection).
-        let p = gen::lap9(12, 12);
-        let f = factor_of(&p);
-        let part = Partition::build(&f, &PartitionParams::with_grain(4));
-        let exact = dependencies(&f, &part);
-        let geo = geometric_dependencies(&f, &part);
-        let exact_edges: usize = (0..part.num_units()).map(|u| exact.preds(u).len()).sum();
-        let geo_edges: usize = geo.iter().map(Vec::len).sum();
-        assert!(geo_edges >= exact_edges);
-        assert!(
-            geo_edges <= exact_edges * 12,
-            "geometric {geo_edges} vs exact {exact_edges}: too loose"
-        );
     }
 
     #[test]

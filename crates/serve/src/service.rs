@@ -428,6 +428,7 @@ impl Shared {
                         artifact.deps(),
                         artifact.assignment(),
                         &config,
+                        None,
                     )
                     .map_err(KernelFailure::classify_mp)?
                     .factor

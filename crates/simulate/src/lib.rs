@@ -24,7 +24,6 @@ mod bitset;
 pub mod consolidate;
 pub mod engine;
 pub mod timed;
-pub mod trisolve;
 
 pub use engine::{simulate, simulate_block, SimulateEngine};
 

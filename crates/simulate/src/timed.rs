@@ -113,73 +113,24 @@ pub struct TimedReport {
     pub utilization: f64,
 }
 
-/// Executes the unit DAG under `model` with the default
-/// [`OrderPolicy::ScanOrder`]. Units become ready when all predecessors
-/// have finished (plus message latency and transfer time for remote
-/// ones); each processor runs one ready unit at a time.
-pub fn simulate_timed(
-    factor: &SymbolicFactor,
-    partition: &Partition,
-    deps: &DepGraph,
-    assignment: &Assignment,
-    model: &CommModel,
-) -> TimedReport {
-    simulate_timed_policy(
-        factor,
-        partition,
-        deps,
-        assignment,
-        model,
-        OrderPolicy::ScanOrder,
-    )
-}
-
-/// [`simulate_timed`] with an explicit intra-processor ordering policy.
+/// Executes the unit DAG under `model`, ordering each processor's ready
+/// units by `policy`. Units become ready when all predecessors have
+/// finished (plus message latency and transfer time for remote ones);
+/// each processor runs one ready unit at a time.
 ///
 /// Under a recorder scope the run is timed as the span `simulate.timed`
 /// and its idle-time breakdown recorded as `simulate.timed.*` gauges: the
 /// makespan, the aggregate busy time split into compute vs. communication
 /// (transfer) components, and the idle fraction that the paper's untimed
 /// metrics assume is negligible.
-pub fn simulate_timed_policy(
-    factor: &SymbolicFactor,
-    partition: &Partition,
-    deps: &DepGraph,
-    assignment: &Assignment,
-    model: &CommModel,
-    policy: OrderPolicy,
-) -> TimedReport {
-    run(factor, partition, deps, assignment, model, policy, None)
-}
-
-/// [`simulate_timed_policy`] that additionally emits the full event
-/// timeline — `UnitStart`/`UnitEnd` with start edges, per-peer
-/// `TransferStart`/`TransferEnd`, `Wait`, trailing `Idle` and `Ready`
-/// events, all on the virtual clock — into `sink`. The timeline
-/// reconciles exactly with the returned [`TimedReport`]: per-processor
-/// event durations sum to `busy` (bitwise: same additions in the same
-/// order) and the latest `UnitEnd` is the makespan.
-pub fn simulate_timed_timeline(
-    factor: &SymbolicFactor,
-    partition: &Partition,
-    deps: &DepGraph,
-    assignment: &Assignment,
-    model: &CommModel,
-    policy: OrderPolicy,
-    sink: &TimelineSink,
-) -> TimedReport {
-    run(
-        factor,
-        partition,
-        deps,
-        assignment,
-        model,
-        policy,
-        Some(sink),
-    )
-}
-
-fn run(
+///
+/// With a `sink` the full event timeline — `UnitStart`/`UnitEnd` with
+/// start edges, per-peer `TransferStart`/`TransferEnd`, `Wait`, trailing
+/// `Idle` and `Ready` events, all on the virtual clock — is emitted into
+/// it. The timeline reconciles exactly with the returned [`TimedReport`]:
+/// per-processor event durations sum to `busy` (bitwise: same additions
+/// in the same order) and the latest `UnitEnd` is the makespan.
+pub fn simulate_timed(
     factor: &SymbolicFactor,
     partition: &Partition,
     deps: &DepGraph,
@@ -512,6 +463,16 @@ mod tests {
         (f, part, deps)
     }
 
+    fn scan(
+        f: &SymbolicFactor,
+        part: &Partition,
+        deps: &DepGraph,
+        a: &Assignment,
+        model: &CommModel,
+    ) -> TimedReport {
+        simulate_timed(f, part, deps, a, model, OrderPolicy::ScanOrder, None)
+    }
+
     #[test]
     fn one_processor_makespan_is_sequential_time() {
         let (f, part, deps) = setup(8);
@@ -521,7 +482,7 @@ mod tests {
             per_element: 1.0,
             per_work: 0.5,
         };
-        let r = simulate_timed(&f, &part, &deps, &a, &model);
+        let r = scan(&f, &part, &deps, &a, &model);
         let seq = f.paper_work() as f64 * model.per_work;
         assert!((r.makespan - seq).abs() < 1e-9, "{} vs {}", r.makespan, seq);
         assert!((r.speedup - 1.0).abs() < 1e-9);
@@ -535,8 +496,8 @@ mod tests {
             per_element: 0.0,
             per_work: 1.0,
         };
-        let m1 = simulate_timed(&f, &part, &deps, &block_allocation(&part, &deps, 1), &free);
-        let m8 = simulate_timed(&f, &part, &deps, &block_allocation(&part, &deps, 8), &free);
+        let m1 = scan(&f, &part, &deps, &block_allocation(&part, &deps, 1), &free);
+        let m8 = scan(&f, &part, &deps, &block_allocation(&part, &deps, 8), &free);
         assert!(
             m8.makespan <= m1.makespan + 1e-9,
             "8 procs {} slower than 1 proc {}",
@@ -551,7 +512,7 @@ mod tests {
         let (f, part, deps) = setup(9);
         let a = block_allocation(&part, &deps, 4);
         let model = CommModel::default();
-        let r = simulate_timed(&f, &part, &deps, &a, &model);
+        let r = scan(&f, &part, &deps, &a, &model);
         // Lower bound: busiest processor's compute time.
         let wmax = a.work_per_proc(&part).into_iter().max().unwrap() as f64 * model.per_work;
         assert!(r.makespan >= wmax - 1e-9);
@@ -573,8 +534,8 @@ mod tests {
             per_element: 5.0,
             per_work: 1.0,
         };
-        let rc = simulate_timed(&f, &part, &deps, &a, &cheap);
-        let rp = simulate_timed(&f, &part, &deps, &a, &pricey);
+        let rc = scan(&f, &part, &deps, &a, &cheap);
+        let rp = scan(&f, &part, &deps, &a, &pricey);
         assert!(rp.makespan > rc.makespan);
     }
 
@@ -608,17 +569,24 @@ mod tests {
             per_element: 0.0,
             per_work: 1.0,
         };
-        let scan = simulate_timed_policy(&f, &part, &deps, &a, &model, OrderPolicy::ScanOrder);
-        let cp =
-            simulate_timed_policy(&f, &part, &deps, &a, &model, OrderPolicy::CriticalPathFirst);
+        let by_scan = scan(&f, &part, &deps, &a, &model);
+        let cp = simulate_timed(
+            &f,
+            &part,
+            &deps,
+            &a,
+            &model,
+            OrderPolicy::CriticalPathFirst,
+            None,
+        );
         let wmax = a.work_per_proc(&part).into_iter().max().unwrap() as f64;
-        for r in [&scan, &cp] {
+        for r in [&by_scan, &cp] {
             assert!(r.makespan >= wmax - 1e-9);
             assert!(r.makespan <= part.total_work() as f64 + 1e-9);
         }
         // List-scheduling anomalies exist, but CP-first should not be
         // drastically worse than scan order.
-        assert!(cp.makespan <= scan.makespan * 1.25);
+        assert!(cp.makespan <= by_scan.makespan * 1.25);
     }
 
     #[test]
@@ -628,16 +596,16 @@ mod tests {
             let a = block_allocation(&part, &deps, nprocs);
             let model = CommModel::default();
             let sink = TimelineSink::new();
-            let r = simulate_timed_timeline(
+            let r = simulate_timed(
                 &f,
                 &part,
                 &deps,
                 &a,
                 &model,
                 OrderPolicy::ScanOrder,
-                &sink,
+                Some(&sink),
             );
-            let plain = simulate_timed(&f, &part, &deps, &a, &model);
+            let plain = scan(&f, &part, &deps, &a, &model);
             assert_eq!(r, plain, "capture must not perturb the simulation");
             let tl = sink.finish();
             // Busy sums are bitwise identical (same additions, same order).
@@ -654,7 +622,15 @@ mod tests {
         let a = block_allocation(&part, &deps, 4);
         let model = CommModel::default();
         let sink = TimelineSink::new();
-        simulate_timed_timeline(&f, &part, &deps, &a, &model, OrderPolicy::ScanOrder, &sink);
+        simulate_timed(
+            &f,
+            &part,
+            &deps,
+            &a,
+            &model,
+            OrderPolicy::ScanOrder,
+            Some(&sink),
+        );
         let tl = sink.finish();
         let mut transfer_events = 0.0f64;
         let mut open: std::collections::HashMap<(u32, u32), f64> = std::collections::HashMap::new();
@@ -692,7 +668,7 @@ mod tests {
         let part = Partition::build(&f, &PartitionParams::with_grain(4));
         let deps = dependencies(&f, &part);
         let a = block_allocation(&part, &deps, 2);
-        let r = simulate_timed(&f, &part, &deps, &a, &CommModel::default());
+        let r = scan(&f, &part, &deps, &a, &CommModel::default());
         assert!(r.makespan >= 0.0);
     }
 }

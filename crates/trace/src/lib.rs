@@ -8,8 +8,8 @@
 //!
 //! * **Counters** — monotonic `u64` event counts, bumped with
 //!   [`Recorder::incr`]. Used for things that happen many times: degree
-//!   updates inside minimum-degree ordering, interval-tree probes,
-//!   scheduler branch decisions, simulated cache hits.
+//!   updates inside minimum-degree ordering, scheduler branch decisions,
+//!   simulated cache hits.
 //! * **Gauges** — `f64` point-in-time values, set with
 //!   [`Recorder::gauge`]. Used for result-shaped statistics: fill-in,
 //!   number of clusters, total traffic, load-imbalance ratios.

@@ -1,13 +1,16 @@
 //! End-to-end numerical solve: builds an SPD system on the LAP30
-//! structure, factors it (sequentially and in parallel on the column
-//! DAG), and solves `Ax = b`, verifying the residual.
+//! structure, factors it (sequentially, then by executing the paper's
+//! unit-block schedule on threads), and solves `Ax = b`, verifying the
+//! residual.
 //!
 //! ```text
 //! cargo run --release --example solve_demo
 //! ```
 
-use spfactor::numeric::{parallel::cholesky_parallel, solve, SpdSolver};
-use spfactor::{Ordering, SymbolicFactor};
+use spfactor::numeric::{cholesky_block_parallel, solve, SpdSolver};
+use spfactor::partition::dependencies;
+use spfactor::sched::block_allocation;
+use spfactor::{Ordering, Partition, PartitionParams};
 
 fn main() {
     let m = spfactor::matrix::gen::paper::lap30();
@@ -38,13 +41,19 @@ fn main() {
         solve::residual_norm(&a, &x, &b)
     );
 
-    // Parallel factorization on the column DAG must agree bit-for-bit.
+    // The paper's schedule — unit blocks of grain 25, their dependency
+    // graph, the block allocation — executed with one thread per
+    // processor must agree bit-for-bit.
     let pa = a.permute(solver.permutation());
-    let symbolic = SymbolicFactor::from_pattern(&pa.pattern());
-    for threads in [1, 2, 4, 8] {
-        let lp = cholesky_parallel(&pa, &symbolic, threads).expect("SPD");
+    let symbolic = solver.symbolic();
+    let partition = Partition::build(symbolic, &PartitionParams::with_grain(25));
+    let deps = dependencies(symbolic, &partition);
+    for nprocs in [1, 2, 4, 8] {
+        let assignment = block_allocation(&partition, &deps, nprocs);
+        let lp =
+            cholesky_block_parallel(&pa, symbolic, &partition, &deps, &assignment).expect("SPD");
         let same = lp == *solver.factor();
-        println!("parallel factorization, {threads} thread(s): bit-identical = {same}");
+        println!("schedule-driven factorization, {nprocs} processor(s): bit-identical = {same}");
         assert!(same);
     }
 }

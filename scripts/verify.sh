@@ -113,6 +113,20 @@ head -c 200 "$metrics_json"
 echo
 rm -f "$metrics_json"
 
+echo "==> table regenerators: one bin, sections by name"
+# all_tables used to launch sibling executables that
+# `cargo run --bin all_tables` never builds; the sections are functions now.
+fig3_txt="$(mktemp)"
+cargo run --release -q -p spfactor-bench --bin all_tables -- fig3 > "$fig3_txt"
+grep -q "Figure 3: partitioning a cluster" "$fig3_txt" \
+  || { echo "all_tables -- fig3 did not print Figure 3"; exit 1; }
+rm -f "$fig3_txt"
+
+echo "==> frozen consumer: benchmark/ builds against the workspace API, smoke counts agree"
+# benchmark/ may not change with the code it measures, so an API deletion
+# that breaks it has to fail here rather than in the acceptance run.
+bash benchmark/selftest.sh
+
 echo "==> bench smoke run: schema of BENCH_pipeline.json"
 bench_json="$(mktemp)"
 scripts/bench.sh --smoke --out "$bench_json" > /dev/null

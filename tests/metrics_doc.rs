@@ -8,7 +8,7 @@
 //! match any one dot-free segment.
 
 use spfactor::mp::CrashPlan;
-use spfactor::simulate::timed::{simulate_timed_policy, CommModel, OrderPolicy};
+use spfactor::simulate::timed::{simulate_timed, CommModel, OrderPolicy};
 use spfactor::trace::{self, json, regress};
 use spfactor::{
     numeric, DepsEngine, ExecutionBackend, FaultPlan, NetworkModel, OrderEngine, Ordering,
@@ -111,23 +111,22 @@ fn drive_pipelines(rec: &Arc<Recorder>) {
 }
 
 /// What `crates/bench/src/bin/metrics.rs` adds to its pipeline run, the
-/// same way: one scope around the four extra calls.
+/// same way: one scope around the two extra calls.
 fn drive_metrics_bin_extras(rec: &Arc<Recorder>) {
     let _scope = trace::scope(rec);
     let pattern = spfactor::matrix::gen::lap9(10, 10);
     let result = Pipeline::new(pattern.clone()).processors(4).run();
-    spfactor::partition::geometric_dependencies(&result.factor, &result.partition);
-    simulate_timed_policy(
+    simulate_timed(
         &result.factor,
         &result.partition,
         &result.deps,
         &result.assignment,
         &CommModel::default(),
         OrderPolicy::ScanOrder,
+        None,
     );
     let _phase = rec.span("phase.numeric");
     let a = spfactor::matrix::gen::spd_from_pattern(&pattern.permute(&result.permutation), 42);
-    numeric::cholesky_parallel(&a, &result.factor, 2).unwrap();
     numeric::cholesky_block_parallel(
         &a,
         &result.factor,

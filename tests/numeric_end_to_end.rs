@@ -3,8 +3,8 @@
 //! parallel) and solved, closing the loop from structure to numbers.
 
 use spfactor::matrix::gen;
-use spfactor::numeric::{parallel::cholesky_parallel, solve, SpdSolver};
-use spfactor::{Ordering, SymbolicFactor};
+use spfactor::numeric::{cholesky_block_parallel, solve, SpdSolver};
+use spfactor::{Ordering, Partition, SymbolicFactor};
 
 #[test]
 fn solve_all_paper_matrices() {
@@ -29,15 +29,19 @@ fn solve_all_paper_matrices() {
 
 #[test]
 fn parallel_factorization_matches_sequential_on_paper_set() {
-    // The parallel executor drives the column-level dependency DAG — the
-    // refinement target of the paper's block DAG — and must agree
-    // bit-for-bit with the sequential left-looking code.
+    // The schedule executor on `Partition::columns` drives the
+    // column-level dependency DAG — the one the paper's block DAG refines
+    // — on eight threads, and must agree bit-for-bit with the sequential
+    // left-looking code.
     for m in [gen::paper::dwt512(), gen::paper::lap30()] {
         let perm = spfactor::order::order(&m.pattern, Ordering::paper_default());
         let a = gen::spd_from_pattern(&m.pattern.permute(&perm), 3);
         let f = SymbolicFactor::from_pattern(&a.pattern());
         let seq = spfactor::numeric::cholesky(&a, &f).unwrap();
-        let par = cholesky_parallel(&a, &f, 8).unwrap();
+        let part = Partition::columns(&f);
+        let deps = spfactor::partition::dependencies(&f, &part);
+        let assign = spfactor::sched::wrap_allocation(&part, 8);
+        let par = cholesky_block_parallel(&a, &f, &part, &deps, &assign).unwrap();
         assert_eq!(seq, par, "{}", m.name);
     }
 }
@@ -133,6 +137,8 @@ fn timed_simulation_runs_on_real_factorization_schedule() {
         &r4.deps,
         &r4.assignment,
         &model,
+        spfactor::simulate::timed::OrderPolicy::ScanOrder,
+        None,
     );
     assert!(t.speedup > 1.0, "no speedup on 4 procs: {}", t.speedup);
     assert!(t.speedup <= 4.0 + 1e-9);

@@ -20,8 +20,7 @@ use spfactor::matrix::SymmetricCsc;
 use spfactor::numeric::solve::{lower_solve, upper_solve};
 use spfactor::numeric::unit::{Step, UnitKernel};
 use spfactor::numeric::{
-    cholesky, cholesky_block_parallel, cholesky_parallel, solve_many, solve_many_permuted,
-    NumericFactor,
+    cholesky, cholesky_block_parallel, solve_many, solve_many_permuted, NumericFactor,
 };
 use spfactor::order::{order, Ordering};
 use spfactor::partition::{build_dependencies, dependencies};
@@ -386,7 +385,6 @@ fn executors_report_the_sequential_kernels_pivot() {
     let want = Err(NumericError::NotPositiveDefinite(9));
     assert_eq!(oracle_cholesky(&a, &f), want);
     assert_eq!(cholesky(&a, &f), want);
-    assert_eq!(cholesky_parallel(&a, &f, 2), want);
     let part = Partition::columns(&f);
     let deps = dependencies(&f, &part);
     let assign = sched::wrap_allocation(&part, 2);

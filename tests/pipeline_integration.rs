@@ -117,6 +117,8 @@ fn timed_simulation_agrees_with_untimed_bounds() {
         &r.deps,
         &r.assignment,
         &model,
+        spfactor::simulate::timed::OrderPolicy::ScanOrder,
+        None,
     );
     // With free communication, makespan is bounded below by both the
     // busiest processor's work and the DAG's critical path, and above by
