@@ -19,7 +19,13 @@ fn bench_traffic(c: &mut Criterion) {
             .processors(16)
             .run();
         group.bench_with_input(BenchmarkId::new(label, m.name), &r, |b, r| {
-            b.iter(|| spfactor::simulate::data_traffic(&r.factor, &r.partition, &r.assignment))
+            b.iter(|| {
+                spfactor::simulate::data_traffic(
+                    r.plan.factor(),
+                    r.plan.partition(),
+                    r.plan.assignment(),
+                )
+            })
         });
     }
     group.finish();
@@ -37,10 +43,10 @@ fn bench_timed(c: &mut Criterion) {
     group.bench_function("lap30_g4_p16", |b| {
         b.iter(|| {
             spfactor::simulate::timed::simulate_timed(
-                &r.factor,
-                &r.partition,
-                &r.deps,
-                &r.assignment,
+                r.plan.factor(),
+                r.plan.partition(),
+                r.plan.deps(),
+                r.plan.assignment(),
                 &model,
                 spfactor::simulate::timed::OrderPolicy::ScanOrder,
                 None,

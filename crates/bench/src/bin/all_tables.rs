@@ -1,47 +1,98 @@
 //! The table/figure regenerators (the source of `EXPERIMENTS.md`'s
 //! measured columns): Tables 1–5 and Figures 2–3 of the paper, printed
-//! side by side with the published values.
+//! side by side with the published values, and the five studies behind
+//! the "beyond the paper" entries — `ablation`, `orderings`, `hotspot`,
+//! `consolidation`, `mp`.
 //!
 //! ```text
-//! cargo run --release -p spfactor-bench --bin all_tables                  # all seven
+//! cargo run --release -p spfactor-bench --bin all_tables                  # all twelve
 //! cargo run --release -p spfactor-bench --bin all_tables -- table2 fig3   # the named ones
+//! cargo run --release -p spfactor-bench --bin all_tables -- hotspot:LAP30:8
 //! ```
+//!
+//! `ablation` and `hotspot` take `:MATRIX:P`, `consolidation` takes `:P`
+//! (defaults LAP30 and 16).
 
+use spfactor::matrix::gen::paper::TestMatrix;
 use spfactor::matrix::plot::ascii_lower_exact;
 use spfactor::matrix::stats::structure_stats;
 use spfactor::partition::{identify_clusters, ClusterKind, Partition, PartitionParams, UnitShape};
-use spfactor::{Ordering, SymbolicFactor, SymmetricPattern};
+use spfactor::sched::{
+    alt, block_allocation, proportional::proportional_allocation, wrap_allocation,
+};
+use spfactor::simulate::consolidate::consolidated_traffic;
+use spfactor::simulate::timed::{simulate_timed, CommModel, OrderPolicy};
+use spfactor::{
+    ExecutionBackend, NetworkModel, Ordering, Pipeline, Scheme, SymbolicFactor, SymmetricPattern,
+    TrafficReport,
+};
 use spfactor_bench::{paper, rel, run_block, run_wrap};
+use std::time::Instant;
 
-const SECTIONS: [(&str, fn()); 7] = [
-    ("table1", table1),
-    ("table2", table2),
-    ("table3", table3),
-    ("table4", table4),
-    ("table5", table5),
-    ("fig2", fig2),
-    ("fig3", fig3),
+/// A section and the `:`-separated arguments its name was given.
+type Section = fn(&[&str]);
+
+const SECTIONS: [(&str, Section); 12] = [
+    ("table1", |_| table1()),
+    ("table2", |_| table2()),
+    ("table3", |_| table3()),
+    ("table4", |_| table4()),
+    ("table5", |_| table5()),
+    ("fig2", |_| fig2()),
+    ("fig3", |_| fig3()),
+    ("ablation", ablation),
+    ("orderings", |_| orderings()),
+    ("hotspot", hotspot),
+    ("consolidation", consolidation),
+    ("mp", |_| mp()),
 ];
 
 fn main() {
-    let names: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(unknown) = names
+    let words: Vec<String> = std::env::args().skip(1).collect();
+    let named: Vec<Vec<&str>> = words.iter().map(|w| w.split(':').collect()).collect();
+    if let Some(unknown) = named
         .iter()
-        .find(|name| SECTIONS.iter().all(|(s, _)| s != name))
+        .find(|n| SECTIONS.iter().all(|(s, _)| *s != n[0]))
     {
         eprintln!(
-            "unknown section {unknown}; the sections are {}",
+            "unknown section {}; the sections are {}",
+            unknown[0],
             SECTIONS.map(|(s, _)| s).join(", ")
         );
         std::process::exit(2);
     }
     for (name, section) in SECTIONS {
-        if names.is_empty() || names.iter().any(|n| n == name) {
-            println!("==================== {name} ====================");
-            section();
-            println!();
+        if named.is_empty() {
+            run(name, section, &[]);
+        }
+        for n in named.iter().filter(|n| n[0] == name) {
+            run(name, section, &n[1..]);
         }
     }
+}
+
+fn run(name: &str, section: Section, args: &[&str]) {
+    println!("==================== {name} ====================");
+    section(args);
+    println!();
+}
+
+/// The `[MATRIX] [P]` arguments of a study: a paper matrix by name
+/// (default LAP30) and a processor count (default 16).
+fn matrix_and_procs(args: &[&str]) -> (TestMatrix, usize) {
+    let name = args.first().copied().unwrap_or("LAP30");
+    let m = spfactor::matrix::gen::paper::all()
+        .into_iter()
+        .find(|m| m.name.eq_ignore_ascii_case(name))
+        .unwrap_or_else(|| {
+            eprintln!("unknown matrix {name:?}");
+            std::process::exit(2);
+        });
+    (m, procs(args.get(1)))
+}
+
+fn procs(arg: Option<&&str>) -> usize {
+    arg.and_then(|s| s.parse().ok()).unwrap_or(16)
 }
 
 /// Table 1: the test matrices and their factor sizes under the paper's
@@ -328,4 +379,275 @@ fn fig3() {
             ),
         }
     }
+}
+
+/// Allocation-strategy ablation: the paper's block heuristic against
+/// wrap mapping and the alternative allocators, measured on traffic,
+/// load imbalance, and timed makespan (both intra-processor ordering
+/// policies). Quantifies the design choices `DESIGN.md` calls out and
+/// the paper's "more sophisticated strategies" remark.
+fn ablation(args: &[&str]) {
+    let (m, nprocs) = matrix_and_procs(args);
+    let perm = spfactor::order::order(&m.pattern, Ordering::paper_default());
+    let f = SymbolicFactor::from_pattern(&m.pattern.permute(&perm));
+    let part = Partition::build(&f, &PartitionParams::with_grain(4));
+    let deps = spfactor::partition::dependencies(&f, &part);
+    let cols = Partition::columns(&f);
+    let col_deps = spfactor::partition::dependencies(&f, &cols);
+    let model = CommModel::default();
+
+    println!(
+        "{} — P = {nprocs}, grain 4, comm model (latency {}, per-element {}, per-work {})",
+        m.name, model.latency, model.per_element, model.per_work
+    );
+    println!(
+        "{:>16} | {:>8} | {:>6} | {:>10} | {:>10}",
+        "allocator", "traffic", "Δ", "T scan", "T cp-first"
+    );
+
+    let rows: Vec<(&str, &Partition, &spfactor::DepGraph, spfactor::Assignment)> = vec![
+        (
+            "block (paper)",
+            &part,
+            &deps,
+            block_allocation(&part, &deps, nprocs),
+        ),
+        (
+            "wrap columns",
+            &cols,
+            &col_deps,
+            wrap_allocation(&cols, nprocs),
+        ),
+        (
+            "round-robin",
+            &part,
+            &deps,
+            alt::round_robin_allocation(&part, nprocs),
+        ),
+        (
+            "greedy work",
+            &part,
+            &deps,
+            alt::greedy_work_allocation(&part, nprocs),
+        ),
+        (
+            "locality-first",
+            &part,
+            &deps,
+            alt::locality_first_allocation(&part, &deps, nprocs),
+        ),
+        (
+            "proportional",
+            &part,
+            &deps,
+            proportional_allocation(&f, &part, nprocs),
+        ),
+    ];
+
+    for (label, p, d, a) in rows {
+        let traffic = spfactor::simulate::data_traffic(&f, p, &a);
+        let work = spfactor::simulate::work_distribution(p, &a);
+        let scan = simulate_timed(&f, p, d, &a, &model, OrderPolicy::ScanOrder, None);
+        let cp = simulate_timed(&f, p, d, &a, &model, OrderPolicy::CriticalPathFirst, None);
+        println!(
+            "{:>16} | {:>8} | {:>6.2} | {:>10.0} | {:>10.0}",
+            label,
+            traffic.total,
+            work.imbalance(),
+            scan.makespan,
+            cp.makespan,
+        );
+    }
+    println!();
+    println!("Traffic and Δ are the paper's metrics; T columns add dependency");
+    println!("delays (timed DAG simulation) under the two intra-processor");
+    println!("ordering policies — the half of scheduling the paper leaves open.");
+}
+
+/// Ordering ablation: factor size, operation count, and etree height of
+/// every ordering on the paper's test set. Table 1's factor sizes are
+/// ordering-dependent; this quantifies how much.
+fn orderings() {
+    let methods: [(&str, Ordering); 6] = [
+        ("natural", Ordering::Natural),
+        ("rcm", Ordering::ReverseCuthillMcKee),
+        ("mmd (paper)", Ordering::MultipleMinimumDegree { delta: 0 }),
+        ("amd", Ordering::ApproximateMinimumDegree),
+        ("nested diss.", Ordering::NestedDissection),
+        ("min fill", Ordering::MinimumFill),
+    ];
+    println!(
+        "{:>9} | {:>13} | {:>8} {:>8} {:>10} {:>7}",
+        "matrix", "ordering", "nnz(L)", "fill", "work", "height"
+    );
+    for m in spfactor::matrix::gen::paper::all() {
+        for (label, method) in methods {
+            let perm = spfactor::order::order(&m.pattern, method);
+            let f = SymbolicFactor::from_pattern(&m.pattern.permute(&perm));
+            println!(
+                "{:>9} | {:>13} | {:>8} {:>8} {:>10} {:>7}",
+                m.name,
+                label,
+                f.nnz_lower(),
+                f.fill_in(),
+                f.paper_work(),
+                f.etree().height(),
+            );
+        }
+        println!();
+    }
+    println!("'height' is the elimination-tree height — the column-level");
+    println!("critical path; 'work' uses the paper's 2-per-pair cost model.");
+}
+
+/// The block (g = 25) and wrap runs the hot-spot and consolidation
+/// studies compare.
+fn block_and_wrap(pattern: &SymmetricPattern, nprocs: usize) -> [spfactor::PipelineResult; 2] {
+    let block = Pipeline::new(pattern.clone())
+        .grain(25)
+        .processors(nprocs)
+        .run();
+    let wrap = Pipeline::new(pattern.clone())
+        .scheme(Scheme::Wrap)
+        .processors(nprocs)
+        .run();
+    [block, wrap]
+}
+
+fn heat(t: &TrafficReport) -> String {
+    let p = t.nprocs;
+    let max = t.max_pair().max(1);
+    let glyphs = [' ', '.', ':', '+', '*', '#', '@'];
+    let mut out = String::new();
+    out.push_str("     ");
+    for dst in 0..p {
+        out.push_str(&format!("{:>2}", dst % 100 / 10));
+    }
+    out.push('\n');
+    for src in 0..p {
+        out.push_str(&format!("{src:>4} "));
+        for dst in 0..p {
+            let v = t.pair_matrix[src * p + dst];
+            let k = if v == 0 {
+                0
+            } else {
+                1 + (v * (glyphs.len() - 2)) / max
+            };
+            out.push(' ');
+            out.push(glyphs[k.min(glyphs.len() - 1)]);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Hot-spot analysis: the processor-pair transfer matrices of the block
+/// and wrap schemes, visualized as ASCII heat maps. Substantiates §5's
+/// remark that "wrap-mappings usually lead to processors communicating
+/// with a large number of other processors ... and possibly to
+/// hot-spots", while block schemes confine communication to small groups.
+fn hotspot(args: &[&str]) {
+    let (m, nprocs) = matrix_and_procs(args);
+    let [block, wrap] = block_and_wrap(&m.pattern, nprocs);
+    for (label, t) in [("block (g=25)", &block.traffic), ("wrap", &wrap.traffic)] {
+        let partners: Vec<usize> = (0..nprocs).map(|p| t.partners(p)).collect();
+        let mean_partners = partners.iter().sum::<usize>() as f64 / nprocs.max(1) as f64;
+        println!(
+            "{} — {label}: total {} | hottest pair {} | mean partners {:.1}",
+            m.name,
+            t.total,
+            t.max_pair(),
+            mean_partners
+        );
+        println!("{}", heat(t));
+    }
+    println!("rows = owners (senders), cols = fetchers; darker = more elements.");
+}
+
+/// Message-consolidation analysis (the paper's step 5: "consolidate the
+/// non-local memory access information for each processor so as to
+/// minimize communication overhead"). Compares volume (elements) against
+/// message count after per-source-block consolidation for the block and
+/// wrap schemes.
+fn consolidation(args: &[&str]) {
+    let nprocs = procs(args.first());
+    println!("P = {nprocs}, block grain 25");
+    println!(
+        "{:>9} | {:>9} {:>9} {:>7} | {:>9} {:>9} {:>7}",
+        "matrix", "blk vol", "blk msgs", "blk sz", "wrp vol", "wrp msgs", "wrp sz"
+    );
+    for m in spfactor::matrix::gen::paper::all() {
+        let [cb, cw] = block_and_wrap(&m.pattern, nprocs).map(|r| {
+            consolidated_traffic(r.plan.factor(), r.plan.partition(), r.plan.assignment())
+        });
+        println!(
+            "{:>9} | {:>9} {:>9} {:>7.1} | {:>9} {:>9} {:>7.1}",
+            m.name,
+            cb.volume,
+            cb.messages,
+            cb.mean_message_size(),
+            cw.volume,
+            cw.messages,
+            cw.mean_message_size(),
+        );
+    }
+    println!();
+    println!("'msgs' counts distinct (source unit, destination processor) pairs —");
+    println!("what remains after perfect consolidation; 'sz' is elements/message.");
+    println!("Big blocks mean fewer, larger messages: the amortization the paper's");
+    println!("step 5 is after.");
+}
+
+/// Message-passing runtime study: executes the schedule on the virtual
+/// machine for every paper matrix at several processor counts and
+/// reports the observed communication, the modeled parallel-time
+/// estimate, and the wall time of the (threaded) execution itself — the
+/// two wall-clock columns are the only output here that varies by run.
+fn mp() {
+    let model = NetworkModel::default();
+    println!("Message-passing execution (grain 25 for block mapping)");
+    println!(
+        "{:>9} {:>5} {:>3} | {:>9} {:>8} {:>10} {:>9} | {:>9} {:>9}",
+        "matrix", "map", "P", "traffic", "msgs", "bytes", "idle ms", "est time", "wall ms"
+    );
+    for m in spfactor::matrix::gen::paper::all() {
+        for scheme in [Scheme::Block, Scheme::Wrap] {
+            for nprocs in [4usize, 16] {
+                let mut pipe = Pipeline::new(m.pattern.clone())
+                    .scheme(scheme)
+                    .processors(nprocs)
+                    .backend(ExecutionBackend::MessagePassing(model));
+                if scheme == Scheme::Block {
+                    pipe = pipe.grain(25);
+                }
+                let wall = Instant::now();
+                let r = pipe.run();
+                let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
+                let exec = r.execution.as_ref().expect("backend ran");
+                let idle_ms: f64 =
+                    exec.per_proc.iter().map(|s| s.idle_ns).sum::<u64>() as f64 / 1e6;
+                println!(
+                    "{:>9} {:>5} {:>3} | {:>9} {:>8} {:>10} {:>9.1} | {:>8.3}s {:>9.1}",
+                    m.name,
+                    scheme.name(),
+                    nprocs,
+                    exec.traffic_report().total,
+                    exec.msgs_total(),
+                    exec.bytes_total(),
+                    idle_ms,
+                    exec.estimated_time,
+                    wall_ms,
+                );
+                assert_eq!(
+                    exec.traffic_report(),
+                    r.traffic,
+                    "observed traffic diverged from the analytic prediction"
+                );
+            }
+        }
+    }
+    println!();
+    println!("\"est time\" is the NetworkModel estimate (max over processors of");
+    println!("compute + message costs); \"wall ms\" is the host wall time of the");
+    println!("whole pipeline including the threaded virtual execution.");
 }

@@ -93,12 +93,11 @@ struct SizeResult {
 ///   scalings, a rectangle nothing;
 /// * the serial sweep finds the graph the parallel sweep found.
 fn check_identities(result: PipelineResult) -> (usize, usize) {
-    let PipelineResult {
-        factor,
-        partition,
-        deps,
-        ..
-    } = result;
+    let (factor, partition, deps) = (
+        result.plan.factor(),
+        result.plan.partition(),
+        result.plan.deps(),
+    );
     assert_eq!(partition.params.relax_zeros, 0);
     assert_eq!(partition.total_work(), factor.paper_work(), "unit work");
     let counts = (0..factor.n()).map(|k| factor.col_count(k));
@@ -121,10 +120,9 @@ fn check_identities(result: PipelineResult) -> (usize, usize) {
             .map(|&c| g.ops_in_category(c))
             .sum()
     };
-    let (edges, ops) = (deps.num_edges(), categorized(&deps));
+    let (edges, ops) = (deps.num_edges(), categorized(deps));
     assert_eq!(ops + internal, operations, "category ops");
-    drop(deps);
-    let serial = build_dependencies(DepsEngine::Sweep, &factor, &partition);
+    let serial = build_dependencies(DepsEngine::Sweep, factor, partition);
     assert_eq!(serial.num_edges(), edges, "Sweep vs SweepParallel edges");
     assert_eq!(categorized(&serial), ops, "Sweep vs SweepParallel ops");
     (factor.n(), factor.num_entries())

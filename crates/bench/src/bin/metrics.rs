@@ -28,10 +28,10 @@ fn main() {
 
     // Timed simulation (idle-time breakdown of the same schedule).
     simulate_timed(
-        &result.factor,
-        &result.partition,
-        &result.deps,
-        &result.assignment,
+        result.plan.factor(),
+        result.plan.partition(),
+        result.plan.deps(),
+        result.plan.assignment(),
         &CommModel::default(),
         OrderPolicy::ScanOrder,
         None,
@@ -40,14 +40,14 @@ fn main() {
     // Phase 6: numeric factorization by the schedule executor.
     {
         let _phase = rec.span("phase.numeric");
-        let permuted = m.pattern.permute(&result.permutation);
+        let permuted = m.pattern.permute(result.plan.permutation());
         let a = spfactor::matrix::gen::spd_from_pattern(&permuted, 42);
         numeric::cholesky_block_parallel(
             &a,
-            &result.factor,
-            &result.partition,
-            &result.deps,
-            &result.assignment,
+            result.plan.factor(),
+            result.plan.partition(),
+            result.plan.deps(),
+            result.plan.assignment(),
         )
         .expect("LAP30 block-parallel factorization");
     }

@@ -259,7 +259,7 @@ impl Pipeline {
     /// // The symbolic phase reported its fill-in as a gauge.
     /// assert_eq!(
     ///     rec.gauge_value("symbolic.fill_in"),
-    ///     Some(result.factor.fill_in() as f64),
+    ///     Some(result.plan.factor().fill_in() as f64),
     /// );
     /// assert!(result.metrics().unwrap().span_stats("phase.order").is_some());
     /// ```
@@ -370,7 +370,7 @@ impl Pipeline {
     ///     .processors(4)
     ///     .deps_engine(DepsEngine::SweepParallel)
     ///     .run();
-    /// assert_eq!(slow.deps, fast.deps);
+    /// assert_eq!(slow.plan.deps(), fast.plan.deps());
     /// assert_eq!(slow.traffic, fast.traffic);
     /// ```
     pub fn deps_engine(mut self, e: DepsEngine) -> Self {
@@ -573,47 +573,11 @@ impl Pipeline {
     pub fn try_plan(&self) -> Result<ScheduleArtifact, PipelineError> {
         self.validate()?;
         let _scope = self.recorder.as_ref().map(trace::scope);
-        let rec = trace::current();
-
-        let perm = {
-            let _phase = rec.phase("order");
-            order::order_with_engine(&self.pattern, self.ordering, self.order_engine)
-        };
-        let permuted = self.pattern.permute(&perm);
-
-        let factor = {
-            let _phase = rec.phase("symbolic");
-            SymbolicFactor::from_pattern(&permuted)
-        };
-
-        let partition = {
-            let _phase = rec.phase("partition");
-            match self.scheme {
-                Scheme::Block => Partition::build(&factor, &self.params),
-                Scheme::Wrap => Partition::columns(&factor),
-            }
-        };
-
-        let deps = {
-            let _phase = rec.phase("deps");
-            partition::build_dependencies(self.deps_engine, &factor, &partition)
-        };
-
-        let assignment = {
-            let _phase = rec.phase("sched");
-            match self.scheme {
-                Scheme::Block => sched::block_allocation(&partition, &deps, self.nprocs),
-                Scheme::Wrap => sched::wrap_allocation(&partition, self.nprocs),
-            }
-        };
-
-        Ok(ScheduleArtifact::new(
+        Ok(sched::plan(
+            &self.pattern,
             self.key(),
-            perm,
-            factor,
-            partition,
-            deps,
-            assignment,
+            None,
+            self.deps_engine,
         ))
     }
 
@@ -759,11 +723,7 @@ impl Pipeline {
         });
 
         Ok(PipelineResult {
-            permutation: artifact.permutation().clone(),
-            factor: factor.clone(),
-            partition: partition.clone(),
-            deps: deps.clone(),
-            assignment: assignment.clone(),
+            plan: artifact.clone(),
             traffic,
             work,
             execution,
@@ -776,16 +736,10 @@ impl Pipeline {
 /// Everything a pipeline run produces.
 #[derive(Clone, Debug)]
 pub struct PipelineResult {
-    /// The fill-reducing permutation (`perm[new] = old`).
-    pub permutation: Permutation,
-    /// The symbolic factor (in permuted coordinates).
-    pub factor: SymbolicFactor,
-    /// Clusters and unit blocks.
-    pub partition: Partition,
-    /// The unit-level dependency graph.
-    pub deps: DepGraph,
-    /// Unit → processor assignment.
-    pub assignment: Assignment,
+    /// The front half of the run — permutation, symbolic factor,
+    /// partition, dependency graph, assignment — as a handle on the very
+    /// artifact the run was given or planned: nothing is copied out of it.
+    pub plan: ScheduleArtifact,
     /// Data-traffic metrics (paper's communication tables).
     pub traffic: TrafficReport,
     /// Work-distribution metrics (paper's Δ columns).
@@ -820,12 +774,12 @@ mod tests {
     fn pipeline_runs_block_and_wrap() {
         let p = gen::lap9(10, 10);
         let block = Pipeline::new(p.clone()).grain(4).processors(8).run();
-        assert_eq!(block.factor.n(), 100);
-        assert!(block.partition.num_units() > 0);
-        assert_eq!(block.work.total, block.factor.paper_work());
+        assert_eq!(block.plan.factor().n(), 100);
+        assert!(block.plan.partition().num_units() > 0);
+        assert_eq!(block.work.total, block.plan.factor().paper_work());
 
         let wrap = Pipeline::new(p).scheme(Scheme::Wrap).processors(8).run();
-        assert_eq!(wrap.partition.num_units(), 100);
+        assert_eq!(wrap.plan.partition().num_units(), 100);
         assert_eq!(wrap.work.total, block.work.total);
     }
 
@@ -849,7 +803,7 @@ mod tests {
         assert_eq!(exec.traffic_report(), r.traffic);
         assert_eq!(exec.work_report(), r.work);
         assert!(exec.estimated_time > 0.0);
-        assert_eq!(exec.factor.n(), r.factor.n());
+        assert_eq!(exec.factor.n(), r.plan.factor().n());
     }
 
     #[test]
@@ -869,7 +823,11 @@ mod tests {
         let base = Pipeline::new(p.clone()).processors(6).run();
         for e in [DepsEngine::Sweep, DepsEngine::SweepParallel] {
             let r = Pipeline::new(p.clone()).processors(6).deps_engine(e).run();
-            assert_eq!(r.deps, base.deps, "deps engine {e:?} graph diverged");
+            assert_eq!(
+                r.plan.deps(),
+                base.plan.deps(),
+                "deps engine {e:?} graph diverged"
+            );
             assert_eq!(
                 r.traffic, base.traffic,
                 "deps engine {e:?} traffic diverged"
@@ -1001,7 +959,7 @@ mod tests {
         assert_eq!(executed.nprocs(), 4);
         assert!(executed.makespan() > 0.0);
         // Both timelines cover every unit.
-        let units = r.partition.num_units();
+        let units = r.plan.partition().num_units();
         let count_ends = |t: &Timeline| {
             t.events
                 .iter()
@@ -1060,10 +1018,11 @@ mod tests {
         let fresh = pipeline.try_run().expect("runs");
         assert_eq!(planned.traffic, fresh.traffic);
         assert_eq!(planned.work, fresh.work);
-        assert_eq!(planned.deps, fresh.deps);
-        assert_eq!(planned.assignment, fresh.assignment);
-        assert_eq!(planned.permutation, fresh.permutation);
-        assert_eq!(planned.factor.fingerprint(), fresh.factor.fingerprint());
+        assert!(
+            planned.plan.ptr_eq(&artifact),
+            "the run holds the plan it was given"
+        );
+        assert_eq!(planned.plan.to_text(), fresh.plan.to_text());
         // Planning twice freezes the identical artifact.
         assert_eq!(
             artifact.fingerprint(),
@@ -1123,8 +1082,8 @@ mod tests {
             .min_cluster_width(8)
             .processors(2)
             .run();
-        assert_eq!(r.partition.params.grain_triangle, 25);
-        assert_eq!(r.partition.params.min_cluster_width, 8);
-        assert_eq!(r.assignment.nprocs, 2);
+        assert_eq!(r.plan.partition().params.grain_triangle, 25);
+        assert_eq!(r.plan.partition().params.min_cluster_width, 8);
+        assert_eq!(r.plan.assignment().nprocs, 2);
     }
 }

@@ -12,9 +12,12 @@
 //!
 //! The artifact is:
 //!
-//! * **immutable** — fields are private; accessors hand out shared
-//!   references only, so a cached artifact can be shared across threads
-//!   (`Arc<ScheduleArtifact>`) without any interior synchronization;
+//! * **immutable and shared** — the parts sit behind one `Arc`, so a
+//!   clone is a reference-count bump ([`ScheduleArtifact::ptr_eq`] tells
+//!   two handles on one plan apart from two equal plans); accessors hand
+//!   out shared references only, so the planner, a `PipelineResult` and
+//!   the serve cache all hold the same value without copying it or
+//!   synchronizing on it;
 //! * **hashable** — [`ScheduleKey`] derives `Hash`/`Eq` and is stable
 //!   across processes and platforms (FNV-1a over the canonical CSC
 //!   arrays, see `SymmetricPattern::structural_hash`);
@@ -25,12 +28,13 @@
 //!   tooling.
 
 use crate::export::{read_schedule, write_schedule, ScheduleDump};
-use crate::Assignment;
+use crate::{block_allocation, wrap_allocation, Assignment};
 use spfactor_matrix::{Permutation, SymmetricPattern};
-use spfactor_order::{OrderEngine, Ordering};
+use spfactor_order::{order_with_engine, OrderEngine, Ordering};
 use spfactor_partition::{build_dependencies, DepGraph, DepsEngine, Partition, PartitionParams};
 use spfactor_symbolic::SymbolicFactor;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::sync::Arc;
 
 /// Which mapping scheme a schedule was built with.
 ///
@@ -51,6 +55,24 @@ impl Scheme {
         match self {
             Scheme::Block => "block",
             Scheme::Wrap => "wrap",
+        }
+    }
+
+    /// The scheme's unit blocks: the paper's clusters cut by `params`, or
+    /// one unit per column.
+    pub fn partition(&self, factor: &SymbolicFactor, params: &PartitionParams) -> Partition {
+        match self {
+            Scheme::Block => Partition::build(factor, params),
+            Scheme::Wrap => Partition::columns(factor),
+        }
+    }
+
+    /// The scheme's unit → processor map over its own
+    /// [`partition`](Self::partition).
+    pub fn allocate(&self, partition: &Partition, deps: &DepGraph, nprocs: usize) -> Assignment {
+        match self {
+            Scheme::Block => block_allocation(partition, deps, nprocs),
+            Scheme::Wrap => wrap_allocation(partition, nprocs),
         }
     }
 }
@@ -109,11 +131,14 @@ impl ScheduleKey {
 /// The frozen front-end output for one [`ScheduleKey`]: permutation,
 /// symbolic factor, partition, dependency graph, and processor
 /// assignment. See the module docs for the immutability / reuse
-/// contract; `Pipeline::try_plan` builds these and
-/// `Pipeline::try_run_planned` (and the `spfactor-serve` solver
-/// service) consume them.
+/// contract; [`plan`] builds these (`Pipeline::try_plan` is a validated
+/// call of it) and `Pipeline::try_run_planned` (and the `spfactor-serve`
+/// solver service) consume them. A handle: `clone` shares the parts.
 #[derive(Clone, Debug)]
-pub struct ScheduleArtifact {
+pub struct ScheduleArtifact(Arc<Parts>);
+
+#[derive(Debug)]
+struct Parts {
     key: ScheduleKey,
     permutation: Permutation,
     factor: SymbolicFactor,
@@ -142,44 +167,51 @@ impl ScheduleArtifact {
             "assignment does not cover the partition"
         );
         assert_eq!(assignment.nprocs, key.nprocs, "processor count mismatch");
-        ScheduleArtifact {
+        ScheduleArtifact(Arc::new(Parts {
             key,
             permutation,
             factor,
             partition,
             deps,
             assignment,
-        }
+        }))
+    }
+
+    /// Whether `self` and `other` are handles on the same plan (not merely
+    /// equal ones): what a cache hit, or a run against a planned artifact,
+    /// hands back.
+    pub fn ptr_eq(&self, other: &ScheduleArtifact) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// The cache key this artifact was built under.
     pub fn key(&self) -> &ScheduleKey {
-        &self.key
+        &self.0.key
     }
 
     /// The fill-reducing permutation (`perm[new] = old`).
     pub fn permutation(&self) -> &Permutation {
-        &self.permutation
+        &self.0.permutation
     }
 
     /// The symbolic factor, in permuted coordinates.
     pub fn factor(&self) -> &SymbolicFactor {
-        &self.factor
+        &self.0.factor
     }
 
     /// Clusters and unit blocks.
     pub fn partition(&self) -> &Partition {
-        &self.partition
+        &self.0.partition
     }
 
     /// The unit-level dependency graph.
     pub fn deps(&self) -> &DepGraph {
-        &self.deps
+        &self.0.deps
     }
 
     /// The unit → processor assignment.
     pub fn assignment(&self) -> &Assignment {
-        &self.assignment
+        &self.0.assignment
     }
 
     /// A stable 64-bit fingerprint over the whole artifact: the key, the
@@ -197,19 +229,19 @@ impl ScheduleArtifact {
                 h = h.wrapping_mul(PRIME);
             }
         };
-        fold(self.key.structural_hash);
-        fold(self.key.n as u64);
-        fold(self.key.nprocs as u64);
-        fold(self.factor.fingerprint());
-        for &old in self.permutation.as_slice() {
+        fold(self.0.key.structural_hash);
+        fold(self.0.key.n as u64);
+        fold(self.0.key.nprocs as u64);
+        fold(self.0.factor.fingerprint());
+        for &old in self.0.permutation.as_slice() {
             fold(old as u64);
         }
-        fold(self.partition.num_units() as u64);
-        for &p in &self.assignment.proc_of_unit {
+        fold(self.0.partition.num_units() as u64);
+        for &p in &self.0.assignment.proc_of_unit {
             fold(p as u64);
         }
-        for u in 0..self.partition.num_units() {
-            for &s in self.deps.preds(u) {
+        for u in 0..self.0.partition.num_units() {
+            for &s in self.0.deps.preds(u) {
                 fold(s as u64);
             }
             fold(u64::MAX); // per-unit terminator keeps lists unambiguous
@@ -226,24 +258,24 @@ impl ScheduleArtifact {
         writeln!(
             w,
             "key hash {:016x} n {} ordering {:?} engine {} grain {} {} width {} relax {} scheme {} procs {}",
-            self.key.structural_hash,
-            self.key.n,
-            self.key.ordering,
-            self.key.order_engine.name(),
-            self.key.params.grain_triangle,
-            self.key.params.grain_rectangle,
-            self.key.params.min_cluster_width,
-            self.key.params.relax_zeros,
-            self.key.scheme.name(),
-            self.key.nprocs,
+            self.0.key.structural_hash,
+            self.0.key.n,
+            self.0.key.ordering,
+            self.0.key.order_engine.name(),
+            self.0.key.params.grain_triangle,
+            self.0.key.params.grain_rectangle,
+            self.0.key.params.min_cluster_width,
+            self.0.key.params.relax_zeros,
+            self.0.key.scheme.name(),
+            self.0.key.nprocs,
         )?;
         writeln!(w, "fingerprint {:016x}", self.fingerprint())?;
         write!(w, "perm")?;
-        for &old in self.permutation.as_slice() {
+        for &old in self.0.permutation.as_slice() {
             write!(w, " {old}")?;
         }
         writeln!(w)?;
-        write_schedule(w, &self.partition, &self.deps, &self.assignment)
+        write_schedule(w, &self.0.partition, &self.0.deps, &self.0.assignment)
     }
 
     /// [`write_text`](Self::write_text) into a `String`.
@@ -392,20 +424,59 @@ pub fn read_artifact_text<R: Read>(r: R) -> Result<ArtifactDump, String> {
     })
 }
 
+/// The pattern-only front end, start to finish: fill-reducing ordering
+/// (skipped when the caller already holds the `permutation`, as a stored
+/// dump does), symbolic factorization, the scheme's partition, the
+/// dependency graph, the scheme's allocation — frozen as the artifact of
+/// `key`. Each stage runs under its `phase.*` guard, so a recorder in
+/// scope gets the stage's span and heap peak.
+///
+/// `key` must describe `pattern` (see [`ScheduleKey::new`]) and target at
+/// least one processor: the allocators panic on zero.
+pub fn plan(
+    pattern: &SymmetricPattern,
+    key: ScheduleKey,
+    permutation: Option<Permutation>,
+    deps_engine: DepsEngine,
+) -> ScheduleArtifact {
+    let rec = spfactor_trace::current();
+    let permutation = permutation.unwrap_or_else(|| {
+        let _phase = rec.phase("order");
+        order_with_engine(pattern, key.ordering, key.order_engine)
+    });
+    let permuted = pattern.permute(&permutation);
+    let factor = {
+        let _phase = rec.phase("symbolic");
+        SymbolicFactor::from_pattern(&permuted)
+    };
+    let partition = {
+        let _phase = rec.phase("partition");
+        key.scheme.partition(&factor, &key.params)
+    };
+    let deps = {
+        let _phase = rec.phase("deps");
+        build_dependencies(deps_engine, &factor, &partition)
+    };
+    let assignment = {
+        let _phase = rec.phase("sched");
+        key.scheme.allocate(&partition, &deps, key.nprocs)
+    };
+    ScheduleArtifact::new(key, permutation, factor, partition, deps, assignment)
+}
+
 /// Rebuilds a full [`ScheduleArtifact`] from a parsed dump and the
 /// original (unpermuted) sparsity pattern.
 ///
-/// The dump persists everything that is expensive to recompute — above
-/// all the fill-reducing permutation, whose ordering phase dominates the
-/// front end — plus the frozen schedule (unit geometry, dependency
-/// lists, processor map). The cheap deterministic remainder (symbolic
-/// factorization, partitioning, dependency sweep) is re-derived from the
-/// pattern and cross-checked against the dump line by line; any
-/// disagreement, and any fingerprint mismatch on the reassembled
-/// artifact, yields a typed error rather than a silently wrong schedule.
-/// A reconstructed artifact is therefore bit-identical to the one that
-/// was serialized — the caller can hand it straight to
-/// `Pipeline::try_run_planned` or a solver service.
+/// The dump persists the fill-reducing permutation — the one stage that
+/// is not re-run — plus the frozen schedule (unit geometry, dependency
+/// lists, processor map). The deterministic remainder is re-derived by
+/// [`plan`] from the pattern and the stored permutation and
+/// cross-checked against the dump line by line; any disagreement, and
+/// any fingerprint mismatch on the reassembled artifact, yields a typed
+/// error rather than a silently wrong schedule. A reconstructed artifact
+/// is therefore bit-identical to the one that was serialized — the
+/// caller can hand it straight to `Pipeline::try_run_planned` or a
+/// solver service.
 pub fn rebuild_artifact(
     pattern: &SymmetricPattern,
     dump: &ArtifactDump,
@@ -438,12 +509,18 @@ pub fn rebuild_artifact(
             dump.schedule.nprocs, key.nprocs
         ));
     }
-    let permuted = pattern.permute(&dump.permutation);
-    let factor = SymbolicFactor::from_pattern(&permuted);
-    let partition = match key.scheme {
-        Scheme::Block => Partition::build(&factor, &key.params),
-        Scheme::Wrap => Partition::columns(&factor),
-    };
+    if key.nprocs == 0 {
+        // The allocators assert on this; `Pipeline` validates it, a file
+        // has not been through `Pipeline`.
+        return Err("dump key targets zero processors".into());
+    }
+    let artifact = plan(
+        pattern,
+        key,
+        Some(dump.permutation.clone()),
+        DepsEngine::Sweep,
+    );
+    let (partition, deps) = (artifact.partition(), artifact.deps());
     if partition.num_units() != dump.schedule.units.len() {
         return Err(format!(
             "partition rebuilt {} units, dump has {}",
@@ -464,10 +541,6 @@ pub fn rebuild_artifact(
             ));
         }
     }
-    if dump.schedule.proc_of_unit.len() != partition.num_units() {
-        return Err("assignment does not cover the partition".into());
-    }
-    let deps = build_dependencies(DepsEngine::Sweep, &factor, &partition);
     for u in 0..partition.num_units() {
         if deps.preds(u) != dump.schedule.preds[u].as_slice() {
             return Err(format!(
@@ -475,20 +548,9 @@ pub fn rebuild_artifact(
             ));
         }
     }
-    let assignment = Assignment {
-        nprocs: key.nprocs,
-        proc_of_unit: dump.schedule.proc_of_unit.clone(),
-    };
-    // Every `ScheduleArtifact::new` consistency assert is pre-validated
-    // above, so this cannot panic on malformed input.
-    let artifact = ScheduleArtifact::new(
-        key,
-        dump.permutation.clone(),
-        factor,
-        partition,
-        deps,
-        assignment,
-    );
+    if artifact.assignment().proc_of_unit != dump.schedule.proc_of_unit {
+        return Err("processor map disagrees with the rebuilt allocation".into());
+    }
     let fp = artifact.fingerprint();
     if fp != dump.fingerprint {
         return Err(format!(
@@ -502,39 +564,18 @@ pub fn rebuild_artifact(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{block_allocation, wrap_allocation};
     use spfactor_matrix::gen;
-    use spfactor_order::{order, OrderEngine, Ordering};
-    use spfactor_partition::dependencies;
 
     fn build(pattern: &SymmetricPattern, scheme: Scheme, nprocs: usize) -> ScheduleArtifact {
-        let ordering = Ordering::paper_default();
-        let params = PartitionParams::default();
-        let perm = order(pattern, ordering);
-        let factor = SymbolicFactor::from_pattern(&pattern.permute(&perm));
-        let (partition, assignment) = match scheme {
-            Scheme::Block => {
-                let p = Partition::build(&factor, &params);
-                let d = dependencies(&factor, &p);
-                let a = block_allocation(&p, &d, nprocs);
-                (p, a)
-            }
-            Scheme::Wrap => {
-                let p = Partition::columns(&factor);
-                let a = wrap_allocation(&p, nprocs);
-                (p, a)
-            }
-        };
-        let deps = dependencies(&factor, &partition);
         let key = ScheduleKey::new(
             pattern,
-            ordering,
+            Ordering::paper_default(),
             OrderEngine::Direct,
-            params,
+            PartitionParams::default(),
             scheme,
             nprocs,
         );
-        ScheduleArtifact::new(key, perm, factor, partition, deps, assignment)
+        plan(pattern, key, None, DepsEngine::Element)
     }
 
     #[test]
@@ -650,19 +691,21 @@ mod tests {
 
     #[test]
     fn rebuild_round_trips_bit_identically() {
-        let p = gen::lap9(7, 7);
-        for scheme in [Scheme::Block, Scheme::Wrap] {
-            let artifact = build(&p, scheme, 3);
-            let dump = read_artifact_text(artifact.to_text().as_bytes()).expect("parses");
-            let rebuilt = rebuild_artifact(&p, &dump).expect("rebuilds");
-            assert_eq!(rebuilt.key(), artifact.key());
-            assert_eq!(rebuilt.permutation(), artifact.permutation());
-            assert_eq!(rebuilt.deps(), artifact.deps());
-            assert_eq!(
-                rebuilt.assignment().proc_of_unit,
-                artifact.assignment().proc_of_unit
-            );
-            assert_eq!(rebuilt.fingerprint(), artifact.fingerprint());
+        let mut patterns = vec![gen::lap9(7, 7)];
+        patterns.extend(gen::paper::all().into_iter().map(|m| m.pattern));
+        for p in &patterns {
+            for scheme in [Scheme::Block, Scheme::Wrap] {
+                let artifact = build(p, scheme, 3);
+                let dump = read_artifact_text(artifact.to_text().as_bytes()).expect("parses");
+                let rebuilt = rebuild_artifact(p, &dump).expect("rebuilds");
+                assert!(!rebuilt.ptr_eq(&artifact));
+                assert_eq!(rebuilt.key(), artifact.key());
+                assert_eq!(rebuilt.permutation(), artifact.permutation());
+                assert_eq!(rebuilt.deps(), artifact.deps());
+                assert_eq!(rebuilt.assignment(), artifact.assignment());
+                assert_eq!(rebuilt.fingerprint(), artifact.fingerprint());
+                assert_eq!(rebuilt.to_text(), artifact.to_text());
+            }
         }
     }
 

@@ -20,8 +20,9 @@
 //! * [`order`] — the second half of scheduling the paper leaves open:
 //!   a deterministic topological execution order and the per-processor
 //!   work queues the `spfactor-mp` runtime executes;
-//! * [`artifact`] — the frozen, hashable [`ScheduleArtifact`] bundling
-//!   the whole pattern-only front end under a [`ScheduleKey`], the unit
+//! * [`artifact`] — [`plan`], the one function that runs the whole
+//!   pattern-only front end, and the frozen, hashable, shared
+//!   [`ScheduleArtifact`] it returns under a [`ScheduleKey`]: the unit
 //!   the `spfactor-serve` schedule cache stores and reuses.
 
 pub mod alt;
@@ -31,7 +32,7 @@ pub mod order;
 pub mod proportional;
 
 pub use artifact::{
-    read_artifact_text, rebuild_artifact, ArtifactDump, ScheduleArtifact, ScheduleKey, Scheme,
+    plan, read_artifact_text, rebuild_artifact, ArtifactDump, ScheduleArtifact, ScheduleKey, Scheme,
 };
 pub use order::{processor_queues, topological_order};
 

@@ -10,31 +10,23 @@
 //! the wrong pattern).
 
 use spfactor_matrix::gen;
-use spfactor_order::{order, OrderEngine, Ordering};
-use spfactor_partition::{build_dependencies, DepsEngine, Partition, PartitionParams};
+use spfactor_order::{OrderEngine, Ordering};
+use spfactor_partition::{DepsEngine, PartitionParams};
 use spfactor_sched::{
-    block_allocation, read_artifact_text, rebuild_artifact, ScheduleArtifact, ScheduleKey, Scheme,
+    plan, read_artifact_text, rebuild_artifact, ScheduleArtifact, ScheduleKey, Scheme,
 };
-use spfactor_symbolic::SymbolicFactor;
 
 fn build(cols: usize, nprocs: usize) -> (spfactor_matrix::SymmetricPattern, ScheduleArtifact) {
     let pattern = gen::lap9(cols, cols);
-    let ordering = Ordering::paper_default();
-    let params = PartitionParams::default();
-    let perm = order(&pattern, ordering);
-    let factor = SymbolicFactor::from_pattern(&pattern.permute(&perm));
-    let partition = Partition::build(&factor, &params);
-    let deps = build_dependencies(DepsEngine::Sweep, &factor, &partition);
-    let assignment = block_allocation(&partition, &deps, nprocs);
     let key = ScheduleKey::new(
         &pattern,
-        ordering,
+        Ordering::paper_default(),
         OrderEngine::Direct,
-        params,
+        PartitionParams::default(),
         Scheme::Block,
         nprocs,
     );
-    let artifact = ScheduleArtifact::new(key, perm, factor, partition, deps, assignment);
+    let artifact = plan(&pattern, key, None, DepsEngine::Sweep);
     (pattern, artifact)
 }
 
@@ -84,6 +76,23 @@ fn corrupted_schedule_body_is_rejected_not_trusted() {
     assert_ne!(text, swapped, "corpus needs a unit on processor 0");
     let dump = read_artifact_text(swapped.as_bytes()).expect("parses");
     assert!(rebuild_artifact(&pattern, &dump).is_err());
+}
+
+#[test]
+fn a_schedule_for_zero_processors_is_a_typed_error() {
+    // Only an empty schedule can name zero processors and still parse;
+    // the allocators assert on that count, so the rebuild must refuse it
+    // before it re-runs them.
+    let pattern = spfactor_matrix::SymmetricPattern::from_edges(0, []);
+    let hash = pattern.structural_hash();
+    let text = format!(
+        "spfactor-artifact v1\n\
+         key hash {hash:016x} n 0 ordering Natural engine direct grain 4 4 width 4 relax 0 scheme block procs 0\n\
+         fingerprint 0000000000000000\nperm\nspfactor-schedule v1\nunits 0 procs 0\n"
+    );
+    let dump = read_artifact_text(text.as_bytes()).expect("parses");
+    let err = rebuild_artifact(&pattern, &dump).expect_err("must be refused");
+    assert!(err.contains("zero processors"), "{err}");
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //!
 //! The cache maps a [`ScheduleKey`] — structural hash of the CSC pattern
 //! plus every front-end parameter (ordering, grain, scheme, processor
-//! count) — to a frozen, shared [`ScheduleArtifact`]. Two properties
+//! count) — to a frozen [`ScheduleArtifact`], itself a shared handle: the
+//! cache stores it and hands out clones of it, never copies. Two properties
 //! matter under concurrency:
 //!
 //! * **Single-flight**: when several threads miss on the same key at
@@ -17,14 +18,14 @@
 //!   builds race.
 //!
 //! Hit/miss/wait/evict counts are kept in lock-free [`CacheStats`]
-//! counters (always available, recorder or not) and
-//! mirrored onto an optional [`Recorder`] as `serve.cache.*` metrics;
-//! builds run under the `serve.build` span.
+//! counters (always available, recorder or not) and mirrored onto the
+//! recorder in scope ([`spfactor::trace::current`]) as `serve.cache.*`
+//! metrics; builds run under the `serve.build` span.
 
 use crate::resilience::lock_unpoisoned;
 use crate::ServeError;
 use spfactor::sched::{ScheduleArtifact, ScheduleKey};
-use spfactor::Recorder;
+use spfactor::trace;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -71,7 +72,7 @@ pub struct CacheSnapshot {
 /// One in-flight build: completed at most once, then immutable. Waiters
 /// block on the condvar until `result` is populated.
 struct Flight {
-    result: Mutex<Option<Result<Arc<ScheduleArtifact>, ServeError>>>,
+    result: Mutex<Option<Result<ScheduleArtifact, ServeError>>>,
     done: Condvar,
 }
 
@@ -83,14 +84,14 @@ impl Flight {
         }
     }
 
-    fn complete(&self, r: Result<Arc<ScheduleArtifact>, ServeError>) {
+    fn complete(&self, r: Result<ScheduleArtifact, ServeError>) {
         let mut slot = lock_unpoisoned(&self.result);
         debug_assert!(slot.is_none(), "flight completed twice");
         *slot = Some(r);
         self.done.notify_all();
     }
 
-    fn wait(&self) -> Result<Arc<ScheduleArtifact>, ServeError> {
+    fn wait(&self) -> Result<ScheduleArtifact, ServeError> {
         let mut slot = lock_unpoisoned(&self.result);
         loop {
             match &*slot {
@@ -103,7 +104,7 @@ impl Flight {
 
 enum Entry {
     Ready {
-        artifact: Arc<ScheduleArtifact>,
+        artifact: ScheduleArtifact,
         last_used: u64,
     },
     Building(Arc<Flight>),
@@ -118,7 +119,7 @@ struct Inner {
 
 /// What a lookup resolved to, decided under the map lock.
 enum Resolved {
-    Hit(Arc<ScheduleArtifact>),
+    Hit(ScheduleArtifact),
     Wait(Arc<Flight>),
     Build(Arc<Flight>),
 }
@@ -134,7 +135,6 @@ pub struct ScheduleCache {
     misses: AtomicU64,
     waits: AtomicU64,
     evictions: AtomicU64,
-    recorder: Option<Arc<Recorder>>,
 }
 
 impl std::fmt::Debug for ScheduleCache {
@@ -162,17 +162,7 @@ impl ScheduleCache {
             misses: AtomicU64::new(0),
             waits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            recorder: None,
         }
-    }
-
-    /// Attaches a [`Recorder`]: cache traffic is then mirrored as
-    /// `serve.cache.{hit,miss,wait,evict}` counters, the resident count
-    /// as the `serve.cache.size` gauge, and builds run under the
-    /// `serve.build` span (all documented in `docs/METRICS.md`).
-    pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
     }
 
     /// The capacity the cache evicts down to.
@@ -245,11 +235,16 @@ impl ScheduleCache {
     /// waiters alike — observes the same `Ok` artifact or the same
     /// cloned error. A failed build leaves the cache without the entry,
     /// so the next lookup retries.
+    ///
+    /// Under a recorder scope: cache traffic is mirrored as
+    /// `serve.cache.{hit,miss,wait,evict}` counters, the resident count as
+    /// the `serve.cache.size` gauge, and the build runs under the
+    /// `serve.build` span (all documented in `docs/METRICS.md`).
     pub fn get_or_build(
         &self,
         key: ScheduleKey,
         build: impl FnOnce() -> Result<ScheduleArtifact, ServeError>,
-    ) -> Result<Arc<ScheduleArtifact>, ServeError> {
+    ) -> Result<ScheduleArtifact, ServeError> {
         let resolved = {
             let mut inner = lock_unpoisoned(&self.inner);
             inner.tick += 1;
@@ -271,30 +266,22 @@ impl ScheduleCache {
             }
         };
 
+        let rec = trace::current();
         match resolved {
             Resolved::Hit(artifact) => {
                 self.hits.fetch_add(1, AtomicOrdering::Relaxed);
-                if let Some(rec) = &self.recorder {
-                    rec.incr("serve.cache.hit", 1);
-                }
+                rec.incr("serve.cache.hit", 1);
                 Ok(artifact)
             }
             Resolved::Wait(flight) => {
                 self.waits.fetch_add(1, AtomicOrdering::Relaxed);
-                if let Some(rec) = &self.recorder {
-                    rec.incr("serve.cache.wait", 1);
-                }
+                rec.incr("serve.cache.wait", 1);
                 flight.wait()
             }
             Resolved::Build(flight) => {
                 self.misses.fetch_add(1, AtomicOrdering::Relaxed);
-                if let Some(rec) = &self.recorder {
-                    rec.incr("serve.cache.miss", 1);
-                }
-                let built = match &self.recorder {
-                    Some(rec) => rec.time("serve.build", build),
-                    None => build(),
-                };
+                rec.incr("serve.cache.miss", 1);
+                let built = rec.time("serve.build", build);
                 let result = self.finish_build(&key, built);
                 flight.complete(result.clone());
                 self.publish_size();
@@ -310,11 +297,10 @@ impl ScheduleCache {
         &self,
         key: &ScheduleKey,
         built: Result<ScheduleArtifact, ServeError>,
-    ) -> Result<Arc<ScheduleArtifact>, ServeError> {
+    ) -> Result<ScheduleArtifact, ServeError> {
         let mut inner = lock_unpoisoned(&self.inner);
         match built {
             Ok(artifact) => {
-                let artifact = Arc::new(artifact);
                 inner.tick += 1;
                 let now = inner.tick;
                 inner.map.insert(
@@ -356,9 +342,7 @@ impl ScheduleCache {
                 drop(inner);
                 if evicted > 0 {
                     self.evictions.fetch_add(evicted, AtomicOrdering::Relaxed);
-                    if let Some(rec) = &self.recorder {
-                        rec.incr("serve.cache.evict", evicted);
-                    }
+                    trace::current().incr("serve.cache.evict", evicted);
                 }
                 Ok(artifact)
             }
@@ -370,7 +354,8 @@ impl ScheduleCache {
     }
 
     fn publish_size(&self) {
-        if let Some(rec) = &self.recorder {
+        let rec = trace::current();
+        if rec.is_recording() {
             rec.gauge("serve.cache.size", self.len() as f64);
         }
     }
@@ -399,7 +384,7 @@ mod tests {
         let a2 = cache
             .get_or_build(p.key(), || panic!("must not rebuild"))
             .unwrap();
-        assert!(Arc::ptr_eq(&a1, &a2));
+        assert!(a1.ptr_eq(&a2));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.waits, s.evictions), (1, 1, 0, 0));
         assert_eq!(s.hit_rate(), 0.5);

@@ -22,6 +22,7 @@
 //!   of breaker state.
 
 use crate::ServeError;
+use spfactor::trace;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -261,14 +262,10 @@ pub(crate) struct KernelBreakers {
     threshold: u32,
     cooldown: Duration,
     breakers: [Mutex<Breaker>; 3],
-    recorder: Option<std::sync::Arc<spfactor::Recorder>>,
 }
 
 impl KernelBreakers {
-    pub(crate) fn new(
-        config: &ResilienceConfig,
-        recorder: Option<std::sync::Arc<spfactor::Recorder>>,
-    ) -> Self {
+    pub(crate) fn new(config: &ResilienceConfig) -> Self {
         KernelBreakers {
             threshold: config.breaker_threshold,
             cooldown: config.breaker_cooldown,
@@ -277,7 +274,6 @@ impl KernelBreakers {
                 Mutex::new(Breaker::new()),
                 Mutex::new(Breaker::new()),
             ],
-            recorder,
         }
     }
 
@@ -290,7 +286,8 @@ impl KernelBreakers {
     }
 
     fn publish(&self, kind: KernelKind, state: BreakerState) {
-        if let Some(rec) = &self.recorder {
+        let rec = trace::current();
+        if rec.is_recording() {
             rec.gauge(
                 &format!("serve.breaker.{}.state", kind.name()),
                 state.gauge(),
@@ -322,9 +319,7 @@ impl KernelBreakers {
                 if cooled {
                     b.state = BreakerState::HalfOpen;
                     self.publish(kind, b.state);
-                    if let Some(rec) = &self.recorder {
-                        rec.incr("serve.breaker.probe", 1);
-                    }
+                    trace::current().incr("serve.breaker.probe", 1);
                     Admit::Probe
                 } else {
                     Admit::Deny
@@ -362,9 +357,7 @@ impl KernelBreakers {
             b.state = BreakerState::Open;
             b.opened_at = Some(Instant::now());
             self.publish(kind, b.state);
-            if let Some(rec) = &self.recorder {
-                rec.incr("serve.breaker.open", 1);
-            }
+            trace::current().incr("serve.breaker.open", 1);
         }
     }
 }
@@ -414,7 +407,7 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_threshold_and_probes_after_cooldown() {
-        let b = KernelBreakers::new(&config(2, Duration::ZERO), None);
+        let b = KernelBreakers::new(&config(2, Duration::ZERO));
         let k = KernelKind::MessagePassing;
         assert_eq!(b.admit(k), Admit::Allow);
         b.on_failure(k);
@@ -432,7 +425,7 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens() {
-        let b = KernelBreakers::new(&config(1, Duration::ZERO), None);
+        let b = KernelBreakers::new(&config(1, Duration::ZERO));
         let k = KernelKind::BlockParallel;
         b.on_failure(k);
         assert_eq!(b.admit(k), Admit::Probe);
@@ -442,7 +435,7 @@ mod tests {
 
     #[test]
     fn open_breaker_denies_until_cooldown() {
-        let b = KernelBreakers::new(&config(1, Duration::from_secs(3600)), None);
+        let b = KernelBreakers::new(&config(1, Duration::from_secs(3600)));
         let k = KernelKind::MessagePassing;
         b.on_failure(k);
         assert_eq!(b.admit(k), Admit::Deny, "cooldown not elapsed");
@@ -450,7 +443,7 @@ mod tests {
 
     #[test]
     fn sequential_is_never_denied() {
-        let b = KernelBreakers::new(&config(1, Duration::from_secs(3600)), None);
+        let b = KernelBreakers::new(&config(1, Duration::from_secs(3600)));
         for _ in 0..5 {
             b.on_failure(KernelKind::Sequential);
         }
@@ -459,7 +452,7 @@ mod tests {
 
     #[test]
     fn zero_threshold_disables_breaking() {
-        let b = KernelBreakers::new(&config(0, Duration::ZERO), None);
+        let b = KernelBreakers::new(&config(0, Duration::ZERO));
         for _ in 0..10 {
             b.on_failure(KernelKind::MessagePassing);
         }

@@ -35,7 +35,7 @@ use spfactor::mp::{FaultPlan, MpConfig, MpError};
 use spfactor::numeric::NumericFactor;
 use spfactor::sched::{ScheduleArtifact, ScheduleKey, Scheme};
 use spfactor::{
-    mp, numeric, DepsEngine, NetworkModel, OrderEngine, Ordering, PartitionParams, Pipeline,
+    mp, numeric, trace, DepsEngine, NetworkModel, OrderEngine, Ordering, PartitionParams, Pipeline,
     Recorder,
 };
 use std::collections::VecDeque;
@@ -86,7 +86,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Optional metrics recorder; receives the whole `serve.*` surface
     /// (see `docs/METRICS.md`) and the pipeline's `phase.*` spans for
-    /// cache-miss builds.
+    /// cache-miss builds. The service puts it in scope
+    /// ([`spfactor::trace::scope`]) on its workers and around each call
+    /// on the handle; nothing below holds it.
     pub recorder: Option<Arc<Recorder>>,
     /// Deadlines, retry/failover, and circuit-breaker knobs (see
     /// `docs/SERVING.md`).
@@ -277,8 +279,8 @@ pub struct BatchResult {
 pub struct SolveResponse {
     /// The cache key the request resolved under.
     pub key: ScheduleKey,
-    /// The (shared) schedule artifact used.
-    pub artifact: Arc<ScheduleArtifact>,
+    /// The schedule artifact used: a handle on the cache's own entry.
+    pub artifact: ScheduleArtifact,
     /// Whether the artifact was already resident (`true`) or this
     /// request triggered / waited on the build or store load (`false`).
     pub cache_hit: bool,
@@ -335,7 +337,6 @@ struct Shared {
     store: Option<ArtifactStore>,
     breakers: KernelBreakers,
     resilience: ResilienceConfig,
-    recorder: Option<Arc<Recorder>>,
     queue_depth: usize,
     depth: AtomicUsize,
     rejected: AtomicU64,
@@ -347,18 +348,10 @@ struct Shared {
 
 impl Shared {
     fn publish_queue_depth(&self) {
-        if let Some(rec) = &self.recorder {
-            rec.gauge(
-                "serve.queue.depth",
-                self.depth.load(AtomicOrdering::Relaxed) as f64,
-            );
-        }
-    }
-
-    fn incr(&self, name: &str, by: u64) {
-        if let Some(rec) = &self.recorder {
-            rec.incr(name, by);
-        }
+        trace::current().gauge(
+            "serve.queue.depth",
+            self.depth.load(AtomicOrdering::Relaxed) as f64,
+        );
     }
 
     /// Records one request latency and republishes the percentile
@@ -369,7 +362,8 @@ impl Shared {
             window.pop_front();
         }
         window.push_back(ms);
-        if let Some(rec) = &self.recorder {
+        let rec = trace::current();
+        if rec.is_recording() {
             let mut sorted: Vec<f64> = window.iter().copied().collect();
             drop(window);
             sorted.sort_by(f64::total_cmp);
@@ -381,8 +375,9 @@ impl Shared {
 
     /// Counts a blown deadline on the total and per-stage counters.
     fn note_deadline(&self, stage: DeadlineStage) {
-        self.incr("serve.deadline.exceeded", 1);
-        self.incr(&format!("serve.deadline.exceeded.{}", stage.name()), 1);
+        let rec = trace::current();
+        rec.incr("serve.deadline.exceeded", 1);
+        rec.incr(&format!("serve.deadline.exceeded.{}", stage.name()), 1);
     }
 
     /// Runs every batch of `request` on the kernel class `kind`,
@@ -446,12 +441,13 @@ impl Shared {
     /// build-stage deadline, then run the kernel chain with retry,
     /// circuit breaking, and failover. Called from workers (with the
     /// job's admission instant) and from the synchronous entry point
-    /// (admitted = now) alike.
+    /// (admitted = now) alike, both under the service's recorder scope.
     fn process(
         &self,
         request: &SolveRequest,
         admitted: Instant,
     ) -> Result<SolveResponse, ServeError> {
+        let rec = trace::current();
         let started = Instant::now();
         let clock = DeadlineClock::new(
             admitted,
@@ -504,7 +500,7 @@ impl Shared {
             }
             built_here = true;
             self.cold_builds.fetch_add(1, AtomicOrdering::Relaxed);
-            let mut pipeline = Pipeline::new(request.pattern.clone())
+            let artifact = Pipeline::new(request.pattern.clone())
                 .ordering(request.ordering)
                 .order_engine(request.order_engine)
                 .params(request.params)
@@ -513,11 +509,7 @@ impl Shared {
                 // The engine `sched::rebuild_artifact` uses on the
                 // store-load path, so one key has one origin. Serial:
                 // the worker threads already fill the cores.
-                .deps_engine(DepsEngine::Sweep);
-            if let Some(rec) = &self.recorder {
-                pipeline = pipeline.with_recorder(rec.clone());
-            }
-            let artifact = pipeline
+                .deps_engine(DepsEngine::Sweep)
                 .try_plan()
                 .map_err(|e| ServeError::Build(Arc::new(e)))?;
             if let Some(store) = &self.store {
@@ -581,7 +573,7 @@ impl Shared {
                     Err(KernelFailure::Transient { retryable, error }) => {
                         let budget_left = clock.remaining().map(|r| !r.is_zero()).unwrap_or(true);
                         if retryable && attempt < self.resilience.max_retries && budget_left {
-                            self.incr("serve.failover.retry", 1);
+                            rec.incr("serve.failover.retry", 1);
                             let pause = backoff_for(&self.resilience, attempt, clock.remaining());
                             if !pause.is_zero() {
                                 std::thread::sleep(pause);
@@ -607,19 +599,17 @@ impl Shared {
                 // Chain exhausted. The sequential last resort only fails
                 // fatally (returned above), so this is reachable only
                 // with failover disabled — surface the kernel's error.
-                self.incr("serve.failover.exhausted", 1);
+                rec.incr("serve.failover.exhausted", 1);
                 let last = failover.pop().map(|s| s.error);
                 return Err(last.unwrap_or(ServeError::ShuttingDown));
             }
         };
         if !failover.is_empty() {
             self.degraded.fetch_add(1, AtomicOrdering::Relaxed);
-            self.incr("serve.failover.degraded", 1);
+            rec.incr("serve.failover.degraded", 1);
         }
-        if let Some(rec) = &self.recorder {
-            rec.record_span_ns("serve.solve", solve_started.elapsed().as_nanos() as u64);
-            rec.incr("serve.requests", 1);
-        }
+        rec.record_span_ns("serve.solve", solve_started.elapsed().as_nanos() as u64);
+        rec.incr("serve.requests", 1);
         self.completed.fetch_add(1, AtomicOrdering::Relaxed);
         self.record_latency(clock.elapsed_ms());
 
@@ -693,6 +683,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// [`ServeError::ShuttingDown`].
 pub struct SolverService {
     shared: Arc<Shared>,
+    recorder: Option<Arc<Recorder>>,
     queue: Option<mpsc::SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -712,25 +703,16 @@ impl SolverService {
     /// store (when configured — an unopenable store directory degrades
     /// to running without persistence), and spawns the workers.
     pub fn start(config: ServeConfig) -> Self {
-        let mut cache = ScheduleCache::new(config.cache_capacity);
-        if let Some(rec) = &config.recorder {
-            cache = cache.with_recorder(rec.clone());
-        }
-        let store = config.store_dir.as_ref().and_then(|dir| {
-            ArtifactStore::open(dir)
-                .ok()
-                .map(|s| match &config.recorder {
-                    Some(rec) => s.with_recorder(rec.clone()),
-                    None => s,
-                })
-        });
-        let breakers = KernelBreakers::new(&config.resilience, config.recorder.clone());
+        let _scope = config.recorder.as_ref().map(trace::scope);
+        let store = config
+            .store_dir
+            .as_ref()
+            .and_then(|dir| ArtifactStore::open(dir).ok());
         let shared = Arc::new(Shared {
-            cache,
+            cache: ScheduleCache::new(config.cache_capacity),
             store,
-            breakers,
+            breakers: KernelBreakers::new(&config.resilience),
             resilience: config.resilience,
-            recorder: config.recorder,
             queue_depth: config.queue_depth.max(1),
             depth: AtomicUsize::new(0),
             rejected: AtomicU64::new(0),
@@ -745,19 +727,23 @@ impl SolverService {
             .map(|i| {
                 let shared = shared.clone();
                 let rx = rx.clone();
+                let recorder = config.recorder.clone();
                 let spawned = std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || loop {
-                        let job = match lock_unpoisoned(&rx).recv() {
-                            Ok(job) => job,
-                            Err(_) => break, // service dropped
-                        };
-                        shared.depth.fetch_sub(1, AtomicOrdering::Relaxed);
-                        shared.publish_queue_depth();
-                        let outcome = shared.process(&job.request, job.admitted);
-                        // A dropped ticket is fine; the work still
-                        // warmed the cache.
-                        let _ = job.reply.send(outcome);
+                    .spawn(move || {
+                        let _scope = recorder.as_ref().map(trace::scope);
+                        loop {
+                            let job = match lock_unpoisoned(&rx).recv() {
+                                Ok(job) => job,
+                                Err(_) => break, // service dropped
+                            };
+                            shared.depth.fetch_sub(1, AtomicOrdering::Relaxed);
+                            shared.publish_queue_depth();
+                            let outcome = shared.process(&job.request, job.admitted);
+                            // A dropped ticket is fine; the work still
+                            // warmed the cache.
+                            let _ = job.reply.send(outcome);
+                        }
                     });
                 match spawned {
                     Ok(handle) => handle,
@@ -767,6 +753,7 @@ impl SolverService {
             .collect();
         SolverService {
             shared,
+            recorder: config.recorder,
             queue: Some(tx),
             workers,
         }
@@ -776,6 +763,7 @@ impl SolverService {
     /// admission control — the caller provides the backpressure). The
     /// request's deadline starts now.
     pub fn solve(&self, request: SolveRequest) -> Result<SolveResponse, ServeError> {
+        let _scope = self.recorder.as_ref().map(trace::scope);
         self.shared.process(&request, Instant::now())
     }
 
@@ -784,28 +772,43 @@ impl SolverService {
     /// instead of blocking, so callers can shed or retry with backoff.
     pub fn submit(&self, request: SolveRequest) -> Result<Ticket, ServeError> {
         let queue = self.queue.as_ref().ok_or(ServeError::ShuttingDown)?;
+        let _scope = self.recorder.as_ref().map(trace::scope);
+        let shared = &self.shared;
+        let overloaded = || {
+            shared.rejected.fetch_add(1, AtomicOrdering::Relaxed);
+            trace::current().incr("serve.queue.rejected", 1);
+            Err(ServeError::Overloaded {
+                capacity: shared.queue_depth,
+            })
+        };
+        // The slot is taken before the job can reach a worker, which gives
+        // it back on receipt: counted after the send, a fast worker got
+        // there first and wrapped the gauge below zero.
+        let relaxed = AtomicOrdering::Relaxed;
+        let reserve = |d: usize| (d < shared.queue_depth).then_some(d + 1);
+        if shared
+            .depth
+            .fetch_update(relaxed, relaxed, reserve)
+            .is_err()
+        {
+            return overloaded();
+        }
+        shared.publish_queue_depth();
         let (reply, rx) = mpsc::channel();
-        let admitted = Instant::now();
         match queue.try_send(Job {
             request,
-            admitted,
+            admitted: Instant::now(),
             reply,
         }) {
-            Ok(()) => {
-                self.shared.depth.fetch_add(1, AtomicOrdering::Relaxed);
-                self.shared.publish_queue_depth();
-                Ok(Ticket { rx })
-            }
-            Err(mpsc::TrySendError::Full(_)) => {
-                self.shared.rejected.fetch_add(1, AtomicOrdering::Relaxed);
-                if let Some(rec) = &self.shared.recorder {
-                    rec.incr("serve.queue.rejected", 1);
+            Ok(()) => Ok(Ticket { rx }),
+            Err(refused) => {
+                shared.depth.fetch_sub(1, relaxed);
+                shared.publish_queue_depth();
+                match refused {
+                    mpsc::TrySendError::Full(_) => overloaded(),
+                    mpsc::TrySendError::Disconnected(_) => Err(ServeError::ShuttingDown),
                 }
-                Err(ServeError::Overloaded {
-                    capacity: self.shared.queue_depth,
-                })
             }
-            Err(mpsc::TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
         }
     }
 
@@ -943,6 +946,53 @@ mod tests {
             assert_eq!(resp.batches.len(), 1);
         }
         assert_eq!(service.completed(), 4);
+        assert_eq!(service.queue_depth(), 0);
+    }
+
+    #[test]
+    fn queue_depth_stays_within_its_bound_under_a_fast_worker() {
+        // One worker on warm, tiny requests picks a job up about as fast
+        // as `submit` returns: the interleaving in which a count taken
+        // after the send was decremented first and wrapped below zero.
+        let config = ServeConfig {
+            workers: 1,
+            queue_depth: 2,
+            ..ServeConfig::default()
+        };
+        let bound = config.queue_depth;
+        let service = SolverService::start(config);
+        let req = request(4, 1, 0);
+        service.solve(req.clone()).unwrap();
+        // Nothing in the scope may panic before `done` is set: the watcher
+        // would spin on, and the scope would wait for it.
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let deepest = |sofar: usize| sofar.max(service.queue_depth());
+        let (watched, submitted, failures) = std::thread::scope(|s| {
+            let watcher = s.spawn(|| {
+                let mut seen = 0;
+                while !done.load(AtomicOrdering::Relaxed) {
+                    seen = deepest(seen);
+                }
+                seen
+            });
+            // One request at a time: the worker is back in `recv`, still
+            // spinning, when the next job lands, and can have it before
+            // `submit` has returned.
+            let (mut seen, mut failures) = (0, Vec::new());
+            for _ in 0..20_000 {
+                let outcome = service.submit(req.clone());
+                seen = deepest(seen);
+                failures.extend(outcome.and_then(Ticket::wait).err());
+            }
+            done.store(true, AtomicOrdering::Relaxed);
+            (watcher.join(), seen, failures)
+        });
+        let watched = watched.expect("the watcher only reads");
+        assert!(
+            watched.max(submitted) <= bound,
+            "depth reached {watched} (watcher), {submitted} (submitter)"
+        );
+        assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(service.queue_depth(), 0);
     }
 

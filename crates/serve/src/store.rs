@@ -23,11 +23,11 @@
 use crate::resilience::lock_unpoisoned;
 use spfactor::matrix::SymmetricPattern;
 use spfactor::sched::{read_artifact_text, rebuild_artifact, ScheduleArtifact, ScheduleKey};
-use spfactor::Recorder;
+use spfactor::trace;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// File extension of spilled artifacts.
 const EXT: &str = "spfa";
@@ -107,7 +107,6 @@ pub struct ArtifactStore {
     spilled: AtomicU64,
     hits: AtomicU64,
     rejected: AtomicU64,
-    recorder: Option<Arc<Recorder>>,
 }
 
 impl std::fmt::Debug for ArtifactStore {
@@ -150,6 +149,11 @@ impl ArtifactStore {
     /// parseable `*.spfa` file in it by its serialized [`ScheduleKey`].
     /// Unparseable files are counted as rejected and skipped — a corrupt
     /// spill degrades to a rebuild, never an error at startup.
+    ///
+    /// Under a recorder scope, here and in [`spill`](Self::spill) and
+    /// [`load`](Self::load): store traffic is mirrored as
+    /// `serve.store.{loaded,spilled,hit,rejected}` counters (documented
+    /// in `docs/METRICS.md`).
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| StoreError::Io {
@@ -163,7 +167,6 @@ impl ArtifactStore {
             spilled: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            recorder: None,
         };
         let entries = std::fs::read_dir(&dir).map_err(|e| StoreError::Io {
             path: dir.clone(),
@@ -189,24 +192,10 @@ impl ArtifactStore {
                 }
             }
         }
+        let (rec, scanned) = (trace::current(), store.stats());
+        rec.incr("serve.store.loaded", scanned.loaded);
+        rec.incr("serve.store.rejected", scanned.rejected);
         Ok(store)
-    }
-
-    /// Attaches a [`Recorder`]: store traffic is then mirrored as
-    /// `serve.store.{loaded,spilled,hit,rejected}` counters (documented
-    /// in `docs/METRICS.md`). Counts accumulated before attachment (the
-    /// startup scan) are published immediately.
-    pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
-        recorder.incr(
-            "serve.store.loaded",
-            self.loaded.load(AtomicOrdering::Relaxed),
-        );
-        recorder.incr(
-            "serve.store.rejected",
-            self.rejected.load(AtomicOrdering::Relaxed),
-        );
-        self.recorder = Some(recorder);
-        self
     }
 
     /// The directory backing the store.
@@ -239,12 +228,6 @@ impl ArtifactStore {
         }
     }
 
-    fn incr(&self, name: &'static str) {
-        if let Some(rec) = &self.recorder {
-            rec.incr(name, 1);
-        }
-    }
-
     /// Spills an artifact to disk (atomic temp-file-and-rename) and
     /// indexes it. An IO failure is returned but leaves the store
     /// consistent — the artifact is simply not persisted.
@@ -262,7 +245,7 @@ impl ArtifactStore {
         std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
         lock_unpoisoned(&self.index).insert(*artifact.key(), path);
         self.spilled.fetch_add(1, AtomicOrdering::Relaxed);
-        self.incr("serve.store.spilled");
+        trace::current().incr("serve.store.spilled", 1);
         Ok(())
     }
 
@@ -286,7 +269,7 @@ impl ArtifactStore {
         let reject = |e: StoreError| -> StoreError {
             lock_unpoisoned(&self.index).remove(key);
             self.rejected.fetch_add(1, AtomicOrdering::Relaxed);
-            self.incr("serve.store.rejected");
+            trace::current().incr("serve.store.rejected", 1);
             e
         };
         let bytes = match std::fs::read(&path) {
@@ -308,7 +291,7 @@ impl ArtifactStore {
         match rebuild_artifact(pattern, &dump) {
             Ok(artifact) => {
                 self.hits.fetch_add(1, AtomicOrdering::Relaxed);
-                self.incr("serve.store.hit");
+                trace::current().incr("serve.store.hit", 1);
                 Ok(Some(artifact))
             }
             Err(reason) => Err(reject(StoreError::Corrupt { path, reason })),

@@ -447,6 +447,15 @@ impl Current {
         f()
     }
 
+    /// [`Recorder::record_span_ns`] on the recorder in scope: for a span
+    /// that is recorded only on some of the ways out of its stretch.
+    #[inline]
+    pub fn record_span_ns(&self, name: &str, elapsed_ns: u64) {
+        if let Some(r) = &self.0 {
+            r.record_span_ns(name, elapsed_ns);
+        }
+    }
+
     /// Opens pipeline phase `name`: one guard that records the span
     /// `phase.<name>` and — when the binary installed
     /// [`alloc::TrackingAllocator`] — the heap high-water mark over the

@@ -47,10 +47,10 @@ fn main() {
         .run();
     println!(
         "factor: nnz(L) = {} (fill {}), {} clusters, {} unit blocks",
-        block.factor.nnz_lower(),
-        block.factor.fill_in(),
-        block.partition.clusters.len(),
-        block.partition.num_units()
+        block.plan.factor().nnz_lower(),
+        block.plan.factor().fill_in(),
+        block.plan.partition().clusters.len(),
+        block.plan.partition().num_units()
     );
     println!(
         "block  (g = {grain}): traffic {:>8} (mean {:>6.1}), Δ = {:.2}",

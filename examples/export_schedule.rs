@@ -18,7 +18,13 @@ fn main() {
         .run();
 
     let mut buf = Vec::new();
-    write_schedule(&mut buf, &r.partition, &r.deps, &r.assignment).expect("write schedule");
+    write_schedule(
+        &mut buf,
+        r.plan.partition(),
+        r.plan.deps(),
+        r.plan.assignment(),
+    )
+    .expect("write schedule");
 
     if let Some(path) = std::env::args().nth(1) {
         std::fs::write(&path, &buf).expect("write file");
@@ -27,9 +33,9 @@ fn main() {
         println!(
             "schedule for {}: {} units on {} processors, {} dependency edges",
             m.name,
-            r.partition.num_units(),
-            r.assignment.nprocs,
-            r.deps.num_edges()
+            r.plan.partition().num_units(),
+            r.plan.assignment().nprocs,
+            r.plan.deps().num_edges()
         );
         // Show the first few records.
         for line in String::from_utf8_lossy(&buf).lines().take(12) {
@@ -40,7 +46,7 @@ fn main() {
 
     // Round trip.
     let dump = read_schedule(buf.as_slice()).expect("parse schedule");
-    assert_eq!(dump.units.len(), r.partition.num_units());
+    assert_eq!(dump.units.len(), r.plan.partition().num_units());
     assert_eq!(dump.nprocs, 8);
     println!("round trip OK: {} units parsed back", dump.units.len());
 }

@@ -39,7 +39,7 @@ fn main() {
                 r.traffic.mean_f64(),
                 r.work.mean(),
                 r.work.imbalance(),
-                r.partition.num_units()
+                r.plan.partition().num_units()
             );
         }
     }

@@ -5,8 +5,9 @@
 #
 # Tier-1 (the gate every PR must keep green) plus the observability
 # checks: one instrumentation path (no twins, no compile-out build), one
-# unit-block kernel under both schedule executors, the metrics doc held
-# to the code, and a warning-free rustdoc surface.
+# unit-block kernel under both schedule executors, one plan value built
+# by one chain, the metrics doc held to the code, and a warning-free
+# rustdoc surface.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,6 +86,20 @@ if grep -rnE 'pub fn \w+_(traced|observed)\b|Option<&Recorder>|feature *= *"trac
   echo "instrumentation twin, recorder parameter or trace feature found (see docs/METRICS.md, \"How recording is scoped\")"
   exit 1
 fi
+# Pipeline::with_recorder and ServeConfig::recorder are the two attach
+# points; a second builder, or a recorder kept in a struct beneath them,
+# is the plumbing coming back in a shape the line above does not see.
+if grep -rnE 'fn with_recorder' crates | grep -v '^crates/core/src/lib.rs:'; then
+  echo "with_recorder outside Pipeline: record through spfactor_trace::current()"
+  exit 1
+fi
+held=$(grep -rnE 'Option<(std::sync::)?Arc<(spfactor::)?Recorder>>' crates/serve/src || true)
+if [ "$(grep -c . <<<"$held")" -ne 2 ] \
+   || grep -qvE 'service.rs:[0-9]+: +(pub )?recorder: ' <<<"$held"; then
+  echo "crates/serve holds a recorder beside ServeConfig::recorder and the SolverService handle's:"
+  echo "$held"
+  exit 1
+fi
 
 echo "==> one unit kernel: no per-update-pair scripts in the schedule executors"
 # What a unit block computes is numeric::unit's business alone; the two
@@ -97,6 +112,25 @@ if grep -rnE 'for_each_update|entry_id\(|struct OpRec' \
 fi
 cargo test -q -p spfactor --test numeric_kernel_bits unit
 cargo test -q -p spfactor --test metrics_surface block_parallel_allocates_nothing_per_update_pair
+
+echo "==> one plan: the front-end chain is spelled out once, the plan is shared"
+# sched::plan is the chain; Scheme::partition / Scheme::allocate are the
+# only block-vs-wrap fans in library code (docs/ARCHITECTURE.md, "The
+# artifact seam"). Count call sites outside comments, definitions and
+# #[cfg(test)] modules.
+for call in 'Partition::columns\(' 'block_allocation\(' 'wrap_allocation\('; do
+  sites=$(for f in $(find crates/core/src crates/sched/src crates/serve/src -name '*.rs'); do
+            awk -v f="$f" -v call="$call" '
+              /#\[cfg\(test\)\]/ { exit }
+              /^[[:space:]]*\/\// || /fn (block|wrap)_allocation\(/ { next }
+              $0 ~ call { print f ":" FNR ": " $0 }' "$f"
+          done)
+  if [ "$(grep -c . <<<"$sites")" -ne 1 ]; then
+    echo "expected exactly one library call site of $call, found:"; echo "$sites"
+    exit 1
+  fi
+done
+cargo test -q -p spfactor --test metrics_surface a_planned_run_shares_its_plan_instead_of_copying_it
 
 echo "==> metrics doc: docs/METRICS.md rows == recorded names"
 cargo test -q -p spfactor --test metrics_doc
@@ -115,12 +149,18 @@ rm -f "$metrics_json"
 
 echo "==> table regenerators: one bin, sections by name"
 # all_tables used to launch sibling executables that
-# `cargo run --bin all_tables` never builds; the sections are functions now.
+# `cargo run --bin all_tables` never builds; the sections are functions now,
+# the five studies (ablation, orderings, hotspot, consolidation, mp) included.
 fig3_txt="$(mktemp)"
-cargo run --release -q -p spfactor-bench --bin all_tables -- fig3 > "$fig3_txt"
+cargo run --release -q -p spfactor-bench --bin all_tables -- fig3 hotspot:LAP30:8 > "$fig3_txt"
 grep -q "Figure 3: partitioning a cluster" "$fig3_txt" \
   || { echo "all_tables -- fig3 did not print Figure 3"; exit 1; }
+grep -q "LAP30 — wrap: total" "$fig3_txt" \
+  || { echo "all_tables -- hotspot:LAP30:8 did not print the wrap heat map"; exit 1; }
 rm -f "$fig3_txt"
+if cargo run --release -q -p spfactor-bench --bin all_tables -- nonsense 2> /dev/null; then
+  echo "all_tables accepted an unknown section"; exit 1
+fi
 
 echo "==> frozen consumer: benchmark/ builds against the workspace API, smoke counts agree"
 # benchmark/ may not change with the code it measures, so an API deletion

@@ -152,9 +152,9 @@ fn chaos_smoke() {
         // The executed factor matches a sequential factorization of the
         // same synthesized SPD matrix (the pipeline's fixed value seed),
         // bit for bit.
-        let permuted = gen::lap9(5, 5).permute(&r.permutation);
+        let permuted = gen::lap9(5, 5).permute(r.plan.permutation());
         let a = gen::spd_from_pattern(&permuted, 42);
-        let seq = numeric::cholesky(&a, &r.factor).expect("sequential factorization");
+        let seq = numeric::cholesky(&a, r.plan.factor()).expect("sequential factorization");
         assert_eq!(exec.factor, seq, "{scheme:?}: factor deviates under chaos");
     }
 }

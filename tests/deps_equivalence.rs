@@ -19,17 +19,18 @@ use spfactor::{DepsEngine, Pipeline, PipelineResult, Scheme};
 const THREADS: [usize; 4] = [1, 2, 5, 16];
 
 fn assert_engines_agree(result: &PipelineResult, name: &str) {
-    let oracle = dependencies(&result.factor, &result.partition);
+    let oracle = dependencies(result.plan.factor(), result.plan.partition());
     assert_eq!(
-        oracle, result.deps,
+        &oracle,
+        result.plan.deps(),
         "{name}: pipeline deps diverge from oracle"
     );
     for engine in [DepsEngine::Sweep, DepsEngine::SweepParallel] {
-        let got = build_dependencies(engine, &result.factor, &result.partition);
+        let got = build_dependencies(engine, result.plan.factor(), result.plan.partition());
         assert_eq!(got, oracle, "{name}: {engine:?} diverges from element");
     }
     for threads in THREADS {
-        let got = sweep_dependencies(&result.factor, &result.partition, threads);
+        let got = sweep_dependencies(result.plan.factor(), result.plan.partition(), threads);
         assert_eq!(got, oracle, "{name}: sweep T={threads} diverges");
     }
 }
@@ -86,10 +87,10 @@ fn deps_engines_identical_on_the_benchmark_subject() {
             .order_engine(spfactor::OrderEngine::Compressed)
             .deps_engine(DepsEngine::SweepParallel)
             .run();
-        let oracle = dependencies(&r.factor, &r.partition);
-        assert_eq!(oracle, r.deps, "{scheme:?}: pipeline deps diverge");
+        let oracle = dependencies(r.plan.factor(), r.plan.partition());
+        assert_eq!(&oracle, r.plan.deps(), "{scheme:?}: pipeline deps diverge");
         for threads in [1usize, 2, 5] {
-            let got = sweep_dependencies(&r.factor, &r.partition, threads);
+            let got = sweep_dependencies(r.plan.factor(), r.plan.partition(), threads);
             assert_eq!(got, oracle, "{scheme:?}: sweep T={threads} diverges");
         }
     }
@@ -121,13 +122,13 @@ proptest! {
         params.min_cluster_width = width;
         params.relax_zeros = relax;
         let r = Pipeline::new(pattern).params(params).processors(nprocs).run();
-        let oracle = dependencies(&r.factor, &r.partition);
+        let oracle = dependencies(r.plan.factor(), r.plan.partition());
         prop_assert_eq!(
             &oracle,
-            &r.deps,
+            r.plan.deps(),
             "pipeline default diverges from oracle"
         );
-        let swept = sweep_dependencies(&r.factor, &r.partition, threads);
+        let swept = sweep_dependencies(r.plan.factor(), r.plan.partition(), threads);
         prop_assert_eq!(&swept, &oracle, "sweep T={} diverges", threads);
     }
 }

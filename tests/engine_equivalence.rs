@@ -73,9 +73,9 @@ fn engines_identical_on_the_benchmark_subject() {
             .run();
         for threads in [1usize, 2, 5] {
             let (traffic, work) = spfactor::simulate::simulate_block(
-                &base.factor,
-                &base.partition,
-                &base.assignment,
+                base.plan.factor(),
+                base.plan.partition(),
+                base.plan.assignment(),
                 threads,
             );
             assert_eq!(traffic, base.traffic, "{scheme:?} T={threads}: traffic");

@@ -117,22 +117,23 @@ fn drive_metrics_bin_extras(rec: &Arc<Recorder>) {
     let pattern = spfactor::matrix::gen::lap9(10, 10);
     let result = Pipeline::new(pattern.clone()).processors(4).run();
     simulate_timed(
-        &result.factor,
-        &result.partition,
-        &result.deps,
-        &result.assignment,
+        result.plan.factor(),
+        result.plan.partition(),
+        result.plan.deps(),
+        result.plan.assignment(),
         &CommModel::default(),
         OrderPolicy::ScanOrder,
         None,
     );
     let _phase = rec.span("phase.numeric");
-    let a = spfactor::matrix::gen::spd_from_pattern(&pattern.permute(&result.permutation), 42);
+    let a =
+        spfactor::matrix::gen::spd_from_pattern(&pattern.permute(result.plan.permutation()), 42);
     numeric::cholesky_block_parallel(
         &a,
-        &result.factor,
-        &result.partition,
-        &result.deps,
-        &result.assignment,
+        result.plan.factor(),
+        result.plan.partition(),
+        result.plan.deps(),
+        result.plan.assignment(),
     )
     .unwrap();
 }
@@ -224,11 +225,13 @@ fn drive_serve(rec: &Arc<Recorder>) {
 
     // Single-flight: the builder holds its flight open until the second
     // lookup has been counted as a wait.
-    let cache = ScheduleCache::new(2).with_recorder(rec.clone());
+    let cache = ScheduleCache::new(2);
     let pipeline = Pipeline::new(spfactor::matrix::gen::lap9(4, 4)).processors(2);
     let (started_tx, started_rx) = mpsc::channel();
+    let _scope = spfactor::trace::scope(rec);
     std::thread::scope(|s| {
         s.spawn(|| {
+            let _scope = spfactor::trace::scope(rec);
             cache
                 .get_or_build(pipeline.key(), || {
                     started_tx.send(()).unwrap();

@@ -53,7 +53,7 @@ mod enabled {
         let (result, rec) = run_lap30_block();
         assert_eq!(
             rec.gauge_value("symbolic.fill_in"),
-            Some(result.factor.fill_in() as f64)
+            Some(result.plan.factor().fill_in() as f64)
         );
         assert_eq!(
             rec.gauge_value("simulate.traffic.total"),
@@ -65,11 +65,11 @@ mod enabled {
         );
         assert_eq!(
             rec.gauge_value("partition.units"),
-            Some(result.partition.num_units() as f64)
+            Some(result.plan.partition().num_units() as f64)
         );
         assert_eq!(
             rec.gauge_value("partition.deps.edges"),
-            Some(result.deps.num_edges() as f64)
+            Some(result.plan.deps().num_edges() as f64)
         );
     }
 
@@ -127,9 +127,9 @@ mod enabled {
         );
         // MMD eliminates every supervariable exactly once; there are at
         // most n of them.
-        assert!(rec.counter("order.mmd.eliminations") <= result.factor.n() as u64);
+        assert!(rec.counter("order.mmd.eliminations") <= result.plan.factor().n() as u64);
         // The work tally splits at most one row run per factor entry.
-        assert!(rec.counter("partition.work.pairs") <= result.factor.num_entries() as u64);
+        assert!(rec.counter("partition.work.pairs") <= result.plan.factor().num_entries() as u64);
         assert!(rec.counter("partition.work.segments") >= rec.counter("partition.work.pairs"));
         // The ten dependency categories partition the update operations.
         let per_category: u64 = (1..=10)
@@ -157,7 +157,7 @@ mod enabled {
         .iter()
         .map(|c| rec.counter(c))
         .sum();
-        assert_eq!(branches, result.partition.num_units() as u64);
+        assert_eq!(branches, result.plan.partition().num_units() as u64);
     }
 
     #[test]
@@ -189,7 +189,7 @@ mod enabled {
         assert_eq!(rec.counter("mp.cache_hits"), exec.cache_hits_total() as u64);
         assert_eq!(
             rec.counter("mp.units_run"),
-            result.partition.num_units() as u64
+            result.plan.partition().num_units() as u64
         );
         assert_eq!(
             rec.gauge_value("mp.traffic.total"),
@@ -303,7 +303,7 @@ mod enabled {
         assert!(rec.span_stats("simulate.work_distribution").is_none());
         assert_eq!(
             rec.counter("simulate.engine.columns"),
-            result.factor.n() as u64
+            result.plan.factor().n() as u64
         );
         for counter in [
             "simulate.engine.unit_visits",
@@ -355,9 +355,12 @@ mod enabled {
             .expect("sweep engine span");
         assert_eq!(stats.count, 1);
         assert!(rec.span_stats("partition.deps").is_none());
-        assert_eq!(rec.counter("deps.engine.columns"), result.factor.n() as u64);
-        let nnz: u64 = (0..result.factor.n())
-            .map(|j| result.factor.col_count(j) as u64)
+        assert_eq!(
+            rec.counter("deps.engine.columns"),
+            result.plan.factor().n() as u64
+        );
+        let nnz: u64 = (0..result.plan.factor().n())
+            .map(|j| result.plan.factor().col_count(j) as u64)
             .sum();
         assert_eq!(rec.counter("deps.engine.pairs"), nnz);
         assert!(rec.counter("deps.engine.segments") >= nnz);
@@ -369,16 +372,16 @@ mod enabled {
         // graph (and therefore with what the element engine records).
         assert_eq!(
             rec.gauge_value("partition.deps.edges"),
-            Some(result.deps.num_edges() as f64)
+            Some(result.plan.deps().num_edges() as f64)
         );
         assert_eq!(
             rec.gauge_value("partition.deps.independent_units"),
-            Some(result.deps.independent_units().len() as f64)
+            Some(result.plan.deps().independent_units().len() as f64)
         );
         for c in spfactor::partition::DepCategory::all() {
             assert_eq!(
                 rec.counter(&format!("partition.deps.category.{}", c.number())),
-                result.deps.ops_in_category(c) as u64,
+                result.plan.deps().ops_in_category(c) as u64,
                 "category {c:?}"
             );
         }
@@ -491,28 +494,59 @@ mod enabled {
         }
     }
 
+    /// The allocator's counts are process-wide, so a heap bound is checked
+    /// with no other test running: unless this process already runs one
+    /// test at a time, `false` after test `name` has re-run alone and
+    /// passed.
+    fn running_alone(name: &str) -> bool {
+        const ALONE: &str = "--test-threads=1";
+        if std::env::args().any(|arg| arg == ALONE) {
+            return true;
+        }
+        let me = std::env::current_exe().expect("test binary path");
+        let child = std::process::Command::new(me)
+            .args(["--exact", name, ALONE])
+            .output()
+            .expect("re-run alone");
+        assert!(
+            child.status.success(),
+            "{}{}",
+            String::from_utf8_lossy(&child.stdout),
+            String::from_utf8_lossy(&child.stderr)
+        );
+        false
+    }
+
+    #[test]
+    fn a_planned_run_shares_its_plan_instead_of_copying_it() {
+        use spfactor::matrix::gen;
+        use spfactor::trace::alloc;
+        if !running_alone("enabled::a_planned_run_shares_its_plan_instead_of_copying_it") {
+            return;
+        }
+        // What a result keeps beside the plan is two reports of a few
+        // hundred bytes per processor; five copied parts were the whole
+        // artifact over again.
+        let pipeline = Pipeline::new(gen::lap9(40, 40)).grain(25).processors(16);
+        let empty = alloc::current_bytes();
+        let artifact = pipeline.try_plan().expect("plans");
+        let planned = alloc::current_bytes();
+        let result = pipeline.try_run_planned(&artifact).expect("runs");
+        let ran = alloc::current_bytes();
+        assert!(result.plan.ptr_eq(&artifact));
+        let (plan_bytes, run_bytes) = (planned - empty, ran.saturating_sub(planned));
+        assert!(
+            run_bytes * 20 < plan_bytes,
+            "the run kept {run_bytes} B live beside a {plan_bytes} B plan"
+        );
+    }
+
     #[test]
     fn block_parallel_allocates_nothing_per_update_pair() {
         use spfactor::matrix::gen;
         use spfactor::trace::alloc;
         use spfactor::{numeric, partition, sched, Partition, PartitionParams, SymbolicFactor};
-        // The allocator's high-water mark is process-wide, so the bound is
-        // checked with no other test running: unless this process already
-        // runs one test at a time, the test re-runs itself alone.
-        const ALONE: &str = "--test-threads=1";
-        if !std::env::args().any(|arg| arg == ALONE) {
-            let me = std::env::current_exe().expect("test binary path");
-            let name = "enabled::block_parallel_allocates_nothing_per_update_pair";
-            let child = std::process::Command::new(me)
-                .args(["--exact", name, ALONE])
-                .output()
-                .expect("re-run alone");
-            assert!(
-                child.status.success(),
-                "{}{}",
-                String::from_utf8_lossy(&child.stdout),
-                String::from_utf8_lossy(&child.stderr)
-            );
+        if !running_alone("enabled::block_parallel_allocates_nothing_per_update_pair") {
             return;
         }
         // lap9 40² at grain 25 on 4 processors: 707,509 update pairs over
@@ -759,7 +793,7 @@ mod enabled {
             .run();
         assert_eq!(
             rec.counter("sched.alloc.wrap_columns"),
-            result.partition.num_units() as u64
+            result.plan.partition().num_units() as u64
         );
         assert!(rec.span_stats("sched.wrap_allocation").is_some());
         assert!(rec.span_stats("partition.columns").is_some());

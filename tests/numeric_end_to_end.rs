@@ -57,16 +57,16 @@ fn unit_block_dag_is_consistent_with_column_dag() {
     // no later than the target's unit in the topological order (or equal).
     let m = gen::paper::dwt512();
     let r = spfactor::Pipeline::new(m.pattern.clone()).grain(4).run();
-    let n = r.partition.num_units();
+    let n = r.plan.partition().num_units();
     // Topological ranks via Kahn.
-    let mut indeg: Vec<usize> = (0..n).map(|u| r.deps.preds(u).len()).collect();
+    let mut indeg: Vec<usize> = (0..n).map(|u| r.plan.deps().preds(u).len()).collect();
     let mut queue: std::collections::VecDeque<usize> = (0..n).filter(|&u| indeg[u] == 0).collect();
     let mut rank = vec![usize::MAX; n];
     let mut next = 0;
     while let Some(u) = queue.pop_front() {
         rank[u] = next;
         next += 1;
-        for &s in r.deps.succs(u) {
+        for &s in r.plan.deps().succs(u) {
             indeg[s as usize] -= 1;
             if indeg[s as usize] == 0 {
                 queue.push_back(s as usize);
@@ -74,9 +74,9 @@ fn unit_block_dag_is_consistent_with_column_dag() {
         }
     }
     assert_eq!(next, n, "unit DAG must be acyclic");
-    let owner = r.partition.owner_map();
-    let eid = |i: usize, j: usize| r.factor.entry_id(i, j).unwrap();
-    spfactor::symbolic::ops::for_each_update(&r.factor, |op| {
+    let owner = r.plan.partition().owner_map();
+    let eid = |i: usize, j: usize| r.plan.factor().entry_id(i, j).unwrap();
+    spfactor::symbolic::ops::for_each_update(r.plan.factor(), |op| {
         let t = owner[eid(op.i, op.j)] as usize;
         for s in [
             owner[eid(op.i, op.k)] as usize,
@@ -104,14 +104,14 @@ fn paper_schedule_executes_numerically_on_lap30() {
         .grain(4)
         .processors(16)
         .run();
-    let a = gen::spd_from_pattern(&m.pattern.permute(&r.permutation), 99);
-    let seq = spfactor::numeric::cholesky(&a, &r.factor).unwrap();
+    let a = gen::spd_from_pattern(&m.pattern.permute(r.plan.permutation()), 99);
+    let seq = spfactor::numeric::cholesky(&a, r.plan.factor()).unwrap();
     let par = spfactor::numeric::cholesky_block_parallel(
         &a,
-        &r.factor,
-        &r.partition,
-        &r.deps,
-        &r.assignment,
+        r.plan.factor(),
+        r.plan.partition(),
+        r.plan.deps(),
+        r.plan.assignment(),
     )
     .unwrap();
     assert_eq!(seq, par);
@@ -132,10 +132,10 @@ fn timed_simulation_runs_on_real_factorization_schedule() {
         per_work: 1.0,
     };
     let t = spfactor::simulate::timed::simulate_timed(
-        &r4.factor,
-        &r4.partition,
-        &r4.deps,
-        &r4.assignment,
+        r4.plan.factor(),
+        r4.plan.partition(),
+        r4.plan.deps(),
+        r4.plan.assignment(),
         &model,
         spfactor::simulate::timed::OrderPolicy::ScanOrder,
         None,

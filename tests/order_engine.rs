@@ -321,8 +321,8 @@ fn compressed_is_deterministic_across_thread_counts() {
         .engine(spfactor::SimulateEngine::BlockParallel)
         .deps_engine(spfactor::DepsEngine::SweepParallel)
         .run();
-    assert_eq!(base.permutation.as_slice(), reference.as_slice());
-    assert_eq!(parallel.permutation.as_slice(), reference.as_slice());
+    assert_eq!(base.plan.permutation().as_slice(), reference.as_slice());
+    assert_eq!(parallel.plan.permutation().as_slice(), reference.as_slice());
     assert_eq!(base.traffic, parallel.traffic);
     assert_eq!(base.work, parallel.work);
 }
@@ -338,8 +338,8 @@ fn compressed_pipeline_matches_direct_on_compressible_input() {
         .order_engine(OrderEngine::Compressed)
         .run();
     assert_eq!(direct.work.total, compressed.work.total);
-    let d = direct.factor.num_entries() as f64;
-    let c = compressed.factor.num_entries() as f64;
+    let d = direct.plan.factor().num_entries() as f64;
+    let c = compressed.plan.factor().num_entries() as f64;
     assert!(
         (c - d).abs() / d <= 0.05,
         "factor entries diverged: direct {d}, compressed {c}"

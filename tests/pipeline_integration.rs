@@ -18,7 +18,8 @@ fn work_is_conserved_across_schemes_and_processor_counts() {
             assert_eq!(r.work.per_proc.iter().sum::<usize>(), r.work.total);
             // Every unit was assigned a valid processor.
             assert!(r
-                .assignment
+                .plan
+                .assignment()
                 .proc_of_unit
                 .iter()
                 .all(|&p| (p as usize) < nprocs));
@@ -59,10 +60,10 @@ fn pipeline_deterministic_end_to_end() {
         .grain(25)
         .processors(16)
         .run();
-    assert_eq!(a.permutation, b.permutation);
+    assert_eq!(a.plan.permutation(), b.plan.permutation());
     assert_eq!(a.traffic, b.traffic);
     assert_eq!(a.work, b.work);
-    assert_eq!(a.assignment, b.assignment);
+    assert_eq!(a.plan.assignment(), b.plan.assignment());
 }
 
 #[test]
@@ -70,9 +71,12 @@ fn partition_units_cover_all_factor_entries() {
     let m = spfactor::matrix::gen::paper::dwt512();
     for grain in [4, 25] {
         let r = Pipeline::new(m.pattern.clone()).grain(grain).run();
-        let owned: usize = r.partition.units.iter().map(|u| u.elements).sum();
-        assert_eq!(owned, r.factor.num_entries());
-        assert_eq!(r.partition.total_work(), r.factor.paper_work());
+        let owned: usize = r.plan.partition().units.iter().map(|u| u.elements).sum();
+        assert_eq!(owned, r.plan.factor().num_entries());
+        assert_eq!(
+            r.plan.partition().total_work(),
+            r.plan.factor().paper_work()
+        );
     }
 }
 
@@ -81,13 +85,13 @@ fn dependency_graph_is_acyclic() {
     // Kahn's algorithm must consume every unit.
     let m = spfactor::matrix::gen::paper::lap30();
     let r = Pipeline::new(m.pattern.clone()).grain(4).run();
-    let n = r.partition.num_units();
-    let mut indeg: Vec<usize> = (0..n).map(|u| r.deps.preds(u).len()).collect();
+    let n = r.plan.partition().num_units();
+    let mut indeg: Vec<usize> = (0..n).map(|u| r.plan.deps().preds(u).len()).collect();
     let mut queue: Vec<usize> = (0..n).filter(|&u| indeg[u] == 0).collect();
     let mut seen = 0;
     while let Some(u) = queue.pop() {
         seen += 1;
-        for &s in r.deps.succs(u) {
+        for &s in r.plan.deps().succs(u) {
             indeg[s as usize] -= 1;
             if indeg[s as usize] == 0 {
                 queue.push(s as usize);
@@ -112,10 +116,10 @@ fn timed_simulation_agrees_with_untimed_bounds() {
         per_work: 1.0,
     };
     let t = spfactor::simulate::timed::simulate_timed(
-        &r.factor,
-        &r.partition,
-        &r.deps,
-        &r.assignment,
+        r.plan.factor(),
+        r.plan.partition(),
+        r.plan.deps(),
+        r.plan.assignment(),
         &model,
         spfactor::simulate::timed::OrderPolicy::ScanOrder,
         None,
@@ -124,16 +128,18 @@ fn timed_simulation_agrees_with_untimed_bounds() {
     // busiest processor's work and the DAG's critical path, and above by
     // serializing everything.
     let cp = {
-        let n = r.partition.num_units();
-        let mut indeg: Vec<usize> = (0..n).map(|u| r.deps.preds(u).len()).collect();
-        let mut dist: Vec<f64> = (0..n).map(|u| r.partition.units[u].work as f64).collect();
+        let n = r.plan.partition().num_units();
+        let mut indeg: Vec<usize> = (0..n).map(|u| r.plan.deps().preds(u).len()).collect();
+        let mut dist: Vec<f64> = (0..n)
+            .map(|u| r.plan.partition().units[u].work as f64)
+            .collect();
         let mut q: std::collections::VecDeque<usize> = (0..n).filter(|&u| indeg[u] == 0).collect();
         let mut cp: f64 = 0.0;
         while let Some(u) = q.pop_front() {
             cp = cp.max(dist[u]);
-            for &s in r.deps.succs(u) {
+            for &s in r.plan.deps().succs(u) {
                 let s = s as usize;
-                dist[s] = dist[s].max(dist[u] + r.partition.units[s].work as f64);
+                dist[s] = dist[s].max(dist[u] + r.plan.partition().units[s].work as f64);
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
                     q.push_back(s);
@@ -151,7 +157,7 @@ fn timed_simulation_agrees_with_untimed_bounds() {
         t.speedup > 1.5,
         "speedup {} too low for {} units on 8 procs",
         t.speedup,
-        r.partition.num_units()
+        r.plan.partition().num_units()
     );
 }
 
@@ -163,7 +169,8 @@ fn orderings_affect_fill_as_expected() {
             .ordering(o)
             .processors(1)
             .run()
-            .factor
+            .plan
+            .factor()
             .fill_in()
     };
     let natural = fill(Ordering::Natural);

@@ -30,10 +30,10 @@ proptest! {
             .processors(nprocs)
             .run();
         // Ownership covers every factor entry exactly once.
-        let owned: usize = r.partition.units.iter().map(|u| u.elements).sum();
-        prop_assert_eq!(owned, r.factor.num_entries());
+        let owned: usize = r.plan.partition().units.iter().map(|u| u.elements).sum();
+        prop_assert_eq!(owned, r.plan.factor().num_entries());
         // Work conservation.
-        prop_assert_eq!(r.work.total, r.factor.paper_work());
+        prop_assert_eq!(r.work.total, r.plan.factor().paper_work());
         prop_assert_eq!(r.work.per_proc.iter().sum::<usize>(), r.work.total);
         // Traffic per-processor sums to the total; zero on one processor.
         prop_assert_eq!(r.traffic.per_proc.iter().sum::<usize>(), r.traffic.total);
@@ -41,7 +41,7 @@ proptest! {
             prop_assert_eq!(r.traffic.total, 0);
         }
         // Every unit has a valid processor.
-        prop_assert!(r.assignment.proc_of_unit.iter().all(|&p| (p as usize) < nprocs));
+        prop_assert!(r.plan.assignment().proc_of_unit.iter().all(|&p| (p as usize) < nprocs));
         // Δ and efficiency are consistent.
         let e = r.work.efficiency();
         prop_assert!((0.0..=1.0 + 1e-9).contains(&e));
@@ -88,9 +88,9 @@ proptest! {
             prop_assert_eq!(&r.work, &base.work, "{:?} work", engine);
         }
         let (traffic, work) = spfactor::simulate::simulate_block(
-            &base.factor,
-            &base.partition,
-            &base.assignment,
+            base.plan.factor(),
+            base.plan.partition(),
+            base.plan.assignment(),
             threads,
         );
         prop_assert_eq!(&traffic, &base.traffic, "T={} traffic", threads);
@@ -100,13 +100,13 @@ proptest! {
     #[test]
     fn prop_unit_dag_is_acyclic(pattern in arb_pattern(), grain in 1usize..30) {
         let r = Pipeline::new(pattern).grain(grain).run();
-        let n = r.partition.num_units();
-        let mut indeg: Vec<usize> = (0..n).map(|u| r.deps.preds(u).len()).collect();
+        let n = r.plan.partition().num_units();
+        let mut indeg: Vec<usize> = (0..n).map(|u| r.plan.deps().preds(u).len()).collect();
         let mut queue: Vec<usize> = (0..n).filter(|&u| indeg[u] == 0).collect();
         let mut seen = 0usize;
         while let Some(u) = queue.pop() {
             seen += 1;
-            for &s in r.deps.succs(u) {
+            for &s in r.plan.deps().succs(u) {
                 indeg[s as usize] -= 1;
                 if indeg[s as usize] == 0 {
                     queue.push(s as usize);
@@ -155,9 +155,9 @@ proptest! {
     fn prop_factor_contains_matrix_structure(pattern in arb_pattern()) {
         let r = Pipeline::new(pattern.clone()).processors(2).run();
         // The permuted A must be contained in L's structure.
-        let pa = pattern.permute(&r.permutation);
+        let pa = pattern.permute(r.plan.permutation());
         for (i, j) in pa.iter_entries() {
-            prop_assert!(r.factor.contains(i, j), "A entry ({i},{j}) missing");
+            prop_assert!(r.plan.factor().contains(i, j), "A entry ({i},{j}) missing");
         }
     }
 }

@@ -219,9 +219,13 @@ fn cached_artifact_factors_are_bit_identical_to_fresh_runs() {
     let request = SolveRequest::new(pattern)
         .processors(4)
         .batch(ValueBatch::new(a).with_rhs(rhs));
+    let mut served: Option<spfactor::ScheduleArtifact> = None;
     for round in 0..3 {
         let resp = service.solve(request.clone()).unwrap();
         assert_eq!(resp.cache_hit, round > 0);
+        // Every response holds the cache's one entry, not a copy of it.
+        let first = served.get_or_insert_with(|| resp.artifact.clone());
+        assert!(resp.artifact.ptr_eq(first));
         assert_eq!(
             resp.batches[0].factor, fresh_factor,
             "served factor diverged from the fresh factorization"
@@ -267,6 +271,10 @@ fn cold_built_artifact_equals_an_element_planned_one() {
             .plan();
         assert_eq!(served.key(), planned.key());
         assert_eq!(served.fingerprint(), planned.fingerprint(), "{scheme:?}");
+        // And the one a store load re-derives from the served text.
+        let dump = spfactor::sched::read_artifact_text(served.to_text().as_bytes()).unwrap();
+        let rebuilt = spfactor::sched::rebuild_artifact(&request.pattern, &dump).unwrap();
+        assert_eq!(rebuilt.to_text(), planned.to_text(), "{scheme:?}");
     }
 }
 

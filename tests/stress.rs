@@ -11,7 +11,7 @@ fn pipeline_on_60x60_nine_point_grid() {
     // 3600 unknowns, ~4x the paper's largest problem.
     let p = spfactor::matrix::gen::lap9(60, 60);
     let r = Pipeline::new(p.clone()).grain(25).processors(32).run();
-    assert_eq!(r.factor.n(), 3600);
+    assert_eq!(r.plan.factor().n(), 3600);
     let w = Pipeline::new(p).scheme(Scheme::Wrap).processors(32).run();
     assert!(r.traffic.total < w.traffic.total);
     assert!(w.work.imbalance() <= r.work.imbalance() + 1e-9);
@@ -53,14 +53,14 @@ fn numeric_solve_at_scale() {
 fn block_schedule_executes_at_scale() {
     let p = spfactor::matrix::gen::lap9(40, 40);
     let r = Pipeline::new(p.clone()).grain(25).processors(16).run();
-    let a = spfactor::matrix::gen::spd_from_pattern(&p.permute(&r.permutation), 2);
-    let seq = spfactor::numeric::cholesky(&a, &r.factor).unwrap();
+    let a = spfactor::matrix::gen::spd_from_pattern(&p.permute(r.plan.permutation()), 2);
+    let seq = spfactor::numeric::cholesky(&a, r.plan.factor()).unwrap();
     let par = spfactor::numeric::cholesky_block_parallel(
         &a,
-        &r.factor,
-        &r.partition,
-        &r.deps,
-        &r.assignment,
+        r.plan.factor(),
+        r.plan.partition(),
+        r.plan.deps(),
+        r.plan.assignment(),
     )
     .unwrap();
     assert_eq!(seq, par);

@@ -135,7 +135,7 @@ fn lap30_virtual_clock_reconciles_exactly_under_both_schemes() {
             );
         }
 
-        assert_units_covered(&tl.simulated, result.partition.num_units(), &label);
+        assert_units_covered(&tl.simulated, result.plan.partition().num_units(), &label);
         assert_no_overlap(&tl.simulated, &label);
     }
 }
@@ -144,7 +144,7 @@ fn lap30_virtual_clock_reconciles_exactly_under_both_schemes() {
 fn lap30_exports_validate_from_both_engines_under_both_schemes() {
     for scheme in [Scheme::Block, Scheme::Wrap] {
         let (result, tl) = run_lap30(scheme, 16);
-        let num_units = result.partition.num_units();
+        let num_units = result.plan.partition().num_units();
         let label = format!("lap30 {scheme:?}");
 
         let sim_slices = assert_valid_chrome(&tl.simulated.to_chrome_trace(), &label);
@@ -233,7 +233,7 @@ proptest! {
         let tl = r.timeline.as_ref().expect("timeline captured");
         let executed = tl.executed.as_ref().expect("mp timeline captured");
         let label = format!("lap {rows}x{cols} {scheme:?} g{grain} p{nprocs}");
-        assert_units_covered(executed, r.partition.num_units(), &label);
+        assert_units_covered(executed, r.plan.partition().num_units(), &label);
         assert_no_overlap(executed, &label);
         // Transfers open and close in matched pairs per (proc, peer).
         let mut open = std::collections::HashMap::new();
