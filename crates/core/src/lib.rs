@@ -571,12 +571,46 @@ impl Pipeline {
     /// assert_eq!(cached.work, fresh.work);
     /// ```
     pub fn try_plan(&self) -> Result<ScheduleArtifact, PipelineError> {
+        self.plan_from(None)
+    }
+
+    /// [`Pipeline::try_plan`] without its ordering phase: the front end
+    /// from symbolic factorization on, over a `permutation` the caller
+    /// already holds for this pattern, ordering and engine. Given the
+    /// permutation `try_plan` would compute, the artifact is the one
+    /// `try_plan` returns, fingerprint and all — the ordering is a
+    /// property of the pattern, not of grain, scheme or processor count,
+    /// which is what lets the `spfactor-serve` cache keep permutations
+    /// past the eviction of the schedules built from them. Any other
+    /// permutation of the right length yields a correct schedule with
+    /// whatever fill that ordering gives.
+    pub fn try_plan_ordered(
+        &self,
+        permutation: Permutation,
+    ) -> Result<ScheduleArtifact, PipelineError> {
+        if permutation.len() != self.pattern.n() {
+            return Err(SpfactorError::InvalidParameter {
+                param: "permutation",
+                message: format!(
+                    "permutation covers {} columns, the pattern has {}",
+                    permutation.len(),
+                    self.pattern.n()
+                ),
+            });
+        }
+        self.plan_from(Some(permutation))
+    }
+
+    fn plan_from(
+        &self,
+        permutation: Option<Permutation>,
+    ) -> Result<ScheduleArtifact, PipelineError> {
         self.validate()?;
         let _scope = self.recorder.as_ref().map(trace::scope);
         Ok(sched::plan(
             &self.pattern,
             self.key(),
-            None,
+            permutation,
             self.deps_engine,
         ))
     }

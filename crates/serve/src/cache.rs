@@ -1,4 +1,5 @@
-//! Pattern-keyed schedule cache: LRU eviction + single-flight builds.
+//! Pattern-keyed schedule cache: LRU eviction + single-flight builds over
+//! a tier of remembered orderings.
 //!
 //! The cache maps a [`ScheduleKey`] — structural hash of the CSC pattern
 //! plus every front-end parameter (ordering, grain, scheme, processor
@@ -17,6 +18,17 @@
 //!   them), so the resident count can transiently exceed capacity while
 //!   builds race.
 //!
+//! Under the artifacts sits a second, much smaller tier: the fill-reducing
+//! **permutation** of every artifact that came through, keyed by what an
+//! ordering depends on — pattern hash, dimension, [`Ordering`] and
+//! [`OrderEngine`], not grain, scheme or processor count. It outlives the
+//! eviction of the artifacts built from it, so a miss on an evicted key (or
+//! on another scheme or processor count of a pattern already seen) re-plans
+//! from the permutation through [`ScheduleCache::get_or_plan`] instead of
+//! ordering again. A permutation is 16 bytes a column against an artifact's
+//! kilobytes; the tier is LRU-bounded at [`ORDERINGS_PER_SLOT`] entries per
+//! artifact slot.
+//!
 //! Hit/miss/wait/evict counts are kept in lock-free [`CacheStats`]
 //! counters (always available, recorder or not) and mirrored onto the
 //! recorder in scope ([`spfactor::trace::current`]) as `serve.cache.*`
@@ -24,8 +36,10 @@
 
 use crate::resilience::lock_unpoisoned;
 use crate::ServeError;
+use spfactor::matrix::Permutation;
 use spfactor::sched::{ScheduleArtifact, ScheduleKey};
-use spfactor::trace;
+use spfactor::{trace, OrderEngine, Ordering};
+use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -44,6 +58,10 @@ pub struct CacheStats {
     pub waits: u64,
     /// Ready artifacts evicted to respect the capacity bound.
     pub evictions: u64,
+    /// Misses of [`ScheduleCache::get_or_plan`] that were built from a
+    /// remembered permutation instead of a fresh ordering (a subset of
+    /// `misses`).
+    pub replans: u64,
 }
 
 impl CacheStats {
@@ -110,11 +128,69 @@ enum Entry {
     Building(Arc<Flight>),
 }
 
+/// Remembered permutations kept per artifact slot: the ordering tier holds
+/// at most `ORDERINGS_PER_SLOT * capacity` of them. At 16 bytes a column
+/// against about a kilobyte a column of an artifact, a full tier is at
+/// most an eighth again of what full slots hold (docs/SERVING.md).
+pub const ORDERINGS_PER_SLOT: usize = 8;
+
+/// What a fill-reducing ordering depends on: the pattern (hash and
+/// dimension) and how it is ordered. Every [`ScheduleKey`] that agrees on
+/// these shares one permutation.
+type OrderingKey = (u64, usize, Ordering, OrderEngine);
+
+fn ordering_key(key: &ScheduleKey) -> OrderingKey {
+    (key.structural_hash, key.n, key.ordering, key.order_engine)
+}
+
+struct Remembered {
+    permutation: Permutation,
+    last_used: u64,
+}
+
 struct Inner {
     map: HashMap<ScheduleKey, Entry>,
+    /// `Ready` entries in `map`, kept so that neither eviction nor
+    /// [`ScheduleCache::len`] has to count them.
+    ready: usize,
+    /// The ordering tier.
+    orderings: HashMap<OrderingKey, Remembered>,
     /// Monotone logical clock; bumped on every touch, stamped into
     /// `last_used` so eviction can find the least recently used entry.
     tick: u64,
+}
+
+impl Inner {
+    /// Keeps (or refreshes) `artifact`'s permutation in the ordering tier,
+    /// dropping the least recently used ones beyond `bound`.
+    fn remember(&mut self, artifact: &ScheduleArtifact, bound: usize) {
+        let now = self.tick;
+        match self.orderings.entry(ordering_key(artifact.key())) {
+            MapEntry::Occupied(mut held) => held.get_mut().last_used = now,
+            MapEntry::Vacant(slot) => {
+                slot.insert(Remembered {
+                    permutation: artifact.permutation().clone(),
+                    last_used: now,
+                });
+            }
+        }
+        while self.orderings.len() > bound {
+            // The one just stamped is the most recent, so never the victim.
+            let Some(k) = coldest(&self.orderings, |held| Some(held.last_used)) else {
+                break;
+            };
+            self.orderings.remove(&k);
+        }
+    }
+}
+
+/// The key of the entry with the oldest stamp, among those `stamp` gives
+/// one for: the LRU victim of either tier.
+fn coldest<K: Copy, V>(map: &HashMap<K, V>, stamp: impl Fn(&V) -> Option<u64>) -> Option<K> {
+    map.iter()
+        .filter_map(|(k, v)| stamp(v).map(|t| (t, *k)))
+        .min_by_key(|(t, _)| *t)
+        .map(|(_, k)| k)
 }
 
 /// What a lookup resolved to, decided under the map lock.
@@ -135,6 +211,7 @@ pub struct ScheduleCache {
     misses: AtomicU64,
     waits: AtomicU64,
     evictions: AtomicU64,
+    replans: AtomicU64,
 }
 
 impl std::fmt::Debug for ScheduleCache {
@@ -155,6 +232,8 @@ impl ScheduleCache {
         ScheduleCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
+                ready: 0,
+                orderings: HashMap::new(),
                 tick: 0,
             }),
             capacity: capacity.max(1),
@@ -162,6 +241,7 @@ impl ScheduleCache {
             misses: AtomicU64::new(0),
             waits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            replans: AtomicU64::new(0),
         }
     }
 
@@ -170,14 +250,27 @@ impl ScheduleCache {
         self.capacity
     }
 
+    /// The number of remembered permutations the ordering tier evicts
+    /// down to: [`ORDERINGS_PER_SLOT`] per artifact slot.
+    pub fn ordering_capacity(&self) -> usize {
+        self.capacity.saturating_mul(ORDERINGS_PER_SLOT)
+    }
+
     /// Number of ready artifacts currently resident.
     pub fn len(&self) -> usize {
+        lock_unpoisoned(&self.inner).ready
+    }
+
+    /// Number of permutations the ordering tier currently remembers.
+    pub fn orderings(&self) -> usize {
+        lock_unpoisoned(&self.inner).orderings.len()
+    }
+
+    /// Whether the ordering tier remembers a permutation `key` could be
+    /// re-planned from (does not touch recency).
+    pub fn remembers(&self, key: &ScheduleKey) -> bool {
         let inner = lock_unpoisoned(&self.inner);
-        inner
-            .map
-            .values()
-            .filter(|e| matches!(e, Entry::Ready { .. }))
-            .count()
+        inner.orderings.contains_key(&ordering_key(key))
     }
 
     /// Whether no ready artifact is resident.
@@ -199,6 +292,7 @@ impl ScheduleCache {
             misses: self.misses.load(AtomicOrdering::Relaxed),
             waits: self.waits.load(AtomicOrdering::Relaxed),
             evictions: self.evictions.load(AtomicOrdering::Relaxed),
+            replans: self.replans.load(AtomicOrdering::Relaxed),
         }
     }
 
@@ -220,11 +314,14 @@ impl ScheduleCache {
         }
     }
 
-    /// Drops every ready artifact (in-flight builds complete normally
-    /// and re-insert). Does not reset the stats counters.
+    /// Drops every ready artifact and every remembered permutation
+    /// (in-flight builds complete normally and re-insert). Does not reset
+    /// the stats counters.
     pub fn clear(&self) {
         let mut inner = lock_unpoisoned(&self.inner);
         inner.map.retain(|_, e| matches!(e, Entry::Building(_)));
+        inner.ready = 0;
+        inner.orderings.clear();
         drop(inner);
         self.publish_size();
     }
@@ -234,12 +331,14 @@ impl ScheduleCache {
     /// onto one build (single-flight); each of them — builder and
     /// waiters alike — observes the same `Ok` artifact or the same
     /// cloned error. A failed build leaves the cache without the entry,
-    /// so the next lookup retries.
+    /// so the next lookup retries. A successful one leaves its permutation
+    /// in the ordering tier.
     ///
     /// Under a recorder scope: cache traffic is mirrored as
-    /// `serve.cache.{hit,miss,wait,evict}` counters, the resident count as
-    /// the `serve.cache.size` gauge, and the build runs under the
-    /// `serve.build` span (all documented in `docs/METRICS.md`).
+    /// `serve.cache.{hit,miss,wait,evict}` counters, the resident counts
+    /// as the `serve.cache.size` and `serve.cache.orderings` gauges, and
+    /// the build runs under the `serve.build` span (all documented in
+    /// `docs/METRICS.md`).
     pub fn get_or_build(
         &self,
         key: ScheduleKey,
@@ -290,9 +389,47 @@ impl ScheduleCache {
         }
     }
 
+    /// [`get_or_build`](Self::get_or_build) for a builder that can start
+    /// from a permutation: on a miss `plan` is handed the permutation the
+    /// ordering tier remembers for `key`'s pattern, ordering and engine
+    /// (`None` when it remembers none), and is expected to plan from it —
+    /// `spfactor::sched::plan(pattern, key, remembered, ..)` — rather than
+    /// order again. The tier is keyed by the pattern's hash, so in the
+    /// event of a collision the permutation handed over is another
+    /// pattern's of the same dimension: a valid ordering that may fill
+    /// more, never a wrong factor, because `plan` derives everything else
+    /// from the real pattern. Successful builds from a remembered
+    /// permutation count as [`CacheStats::replans`] (`serve.cache.replan`).
+    /// A failed one leaves the permutation where it was.
+    pub fn get_or_plan(
+        &self,
+        key: ScheduleKey,
+        plan: impl FnOnce(Option<Permutation>) -> Result<ScheduleArtifact, ServeError>,
+    ) -> Result<ScheduleArtifact, ServeError> {
+        self.get_or_build(key, || {
+            let remembered = {
+                let mut inner = lock_unpoisoned(&self.inner);
+                inner.tick += 1;
+                let now = inner.tick;
+                inner.orderings.get_mut(&ordering_key(&key)).map(|held| {
+                    held.last_used = now;
+                    held.permutation.clone()
+                })
+            };
+            let replanned = remembered.is_some();
+            let built = plan(remembered);
+            if replanned && built.is_ok() {
+                self.replans.fetch_add(1, AtomicOrdering::Relaxed);
+                trace::current().incr("serve.cache.replan", 1);
+            }
+            built
+        })
+    }
+
     /// Swaps the `Building` placeholder for the build's outcome: on
-    /// success a `Ready` entry (evicting LRU overflow), on failure
-    /// nothing (the key becomes buildable again).
+    /// success a `Ready` entry (evicting LRU overflow) and the artifact's
+    /// permutation in the ordering tier, on failure nothing (the key
+    /// becomes buildable again).
     fn finish_build(
         &self,
         key: &ScheduleKey,
@@ -310,34 +447,20 @@ impl ScheduleCache {
                         last_used: now,
                     },
                 );
+                inner.ready += 1;
+                inner.remember(&artifact, self.ordering_capacity());
                 let mut evicted = 0u64;
-                loop {
-                    let ready = inner
-                        .map
-                        .values()
-                        .filter(|e| matches!(e, Entry::Ready { .. }))
-                        .count();
-                    if ready <= self.capacity {
-                        break;
-                    }
-                    let victim = inner
-                        .map
-                        .iter()
-                        .filter_map(|(k, e)| match e {
-                            // The entry just inserted is the most recent,
-                            // so it is never its own victim.
-                            Entry::Ready { last_used, .. } => Some((*last_used, *k)),
-                            Entry::Building(_) => None,
-                        })
-                        .min_by_key(|(t, _)| *t)
-                        .map(|(_, k)| k);
-                    match victim {
-                        Some(k) => {
-                            inner.map.remove(&k);
-                            evicted += 1;
-                        }
-                        None => break,
-                    }
+                while inner.ready > self.capacity {
+                    // The entry just inserted is the most recent, so it is
+                    // never its own victim; a build in flight is nobody's.
+                    let victim = coldest(&inner.map, |e| match e {
+                        Entry::Ready { last_used, .. } => Some(*last_used),
+                        Entry::Building(_) => None,
+                    });
+                    let Some(k) = victim else { break };
+                    inner.map.remove(&k);
+                    inner.ready -= 1;
+                    evicted += 1;
                 }
                 drop(inner);
                 if evicted > 0 {
@@ -356,7 +479,12 @@ impl ScheduleCache {
     fn publish_size(&self) {
         let rec = trace::current();
         if rec.is_recording() {
-            rec.gauge("serve.cache.size", self.len() as f64);
+            let (ready, orderings) = {
+                let inner = lock_unpoisoned(&self.inner);
+                (inner.ready, inner.orderings.len())
+            };
+            rec.gauge("serve.cache.size", ready as f64);
+            rec.gauge("serve.cache.orderings", orderings as f64);
         }
     }
 }
@@ -458,6 +586,32 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.misses, 1);
         assert_eq!(s.hits + s.waits, 7);
+    }
+
+    #[test]
+    fn len_is_the_number_of_ready_entries_throughout() {
+        let cache = ScheduleCache::new(2);
+        let counted = |cache: &ScheduleCache| {
+            let inner = lock_unpoisoned(&cache.inner);
+            let ready = inner
+                .map
+                .values()
+                .filter(|e| matches!(e, Entry::Ready { .. }));
+            (ready.count(), inner.ready)
+        };
+        for (step, cols) in [4, 5, 6, 7, 4].into_iter().enumerate() {
+            let p = pipeline(cols);
+            cache.get_or_build(p.key(), || build(&p)).unwrap();
+            assert_eq!(counted(&cache), ((step + 1).min(2), (step + 1).min(2)));
+        }
+        let p = pipeline(9);
+        let failed = cache.get_or_build(p.key(), || build(&p.clone().processors(0)));
+        assert!(failed.is_err());
+        assert_eq!((counted(&cache), cache.len()), ((2, 2), 2));
+        assert_eq!(cache.orderings(), 4, "permutations outlive the evictions");
+        cache.clear();
+        assert_eq!((counted(&cache), cache.len()), ((0, 0), 0));
+        assert_eq!(cache.orderings(), 0);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   the CSC pattern plus every
 //!   front-end parameter) with LRU eviction and **single-flight**
 //!   deduplication: concurrent misses on one pattern build it exactly
-//!   once, everyone else waits for that build;
+//!   once, everyone else waits for that build; under the artifacts it
+//!   remembers their permutations past eviction, so a re-miss plans from
+//!   the permutation instead of ordering the pattern again;
 //! * [`SolverService`] — a batched solver: each [`SolveRequest`] carries
 //!   many value sets and many right-hand sides, all executed against the
 //!   one cached artifact through the existing numeric kernels

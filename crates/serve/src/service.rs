@@ -77,7 +77,10 @@ impl ExecutionKernel {
 /// Service construction parameters.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Ready artifacts the schedule cache retains (LRU beyond this).
+    /// Ready artifacts the schedule cache retains (LRU beyond this). It
+    /// also remembers the permutations of
+    /// [`ORDERINGS_PER_SLOT`](crate::cache::ORDERINGS_PER_SLOT) times as
+    /// many patterns, so that a re-miss does not order again.
     pub cache_capacity: usize,
     /// Bounded queue depth for [`SolverService::submit`]; a full queue
     /// rejects with [`ServeError::Overloaded`]. Clamped to at least 1.
@@ -437,11 +440,12 @@ impl Shared {
     }
 
     /// The whole request path: validate, enforce the queue-stage
-    /// deadline, resolve the artifact (store, then build), enforce the
-    /// build-stage deadline, then run the kernel chain with retry,
-    /// circuit breaking, and failover. Called from workers (with the
-    /// job's admission instant) and from the synchronous entry point
-    /// (admitted = now) alike, both under the service's recorder scope.
+    /// deadline, resolve the artifact (cache, remembered permutation,
+    /// store, then a full build), enforce the build-stage deadline, then
+    /// run the kernel chain with retry, circuit breaking, and failover.
+    /// Called from workers (with the job's admission instant) and from the
+    /// synchronous entry point (admitted = now) alike, both under the
+    /// service's recorder scope.
     fn process(
         &self,
         request: &SolveRequest,
@@ -488,11 +492,13 @@ impl Shared {
         let mut built_here = false;
         let mut warm_start = false;
         let build_started = Instant::now();
-        let artifact = self.cache.get_or_build(key, || {
-            // The warm-restart store first: a verified reconstruction
-            // skips the ordering phase entirely. Any store failure
-            // (missing, corrupt, key mismatch) degrades to a build.
-            if let Some(store) = &self.store {
+        let artifact = self.cache.get_or_plan(key, |remembered| {
+            // Memory before disk: a permutation the cache still holds for
+            // this pattern spares the ordering phase, which is all a store
+            // load spares, without reading and re-verifying a file. Only
+            // then the warm-restart store; any store failure (missing,
+            // corrupt, key mismatch) degrades to a build.
+            if let (None, Some(store)) = (&remembered, &self.store) {
                 if let Ok(Some(a)) = store.load(&key, &request.pattern) {
                     warm_start = true;
                     return Ok(a);
@@ -500,7 +506,7 @@ impl Shared {
             }
             built_here = true;
             self.cold_builds.fetch_add(1, AtomicOrdering::Relaxed);
-            let artifact = Pipeline::new(request.pattern.clone())
+            let pipeline = Pipeline::new(request.pattern.clone())
                 .ordering(request.ordering)
                 .order_engine(request.order_engine)
                 .params(request.params)
@@ -509,12 +515,16 @@ impl Shared {
                 // The engine `sched::rebuild_artifact` uses on the
                 // store-load path, so one key has one origin. Serial:
                 // the worker threads already fill the cores.
-                .deps_engine(DepsEngine::Sweep)
-                .try_plan()
-                .map_err(|e| ServeError::Build(Arc::new(e)))?;
-            if let Some(store) = &self.store {
-                // A spill failure must not fail the request: the answer
-                // is correct either way, only persistence is lost.
+                .deps_engine(DepsEngine::Sweep);
+            let artifact = match remembered {
+                Some(permutation) => pipeline.try_plan_ordered(permutation),
+                None => pipeline.try_plan(),
+            }
+            .map_err(|e| ServeError::Build(Arc::new(e)))?;
+            // What the store already holds is this artifact: one key, one
+            // schedule. A spill failure must not fail the request either:
+            // the answer is correct, only persistence is lost.
+            if let Some(store) = self.store.as_ref().filter(|s| !s.contains(&key)) {
                 let _ = store.spill(&artifact);
             }
             Ok(artifact)
@@ -837,9 +847,10 @@ impl SolverService {
         self.shared.completed.load(AtomicOrdering::Relaxed)
     }
 
-    /// Artifacts built from scratch (cold builds) so far — a restarted
-    /// service whose warm-restart store covers the workload keeps this
-    /// at zero.
+    /// Artifacts planned on a cache miss (cold builds) so far, whether
+    /// from a fresh ordering or from a permutation the cache remembered
+    /// ([`CacheStats::replans`] tells those apart) — a restarted service
+    /// whose warm-restart store covers the workload keeps this at zero.
     pub fn cold_builds(&self) -> u64 {
         self.shared.cold_builds.load(AtomicOrdering::Relaxed)
     }

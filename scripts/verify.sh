@@ -220,6 +220,7 @@ for field in '"schema": "spfactor-bench-serve/2"' \
              '"throughput_rps"' '"hit_rate"' \
              '"p50_ms"' '"p99_ms"' '"rejected"' \
              '"schemes"' '"cache_sweep"' '"capacity"' \
+             '"replans"' '"miss_ms"' \
              '"fault_sweep"' '"degraded_fraction"'; do
   grep -qF "$field" "$serve_json" \
     || { echo "serve bench JSON missing $field"; exit 1; }

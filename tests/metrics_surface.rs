@@ -659,7 +659,7 @@ mod enabled {
             .batch(ValueBatch::new(values).with_rhs(rhs));
         service.solve(request.clone()).unwrap();
         service.solve(request.clone()).unwrap();
-        service.submit(request).unwrap().wait().unwrap();
+        service.submit(request.clone()).unwrap().wait().unwrap();
 
         let stats = service.cache_stats();
         assert_eq!(rec.counter("serve.cache.hit"), stats.hits);
@@ -698,6 +698,18 @@ mod enabled {
         );
         assert!(service.cache_stats().evictions > 0);
         assert_eq!(rec.gauge_value("serve.cache.size"), Some(2.0));
+        // Three patterns through two slots: all three permutations stay,
+        // and the evicted one comes back without an ordering phase.
+        assert_eq!(rec.gauge_value("serve.cache.orderings"), Some(3.0));
+        assert_eq!(rec.counter("serve.cache.replan"), 0);
+        let ordered = rec.span_stats("phase.order").unwrap().count;
+        assert!(!service.solve(request).unwrap().cache_hit);
+        assert_eq!(rec.counter("serve.cache.replan"), 1);
+        assert_eq!(service.cache_stats().replans, 1);
+        assert_eq!(rec.span_stats("phase.order").unwrap().count, ordered);
+        assert_eq!(rec.span_stats("serve.build").unwrap().count, 4);
+        assert_eq!(service.cold_builds(), 4);
+        assert_eq!(rec.gauge_value("serve.cache.orderings"), Some(3.0));
     }
 
     #[test]

@@ -4,12 +4,17 @@
 //! control, and — the load-bearing guarantee — that everything served
 //! out of the cache is **bit-identical** to a fresh, from-scratch
 //! `Pipeline` run on the same inputs. The cache is an amortization, not
-//! an approximation.
+//! an approximation. The same holds one tier down: a schedule re-planned
+//! from a permutation the cache remembered past an eviction is the schedule
+//! a fresh `Pipeline::try_plan` builds.
 
 use spfactor::matrix::gen;
 use spfactor::matrix::Permutation;
 use spfactor::numeric::solve::SpdSolver;
-use spfactor::{ExecutionBackend, NetworkModel, Ordering, Pipeline, Scheme, SymbolicFactor};
+use spfactor::{
+    ExecutionBackend, NetworkModel, Ordering, Pipeline, Recorder, ScheduleArtifact, Scheme,
+    SymbolicFactor,
+};
 use spfactor_serve::{
     ExecutionKernel, ScheduleCache, ServeConfig, ServeError, SolveRequest, SolverService,
     ValueBatch,
@@ -30,6 +35,32 @@ fn grid_request(cols: usize, rows: usize, seed: u64) -> SolveRequest {
     SolveRequest::new(pattern)
         .processors(4)
         .batch(ValueBatch::new(values).with_rhs(rhs))
+}
+
+/// The plan a from-scratch `Pipeline` makes for `request`.
+fn fresh_plan(request: &SolveRequest) -> ScheduleArtifact {
+    Pipeline::new(request.pattern.clone())
+        .ordering(request.ordering)
+        .order_engine(request.order_engine)
+        .params(request.params)
+        .scheme(request.scheme)
+        .processors(request.nprocs)
+        .plan()
+}
+
+/// A service recording into a recorder of its own, and that recorder.
+fn recorded_service(config: ServeConfig) -> (SolverService, Arc<Recorder>) {
+    let rec = Arc::new(Recorder::new());
+    let service = SolverService::start(ServeConfig {
+        recorder: Some(rec.clone()),
+        ..config
+    });
+    (service, rec)
+}
+
+/// How often the ordering phase has run under `rec`.
+fn orderings_run(rec: &Recorder) -> u64 {
+    rec.span_stats("phase.order").map_or(0, |s| s.count)
 }
 
 #[test]
@@ -403,4 +434,243 @@ fn build_failures_surface_typed_and_do_not_poison_the_key() {
     }
     // The healthy variant of the same pattern still builds fine.
     service.solve(grid_request(5, 5, 1)).unwrap();
+}
+
+#[test]
+fn a_re_miss_replans_from_the_remembered_permutation() {
+    // Capacity 1: the second pattern evicts the first, whose permutation
+    // stays. The re-miss must rebuild the very artifact a fresh plan gives,
+    // serve the bits it served before, and not run the ordering phase.
+    let (service, rec) = recorded_service(ServeConfig {
+        cache_capacity: 1,
+        ..ServeConfig::default()
+    });
+    let a = grid_request(9, 8, 3);
+    let b = grid_request(7, 6, 4);
+    let first = service.solve(a.clone()).unwrap();
+    service.solve(b).unwrap();
+    assert!(!service.cache().contains(&a.key()), "evicted");
+    assert!(service.cache().remembers(&a.key()), "permutation kept");
+    assert_eq!(orderings_run(&rec), 2);
+
+    let again = service.solve(a.clone()).unwrap();
+    assert!(!again.cache_hit && !again.warm_start);
+    assert!(!again.artifact.ptr_eq(&first.artifact), "a rebuild");
+    assert_eq!(again.artifact.fingerprint(), fresh_plan(&a).fingerprint());
+    assert_eq!(again.artifact.to_text(), first.artifact.to_text());
+    assert_eq!(again.batches[0].factor, first.batches[0].factor);
+    assert_eq!(again.batches[0].solutions, first.batches[0].solutions);
+    assert_eq!(orderings_run(&rec), 2, "the rebuild ordered nothing");
+    assert_eq!(rec.span_stats("phase.symbolic").unwrap().count, 3);
+
+    let stats = service.cache_stats();
+    assert_eq!((stats.misses, stats.replans), (3, 1));
+    assert_eq!(rec.counter("serve.cache.replan"), 1);
+    assert_eq!(service.cold_builds(), 3, "a replan is still a build");
+}
+
+#[test]
+fn one_pattern_is_ordered_once_across_scheme_and_processor_count() {
+    let (service, rec) = recorded_service(ServeConfig::default());
+    let block = grid_request(8, 8, 1);
+    let wrap = block.clone().scheme(Scheme::Wrap);
+    let wider = block.clone().processors(7);
+    for request in [&block, &wrap, &wider] {
+        let resp = service.solve(request.clone()).unwrap();
+        assert!(!resp.cache_hit, "three keys, three misses");
+        assert_eq!(
+            resp.artifact.fingerprint(),
+            fresh_plan(request).fingerprint()
+        );
+    }
+    assert_eq!(orderings_run(&rec), 1);
+    assert_eq!(service.cache_stats().replans, 2);
+    assert_eq!((service.cache().len(), service.cache().orderings()), (3, 1));
+    // Another ordering of the same pattern is another permutation.
+    let rcm = block.clone().ordering(Ordering::ReverseCuthillMcKee);
+    let resp = service.solve(rcm.clone()).unwrap();
+    assert_eq!(resp.artifact.fingerprint(), fresh_plan(&rcm).fingerprint());
+    assert_eq!(orderings_run(&rec), 2);
+    assert_eq!(service.cache().orderings(), 2);
+}
+
+#[test]
+fn a_failed_replan_leaves_the_permutation_for_the_retry() {
+    let (service, rec) = recorded_service(ServeConfig::default());
+    let good = grid_request(6, 5, 1);
+    service.solve(good.clone()).unwrap();
+    // Same pattern, so the build starts from the remembered permutation —
+    // and still goes through the pipeline's validation.
+    match service.solve(good.clone().processors(0)).unwrap_err() {
+        ServeError::Build(e) => assert!(matches!(
+            *e,
+            spfactor::SpfactorError::InvalidParameter {
+                param: "processors",
+                ..
+            }
+        )),
+        other => panic!("expected Build error, got {other}"),
+    }
+    assert!(service.cache().remembers(&good.key()));
+    assert_eq!(service.cache_stats().replans, 0, "a failure is no replan");
+    let retry = good.clone().processors(3);
+    let resp = service.solve(retry.clone()).unwrap();
+    assert_eq!(
+        resp.artifact.fingerprint(),
+        fresh_plan(&retry).fingerprint()
+    );
+    assert_eq!(service.cache_stats().replans, 1);
+    assert_eq!(orderings_run(&rec), 1);
+
+    // The cache's own contract, with a builder that fails on its own terms.
+    let cache = ScheduleCache::new(1);
+    let p = Pipeline::new(gen::lap9(5, 4)).processors(2);
+    cache.get_or_build(p.key(), || Ok(p.plan())).unwrap();
+    let other = p.clone().processors(3);
+    let boom = || {
+        ServeError::Build(Arc::new(spfactor::SpfactorError::InvalidParameter {
+            param: "test",
+            message: "boom".into(),
+        }))
+    };
+    let err = cache.get_or_plan(other.key(), |remembered| {
+        assert!(remembered.is_some());
+        Err(boom())
+    });
+    assert!(matches!(err, Err(ServeError::Build(_))));
+    assert!(!cache.contains(&other.key()) && cache.remembers(&other.key()));
+    let rebuilt = cache
+        .get_or_plan(other.key(), |remembered| {
+            Ok(other
+                .try_plan_ordered(remembered.expect("still there"))
+                .unwrap())
+        })
+        .unwrap();
+    assert_eq!(rebuilt.fingerprint(), other.plan().fingerprint());
+    assert_eq!(cache.stats().replans, 1);
+}
+
+#[test]
+fn the_ordering_tier_is_bounded_and_evicts_least_recently_used() {
+    // One artifact slot, so the tier holds ORDERINGS_PER_SLOT permutations.
+    let cache = ScheduleCache::new(1);
+    let bound = cache.ordering_capacity();
+    assert_eq!(bound, spfactor_serve::cache::ORDERINGS_PER_SLOT);
+    // 100 patterns of 100 dimensions: 100 ordering keys.
+    let pipelines: Vec<Pipeline> = (0..100)
+        .map(|k| Pipeline::new(gen::lap9(k + 2, 2)).processors(2))
+        .collect();
+    let plan = |p: &Pipeline, remembered: Option<Permutation>| {
+        match remembered {
+            Some(permutation) => p.try_plan_ordered(permutation),
+            None => p.try_plan(),
+        }
+        .map_err(|e| ServeError::Build(Arc::new(e)))
+    };
+    for (k, p) in pipelines.iter().enumerate() {
+        if k == bound {
+            // The tier is full and 0 is its oldest entry; re-missing on it
+            // (its artifact went with the one slot) makes 1 the oldest.
+            let mut handed = false;
+            cache
+                .get_or_plan(pipelines[0].key(), |remembered| {
+                    handed = remembered.is_some();
+                    plan(&pipelines[0], remembered)
+                })
+                .unwrap();
+            assert!(handed, "0 was still remembered");
+        }
+        cache.get_or_plan(p.key(), |r| plan(p, r)).unwrap();
+        assert_eq!(cache.orderings(), (k + 1).min(bound));
+        assert_eq!(cache.len(), 1);
+        if k == bound {
+            assert!(cache.remembers(&pipelines[0].key()), "touched, so kept");
+            assert!(!cache.remembers(&pipelines[1].key()), "the oldest goes");
+        }
+    }
+    let kept: Vec<usize> = (0..100)
+        .filter(|&k| cache.remembers(&pipelines[k].key()))
+        .collect();
+    assert_eq!(kept, (100 - bound..100).collect::<Vec<_>>());
+    assert_eq!(cache.stats().replans, 1);
+}
+
+#[test]
+fn concurrent_misses_on_two_keys_of_one_pattern_agree_on_the_permutation() {
+    // Block and wrap of one cold pattern, both builders inside their build
+    // before either finishes: neither finds a permutation, both order, the
+    // second deposit finds the first's. One entry, equal permutations.
+    let cache = ScheduleCache::new(4);
+    let block = Pipeline::new(gen::lap9(9, 9)).processors(4);
+    let wrap = block.clone().scheme(Scheme::Wrap);
+    let both_building = Barrier::new(2);
+    let build = |p: &Pipeline| {
+        cache
+            .get_or_plan(p.key(), |remembered| {
+                assert!(remembered.is_none(), "nothing deposited yet");
+                both_building.wait();
+                p.try_plan().map_err(|e| ServeError::Build(Arc::new(e)))
+            })
+            .unwrap()
+    };
+    let (b, w) = std::thread::scope(|s| {
+        let b = s.spawn(|| build(&block));
+        let w = s.spawn(|| build(&wrap));
+        (b.join().unwrap(), w.join().unwrap())
+    });
+    assert_eq!(b.permutation().as_slice(), w.permutation().as_slice());
+    assert_eq!(b.fingerprint(), block.plan().fingerprint());
+    assert_eq!(w.fingerprint(), wrap.plan().fingerprint());
+    assert_eq!((cache.len(), cache.orderings()), (2, 1));
+    assert_eq!(cache.stats().replans, 0);
+    // A third key of the pattern now plans from that one entry.
+    let wider = block.clone().processors(6);
+    let a = cache
+        .get_or_plan(wider.key(), |remembered| {
+            Ok(wider
+                .try_plan_ordered(remembered.expect("deposited"))
+                .unwrap())
+        })
+        .unwrap();
+    assert_eq!(a.fingerprint(), wider.plan().fingerprint());
+}
+
+#[test]
+fn a_remembered_permutation_is_tried_before_the_store() {
+    let dir = std::env::temp_dir().join(format!("spfactor-serve-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServeConfig {
+        cache_capacity: 1,
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let a = grid_request(8, 7, 2);
+    let b = grid_request(6, 6, 3);
+    {
+        let service = SolverService::start(config.clone());
+        let first = service.solve(a.clone()).unwrap();
+        service.solve(b.clone()).unwrap();
+        // Evicted, on disk and remembered: memory wins, nothing is read
+        // back and nothing is written twice.
+        let again = service.solve(a.clone()).unwrap();
+        assert!(!again.cache_hit && !again.warm_start);
+        assert_eq!(again.artifact.fingerprint(), first.artifact.fingerprint());
+        let store = service.store_stats().unwrap();
+        assert_eq!((store.hits, store.spilled), (0, 2));
+        assert_eq!(service.cache_stats().replans, 1);
+    }
+    // A restarted service remembers nothing: the store serves the miss,
+    // and what it loaded leaves its permutation behind like any build.
+    let service = SolverService::start(config);
+    assert!(service.solve(a.clone()).unwrap().warm_start);
+    assert!(service.solve(b).unwrap().warm_start);
+    let again = service.solve(a.clone()).unwrap();
+    assert!(!again.cache_hit && !again.warm_start);
+    assert_eq!(again.artifact.fingerprint(), fresh_plan(&a).fingerprint());
+    let store = service.store_stats().unwrap();
+    assert_eq!((store.hits, store.spilled), (2, 0));
+    assert_eq!(service.cache_stats().replans, 1);
+    assert_eq!(service.cold_builds(), 1);
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
 }
