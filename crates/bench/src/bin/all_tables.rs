@@ -468,11 +468,10 @@ fn ablation(args: &[&str]) {
 /// every ordering on the paper's test set. Table 1's factor sizes are
 /// ordering-dependent; this quantifies how much.
 fn orderings() {
-    let methods: [(&str, Ordering); 6] = [
+    let methods: [(&str, Ordering); 5] = [
         ("natural", Ordering::Natural),
         ("rcm", Ordering::ReverseCuthillMcKee),
         ("mmd (paper)", Ordering::MultipleMinimumDegree { delta: 0 }),
-        ("amd", Ordering::ApproximateMinimumDegree),
         ("nested diss.", Ordering::NestedDissection),
         ("min fill", Ordering::MinimumFill),
     ];

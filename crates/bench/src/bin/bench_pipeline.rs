@@ -7,11 +7,9 @@
 //! 9-point grid, running the simulate phase under all three
 //! [`SimulateEngine`]s, the deps phase under all three
 //! [`DepsEngine`]s and the order phase under the `mmd` oracle and both
-//! [`OrderEngine`]s, and writes the results as `BENCH_pipeline.json`. It
-//! also times the AMD ordering against the paper's MMD on every matrix
-//! (`order_alt`), recording the factor sizes each produces. The headline
-//! numbers are the large-grid speedups of the closed-form engines over
-//! their per-element/per-operation oracles.
+//! [`OrderEngine`]s, and writes the results as `BENCH_pipeline.json`.
+//! The headline numbers are the large-grid speedups of the closed-form
+//! engines over their per-element/per-operation oracles.
 //!
 //! ```text
 //! cargo run --release -p spfactor-bench --bin bench_pipeline
@@ -37,7 +35,7 @@ use spfactor::simulate::{simulate, SimulateEngine};
 use spfactor::{OrderEngine, Ordering, Partition, PartitionParams, SymbolicFactor};
 
 /// Schema identifier validated by `scripts/bench.sh --smoke`.
-const SCHEMA: &str = "spfactor-bench-pipeline/4";
+const SCHEMA: &str = "spfactor-bench-pipeline/5";
 
 const ORDER_ENGINES: [OrderEngine; 2] = [OrderEngine::Direct, OrderEngine::Compressed];
 
@@ -62,21 +60,11 @@ struct MatrixResult {
     order_ms: Vec<(&'static str, f64)>,
     deps_ms: Vec<(&'static str, f64)>,
     simulate_ms: Vec<(&'static str, f64)>,
-    order_alt: OrderAlt,
     traffic_total: usize,
     work_total: usize,
     speedup_block_parallel: f64,
     speedup_deps_sweep_parallel: f64,
     speedup_order_compressed: f64,
-}
-
-/// AMD-vs-MMD comparison: wall time and the factor size each ordering
-/// yields on this matrix.
-struct OrderAlt {
-    mmd_ms: f64,
-    amd_ms: f64,
-    mmd_factor_entries: usize,
-    amd_factor_entries: usize,
 }
 
 fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -124,11 +112,6 @@ fn bench_matrix(m: &TestMatrix, label: &str, nprocs: usize, grain: usize) -> Mat
     let perm = perms.pop().expect("two permutations");
     assert_eq!(perm, oracle_perm, "{label}: Direct left the oracle");
     let (direct_ms, compressed_ms) = (order_ms[1].1, order_ms[2].1);
-    // AMD next to MMD: same interface, cheaper degree maintenance; record
-    // the fill each produces so the speed/quality trade-off is tracked.
-    let (amd_perm, amd_ms) = best_of(reps, || {
-        spfactor::order::order(&m.pattern, Ordering::ApproximateMinimumDegree)
-    });
     let permuted = m.pattern.permute(&perm);
     let (factor, symbolic_ms) = time_ms(|| SymbolicFactor::from_pattern(&permuted));
     let compressed_entries =
@@ -142,14 +125,6 @@ fn bench_matrix(m: &TestMatrix, label: &str, nprocs: usize, grain: usize) -> Mat
         delta * 100.0,
         factor.num_entries()
     );
-    let amd_factor_entries =
-        SymbolicFactor::from_pattern(&m.pattern.permute(&amd_perm)).num_entries();
-    let order_alt = OrderAlt {
-        mmd_ms: direct_ms,
-        amd_ms,
-        mmd_factor_entries: factor.num_entries(),
-        amd_factor_entries,
-    };
 
     let params = PartitionParams::with_grain(grain);
     let (partition, partition_ms) = time_ms(|| Partition::build(&factor, &params));
@@ -206,7 +181,6 @@ fn bench_matrix(m: &TestMatrix, label: &str, nprocs: usize, grain: usize) -> Mat
         speedup_order_compressed: speedup(oracle_ms, compressed_ms),
         order_ms,
         deps_ms,
-        order_alt,
         traffic_total: traffic.total,
         work_total: work.total,
         speedup_block_parallel: speedup(simulate_ms[0].1, simulate_ms[2].1),
@@ -257,22 +231,6 @@ fn json_document(mode: &str, large_grid: &str, results: &[MatrixResult]) -> Stri
         write_ms_object(&mut s, "order_ms", &r.order_ms);
         write_ms_object(&mut s, "deps_ms", &r.deps_ms);
         write_ms_object(&mut s, "simulate_ms", &r.simulate_ms);
-        writeln!(s, "      \"order_alt\": {{").unwrap();
-        writeln!(s, "        \"mmd_ms\": {:.3},", r.order_alt.mmd_ms).unwrap();
-        writeln!(s, "        \"amd_ms\": {:.3},", r.order_alt.amd_ms).unwrap();
-        writeln!(
-            s,
-            "        \"mmd_factor_entries\": {},",
-            r.order_alt.mmd_factor_entries
-        )
-        .unwrap();
-        writeln!(
-            s,
-            "        \"amd_factor_entries\": {}",
-            r.order_alt.amd_factor_entries
-        )
-        .unwrap();
-        writeln!(s, "      }},").unwrap();
         writeln!(s, "      \"traffic_total\": {},", r.traffic_total).unwrap();
         writeln!(s, "      \"work_total\": {},", r.work_total).unwrap();
         writeln!(

@@ -53,14 +53,13 @@ const PHASES: [&str; 6] = [
 ];
 
 /// The engine cost counters recorded per size (`docs/METRICS.md`).
-const COUNTERS: [&str; 8] = [
+const COUNTERS: [&str; 7] = [
     "deps.engine.columns",
     "deps.engine.pairs",
     "deps.engine.segments",
     "deps.engine.walked_segments",
     "simulate.engine.columns",
     "simulate.engine.unit_visits",
-    "simulate.engine.unit_hits",
     "simulate.engine.interval_pieces",
 ];
 

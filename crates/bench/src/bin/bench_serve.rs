@@ -49,10 +49,9 @@ use rand::{Rng, SeedableRng};
 use spfactor::matrix::gen::{self, paper};
 use spfactor::matrix::SymmetricCsc;
 use spfactor::mp::CrashPlan;
-use spfactor::{FaultPlan, NetworkModel, SymmetricPattern};
+use spfactor::{FaultPlan, SymmetricPattern};
 use spfactor_serve::{
-    ExecutionKernel, ResilienceConfig, ServeConfig, ServeError, SolveRequest, SolverService,
-    ValueBatch,
+    KernelKind, ResilienceConfig, ServeConfig, ServeError, SolveRequest, SolverService, ValueBatch,
 };
 
 /// Schema identifier validated by `scripts/verify.sh`. `/2` added the
@@ -265,7 +264,7 @@ fn fault_sweep(tenant: &Tenant, rates: &[f64], reps: usize) -> Vec<FaultStats> {
             let request = || {
                 tenant
                     .request(spfactor::Scheme::Block)
-                    .kernel(ExecutionKernel::MessagePassing(NetworkModel::default()))
+                    .kernel(KernelKind::MessagePassing)
             };
             // Warm the cache so the sweep measures the solve path only.
             service.solve(request()).unwrap();

@@ -16,8 +16,8 @@
 //!   nested dissection, elimination trees;
 //! * [`symbolic`] — symbolic factorization, supernodes, update-operation
 //!   enumeration;
-//! * [`interval`] — closed integer intervals and interval sets: the
-//!   extents that describe unit blocks;
+//! * [`interval`] — closed integer intervals: the extents that describe
+//!   unit blocks;
 //! * [`partition`] — clusters, unit blocks, the ten dependency categories;
 //! * [`sched`] — the paper's block allocation, the wrap-mapped baseline,
 //!   ablation allocators;
@@ -480,9 +480,7 @@ impl Pipeline {
         // refused here rather than truncated there.
         if matches!(
             self.ordering,
-            Ordering::MultipleMinimumDegree { .. }
-                | Ordering::ApproximateMinimumDegree
-                | Ordering::NestedDissection
+            Ordering::MultipleMinimumDegree { .. } | Ordering::NestedDissection
         ) {
             let (n, nnz) = (self.pattern.n(), self.pattern.nnz_strict_lower());
             order::compress::check_index_range(n, nnz).map_err(|message| {

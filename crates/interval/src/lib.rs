@@ -1,16 +1,12 @@
-//! Intervals and interval sets: the extent vocabulary of the partitioner.
+//! Intervals: the extent vocabulary of the partitioner.
 //!
 //! Blocks are described by row and column *extents* — closed integer
 //! intervals — and every one of the paper's ten dependency categories
 //! (§3.3) reduces to extent-intersection tests. This crate provides:
 //!
-//! * [`Interval`] — a closed integer interval with intersection tests;
-//! * [`IntervalSet`] — a sorted set of disjoint intervals with union /
-//!   intersection, used for row-coverage bookkeeping.
-
-mod set;
-
-pub use set::IntervalSet;
+//! * [`Interval`] — a closed integer interval with its intersection;
+//! * [`runs_of_sorted`] — the maximal runs of an ascending index list,
+//!   e.g. the rows below a supernode as row extents.
 
 /// A closed integer interval `[lo, hi]` (`lo <= hi`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,12 +49,6 @@ impl Interval {
         self.lo <= p && p <= self.hi
     }
 
-    /// `true` if the two intervals share at least one integer.
-    #[inline]
-    pub fn intersects(&self, other: &Interval) -> bool {
-        self.lo <= other.hi && other.lo <= self.hi
-    }
-
     /// The intersection, if non-empty.
     #[inline]
     pub fn intersection(&self, other: &Interval) -> Option<Interval> {
@@ -66,18 +56,29 @@ impl Interval {
         let hi = self.hi.min(other.hi);
         (lo <= hi).then_some(Interval { lo, hi })
     }
-
-    /// `true` if `self` fully contains `other`.
-    #[inline]
-    pub fn contains_interval(&self, other: &Interval) -> bool {
-        self.lo <= other.lo && other.hi <= self.hi
-    }
 }
 
 impl std::fmt::Display for Interval {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}, {}]", self.lo, self.hi)
     }
+}
+
+/// The maximal runs of consecutive integers in `points`, which must be
+/// strictly ascending — e.g. the row indices of a factor column.
+pub fn runs_of_sorted(points: &[usize]) -> Vec<Interval> {
+    debug_assert!(points.windows(2).all(|w| w[0] < w[1]), "points not sorted");
+    let mut runs: Vec<Interval> = Vec::new();
+    for &p in points {
+        match runs.last_mut() {
+            Some(run) if run.hi + 1 == p => run.hi = p,
+            _ => runs.push(Interval::point(p)),
+        }
+    }
+    // Callers keep the runs (a cluster's row extents live as long as its
+    // partition): hand back no spare capacity.
+    runs.shrink_to_fit();
+    runs
 }
 
 #[cfg(test)]
@@ -89,11 +90,6 @@ mod tests {
         let a = Interval::new(2, 5);
         assert_eq!(a.len(), 4);
         assert!(a.contains(2) && a.contains(5) && !a.contains(6));
-        assert!(a.intersects(&Interval::new(5, 9)));
-        assert!(a.intersects(&Interval::new(0, 2)));
-        assert!(!a.intersects(&Interval::new(6, 9)));
-        assert!(a.contains_interval(&Interval::new(3, 4)));
-        assert!(!a.contains_interval(&Interval::new(3, 6)));
     }
 
     #[test]
@@ -105,6 +101,19 @@ mod tests {
         );
         assert_eq!(a.intersection(&Interval::new(9, 12)), None);
         assert_eq!(a.intersection(&a), Some(a));
+    }
+
+    #[test]
+    fn runs_of_sorted_coalesces_runs() {
+        assert_eq!(
+            runs_of_sorted(&[1, 2, 3, 7, 9, 10]),
+            [
+                Interval::new(1, 3),
+                Interval::new(7, 7),
+                Interval::new(9, 10)
+            ]
+        );
+        assert_eq!(runs_of_sorted(&[]), []);
     }
 
     #[test]

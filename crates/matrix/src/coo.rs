@@ -69,11 +69,6 @@ impl Coo {
         Ok(())
     }
 
-    /// Pushes a structural entry (value `1.0`).
-    pub fn push_structural(&mut self, i: usize, j: usize) -> Result<(), MatrixError> {
-        self.push(i, j, 1.0)
-    }
-
     /// Iterates the canonicalized triplets `(row, col, value)`, `row >= col`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         self.entries.iter().copied()

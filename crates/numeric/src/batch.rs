@@ -4,11 +4,8 @@
 //! partitioning, scheduling) is the expensive part of a sparse direct
 //! solve; once it is frozen — see `spfactor_sched::ScheduleArtifact` —
 //! many value sets and many right-hand sides can be run against one
-//! symbolic factor. This module provides those amortized paths:
+//! symbolic factor. This module provides the amortized solves:
 //!
-//! * [`factorize_many`] — numeric factorization of many value matrices
-//!   sharing one structure, each bit-identical to a standalone
-//!   [`cholesky`] call;
 //! * [`solve_many`] — forward/backward substitution of many right-hand
 //!   sides against one factor (in permuted coordinates);
 //! * [`solve_many_permuted`] — the same with the fill-reducing
@@ -17,31 +14,9 @@
 //!
 //! The `spfactor-serve` solver service batches requests through these.
 
-use crate::factor::{cholesky, NumericFactor};
+use crate::factor::NumericFactor;
 use crate::solve::{lower_solve, upper_solve};
-use crate::NumericError;
-use spfactor_matrix::{Permutation, SymmetricCsc};
-use spfactor_symbolic::SymbolicFactor;
-
-/// Factors every value matrix in `values` against one shared symbolic
-/// factor. Each result is bit-identical to `cholesky(a, symbolic)` run
-/// standalone; the batch form exists so callers amortize the symbolic
-/// analysis (and, through the serve layer, the whole front end) over
-/// the batch. Fails on the first non-SPD or structure-mismatched
-/// matrix, identifying it by batch position.
-pub fn factorize_many<'a, I>(
-    symbolic: &SymbolicFactor,
-    values: I,
-) -> Result<Vec<NumericFactor>, (usize, NumericError)>
-where
-    I: IntoIterator<Item = &'a SymmetricCsc>,
-{
-    values
-        .into_iter()
-        .enumerate()
-        .map(|(i, a)| cholesky(a, symbolic).map_err(|e| (i, e)))
-        .collect()
-}
+use spfactor_matrix::Permutation;
 
 /// Right-hand sides solved per pass over L.
 const LANES: usize = 8;
@@ -130,41 +105,11 @@ fn solve_lanes(l: &NumericFactor, x: &mut [[f64; LANES]]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::factor::cholesky;
     use crate::solve::{residual_norm, SpdSolver};
     use spfactor_matrix::gen;
     use spfactor_order::{order, Ordering};
-
-    #[test]
-    fn factorize_many_matches_single_shot() {
-        let p = gen::lap9(6, 6);
-        let symbolic = SymbolicFactor::from_pattern(&p);
-        let values: Vec<_> = (0..4).map(|s| gen::spd_from_pattern(&p, s)).collect();
-        let batch = factorize_many(&symbolic, &values).expect("all SPD");
-        assert_eq!(batch.len(), values.len());
-        for (a, l) in values.iter().zip(&batch) {
-            assert_eq!(l, &cholesky(a, &symbolic).unwrap(), "batch diverged");
-        }
-    }
-
-    #[test]
-    fn factorize_many_reports_the_failing_batch_index() {
-        let p = gen::lap9(4, 4);
-        let symbolic = SymbolicFactor::from_pattern(&p);
-        let good = gen::spd_from_pattern(&p, 1);
-        // Rebuild the same structure with a negated diagonal entry:
-        // not positive definite.
-        let mut coo = spfactor_matrix::Coo::new(good.n());
-        for j in 0..good.n() {
-            for (&i, &v) in good.col_rows(j).iter().zip(good.col_values(j)) {
-                let v = if i == j && j == 0 { -v } else { v };
-                coo.push(i, j, v).unwrap();
-            }
-        }
-        let bad = coo.to_csc();
-        let err = factorize_many(&symbolic, [&good, &bad]).unwrap_err();
-        assert_eq!(err.0, 1);
-        assert!(matches!(err.1, NumericError::NotPositiveDefinite(_)));
-    }
+    use spfactor_symbolic::SymbolicFactor;
 
     #[test]
     fn solve_many_permuted_solves_the_original_system() {

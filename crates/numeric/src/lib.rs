@@ -21,9 +21,9 @@
 //!   message-passing one in `spfactor-mp`;
 //! * [`solve`] — forward/backward substitution and a whole-pipeline
 //!   [`solve::SpdSolver`] for `Ax = b`;
-//! * [`batch`] — amortized entry points factoring many value sets and
-//!   solving many right-hand sides against one symbolic factor (the
-//!   numeric half of the `spfactor-serve` solver service).
+//! * [`batch`] — amortized entry points solving many right-hand sides
+//!   against one factor (the numeric half of the `spfactor-serve` solver
+//!   service).
 
 pub mod batch;
 pub mod block_parallel;
@@ -32,7 +32,7 @@ pub mod solve;
 pub mod supernodal;
 pub mod unit;
 
-pub use batch::{factorize_many, solve_many, solve_many_permuted};
+pub use batch::{solve_many, solve_many_permuted};
 pub use block_parallel::cholesky_block_parallel;
 pub use factor::{cholesky, NumericFactor};
 pub use solve::SpdSolver;

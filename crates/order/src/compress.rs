@@ -577,21 +577,6 @@ impl Quotient {
         d
     }
 
-    /// Amestoy–Davis–Duff upper-bound degree: no deduplication across
-    /// element boundaries, so the boundary weights of the last filter
-    /// add up. `v` lies on the boundary of each of its elements.
-    fn approx_degree(&mut self, v: usize) -> usize {
-        let own = self.weight[v] as usize;
-        let vars: usize = (self.vars(v).iter())
-            .map(|&a| self.weight[a as usize] as usize)
-            .sum();
-        let elems: usize = (self.elems(v).iter())
-            .map(|&e| self.bweight[e as usize] as usize - own)
-            .sum();
-        self.work.scanned_entries += (self.vlen[v] + self.elen[v]) as u64;
-        vars + elems
-    }
-
     /// Exact degrees of the variables whose last element is `me` (an
     /// element of the current pass, its boundary filtered) and that lie
     /// on at most one more element `e`: `w(L_me ∪ L_e)` is `w(L_me)` plus
@@ -691,8 +676,7 @@ struct DegreeBuckets {
 impl DegreeBuckets {
     /// Every variable at its initial degree, the weight of its
     /// neighbours. `head` is sized by the largest of them; `insert` grows
-    /// it (the approximate degree is an upper bound that can exceed the
-    /// total weight).
+    /// it (fill raises degrees past every initial one).
     fn new(g: &Graph, weights: &[usize]) -> Self {
         let n = g.n();
         let degree: Vec<usize> = (0..n)
@@ -767,10 +751,10 @@ impl DegreeBuckets {
     }
 }
 
-/// Runs weighted multiple minimum degree (or its approximate-degree
-/// variant) on `graph` with initial supervariable `weights`, returning
-/// the elimination order of the (compressed) variables and the work
-/// counters. With unit weights: the oracle's permutation and counters.
+/// Runs weighted multiple minimum degree on `graph` with initial
+/// supervariable `weights`, returning the elimination order of the
+/// (compressed) variables and the work counters. With unit weights: the
+/// oracle's permutation and counters.
 ///
 /// # Panics
 /// If the graph does not fit 32-bit ids and offsets
@@ -779,11 +763,10 @@ pub(crate) fn weighted_min_degree(
     graph: &Graph,
     weights: &[usize],
     delta: usize,
-    approx: bool,
 ) -> (Vec<usize>, MdCounters, DriverWork) {
     // Slack of one adjacency: a compaction then costs less than the
     // appends that led to it.
-    run_driver(graph, weights, delta, approx, 2 * graph.num_edges(), 0)
+    run_driver(graph, weights, delta, 2 * graph.num_edges(), 0)
 }
 
 /// [`weighted_min_degree`] with the arena slack and the first marker
@@ -793,7 +776,6 @@ fn run_driver(
     graph: &Graph,
     weights: &[usize],
     delta: usize,
-    approx: bool,
     arena_slack: usize,
     first_stamp: u32,
 ) -> (Vec<usize>, MdCounters, DriverWork) {
@@ -884,18 +866,13 @@ fn run_driver(
             }
             counters.degree_updates += 1;
             q.filter_boundaries(u, pass);
-            if approx {
-                let d = q.approx_degree(u);
-                buckets.update(u, d);
-            } else if q.elen[u] > 2 {
+            if q.elen[u] > 2 {
                 let d = q.exact_degree(u);
                 buckets.update(u, d);
             }
         }
-        if !approx {
-            for me in first_elem..q.bstart.len() as u32 {
-                q.pair_degrees(me, &mut buckets);
-            }
+        for me in first_elem..q.bstart.len() as u32 {
+            q.pair_degrees(me, &mut buckets);
         }
     }
     (order, counters, q.work)
@@ -905,10 +882,9 @@ fn run_driver(
 pub(crate) fn direct_min_degree(
     pattern: &SymmetricPattern,
     delta: usize,
-    approx: bool,
 ) -> (Permutation, MdCounters, DriverWork) {
     let (order, counters, work) =
-        weighted_min_degree(&pattern.to_graph(), &vec![1; pattern.n()], delta, approx);
+        weighted_min_degree(&pattern.to_graph(), &vec![1; pattern.n()], delta);
     let perm = Permutation::from_vec(order).expect("every variable eliminated exactly once");
     (perm, counters, work)
 }
@@ -919,10 +895,9 @@ pub(crate) fn direct_min_degree(
 pub(crate) fn compressed_min_degree(
     pattern: &SymmetricPattern,
     delta: usize,
-    approx: bool,
 ) -> (Permutation, GraphCompression, MdCounters, DriverWork) {
     let gc = GraphCompression::analyze(pattern);
-    let (order_c, counters, work) = weighted_min_degree(&gc.quotient, &gc.weights, delta, approx);
+    let (order_c, counters, work) = weighted_min_degree(&gc.quotient, &gc.weights, delta);
     let perm = gc.expand(order_c);
     (perm, gc, counters, work)
 }
@@ -933,8 +908,8 @@ mod tests {
     use crate::mmd::{elimination_fill, minimum_degree_counted, multiple_minimum_degree};
     use spfactor_matrix::gen;
 
-    /// δ ∈ {0, 1, 2} exact, and the approximate variant.
-    const VARIANTS: [(usize, bool); 4] = [(0, false), (1, false), (2, false), (0, true)];
+    /// The tolerances every oracle comparison runs.
+    const DELTAS: [usize; 3] = [0, 1, 2];
 
     fn fill_under(pattern: &SymmetricPattern, perm: &Permutation) -> usize {
         elimination_fill(&pattern.permute(perm))
@@ -942,7 +917,7 @@ mod tests {
 
     /// The unit-weight driver against the oracle, permutation and the four
     /// `order.mmd.*` tallies, with the arena slack and first stamp given.
-    /// Returns the compactions of the four runs.
+    /// Returns the compactions of the three runs.
     fn assert_driver_is_oracle(
         label: &str,
         p: &SymmetricPattern,
@@ -950,22 +925,17 @@ mod tests {
         first_stamp: u32,
     ) -> u64 {
         let mut compactions = 0;
-        for (delta, approx) in VARIANTS {
+        for delta in DELTAS {
             let (order, counters, work) = run_driver(
                 &p.to_graph(),
                 &vec![1; p.n()],
                 delta,
-                approx,
                 arena_slack,
                 first_stamp,
             );
-            let (oracle, tallies) = minimum_degree_counted(p, delta, approx);
-            assert_eq!(
-                order,
-                oracle.as_slice(),
-                "{label} δ={delta} approx={approx}"
-            );
-            assert_eq!(counters, tallies, "{label} δ={delta} approx={approx}");
+            let (oracle, tallies) = minimum_degree_counted(p, delta);
+            assert_eq!(order, oracle.as_slice(), "{label} δ={delta}");
+            assert_eq!(counters, tallies, "{label} δ={delta}");
             compactions += work.compactions;
         }
         compactions
@@ -1057,25 +1027,25 @@ mod tests {
     #[test]
     fn expansion_is_a_valid_permutation() {
         let p = gen::grid5_fe(5, 5);
-        let (perm, gc, ..) = compressed_min_degree(&p, 0, false);
+        let (perm, gc, ..) = compressed_min_degree(&p, 0);
         assert_eq!(perm.len(), p.n());
         assert!(gc.ratio() >= 1.0);
     }
 
     #[test]
     fn weighted_md_with_unit_weights_matches_oracle() {
-        // Permutation and counters, exact and approximate degrees; where
-        // nothing compresses the whole compressed path agrees as well.
+        // Permutation and counters; where nothing compresses the whole
+        // compressed path agrees as well.
         for p in [
             gen::lap9(8, 8),
             gen::grid5(7, 5),
             gen::power_network(50, 9, 3),
         ] {
-            for (delta, approx) in VARIANTS {
-                let oracle = minimum_degree_counted(&p, delta, approx);
-                let (perm, counters, _) = direct_min_degree(&p, delta, approx);
+            for delta in DELTAS {
+                let oracle = minimum_degree_counted(&p, delta);
+                let (perm, counters, _) = direct_min_degree(&p, delta);
                 assert_eq!((perm, counters), oracle);
-                let (perm, gc, counters, _) = compressed_min_degree(&p, delta, approx);
+                let (perm, gc, counters, _) = compressed_min_degree(&p, delta);
                 if gc.n_compressed() == p.n() {
                     assert_eq!((perm, counters), oracle, "n = {}", p.n());
                 }
@@ -1120,7 +1090,7 @@ mod tests {
             "only {compactions} compactions: the test no longer reaches the code"
         );
         // The default slack on the same grid: a handful.
-        let (.., work) = direct_min_degree(&p, 0, false);
+        let (.., work) = direct_min_degree(&p, 0);
         assert!(work.compactions <= 8, "{} compactions", work.compactions);
     }
 
@@ -1148,17 +1118,11 @@ mod tests {
         for p in [gen::grid5_fe(8, 8), gen::power_network(400, 40, 5)] {
             let gc = GraphCompression::analyze(&p);
             assert!(gc.n_compressed() < p.n());
-            for (delta, approx) in VARIANTS {
-                let reference = weighted_min_degree(gc.quotient(), gc.weights(), delta, approx);
+            for delta in DELTAS {
+                let reference = weighted_min_degree(gc.quotient(), gc.weights(), delta);
                 for (slack, first_stamp) in [(4, 0), (64, u32::MAX - 3)] {
-                    let (order, counters, _) = run_driver(
-                        gc.quotient(),
-                        gc.weights(),
-                        delta,
-                        approx,
-                        slack,
-                        first_stamp,
-                    );
+                    let (order, counters, _) =
+                        run_driver(gc.quotient(), gc.weights(), delta, slack, first_stamp);
                     assert_eq!((&order, counters), (&reference.0, reference.1));
                 }
             }
@@ -1201,7 +1165,7 @@ mod tests {
             gen::power_network(80, 11, 4),
         ] {
             let direct = fill_under(&p, &multiple_minimum_degree(&p, 0));
-            let (perm, ..) = compressed_min_degree(&p, 0, false);
+            let (perm, ..) = compressed_min_degree(&p, 0);
             let compressed = fill_under(&p, &perm);
             assert!(
                 compressed <= direct.saturating_mul(13) / 10 + 16,
@@ -1213,33 +1177,24 @@ mod tests {
     #[test]
     fn compressed_is_deterministic() {
         let p = gen::grid5_fe(6, 6);
-        let (a, ..) = compressed_min_degree(&p, 0, false);
-        let (b, ..) = compressed_min_degree(&p, 0, false);
+        let (a, ..) = compressed_min_degree(&p, 0);
+        let (b, ..) = compressed_min_degree(&p, 0);
         assert_eq!(a, b);
     }
 
     #[test]
     fn empty_and_tiny_patterns() {
         let empty = SymmetricPattern::from_edges(0, []);
-        let (perm, gc, ..) = compressed_min_degree(&empty, 0, false);
+        let (perm, gc, ..) = compressed_min_degree(&empty, 0);
         assert_eq!(perm.len(), 0);
         assert_eq!(gc.ratio(), 1.0);
         let one = SymmetricPattern::from_edges(1, []);
-        let (perm, ..) = compressed_min_degree(&one, 0, false);
+        let (perm, ..) = compressed_min_degree(&one, 0);
         assert_eq!(perm.len(), 1);
         // Two isolated vertices share the empty neighborhood *plus*
         // themselves — closed neighborhoods differ, so no merge.
         let two = SymmetricPattern::from_edges(2, []);
         let gc = GraphCompression::analyze(&two);
         assert_eq!(gc.n_compressed(), 2);
-    }
-
-    #[test]
-    fn approx_variant_is_valid_and_deterministic() {
-        let p = gen::grid5_fe(6, 6);
-        let (a, ..) = compressed_min_degree(&p, 0, true);
-        let (b, ..) = compressed_min_degree(&p, 0, true);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), p.n());
     }
 }

@@ -10,7 +10,6 @@
 //! * [`rcm`] — reverse Cuthill-McKee (bandwidth-oriented baseline);
 //! * [`nested`] — recursive nested dissection;
 //! * [`mf`] — greedy minimum local fill (fill-quality reference point);
-//! * [`mmd::approximate_minimum_degree`] — upper-bound-degree AMD variant;
 //! * [`Ordering`] — a method-selection enum with a single [`order`] entry
 //!   point used by the pipeline.
 //!
@@ -22,16 +21,15 @@
 //! | method | fill quality | runtime | when to use |
 //! |---|---|---|---|
 //! | `MultipleMinimumDegree` | best on the paper's matrices | exact external degrees, multiple elimination per pass; 0.2–6 ms on the paper's matrices, 0.14 s on a 200×200 grid | the paper's configuration; the default everywhere |
-//! | `ApproximateMinimumDegree` | 1.0–1.9× MMD's factor entries (+3 % on BUS1138, +91 % on LSHP1009) | about MMD's: 0.6–1.4× its time — each update is cheaper (a sum of boundary weights, no scan), but the extra fill makes for more and larger updates | a comparison point; MMD is at least as good on every tracked matrix |
 //! | `ReverseCuthillMcKee` | poor (bandwidth, not fill) | near-linear BFS | banded structures; baseline comparisons |
 //! | `NestedDissection` | good asymptotics on meshes, weaker constants here | separator BFS per level | regular grids at scale |
 //! | `MinimumFill` | often lowest fill | much slower — simulates fill per candidate | small matrices; fill-quality reference |
 //! | `Natural` | none | free | pre-ordered inputs; debugging |
 //!
 //! Measured numbers back these rows: `BENCH_pipeline.json` records
-//! MMD-vs-AMD wall time and resulting factor nonzeros per paper matrix
-//! under `order_alt` (regenerate with `scripts/bench.sh`), and the
-//! `orderings` bench bin (`cargo run --release -p spfactor-bench --bin
+//! MMD's wall time per paper matrix under `order_ms` (regenerate with
+//! `scripts/bench.sh`), and the `orderings` section of `all_tables`
+//! (`cargo run --release -p spfactor-bench --bin all_tables --
 //! orderings`) sweeps fill across every method. A pipeline run tagged
 //! with a recorder reports the method it used via the `order.alg.<name>`
 //! counter and its cost under the `order.compute` span (see
@@ -68,8 +66,6 @@ pub enum Ordering {
     NestedDissection,
     /// Greedy minimum local fill (minimum deficiency).
     MinimumFill,
-    /// Approximate minimum degree (upper-bound degrees, AMD flavour).
-    ApproximateMinimumDegree,
 }
 
 impl Ordering {
@@ -87,12 +83,11 @@ impl Ordering {
             Ordering::MultipleMinimumDegree { .. } => "mmd",
             Ordering::NestedDissection => "nd",
             Ordering::MinimumFill => "mf",
-            Ordering::ApproximateMinimumDegree => "amd",
         }
     }
 }
 
-/// Execution strategy for the minimum-degree family, selected on the
+/// Execution strategy for minimum degree, selected on the
 /// pipeline like `SimulateEngine` and `DepsEngine`: same fill regime,
 /// different cost. Both variants run the one flat quotient-graph
 /// driver in [`compress`]; the per-variable oracle in [`mmd`] is the
@@ -111,9 +106,8 @@ pub enum OrderEngine {
     /// `Direct` where nothing compresses (the pre-pass then hands the
     /// driver the graph it hashed), fill-equivalent elsewhere.
     ///
-    /// Either way only [`Ordering::MultipleMinimumDegree`] and
-    /// [`Ordering::ApproximateMinimumDegree`] have engines; every other
-    /// method ignores the selector.
+    /// Either way only [`Ordering::MultipleMinimumDegree`] has engines;
+    /// every other method ignores the selector.
     Compressed,
 }
 
@@ -154,13 +148,13 @@ pub fn order(pattern: &SymmetricPattern, method: Ordering) -> Permutation {
     order_with_engine(pattern, method, OrderEngine::Direct)
 }
 
-/// [`order`] under an explicit [`OrderEngine`], which only the
-/// minimum-degree methods look at.
+/// [`order`] under an explicit [`OrderEngine`], which only minimum
+/// degree looks at.
 ///
 /// Under a recorder scope: the `order.compute` span, the
 /// `order.alg.<name>` (names from [`Ordering::name`]) and
 /// `order.engine.<name>` counters, the `order.mmd.*` and
-/// `order.driver.*` work counters for the minimum-degree family, and —
+/// `order.driver.*` work counters for minimum degree, and —
 /// on the compressed engine — the `order.compress.{original,nodes,ratio}`
 /// gauges (see `docs/METRICS.md`).
 ///
@@ -184,12 +178,9 @@ pub fn order_with_engine(
     match method {
         Ordering::Natural => Permutation::identity(pattern.n()),
         Ordering::ReverseCuthillMcKee => rcm::reverse_cuthill_mckee(pattern),
-        Ordering::MultipleMinimumDegree { delta } => {
-            min_degree(pattern, delta, false, engine, &rec)
-        }
+        Ordering::MultipleMinimumDegree { delta } => min_degree(pattern, delta, engine, &rec),
         Ordering::NestedDissection => nested::nested_dissection(pattern),
         Ordering::MinimumFill => mf::minimum_fill(pattern),
-        Ordering::ApproximateMinimumDegree => min_degree(pattern, 0, true, engine, &rec),
     }
 }
 
@@ -198,15 +189,13 @@ pub fn order_with_engine(
 fn min_degree(
     pattern: &SymmetricPattern,
     delta: usize,
-    approx: bool,
     engine: OrderEngine,
     rec: &Current,
 ) -> Permutation {
     let (perm, counters, work) = match engine {
-        OrderEngine::Direct => compress::direct_min_degree(pattern, delta, approx),
+        OrderEngine::Direct => compress::direct_min_degree(pattern, delta),
         OrderEngine::Compressed => {
-            let (perm, gc, counters, work) =
-                compress::compressed_min_degree(pattern, delta, approx);
+            let (perm, gc, counters, work) = compress::compressed_min_degree(pattern, delta);
             rec.gauge("order.compress.original", gc.n_original() as f64);
             rec.gauge("order.compress.nodes", gc.n_compressed() as f64);
             rec.gauge("order.compress.ratio", gc.ratio());
@@ -239,7 +228,6 @@ mod tests {
             Ordering::MultipleMinimumDegree { delta: 1 },
             Ordering::NestedDissection,
             Ordering::MinimumFill,
-            Ordering::ApproximateMinimumDegree,
         ] {
             let perm = order(&p, m);
             assert_eq!(perm.len(), 36, "{m:?}");
@@ -259,7 +247,6 @@ mod tests {
         assert_eq!(Ordering::MultipleMinimumDegree { delta: 2 }.name(), "mmd");
         assert_eq!(Ordering::NestedDissection.name(), "nd");
         assert_eq!(Ordering::MinimumFill.name(), "mf");
-        assert_eq!(Ordering::ApproximateMinimumDegree.name(), "amd");
     }
 
     #[test]

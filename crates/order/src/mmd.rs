@@ -177,28 +177,6 @@ impl QuotientGraph {
         self.degree[v] = r.iter().map(|&u| self.weight[u]).sum();
     }
 
-    /// Recomputes an *upper bound* on the external degree of `v` without
-    /// deduplicating across element boundaries — the Amestoy–Davis–Duff
-    /// approximate-degree idea: `d̂(v) = |A_v| + Σ_e |L_e|` over the
-    /// adjacent elements. One order of magnitude cheaper per update than
-    /// the exact scan on dense-ish quotient graphs.
-    fn update_degree_approx(&mut self, v: usize) {
-        self.clean(v);
-        let mut d: usize = self.adj_vars[v].iter().map(|&u| self.weight[u]).sum();
-        let elems = self.adj_elems[v].clone();
-        for e in elems {
-            let mut boundary = std::mem::take(&mut self.elem_vars[e]);
-            boundary.retain(|&u| self.state[u] == VarState::Live);
-            d += boundary
-                .iter()
-                .filter(|&&u| u != v)
-                .map(|&u| self.weight[u])
-                .sum::<usize>();
-            self.elem_vars[e] = boundary;
-        }
-        self.degree[v] = d;
-    }
-
     /// Merges indistinguishable variables among `candidates`: variables
     /// whose quotient adjacency (variables ∪ self, elements), cleaned at
     /// the start of this step, is identical. Every candidate is cleaned
@@ -243,21 +221,7 @@ impl QuotientGraph {
 ///
 /// Returns `perm[new] = old`.
 pub fn multiple_minimum_degree(pattern: &SymmetricPattern, delta: usize) -> Permutation {
-    minimum_degree_counted(pattern, delta, false).0
-}
-
-/// Approximate minimum degree: the same quotient-graph elimination as
-/// [`multiple_minimum_degree`] but driven by the cheap upper-bound degree
-/// `d̂(v) = |A_v| + Σ_e |L_e|` instead of the exact external degree.
-///
-/// This is the *coarse* bound only (production AMD refines it by
-/// subtracting overlaps with the most recent element); it trades
-/// noticeable fill quality — 10–90% more fill than MMD on the paper's
-/// test set, see the `orderings` bench — for a much cheaper degree
-/// update. Included as a comparison point; the production ordering
-/// remains [`multiple_minimum_degree`].
-pub fn approximate_minimum_degree(pattern: &SymmetricPattern) -> Permutation {
-    minimum_degree_counted(pattern, 0, true).0
+    minimum_degree_counted(pattern, delta).0
 }
 
 /// The oracle itself: the permutation together with the pass,
@@ -266,7 +230,6 @@ pub fn approximate_minimum_degree(pattern: &SymmetricPattern) -> Permutation {
 pub fn minimum_degree_counted(
     pattern: &SymmetricPattern,
     delta: usize,
-    approx: bool,
 ) -> (Permutation, MdCounters) {
     let n = pattern.n();
     let mut q = QuotientGraph::new(pattern);
@@ -326,11 +289,7 @@ pub fn minimum_degree_counted(
             if q.live(u) {
                 live_after += 1;
                 counters.degree_updates += 1;
-                if approx {
-                    q.update_degree_approx(u);
-                } else {
-                    q.update_degree(u);
-                }
+                q.update_degree(u);
             }
         }
         counters.merges += live_before - live_after;
@@ -479,36 +438,6 @@ mod tests {
         // chordal. Fill = 2.
         let c5 = SymmetricPattern::from_edges(5, [(1, 0), (2, 1), (3, 2), (4, 3), (4, 0)]);
         assert_eq!(elimination_fill(&c5), 2);
-    }
-
-    #[test]
-    fn amd_is_valid_and_competitive() {
-        let p = gen::lap9(9, 9);
-        let amd = approximate_minimum_degree(&p);
-        assert_eq!(amd.len(), 81);
-        let f_amd = fill_under(&p, &amd);
-        let f_mmd = fill_under(&p, &multiple_minimum_degree(&p, 0));
-        // The approximate degree may lose some fill quality but must stay
-        // in the same regime.
-        assert!(
-            (f_amd as f64) < 1.6 * f_mmd as f64,
-            "AMD fill {f_amd} vs MMD fill {f_mmd}"
-        );
-    }
-
-    #[test]
-    fn amd_on_tree_has_zero_fill() {
-        let p = gen::power_network(60, 0, 5);
-        assert_eq!(fill_under(&p, &approximate_minimum_degree(&p)), 0);
-    }
-
-    #[test]
-    fn amd_is_deterministic() {
-        let p = gen::lap9(7, 7);
-        assert_eq!(
-            approximate_minimum_degree(&p),
-            approximate_minimum_degree(&p)
-        );
     }
 
     #[test]

@@ -103,7 +103,7 @@ fn order_leaf(g: &Graph, verts: &[usize], order: &mut Vec<usize>) {
     let sub = SymmetricPattern::from_edges(verts.len(), edges);
     // The driver itself, not `crate::order`: leaves are part of this
     // ordering, not orderings of their own, and record nothing.
-    let (perm, ..) = crate::compress::direct_min_degree(&sub, 0, false);
+    let (perm, ..) = crate::compress::direct_min_degree(&sub, 0);
     for new in 0..verts.len() {
         order.push(verts[perm.old_of(new)]);
     }

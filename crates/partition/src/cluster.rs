@@ -8,7 +8,7 @@
 
 use crate::block::{Cluster, ClusterKind};
 use crate::PartitionParams;
-use spfactor_interval::{Interval, IntervalSet};
+use spfactor_interval::{runs_of_sorted, Interval};
 use spfactor_symbolic::supernode::{below_rows, relaxed_supernodes};
 use spfactor_symbolic::SymbolicFactor;
 
@@ -31,12 +31,11 @@ pub fn identify_clusters(factor: &SymbolicFactor, params: &PartitionParams) -> V
             }
         } else {
             let rows = below_rows(factor, &sn);
-            let runs = IntervalSet::from_sorted_points(&rows);
             out.push(Cluster {
                 id: out.len(),
                 cols: Interval::new(sn.start, sn.end - 1),
                 kind: ClusterKind::Strip {
-                    rect_rows: runs.runs().to_vec(),
+                    rect_rows: runs_of_sorted(&rows),
                 },
             });
         }

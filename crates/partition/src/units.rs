@@ -1018,8 +1018,10 @@ mod tests {
     /// Maximal runs of an ascending row list, each labelled with its
     /// ordinal.
     fn runs_of(rows: &[usize]) -> Vec<TaggedRun> {
-        let set = spfactor_interval::IntervalSet::from_sorted_points(rows);
-        set.runs().iter().copied().zip(0..).collect()
+        spfactor_interval::runs_of_sorted(rows)
+            .into_iter()
+            .zip(0..)
+            .collect()
     }
 
     /// `runs ∩ extent`, labels kept.

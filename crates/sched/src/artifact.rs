@@ -315,7 +315,6 @@ fn parse_ordering(s: &str) -> Result<Ordering, String> {
         "ReverseCuthillMcKee" => Ok(Ordering::ReverseCuthillMcKee),
         "NestedDissection" => Ok(Ordering::NestedDissection),
         "MinimumFill" => Ok(Ordering::MinimumFill),
-        "ApproximateMinimumDegree" => Ok(Ordering::ApproximateMinimumDegree),
         _ => {
             // `MultipleMinimumDegree { delta: N }` (the Debug form).
             let delta = s

@@ -80,8 +80,7 @@ pub mod store;
 pub use cache::{CacheSnapshot, CacheStats, ScheduleCache};
 pub use resilience::{BudgetBreakdown, DeadlineStage, FailoverStep, KernelKind, ResilienceConfig};
 pub use service::{
-    BatchResult, ExecutionKernel, ServeConfig, SolveRequest, SolveResponse, SolverService, Ticket,
-    ValueBatch,
+    BatchResult, ServeConfig, SolveRequest, SolveResponse, SolverService, Ticket, ValueBatch,
 };
 pub use store::{ArtifactStore, StoreError, StoreStats};
 

@@ -33,15 +33,17 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// Kernel class, without execution parameters — what breakers key on
-/// and failover reports name.
+/// Which numeric kernel executes a request's factorizations — what a
+/// request asks for, breakers key on and failover reports name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// The message-passing runtime.
+    /// The message-passing runtime: one thread per virtual processor
+    /// exchanging explicit messages under the default `NetworkModel`.
     MessagePassing,
-    /// The schedule-driven shared-memory executor.
+    /// The schedule-driven shared-memory executor: one thread per
+    /// scheduled processor running the cached dependency graph.
     BlockParallel,
-    /// The left-looking sequential reference kernel.
+    /// Left-looking sequential factorization — the reference kernel.
     Sequential,
 }
 

@@ -9,7 +9,7 @@
 //! 1. resolves the frozen [`ScheduleArtifact`] through the
 //!    [`ScheduleCache`] (building it once per key, single-flight);
 //! 2. factors every value batch against the cached symbolic factor with
-//!    the requested [`ExecutionKernel`] — the sequential reference, the
+//!    the requested [`KernelKind`] — the sequential reference, the
 //!    schedule-driven block-parallel executor, or the full
 //!    message-passing runtime — all bit-identical by the workspace's
 //!    cross-validation invariant;
@@ -48,31 +48,6 @@ use std::time::{Duration, Instant};
 /// Sliding window of per-request solve latencies kept for the
 /// `serve.latency.*` percentile gauges.
 const LATENCY_WINDOW: usize = 4096;
-
-/// Which numeric kernel executes a request's factorizations.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ExecutionKernel {
-    /// Left-looking sequential factorization — the reference kernel.
-    Sequential,
-    /// The schedule-driven shared-memory executor: one thread per
-    /// scheduled processor running the cached dependency graph.
-    BlockParallel,
-    /// The message-passing runtime: one thread per virtual processor
-    /// exchanging explicit messages under the given [`NetworkModel`].
-    MessagePassing(NetworkModel),
-}
-
-impl ExecutionKernel {
-    /// The kernel's class — what circuit breakers key on and failover
-    /// reports name.
-    pub fn kind(&self) -> KernelKind {
-        match self {
-            ExecutionKernel::Sequential => KernelKind::Sequential,
-            ExecutionKernel::BlockParallel => KernelKind::BlockParallel,
-            ExecutionKernel::MessagePassing(_) => KernelKind::MessagePassing,
-        }
-    }
-}
 
 /// Service construction parameters.
 #[derive(Clone, Debug)]
@@ -162,7 +137,7 @@ pub struct SolveRequest {
     pub nprocs: usize,
     /// Numeric kernel for the factorizations (not part of the cache
     /// key: all kernels produce bit-identical factors).
-    pub kernel: ExecutionKernel,
+    pub kernel: KernelKind,
     /// Per-request deadline measured from admission; overrides the
     /// service's [`ResilienceConfig::default_deadline`]. Not part of
     /// the cache key.
@@ -186,7 +161,7 @@ impl SolveRequest {
             params: PartitionParams::default(),
             scheme: Scheme::Block,
             nprocs: 4,
-            kernel: ExecutionKernel::Sequential,
+            kernel: KernelKind::Sequential,
             deadline: None,
             fault_plan: None,
             batches: Vec::new(),
@@ -224,7 +199,7 @@ impl SolveRequest {
     }
 
     /// Sets the numeric kernel.
-    pub fn kernel(mut self, k: ExecutionKernel) -> Self {
+    pub fn kernel(mut self, k: KernelKind) -> Self {
         self.kernel = k;
         self
     }
@@ -320,12 +295,6 @@ impl Ticket {
     pub fn wait(self) -> Result<SolveResponse, ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
     }
-
-    /// Non-blocking probe: `None` while the request is still queued or
-    /// running.
-    pub fn try_wait(&self) -> Option<Result<SolveResponse, ServeError>> {
-        self.rx.try_recv().ok()
-    }
 }
 
 struct Job {
@@ -409,11 +378,7 @@ impl Shared {
                 )
                 .map_err(|e| KernelFailure::Fatal(ServeError::solve_numeric(e)))?,
                 KernelKind::MessagePassing => {
-                    let network = match request.kernel {
-                        ExecutionKernel::MessagePassing(n) => n,
-                        _ => NetworkModel::default(),
-                    };
-                    let mut config = MpConfig::reliable(network);
+                    let mut config = MpConfig::reliable(NetworkModel::default());
                     if let Some(plan) = &request.fault_plan {
                         let mut plan = plan.clone();
                         plan.seed = plan.seed.wrapping_add(attempt as u64);
@@ -540,7 +505,7 @@ impl Shared {
         }
 
         let solve_started = Instant::now();
-        let full_chain = request.kernel.kind().chain();
+        let full_chain = request.kernel.chain();
         let chain = if self.resilience.failover {
             full_chain
         } else {
@@ -928,10 +893,10 @@ mod tests {
         let base = request(7, 5, 1);
         let seq = service.solve(base.clone()).unwrap();
         let par = service
-            .solve(base.clone().kernel(ExecutionKernel::BlockParallel))
+            .solve(base.clone().kernel(KernelKind::BlockParallel))
             .unwrap();
         let mp = service
-            .solve(base.kernel(ExecutionKernel::MessagePassing(NetworkModel::default())))
+            .solve(base.kernel(KernelKind::MessagePassing))
             .unwrap();
         assert_eq!(seq.batches[0].factor, par.batches[0].factor);
         assert_eq!(seq.batches[0].factor, mp.batches[0].factor);

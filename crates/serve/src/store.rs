@@ -32,6 +32,9 @@ use std::sync::Mutex;
 /// File extension of spilled artifacts.
 const EXT: &str = "spfa";
 
+/// Extension of the hidden temp file a spill writes before its rename.
+const TMP_EXT: &str = "tmp";
+
 /// Everything the artifact store can fail with. Cloneable (like
 /// [`ServeError`](crate::ServeError)) so outcomes can be shared.
 #[derive(Clone, Debug)]
@@ -148,7 +151,8 @@ impl ArtifactStore {
     /// Opens (creating if needed) a store directory and indexes every
     /// parseable `*.spfa` file in it by its serialized [`ScheduleKey`].
     /// Unparseable files are counted as rejected and skipped — a corrupt
-    /// spill degrades to a rebuild, never an error at startup.
+    /// spill degrades to a rebuild, never an error at startup. Temp files
+    /// of spills that never reached their rename are removed.
     ///
     /// Under a recorder scope, here and in [`spill`](Self::spill) and
     /// [`load`](Self::load): store traffic is mirrored as
@@ -174,7 +178,14 @@ impl ArtifactStore {
         })?;
         for entry in entries.flatten() {
             let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some(EXT) {
+            let extension = path.extension().and_then(|e| e.to_str());
+            let hidden = entry.file_name().to_string_lossy().starts_with('.');
+            if hidden && extension == Some(TMP_EXT) {
+                // A spill that died between its write and its rename.
+                let _ = std::fs::remove_file(&path);
+                continue;
+            }
+            if extension != Some(EXT) {
                 continue;
             }
             match std::fs::read(&path) {
@@ -234,7 +245,7 @@ impl ArtifactStore {
     pub fn spill(&self, artifact: &ScheduleArtifact) -> Result<(), StoreError> {
         let stem = file_stem(artifact.key());
         let path = self.dir.join(format!("{stem}.{EXT}"));
-        let tmp = self.dir.join(format!(".{stem}.tmp"));
+        let tmp = self.dir.join(format!(".{stem}.{TMP_EXT}"));
         let io_err = |path: &Path, e: std::io::Error| StoreError::Io {
             path: path.to_path_buf(),
             message: e.to_string(),
@@ -296,5 +307,32 @@ impl ArtifactStore {
             }
             Err(reason) => Err(reject(StoreError::Corrupt { path, reason })),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spfactor::Pipeline;
+
+    #[test]
+    fn open_removes_the_temp_file_of_an_interrupted_spill() {
+        let dir = std::env::temp_dir().join(format!("spfactor-store-tmp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = Pipeline::new(spfactor::matrix::gen::lap9(4, 4))
+            .processors(2)
+            .try_plan()
+            .unwrap();
+        ArtifactStore::open(&dir).unwrap().spill(&plan).unwrap();
+        // What a crash between `write` and `rename` leaves behind.
+        let leftover = dir.join(".0123456789abcdef.tmp");
+        std::fs::write(&leftover, "spfactor-artifact v1\n").unwrap();
+
+        let store = ArtifactStore::open(&dir).unwrap();
+        assert!(!leftover.exists(), "leftover temp file survived open");
+        assert!(store.contains(plan.key()), "the good spill is indexed");
+        assert_eq!(store.stats().loaded, 1);
+        assert_eq!(store.stats().rejected, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,7 +16,7 @@
 use crate::BitSet;
 use spfactor_partition::Partition;
 use spfactor_sched::Assignment;
-use spfactor_symbolic::{ops, SymbolicFactor};
+use spfactor_symbolic::SymbolicFactor;
 
 /// Result of the consolidation analysis.
 #[derive(Clone, Debug, PartialEq)]
@@ -47,45 +47,19 @@ pub fn consolidated_traffic(
     partition: &Partition,
     assignment: &Assignment,
 ) -> ConsolidationReport {
-    let nprocs = assignment.nprocs;
-    let owner = partition.owner_map();
-    let entries = factor.num_entries();
-    let nu = partition.num_units();
-    let eid = |i: usize, j: usize| factor.entry_id(i, j).expect("factor entry");
-
-    // Per destination processor: elements fetched (cached) and source
-    // units messaged.
-    let mut seen_elem: Vec<BitSet> = (0..nprocs).map(|_| BitSet::new(entries)).collect();
-    let mut seen_unit: Vec<BitSet> = (0..nprocs).map(|_| BitSet::new(nu)).collect();
+    // Per destination processor, the source units that messaged it. A
+    // pair's first touch is always some element's first fetch, so the
+    // first-fetch events reach every pair.
+    let mut seen_unit: Vec<BitSet> = (0..assignment.nprocs)
+        .map(|_| BitSet::new(partition.num_units()))
+        .collect();
     let mut volume = 0usize;
     let mut messages = 0usize;
-
-    let mut touch = |src_entry: usize,
-                     dst_proc: usize,
-                     seen_elem: &mut Vec<BitSet>,
-                     seen_unit: &mut Vec<BitSet>| {
-        let src_unit = owner[src_entry] as usize;
-        if assignment.proc_of(src_unit) == dst_proc {
-            return;
-        }
-        if seen_elem[dst_proc].insert(src_entry) {
-            volume += 1;
-        }
-        if seen_unit[dst_proc].insert(src_unit) {
+    crate::replay_fetches(factor, partition, assignment, |src_unit, tgt_unit| {
+        volume += 1;
+        if seen_unit[assignment.proc_of(tgt_unit)].insert(src_unit) {
             messages += 1;
         }
-    };
-
-    ops::for_each_update(factor, |op| {
-        let t = assignment.proc_of(owner[eid(op.i, op.j)] as usize);
-        touch(eid(op.i, op.k), t, &mut seen_elem, &mut seen_unit);
-        if op.i != op.j {
-            touch(eid(op.j, op.k), t, &mut seen_elem, &mut seen_unit);
-        }
-    });
-    ops::for_each_scaling(factor, |i, j| {
-        let t = assignment.proc_of(owner[eid(i, j)] as usize);
-        touch(eid(j, j), t, &mut seen_elem, &mut seen_unit);
     });
 
     ConsolidationReport {

@@ -475,7 +475,6 @@ fn block_reports(
 
     rec.incr("simulate.engine.columns", total_partial.columns);
     rec.incr("simulate.engine.unit_visits", total_partial.unit_visits);
-    rec.incr("simulate.engine.unit_hits", total_partial.unit_visits);
     rec.incr("simulate.engine.interval_pieces", total_partial.pieces);
 
     let traffic = TrafficReport {

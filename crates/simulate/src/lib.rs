@@ -121,76 +121,21 @@ pub(crate) fn record_traffic(rec: &Current, report: &TrafficReport) {
     }
 }
 
-/// The element oracle: replays every operation, returning the report and
-/// the access tallies `[remote fetch, cache hit, local]`.
+/// The element oracle's traffic report and the access tallies
+/// `[remote fetch, cache hit, local]` of the replay behind it.
 fn element_traffic(
     factor: &SymbolicFactor,
     partition: &Partition,
     assignment: &Assignment,
 ) -> (TrafficReport, [u64; 3]) {
     let nprocs = assignment.nprocs;
-    let owner = partition.owner_map();
-    let entries = factor.num_entries();
-    let proc_of_entry = |eid: usize| -> usize { assignment.proc_of(owner[eid] as usize) };
-    let mut seen: Vec<BitSet> = (0..nprocs).map(|_| BitSet::new(entries)).collect();
     let mut per_proc = vec![0usize; nprocs];
     let mut pair_matrix = vec![0usize; nprocs * nprocs];
-    let mut accesses = [0u64; 3];
-
-    let eid = |i: usize, j: usize| factor.entry_id(i, j).expect("factor entry");
-    let touch = |src: usize,
-                 dst_proc: usize,
-                 seen: &mut Vec<BitSet>,
-                 per_proc: &mut Vec<usize>,
-                 pair_matrix: &mut Vec<usize>,
-                 accesses: &mut [u64; 3]| {
-        let sp = proc_of_entry(src);
-        if sp == dst_proc {
-            accesses[2] += 1;
-        } else if seen[dst_proc].insert(src) {
-            accesses[0] += 1;
-            per_proc[dst_proc] += 1;
-            pair_matrix[sp * nprocs + dst_proc] += 1;
-        } else {
-            accesses[1] += 1;
-        }
-    };
-
-    ops::for_each_update(factor, |op| {
-        let t = proc_of_entry(eid(op.i, op.j));
-        let s1 = eid(op.i, op.k);
-        touch(
-            s1,
-            t,
-            &mut seen,
-            &mut per_proc,
-            &mut pair_matrix,
-            &mut accesses,
-        );
-        if op.i != op.j {
-            let s2 = eid(op.j, op.k);
-            touch(
-                s2,
-                t,
-                &mut seen,
-                &mut per_proc,
-                &mut pair_matrix,
-                &mut accesses,
-            );
-        }
+    let accesses = replay_fetches(factor, partition, assignment, |src_unit, tgt_unit| {
+        let (sp, tp) = (assignment.proc_of(src_unit), assignment.proc_of(tgt_unit));
+        per_proc[tp] += 1;
+        pair_matrix[sp * nprocs + tp] += 1;
     });
-    ops::for_each_scaling(factor, |i, j| {
-        let t = proc_of_entry(eid(i, j));
-        touch(
-            eid(j, j),
-            t,
-            &mut seen,
-            &mut per_proc,
-            &mut pair_matrix,
-            &mut accesses,
-        );
-    });
-
     let report = TrafficReport {
         total: per_proc.iter().sum(),
         per_proc,
@@ -198,6 +143,54 @@ fn element_traffic(
         nprocs,
     };
     (report, accesses)
+}
+
+/// The one replay of the §4 traffic rule: every update and diagonal
+/// scaling makes the target element's processor read its source
+/// elements, in the oracle's enumeration order ([`ops::for_each_update`],
+/// then [`ops::for_each_scaling`]); the first read of a remote element
+/// is a fetch, later ones hit the processor's cache. Each first fetch is
+/// handed to `on_first_fetch(src_unit, tgt_unit)` — the traffic report,
+/// the timed simulation's per-unit transfers and the consolidation
+/// analysis differ only in what they tally there. Returns the access
+/// counts `[remote fetch, cache hit, local]`.
+pub(crate) fn replay_fetches(
+    factor: &SymbolicFactor,
+    partition: &Partition,
+    assignment: &Assignment,
+    mut on_first_fetch: impl FnMut(usize, usize),
+) -> [u64; 3] {
+    let owner = partition.owner_map();
+    let mut seen: Vec<BitSet> = (0..assignment.nprocs)
+        .map(|_| BitSet::new(factor.num_entries()))
+        .collect();
+    let mut accesses = [0u64; 3];
+    let eid = |i: usize, j: usize| factor.entry_id(i, j).expect("factor entry");
+    // A target element as (its unit, that unit's processor).
+    let target = |i: usize, j: usize| {
+        let unit = owner[eid(i, j)] as usize;
+        (unit, assignment.proc_of(unit))
+    };
+    let mut touch = |src: usize, (tgt_unit, tp): (usize, usize)| {
+        let src_unit = owner[src] as usize;
+        if assignment.proc_of(src_unit) == tp {
+            accesses[2] += 1;
+        } else if seen[tp].insert(src) {
+            accesses[0] += 1;
+            on_first_fetch(src_unit, tgt_unit);
+        } else {
+            accesses[1] += 1;
+        }
+    };
+    ops::for_each_update(factor, |op| {
+        let t = target(op.i, op.j);
+        touch(eid(op.i, op.k), t);
+        if op.i != op.j {
+            touch(eid(op.j, op.k), t);
+        }
+    });
+    ops::for_each_scaling(factor, |i, j| touch(eid(j, j), target(i, j)));
+    accesses
 }
 
 /// Result of the work-distribution analysis.

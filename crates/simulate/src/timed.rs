@@ -10,7 +10,7 @@
 
 use spfactor_partition::{DepGraph, Partition};
 use spfactor_sched::Assignment;
-use spfactor_symbolic::{ops, SymbolicFactor};
+use spfactor_symbolic::SymbolicFactor;
 use spfactor_trace::timeline::{EventKind, StartEdge, TimelineEvent, TimelineSink};
 use std::collections::BinaryHeap;
 
@@ -150,46 +150,19 @@ pub fn simulate_timed(
     // traffic model's local caching). When capturing a timeline the same
     // pass also splits each unit's count by source processor, so the
     // transfer events carry real peer/byte payloads.
-    let (remote_elems, peer_elems) = {
-        let owner = partition.owner_map();
-        let entries = factor.num_entries();
-        let mut seen: Vec<crate::bitset::BitSet> = (0..nprocs)
-            .map(|_| crate::bitset::BitSet::new(entries))
-            .collect();
-        let mut per_unit = vec![0usize; nu];
-        let mut peers: Vec<Vec<(u32, u32)>> = vec![Vec::new(); if capture { nu } else { 0 }];
-        let eid = |i: usize, j: usize| factor.entry_id(i, j).expect("factor entry");
-        let touch = |src: usize,
-                     tgt_unit: usize,
-                     seen: &mut Vec<crate::bitset::BitSet>,
-                     per_unit: &mut Vec<usize>,
-                     peers: &mut Vec<Vec<(u32, u32)>>| {
-            let tp = assignment.proc_of(tgt_unit);
-            let sp = assignment.proc_of(owner[src] as usize);
-            if sp != tp && seen[tp].insert(src) {
-                per_unit[tgt_unit] += 1;
-                if capture {
-                    let list = &mut peers[tgt_unit];
-                    match list.iter_mut().find(|(p, _)| *p == sp as u32) {
-                        Some((_, n)) => *n += 1,
-                        None => list.push((sp as u32, 1)),
-                    }
-                }
+    let mut remote_elems = vec![0usize; nu];
+    let mut peer_elems: Vec<Vec<(u32, u32)>> = vec![Vec::new(); if capture { nu } else { 0 }];
+    crate::replay_fetches(factor, partition, assignment, |src_unit, tgt_unit| {
+        remote_elems[tgt_unit] += 1;
+        if capture {
+            let sp = assignment.proc_of(src_unit) as u32;
+            let list = &mut peer_elems[tgt_unit];
+            match list.iter_mut().find(|(p, _)| *p == sp) {
+                Some((_, n)) => *n += 1,
+                None => list.push((sp, 1)),
             }
-        };
-        ops::for_each_update(factor, |op| {
-            let t = owner[eid(op.i, op.j)] as usize;
-            touch(eid(op.i, op.k), t, &mut seen, &mut per_unit, &mut peers);
-            if op.i != op.j {
-                touch(eid(op.j, op.k), t, &mut seen, &mut per_unit, &mut peers);
-            }
-        });
-        ops::for_each_scaling(factor, |i, j| {
-            let t = owner[eid(i, j)] as usize;
-            touch(eid(j, j), t, &mut seen, &mut per_unit, &mut peers);
-        });
-        (per_unit, peers)
-    };
+        }
+    });
 
     // Intra-processor ordering priorities.
     let prio: Vec<f64> = match policy {

@@ -71,13 +71,6 @@ impl RowStructure {
         &self.entries[self.row_start[j]..self.row_start[j + 1]]
     }
 
-    /// Number of stored entries in row `j` — the number of columns that
-    /// update column `j`.
-    #[inline]
-    pub fn row_count(&self, j: usize) -> usize {
-        self.row_start[j + 1] - self.row_start[j]
-    }
-
     /// Id of the fundamental supernode holding column `k` (ids ascend
     /// with the columns).
     #[inline]
@@ -109,7 +102,6 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(rows.row(j), want, "row {j}");
-                assert_eq!(rows.row_count(j), want.len());
                 total += want.len();
             }
             assert_eq!(total, f.nnz_strict_lower());

@@ -66,14 +66,6 @@ impl Value {
         }
     }
 
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an array slice, if it is one.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {

@@ -11,6 +11,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# call_sites <regex> <dir>...: the lines of library code under the
+# directories that match — outside comments, the allocators' own
+# definitions and #[cfg(test)] modules. The "one X" guards count them.
+call_sites() {
+  local call="$1" f
+  shift
+  for f in $(find "$@" -name '*.rs'); do
+    awk -v f="$f" -v call="$call" '
+      /#\[cfg\(test\)\]/ { exit }
+      /^[[:space:]]*\/\// || /fn (block|wrap)_allocation\(/ { next }
+      $0 ~ call { print f ":" FNR ": " $0 }' "$f"
+  done
+}
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
@@ -57,6 +71,16 @@ cargo test --release -q -p spfactor-order driver_matches_oracle
 # coming back is the regression this line is here for.
 if grep -n 'Vec<Vec<' crates/order/src/compress.rs; then
   echo "nested Vec state returned to the minimum-degree driver"
+  exit 1
+fi
+
+echo "==> one minimum degree: the paper's, one parameter"
+# "Minimum degree" is Liu's MMD with its tolerance δ, in the driver and in
+# the oracle; an approximate-degree variant had to be proven twice against
+# an oracle that carried both, and lost end to end on every tracked input
+# (docs/PERFORMANCE.md, "Landed changes whose 'before' is gone").
+if grep -rnE '\bapprox\b|ApproximateMinimumDegree' crates/order/src; then
+  echo "an approximate-degree variant returned to crates/order"
   exit 1
 fi
 
@@ -113,18 +137,26 @@ fi
 cargo test -q -p spfactor --test numeric_kernel_bits unit
 cargo test -q -p spfactor --test metrics_surface block_parallel_allocates_nothing_per_update_pair
 
+echo "==> one traffic replay: the simulator walks the update operations in one function"
+# The traffic report, the timed simulation's transfers and the
+# consolidation analysis are closures over simulate::replay_fetches
+# (docs/ARCHITECTURE.md, "three cross-validation oracles").
+for call in 'ops::for_each_update\(' 'ops::for_each_scaling\('; do
+  sites=$(call_sites "$call" crates/simulate/src)
+  if [ "$(grep -c . <<<"$sites")" -ne 1 ]; then
+    echo "expected exactly one call site of $call under crates/simulate/src, found:"; echo "$sites"
+    exit 1
+  fi
+done
+cargo test -q -p spfactor --test engine_equivalence traffic_views_agree_on_all_paper_matrices
+
 echo "==> one plan: the front-end chain is spelled out once, the plan is shared"
 # sched::plan is the chain; Scheme::partition / Scheme::allocate are the
 # only block-vs-wrap fans in library code (docs/ARCHITECTURE.md, "The
 # artifact seam"). Count call sites outside comments, definitions and
 # #[cfg(test)] modules.
 for call in 'Partition::columns\(' 'block_allocation\(' 'wrap_allocation\('; do
-  sites=$(for f in $(find crates/core/src crates/sched/src crates/serve/src -name '*.rs'); do
-            awk -v f="$f" -v call="$call" '
-              /#\[cfg\(test\)\]/ { exit }
-              /^[[:space:]]*\/\// || /fn (block|wrap)_allocation\(/ { next }
-              $0 ~ call { print f ":" FNR ": " $0 }' "$f"
-          done)
+  sites=$(call_sites "$call" crates/core/src crates/sched/src crates/serve/src)
   if [ "$(grep -c . <<<"$sites")" -ne 1 ]; then
     echo "expected exactly one library call site of $call, found:"; echo "$sites"
     exit 1
@@ -170,7 +202,7 @@ bash benchmark/selftest.sh
 echo "==> bench smoke run: schema of BENCH_pipeline.json"
 bench_json="$(mktemp)"
 scripts/bench.sh --smoke --out "$bench_json" > /dev/null
-for field in '"schema": "spfactor-bench-pipeline/4"' \
+for field in '"schema": "spfactor-bench-pipeline/5"' \
              '"large_grid_speedup"' '"large_grid_deps_speedup"' \
              '"large_grid_order_speedup"' \
              '"matrices"' '"phases_ms"' \
@@ -178,7 +210,6 @@ for field in '"schema": "spfactor-bench-pipeline/4"' \
              '"speedup_order_compressed_over_oracle"' \
              '"deps_ms"' '"sweep_parallel"' \
              '"speedup_deps_sweep_parallel_over_element"' \
-             '"order_alt"' '"amd_factor_entries"' \
              '"simulate_ms"' '"block_parallel"' \
              '"speedup_block_parallel_over_element"'; do
   grep -qF "$field" "$bench_json" \
@@ -197,7 +228,7 @@ for field in '"schema": "spfactor-bench-scale/3"' \
              '"order_engine": "compressed"' \
              '"max_n"' '"max_peak_bytes"' '"slopes"' \
              '"sizes"' '"phases_ms"' '"peak_bytes"' '"counters"' \
-             '"deps.engine.walked_segments"' '"simulate.engine.unit_hits"' \
+             '"deps.engine.walked_segments"' '"simulate.engine.unit_visits"' \
              '"factor_entries"' '"total_ms"'; do
   grep -qF "$field" "$scale_json" \
     || { echo "scale bench JSON missing $field"; exit 1; }

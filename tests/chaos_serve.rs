@@ -18,10 +18,10 @@
 
 use spfactor::matrix::gen;
 use spfactor::mp::CrashPlan;
-use spfactor::{numeric, FaultPlan, MpError, NetworkModel, Pipeline};
+use spfactor::{numeric, FaultPlan, MpError, Pipeline};
 use spfactor_serve::{
-    ExecutionKernel, KernelKind, ResilienceConfig, ServeConfig, ServeError, SolveRequest,
-    SolverService, Ticket, ValueBatch,
+    KernelKind, ResilienceConfig, ServeConfig, ServeError, SolveRequest, SolverService, Ticket,
+    ValueBatch,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -36,7 +36,7 @@ fn mp_request(cols: usize, rows: usize, seed: u64) -> SolveRequest {
     let rhs: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
     SolveRequest::new(pattern)
         .processors(NPROCS)
-        .kernel(ExecutionKernel::MessagePassing(NetworkModel::default()))
+        .kernel(KernelKind::MessagePassing)
         .batch(ValueBatch::new(values).with_rhs(rhs))
 }
 

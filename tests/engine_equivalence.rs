@@ -83,3 +83,65 @@ fn engines_identical_on_the_benchmark_subject() {
         }
     }
 }
+
+/// The three views of the §4 traffic rule that share one replay in
+/// `crates/simulate` — the traffic report, the timed simulation's
+/// per-unit transfers and the consolidation analysis — count the same
+/// fetches, and the consolidated message count is the number of distinct
+/// (source unit, destination processor) pairs, counted here without it.
+#[test]
+fn traffic_views_agree_on_all_paper_matrices() {
+    use spfactor::simulate::consolidate::consolidated_traffic;
+    use spfactor::simulate::timed::{simulate_timed, CommModel, OrderPolicy};
+    use spfactor::symbolic::ops;
+    use spfactor::trace::timeline::{EventKind, TimelineSink};
+
+    for m in spfactor::matrix::gen::paper::all() {
+        for scheme in [Scheme::Block, Scheme::Wrap] {
+            let label = format!("{} {scheme:?}", m.name);
+            let r = Pipeline::new(m.pattern.clone())
+                .scheme(scheme)
+                .processors(16)
+                .run();
+            let (factor, partition) = (r.plan.factor(), r.plan.partition());
+            let assignment = r.plan.assignment();
+
+            let sink = TimelineSink::new();
+            simulate_timed(
+                factor,
+                partition,
+                r.plan.deps(),
+                assignment,
+                &CommModel::default(),
+                OrderPolicy::ScanOrder,
+                Some(&sink),
+            );
+            let transferred: u64 = (sink.finish().events.iter())
+                .filter_map(|e| match e.kind {
+                    EventKind::TransferStart { bytes, .. } => Some(bytes / 8),
+                    _ => None,
+                })
+                .sum();
+            let consolidated = consolidated_traffic(factor, partition, assignment);
+            assert_eq!(transferred as usize, r.traffic.total, "{label}: timed");
+            assert_eq!(consolidated.volume, r.traffic.total, "{label}: volume");
+
+            let owner = partition.owner_map();
+            let unit_of = |i, j| owner[factor.entry_id(i, j).expect("factor entry")] as usize;
+            let mut pairs = std::collections::HashSet::new();
+            let mut read = |src_unit: usize, tgt_unit: usize| {
+                let dst = assignment.proc_of(tgt_unit);
+                if assignment.proc_of(src_unit) != dst {
+                    pairs.insert((src_unit, dst));
+                }
+            };
+            ops::for_each_update(factor, |op| {
+                let target = unit_of(op.i, op.j);
+                read(unit_of(op.i, op.k), target);
+                read(unit_of(op.j, op.k), target);
+            });
+            ops::for_each_scaling(factor, |i, j| read(unit_of(j, j), unit_of(i, j)));
+            assert_eq!(consolidated.messages, pairs.len(), "{label}: messages");
+        }
+    }
+}

@@ -11,11 +11,11 @@ use spfactor::mp::CrashPlan;
 use spfactor::simulate::timed::{simulate_timed, CommModel, OrderPolicy};
 use spfactor::trace::{self, json, regress};
 use spfactor::{
-    numeric, DepsEngine, ExecutionBackend, FaultPlan, NetworkModel, OrderEngine, Ordering,
-    Pipeline, Recorder, Scheme, SimulateEngine,
+    numeric, DepsEngine, ExecutionBackend, FaultPlan, NetworkModel, OrderEngine, Pipeline,
+    Recorder, Scheme, SimulateEngine,
 };
 use spfactor_serve::{
-    ExecutionKernel, ResilienceConfig, ScheduleCache, ServeConfig, ServeError, SolveRequest,
+    KernelKind, ResilienceConfig, ScheduleCache, ServeConfig, ServeError, SolveRequest,
     SolverService, ValueBatch,
 };
 use std::collections::BTreeSet;
@@ -99,7 +99,6 @@ fn drive_pipelines(rec: &Arc<Recorder>) {
         pipeline(&grid).deps_engine(deps).engine(sim).run();
     }
     pipeline(&spfactor::matrix::gen::grid5_fe(6, 6))
-        .ordering(Ordering::ApproximateMinimumDegree)
         .order_engine(OrderEngine::Compressed)
         .run();
     let mp = ExecutionBackend::MessagePassing(NetworkModel::default());
@@ -172,7 +171,6 @@ fn drive_serve(rec: &Arc<Recorder>) {
         }),
         ..FaultPlan::none()
     };
-    let mp_kernel = ExecutionKernel::MessagePassing(NetworkModel::default());
 
     let service = SolverService::start(config.clone());
     let request = lap9_request(5, 3);
@@ -188,7 +186,7 @@ fn drive_serve(rec: &Arc<Recorder>) {
     ));
     // A crashing mp request retries, opens the breaker and degrades;
     // the next healthy one is the half-open probe.
-    let on_mp = request.clone().kernel(mp_kernel);
+    let on_mp = request.clone().kernel(KernelKind::MessagePassing);
     service
         .solve(on_mp.clone().fault_plan(crash.clone()))
         .unwrap();

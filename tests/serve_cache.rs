@@ -16,8 +16,7 @@ use spfactor::{
     SymbolicFactor,
 };
 use spfactor_serve::{
-    ExecutionKernel, ScheduleCache, ServeConfig, ServeError, SolveRequest, SolverService,
-    ValueBatch,
+    KernelKind, ScheduleCache, ServeConfig, ServeError, SolveRequest, SolverService, ValueBatch,
 };
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -267,10 +266,7 @@ fn cached_artifact_factors_are_bit_identical_to_fresh_runs() {
         );
     }
     // All three kernels serve the same bits from the same artifact.
-    for kernel in [
-        ExecutionKernel::BlockParallel,
-        ExecutionKernel::MessagePassing(NetworkModel::default()),
-    ] {
+    for kernel in [KernelKind::BlockParallel, KernelKind::MessagePassing] {
         let resp = service.solve(request.clone().kernel(kernel)).unwrap();
         assert!(resp.cache_hit, "kernel choice must not change the key");
         assert_eq!(resp.batches[0].factor, fresh_factor);
@@ -333,7 +329,7 @@ fn served_factor_matches_pipeline_run_executed_factor() {
         .solve(
             SolveRequest::new(pattern)
                 .processors(4)
-                .kernel(ExecutionKernel::MessagePassing(NetworkModel::default()))
+                .kernel(KernelKind::MessagePassing)
                 .batch(ValueBatch::new(values)),
         )
         .unwrap();
