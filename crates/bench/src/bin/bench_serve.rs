@@ -252,10 +252,8 @@ fn fault_sweep(tenant: &Tenant, rates: &[f64], reps: usize) -> Vec<FaultStats> {
         .map(|&rate| {
             let service = SolverService::start(ServeConfig {
                 resilience: ResilienceConfig {
-                    backoff_base: std::time::Duration::from_micros(200),
-                    backoff_max: std::time::Duration::from_millis(2),
                     // Keep the breaker out of the measurement: this sweep
-                    // prices retry + failover, not breaker denials.
+                    // prices a crashed run + failover, not breaker denials.
                     breaker_threshold: 0,
                     ..ResilienceConfig::default()
                 },

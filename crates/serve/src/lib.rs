@@ -31,11 +31,12 @@
 //! * a **resilience layer** ([`ResilienceConfig`]) — per-request
 //!   deadlines enforced at the queue/build/solve stage boundaries
 //!   ([`ServeError::DeadlineExceeded`] carries a per-stage budget
-//!   breakdown), bounded retry with kernel **failover** down the
-//!   message-passing → block-parallel → sequential chain (bit-identical
-//!   answers, flagged via `SolveResponse::failover`), and a per-kernel
-//!   **circuit breaker** that skips a persistently failing kernel until
-//!   a half-open probe succeeds;
+//!   breakdown), one **failover** step from the message-passing kernel
+//!   to block-parallel (bit-identical answers, the abandoning error on
+//!   `SolveResponse::failover`; no retry — a failed mp run fails the
+//!   same way again), and a **circuit breaker** on the message-passing
+//!   kernel that skips it while it keeps failing, until a half-open
+//!   probe reaches a verdict;
 //! * a **warm-restart artifact store** ([`ArtifactStore`], enabled by
 //!   `ServeConfig::store_dir`) — built schedules spill to disk and a
 //!   restarted service reloads them with fingerprint verification,
@@ -78,7 +79,7 @@ pub mod service;
 pub mod store;
 
 pub use cache::{CacheSnapshot, CacheStats, ScheduleCache};
-pub use resilience::{BudgetBreakdown, DeadlineStage, FailoverStep, KernelKind, ResilienceConfig};
+pub use resilience::{BudgetBreakdown, DeadlineStage, KernelKind, ResilienceConfig};
 pub use service::{
     BatchResult, ServeConfig, SolveRequest, SolveResponse, SolverService, Ticket, ValueBatch,
 };
@@ -143,9 +144,9 @@ pub enum ServeError {
         /// Per-stage spend at failure time.
         spent: BudgetBreakdown,
     },
-    /// The kernel's circuit breaker is open and failover is disabled
-    /// (with failover on, an open breaker degrades the request down the
-    /// kernel chain instead of failing it).
+    /// The message-passing kernel's circuit breaker is open and failover
+    /// is disabled (with failover on, an open breaker sends the request
+    /// to block-parallel instead of failing it).
     BreakerOpen {
         /// The denied kernel class.
         kernel: KernelKind,

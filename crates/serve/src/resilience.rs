@@ -1,5 +1,5 @@
 //! Resilience policies for the solver service: per-request deadlines,
-//! bounded kernel retry with failover, and per-kernel circuit breakers.
+//! failover from the message-passing kernel, and its circuit breaker.
 //!
 //! The service's job under faults is to turn backend failures from
 //! request-killers into degraded-but-correct answers:
@@ -9,17 +9,17 @@
 //!   boundary — a request that can no longer make its budget fails fast
 //!   with [`ServeError::DeadlineExceeded`](crate::ServeError) carrying
 //!   where the budget went;
-//! * a failed message-passing execution is **retried** with exponential
-//!   backoff (each attempt reseeds the fault plan, modeling transient
-//!   faults) up to a bounded budget, then the request **fails over**
-//!   down the kernel chain — message-passing → block-parallel →
-//!   sequential — because every kernel produces a bit-identical factor;
-//! * a **circuit breaker** per kernel class opens after a run of
-//!   consecutive failures so a flapping backend stops burning retry
-//!   budget, lets a half-open probe through after a cooldown, and
-//!   closes again on success. The sequential kernel is the last resort
-//!   and is never denied: a healthy request cannot fail solely because
-//!   of breaker state.
+//! * a failed message-passing execution **fails over** to the
+//!   block-parallel kernel, because every kernel produces a bit-identical
+//!   factor. It is not retried: a run fails only when a planned crash
+//!   fires, and a crash fires at the same point of the victim's program
+//!   under every seed, while lost messages are already retransmitted
+//!   inside the runtime. Block-parallel and sequential fail only on the
+//!   matrix (a numeric error), which no other kernel could rescue;
+//! * a **circuit breaker** on the message-passing kernel opens after a
+//!   run of consecutive failures so a flapping runtime stops costing a
+//!   run per request, lets a half-open probe through after a cooldown,
+//!   and closes again on any run that reaches a verdict.
 
 use crate::ServeError;
 use spfactor::trace;
@@ -34,7 +34,7 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// Which numeric kernel executes a request's factorizations — what a
-/// request asks for, breakers key on and failover reports name.
+/// request asks for, responses report and kernel errors name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// The message-passing runtime: one thread per virtual processor
@@ -48,27 +48,13 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// Stable lowercase name used in metrics (`serve.breaker.<name>.state`).
+    /// Stable lowercase name used in metrics (`serve.breaker.mp.state`)
+    /// and error messages.
     pub fn name(&self) -> &'static str {
         match self {
             KernelKind::MessagePassing => "mp",
             KernelKind::BlockParallel => "block",
             KernelKind::Sequential => "seq",
-        }
-    }
-
-    /// The degradation chain starting at this kernel: itself, then every
-    /// cheaper kernel it may fail over to, ending at the sequential last
-    /// resort.
-    pub fn chain(&self) -> &'static [KernelKind] {
-        match self {
-            KernelKind::MessagePassing => &[
-                KernelKind::MessagePassing,
-                KernelKind::BlockParallel,
-                KernelKind::Sequential,
-            ],
-            KernelKind::BlockParallel => &[KernelKind::BlockParallel, KernelKind::Sequential],
-            KernelKind::Sequential => &[KernelKind::Sequential],
         }
     }
 }
@@ -105,22 +91,8 @@ pub struct BudgetBreakdown {
     pub queue_ms: f64,
     /// Time resolving the schedule artifact (build, wait, or store).
     pub build_ms: f64,
-    /// Time in the numeric kernels (including retries and failover).
+    /// Time in the numeric kernels (including failover).
     pub solve_ms: f64,
-}
-
-/// One abandoned attempt in the failover chain, reported on
-/// [`SolveResponse`](crate::SolveResponse) so callers can see how their
-/// answer was produced.
-#[derive(Clone, Debug)]
-pub struct FailoverStep {
-    /// The kernel that was given up on.
-    pub kernel: KernelKind,
-    /// Execution attempts made on it (0 = its circuit breaker denied it
-    /// without an attempt).
-    pub attempts: u32,
-    /// The error that caused the step down.
-    pub error: ServeError,
 }
 
 /// Knobs for the whole resilience layer; lives on
@@ -130,19 +102,12 @@ pub struct ResilienceConfig {
     /// Deadline applied to requests that do not carry their own.
     /// `None` (the default) means no implicit deadline.
     pub default_deadline: Option<Duration>,
-    /// Whether a kernel that exhausts its retries fails over down the
-    /// chain (mp → block-parallel → sequential). With `false` the
-    /// request fails with the kernel's typed error instead.
+    /// Whether a failed or breaker-denied message-passing request fails
+    /// over to the block-parallel kernel. With `false` the request fails
+    /// with the `Kernel` or `BreakerOpen` error instead.
     pub failover: bool,
-    /// Retries per kernel after the first attempt, for transient
-    /// (non-numeric) failures. 0 = one attempt only.
-    pub max_retries: u32,
-    /// First retry backoff; doubles per retry.
-    pub backoff_base: Duration,
-    /// Backoff cap.
-    pub backoff_max: Duration,
-    /// Consecutive failures that open a kernel's breaker. 0 disables
-    /// circuit breaking.
+    /// Consecutive failures that open the message-passing breaker. 0
+    /// disables circuit breaking.
     pub breaker_threshold: u32,
     /// How long an open breaker waits before letting a half-open probe
     /// request through.
@@ -154,9 +119,6 @@ impl Default for ResilienceConfig {
         ResilienceConfig {
             default_deadline: None,
             failover: true,
-            max_retries: 2,
-            backoff_base: Duration::from_millis(5),
-            backoff_max: Duration::from_millis(100),
             breaker_threshold: 5,
             breaker_cooldown: Duration::from_secs(1),
         }
@@ -183,12 +145,6 @@ impl DeadlineClock {
         self.admitted.elapsed().as_secs_f64() * 1e3
     }
 
-    /// Time left before the deadline; `None` = unbounded.
-    pub(crate) fn remaining(&self) -> Option<Duration> {
-        self.budget
-            .map(|b| b.saturating_sub(self.admitted.elapsed()))
-    }
-
     /// Fails with a typed [`ServeError::DeadlineExceeded`] if the budget
     /// is spent, attributing the failure to `stage`.
     pub(crate) fn check(
@@ -209,7 +165,7 @@ impl DeadlineClock {
     }
 }
 
-/// Circuit breaker state of one kernel class.
+/// Circuit breaker state of the message-passing kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum BreakerState {
     /// Healthy: requests flow.
@@ -238,81 +194,52 @@ struct Breaker {
     opened_at: Option<Instant>,
 }
 
-impl Breaker {
-    fn new() -> Self {
-        Breaker {
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            opened_at: None,
-        }
-    }
-}
-
-/// What a breaker decided about a request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Admit {
-    /// Closed breaker: proceed normally.
-    Allow,
-    /// Open breaker past its cooldown: proceed as the half-open probe.
-    Probe,
-    /// Open (or probing) breaker: skip this kernel.
-    Deny,
-}
-
-/// Per-kernel-class circuit breakers with `serve.breaker.*` telemetry.
-pub(crate) struct KernelBreakers {
+/// The message-passing kernel's circuit breaker, with `serve.breaker.*`
+/// telemetry. It is the only breaker: no other kernel fails for a
+/// reason of its own.
+pub(crate) struct MpBreaker {
     threshold: u32,
     cooldown: Duration,
-    breakers: [Mutex<Breaker>; 3],
+    breaker: Mutex<Breaker>,
 }
 
-impl KernelBreakers {
+impl MpBreaker {
     pub(crate) fn new(config: &ResilienceConfig) -> Self {
-        KernelBreakers {
+        MpBreaker {
             threshold: config.breaker_threshold,
             cooldown: config.breaker_cooldown,
-            breakers: [
-                Mutex::new(Breaker::new()),
-                Mutex::new(Breaker::new()),
-                Mutex::new(Breaker::new()),
-            ],
+            breaker: Mutex::new(Breaker {
+                state: BreakerState::Closed,
+                consecutive_failures: 0,
+                opened_at: None,
+            }),
         }
     }
 
-    fn slot(&self, kind: KernelKind) -> &Mutex<Breaker> {
-        match kind {
-            KernelKind::MessagePassing => &self.breakers[0],
-            KernelKind::BlockParallel => &self.breakers[1],
-            KernelKind::Sequential => &self.breakers[2],
-        }
-    }
-
-    fn publish(&self, kind: KernelKind, state: BreakerState) {
+    fn publish(&self, state: BreakerState) {
         let rec = trace::current();
         if rec.is_recording() {
-            rec.gauge(
-                &format!("serve.breaker.{}.state", kind.name()),
-                state.gauge(),
-            );
+            rec.gauge("serve.breaker.mp.state", state.gauge());
         }
     }
 
-    /// Current gauge encoding of a kernel's breaker (0 closed, 1 open,
-    /// 2 half-open) — inspection for tests and operators.
-    pub(crate) fn state_gauge(&self, kind: KernelKind) -> f64 {
-        lock_unpoisoned(self.slot(kind)).state.gauge()
+    /// Current gauge encoding (0 closed, 1 open, 2 half-open) —
+    /// inspection for tests and operators.
+    pub(crate) fn state_gauge(&self) -> f64 {
+        lock_unpoisoned(&self.breaker).state.gauge()
     }
 
-    /// Decides whether a request may run on `kind`. The sequential
-    /// kernel is the chain's last resort and is always admitted.
-    pub(crate) fn admit(&self, kind: KernelKind) -> Admit {
-        if self.threshold == 0 || kind == KernelKind::Sequential {
-            return Admit::Allow;
+    /// Whether a request may run on the message-passing kernel. An open
+    /// breaker past its cooldown admits this one request as the
+    /// half-open probe and denies every other until it reports.
+    pub(crate) fn admit(&self) -> bool {
+        if self.threshold == 0 {
+            return true;
         }
-        let mut b = lock_unpoisoned(self.slot(kind));
+        let mut b = lock_unpoisoned(&self.breaker);
         match b.state {
-            BreakerState::Closed => Admit::Allow,
-            BreakerState::HalfOpen => Admit::Deny,
+            BreakerState::Closed => true,
+            BreakerState::HalfOpen => false,
             BreakerState::Open => {
                 let cooled = b
                     .opened_at
@@ -320,35 +247,33 @@ impl KernelBreakers {
                     .unwrap_or(true);
                 if cooled {
                     b.state = BreakerState::HalfOpen;
-                    self.publish(kind, b.state);
+                    self.publish(b.state);
                     trace::current().incr("serve.breaker.probe", 1);
-                    Admit::Probe
-                } else {
-                    Admit::Deny
                 }
+                cooled
             }
         }
     }
 
-    /// Reports a successful execution on `kind`: closes the breaker.
-    pub(crate) fn on_success(&self, kind: KernelKind) {
-        let mut b = lock_unpoisoned(self.slot(kind));
+    /// Reports a run that reached a verdict (factors, or the matrix's
+    /// numeric error): closes the breaker.
+    pub(crate) fn on_success(&self) {
+        let mut b = lock_unpoisoned(&self.breaker);
         b.consecutive_failures = 0;
         if b.state != BreakerState::Closed {
             b.state = BreakerState::Closed;
             b.opened_at = None;
-            self.publish(kind, b.state);
+            self.publish(b.state);
         }
     }
 
-    /// Reports a failed execution on `kind` (after its retry budget):
-    /// a failed probe reopens immediately; a run of `threshold`
-    /// consecutive failures opens a closed breaker.
-    pub(crate) fn on_failure(&self, kind: KernelKind) {
+    /// Reports a failed run: a failed probe reopens immediately; a run
+    /// of `threshold` consecutive failures opens a closed breaker.
+    pub(crate) fn on_failure(&self) {
         if self.threshold == 0 {
             return;
         }
-        let mut b = lock_unpoisoned(self.slot(kind));
+        let mut b = lock_unpoisoned(&self.breaker);
         b.consecutive_failures = b.consecutive_failures.saturating_add(1);
         let open = match b.state {
             BreakerState::HalfOpen => true,
@@ -358,26 +283,9 @@ impl KernelBreakers {
         if open {
             b.state = BreakerState::Open;
             b.opened_at = Some(Instant::now());
-            self.publish(kind, b.state);
+            self.publish(b.state);
             trace::current().incr("serve.breaker.open", 1);
         }
-    }
-}
-
-/// Exponential backoff for retry `attempt` (0-based): `base * 2^attempt`
-/// capped at `max`, and never past the deadline's remaining budget.
-pub(crate) fn backoff_for(
-    config: &ResilienceConfig,
-    attempt: u32,
-    remaining: Option<Duration>,
-) -> Duration {
-    let exp = config
-        .backoff_base
-        .saturating_mul(1u32 << attempt.min(16))
-        .min(config.backoff_max);
-    match remaining {
-        Some(r) => exp.min(r),
-        None => exp,
     }
 }
 
@@ -394,71 +302,49 @@ mod tests {
     }
 
     #[test]
-    fn chain_ends_at_sequential() {
-        assert_eq!(KernelKind::MessagePassing.chain().len(), 3);
-        assert_eq!(KernelKind::BlockParallel.chain().len(), 2);
-        assert_eq!(KernelKind::Sequential.chain(), &[KernelKind::Sequential]);
-        for kind in [
-            KernelKind::MessagePassing,
-            KernelKind::BlockParallel,
-            KernelKind::Sequential,
-        ] {
-            assert_eq!(kind.chain().last(), Some(&KernelKind::Sequential));
-        }
-    }
-
-    #[test]
     fn breaker_opens_after_threshold_and_probes_after_cooldown() {
-        let b = KernelBreakers::new(&config(2, Duration::ZERO));
-        let k = KernelKind::MessagePassing;
-        assert_eq!(b.admit(k), Admit::Allow);
-        b.on_failure(k);
-        assert_eq!(b.admit(k), Admit::Allow, "below threshold stays closed");
-        b.on_failure(k);
-        assert_eq!(b.state_gauge(k), 1.0, "open");
+        let b = MpBreaker::new(&config(2, Duration::ZERO));
+        assert!(b.admit());
+        b.on_failure();
+        assert!(b.admit(), "below threshold stays closed");
+        assert_eq!(b.state_gauge(), 0.0);
+        b.on_failure();
+        assert_eq!(b.state_gauge(), 1.0, "open");
         // Zero cooldown: the next admit is the half-open probe; a second
         // concurrent request is denied while the probe is in flight.
-        assert_eq!(b.admit(k), Admit::Probe);
-        assert_eq!(b.admit(k), Admit::Deny);
-        b.on_success(k);
-        assert_eq!(b.state_gauge(k), 0.0, "probe success closes");
-        assert_eq!(b.admit(k), Admit::Allow);
+        assert!(b.admit());
+        assert_eq!(b.state_gauge(), 2.0, "half-open");
+        assert!(!b.admit());
+        b.on_success();
+        assert_eq!(b.state_gauge(), 0.0, "probe success closes");
+        assert!(b.admit());
     }
 
     #[test]
     fn failed_probe_reopens() {
-        let b = KernelBreakers::new(&config(1, Duration::ZERO));
-        let k = KernelKind::BlockParallel;
-        b.on_failure(k);
-        assert_eq!(b.admit(k), Admit::Probe);
-        b.on_failure(k);
-        assert_eq!(b.state_gauge(k), 1.0, "failed probe reopens");
+        let b = MpBreaker::new(&config(1, Duration::ZERO));
+        b.on_failure();
+        assert!(b.admit());
+        assert_eq!(b.state_gauge(), 2.0, "half-open");
+        b.on_failure();
+        assert_eq!(b.state_gauge(), 1.0, "failed probe reopens");
     }
 
     #[test]
     fn open_breaker_denies_until_cooldown() {
-        let b = KernelBreakers::new(&config(1, Duration::from_secs(3600)));
-        let k = KernelKind::MessagePassing;
-        b.on_failure(k);
-        assert_eq!(b.admit(k), Admit::Deny, "cooldown not elapsed");
-    }
-
-    #[test]
-    fn sequential_is_never_denied() {
-        let b = KernelBreakers::new(&config(1, Duration::from_secs(3600)));
-        for _ in 0..5 {
-            b.on_failure(KernelKind::Sequential);
-        }
-        assert_eq!(b.admit(KernelKind::Sequential), Admit::Allow);
+        let b = MpBreaker::new(&config(1, Duration::from_secs(3600)));
+        b.on_failure();
+        assert!(!b.admit(), "cooldown not elapsed");
     }
 
     #[test]
     fn zero_threshold_disables_breaking() {
-        let b = KernelBreakers::new(&config(0, Duration::ZERO));
+        let b = MpBreaker::new(&config(0, Duration::ZERO));
         for _ in 0..10 {
-            b.on_failure(KernelKind::MessagePassing);
+            b.on_failure();
         }
-        assert_eq!(b.admit(KernelKind::MessagePassing), Admit::Allow);
+        assert!(b.admit());
+        assert_eq!(b.state_gauge(), 0.0);
     }
 
     #[test]
@@ -484,22 +370,5 @@ mod tests {
         assert!(unbounded
             .check(DeadlineStage::Solve, BudgetBreakdown::default())
             .is_ok());
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let c = ResilienceConfig {
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(35),
-            ..ResilienceConfig::default()
-        };
-        assert_eq!(backoff_for(&c, 0, None), Duration::from_millis(10));
-        assert_eq!(backoff_for(&c, 1, None), Duration::from_millis(20));
-        assert_eq!(backoff_for(&c, 2, None), Duration::from_millis(35));
-        assert_eq!(
-            backoff_for(&c, 2, Some(Duration::from_millis(7))),
-            Duration::from_millis(7),
-            "backoff never sleeps past the deadline"
-        );
     }
 }

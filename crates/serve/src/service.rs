@@ -25,8 +25,8 @@
 
 use crate::cache::{CacheStats, ScheduleCache};
 use crate::resilience::{
-    backoff_for, lock_unpoisoned, Admit, BudgetBreakdown, DeadlineClock, DeadlineStage,
-    FailoverStep, KernelBreakers, KernelKind, ResilienceConfig,
+    lock_unpoisoned, BudgetBreakdown, DeadlineClock, DeadlineStage, KernelKind, MpBreaker,
+    ResilienceConfig,
 };
 use crate::store::{ArtifactStore, StoreStats};
 use crate::ServeError;
@@ -68,7 +68,7 @@ pub struct ServeConfig {
     /// ([`spfactor::trace::scope`]) on its workers and around each call
     /// on the handle; nothing below holds it.
     pub recorder: Option<Arc<Recorder>>,
-    /// Deadlines, retry/failover, and circuit-breaker knobs (see
+    /// Deadlines, failover, and circuit-breaker knobs (see
     /// `docs/SERVING.md`).
     pub resilience: ResilienceConfig,
     /// Warm-restart artifact store directory. When set, every built
@@ -144,8 +144,7 @@ pub struct SolveRequest {
     pub deadline: Option<Duration>,
     /// Fault plan injected into message-passing executions of this
     /// request (testing and chaos drills; ignored by the other
-    /// kernels). Not part of the cache key. Each retry attempt reseeds
-    /// the plan (`seed + attempt`), modeling transient faults.
+    /// kernels). Not part of the cache key.
     pub fault_plan: Option<FaultPlan>,
     /// The value sets to factor and their right-hand sides.
     pub batches: Vec<ValueBatch>,
@@ -268,10 +267,12 @@ pub struct SolveResponse {
     /// The kernel class that produced the factors — the requested one
     /// unless failover degraded the request.
     pub served_by: KernelKind,
-    /// Kernels abandoned on the way to the answer, in order; empty when
-    /// the requested kernel served cleanly. The solution is bit-identical
-    /// either way — degradation costs performance, never correctness.
-    pub failover: Vec<FailoverStep>,
+    /// Why the service abandoned the message-passing kernel for
+    /// block-parallel: its `Kernel` failure or `BreakerOpen` denial;
+    /// `None` when the requested kernel served. The solution is
+    /// bit-identical either way — degradation costs performance, never
+    /// correctness.
+    pub failover: Option<ServeError>,
     /// Results, one per request batch in order.
     pub batches: Vec<BatchResult>,
 }
@@ -280,7 +281,7 @@ impl SolveResponse {
     /// Whether failover degraded this request below its requested
     /// kernel.
     pub fn degraded(&self) -> bool {
-        !self.failover.is_empty()
+        self.failover.is_some()
     }
 }
 
@@ -307,7 +308,7 @@ struct Job {
 struct Shared {
     cache: ScheduleCache,
     store: Option<ArtifactStore>,
-    breakers: KernelBreakers,
+    breaker: MpBreaker,
     resilience: ResilienceConfig,
     queue_depth: usize,
     depth: AtomicUsize,
@@ -352,39 +353,34 @@ impl Shared {
         rec.incr(&format!("serve.deadline.exceeded.{}", stage.name()), 1);
     }
 
-    /// Runs every batch of `request` on the kernel class `kind`,
-    /// classifying failures for the retry/failover loop. `attempt`
-    /// reseeds the request's fault plan so a retry does not
-    /// deterministically replay the same injected faults.
+    /// Runs every batch of `request` on the kernel class `kind`. A
+    /// numeric error is the matrix's and comes back as
+    /// [`ServeError::Solve`] from any kernel; only the message-passing
+    /// runtime can also fail on its own, as [`ServeError::Kernel`].
     fn run_kernel(
         &self,
         kind: KernelKind,
         request: &SolveRequest,
         artifact: &ScheduleArtifact,
-        attempt: u32,
-    ) -> Result<Vec<BatchResult>, KernelFailure> {
+    ) -> Result<Vec<BatchResult>, ServeError> {
         let mut results = Vec::with_capacity(request.batches.len());
         for batch in &request.batches {
             let permuted = batch.values.permute(artifact.permutation());
             let factor = match kind {
-                KernelKind::Sequential => numeric::cholesky(&permuted, artifact.factor())
-                    .map_err(|e| KernelFailure::Fatal(ServeError::solve_numeric(e)))?,
+                KernelKind::Sequential => numeric::cholesky(&permuted, artifact.factor()),
                 KernelKind::BlockParallel => numeric::cholesky_block_parallel(
                     &permuted,
                     artifact.factor(),
                     artifact.partition(),
                     artifact.deps(),
                     artifact.assignment(),
-                )
-                .map_err(|e| KernelFailure::Fatal(ServeError::solve_numeric(e)))?,
+                ),
                 KernelKind::MessagePassing => {
                     let mut config = MpConfig::reliable(NetworkModel::default());
                     if let Some(plan) = &request.fault_plan {
-                        let mut plan = plan.clone();
-                        plan.seed = plan.seed.wrapping_add(attempt as u64);
-                        config.fault = plan;
+                        config.fault = plan.clone();
                     }
-                    mp::execute_config(
+                    match mp::execute_config(
                         &permuted,
                         artifact.factor(),
                         artifact.partition(),
@@ -392,11 +388,19 @@ impl Shared {
                         artifact.assignment(),
                         &config,
                         None,
-                    )
-                    .map_err(KernelFailure::classify_mp)?
-                    .factor
+                    ) {
+                        Ok(report) => Ok(report.factor),
+                        Err(MpError::Numeric(e)) => Err(e),
+                        Err(e) => {
+                            return Err(ServeError::Kernel {
+                                kernel: kind,
+                                error: Arc::new(e),
+                            })
+                        }
+                    }
                 }
-            };
+            }
+            .map_err(ServeError::solve_numeric)?;
             let solutions =
                 numeric::batch::solve_many_permuted(&factor, artifact.permutation(), &batch.rhs);
             results.push(BatchResult { factor, solutions });
@@ -404,10 +408,33 @@ impl Shared {
         Ok(results)
     }
 
+    /// [`Self::run_kernel`] on the message-passing kernel, behind its
+    /// breaker: an open breaker denies with [`ServeError::BreakerOpen`],
+    /// a `Kernel` failure counts against it, and a run that reaches a
+    /// verdict — factors, or the matrix's numeric error — closes it (a
+    /// half-open probe must report either way, or mp stays denied).
+    fn run_mp(
+        &self,
+        request: &SolveRequest,
+        artifact: &ScheduleArtifact,
+    ) -> Result<Vec<BatchResult>, ServeError> {
+        let kernel = KernelKind::MessagePassing;
+        if !self.breaker.admit() {
+            return Err(ServeError::BreakerOpen { kernel });
+        }
+        let outcome = self.run_kernel(kernel, request, artifact);
+        match outcome {
+            Err(ServeError::Kernel { .. }) => self.breaker.on_failure(),
+            _ => self.breaker.on_success(),
+        }
+        outcome
+    }
+
     /// The whole request path: validate, enforce the queue-stage
     /// deadline, resolve the artifact (cache, remembered permutation,
     /// store, then a full build), enforce the build-stage deadline, then
-    /// run the kernel chain with retry, circuit breaking, and failover.
+    /// run the requested kernel — failing over from message-passing to
+    /// block-parallel when mp fails or its breaker is open.
     /// Called from workers (with the job's admission instant) and from the
     /// synchronous entry point (admitted = now) alike, both under the
     /// service's recorder scope.
@@ -505,81 +532,37 @@ impl Shared {
         }
 
         let solve_started = Instant::now();
-        let full_chain = request.kernel.chain();
-        let chain = if self.resilience.failover {
-            full_chain
-        } else {
-            &full_chain[..1]
-        };
-
-        let mut failover: Vec<FailoverStep> = Vec::new();
-        let mut served: Option<(KernelKind, Vec<BatchResult>)> = None;
-        'chain: for &kind in chain {
-            spent.solve_ms = solve_started.elapsed().as_secs_f64() * 1e3;
-            if let Err(e) = clock.check(DeadlineStage::Solve, spent) {
-                self.note_deadline(DeadlineStage::Solve);
-                return Err(e);
-            }
-            if self.breakers.admit(kind) == Admit::Deny {
-                let error = ServeError::BreakerOpen { kernel: kind };
-                if chain.len() == 1 {
-                    // Failover disabled: an open breaker is the caller's
-                    // problem, as a typed error.
-                    return Err(error);
-                }
-                failover.push(FailoverStep {
-                    kernel: kind,
-                    attempts: 0,
-                    error,
-                });
-                continue 'chain;
-            }
-            let mut attempt = 0u32;
-            let step_error = loop {
-                match self.run_kernel(kind, request, &artifact, attempt) {
-                    Ok(results) => {
-                        self.breakers.on_success(kind);
-                        served = Some((kind, results));
-                        break 'chain;
-                    }
-                    // The matrix's fault, not the kernel's: no retry, no
-                    // failover, no breaker penalty.
-                    Err(KernelFailure::Fatal(e)) => return Err(e),
-                    Err(KernelFailure::Transient { retryable, error }) => {
-                        let budget_left = clock.remaining().map(|r| !r.is_zero()).unwrap_or(true);
-                        if retryable && attempt < self.resilience.max_retries && budget_left {
-                            rec.incr("serve.failover.retry", 1);
-                            let pause = backoff_for(&self.resilience, attempt, clock.remaining());
-                            if !pause.is_zero() {
-                                std::thread::sleep(pause);
-                            }
-                            attempt += 1;
-                            continue;
-                        }
-                        break error;
-                    }
-                }
+        let check_solve = || {
+            let spent = BudgetBreakdown {
+                solve_ms: solve_started.elapsed().as_secs_f64() * 1e3,
+                ..spent
             };
-            self.breakers.on_failure(kind);
-            failover.push(FailoverStep {
-                kernel: kind,
-                attempts: attempt + 1,
-                error: step_error,
-            });
-        }
-
-        let (served_by, results) = match served {
-            Some(s) => s,
-            None => {
-                // Chain exhausted. The sequential last resort only fails
-                // fatally (returned above), so this is reachable only
-                // with failover disabled — surface the kernel's error.
-                rec.incr("serve.failover.exhausted", 1);
-                let last = failover.pop().map(|s| s.error);
-                return Err(last.unwrap_or(ServeError::ShuttingDown));
-            }
+            clock
+                .check(DeadlineStage::Solve, spent)
+                .inspect_err(|_| self.note_deadline(DeadlineStage::Solve))
         };
-        if !failover.is_empty() {
+        check_solve()?;
+        let mut served_by = request.kernel;
+        let mut failover = None;
+        let results = match served_by {
+            // Only mp fails for a reason of its own. A numeric error is the
+            // matrix's, from any kernel: no failover could rescue it.
+            KernelKind::MessagePassing => match self.run_mp(request, &artifact) {
+                Err(e @ (ServeError::Kernel { .. } | ServeError::BreakerOpen { .. })) => {
+                    if !self.resilience.failover {
+                        rec.incr("serve.failover.exhausted", 1);
+                        return Err(e);
+                    }
+                    failover = Some(e);
+                    check_solve()?;
+                    served_by = KernelKind::BlockParallel;
+                    self.run_kernel(served_by, request, &artifact)
+                }
+                verdict => verdict,
+            },
+            kind => self.run_kernel(kind, request, &artifact),
+        }?;
+        if failover.is_some() {
             self.degraded.fetch_add(1, AtomicOrdering::Relaxed);
             rec.incr("serve.failover.degraded", 1);
         }
@@ -597,48 +580,6 @@ impl Shared {
             failover,
             batches: results,
         })
-    }
-}
-
-/// How one kernel execution failed, as the retry/failover loop sees it.
-enum KernelFailure {
-    /// The matrix's fault (numeric breakdown, structural mismatch):
-    /// retrying or degrading kernels cannot help, abort the request.
-    Fatal(ServeError),
-    /// The kernel's fault: retry if `retryable`, then fail over.
-    Transient {
-        /// Whether another attempt on the same kernel could succeed
-        /// (transient faults reseed per attempt; a config rejection
-        /// would just repeat).
-        retryable: bool,
-        /// The typed error for the failover report.
-        error: ServeError,
-    },
-}
-
-impl KernelFailure {
-    /// Classifies a message-passing failure: numeric errors are the
-    /// matrix's, everything else is the runtime's — config rejections
-    /// are deterministic (failover only), crashes and timeouts are
-    /// transient (retry, then failover).
-    fn classify_mp(e: MpError) -> KernelFailure {
-        match e {
-            MpError::Numeric(ne) => KernelFailure::Fatal(ServeError::solve_numeric(ne)),
-            MpError::InvalidConfig(_) => KernelFailure::Transient {
-                retryable: false,
-                error: ServeError::Kernel {
-                    kernel: KernelKind::MessagePassing,
-                    error: Arc::new(e),
-                },
-            },
-            other => KernelFailure::Transient {
-                retryable: true,
-                error: ServeError::Kernel {
-                    kernel: KernelKind::MessagePassing,
-                    error: Arc::new(other),
-                },
-            },
-        }
     }
 }
 
@@ -686,7 +627,7 @@ impl SolverService {
         let shared = Arc::new(Shared {
             cache: ScheduleCache::new(config.cache_capacity),
             store,
-            breakers: KernelBreakers::new(&config.resilience),
+            breaker: MpBreaker::new(&config.resilience),
             resilience: config.resilience,
             queue_depth: config.queue_depth.max(1),
             depth: AtomicUsize::new(0),
@@ -820,8 +761,8 @@ impl SolverService {
         self.shared.cold_builds.load(AtomicOrdering::Relaxed)
     }
 
-    /// Requests served by a kernel below the requested one (failover
-    /// degradations) so far.
+    /// Requests that failed over from message-passing to block-parallel
+    /// so far.
     pub fn degraded(&self) -> u64 {
         self.shared.degraded.load(AtomicOrdering::Relaxed)
     }
@@ -832,10 +773,10 @@ impl SolverService {
         self.shared.store.as_ref().map(|s| s.stats())
     }
 
-    /// A kernel breaker's state in the gauge encoding documented in
-    /// `docs/METRICS.md`: 0 closed, 1 open, 2 half-open.
-    pub fn breaker_state(&self, kernel: KernelKind) -> f64 {
-        self.shared.breakers.state_gauge(kernel)
+    /// The message-passing breaker's state in the gauge encoding
+    /// documented in `docs/METRICS.md`: 0 closed, 1 open, 2 half-open.
+    pub fn breaker_state(&self) -> f64 {
+        self.shared.breaker.state_gauge()
     }
 }
 

@@ -6,8 +6,8 @@
 # Tier-1 (the gate every PR must keep green) plus the observability
 # checks: one instrumentation path (no twins, no compile-out build), one
 # unit-block kernel under both schedule executors, one plan value built
-# by one chain, the metrics doc held to the code, and a warning-free
-# rustdoc surface.
+# by one chain, one serve failover step, the metrics doc held to the
+# code, and a warning-free rustdoc surface.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -163,6 +163,18 @@ for call in 'Partition::columns\(' 'block_allocation\(' 'wrap_allocation\('; do
   fi
 done
 cargo test -q -p spfactor --test metrics_surface a_planned_run_shares_its_plan_instead_of_copying_it
+
+echo "==> one failover step: serve fails over from mp, it does not retry"
+# A failed mp run fails the same way under every seed (tests/chaos_mp.rs
+# reruns each failed plan reseeded) and the runtime already retransmits
+# lost messages, so serve holds one breaker (mp's) and one step, mp ->
+# block-parallel (docs/SERVING.md, "Resilience").
+sites=$(call_sites 'max_retries|backoff_|fn chain|FailoverStep' crates/serve/src)
+if [ -n "$sites" ]; then
+  echo "a serve-level retry, backoff or kernel chain returned:"; echo "$sites"
+  exit 1
+fi
+cargo test -q -p spfactor --test chaos_serve announced_crash_degrades_down_the_chain_bit_identically
 
 echo "==> metrics doc: docs/METRICS.md rows == recorded names"
 cargo test -q -p spfactor --test metrics_doc

@@ -78,8 +78,9 @@ proptest! {
     }
 
     /// Full chaos including stalls and announced crashes: every outcome is
-    /// either a correct completion or a typed execution error, and errors
-    /// occur only when a crash was injected.
+    /// either a correct completion or a typed execution error, errors
+    /// occur only when a crash was injected, and a failed plan fails again
+    /// under the next seed.
     #[test]
     fn any_fault_schedule_yields_correctness_or_typed_error(
         seed in any::<u64>(),
@@ -106,7 +107,7 @@ proptest! {
             }),
             ..FaultPlan::chaos(seed)
         };
-        match pipeline(scheme, nprocs).fault_plan(plan).try_run() {
+        match pipeline(scheme, nprocs).fault_plan(plan.clone()).try_run() {
             Ok(r) => {
                 let exec = r.execution.as_ref().expect("message-passing backend");
                 prop_assert_eq!(&exec.traffic_report(), &r.traffic);
@@ -128,6 +129,18 @@ proptest! {
                         prop_assert_eq!(&trace.crashed, &vec![crash_proc % nprocs]);
                     }
                     other => prop_assert!(false, "unexpected error shape: {other}"),
+                }
+                // A crash fires at a fixed unit of the victim's program,
+                // whatever the seed: a reseeded rerun fails the same way,
+                // which is why the solver service fails over rather than
+                // retries.
+                let reseeded = FaultPlan { seed: plan.seed.wrapping_add(1), ..plan };
+                match pipeline(scheme, nprocs).fault_plan(reseeded).try_run() {
+                    Err(SpfactorError::Execution(MpError::ProcessorCrashed { proc, .. })) => {
+                        prop_assert_eq!(proc, crash_proc % nprocs);
+                    }
+                    Err(other) => prop_assert!(false, "reseeded rerun failed otherwise: {other}"),
+                    Ok(_) => prop_assert!(false, "a reseeded rerun rescued a crashed run"),
                 }
             }
             Err(other) => prop_assert!(false, "non-execution error: {other}"),

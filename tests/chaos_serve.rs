@@ -6,24 +6,26 @@
 //!
 //! * a request that completes is **correct** — its factor is
 //!   bit-identical to a fresh from-scratch `Pipeline` plan factored
-//!   sequentially, no matter how many retries, failovers, or store
-//!   reloads produced it (resilience costs performance, never bits);
+//!   sequentially, whether the requested kernel, a failover, or a store
+//!   reload produced it (resilience costs performance, never bits);
 //! * a request that fails does so with a **typed** `ServeError` carrying
 //!   the structured backend diagnostics (the full `MpError`, fault trace
 //!   included), never a flattened string and never a panic;
-//! * the suite terminates — deadlines, bounded retry, and the runtime's
-//!   watchdog mean no fault schedule can hang the service;
+//! * the suite terminates — deadlines, the runtime's bounded retry and
+//!   its watchdog mean no fault schedule can hang the service;
 //! * a killed-and-restarted service reloads its artifact store and
 //!   serves previously-seen patterns with **zero cold rebuilds**.
 
 use spfactor::matrix::gen;
+use spfactor::matrix::SymmetricCsc;
 use spfactor::mp::CrashPlan;
-use spfactor::{numeric, FaultPlan, MpError, Pipeline};
+use spfactor::{numeric, FaultPlan, MpError, Pipeline, Recorder};
 use spfactor_serve::{
     KernelKind, ResilienceConfig, ServeConfig, ServeError, SolveRequest, SolverService, Ticket,
     ValueBatch,
 };
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 const NPROCS: usize = 3;
@@ -52,9 +54,9 @@ fn reference_factor(req: &SolveRequest) -> numeric::NumericFactor {
     numeric::cholesky(&permuted, plan.factor()).expect("reference factorization")
 }
 
-/// A crash plan that fires on every attempt: processor 0 dies before
+/// A crash plan that fires on every run: processor 0 dies before
 /// running a single unit and announces it, so the runtime fails fast
-/// with `ProcessorCrashed` no matter how the retry reseeds the plan.
+/// with `ProcessorCrashed` under every seed.
 fn always_crash() -> FaultPlan {
     FaultPlan {
         crash: Some(CrashPlan {
@@ -66,15 +68,16 @@ fn always_crash() -> FaultPlan {
     }
 }
 
-/// Fast-failing retry/backoff knobs so drills spend time asserting, not
-/// sleeping.
-fn fast_resilience() -> ResilienceConfig {
-    ResilienceConfig {
-        max_retries: 1,
-        backoff_base: Duration::from_micros(100),
-        backoff_max: Duration::from_millis(1),
-        ..ResilienceConfig::default()
+/// The same values with every sign flipped: negative definite, so each
+/// kernel stops at the first pivot with a numeric error.
+fn negated(a: &SymmetricCsc) -> SymmetricCsc {
+    let (mut colptr, mut rowidx, mut values) = (vec![0], Vec::new(), Vec::new());
+    for j in 0..a.n() {
+        rowidx.extend_from_slice(a.col_rows(j));
+        values.extend(a.col_values(j).iter().map(|v| -v));
+        colptr.push(rowidx.len());
     }
+    SymmetricCsc::from_parts(a.n(), colptr, rowidx, values).expect("same valid pattern")
 }
 
 /// A unique, pre-cleaned scratch directory for store drills.
@@ -94,7 +97,6 @@ fn network_chaos_under_concurrent_load_serves_identical_bits() {
     let service = SolverService::start(ServeConfig {
         workers: 4,
         queue_depth: 64,
-        resilience: fast_resilience(),
         ..ServeConfig::default()
     });
     let base = mp_request(5, 5, 11);
@@ -125,8 +127,9 @@ fn network_chaos_under_concurrent_load_serves_identical_bits() {
 
 #[test]
 fn announced_crash_degrades_down_the_chain_bit_identically() {
+    let rec = Arc::new(Recorder::new());
     let service = SolverService::start(ServeConfig {
-        resilience: fast_resilience(),
+        recorder: Some(rec.clone()),
         ..ServeConfig::default()
     });
     let req = mp_request(5, 5, 7).fault_plan(always_crash());
@@ -135,16 +138,18 @@ fn announced_crash_degrades_down_the_chain_bit_identically() {
     let resp = service
         .solve(req)
         .expect("failover must rescue the request");
-    // Degraded exactly one step: mp was retried, then abandoned.
+    // Degraded one step: mp ran once, was abandoned, block-parallel
+    // answered. A rerun would crash at the same unit, so there is none.
     assert!(resp.degraded());
     assert_eq!(resp.served_by, KernelKind::BlockParallel);
-    assert_eq!(resp.failover.len(), 1);
-    let step = &resp.failover[0];
-    assert_eq!(step.kernel, KernelKind::MessagePassing);
-    assert_eq!(step.attempts, 2, "one attempt + max_retries retries");
-    // The abandoned step carries the structured backend error, fault
-    // trace included — not a flattened string.
-    match &step.error {
+    assert_eq!(rec.span_stats("mp.execute").map(|s| s.count), Some(1));
+    // The abandoning error is the structured backend error, fault trace
+    // included — not a flattened string.
+    let abandoned = resp
+        .failover
+        .as_ref()
+        .expect("a degraded response says why");
+    match abandoned {
         ServeError::Kernel { kernel, error } => {
             assert_eq!(*kernel, KernelKind::MessagePassing);
             match error.as_ref() {
@@ -167,7 +172,7 @@ fn failover_disabled_surfaces_the_typed_kernel_error() {
     let service = SolverService::start(ServeConfig {
         resilience: ResilienceConfig {
             failover: false,
-            ..fast_resilience()
+            ..ResilienceConfig::default()
         },
         ..ServeConfig::default()
     });
@@ -191,10 +196,9 @@ fn failover_disabled_surfaces_the_typed_kernel_error() {
 fn breaker_opens_after_consecutive_failures_and_skips_the_kernel() {
     let service = SolverService::start(ServeConfig {
         resilience: ResilienceConfig {
-            max_retries: 0,
             breaker_threshold: 2,
             breaker_cooldown: Duration::from_secs(3600),
-            ..fast_resilience()
+            ..ResilienceConfig::default()
         },
         ..ServeConfig::default()
     });
@@ -204,54 +208,69 @@ fn breaker_opens_after_consecutive_failures_and_skips_the_kernel() {
     // still rescued by failover).
     for _ in 0..2 {
         let resp = service.solve(crashing.clone()).unwrap();
-        assert!(resp.degraded());
-        assert_eq!(resp.failover[0].attempts, 1, "max_retries 0: one attempt");
+        assert!(matches!(resp.failover, Some(ServeError::Kernel { .. })));
     }
-    assert_eq!(
-        service.breaker_state(KernelKind::MessagePassing),
-        1.0,
-        "breaker must be open"
-    );
+    assert_eq!(service.breaker_state(), 1.0, "breaker must be open");
 
     // The third request — even a healthy one — is denied mp without an
     // attempt (the hour-long cooldown has not elapsed) and degrades with
-    // a typed BreakerOpen step.
+    // a typed BreakerOpen error.
     let resp = service.solve(mp_request(5, 5, 9)).unwrap();
     assert!(resp.degraded());
     assert_eq!(resp.served_by, KernelKind::BlockParallel);
-    assert_eq!(resp.failover[0].attempts, 0, "denied without an attempt");
     assert!(matches!(
-        resp.failover[0].error,
-        ServeError::BreakerOpen {
+        resp.failover,
+        Some(ServeError::BreakerOpen {
             kernel: KernelKind::MessagePassing
-        }
+        })
     ));
 }
 
-#[test]
-fn half_open_probe_success_closes_the_breaker() {
+/// A service whose mp breaker opens on one failure and probes at once,
+/// already tripped by one crashing request.
+fn tripped_service() -> SolverService {
     let service = SolverService::start(ServeConfig {
         resilience: ResilienceConfig {
-            max_retries: 0,
             breaker_threshold: 1,
             breaker_cooldown: Duration::ZERO,
-            ..fast_resilience()
+            ..ResilienceConfig::default()
         },
         ..ServeConfig::default()
     });
-    // Trip the breaker with one crashing request.
     let resp = service
         .solve(mp_request(5, 5, 13).fault_plan(always_crash()))
         .unwrap();
     assert!(resp.degraded());
-    assert_eq!(service.breaker_state(KernelKind::MessagePassing), 1.0);
+    assert_eq!(service.breaker_state(), 1.0);
+    service
+}
 
+#[test]
+fn half_open_probe_success_closes_the_breaker() {
+    let service = tripped_service();
     // Zero cooldown: the next request is the half-open probe. It is
     // healthy, so it runs on mp and its success closes the breaker.
     let resp = service.solve(mp_request(5, 5, 13)).unwrap();
     assert!(!resp.degraded());
     assert_eq!(resp.served_by, KernelKind::MessagePassing);
-    assert_eq!(service.breaker_state(KernelKind::MessagePassing), 0.0);
+    assert_eq!(service.breaker_state(), 0.0);
+}
+
+#[test]
+fn half_open_probe_ending_in_a_numeric_error_closes_the_breaker() {
+    let service = tripped_service();
+    // The probe's batch is not SPD: mp reaches the matrix's verdict, the
+    // request fails with it, and the probe counts as the kernel working.
+    let mut probe = mp_request(5, 5, 13);
+    probe.batches[0].values = negated(&probe.batches[0].values);
+    assert!(matches!(service.solve(probe), Err(ServeError::Solve(_))));
+    assert_eq!(service.breaker_state(), 0.0, "the probe reported");
+
+    // So the breaker admits the next request instead of staying
+    // half-open and denying mp for good.
+    let resp = service.solve(mp_request(5, 5, 13)).unwrap();
+    assert_eq!(resp.served_by, KernelKind::MessagePassing);
+    assert!(!resp.degraded());
 }
 
 #[test]
@@ -385,7 +404,6 @@ fn chaos_serve_smoke() {
     {
         let service = SolverService::start(ServeConfig {
             store_dir: Some(dir.clone()),
-            resilience: fast_resilience(),
             ..ServeConfig::default()
         });
         let resp = service.solve(req.clone()).unwrap();
@@ -394,7 +412,6 @@ fn chaos_serve_smoke() {
     }
     let service = SolverService::start(ServeConfig {
         store_dir: Some(dir.clone()),
-        resilience: fast_resilience(),
         ..ServeConfig::default()
     });
     let resp = service.solve(req).unwrap();

@@ -150,8 +150,6 @@ fn drive_serve(rec: &Arc<Recorder>) {
     let dir = std::env::temp_dir().join(format!("spfactor-metrics-doc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let resilience = ResilienceConfig {
-        max_retries: 1,
-        backoff_base: Duration::from_micros(100),
         breaker_threshold: 1,
         breaker_cooldown: Duration::ZERO,
         ..ResilienceConfig::default()
@@ -184,8 +182,8 @@ fn drive_serve(rec: &Arc<Recorder>) {
         service.solve(request.clone().deadline(Duration::ZERO)),
         Err(ServeError::DeadlineExceeded { .. })
     ));
-    // A crashing mp request retries, opens the breaker and degrades;
-    // the next healthy one is the half-open probe.
+    // A crashing mp request opens the breaker and fails over; the next
+    // healthy one is the half-open probe.
     let on_mp = request.clone().kernel(KernelKind::MessagePassing);
     service
         .solve(on_mp.clone().fault_plan(crash.clone()))
@@ -202,7 +200,7 @@ fn drive_serve(rec: &Arc<Recorder>) {
         ..config
     });
     service.solve(lap9_request(6, 4)).unwrap();
-    // With failover off the crash exhausts the chain.
+    // With failover off the crash surfaces as the kernel's error.
     assert!(service.solve(on_mp.fault_plan(crash)).is_err());
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);

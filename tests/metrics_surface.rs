@@ -711,8 +711,8 @@ mod enabled {
     fn serve_resilience_emits_its_documented_surface() {
         // The resilience additions to the serve.* surface
         // (docs/METRICS.md): deadline counters with per-stage leaves,
-        // failover retry/degradation counters, breaker state gauges and
-        // transition counters, and the warm-restart store counters.
+        // the failover degradation counter, the mp breaker's state gauge
+        // and transition counters, and the warm-restart store counters.
         use spfactor::mp::CrashPlan;
         use spfactor_serve::{
             KernelKind, ResilienceConfig, ServeConfig, SolveRequest, SolverService, ValueBatch,
@@ -727,8 +727,6 @@ mod enabled {
             recorder: Some(rec.clone()),
             store_dir: Some(dir.clone()),
             resilience: ResilienceConfig {
-                max_retries: 1,
-                backoff_base: Duration::from_micros(100),
                 breaker_threshold: 1,
                 breaker_cooldown: Duration::ZERO,
                 ..ResilienceConfig::default()
@@ -755,10 +753,10 @@ mod enabled {
         assert_eq!(rec.counter("serve.deadline.exceeded"), 1);
         assert_eq!(rec.counter("serve.deadline.exceeded.queue"), 1);
 
-        // A crashing mp request retries once, trips the breaker
-        // (threshold 1), and degrades down the kernel chain.
+        // A crashing mp request runs mp once, trips the breaker
+        // (threshold 1), and fails over to block-parallel.
         service.solve(request.clone().fault_plan(crash)).unwrap();
-        assert_eq!(rec.counter("serve.failover.retry"), 1);
+        assert_eq!(rec.span_stats("mp.execute").unwrap().count, 1);
         assert_eq!(rec.counter("serve.failover.degraded"), 1);
         assert_eq!(rec.counter("serve.breaker.open"), 1);
         assert_eq!(rec.gauge_value("serve.breaker.mp.state"), Some(1.0));
