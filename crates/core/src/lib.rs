@@ -556,6 +556,12 @@ impl Pipeline {
     /// solves: that is exactly what the `spfactor-serve` schedule cache
     /// does.
     ///
+    /// The schedule is derived on first use: this call orders and
+    /// factors symbolically, and the partition, dependency graph and
+    /// allocation are built by the first read of any of them (as
+    /// [`Pipeline::try_run_planned`] does, under this pipeline's recorder),
+    /// once per artifact. A sequential factorization never pays for them.
+    ///
     /// ```
     /// use spfactor::Pipeline;
     ///
@@ -581,7 +587,8 @@ impl Pipeline {
     /// which is what lets the `spfactor-serve` cache keep permutations
     /// past the eviction of the schedules built from them. Any other
     /// permutation of the right length yields a correct schedule with
-    /// whatever fill that ordering gives.
+    /// whatever fill that ordering gives. As there, the schedule is derived
+    /// on first use.
     pub fn try_plan_ordered(
         &self,
         permutation: Permutation,

@@ -18,6 +18,9 @@
 //!   out shared references only, so the planner, a `PipelineResult` and
 //!   the serve cache all hold the same value without copying it or
 //!   synchronizing on it;
+//! * **lazy in its schedule half** — [`plan`] stops at the symbolic factor,
+//!   all the sequential kernel reads; partition, dependency graph and
+//!   allocation are derived once, on first use, equal to an eager plan's;
 //! * **hashable** — [`ScheduleKey`] derives `Hash`/`Eq` and is stable
 //!   across processes and platforms (FNV-1a over the canonical CSC
 //!   arrays, see `SymmetricPattern::structural_hash`);
@@ -34,7 +37,7 @@ use spfactor_order::{order_with_engine, OrderEngine, Ordering};
 use spfactor_partition::{build_dependencies, DepGraph, DepsEngine, Partition, PartitionParams};
 use spfactor_symbolic::SymbolicFactor;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which mapping scheme a schedule was built with.
 ///
@@ -142,9 +145,32 @@ struct Parts {
     key: ScheduleKey,
     permutation: Permutation,
     factor: SymbolicFactor,
+    deps_engine: DepsEngine,
+    /// Derived on first use: the sequential kernel reads none of it.
+    schedule: OnceLock<Schedule>,
+}
+
+/// The parts of an artifact that only a schedule-driven consumer reads.
+#[derive(Debug)]
+struct Schedule {
     partition: Partition,
     deps: DepGraph,
     assignment: Assignment,
+}
+
+/// The schedule of the parts; panics unless `a` maps `p` onto `key`'s processors.
+fn checked(key: &ScheduleKey, p: Partition, d: DepGraph, a: Assignment) -> Schedule {
+    assert_eq!(
+        a.proc_of_unit.len(),
+        p.num_units(),
+        "assignment does not cover the partition"
+    );
+    assert_eq!(a.nprocs, key.nprocs, "processor count mismatch");
+    Schedule {
+        partition: p,
+        deps: d,
+        assignment: a,
+    }
 }
 
 impl ScheduleArtifact {
@@ -159,22 +185,47 @@ impl ScheduleArtifact {
         deps: DepGraph,
         assignment: Assignment,
     ) -> Self {
-        assert_eq!(permutation.len(), key.n, "permutation size mismatch");
+        let artifact = Self::frozen(key, permutation, factor, DepsEngine::default());
+        let schedule = checked(&key, partition, deps, assignment);
+        let _ = artifact.0.schedule.set(schedule); // so the engine goes unread
+        artifact
+    }
+
+    /// The parts behind one `Arc`, their sizes checked against `key`, the
+    /// schedule not derived yet.
+    fn frozen(key: ScheduleKey, perm: Permutation, factor: SymbolicFactor, e: DepsEngine) -> Self {
+        assert_eq!(perm.len(), key.n, "permutation size mismatch");
         assert_eq!(factor.n(), key.n, "symbolic factor size mismatch");
-        assert_eq!(
-            assignment.proc_of_unit.len(),
-            partition.num_units(),
-            "assignment does not cover the partition"
-        );
-        assert_eq!(assignment.nprocs, key.nprocs, "processor count mismatch");
         ScheduleArtifact(Arc::new(Parts {
             key,
-            permutation,
+            permutation: perm,
             factor,
-            partition,
-            deps,
-            assignment,
+            deps_engine: e,
+            schedule: OnceLock::new(),
         }))
+    }
+
+    /// The schedule half, built by the first call that reads it, each stage
+    /// under its `phase.*` guard in that call's recorder scope. Concurrent
+    /// first calls build it once; the others wait for it.
+    fn schedule(&self) -> &Schedule {
+        let Parts { key, factor, .. } = &*self.0;
+        self.0.schedule.get_or_init(|| {
+            let rec = spfactor_trace::current();
+            let partition = {
+                let _phase = rec.phase("partition");
+                key.scheme.partition(factor, &key.params)
+            };
+            let deps = {
+                let _phase = rec.phase("deps");
+                build_dependencies(self.0.deps_engine, factor, &partition)
+            };
+            let assignment = {
+                let _phase = rec.phase("sched");
+                key.scheme.allocate(&partition, &deps, key.nprocs)
+            };
+            checked(key, partition, deps, assignment)
+        })
     }
 
     /// Whether `self` and `other` are handles on the same plan (not merely
@@ -199,27 +250,28 @@ impl ScheduleArtifact {
         &self.0.factor
     }
 
-    /// Clusters and unit blocks.
+    /// Clusters and unit blocks; derived on first use, like the next two.
     pub fn partition(&self) -> &Partition {
-        &self.0.partition
+        &self.schedule().partition
     }
 
     /// The unit-level dependency graph.
     pub fn deps(&self) -> &DepGraph {
-        &self.0.deps
+        &self.schedule().deps
     }
 
     /// The unit → processor assignment.
     pub fn assignment(&self) -> &Assignment {
-        &self.0.assignment
+        &self.schedule().assignment
     }
 
     /// A stable 64-bit fingerprint over the whole artifact: the key, the
     /// permutation, the symbolic-factor structure, and the processor
     /// assignment. Two artifacts with equal fingerprints carry the same
     /// frozen schedule, so equality of cached vs freshly planned runs
-    /// can be asserted cheaply.
+    /// can be asserted cheaply. Derives the schedule if nothing has yet.
     pub fn fingerprint(&self) -> u64 {
+        let schedule = self.schedule();
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = OFFSET;
@@ -236,12 +288,12 @@ impl ScheduleArtifact {
         for &old in self.0.permutation.as_slice() {
             fold(old as u64);
         }
-        fold(self.0.partition.num_units() as u64);
-        for &p in &self.0.assignment.proc_of_unit {
+        fold(schedule.partition.num_units() as u64);
+        for &p in &schedule.assignment.proc_of_unit {
             fold(p as u64);
         }
-        for u in 0..self.0.partition.num_units() {
-            for &s in self.0.deps.preds(u) {
+        for u in 0..schedule.partition.num_units() {
+            for &s in schedule.deps.preds(u) {
                 fold(s as u64);
             }
             fold(u64::MAX); // per-unit terminator keeps lists unambiguous
@@ -252,7 +304,7 @@ impl ScheduleArtifact {
     /// Serializes the artifact in the line-oriented interchange format:
     /// an `spfactor-artifact v1` header carrying the key, fingerprint,
     /// and permutation, followed by the schedule body of
-    /// [`crate::export::write_schedule`].
+    /// [`crate::export::write_schedule`], which derives the schedule.
     pub fn write_text<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
         writeln!(w, "spfactor-artifact v1")?;
         writeln!(
@@ -275,7 +327,7 @@ impl ScheduleArtifact {
             write!(w, " {old}")?;
         }
         writeln!(w)?;
-        write_schedule(w, &self.0.partition, &self.0.deps, &self.0.assignment)
+        write_schedule(w, self.partition(), self.deps(), self.assignment())
     }
 
     /// [`write_text`](Self::write_text) into a `String`.
@@ -423,12 +475,12 @@ pub fn read_artifact_text<R: Read>(r: R) -> Result<ArtifactDump, String> {
     })
 }
 
-/// The pattern-only front end, start to finish: fill-reducing ordering
-/// (skipped when the caller already holds the `permutation`, as a stored
-/// dump does), symbolic factorization, the scheme's partition, the
-/// dependency graph, the scheme's allocation — frozen as the artifact of
-/// `key`. Each stage runs under its `phase.*` guard, so a recorder in
-/// scope gets the stage's span and heap peak.
+/// The pattern-only front end: fill-reducing ordering (skipped when the
+/// caller already holds the `permutation`, as a stored dump does) and
+/// symbolic factorization, frozen as the artifact of `key`, whose first
+/// reader of the schedule derives the scheme's partition, the dependency
+/// graph (by `deps_engine`) and the scheme's allocation. Each stage runs
+/// under its `phase.*` guard, recording into the scope it runs in.
 ///
 /// `key` must describe `pattern` (see [`ScheduleKey::new`]) and target at
 /// least one processor: the allocators panic on zero.
@@ -448,19 +500,7 @@ pub fn plan(
         let _phase = rec.phase("symbolic");
         SymbolicFactor::from_pattern(&permuted)
     };
-    let partition = {
-        let _phase = rec.phase("partition");
-        key.scheme.partition(&factor, &key.params)
-    };
-    let deps = {
-        let _phase = rec.phase("deps");
-        build_dependencies(deps_engine, &factor, &partition)
-    };
-    let assignment = {
-        let _phase = rec.phase("sched");
-        key.scheme.allocate(&partition, &deps, key.nprocs)
-    };
-    ScheduleArtifact::new(key, permutation, factor, partition, deps, assignment)
+    ScheduleArtifact::frozen(key, permutation, factor, deps_engine)
 }
 
 /// Rebuilds a full [`ScheduleArtifact`] from a parsed dump and the

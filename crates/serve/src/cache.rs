@@ -26,7 +26,7 @@
 //! on another scheme or processor count of a pattern already seen) re-plans
 //! from the permutation through [`ScheduleCache::get_or_plan`] instead of
 //! ordering again. A permutation is 16 bytes a column against an artifact's
-//! kilobytes; the tier is LRU-bounded at [`ORDERINGS_PER_SLOT`] entries per
+//! hundreds; the tier is LRU-bounded at [`ORDERINGS_PER_SLOT`] entries per
 //! artifact slot.
 //!
 //! Hit/miss/wait/evict counts are kept in lock-free [`CacheStats`]
@@ -130,8 +130,9 @@ enum Entry {
 
 /// Remembered permutations kept per artifact slot: the ordering tier holds
 /// at most `ORDERINGS_PER_SLOT * capacity` of them. At 16 bytes a column
-/// against about a kilobyte a column of an artifact, a full tier is at
-/// most an eighth again of what full slots hold (docs/SERVING.md).
+/// against about 400 a column of a factored artifact that was never
+/// scheduled (1,250 once scheduled), a full tier is at most about a third
+/// again of what full slots hold (docs/SERVING.md).
 pub const ORDERINGS_PER_SLOT: usize = 8;
 
 /// What a fill-reducing ordering depends on: the pattern (hash and

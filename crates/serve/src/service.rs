@@ -432,9 +432,10 @@ impl Shared {
 
     /// The whole request path: validate, enforce the queue-stage
     /// deadline, resolve the artifact (cache, remembered permutation,
-    /// store, then a full build), enforce the build-stage deadline, then
-    /// run the requested kernel — failing over from message-passing to
-    /// block-parallel when mp fails or its breaker is open.
+    /// store, then a full build) and its schedule if the kernel reads one,
+    /// enforce the build-stage deadline, then run the requested kernel —
+    /// failing over from message-passing to block-parallel when mp fails
+    /// or its breaker is open.
     /// Called from workers (with the job's admission instant) and from the
     /// synchronous entry point (admitted = now) alike, both under the
     /// service's recorder scope.
@@ -525,6 +526,11 @@ impl Shared {
         // hits here: they got the artifact without building or loading
         // it. The cache's own stats keep the finer hit/wait distinction.
         let cache_hit = !built_here && !warm_start;
+        // The schedule half is derived on first use. A kernel that runs the
+        // schedule pays for it here, in the build stage; a sequential one never.
+        if request.kernel != KernelKind::Sequential {
+            artifact.assignment();
+        }
         spent.build_ms = build_started.elapsed().as_secs_f64() * 1e3;
         if let Err(e) = clock.check(DeadlineStage::Build, spent) {
             self.note_deadline(DeadlineStage::Build);

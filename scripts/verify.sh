@@ -6,8 +6,8 @@
 # Tier-1 (the gate every PR must keep green) plus the observability
 # checks: one instrumentation path (no twins, no compile-out build), one
 # unit-block kernel under both schedule executors, one plan value built
-# by one chain, one serve failover step, the metrics doc held to the
-# code, and a warning-free rustdoc surface.
+# by one chain and scheduled on first use, one serve failover step, the
+# metrics doc held to the code, and a warning-free rustdoc surface.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -163,6 +163,17 @@ for call in 'Partition::columns\(' 'block_allocation\(' 'wrap_allocation\('; do
   fi
 done
 cargo test -q -p spfactor --test metrics_surface a_planned_run_shares_its_plan_instead_of_copying_it
+
+echo "==> a sequential solve does not schedule: the artifact derives its schedule on first use"
+# sched::plan stops at the symbolic factor; the one dependency-graph build
+# of the front end is the artifact's lazy schedule half (docs/ARCHITECTURE.md,
+# "The artifact seam"), which a sequential serve request never reads.
+sites=$(call_sites 'build_dependencies\(' crates/core/src crates/sched/src crates/serve/src)
+if [ "$(grep -c . <<<"$sites")" -ne 1 ]; then
+  echo "expected exactly one library call site of build_dependencies(, found:"; echo "$sites"
+  exit 1
+fi
+cargo test -q -p spfactor --test serve_cache a_sequential_solve_derives_no_schedule
 
 echo "==> one failover step: serve fails over from mp, it does not retry"
 # A failed mp run fails the same way under every seed (tests/chaos_mp.rs

@@ -84,6 +84,67 @@ fn engines_identical_on_the_benchmark_subject() {
     }
 }
 
+/// `Pipeline::try_plan` stops at the symbolic factor and the artifact
+/// derives its schedule on first use. Under every dependency engine that
+/// schedule must be the one the layers called one by one build, frozen
+/// eagerly with `ScheduleArtifact::new`: the same parts, fingerprint,
+/// text, reports and store round trip.
+#[test]
+fn a_lazily_scheduled_plan_equals_the_eager_chain() {
+    use spfactor::sched::{self, read_artifact_text, rebuild_artifact, ScheduleArtifact};
+    use spfactor::{order, partition, DepsEngine, Partition, SymbolicFactor};
+
+    for m in spfactor::matrix::gen::paper::all() {
+        for scheme in [Scheme::Block, Scheme::Wrap] {
+            for engine in [
+                DepsEngine::Element,
+                DepsEngine::Sweep,
+                DepsEngine::SweepParallel,
+            ] {
+                let label = format!("{} {scheme:?} {engine:?}", m.name);
+                let pipeline = Pipeline::new(m.pattern.clone())
+                    .scheme(scheme)
+                    .processors(16)
+                    .deps_engine(engine);
+                let key = pipeline.key();
+                let lazy = pipeline.try_plan().expect("plans");
+
+                let perm = order::order_with_engine(&m.pattern, key.ordering, key.order_engine);
+                let factor = SymbolicFactor::from_pattern(&m.pattern.permute(&perm));
+                let part = match scheme {
+                    Scheme::Block => Partition::build(&factor, &key.params),
+                    Scheme::Wrap => Partition::columns(&factor),
+                };
+                let deps = partition::build_dependencies(engine, &factor, &part);
+                let assignment = match scheme {
+                    Scheme::Block => sched::block_allocation(&part, &deps, key.nprocs),
+                    Scheme::Wrap => sched::wrap_allocation(&part, key.nprocs),
+                };
+                let eager = ScheduleArtifact::new(key, perm, factor, part, deps, assignment);
+
+                assert_eq!(lazy.fingerprint(), eager.fingerprint(), "{label}");
+                assert_eq!(lazy.to_text(), eager.to_text(), "{label}");
+                assert_eq!(
+                    format!("{:?}", lazy.partition()),
+                    format!("{:?}", eager.partition()),
+                    "{label}"
+                );
+                assert_eq!(lazy.deps(), eager.deps(), "{label}");
+                assert_eq!(lazy.assignment(), eager.assignment(), "{label}");
+
+                let (l, e) = (
+                    pipeline.try_run_planned(&lazy).expect("runs"),
+                    pipeline.try_run_planned(&eager).expect("runs"),
+                );
+                assert_eq!((l.traffic, l.work), (e.traffic, e.work), "{label}");
+                let dump = read_artifact_text(lazy.to_text().as_bytes()).expect("parses");
+                let rebuilt = rebuild_artifact(&m.pattern, &dump).expect("rebuilds");
+                assert_eq!(rebuilt.to_text(), lazy.to_text(), "{label}");
+            }
+        }
+    }
+}
+
 /// The three views of the §4 traffic rule that share one replay in
 /// `crates/simulate` — the traffic report, the timed simulation's
 /// per-unit transfers and the consolidation analysis — count the same

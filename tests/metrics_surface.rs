@@ -525,6 +525,10 @@ mod enabled {
         let pipeline = Pipeline::new(gen::lap9(40, 40)).grain(25).processors(16);
         let empty = alloc::current_bytes();
         let artifact = pipeline.try_plan().expect("plans");
+        let unscheduled = alloc::current_bytes();
+        // The schedule the run reads is derived on first use: derive it
+        // here, so that the run's bytes are the run's alone.
+        artifact.assignment();
         let planned = alloc::current_bytes();
         let result = pipeline.try_run_planned(&artifact).expect("runs");
         let ran = alloc::current_bytes();
@@ -533,6 +537,13 @@ mod enabled {
         assert!(
             run_bytes * 20 < plan_bytes,
             "the run kept {run_bytes} B live beside a {plan_bytes} B plan"
+        );
+        // Partition, dependency graph and allocation are most of a plan:
+        // until something reads them, the artifact holds at most half.
+        let lazy_bytes = unscheduled - empty;
+        assert!(
+            lazy_bytes * 2 <= plan_bytes,
+            "an unscheduled plan holds {lazy_bytes} B, a scheduled one {plan_bytes} B"
         );
     }
 
@@ -635,7 +646,8 @@ mod enabled {
         // traffic counters mirror the cache's own stats, queue and
         // latency gauges are published, and builds/solves run under
         // their spans. The cache-miss build also lands the pipeline's
-        // phase.* spans in the same recorder.
+        // phase.* spans in the same recorder: ordering and symbolic only,
+        // because the sequential kernel reads no schedule.
         use spfactor_serve::{ServeConfig, SolveRequest, SolverService, ValueBatch};
 
         let rec = Arc::new(Recorder::new());
@@ -662,12 +674,20 @@ mod enabled {
         assert_eq!((stats.misses, stats.hits), (1, 2));
         assert_eq!(rec.counter("serve.requests"), 3);
         assert_eq!(rec.gauge_value("serve.queue.depth"), Some(0.0));
-        for span in ["serve.build", "serve.solve", "phase.order", "phase.sched"] {
+        for span in [
+            "serve.build",
+            "serve.solve",
+            "phase.order",
+            "phase.symbolic",
+        ] {
             assert!(
                 rec.span_stats(span).is_some(),
                 "span {span} missing; recorded: {:?}",
                 rec.span_names()
             );
+        }
+        for span in ["phase.partition", "phase.deps", "phase.sched"] {
+            assert!(rec.span_stats(span).is_none(), "span {span} recorded");
         }
         assert_eq!(rec.span_stats("serve.build").unwrap().count, 1);
         assert_eq!(rec.span_stats("serve.solve").unwrap().count, 3);

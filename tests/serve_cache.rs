@@ -12,8 +12,8 @@ use spfactor::matrix::gen;
 use spfactor::matrix::Permutation;
 use spfactor::numeric::solve::SpdSolver;
 use spfactor::{
-    ExecutionBackend, NetworkModel, Ordering, Pipeline, Recorder, ScheduleArtifact, Scheme,
-    SymbolicFactor,
+    DepGraph, ExecutionBackend, NetworkModel, Ordering, Pipeline, Recorder, ScheduleArtifact,
+    Scheme, SymbolicFactor,
 };
 use spfactor_serve::{
     KernelKind, ScheduleCache, ServeConfig, ServeError, SolveRequest, SolverService, ValueBatch,
@@ -57,10 +57,14 @@ fn recorded_service(config: ServeConfig) -> (SolverService, Arc<Recorder>) {
     (service, rec)
 }
 
-/// How often the ordering phase has run under `rec`.
-fn orderings_run(rec: &Recorder) -> u64 {
-    rec.span_stats("phase.order").map_or(0, |s| s.count)
+/// How often `phase.{phase}` has run under `rec`.
+fn phase_runs(rec: &Recorder, phase: &str) -> u64 {
+    rec.span_stats(&format!("phase.{phase}"))
+        .map_or(0, |s| s.count)
 }
+
+/// The phases that derive an artifact's schedule half.
+const SCHEDULE_PHASES: [&str; 3] = ["partition", "deps", "sched"];
 
 #[test]
 fn hits_and_misses_are_counted_per_key() {
@@ -275,6 +279,62 @@ fn cached_artifact_factors_are_bit_identical_to_fresh_runs() {
 }
 
 #[test]
+fn a_sequential_solve_derives_no_schedule() {
+    // The sequential kernel reads the permutation and the symbolic factor
+    // alone, so a miss that serves it stops there. The first request whose
+    // kernel runs the schedule derives it on the resident artifact, once,
+    // and gets the factor bits the sequential request got.
+    let (service, rec) = recorded_service(ServeConfig::default());
+    let request = grid_request(9, 9, 2);
+    let seq = service.solve(request.clone()).unwrap();
+    assert!(!seq.cache_hit);
+    assert_eq!(phase_runs(&rec, "order"), 1);
+    assert_eq!(phase_runs(&rec, "symbolic"), 1);
+    for phase in SCHEDULE_PHASES {
+        assert_eq!(phase_runs(&rec, phase), 0, "a sequential miss ran {phase}");
+    }
+
+    let parallel = request.clone().kernel(KernelKind::BlockParallel);
+    let par = service.solve(parallel).unwrap();
+    assert!(par.cache_hit && par.artifact.ptr_eq(&seq.artifact));
+    assert_eq!(par.batches[0].factor, seq.batches[0].factor);
+    let mp = service.solve(request.clone().kernel(KernelKind::MessagePassing));
+    assert_eq!(mp.unwrap().batches[0].factor, seq.batches[0].factor);
+    for phase in SCHEDULE_PHASES {
+        assert_eq!(phase_runs(&rec, phase), 1, "{phase}");
+    }
+    assert_eq!(phase_runs(&rec, "symbolic"), 1);
+    assert_eq!(
+        seq.artifact.fingerprint(),
+        fresh_plan(&request).fingerprint()
+    );
+}
+
+#[test]
+fn concurrent_first_reads_derive_the_schedule_once() {
+    const THREADS: usize = 8;
+    let artifact = Pipeline::new(gen::lap9(12, 12)).processors(4).plan();
+    let rec = Arc::new(Recorder::new());
+    let barrier = Barrier::new(THREADS);
+    let graphs: Vec<&DepGraph> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    let _scope = spfactor::trace::scope(&rec);
+                    barrier.wait();
+                    artifact.deps()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for phase in SCHEDULE_PHASES {
+        assert_eq!(phase_runs(&rec, phase), 1, "{phase}");
+    }
+    assert!(graphs.iter().all(|g| std::ptr::eq(*g, graphs[0])));
+}
+
+#[test]
 fn cold_built_artifact_equals_an_element_planned_one() {
     // Cold builds plan their dependencies with the serial sweep engine
     // (as the store-load path does); the deps engine is not part of the
@@ -447,7 +507,7 @@ fn a_re_miss_replans_from_the_remembered_permutation() {
     service.solve(b).unwrap();
     assert!(!service.cache().contains(&a.key()), "evicted");
     assert!(service.cache().remembers(&a.key()), "permutation kept");
-    assert_eq!(orderings_run(&rec), 2);
+    assert_eq!(phase_runs(&rec, "order"), 2);
 
     let again = service.solve(a.clone()).unwrap();
     assert!(!again.cache_hit && !again.warm_start);
@@ -456,7 +516,7 @@ fn a_re_miss_replans_from_the_remembered_permutation() {
     assert_eq!(again.artifact.to_text(), first.artifact.to_text());
     assert_eq!(again.batches[0].factor, first.batches[0].factor);
     assert_eq!(again.batches[0].solutions, first.batches[0].solutions);
-    assert_eq!(orderings_run(&rec), 2, "the rebuild ordered nothing");
+    assert_eq!(phase_runs(&rec, "order"), 2, "the rebuild ordered nothing");
     assert_eq!(rec.span_stats("phase.symbolic").unwrap().count, 3);
 
     let stats = service.cache_stats();
@@ -479,14 +539,14 @@ fn one_pattern_is_ordered_once_across_scheme_and_processor_count() {
             fresh_plan(request).fingerprint()
         );
     }
-    assert_eq!(orderings_run(&rec), 1);
+    assert_eq!(phase_runs(&rec, "order"), 1);
     assert_eq!(service.cache_stats().replans, 2);
     assert_eq!((service.cache().len(), service.cache().orderings()), (3, 1));
     // Another ordering of the same pattern is another permutation.
     let rcm = block.clone().ordering(Ordering::ReverseCuthillMcKee);
     let resp = service.solve(rcm.clone()).unwrap();
     assert_eq!(resp.artifact.fingerprint(), fresh_plan(&rcm).fingerprint());
-    assert_eq!(orderings_run(&rec), 2);
+    assert_eq!(phase_runs(&rec, "order"), 2);
     assert_eq!(service.cache().orderings(), 2);
 }
 
@@ -516,7 +576,7 @@ fn a_failed_replan_leaves_the_permutation_for_the_retry() {
         fresh_plan(&retry).fingerprint()
     );
     assert_eq!(service.cache_stats().replans, 1);
-    assert_eq!(orderings_run(&rec), 1);
+    assert_eq!(phase_runs(&rec, "order"), 1);
 
     // The cache's own contract, with a builder that fails on its own terms.
     let cache = ScheduleCache::new(1);
