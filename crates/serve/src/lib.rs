@@ -22,21 +22,15 @@
 //! * [`SolverService`] — a batched solver: each [`SolveRequest`] carries
 //!   many value sets and many right-hand sides, all executed against the
 //!   one cached artifact through the existing numeric kernels
-//!   (sequential, schedule-driven block-parallel, or the full
-//!   message-passing runtime);
+//!   (sequential, or the schedule-driven block-parallel executor);
 //! * an **admission-controlled request queue** — [`SolverService::submit`]
 //!   enqueues onto a bounded queue drained by worker threads and rejects
 //!   with [`ServeError::Overloaded`] when the queue is full, so overload
 //!   sheds load instead of growing latency without bound;
-//! * a **resilience layer** ([`ResilienceConfig`]) — per-request
-//!   deadlines enforced at the queue/build/solve stage boundaries
+//! * per-request **deadlines** ([`ServeConfig::default_deadline`], or the
+//!   request's own) enforced at the queue/build/solve stage boundaries
 //!   ([`ServeError::DeadlineExceeded`] carries a per-stage budget
-//!   breakdown), one **failover** step from the message-passing kernel
-//!   to block-parallel (bit-identical answers, the abandoning error on
-//!   `SolveResponse::failover`; no retry — a failed mp run fails the
-//!   same way again), and a **circuit breaker** on the message-passing
-//!   kernel that skips it while it keeps failing, until a half-open
-//!   probe reaches a verdict;
+//!   breakdown);
 //! * a **warm-restart artifact store** ([`ArtifactStore`], enabled by
 //!   `ServeConfig::store_dir`) — built schedules spill to disk and a
 //!   restarted service reloads them with fingerprint verification,
@@ -44,12 +38,15 @@
 //!   rejecting corrupt files with typed errors;
 //! * `serve.*` metrics on the existing `spfactor-trace` surface — cache
 //!   hit/miss/wait/evict counters, queue depth, build/solve latency
-//!   percentiles, and the deadline / failover / breaker / store
-//!   counters (see `docs/METRICS.md` and `docs/SERVING.md`).
+//!   percentiles, and the deadline and store counters (see
+//!   `docs/METRICS.md` and `docs/SERVING.md`).
 //!
 //! Factors produced through the cache are **bit-identical** to a fresh
 //! one-shot `Pipeline` run on the same inputs — `tests/serve_cache.rs`
 //! pins this — because the artifact *is* the pipeline front end, frozen.
+//! The message-passing runtime is not a serve kernel: it is the
+//! pipeline's execution backend (`Pipeline::backend`), where it checks
+//! executed traffic and work against the simulator.
 //!
 //! ```
 //! use spfactor_serve::{ServeConfig, SolveRequest, SolverService, ValueBatch};
@@ -79,13 +76,12 @@ pub mod service;
 pub mod store;
 
 pub use cache::{CacheSnapshot, CacheStats, ScheduleCache};
-pub use resilience::{BudgetBreakdown, DeadlineStage, KernelKind, ResilienceConfig};
+pub use resilience::{BudgetBreakdown, DeadlineStage, KernelKind};
 pub use service::{
     BatchResult, ServeConfig, SolveRequest, SolveResponse, SolverService, Ticket, ValueBatch,
 };
 pub use store::{ArtifactStore, StoreError, StoreStats};
 
-use spfactor::mp::MpError;
 use spfactor::{NumericError, PipelineError};
 use std::sync::Arc;
 
@@ -104,8 +100,8 @@ pub enum ServeError {
     /// failed. Shared by every request that was coalesced onto the
     /// failed build.
     Build(Arc<PipelineError>),
-    /// A numeric factorization or execution failure while solving
-    /// against a (successfully built) artifact.
+    /// A numeric factorization failure while solving against a
+    /// (successfully built) artifact — the matrix's, from either kernel.
     Solve(Arc<PipelineError>),
     /// A batch's value matrix does not have the pattern the request was
     /// keyed under.
@@ -122,18 +118,6 @@ pub enum ServeError {
         /// The offending right-hand side's length.
         got: usize,
     },
-    /// A backend kernel execution failed, with the full structured
-    /// [`MpError`] preserved — including its
-    /// [`FaultTrace`](spfactor::mp::FaultTrace) and, for watchdog
-    /// aborts, the per-processor last-event diagnostics — so callers
-    /// and tests can match on the failure class instead of parsing a
-    /// flattened string.
-    Kernel {
-        /// The kernel class that failed.
-        kernel: KernelKind,
-        /// The structured backend error.
-        error: Arc<MpError>,
-    },
     /// The request's deadline was exceeded; the payload says at which
     /// stage boundary and where the budget went.
     DeadlineExceeded {
@@ -143,13 +127,6 @@ pub enum ServeError {
         budget_ms: f64,
         /// Per-stage spend at failure time.
         spent: BudgetBreakdown,
-    },
-    /// The message-passing kernel's circuit breaker is open and failover
-    /// is disabled (with failover on, an open breaker sends the request
-    /// to block-parallel instead of failing it).
-    BreakerOpen {
-        /// The denied kernel class.
-        kernel: KernelKind,
     },
     /// The service is shutting down; the request was dropped.
     ShuttingDown,
@@ -176,9 +153,6 @@ impl std::fmt::Display for ServeError {
             ServeError::RhsLength { expected, got } => {
                 write!(f, "right-hand side has length {got}, system is {expected}")
             }
-            ServeError::Kernel { kernel, error } => {
-                write!(f, "{} kernel failed: {error}", kernel.name())
-            }
             ServeError::DeadlineExceeded {
                 stage,
                 budget_ms,
@@ -192,9 +166,6 @@ impl std::fmt::Display for ServeError {
                 spent.build_ms,
                 spent.solve_ms
             ),
-            ServeError::BreakerOpen { kernel } => {
-                write!(f, "{} kernel circuit breaker is open", kernel.name())
-            }
             ServeError::ShuttingDown => write!(f, "service is shutting down"),
         }
     }
@@ -204,7 +175,6 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::Build(e) | ServeError::Solve(e) => Some(e.as_ref()),
-            ServeError::Kernel { error, .. } => Some(error.as_ref()),
             _ => None,
         }
     }

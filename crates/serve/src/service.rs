@@ -9,10 +9,9 @@
 //! 1. resolves the frozen [`ScheduleArtifact`] through the
 //!    [`ScheduleCache`] (building it once per key, single-flight);
 //! 2. factors every value batch against the cached symbolic factor with
-//!    the requested [`KernelKind`] — the sequential reference, the
-//!    schedule-driven block-parallel executor, or the full
-//!    message-passing runtime — all bit-identical by the workspace's
-//!    cross-validation invariant;
+//!    the requested [`KernelKind`] — the sequential reference or the
+//!    schedule-driven block-parallel executor, bit-identical by the
+//!    workspace's cross-validation invariant;
 //! 3. solves every right-hand side through [`spfactor::numeric::batch`],
 //!    returning solutions of the *original* system (the fill-reducing
 //!    permutation is applied around each solve).
@@ -25,18 +24,15 @@
 
 use crate::cache::{CacheStats, ScheduleCache};
 use crate::resilience::{
-    lock_unpoisoned, BudgetBreakdown, DeadlineClock, DeadlineStage, KernelKind, MpBreaker,
-    ResilienceConfig,
+    lock_unpoisoned, BudgetBreakdown, DeadlineClock, DeadlineStage, KernelKind,
 };
 use crate::store::{ArtifactStore, StoreStats};
 use crate::ServeError;
 use spfactor::matrix::{SymmetricCsc, SymmetricPattern};
-use spfactor::mp::{FaultPlan, MpConfig, MpError};
 use spfactor::numeric::NumericFactor;
 use spfactor::sched::{ScheduleArtifact, ScheduleKey, Scheme};
 use spfactor::{
-    mp, numeric, trace, DepsEngine, NetworkModel, OrderEngine, Ordering, PartitionParams, Pipeline,
-    Recorder,
+    numeric, trace, DepsEngine, OrderEngine, Ordering, PartitionParams, Pipeline, Recorder,
 };
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -68,9 +64,10 @@ pub struct ServeConfig {
     /// ([`spfactor::trace::scope`]) on its workers and around each call
     /// on the handle; nothing below holds it.
     pub recorder: Option<Arc<Recorder>>,
-    /// Deadlines, failover, and circuit-breaker knobs (see
-    /// `docs/SERVING.md`).
-    pub resilience: ResilienceConfig,
+    /// Deadline applied to requests that do not carry their own,
+    /// measured from admission (see `docs/SERVING.md`). `None` (the
+    /// default) means no implicit deadline.
+    pub default_deadline: Option<Duration>,
     /// Warm-restart artifact store directory. When set, every built
     /// artifact is spilled there and a (re)started service reloads the
     /// directory's index, so previously-seen patterns skip the cold
@@ -85,7 +82,7 @@ impl Default for ServeConfig {
             queue_depth: 64,
             workers: 2,
             recorder: None,
-            resilience: ResilienceConfig::default(),
+            default_deadline: None,
             store_dir: None,
         }
     }
@@ -136,16 +133,12 @@ pub struct SolveRequest {
     /// Processor count (part of the cache key).
     pub nprocs: usize,
     /// Numeric kernel for the factorizations (not part of the cache
-    /// key: all kernels produce bit-identical factors).
+    /// key: both kernels produce bit-identical factors).
     pub kernel: KernelKind,
     /// Per-request deadline measured from admission; overrides the
-    /// service's [`ResilienceConfig::default_deadline`]. Not part of
-    /// the cache key.
+    /// service's [`ServeConfig::default_deadline`]. Not part of the
+    /// cache key.
     pub deadline: Option<Duration>,
-    /// Fault plan injected into message-passing executions of this
-    /// request (testing and chaos drills; ignored by the other
-    /// kernels). Not part of the cache key.
-    pub fault_plan: Option<FaultPlan>,
     /// The value sets to factor and their right-hand sides.
     pub batches: Vec<ValueBatch>,
 }
@@ -162,7 +155,6 @@ impl SolveRequest {
             nprocs: 4,
             kernel: KernelKind::Sequential,
             deadline: None,
-            fault_plan: None,
             batches: Vec::new(),
         }
     }
@@ -206,13 +198,6 @@ impl SolveRequest {
     /// Sets the per-request deadline (measured from admission).
     pub fn deadline(mut self, d: Duration) -> Self {
         self.deadline = Some(d);
-        self
-    }
-
-    /// Injects a fault plan into message-passing executions of this
-    /// request.
-    pub fn fault_plan(mut self, p: FaultPlan) -> Self {
-        self.fault_plan = Some(p);
         self
     }
 
@@ -264,25 +249,8 @@ pub struct SolveResponse {
     /// Whether this request's artifact came from the warm-restart store
     /// (a verified disk reconstruction) rather than a fresh build.
     pub warm_start: bool,
-    /// The kernel class that produced the factors — the requested one
-    /// unless failover degraded the request.
-    pub served_by: KernelKind,
-    /// Why the service abandoned the message-passing kernel for
-    /// block-parallel: its `Kernel` failure or `BreakerOpen` denial;
-    /// `None` when the requested kernel served. The solution is
-    /// bit-identical either way — degradation costs performance, never
-    /// correctness.
-    pub failover: Option<ServeError>,
     /// Results, one per request batch in order.
     pub batches: Vec<BatchResult>,
-}
-
-impl SolveResponse {
-    /// Whether failover degraded this request below its requested
-    /// kernel.
-    pub fn degraded(&self) -> bool {
-        self.failover.is_some()
-    }
 }
 
 /// Receipt for a queued request; redeem with [`Ticket::wait`].
@@ -308,14 +276,12 @@ struct Job {
 struct Shared {
     cache: ScheduleCache,
     store: Option<ArtifactStore>,
-    breaker: MpBreaker,
-    resilience: ResilienceConfig,
+    default_deadline: Option<Duration>,
     queue_depth: usize,
     depth: AtomicUsize,
     rejected: AtomicU64,
     completed: AtomicU64,
     cold_builds: AtomicU64,
-    degraded: AtomicU64,
     latencies_ms: Mutex<VecDeque<f64>>,
 }
 
@@ -346,96 +312,10 @@ impl Shared {
         }
     }
 
-    /// Counts a blown deadline on the total and per-stage counters.
-    fn note_deadline(&self, stage: DeadlineStage) {
-        let rec = trace::current();
-        rec.incr("serve.deadline.exceeded", 1);
-        rec.incr(&format!("serve.deadline.exceeded.{}", stage.name()), 1);
-    }
-
-    /// Runs every batch of `request` on the kernel class `kind`. A
-    /// numeric error is the matrix's and comes back as
-    /// [`ServeError::Solve`] from any kernel; only the message-passing
-    /// runtime can also fail on its own, as [`ServeError::Kernel`].
-    fn run_kernel(
-        &self,
-        kind: KernelKind,
-        request: &SolveRequest,
-        artifact: &ScheduleArtifact,
-    ) -> Result<Vec<BatchResult>, ServeError> {
-        let mut results = Vec::with_capacity(request.batches.len());
-        for batch in &request.batches {
-            let permuted = batch.values.permute(artifact.permutation());
-            let factor = match kind {
-                KernelKind::Sequential => numeric::cholesky(&permuted, artifact.factor()),
-                KernelKind::BlockParallel => numeric::cholesky_block_parallel(
-                    &permuted,
-                    artifact.factor(),
-                    artifact.partition(),
-                    artifact.deps(),
-                    artifact.assignment(),
-                ),
-                KernelKind::MessagePassing => {
-                    let mut config = MpConfig::reliable(NetworkModel::default());
-                    if let Some(plan) = &request.fault_plan {
-                        config.fault = plan.clone();
-                    }
-                    match mp::execute_config(
-                        &permuted,
-                        artifact.factor(),
-                        artifact.partition(),
-                        artifact.deps(),
-                        artifact.assignment(),
-                        &config,
-                        None,
-                    ) {
-                        Ok(report) => Ok(report.factor),
-                        Err(MpError::Numeric(e)) => Err(e),
-                        Err(e) => {
-                            return Err(ServeError::Kernel {
-                                kernel: kind,
-                                error: Arc::new(e),
-                            })
-                        }
-                    }
-                }
-            }
-            .map_err(ServeError::solve_numeric)?;
-            let solutions =
-                numeric::batch::solve_many_permuted(&factor, artifact.permutation(), &batch.rhs);
-            results.push(BatchResult { factor, solutions });
-        }
-        Ok(results)
-    }
-
-    /// [`Self::run_kernel`] on the message-passing kernel, behind its
-    /// breaker: an open breaker denies with [`ServeError::BreakerOpen`],
-    /// a `Kernel` failure counts against it, and a run that reaches a
-    /// verdict — factors, or the matrix's numeric error — closes it (a
-    /// half-open probe must report either way, or mp stays denied).
-    fn run_mp(
-        &self,
-        request: &SolveRequest,
-        artifact: &ScheduleArtifact,
-    ) -> Result<Vec<BatchResult>, ServeError> {
-        let kernel = KernelKind::MessagePassing;
-        if !self.breaker.admit() {
-            return Err(ServeError::BreakerOpen { kernel });
-        }
-        let outcome = self.run_kernel(kernel, request, artifact);
-        match outcome {
-            Err(ServeError::Kernel { .. }) => self.breaker.on_failure(),
-            _ => self.breaker.on_success(),
-        }
-        outcome
-    }
-
     /// The whole request path: validate, enforce the queue-stage
     /// deadline, resolve the artifact (cache, remembered permutation,
     /// store, then a full build) and its schedule if the kernel reads one,
-    /// enforce the build-stage deadline, then run the requested kernel —
-    /// failing over from message-passing to block-parallel when mp fails
-    /// or its breaker is open.
+    /// enforce the build-stage deadline, then run the requested kernel.
     /// Called from workers (with the job's admission instant) and from the
     /// synchronous entry point (admitted = now) alike, both under the
     /// service's recorder scope.
@@ -446,18 +326,12 @@ impl Shared {
     ) -> Result<SolveResponse, ServeError> {
         let rec = trace::current();
         let started = Instant::now();
-        let clock = DeadlineClock::new(
-            admitted,
-            request.deadline.or(self.resilience.default_deadline),
-        );
+        let clock = DeadlineClock::new(admitted, request.deadline.or(self.default_deadline));
         let mut spent = BudgetBreakdown {
             queue_ms: started.duration_since(admitted).as_secs_f64() * 1e3,
             ..BudgetBreakdown::default()
         };
-        if let Err(e) = clock.check(DeadlineStage::Queue, spent) {
-            self.note_deadline(DeadlineStage::Queue);
-            return Err(e);
-        }
+        clock.check(DeadlineStage::Queue, spent)?;
 
         let n = request.pattern.n();
         // The one hash of the request: the cache key, and `expected` below.
@@ -532,46 +406,13 @@ impl Shared {
             artifact.assignment();
         }
         spent.build_ms = build_started.elapsed().as_secs_f64() * 1e3;
-        if let Err(e) = clock.check(DeadlineStage::Build, spent) {
-            self.note_deadline(DeadlineStage::Build);
-            return Err(e);
-        }
+        clock.check(DeadlineStage::Build, spent)?;
 
         let solve_started = Instant::now();
-        let check_solve = || {
-            let spent = BudgetBreakdown {
-                solve_ms: solve_started.elapsed().as_secs_f64() * 1e3,
-                ..spent
-            };
-            clock
-                .check(DeadlineStage::Solve, spent)
-                .inspect_err(|_| self.note_deadline(DeadlineStage::Solve))
-        };
-        check_solve()?;
-        let mut served_by = request.kernel;
-        let mut failover = None;
-        let results = match served_by {
-            // Only mp fails for a reason of its own. A numeric error is the
-            // matrix's, from any kernel: no failover could rescue it.
-            KernelKind::MessagePassing => match self.run_mp(request, &artifact) {
-                Err(e @ (ServeError::Kernel { .. } | ServeError::BreakerOpen { .. })) => {
-                    if !self.resilience.failover {
-                        rec.incr("serve.failover.exhausted", 1);
-                        return Err(e);
-                    }
-                    failover = Some(e);
-                    check_solve()?;
-                    served_by = KernelKind::BlockParallel;
-                    self.run_kernel(served_by, request, &artifact)
-                }
-                verdict => verdict,
-            },
-            kind => self.run_kernel(kind, request, &artifact),
-        }?;
-        if failover.is_some() {
-            self.degraded.fetch_add(1, AtomicOrdering::Relaxed);
-            rec.incr("serve.failover.degraded", 1);
-        }
+        // Checked before the kernel, like every boundary: a factor that has
+        // been computed is returned, not thrown away.
+        clock.check(DeadlineStage::Solve, spent)?;
+        let results = run_kernel(request, &artifact)?;
         rec.record_span_ns("serve.solve", solve_started.elapsed().as_nanos() as u64);
         rec.incr("serve.requests", 1);
         self.completed.fetch_add(1, AtomicOrdering::Relaxed);
@@ -582,11 +423,36 @@ impl Shared {
             artifact,
             cache_hit,
             warm_start,
-            served_by,
-            failover,
             batches: results,
         })
     }
+}
+
+/// Runs every batch of `request` on its kernel. An error is the
+/// matrix's, the same from either kernel: [`ServeError::Solve`].
+fn run_kernel(
+    request: &SolveRequest,
+    artifact: &ScheduleArtifact,
+) -> Result<Vec<BatchResult>, ServeError> {
+    let mut results = Vec::with_capacity(request.batches.len());
+    for batch in &request.batches {
+        let permuted = batch.values.permute(artifact.permutation());
+        let factor = match request.kernel {
+            KernelKind::Sequential => numeric::cholesky(&permuted, artifact.factor()),
+            KernelKind::BlockParallel => numeric::cholesky_block_parallel(
+                &permuted,
+                artifact.factor(),
+                artifact.partition(),
+                artifact.deps(),
+                artifact.assignment(),
+            ),
+        }
+        .map_err(ServeError::solve_numeric)?;
+        let solutions =
+            numeric::batch::solve_many_permuted(&factor, artifact.permutation(), &batch.rhs);
+        results.push(BatchResult { factor, solutions });
+    }
+    Ok(results)
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice.
@@ -633,14 +499,12 @@ impl SolverService {
         let shared = Arc::new(Shared {
             cache: ScheduleCache::new(config.cache_capacity),
             store,
-            breaker: MpBreaker::new(&config.resilience),
-            resilience: config.resilience,
+            default_deadline: config.default_deadline,
             queue_depth: config.queue_depth.max(1),
             depth: AtomicUsize::new(0),
             rejected: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             cold_builds: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
             latencies_ms: Mutex::new(VecDeque::new()),
         });
         let (tx, rx) = mpsc::sync_channel::<Job>(shared.queue_depth);
@@ -767,22 +631,18 @@ impl SolverService {
         self.shared.cold_builds.load(AtomicOrdering::Relaxed)
     }
 
-    /// Requests that failed over from message-passing to block-parallel
-    /// so far.
+    /// Always 0: no request is served below its requested kernel, since
+    /// neither kernel fails for a reason another could rescue. Kept only
+    /// because the frozen `benchmark/` crate reports it as
+    /// `serve.degraded`; it goes when that crate is re-baselined.
     pub fn degraded(&self) -> u64 {
-        self.shared.degraded.load(AtomicOrdering::Relaxed)
+        0
     }
 
     /// The warm-restart store's behaviour counters; `None` when the
     /// service runs without a store.
     pub fn store_stats(&self) -> Option<StoreStats> {
         self.shared.store.as_ref().map(|s| s.stats())
-    }
-
-    /// The message-passing breaker's state in the gauge encoding
-    /// documented in `docs/METRICS.md`: 0 closed, 1 open, 2 half-open.
-    pub fn breaker_state(&self) -> f64 {
-        self.shared.breaker.state_gauge()
     }
 }
 
@@ -840,19 +700,14 @@ mod tests {
         let base = request(7, 5, 1);
         let seq = service.solve(base.clone()).unwrap();
         let par = service
-            .solve(base.clone().kernel(KernelKind::BlockParallel))
-            .unwrap();
-        let mp = service
-            .solve(base.kernel(KernelKind::MessagePassing))
+            .solve(base.kernel(KernelKind::BlockParallel))
             .unwrap();
         assert_eq!(seq.batches[0].factor, par.batches[0].factor);
-        assert_eq!(seq.batches[0].factor, mp.batches[0].factor);
         assert_eq!(seq.batches[0].solutions, par.batches[0].solutions);
-        assert_eq!(seq.batches[0].solutions, mp.batches[0].solutions);
-        // One build, two hits: the kernel is not part of the cache key.
+        // One build, one hit: the kernel is not part of the cache key.
         let s = service.cache_stats();
-        assert_eq!((s.misses, s.hits), (1, 2));
-        assert!(par.cache_hit && mp.cache_hit);
+        assert_eq!((s.misses, s.hits), (1, 1));
+        assert!(par.cache_hit);
     }
 
     #[test]

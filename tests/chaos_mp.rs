@@ -131,9 +131,7 @@ proptest! {
                     other => prop_assert!(false, "unexpected error shape: {other}"),
                 }
                 // A crash fires at a fixed unit of the victim's program,
-                // whatever the seed: a reseeded rerun fails the same way,
-                // which is why the solver service fails over rather than
-                // retries.
+                // whatever the seed: a reseeded rerun fails the same way.
                 let reseeded = FaultPlan { seed: plan.seed.wrapping_add(1), ..plan };
                 match pipeline(scheme, nprocs).fault_plan(reseeded).try_run() {
                     Err(SpfactorError::Execution(MpError::ProcessorCrashed { proc, .. })) => {

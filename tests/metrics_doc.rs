@@ -7,7 +7,6 @@
 //! `<placeholder>` segments (`order.alg.<name>`, `mp.proc.<p>.work`)
 //! match any one dot-free segment.
 
-use spfactor::mp::CrashPlan;
 use spfactor::simulate::timed::{simulate_timed, CommModel, OrderPolicy};
 use spfactor::trace::{self, json, regress};
 use spfactor::{
@@ -15,8 +14,7 @@ use spfactor::{
     Recorder, Scheme, SimulateEngine,
 };
 use spfactor_serve::{
-    KernelKind, ResilienceConfig, ScheduleCache, ServeConfig, ServeError, SolveRequest,
-    SolverService, ValueBatch,
+    ScheduleCache, ServeConfig, ServeError, SolveRequest, SolverService, ValueBatch,
 };
 use std::collections::BTreeSet;
 use std::sync::{mpsc, Arc};
@@ -149,25 +147,11 @@ fn drive_bench_gate(rec: &Recorder) {
 fn drive_serve(rec: &Arc<Recorder>) {
     let dir = std::env::temp_dir().join(format!("spfactor-metrics-doc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let resilience = ResilienceConfig {
-        breaker_threshold: 1,
-        breaker_cooldown: Duration::ZERO,
-        ..ResilienceConfig::default()
-    };
     let config = ServeConfig {
         cache_capacity: 1,
         recorder: Some(rec.clone()),
         store_dir: Some(dir.clone()),
-        resilience: resilience.clone(),
         ..ServeConfig::default()
-    };
-    let crash = FaultPlan {
-        crash: Some(CrashPlan {
-            proc: 0,
-            after_units: 0,
-            announce: true,
-        }),
-        ..FaultPlan::none()
     };
 
     let service = SolverService::start(config.clone());
@@ -182,26 +166,13 @@ fn drive_serve(rec: &Arc<Recorder>) {
         service.solve(request.clone().deadline(Duration::ZERO)),
         Err(ServeError::DeadlineExceeded { .. })
     ));
-    // A crashing mp request opens the breaker and fails over; the next
-    // healthy one is the half-open probe.
-    let on_mp = request.clone().kernel(KernelKind::MessagePassing);
-    service
-        .solve(on_mp.clone().fault_plan(crash.clone()))
-        .unwrap();
-    service.solve(on_mp.clone()).unwrap();
+    // The evicted pattern again: re-planned from its remembered permutation.
+    service.solve(request).unwrap();
     drop(service);
 
     // Restart over the same directory: the spill is indexed and served.
-    let service = SolverService::start(ServeConfig {
-        resilience: ResilienceConfig {
-            failover: false,
-            ..resilience
-        },
-        ..config
-    });
+    let service = SolverService::start(config);
     service.solve(lap9_request(6, 4)).unwrap();
-    // With failover off the crash surfaces as the kernel's error.
-    assert!(service.solve(on_mp.fault_plan(crash)).is_err());
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);
 
