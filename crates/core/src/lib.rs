@@ -69,7 +69,7 @@ pub use spfactor_trace::Recorder;
 use std::sync::Arc;
 
 pub use spfactor_matrix::{MatrixError, Permutation, SymmetricPattern};
-pub use spfactor_mp::{FaultPlan, MpError, MpReport, NetworkModel};
+pub use spfactor_mp::{MpError, MpReport, NetworkModel};
 pub use spfactor_numeric::NumericError;
 pub use spfactor_order::{OrderEngine, Ordering};
 pub use spfactor_partition::{DepGraph, DepsEngine, Partition, PartitionParams};
@@ -100,8 +100,8 @@ pub enum SpfactorError {
     /// A numeric factorization failure (non-positive-definite input,
     /// structure mismatch).
     Numeric(NumericError),
-    /// A message-passing execution failure (numeric, injected fault,
-    /// watchdog, crashed processor, …).
+    /// A message-passing execution failure that is not numeric: the
+    /// stall watchdog or a panicked worker.
     Execution(MpError),
 }
 
@@ -216,7 +216,6 @@ pub struct Pipeline {
     execution: ExecutionBackend,
     engine: SimulateEngine,
     deps_engine: DepsEngine,
-    fault_plan: Option<FaultPlan>,
     recorder: Option<Arc<Recorder>>,
     timeline: bool,
 }
@@ -236,7 +235,6 @@ impl Pipeline {
             execution: ExecutionBackend::Analytic,
             engine: SimulateEngine::Element,
             deps_engine: DepsEngine::Element,
-            fault_plan: None,
             recorder: None,
             timeline: false,
         }
@@ -406,33 +404,6 @@ impl Pipeline {
         self
     }
 
-    /// Injects a seeded [`FaultPlan`] into the
-    /// [`ExecutionBackend::MessagePassing`] run: message drops, delays,
-    /// duplicates and reorderings plus processor stalls and crashes, all
-    /// derived from the plan's seed (see `docs/ROBUSTNESS.md`). Has no
-    /// effect under [`ExecutionBackend::Analytic`]. Fault-induced
-    /// failures surface from [`Pipeline::try_run`] as
-    /// [`SpfactorError::Execution`].
-    ///
-    /// ```
-    /// use spfactor::{ExecutionBackend, FaultPlan, NetworkModel, Pipeline};
-    ///
-    /// let r = Pipeline::new(spfactor::matrix::gen::lap9(6, 6))
-    ///     .processors(4)
-    ///     .backend(ExecutionBackend::MessagePassing(NetworkModel::default()))
-    ///     .fault_plan(FaultPlan::chaos(7))
-    ///     .try_run()
-    ///     .unwrap();
-    /// // Even under chaos, a completed run cross-validates exactly.
-    /// let exec = r.execution.as_ref().unwrap();
-    /// assert_eq!(exec.traffic_report(), r.traffic);
-    /// assert!(!exec.faults.is_quiet());
-    /// ```
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
     /// Enables event-timeline capture (default: off). The pipeline then
     /// additionally runs the event-driven timed simulator
     /// ([`simulate::timed`], default [`simulate::timed::CommModel`],
@@ -508,13 +479,6 @@ impl Pipeline {
                 message: "minimum cluster width must be at least 1".into(),
             });
         }
-        if let Some(plan) = &self.fault_plan {
-            plan.validate(self.nprocs)
-                .map_err(|message| SpfactorError::InvalidParameter {
-                    param: "fault_plan",
-                    message,
-                })?;
-        }
         Ok(())
     }
 
@@ -531,7 +495,7 @@ impl Pipeline {
     /// Runs all stages and returns the full set of artifacts and
     /// metrics, or a typed [`PipelineError`]: invalid parameters are
     /// rejected up front, and a failed message-passing execution
-    /// (non-SPD values, injected faults, watchdog) surfaces as a value.
+    /// (non-SPD values, watchdog) surfaces as a value.
     ///
     /// With a recorder attached (see [`Pipeline::with_recorder`]) the run
     /// happens under that recorder's scope: each stage opens its
@@ -727,20 +691,13 @@ impl Pipeline {
                 let _phase = rec.phase("execute");
                 let permuted = self.pattern.permute(artifact.permutation());
                 let a = matrix::gen::spd_from_pattern(&permuted, EXECUTION_VALUES_SEED);
-                let config = match self.fault_plan.clone() {
-                    Some(plan) => mp::MpConfig {
-                        fault: plan,
-                        ..mp::MpConfig::reliable(model)
-                    },
-                    None => mp::MpConfig::reliable(model),
-                };
-                let report = mp::execute_config(
+                let report = mp::execute_with_timeline(
                     &a,
                     factor,
                     partition,
                     deps,
                     assignment,
-                    &config,
+                    &model,
                     mp_sink.as_ref(),
                 )?;
                 Some(report)
@@ -904,15 +861,6 @@ mod tests {
                 other => panic!("expected InvalidParameter({want}), got {other:?}"),
             }
         }
-        let mut bad = FaultPlan::none();
-        bad.drop = -0.5;
-        assert!(matches!(
-            Pipeline::new(p).fault_plan(bad).try_run(),
-            Err(SpfactorError::InvalidParameter {
-                param: "fault_plan",
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -922,51 +870,6 @@ mod tests {
         let b = Pipeline::new(p).processors(4).try_run().expect("valid");
         assert_eq!(a.traffic, b.traffic);
         assert_eq!(a.work, b.work);
-    }
-
-    #[test]
-    fn fault_plan_survives_through_the_pipeline() {
-        let p = gen::lap9(8, 8);
-        let clean = Pipeline::new(p.clone())
-            .processors(4)
-            .backend(ExecutionBackend::MessagePassing(NetworkModel::default()))
-            .run();
-        let faulty = Pipeline::new(p)
-            .processors(4)
-            .backend(ExecutionBackend::MessagePassing(NetworkModel::default()))
-            .fault_plan(FaultPlan::chaos(11))
-            .try_run()
-            .expect("chaos plan must still complete");
-        let (c, f) = (
-            clean.execution.as_ref().unwrap(),
-            faulty.execution.as_ref().unwrap(),
-        );
-        // A completed faulty run cross-validates exactly like a clean one.
-        assert_eq!(f.factor, c.factor);
-        assert_eq!(f.traffic_report(), faulty.traffic);
-        assert_eq!(f.work_report(), faulty.work);
-        assert!(!f.faults.is_quiet());
-        assert!(c.faults.is_quiet());
-    }
-
-    #[test]
-    fn injected_crash_surfaces_as_typed_execution_error() {
-        let mut plan = FaultPlan::none();
-        plan.crash = Some(spfactor_mp::CrashPlan {
-            proc: 0,
-            after_units: 0,
-            announce: true,
-        });
-        let err = Pipeline::new(gen::lap9(8, 8))
-            .processors(4)
-            .backend(ExecutionBackend::MessagePassing(NetworkModel::default()))
-            .fault_plan(plan)
-            .try_run()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SpfactorError::Execution(MpError::ProcessorCrashed { proc: 0, .. })
-        ));
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Typed failure taxonomy of the resilient message-passing runtime.
+//! Typed failure taxonomy of the message-passing runtime.
 //!
 //! Every way an execution can end other than success is a variant of
-//! [`MpError`]; fault-related variants carry the [`FaultTrace`] observed
-//! up to the failure so a diagnosis never requires re-running the
-//! schedule.
+//! [`MpError`]: the numeric error the sequential kernel reports (which
+//! includes schedule inputs that do not belong together), a wedged
+//! machine, or a panicked worker.
 
-use crate::fault::FaultTrace;
 use spfactor_numeric::NumericError;
 
 /// The last protocol step a processor was seen entering, snapshotted
@@ -16,9 +15,9 @@ pub struct ProcLastEvent {
     /// The processor the observation belongs to.
     pub proc: usize,
     /// Protocol step name: `"spawn"`, `"await_deps"`, `"prefetch"`,
-    /// `"await_replies"`, `"stall"`, `"execute"`, `"finished"` or
-    /// `"crashed"`. Steps stop updating once the shutdown verdict is
-    /// seen, so the slot keeps the last *productive* step.
+    /// `"await_replies"`, `"execute"` or `"finished"`. Steps stop
+    /// updating once the shutdown verdict is seen, so the slot keeps the
+    /// last *productive* step.
     pub step: &'static str,
     /// Unit block the step concerned (`u32::MAX` before the first).
     pub unit: u32,
@@ -39,48 +38,13 @@ impl std::fmt::Display for ProcLastEvent {
 /// Why a message-passing execution failed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MpError {
-    /// A virtual processor hit a numeric error (non-positive pivot or a
-    /// structure mismatch) — the one the sequential kernel reports.
+    /// A virtual processor hit a numeric error (non-positive pivot), or
+    /// the inputs do not belong together (structure mismatch) — the
+    /// error the sequential kernel and the schedule check report.
     Numeric(NumericError),
-    /// The [`crate::MpConfig`] is internally inconsistent (probability
-    /// outside `[0, 1]`, fault target beyond the processor count, zero
-    /// watchdog budget, …).
-    InvalidConfig(String),
-    /// A processor announced its own crash; the run was aborted rather
-    /// than left to time out.
-    ProcessorCrashed {
-        /// The crashed processor.
-        proc: usize,
-        /// Faults observed machine-wide up to the abort.
-        trace: FaultTrace,
-    },
-    /// A processor exhausted its retry budget waiting for a block reply
-    /// — the owner is unreachable (crashed or partitioned).
-    FetchTimeout {
-        /// The starving processor.
-        proc: usize,
-        /// The processor that never replied.
-        owner: usize,
-        /// Retransmission rounds attempted before giving up.
-        attempts: u32,
-        /// Faults observed machine-wide up to the abort.
-        trace: FaultTrace,
-    },
-    /// A processor exhausted its retry budget waiting for a dependency
-    /// predecessor to complete.
-    DependencyTimeout {
-        /// The starving processor.
-        proc: usize,
-        /// The predecessor unit block that never completed.
-        unit: usize,
-        /// Re-solicitation rounds attempted before giving up.
-        attempts: u32,
-        /// Faults observed machine-wide up to the abort.
-        trace: FaultTrace,
-    },
-    /// The stall watchdog heard nothing from any processor for the whole
-    /// budget — the machine is deadlocked, livelocked, or a processor
-    /// died silently with nobody depending on it.
+    /// The stall watchdog heard nothing from any processor for its whole
+    /// budget — the machine is deadlocked, which only a protocol bug or
+    /// a dependency graph that misses an edge can cause.
     WatchdogTimeout {
         /// Processors that had finished their programs when it fired.
         finished: usize,
@@ -90,8 +54,6 @@ pub enum MpError {
         /// one entry per processor, indexed by processor id. (Boxed
         /// slice rather than `Vec` to keep the error variant small.)
         last_events: Box<[ProcLastEvent]>,
-        /// Faults observed machine-wide up to the abort.
-        trace: FaultTrace,
     },
     /// A virtual-processor thread panicked — a runtime bug, surfaced as
     /// a value instead of poisoning the caller.
@@ -105,40 +67,15 @@ impl std::fmt::Display for MpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MpError::Numeric(e) => write!(f, "numeric failure: {e}"),
-            MpError::InvalidConfig(msg) => write!(f, "invalid mp configuration: {msg}"),
-            MpError::ProcessorCrashed { proc, trace } => {
-                write!(f, "processor {proc} crashed (faults: {trace})")
-            }
-            MpError::FetchTimeout {
-                proc,
-                owner,
-                attempts,
-                trace,
-            } => write!(
-                f,
-                "processor {proc} gave up fetching from processor {owner} \
-                 after {attempts} attempts (faults: {trace})"
-            ),
-            MpError::DependencyTimeout {
-                proc,
-                unit,
-                attempts,
-                trace,
-            } => write!(
-                f,
-                "processor {proc} gave up waiting for unit {unit} \
-                 after {attempts} re-solicitations (faults: {trace})"
-            ),
             MpError::WatchdogTimeout {
                 finished,
                 nprocs,
                 last_events,
-                trace,
             } => {
                 write!(
                     f,
                     "stall watchdog fired with {finished}/{nprocs} processors \
-                     finished (faults: {trace}); last seen:"
+                     finished; last seen:"
                 )?;
                 for (i, e) in last_events.iter().enumerate() {
                     write!(f, "{} {e}", if i == 0 { "" } else { "," })?;
@@ -167,19 +104,6 @@ impl From<NumericError> for MpError {
     }
 }
 
-impl MpError {
-    /// The fault trace carried by fault-related variants, if any.
-    pub fn trace(&self) -> Option<&FaultTrace> {
-        match self {
-            MpError::ProcessorCrashed { trace, .. }
-            | MpError::FetchTimeout { trace, .. }
-            | MpError::DependencyTimeout { trace, .. }
-            | MpError::WatchdogTimeout { trace, .. } => Some(trace),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,16 +113,9 @@ mod tests {
         let e = MpError::from(NumericError::NotPositiveDefinite(3));
         assert!(e.to_string().contains("numeric"));
         assert!(std::error::Error::source(&e).is_some());
-        let e = MpError::FetchTimeout {
-            proc: 1,
-            owner: 2,
-            attempts: 8,
-            trace: FaultTrace::default(),
-        };
-        let s = e.to_string();
-        assert!(s.contains("processor 1") && s.contains("processor 2") && s.contains('8'));
-        assert!(e.trace().is_some());
-        assert!(MpError::WorkerPanic { proc: 0 }.trace().is_none());
+        let e = MpError::WorkerPanic { proc: 2 };
+        assert!(e.to_string().contains("processor 2"));
+        assert!(std::error::Error::source(&e).is_none());
     }
 
     #[test]
@@ -220,7 +137,6 @@ mod tests {
                     at: 0.25,
                 },
             ]),
-            trace: FaultTrace::default(),
         };
         let s = e.to_string();
         assert!(s.contains("1/2"), "{s}");

@@ -41,18 +41,16 @@
 //! message and work tallies into an estimated parallel time, like the
 //! paper ignoring dependency stalls.
 //!
-//! ## Resilience
+//! ## Checking, not surviving
 //!
-//! The machine is hardened against an unreliable substrate: a seeded
-//! [`FaultPlan`] injects message drop, duplication, delay and reordering
-//! plus processor stalls and crashes at the mailbox boundary (the
-//! `FaultInjector` in [`fault`]), and the runtime survives it with
-//! timeouts, bounded retransmission with exponential backoff, idempotent
-//! receivers, and a stall watchdog — see [`runtime`] for the protocol
-//! and `docs/ROBUSTNESS.md` for the fault model. Failures surface as
-//! typed [`MpError`] values carrying the machine-wide [`FaultTrace`];
-//! no fault schedule can hang or panic the caller
-//! (`tests/chaos_mp.rs`).
+//! The mailboxes are in-process channels, which neither lose, duplicate
+//! nor reorder messages, so the protocol sends every message exactly
+//! once and waits with plain blocking receives (see [`runtime`]). What
+//! the runtime does guard against is misuse and its own bugs: schedule
+//! inputs that do not belong together are refused before any thread
+//! spawns, a failing pivot ends the run with the sequential kernel's
+//! error, and a stall watchdog turns a wedged or panicked machine into a
+//! typed [`MpError`] instead of a hang (`docs/ROBUSTNESS.md`).
 //!
 //! ```
 //! use spfactor_matrix::gen;
@@ -85,12 +83,10 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod error;
-pub mod fault;
 pub mod runtime;
 
 pub use error::{MpError, ProcLastEvent};
-pub use fault::{CrashPlan, FaultPlan, FaultTrace, MpConfig, RetryPolicy, StallPlan};
-pub use runtime::execute_config;
+pub use runtime::execute_with_timeline;
 
 use spfactor_matrix::SymmetricCsc;
 use spfactor_numeric::NumericFactor;
@@ -179,15 +175,6 @@ pub struct ProcStats {
     pub replies_served: usize,
     /// Payload elements carried by those replies.
     pub elements_served: usize,
-    /// Request retransmissions sent while recovering from message loss
-    /// (zero on a reliable network).
-    pub retries: usize,
-    /// Completion-status queries sent while recovering from message loss
-    /// (zero on a reliable network).
-    pub queries_sent: usize,
-    /// Stale (duplicate or already-satisfied) messages discarded by the
-    /// idempotent receive paths (zero on a reliable network).
-    pub stale: usize,
     /// Wall-clock nanoseconds blocked on the mailbox (non-deterministic).
     pub idle_ns: u64,
     /// Wall-clock nanoseconds executing unit blocks (non-deterministic).
@@ -212,9 +199,6 @@ pub struct MpReport {
     pub network: NetworkModel,
     /// Estimated parallel time under [`Self::network`], seconds.
     pub estimated_time: f64,
-    /// Machine-wide summary of injected faults and recovery work
-    /// (all-zero on a reliable network).
-    pub faults: FaultTrace,
 }
 
 impl MpReport {
@@ -266,17 +250,18 @@ impl MpReport {
     }
 }
 
-/// Executes the schedule on the virtual message-passing machine under a
-/// reliable network.
+/// Executes the schedule on the virtual message-passing machine.
 ///
 /// `a` must be symmetric positive definite with the structure the
 /// symbolic factor was computed from; `partition`, `deps` and
 /// `assignment` are the artifacts of the structural pipeline. Returns
 /// the factor and the observed statistics, or a typed [`MpError`] (a
 /// numeric failure is the error [`spfactor_numeric::cholesky`] returns
-/// for `a`, whichever processor met a failing pivot first).
-/// To run under an explicit fault plan, use [`execute_config`]; both
-/// record the same `mp.*` metrics under a recorder scope.
+/// for `a`, whichever processor met a failing pivot first; schedule
+/// inputs built for different partitions are a
+/// [`spfactor_numeric::NumericError::StructureMismatch`]).
+/// [`execute_with_timeline`] is the same run with an optional timeline
+/// sink; both record the same `mp.*` metrics under a recorder scope.
 pub fn execute(
     a: &SymmetricCsc,
     symbolic: &SymbolicFactor,
@@ -285,12 +270,11 @@ pub fn execute(
     assignment: &Assignment,
     network: &NetworkModel,
 ) -> Result<MpReport, MpError> {
-    let config = MpConfig::reliable(*network);
-    execute_config(a, symbolic, partition, deps, assignment, &config, None)
+    execute_with_timeline(a, symbolic, partition, deps, assignment, network, None)
 }
 
 /// Bumps the `mp.*` counters and gauges for a completed run (the metric
-/// surface documented on [`execute_config`]).
+/// surface documented on [`execute_with_timeline`]).
 pub(crate) fn record_mp_metrics(rec: &Current, report: &MpReport) {
     if !rec.is_recording() {
         return;
@@ -310,16 +294,6 @@ pub(crate) fn record_mp_metrics(rec: &Current, report: &MpReport) {
         "mp.busy_ns",
         report.per_proc.iter().map(|s| s.busy_ns).sum(),
     );
-    // Resilience counters are recorded unconditionally so the metric
-    // surface is identical on reliable and faulty runs (zeros count).
-    rec.incr("mp.fault.dropped", report.faults.dropped as u64);
-    rec.incr("mp.fault.duplicated", report.faults.duplicated as u64);
-    rec.incr("mp.fault.delayed", report.faults.delayed as u64);
-    rec.incr("mp.fault.reordered", report.faults.reordered as u64);
-    rec.incr("mp.fault.stalls", report.faults.stalls as u64);
-    rec.incr("mp.retry.requests", report.faults.retries as u64);
-    rec.incr("mp.retry.queries", report.faults.queries as u64);
-    rec.incr("mp.retry.stale", report.faults.stale as u64);
     rec.gauge("mp.traffic.total", sum(|s| s.traffic) as f64);
     rec.gauge(
         "mp.work.max",

@@ -32,60 +32,33 @@
 //!
 //! While blocked in steps 1–2 a processor keeps serving incoming
 //! requests, so two processors can always satisfy each other's fetches.
+//! The mailboxes are in-process channels: nothing is lost, duplicated or
+//! reordered between one sender and one receiver, so every wait is a
+//! plain blocking receive and every message is sent exactly once.
 //!
-//! ## Resilience
+//! ## Termination
 //!
-//! Every data-plane message (`Done`, `Request`, `Reply`, `Query`) passes
-//! through the sender's `FaultInjector`, which may drop, duplicate,
-//! delay, or reorder it according to the run's [`FaultPlan`]; processors
-//! may also stall or crash. The runtime survives this:
-//!
-//! * **Timeouts + bounded retry.** Blocked waits receive with a timeout
-//!   that backs off exponentially ([`RetryPolicy`]). Under a *lossy* plan
-//!   (drops or a crash possible) a timed-out fetch retransmits its
-//!   outstanding [`Msg::Request`]s and a timed-out dependency wait sends
-//!   a [`Msg::Query`] to each missing predecessor's owner, who re-sends
-//!   `Done` if the unit is complete. After
-//!   [`RetryPolicy::max_attempts`] fruitless rounds the processor
-//!   reports itself stuck and the run aborts with a typed
-//!   [`MpError::FetchTimeout`] / [`MpError::DependencyTimeout`].
-//! * **Idempotent receivers.** A replayed `Done` is ignored after the
-//!   first sighting (`done_global`); a replayed `Reply` element is
-//!   ignored once installed (`inflight`). Factor values are final when
-//!   first sent, so duplicates can never corrupt the computation — the
-//!   factor stays bit-identical to sequential Cholesky under any
-//!   completing fault schedule.
-//! * **Control plane.** Workers report `Progress` / `Finished` /
-//!   `Aborted` / `Crashed` / `Stuck` events to a run controller over a
-//!   reliable (never faulted) channel; the controller broadcasts the
-//!   reliable [`Msg::Shutdown`] verdict when the run completes or must
-//!   abort. Termination therefore never depends on lossy peer-to-peer
-//!   terminals (the two-generals trap); a **stall watchdog** in the
-//!   controller aborts the run with [`MpError::WatchdogTimeout`] if no
-//!   processor makes progress for the whole [`MpConfig::watchdog`]
-//!   budget, so no fault schedule can hang the caller.
-//! * **Crashes.** A crashed processor goes silent mid-program. If the
-//!   crash is announced the controller aborts immediately with
-//!   [`MpError::ProcessorCrashed`]; a silent crash is discovered by
-//!   peers exhausting their retry budgets or by the watchdog. Every
-//!   fault-related error carries the machine-wide
-//!   [`crate::FaultTrace`].
-//!
-//! Observed traffic and work are classified during prefetch, before any
-//! fault can strike, and retransmissions are tallied separately — so
-//! whenever a run completes, its traffic and work reports equal the
-//! analytic simulator's predictions exactly, faults or not.
+//! Workers report `Progress` / `Finished` / `Aborted` events to a run
+//! controller on a separate channel; the controller broadcasts the
+//! [`Msg::Shutdown`] verdict when every processor has finished or one
+//! has met a failing pivot, and each worker keeps serving its peers'
+//! requests until the verdict arrives. A **stall watchdog** in the
+//! controller aborts the run with [`MpError::WatchdogTimeout`] if no
+//! processor reports anything for 10 s — a panicked worker or a protocol
+//! bug ends as a typed error and never hangs the caller. Schedule inputs
+//! that do not belong together are refused before any thread spawns
+//! ([`UnitKernel::check_schedule`]).
 //!
 //! ## Observation
 //!
-//! Given a sink, [`execute_config`] additionally streams a wall-clock
-//! event timeline into the [`TimelineSink`]: each worker buffers typed
-//! [`TimelineEvent`]s locally (ready/wait/start/end/transfer, stamped
-//! in seconds since a shared run epoch) and flushes the buffer once at
-//! join, so the hot path never touches the shared sink. The resulting
-//! [`spfactor_trace::Timeline`] feeds the same Chrome-trace exporter
-//! and critical-path analyzer as the virtual-clock simulator (see
-//! `docs/OBSERVABILITY.md`). Independently of capture, every worker
+//! Given a sink, [`execute_with_timeline`] additionally streams a
+//! wall-clock event timeline into the [`TimelineSink`]: each worker
+//! buffers typed [`TimelineEvent`]s locally (ready/wait/start/end/transfer,
+//! stamped in seconds since a shared run epoch) and flushes the buffer
+//! once at join, so the hot path never touches the shared sink. The
+//! resulting [`spfactor_trace::Timeline`] feeds the same Chrome-trace
+//! exporter and critical-path analyzer as the virtual-clock simulator
+//! (see `docs/OBSERVABILITY.md`). Independently of capture, every worker
 //! notes the protocol step it is entering in a per-processor slot; when
 //! the stall watchdog fires, the controller snapshots those slots into
 //! [`MpError::WatchdogTimeout`]'s `last_events` so a wedge diagnosis
@@ -94,15 +67,13 @@
 //! ## Modeled message sizes
 //!
 //! The byte accounting charges 4 bytes per id or header word and 8 per
-//! value: a [`Msg::Done`] is 4 bytes, a [`Msg::Query`] 8, a request
-//! `4 + 4·k` for `k` ids, a reply `12·k` (id + value per element). These
-//! feed the `mp.bytes` counter; the [`crate::NetworkModel`] charges per
-//! *element* and per *message*, so the estimate is independent of this
-//! convention.
+//! value: a [`Msg::Done`] is 4 bytes, a request `4 + 4·k` for `k` ids, a
+//! reply `12·k` (id + value per element). These feed the `mp.bytes`
+//! counter; the [`crate::NetworkModel`] charges per *element* and per
+//! *message*, so the estimate is independent of this convention.
 
 use crate::error::ProcLastEvent;
-use crate::fault::{FaultInjector, FaultPlan, FaultStats, FaultTrace, MpConfig, RetryPolicy};
-use crate::{MpError, MpReport, ProcStats};
+use crate::{MpError, MpReport, NetworkModel, ProcStats};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use spfactor_matrix::SymmetricCsc;
 use spfactor_numeric::unit::{Step, UnitKernel};
@@ -116,14 +87,16 @@ use std::time::{Duration, Instant};
 /// Sentinel unit id for "no unit yet" in timeline bookkeeping.
 const NO_UNIT: u32 = u32::MAX;
 
+/// How long the controller waits without hearing from any processor
+/// before it declares the machine wedged.
+const WATCHDOG: Duration = Duration::from_secs(10);
+
 /// One processor's watchdog slot: the protocol step it last entered,
 /// the unit concerned, and seconds since the run epoch.
 type LastSeen = (&'static str, u32, f64);
 
 /// Modeled wire size of a [`Msg::Done`] notification (one unit id).
 pub const DONE_BYTES: usize = 4;
-/// Modeled wire size of a [`Msg::Query`] re-solicitation (two id words).
-pub const QUERY_BYTES: usize = 8;
 
 /// Modeled wire size of a block request carrying `k` element ids.
 pub fn request_bytes(k: usize) -> usize {
@@ -139,8 +112,7 @@ pub fn reply_bytes(k: usize) -> usize {
 #[derive(Clone, Debug)]
 pub enum Msg {
     /// Fan-out completion notification: `unit` has executed; the
-    /// receiver counts down its successors it owns (idempotently — a
-    /// replayed `Done` is discarded).
+    /// receiver counts down its successors it owns.
     Done {
         /// The completed unit block.
         unit: u32,
@@ -154,59 +126,33 @@ pub enum Msg {
         ids: Box<[u32]>,
     },
     /// Block reply: the values of `ids`, parallel arrays. The requester
-    /// installs them in its local element cache (idempotently — an
-    /// element already installed is discarded).
+    /// installs them in its local element cache.
     Reply {
         /// Entry ids, echoed from the request.
         ids: Box<[u32]>,
         /// The corresponding final factor values.
         vals: Box<[f64]>,
     },
-    /// Re-solicitation: `from` timed out waiting for `unit` to complete
-    /// and asks its owner to re-send [`Msg::Done`] if it already has.
-    Query {
-        /// The querying processor (where the re-sent `Done` goes).
-        from: u32,
-        /// The unit block being waited for.
-        unit: u32,
-    },
-    /// Run-controller verdict, broadcast on the reliable control plane
-    /// (never faulted): stop everything. `ok` is true on a completed
-    /// run, false on an abort.
-    Shutdown {
-        /// Whether the run completed successfully.
-        ok: bool,
-    },
+    /// Run-controller verdict: stop everything (the run completed or
+    /// was aborted; the controller knows which).
+    Shutdown,
 }
 
-/// Worker-to-controller report, carried on a reliable channel the fault
-/// injector never touches.
+/// Worker-to-controller report.
 #[derive(Clone, Copy, Debug)]
 enum Event {
     /// A unit block was executed.
     Progress,
-    /// The whole program of `from` has executed.
-    Finished { from: usize },
-    /// `from` hit a numeric error (details travel in its outcome).
+    /// A processor's whole program has executed.
+    Finished,
+    /// A processor hit a numeric error (details travel in its outcome).
     Aborted,
-    /// `from` crashed and announced it.
-    Crashed { from: usize },
-    /// `from` exhausted its retry budget.
-    Stuck { from: usize, kind: StuckKind },
-}
-
-/// What a stuck processor was waiting for.
-#[derive(Clone, Copy, Debug)]
-enum StuckKind {
-    Fetch { owner: usize, attempts: u32 },
-    Dependency { unit: usize, attempts: u32 },
 }
 
 /// Why the controller stopped the run.
 enum StopCause {
     Numeric,
-    Crashed(usize),
-    Stuck(usize, StuckKind),
+    /// The watchdog fired with this many processors finished.
     Watchdog(usize),
 }
 
@@ -219,8 +165,6 @@ struct Outcome {
     vals: Vec<f64>,
     /// Column of a pivot that was not positive, if one was met.
     error: Option<usize>,
-    fault: FaultStats,
-    crashed: bool,
     /// Timeline events buffered during the run (empty when no sink was
     /// supplied); flushed into the caller's sink after the join.
     timeline: Vec<TimelineEvent>,
@@ -230,14 +174,8 @@ struct Outcome {
 enum Flow {
     /// The awaited condition holds; continue the program.
     Continue,
-    /// Shutdown (or a stuck report) — abandon the program.
+    /// The shutdown verdict arrived — abandon the program.
     Stop,
-}
-
-enum Received {
-    Got,
-    TimedOut,
-    Closed,
 }
 
 struct Worker<'a> {
@@ -252,13 +190,6 @@ struct Worker<'a> {
     kernel: &'a UnitKernel<'a>,
     proc_of_entry: &'a [u32],
     unit_of_entry: &'a [u32],
-    plan: &'a FaultPlan,
-    retry: &'a RetryPolicy,
-    /// Whether messages can be lost outright (drops or a crash in the
-    /// plan) — gates retransmission so fault-free runs stay
-    /// deterministic message-for-message.
-    lossy: bool,
-    injector: FaultInjector,
     /// Private value store: owned entries seeded with `A`, remote
     /// entries installed by replies (zero until then).
     vals: Vec<f64>,
@@ -268,21 +199,14 @@ struct Worker<'a> {
     remaining: Vec<usize>,
     /// Own units that have executed (requests must only touch these).
     done_units: Vec<bool>,
-    /// Units known complete machine-wide (first-sighting dedup for
-    /// replayed [`Msg::Done`]s).
-    done_global: Vec<bool>,
     /// Per-owner batch of newly needed ids, built during prefetch.
     want: Vec<Vec<u32>>,
-    /// Entry ids requested but not yet installed (reply dedup).
-    inflight: Vec<bool>,
-    /// Ids awaited per owner, for retransmission under lossy plans.
-    outstanding: Vec<Vec<u32>>,
-    /// Reply elements still in flight.
+    /// Replies still in flight for the unit being gathered.
     pending: usize,
     /// Scratch: which processors to notify after a completion.
     notify: Vec<bool>,
     /// Set once [`Msg::Shutdown`] arrives; all loops bail.
-    shutdown: Option<bool>,
+    shutdown: bool,
     stats: ProcStats,
     fetched_from: Vec<usize>,
     /// Run epoch shared by every processor — timeline timestamps are
@@ -303,12 +227,6 @@ struct Worker<'a> {
     /// Unit currently being gathered/executed, for attributing transfer
     /// events arriving in `dispatch`.
     current_unit: u32,
-    /// Reply elements still in flight per owning processor (timeline
-    /// bookkeeping only; protocol-level blocking uses `pending`).
-    pending_from: Vec<usize>,
-    /// Modeled bytes of the open transfer per owner, echoed into the
-    /// matching [`EventKind::TransferEnd`].
-    xfer_bytes: Vec<u64>,
     /// This processor's watchdog slot, snapshotted by the controller on
     /// a stall-watchdog abort.
     last_seen: &'a Mutex<LastSeen>,
@@ -337,62 +255,36 @@ impl Worker<'_> {
         });
     }
 
-    /// Sends one data-plane message through the fault injector, which
-    /// may drop, hold, or duplicate it (and may release other held
-    /// messages that came due).
+    /// Sends one message to processor `to`. A send to a processor whose
+    /// thread has already ended can only happen on an aborted run, where
+    /// nobody waits for it.
     fn send(&mut self, to: usize, msg: Msg, bytes: usize) {
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += bytes;
-        for (dst, m) in self.injector.on_send(to, msg) {
-            let _ = self.txs[dst].send(m);
-        }
+        let _ = self.txs[to].send(msg);
     }
 
-    /// Receives with a timeout; a timeout advances the injector clock so
-    /// held messages cannot be starved by a quiet sender.
-    fn recv_for(&mut self, timeout: Duration) -> Received {
-        let wait = Instant::now();
-        match self.rx.recv_timeout(timeout) {
-            Ok(msg) => {
-                self.stats.idle_ns += wait.elapsed().as_nanos() as u64;
-                self.dispatch(msg);
-                Received::Got
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                self.stats.idle_ns += wait.elapsed().as_nanos() as u64;
-                for (dst, m) in self.injector.tick() {
-                    let _ = self.txs[dst].send(m);
+    /// Counts down `pred`'s successors owned here, emitting `Ready` for
+    /// each that has no predecessor left.
+    fn release_succs(&mut self, pred: u32) {
+        for &s in self.deps.succs(pred as usize) {
+            if self.assignment.proc_of(s as usize) == self.me {
+                self.remaining[s as usize] -= 1;
+                if self.remaining[s as usize] == 0 {
+                    self.last_pred[s as usize] = pred;
+                    if self.capture {
+                        let t = self.now();
+                        self.emit(t, EventKind::Ready { unit: s });
+                    }
                 }
-                Received::TimedOut
             }
-            Err(RecvTimeoutError::Disconnected) => Received::Closed,
         }
     }
 
     fn dispatch(&mut self, msg: Msg) {
         match msg {
-            Msg::Done { unit } => {
-                if self.done_global[unit as usize] {
-                    self.stats.stale += 1;
-                    return;
-                }
-                self.done_global[unit as usize] = true;
-                for &s in self.deps.succs(unit as usize) {
-                    if self.assignment.proc_of(s as usize) == self.me {
-                        self.remaining[s as usize] -= 1;
-                        if self.remaining[s as usize] == 0 {
-                            self.last_pred[s as usize] = unit;
-                            if self.capture {
-                                let t = self.now();
-                                self.emit(t, EventKind::Ready { unit: s });
-                            }
-                        }
-                    }
-                }
-            }
+            Msg::Done { unit } => self.release_succs(unit),
             Msg::Request { from, ids } => {
-                // A replayed request is re-served: the values are final,
-                // so the requester's dedup makes the second reply inert.
                 let vals: Box<[f64]> = ids
                     .iter()
                     .map(|&id| {
@@ -414,211 +306,48 @@ impl Worker<'_> {
             }
             Msg::Reply { ids, vals } => {
                 for (&id, &v) in ids.iter().zip(vals.iter()) {
-                    if self.inflight[id as usize] {
-                        self.inflight[id as usize] = false;
-                        self.vals[id as usize] = v;
-                        self.pending -= 1;
-                        if self.capture {
-                            // The owner's batch is fully installed:
-                            // close the transfer opened at prefetch.
-                            let sp = self.proc_of_entry[id as usize] as usize;
-                            self.pending_from[sp] -= 1;
-                            if self.pending_from[sp] == 0 {
-                                let t = self.now();
-                                self.emit(
-                                    t,
-                                    EventKind::TransferEnd {
-                                        unit: self.current_unit,
-                                        peer: sp as u32,
-                                        bytes: self.xfer_bytes[sp],
-                                    },
-                                );
-                            }
-                        }
-                    } else {
-                        self.stats.stale += 1;
-                    }
+                    self.vals[id as usize] = v;
+                }
+                self.pending -= 1;
+                if self.capture {
+                    // The owner's batch is installed: close the transfer
+                    // opened at prefetch.
+                    let t = self.now();
+                    self.emit(
+                        t,
+                        EventKind::TransferEnd {
+                            unit: self.current_unit,
+                            peer: self.proc_of_entry[ids[0] as usize],
+                            bytes: reply_bytes(ids.len()) as u64,
+                        },
+                    );
                 }
             }
-            Msg::Query { from, unit } => {
-                // Re-send the (possibly lost) completion notice if the
-                // unit really is done; otherwise the real Done is still
-                // coming and the querier keeps waiting.
-                if self.done_units[unit as usize] {
-                    self.send(from as usize, Msg::Done { unit }, DONE_BYTES);
-                }
-            }
-            Msg::Shutdown { ok } => self.shutdown = Some(ok),
+            Msg::Shutdown => self.shutdown = true,
         }
     }
 
-    /// Blocks until every predecessor of `u` is complete, serving the
-    /// mailbox meanwhile. Lossy plans re-solicit missing predecessors on
-    /// timeout and give up (reporting `Stuck`) after the retry budget.
-    fn await_deps(&mut self, u: usize) -> Flow {
-        let mut backoff = self.retry.base;
-        let mut attempts = 0u32;
-        while self.remaining[u] > 0 {
-            if self.shutdown.is_some() {
+    /// Serves the mailbox until `done` holds, or until the shutdown
+    /// verdict arrives ([`Flow::Stop`]). Time blocked in the receive is
+    /// idle time.
+    fn serve_until(&mut self, done: impl Fn(&Self) -> bool) -> Flow {
+        while !self.shutdown && !done(self) {
+            let wait = Instant::now();
+            let Ok(msg) = self.rx.recv() else {
                 return Flow::Stop;
-            }
-            match self.recv_for(backoff) {
-                // Any incoming message is evidence the machine is alive:
-                // reset the give-up counter, not just the backoff.
-                Received::Got => {
-                    backoff = self.retry.base;
-                    attempts = 0;
-                }
-                Received::Closed => return Flow::Stop,
-                Received::TimedOut => {
-                    if self.lossy {
-                        attempts += 1;
-                        if attempts > self.retry.max_attempts {
-                            let unit = self
-                                .deps
-                                .preds(u)
-                                .iter()
-                                .find(|&&p| !self.done_global[p as usize])
-                                .map(|&p| p as usize)
-                                .unwrap_or(u);
-                            let _ = self.events.send(Event::Stuck {
-                                from: self.me,
-                                kind: StuckKind::Dependency {
-                                    unit,
-                                    attempts: attempts - 1,
-                                },
-                            });
-                            return self.park();
-                        }
-                        self.resolicit(u);
-                    }
-                    backoff = (backoff * 2).min(self.retry.max_backoff);
-                }
-            }
+            };
+            self.stats.idle_ns += wait.elapsed().as_nanos() as u64;
+            self.dispatch(msg);
         }
-        if self.shutdown.is_some() {
+        if self.shutdown {
             Flow::Stop
         } else {
             Flow::Continue
         }
-    }
-
-    /// Sends a [`Msg::Query`] for the *first* still-missing remote
-    /// predecessor of `u`. One query per round keeps the retransmission
-    /// pattern aperiodic: under a deterministic drop budget, a fixed
-    /// batch of re-sends per round can resonate with the drop parity so
-    /// the same message is dropped every round, while a single message
-    /// per round advances the parity on every attempt.
-    fn resolicit(&mut self, u: usize) {
-        let missing = self.deps.preds(u).iter().copied().find(|&p| {
-            !self.done_global[p as usize] && self.assignment.proc_of(p as usize) != self.me
-        });
-        if let Some(p) = missing {
-            let owner = self.assignment.proc_of(p as usize);
-            self.stats.queries_sent += 1;
-            self.send(
-                owner,
-                Msg::Query {
-                    from: self.me as u32,
-                    unit: p,
-                },
-                QUERY_BYTES,
-            );
-        }
-    }
-
-    /// Blocks until every requested element has been installed. Lossy
-    /// plans retransmit outstanding requests on timeout and give up
-    /// (reporting `Stuck`) after the retry budget.
-    fn await_replies(&mut self) -> Flow {
-        let mut backoff = self.retry.base;
-        let mut attempts = 0u32;
-        while self.pending > 0 {
-            if self.shutdown.is_some() {
-                return Flow::Stop;
-            }
-            match self.recv_for(backoff) {
-                Received::Got => {
-                    backoff = self.retry.base;
-                    attempts = 0;
-                }
-                Received::Closed => return Flow::Stop,
-                Received::TimedOut => {
-                    if self.lossy {
-                        attempts += 1;
-                        if attempts > self.retry.max_attempts {
-                            let owner = (0..self.nprocs)
-                                .find(|&sp| {
-                                    self.outstanding[sp]
-                                        .iter()
-                                        .any(|&id| self.inflight[id as usize])
-                                })
-                                .unwrap_or(self.me);
-                            let _ = self.events.send(Event::Stuck {
-                                from: self.me,
-                                kind: StuckKind::Fetch {
-                                    owner,
-                                    attempts: attempts - 1,
-                                },
-                            });
-                            return self.park();
-                        }
-                        self.retransmit();
-                    }
-                    backoff = (backoff * 2).min(self.retry.max_backoff);
-                }
-            }
-        }
-        for o in &mut self.outstanding {
-            o.clear();
-        }
-        if self.shutdown.is_some() {
-            Flow::Stop
-        } else {
-            Flow::Continue
-        }
-    }
-
-    /// Re-sends a [`Msg::Request`] for every element still in flight,
-    /// batched per owner as in the original fan-out.
-    fn retransmit(&mut self) {
-        for sp in 0..self.nprocs {
-            let still: Vec<u32> = self.outstanding[sp]
-                .iter()
-                .copied()
-                .filter(|&id| self.inflight[id as usize])
-                .collect();
-            if still.is_empty() {
-                continue;
-            }
-            self.stats.retries += 1;
-            let bytes = request_bytes(still.len());
-            self.send(
-                sp,
-                Msg::Request {
-                    from: self.me as u32,
-                    ids: still.into_boxed_slice(),
-                },
-                bytes,
-            );
-        }
-    }
-
-    /// After reporting itself stuck: keep serving peers until the
-    /// controller's shutdown verdict arrives, then stop.
-    fn park(&mut self) -> Flow {
-        while self.shutdown.is_none() {
-            if let Received::Closed = self.recv_for(self.retry.base) {
-                break;
-            }
-        }
-        Flow::Stop
     }
 
     /// Classifies one source access the way `data_traffic` does: local,
     /// cache hit, or a new remote fetch queued for the owner's batch.
-    /// Classification happens before any fault can strike, so traffic is
-    /// schedule-determined even on faulty runs.
     fn touch(&mut self, src: usize) {
         let sp = self.proc_of_entry[src] as usize;
         if sp == self.me {
@@ -657,22 +386,15 @@ impl Worker<'_> {
                 continue;
             }
             let ids: Box<[u32]> = std::mem::take(&mut self.want[sp]).into_boxed_slice();
-            for &id in ids.iter() {
-                self.inflight[id as usize] = true;
-            }
-            self.outstanding[sp] = ids.to_vec();
-            self.pending += ids.len();
+            self.pending += 1;
             if self.capture {
-                let reply = reply_bytes(ids.len()) as u64;
-                self.pending_from[sp] = ids.len();
-                self.xfer_bytes[sp] = reply;
                 let t = self.now();
                 self.emit(
                     t,
                     EventKind::TransferStart {
                         unit: self.current_unit,
                         peer: sp as u32,
-                        bytes: reply,
+                        bytes: reply_bytes(ids.len()) as u64,
                     },
                 );
             }
@@ -689,84 +411,49 @@ impl Worker<'_> {
         }
     }
 
-    /// Runs unit `u` on the private value store. Returns the failing
-    /// column on a non-positive (or NaN) pivot.
-    fn execute_unit(&mut self, u: usize) -> Result<(), usize> {
-        self.stats.work += self.kernel.run(u, &mut self.vals)?;
-        Ok(())
-    }
-
     fn run(mut self) -> Outcome {
-        let crash_at = self
-            .plan
-            .crash
-            .as_ref()
-            .filter(|c| c.proc == self.me)
-            .map(|c| (c.after_units, c.announce));
-        let stall = self.plan.stall.as_ref().filter(|s| s.proc == self.me);
-        let stall = stall.map(|s| (s.every_units, s.pause));
         let mut error: Option<usize> = None;
-        let mut crashed = false;
+        let queue = self.queue;
         if self.capture {
             // Units with no dependencies are ready the moment the
             // machine starts.
-            for qi in 0..self.queue.len() {
-                let u = self.queue[qi];
+            for &u in queue {
                 if self.remaining[u as usize] == 0 {
                     let t = self.now();
                     self.emit(t, EventKind::Ready { unit: u });
                 }
             }
         }
-        'program: for qi in 0..self.queue.len() {
-            if let Some((after, announce)) = crash_at {
-                if qi == after {
-                    // Dead: no flush, no serving — messages held in this
-                    // processor's network interface die with it.
-                    self.note("crashed", self.queue[qi]);
-                    crashed = true;
-                    if announce {
-                        let _ = self.events.send(Event::Crashed { from: self.me });
-                    }
-                    break 'program;
-                }
-            }
-            let u = self.queue[qi] as usize;
-            self.current_unit = u as u32;
-            self.note("await_deps", u as u32);
+        for &unit in queue {
+            let u = unit as usize;
+            self.current_unit = unit;
+            self.note("await_deps", unit);
             let waited = self.remaining[u] > 0;
             let t_wait = if self.capture { self.now() } else { 0.0 };
-            if let Flow::Stop = self.await_deps(u) {
-                break 'program;
+            if let Flow::Stop = self.serve_until(|w| w.remaining[u] == 0) {
+                break;
             }
             if self.capture && waited {
                 let dur = self.now() - t_wait;
                 self.emit(
                     t_wait,
                     EventKind::Wait {
-                        unit: u as u32,
+                        unit,
                         pred: self.last_pred[u],
                         dur,
                     },
                 );
             }
-            self.note("prefetch", u as u32);
+            self.note("prefetch", unit);
             self.prefetch(u);
-            self.note("await_replies", u as u32);
-            if let Flow::Stop = self.await_replies() {
-                break 'program;
+            self.note("await_replies", unit);
+            if let Flow::Stop = self.serve_until(|w| w.pending == 0) {
+                break;
             }
-            if let Some((every, pause)) = stall {
-                if (qi + 1) % every == 0 {
-                    self.note("stall", u as u32);
-                    self.injector.stats.stalls += 1;
-                    std::thread::sleep(pause);
-                }
-            }
-            self.note("execute", u as u32);
+            self.note("execute", unit);
             let t_start = if self.capture { self.now() } else { 0.0 };
             let work = Instant::now();
-            let result = self.execute_unit(u);
+            let result = self.kernel.run(u, &mut self.vals);
             let elapsed = work.elapsed();
             self.stats.busy_ns += elapsed.as_nanos() as u64;
             if self.capture {
@@ -786,94 +473,65 @@ impl Worker<'_> {
                 } else {
                     StartEdge::Free
                 };
-                self.emit(
-                    t_start,
-                    EventKind::UnitStart {
-                        unit: u as u32,
-                        edge,
-                    },
-                );
+                self.emit(t_start, EventKind::UnitStart { unit, edge });
                 self.emit(
                     t_start + compute,
                     EventKind::UnitEnd {
-                        unit: u as u32,
+                        unit,
                         compute,
                         transfer: 0.0,
                     },
                 );
-                self.prev_unit = u as u32;
+                self.prev_unit = unit;
             }
-            if let Err(col) = result {
-                error = Some(col);
-                break 'program;
+            match result {
+                Ok(work) => self.stats.work += work,
+                Err(col) => {
+                    error = Some(col);
+                    break;
+                }
             }
             self.stats.units += 1;
             self.done_units[u] = true;
-            self.done_global[u] = true;
+            self.release_succs(unit);
             self.notify.iter_mut().for_each(|f| *f = false);
             for &s in self.deps.succs(u) {
-                let p = self.assignment.proc_of(s as usize);
-                if p == self.me {
-                    self.remaining[s as usize] -= 1;
-                    if self.remaining[s as usize] == 0 {
-                        self.last_pred[s as usize] = u as u32;
-                        if self.capture {
-                            let t = self.now();
-                            self.emit(t, EventKind::Ready { unit: s });
-                        }
-                    }
-                } else {
-                    self.notify[p] = true;
-                }
+                self.notify[self.assignment.proc_of(s as usize)] = true;
             }
             for p in 0..self.nprocs {
-                if self.notify[p] {
-                    self.send(p, Msg::Done { unit: u as u32 }, DONE_BYTES);
+                if self.notify[p] && p != self.me {
+                    self.send(p, Msg::Done { unit }, DONE_BYTES);
                 }
             }
             let _ = self.events.send(Event::Progress);
         }
-        if !crashed && self.shutdown.is_none() {
+        if !self.shutdown {
             if error.is_some() {
                 let _ = self.events.send(Event::Aborted);
             } else {
-                // Program complete: release anything still held in the
-                // injector, then report in. Peers may still need replies,
-                // so keep serving until the controller's verdict.
-                for (dst, m) in self.injector.flush_all() {
-                    let _ = self.txs[dst].send(m);
-                }
                 self.note("finished", NO_UNIT);
-                let _ = self.events.send(Event::Finished { from: self.me });
+                let _ = self.events.send(Event::Finished);
             }
         }
-        if !crashed {
-            let _ = self.park();
-        }
+        // Peers may still need replies: keep serving until the verdict.
+        let _ = self.serve_until(|_| false);
         Outcome {
-            fault: self.injector.stats,
             stats: self.stats,
             fetched_from: self.fetched_from,
             vals: self.vals,
             error,
-            crashed,
             timeline: self.timeline,
         }
     }
 }
 
-/// Runs the schedule on the virtual machine under an explicit
-/// [`MpConfig`] — cost model, fault plan, retry policy and watchdog.
-/// See [`crate::execute`] for the protocol contract.
+/// Runs the schedule on the virtual machine, optionally capturing its
+/// wall-clock timeline. See [`crate::execute`] for the protocol contract.
 ///
 /// Under a recorder scope: times the run under the span `mp.execute`,
 /// bumps the `mp.*` counters (`mp.msgs_sent`, `mp.bytes`,
 /// `mp.cache_hits`, `mp.remote_fetches`, `mp.local_accesses`,
-/// `mp.idle_ns`, `mp.busy_ns`, `mp.units_run`, plus the resilience
-/// counters `mp.fault.dropped`, `mp.fault.duplicated`,
-/// `mp.fault.delayed`, `mp.fault.reordered`, `mp.fault.stalls`,
-/// `mp.retry.requests`, `mp.retry.queries`, `mp.retry.stale` — always
-/// present, all zero on a reliable network) and records the headline
+/// `mp.idle_ns`, `mp.busy_ns`, `mp.units_run`) and records the headline
 /// gauges `mp.traffic.total`, `mp.work.max`, `mp.estimated_time` plus
 /// per-processor gauges `mp.proc.<p>.traffic`, `mp.proc.<p>.work` and
 /// `mp.proc.<p>.msgs_sent` (see `docs/METRICS.md`).
@@ -883,18 +541,18 @@ impl Worker<'_> {
 /// after the join — including on aborted runs, so a failure still leaves
 /// a trace to inspect. Capture costs one local `Vec` push per event;
 /// without a sink the run is byte-for-byte the uninstrumented one.
-pub fn execute_config(
+pub fn execute_with_timeline(
     a: &SymmetricCsc,
     symbolic: &SymbolicFactor,
     partition: &Partition,
     deps: &DepGraph,
     assignment: &Assignment,
-    config: &MpConfig,
+    network: &NetworkModel,
     sink: Option<&TimelineSink>,
 ) -> Result<MpReport, MpError> {
     let rec = spfactor_trace::current();
     let report = rec.time("mp.execute", || {
-        run(a, symbolic, partition, deps, assignment, config, sink)
+        run(a, symbolic, partition, deps, assignment, network, sink)
     })?;
     crate::record_mp_metrics(&rec, &report);
     Ok(report)
@@ -906,13 +564,13 @@ fn run(
     partition: &Partition,
     deps: &DepGraph,
     assignment: &Assignment,
-    config: &MpConfig,
+    network: &NetworkModel,
     sink: Option<&TimelineSink>,
 ) -> Result<MpReport, MpError> {
     let nprocs = assignment.nprocs;
-    config.validate(nprocs).map_err(MpError::InvalidConfig)?;
-    let kernel = UnitKernel::new(symbolic, partition).map_err(MpError::Numeric)?;
-    let seed = kernel.seed(a).map_err(MpError::Numeric)?;
+    let kernel = UnitKernel::new(symbolic, partition)?;
+    UnitKernel::check_schedule(partition, deps, assignment)?;
+    let seed = kernel.seed(a)?;
     let nu = partition.num_units();
     let entries = seed.len();
     let owner = partition.owner_map();
@@ -926,7 +584,6 @@ fn run(
 
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..nprocs).map(|_| channel::unbounded::<Msg>()).unzip();
     let (event_tx, event_rx) = channel::unbounded::<Event>();
-    let lossy = config.fault.lossy();
     let epoch = Instant::now();
     let last_seen: Vec<Mutex<LastSeen>> = (0..nprocs)
         .map(|_| Mutex::new(("spawn", NO_UNIT, 0.0)))
@@ -961,21 +618,14 @@ fn run(
                     kernel: &kernel,
                     proc_of_entry: &proc_of_entry,
                     unit_of_entry: owner,
-                    plan: &config.fault,
-                    retry: &config.retry,
-                    lossy,
-                    injector: FaultInjector::new(&config.fault, p, nprocs),
                     vals,
                     cached: vec![false; entries],
                     remaining: preds_len.clone(),
                     done_units: vec![false; nu],
-                    done_global: vec![false; nu],
                     want: vec![Vec::new(); nprocs],
-                    inflight: vec![false; entries],
-                    outstanding: vec![Vec::new(); nprocs],
                     pending: 0,
                     notify: vec![false; nprocs],
-                    shutdown: None,
+                    shutdown: false,
                     stats: ProcStats::default(),
                     fetched_from: vec![0; nprocs],
                     epoch,
@@ -984,47 +634,33 @@ fn run(
                     last_pred: vec![NO_UNIT; nu],
                     prev_unit: NO_UNIT,
                     current_unit: NO_UNIT,
-                    pending_from: vec![0; nprocs],
-                    xfer_bytes: vec![0; nprocs],
                     last_seen: &last_seen[p],
                 };
                 scope.spawn(move |_| worker.run())
             })
             .collect();
 
-        // Run controller: collect worker events on the reliable control
-        // plane, arbitrate the verdict, broadcast the shutdown. The
-        // watchdog fires when *nothing* reports progress for the whole
-        // budget — the machine is wedged.
-        let mut finished = vec![false; nprocs];
+        // Run controller: collect worker events, arbitrate the verdict,
+        // broadcast the shutdown. The watchdog fires when *nothing*
+        // reports progress for the whole budget — the machine is wedged.
         let mut nfinished = 0usize;
         let cause: Option<StopCause> = loop {
-            match event_rx.recv_timeout(config.watchdog) {
+            match event_rx.recv_timeout(WATCHDOG) {
                 Ok(Event::Progress) => {}
-                Ok(Event::Finished { from }) => {
-                    if !finished[from] {
-                        finished[from] = true;
-                        nfinished += 1;
-                    }
+                Ok(Event::Finished) => {
+                    nfinished += 1;
                     if nfinished == nprocs {
                         break None;
                     }
                 }
                 Ok(Event::Aborted) => break Some(StopCause::Numeric),
-                Ok(Event::Crashed { from }) => break Some(StopCause::Crashed(from)),
-                Ok(Event::Stuck { from, kind }) => break Some(StopCause::Stuck(from, kind)),
-                // Disconnected means every worker thread has returned
-                // without the run completing — same diagnosis as a
-                // silent wedge, reached without waiting out the budget.
                 Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
                     break Some(StopCause::Watchdog(nfinished))
                 }
             }
         };
         for tx in txs.iter() {
-            let _ = tx.send(Msg::Shutdown {
-                ok: cause.is_none(),
-            });
+            let _ = tx.send(Msg::Shutdown);
         }
         let outcomes: Vec<Result<Outcome, usize>> = handles
             .into_iter()
@@ -1054,8 +690,20 @@ fn run(
             sink.record_all(std::mem::take(&mut o.timeline));
         }
     }
-    let snapshot_last = || -> Box<[ProcLastEvent]> {
-        last_seen
+
+    // Which failing pivot a processor reached first depends on timing;
+    // the error reported is the sequential kernel's, which does not.
+    if let Some(col) = outcomes.iter().find_map(|o| o.error) {
+        return Err(MpError::Numeric(kernel.pivot_error(a, col)));
+    }
+    if let Some(cause) = cause {
+        // An abort event with no numeric error in any outcome cannot
+        // happen; if it somehow did, report the wedge.
+        let finished = match cause {
+            StopCause::Watchdog(finished) => finished,
+            StopCause::Numeric => 0,
+        };
+        let last_events = last_seen
             .iter()
             .enumerate()
             .map(|(p, m)| {
@@ -1067,63 +715,12 @@ fn run(
                     at,
                 }
             })
-            .collect()
-    };
-
-    // Machine-wide fault trace, attached to the report or the error.
-    let mut trace = FaultTrace::default();
-    for (p, o) in outcomes.iter().enumerate() {
-        trace.absorb_injector(&o.fault);
-        trace.retries += o.stats.retries;
-        trace.queries += o.stats.queries_sent;
-        trace.stale += o.stats.stale;
-        if o.crashed {
-            trace.crashed.push(p);
-        }
-    }
-
-    // Which failing pivot a processor reached first depends on timing;
-    // the error reported is the sequential kernel's, which does not.
-    if let Some(col) = outcomes.iter().find_map(|o| o.error) {
-        return Err(MpError::Numeric(kernel.pivot_error(a, col)));
-    }
-    match cause {
-        None => {}
-        Some(StopCause::Crashed(proc)) => return Err(MpError::ProcessorCrashed { proc, trace }),
-        Some(StopCause::Stuck(proc, StuckKind::Fetch { owner, attempts })) => {
-            return Err(MpError::FetchTimeout {
-                proc,
-                owner,
-                attempts,
-                trace,
-            })
-        }
-        Some(StopCause::Stuck(proc, StuckKind::Dependency { unit, attempts })) => {
-            return Err(MpError::DependencyTimeout {
-                proc,
-                unit,
-                attempts,
-                trace,
-            })
-        }
-        Some(StopCause::Watchdog(finished)) => {
-            return Err(MpError::WatchdogTimeout {
-                finished,
-                nprocs,
-                last_events: snapshot_last(),
-                trace,
-            })
-        }
-        // An abort event with no numeric error in any outcome cannot
-        // happen; if it somehow did, report the wedge.
-        Some(StopCause::Numeric) => {
-            return Err(MpError::WatchdogTimeout {
-                finished: 0,
-                nprocs,
-                last_events: snapshot_last(),
-                trace,
-            })
-        }
+            .collect();
+        return Err(MpError::WatchdogTimeout {
+            finished,
+            nprocs,
+            last_events,
+        });
     }
 
     // Gather each entry's final value from its owner.
@@ -1141,7 +738,7 @@ fn run(
     let per_proc: Vec<ProcStats> = outcomes.into_iter().map(|o| o.stats).collect();
     let estimated_time = per_proc
         .iter()
-        .map(|s| config.network.proc_time(s))
+        .map(|s| network.proc_time(s))
         .fold(0.0, f64::max);
 
     Ok(MpReport {
@@ -1149,17 +746,15 @@ fn run(
         nprocs,
         per_proc,
         pair_matrix,
-        network: config.network,
+        network: *network,
         estimated_time,
-        faults: trace,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{CrashPlan, StallPlan};
-    use crate::{execute, NetworkModel};
+    use crate::execute;
     use spfactor_matrix::{gen, SymmetricPattern};
     use spfactor_numeric::NumericError;
     use spfactor_order::{order, Ordering};
@@ -1224,31 +819,7 @@ mod tests {
         // Observed traffic and work match the analytic simulator exactly.
         assert_eq!(report.traffic_report(), data_traffic(f, part, assign));
         assert_eq!(report.work_report(), work_distribution(part, assign));
-        assert!(report.faults.is_quiet(), "fault-free run must be quiet");
         report
-    }
-
-    /// Like [`check`] but under an explicit fault config: the run must
-    /// still complete with the sequential factor and analytic traffic.
-    fn check_config(
-        a: &SymmetricCsc,
-        f: &SymbolicFactor,
-        part: &Partition,
-        deps: &DepGraph,
-        assign: &Assignment,
-        config: &MpConfig,
-    ) -> MpReport {
-        let report = execute_config(a, f, part, deps, assign, config, None)
-            .expect("mp execute under faults");
-        let seq = spfactor_numeric::cholesky(a, f).unwrap();
-        assert_eq!(report.factor, seq, "factor must survive the fault plan");
-        assert_eq!(report.traffic_report(), data_traffic(f, part, assign));
-        assert_eq!(report.work_report(), work_distribution(part, assign));
-        report
-    }
-
-    fn short_watchdog(fault: FaultPlan) -> MpConfig {
-        MpConfig::with_fault(fault).watchdog(Duration::from_secs(5))
     }
 
     #[test]
@@ -1359,150 +930,19 @@ mod tests {
     }
 
     #[test]
-    fn invalid_config_is_rejected_up_front() {
-        let (a, f, part, deps, assign) = setup_block(&gen::lap9(4, 4), 4, 2, 1);
-        let mut bad = FaultPlan::none();
-        bad.drop = 2.0;
-        assert!(matches!(
-            execute_config(
-                &a,
-                &f,
-                &part,
-                &deps,
-                &assign,
-                &MpConfig::with_fault(bad),
-                None
-            ),
-            Err(MpError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn dropped_then_retried_fetches_yield_identical_traffic() {
-        // Every message is dropped up to the consecutive-drop budget, so
-        // every fetch needs retransmission — yet the observed traffic
-        // and the factor are exactly the fault-free ones.
+    fn timeline_capture_reconciles_with_proc_stats() {
         let (a, f, part, deps, assign) = setup_wrap(&gen::lap9(8, 8), 4, 9);
-        let clean = check(&a, &f, &part, &deps, &assign);
-        let plan = FaultPlan {
-            seed: 7,
-            drop: 1.0,
-            max_consecutive_drops: 1,
-            ..FaultPlan::none()
-        };
-        let faulty = check_config(&a, &f, &part, &deps, &assign, &short_watchdog(plan));
-        assert_eq!(faulty.traffic_report(), clean.traffic_report());
-        assert_eq!(faulty.work_report(), clean.work_report());
-        assert!(faulty.faults.dropped > 0, "drops must have been injected");
-        assert!(
-            faulty.faults.retries > 0 || faulty.faults.queries > 0,
-            "recovery must have retransmitted something"
-        );
-    }
-
-    #[test]
-    fn duplicate_and_reorder_only_plans_complete_idempotently() {
-        let (a, f, part, deps, assign) = setup_block(&gen::lap9(8, 8), 4, 4, 11);
-        let plan = FaultPlan {
-            seed: 3,
-            duplicate: 0.5,
-            delay: 0.3,
-            reorder: 0.3,
-            ..FaultPlan::none()
-        };
-        let report = check_config(&a, &f, &part, &deps, &assign, &short_watchdog(plan));
-        assert!(report.faults.duplicated + report.faults.delayed + report.faults.reordered > 0);
-        // Non-lossy plans never retransmit — patience and dedup suffice.
-        assert_eq!(report.faults.retries, 0);
-        assert_eq!(report.faults.queries, 0);
-    }
-
-    #[test]
-    fn announced_crash_aborts_with_typed_error_within_budget() {
-        let (a, f, part, deps, assign) = setup_wrap(&gen::lap9(8, 8), 4, 9);
-        let mut plan = FaultPlan::none();
-        plan.crash = Some(CrashPlan {
-            proc: 1,
-            after_units: 2,
-            announce: true,
-        });
-        let budget = Duration::from_secs(5);
-        let started = Instant::now();
-        let err = execute_config(
+        let sink = TimelineSink::new();
+        let report = execute_with_timeline(
             &a,
             &f,
             &part,
             &deps,
             &assign,
-            &MpConfig::with_fault(plan).watchdog(budget),
-            None,
+            &NetworkModel::default(),
+            Some(&sink),
         )
-        .unwrap_err();
-        assert!(started.elapsed() < budget, "announced crash must not wait");
-        match err {
-            MpError::ProcessorCrashed { proc, trace } => {
-                assert_eq!(proc, 1);
-                assert_eq!(trace.crashed, vec![1]);
-            }
-            other => panic!("expected ProcessorCrashed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn silent_crash_is_discovered_within_the_timeout_budget() {
-        let (a, f, part, deps, assign) = setup_wrap(&gen::lap9(8, 8), 4, 9);
-        let mut plan = FaultPlan::none();
-        plan.crash = Some(CrashPlan {
-            proc: 0,
-            after_units: 1,
-            announce: false,
-        });
-        let watchdog = Duration::from_secs(5);
-        let config = MpConfig {
-            retry: RetryPolicy {
-                base: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(8),
-                max_attempts: 6,
-            },
-            ..MpConfig::with_fault(plan)
-        }
-        .watchdog(watchdog);
-        let started = Instant::now();
-        let err = execute_config(&a, &f, &part, &deps, &assign, &config, None).unwrap_err();
-        // Peers must discover the dead processor via their retry budgets
-        // (or, at the latest, the watchdog) — never hang.
-        assert!(started.elapsed() < 2 * watchdog);
-        match err {
-            MpError::FetchTimeout { trace, .. }
-            | MpError::DependencyTimeout { trace, .. }
-            | MpError::WatchdogTimeout { trace, .. } => {
-                assert_eq!(trace.crashed, vec![0]);
-            }
-            other => panic!("expected a timeout-family error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn stalls_slow_the_run_but_do_not_change_results() {
-        let (a, f, part, deps, assign) = setup_block(&gen::lap9(7, 7), 4, 3, 5);
-        let mut plan = FaultPlan::none();
-        plan.stall = Some(StallPlan {
-            proc: 0,
-            every_units: 2,
-            pause: Duration::from_millis(2),
-        });
-        let report = check_config(&a, &f, &part, &deps, &assign, &short_watchdog(plan));
-        assert!(report.faults.stalls > 0, "stalls must have been injected");
-    }
-
-    #[test]
-    fn timeline_capture_reconciles_with_proc_stats() {
-        use spfactor_trace::TimelineSink;
-        let (a, f, part, deps, assign) = setup_wrap(&gen::lap9(8, 8), 4, 9);
-        let sink = TimelineSink::new();
-        let config = MpConfig::reliable(NetworkModel::default());
-        let report = execute_config(&a, &f, &part, &deps, &assign, &config, Some(&sink))
-            .expect("observed mp execute");
+        .expect("observed mp execute");
         // Capture must not perturb the computation.
         assert_eq!(report.factor, spfactor_numeric::cholesky(&a, &f).unwrap());
         assert_eq!(report.traffic_report(), data_traffic(&f, &part, &assign));
@@ -1514,8 +954,8 @@ mod tests {
         let mut ended = vec![0usize; part.num_units()];
         for e in &tl.events {
             match e.kind {
-                spfactor_trace::EventKind::UnitStart { unit, .. } => started[unit as usize] += 1,
-                spfactor_trace::EventKind::UnitEnd { unit, .. } => ended[unit as usize] += 1,
+                EventKind::UnitStart { unit, .. } => started[unit as usize] += 1,
+                EventKind::UnitEnd { unit, .. } => ended[unit as usize] += 1,
                 _ => {}
             }
         }
@@ -1539,10 +979,10 @@ mod tests {
             std::collections::HashMap::new();
         for e in &tl.events {
             match e.kind {
-                spfactor_trace::EventKind::TransferStart { peer, .. } => {
+                EventKind::TransferStart { peer, .. } => {
                     *open.entry((e.proc, peer)).or_insert(0) += 1;
                 }
-                spfactor_trace::EventKind::TransferEnd { peer, .. } => {
+                EventKind::TransferEnd { peer, .. } => {
                     let slot = open.get_mut(&(e.proc, peer)).expect("end without start");
                     assert!(*slot > 0, "end without start");
                     *slot -= 1;
@@ -1570,68 +1010,16 @@ mod tests {
     #[test]
     fn unobserved_run_records_no_events() {
         let (a, f, part, deps, assign) = setup_block(&gen::lap9(6, 6), 4, 2, 5);
-        let config = MpConfig::reliable(NetworkModel::default());
-        let report =
-            execute_config(&a, &f, &part, &deps, &assign, &config, None).expect("mp execute");
+        let report = execute_with_timeline(
+            &a,
+            &f,
+            &part,
+            &deps,
+            &assign,
+            &NetworkModel::default(),
+            None,
+        )
+        .expect("mp execute");
         assert_eq!(report.factor, spfactor_numeric::cholesky(&a, &f).unwrap());
-    }
-
-    #[test]
-    fn watchdog_error_carries_last_seen_steps() {
-        // Processor 0 dies silently before its first unit; peers retry
-        // forever (unbounded budget), so only the watchdog can end the
-        // run — and its diagnosis must say where everyone was stuck.
-        let (a, f, part, deps, assign) = setup_wrap(&gen::lap9(6, 6), 4, 9);
-        let mut plan = FaultPlan::none();
-        plan.crash = Some(CrashPlan {
-            proc: 0,
-            after_units: 0,
-            announce: false,
-        });
-        let config = MpConfig {
-            retry: RetryPolicy {
-                base: Duration::from_millis(5),
-                max_backoff: Duration::from_millis(20),
-                max_attempts: u32::MAX,
-            },
-            ..MpConfig::with_fault(plan)
-        }
-        .watchdog(Duration::from_millis(300));
-        let err = execute_config(&a, &f, &part, &deps, &assign, &config, None).unwrap_err();
-        match err {
-            MpError::WatchdogTimeout {
-                nprocs,
-                last_events,
-                ..
-            } => {
-                assert_eq!(nprocs, 4);
-                assert_eq!(last_events.len(), 4);
-                assert_eq!(last_events[0].proc, 0);
-                assert_eq!(last_events[0].step, "crashed");
-                assert!(
-                    last_events
-                        .iter()
-                        .any(|e| e.step == "await_deps" || e.step == "await_replies"),
-                    "someone must have been blocked: {last_events:?}"
-                );
-            }
-            other => panic!("expected WatchdogTimeout, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn chaos_plan_preserves_factor_and_traffic() {
-        for seed in [1u64, 2, 3] {
-            let (a, f, part, deps, assign) = setup_wrap(&gen::lap9(8, 8), 4, 9);
-            let report = check_config(
-                &a,
-                &f,
-                &part,
-                &deps,
-                &assign,
-                &short_watchdog(FaultPlan::chaos(seed)),
-            );
-            assert!(!report.faults.is_quiet(), "chaos must inject something");
-        }
     }
 }

@@ -55,6 +55,7 @@ pub fn cholesky_block_parallel(
     let recording = rec.is_recording();
     let _span = rec.span("numeric.block_parallel");
     let kernel = UnitKernel::new(symbolic, partition)?;
+    UnitKernel::check_schedule(partition, deps, assignment)?;
     let mut values = kernel.seed(a)?;
     let nu = partition.num_units();
     let nprocs = assignment.nprocs;

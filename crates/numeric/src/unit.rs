@@ -19,7 +19,8 @@
 use crate::factor::NumericFactor;
 use crate::NumericError;
 use spfactor_matrix::SymmetricCsc;
-use spfactor_partition::Partition;
+use spfactor_partition::{DepGraph, Partition};
+use spfactor_sched::Assignment;
 use spfactor_symbolic::{RowStructure, SymbolicFactor};
 
 /// One operation of a unit block, on entry ids (diagonal `j` at `j`,
@@ -97,6 +98,43 @@ impl<'a> UnitKernel<'a> {
             start,
             entries,
         })
+    }
+
+    /// Checks that `deps` and `assignment` were built for `partition`:
+    /// one dependency row and one processor per unit, every processor id
+    /// below `assignment.nprocs`. Both executors call this before they
+    /// spawn a thread, so mismatched schedule inputs fail typed instead of
+    /// indexing out of bounds on a worker.
+    pub fn check_schedule(
+        partition: &Partition,
+        deps: &DepGraph,
+        assignment: &Assignment,
+    ) -> Result<(), NumericError> {
+        let nu = partition.num_units();
+        let mismatch = |what: String| Err(NumericError::StructureMismatch(what));
+        if deps.num_units() != nu {
+            return mismatch(format!(
+                "dependency graph has {} units, partition has {nu}",
+                deps.num_units()
+            ));
+        }
+        if assignment.proc_of_unit.len() != nu {
+            return mismatch(format!(
+                "assignment maps {} units, partition has {nu}",
+                assignment.proc_of_unit.len()
+            ));
+        }
+        if let Some(u) = assignment
+            .proc_of_unit
+            .iter()
+            .position(|&p| p as usize >= assignment.nprocs)
+        {
+            return mismatch(format!(
+                "unit {u} is assigned to processor {}, assignment has {}",
+                assignment.proc_of_unit[u], assignment.nprocs
+            ));
+        }
+        Ok(())
     }
 
     /// The values of `a` in entry-id layout, zero where L has fill.

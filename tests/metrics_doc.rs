@@ -10,8 +10,8 @@
 use spfactor::simulate::timed::{simulate_timed, CommModel, OrderPolicy};
 use spfactor::trace::{self, json, regress};
 use spfactor::{
-    numeric, DepsEngine, ExecutionBackend, FaultPlan, NetworkModel, OrderEngine, Pipeline,
-    Recorder, Scheme, SimulateEngine,
+    numeric, DepsEngine, ExecutionBackend, NetworkModel, OrderEngine, Pipeline, Recorder, Scheme,
+    SimulateEngine,
 };
 use spfactor_serve::{
     ScheduleCache, ServeConfig, ServeError, SolveRequest, SolverService, ValueBatch,
@@ -101,10 +101,7 @@ fn drive_pipelines(rec: &Arc<Recorder>) {
         .run();
     let mp = ExecutionBackend::MessagePassing(NetworkModel::default());
     pipeline(&grid).backend(mp).timeline(true).run();
-    pipeline(&grid)
-        .backend(mp)
-        .fault_plan(FaultPlan::chaos(7))
-        .run();
+    pipeline(&grid).backend(mp).run();
 }
 
 /// What `crates/bench/src/bin/metrics.rs` adds to its pipeline run, the

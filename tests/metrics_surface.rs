@@ -209,76 +209,6 @@ mod enabled {
                 Some(exec.per_proc[p].traffic as f64)
             );
         }
-        // The fault/retry surface exists on every traced mp run — and on
-        // a reliable network every one of the counters is zero.
-        let names = rec.counter_names();
-        for counter in [
-            "mp.fault.dropped",
-            "mp.fault.duplicated",
-            "mp.fault.delayed",
-            "mp.fault.reordered",
-            "mp.fault.stalls",
-            "mp.retry.requests",
-            "mp.retry.queries",
-            "mp.retry.stale",
-        ] {
-            assert!(
-                names.iter().any(|n| n == counter),
-                "counter {counter} missing; recorded: {names:?}"
-            );
-            assert_eq!(
-                rec.counter(counter),
-                0,
-                "counter {counter} must be zero on a reliable network"
-            );
-        }
-        assert!(exec.faults.is_quiet());
-    }
-
-    #[test]
-    fn fault_injection_shows_up_in_the_metrics() {
-        let rec = Arc::new(Recorder::new());
-        let result = Pipeline::new(spfactor::matrix::gen::lap9(8, 8))
-            .grain(4)
-            .processors(4)
-            .backend(spfactor::ExecutionBackend::MessagePassing(
-                spfactor::NetworkModel::default(),
-            ))
-            .fault_plan(spfactor::FaultPlan::chaos(21))
-            .with_recorder(rec.clone())
-            .run();
-        let exec = result.execution.as_ref().expect("backend ran");
-        // The counters mirror the fault trace the report carries.
-        assert_eq!(rec.counter("mp.fault.dropped"), exec.faults.dropped as u64);
-        assert_eq!(
-            rec.counter("mp.fault.duplicated"),
-            exec.faults.duplicated as u64
-        );
-        assert_eq!(rec.counter("mp.fault.delayed"), exec.faults.delayed as u64);
-        assert_eq!(
-            rec.counter("mp.fault.reordered"),
-            exec.faults.reordered as u64
-        );
-        assert_eq!(rec.counter("mp.retry.requests"), exec.faults.retries as u64);
-        assert_eq!(rec.counter("mp.retry.queries"), exec.faults.queries as u64);
-        assert_eq!(rec.counter("mp.retry.stale"), exec.faults.stale as u64);
-        // Chaos at these rates always injects something.
-        let injected: u64 = [
-            "mp.fault.dropped",
-            "mp.fault.duplicated",
-            "mp.fault.delayed",
-            "mp.fault.reordered",
-        ]
-        .iter()
-        .map(|c| rec.counter(c))
-        .sum();
-        assert!(injected > 0, "chaos plan injected nothing");
-        // Faults never change what was computed or moved: the observed
-        // traffic still equals the analytic prediction exactly.
-        assert_eq!(
-            rec.counter("mp.remote_fetches"),
-            result.traffic.total as u64
-        );
     }
 
     #[test]

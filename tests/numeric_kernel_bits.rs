@@ -26,9 +26,10 @@ use spfactor::order::{order, Ordering};
 use spfactor::partition::{build_dependencies, dependencies};
 use spfactor::symbolic::ops;
 use spfactor::{
-    mp, sched, DepsEngine, MpError, NetworkModel, NumericError, Partition, PartitionParams,
-    Permutation, SymbolicFactor, SymmetricPattern,
+    mp, sched, Assignment, DepGraph, DepsEngine, MpError, NetworkModel, NumericError, Partition,
+    PartitionParams, Permutation, SymbolicFactor, SymmetricPattern,
 };
+use std::time::{Duration, Instant};
 
 /// The kernel `numeric::cholesky` had before it read the factor's row
 /// structure, statement for statement.
@@ -397,6 +398,79 @@ fn executors_report_the_sequential_kernels_pivot() {
             Err(MpError::Numeric(NumericError::NotPositiveDefinite(9))),
             "mp run {run}"
         );
+    }
+}
+
+/// Schedule inputs built for different partitions: on lap9 8² at P = 4
+/// the grain-4 block partition has 72 units and `Partition::columns` 64.
+/// Both executors refuse every mix with a typed error before a thread
+/// spawns; a worker indexing out of bounds would leave mp to its 10 s
+/// watchdog, hence the time bound.
+#[test]
+fn executors_reject_mismatched_schedule_inputs() {
+    let p = gen::lap9(8, 8);
+    let perm = order(&p, Ordering::paper_default());
+    let a = gen::spd_from_pattern(&p.permute(&perm), 11);
+    let f = SymbolicFactor::from_pattern(&a.pattern());
+    let block = Partition::build(&f, &PartitionParams::with_grain(4));
+    let cols = Partition::columns(&f);
+    assert_eq!((block.num_units(), cols.num_units()), (72, 64));
+    let (deps_block, deps_cols) = (dependencies(&f, &block), dependencies(&f, &cols));
+    let assign_block = sched::block_allocation(&block, &deps_block, 4);
+    let assign_cols = sched::wrap_allocation(&cols, 4);
+    let mut beyond = assign_block.clone();
+    beyond.proc_of_unit[0] = 4;
+    let cases: [(&str, &Partition, &DepGraph, &Assignment); 5] = [
+        (
+            "dependency graph of another partition",
+            &block,
+            &deps_cols,
+            &assign_block,
+        ),
+        (
+            "assignment of another partition",
+            &block,
+            &deps_block,
+            &assign_cols,
+        ),
+        ("processor id beyond nprocs", &block, &deps_block, &beyond),
+        (
+            "columns' graph and assignment",
+            &block,
+            &deps_cols,
+            &assign_cols,
+        ),
+        (
+            "blocks' graph and assignment",
+            &cols,
+            &deps_block,
+            &assign_block,
+        ),
+    ];
+    let quick = Duration::from_secs(1);
+    for (what, part, deps, assign) in cases {
+        let t = Instant::now();
+        let got = cholesky_block_parallel(&a, &f, part, deps, assign);
+        assert!(
+            matches!(got, Err(NumericError::StructureMismatch(_))),
+            "block-parallel, {what}: {got:?}"
+        );
+        assert!(
+            t.elapsed() < quick,
+            "block-parallel, {what}: {:?}",
+            t.elapsed()
+        );
+        let t = Instant::now();
+        let got = mp::execute(&a, &f, part, deps, assign, &NetworkModel::default());
+        assert!(
+            matches!(
+                got,
+                Err(MpError::Numeric(NumericError::StructureMismatch(_)))
+            ),
+            "mp, {what}: {:?}",
+            got.map(|r| r.nprocs)
+        );
+        assert!(t.elapsed() < quick, "mp, {what}: {:?}", t.elapsed());
     }
 }
 
