@@ -25,12 +25,12 @@
 //!   across processes and platforms (FNV-1a over the canonical CSC
 //!   arrays, see `SymmetricPattern::structural_hash`);
 //! * **serializable** — [`ScheduleArtifact::write_text`] archives the
-//!   key, fingerprint, permutation, and full schedule in the line
-//!   -oriented interchange format of [`crate::export`], and
-//!   [`read_artifact_text`] parses it back for inspection or external
-//!   tooling.
+//!   key, fingerprint and permutation in four lines, and
+//!   [`read_artifact_text`] parses them back. Everything after the
+//!   ordering is a deterministic function of the pattern and the
+//!   permutation, so [`rebuild_artifact`] re-plans it and compares one
+//!   fingerprint rather than reading a stored schedule.
 
-use crate::export::{read_schedule, write_schedule, ScheduleDump};
 use crate::{block_allocation, wrap_allocation, Assignment};
 use spfactor_matrix::{Permutation, SymmetricPattern};
 use spfactor_order::{order_with_engine, OrderEngine, Ordering};
@@ -266,10 +266,14 @@ impl ScheduleArtifact {
     }
 
     /// A stable 64-bit fingerprint over the whole artifact: the key, the
-    /// permutation, the symbolic-factor structure, and the processor
-    /// assignment. Two artifacts with equal fingerprints carry the same
-    /// frozen schedule, so equality of cached vs freshly planned runs
-    /// can be asserted cheaply. Derives the schedule if nothing has yet.
+    /// permutation, the symbolic-factor structure, the unit count, the
+    /// processor assignment and every predecessor list. Two artifacts with
+    /// equal fingerprints carry the same frozen schedule, so equality of
+    /// cached vs freshly planned runs can be asserted cheaply. It covers
+    /// the schedule, not just the permutation, so that an artifact whose
+    /// parts its scheme would not derive (one built with
+    /// [`ScheduleArtifact::new`]) cannot round-trip through its text into
+    /// a different one. Derives the schedule if nothing has yet.
     pub fn fingerprint(&self) -> u64 {
         let schedule = self.schedule();
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -301,12 +305,12 @@ impl ScheduleArtifact {
         h
     }
 
-    /// Serializes the artifact in the line-oriented interchange format:
-    /// an `spfactor-artifact v1` header carrying the key, fingerprint,
-    /// and permutation, followed by the schedule body of
-    /// [`crate::export::write_schedule`], which derives the schedule.
+    /// Serializes the artifact as four lines: the `spfactor-artifact v2`
+    /// magic, the key, the fingerprint (which derives the schedule) and
+    /// the permutation. No line per unit: [`rebuild_artifact`] re-derives
+    /// the schedule from the pattern and the permutation.
     pub fn write_text<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        writeln!(w, "spfactor-artifact v1")?;
+        writeln!(w, "{MAGIC}")?;
         writeln!(
             w,
             "key hash {:016x} n {} ordering {:?} engine {} grain {} {} width {} relax {} scheme {} procs {}",
@@ -326,8 +330,7 @@ impl ScheduleArtifact {
         for &old in self.0.permutation.as_slice() {
             write!(w, " {old}")?;
         }
-        writeln!(w)?;
-        write_schedule(w, self.partition(), self.deps(), self.assignment())
+        writeln!(w)
     }
 
     /// [`write_text`](Self::write_text) into a `String`.
@@ -339,24 +342,21 @@ impl ScheduleArtifact {
     }
 }
 
-/// A parsed artifact dump: the identifying header plus the schedule
-/// body. The symbolic factor is not serialized (it is cheap to rebuild
-/// from the pattern and the permutation); the fingerprint pins the
-/// original it was dumped from.
+/// The first line of an artifact's text form.
+const MAGIC: &str = "spfactor-artifact v2";
+
+/// A parsed artifact text: the key, the fingerprint and the permutation.
+/// Nothing else is serialized — the symbolic factor and the schedule are
+/// rebuilt from the pattern and the permutation; the fingerprint pins the
+/// original they were written from.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ArtifactDump {
-    /// The full [`ScheduleKey`] parsed from the header's key line.
+    /// The full [`ScheduleKey`] parsed from the key line.
     pub key: ScheduleKey,
-    /// Structural hash recorded in the header (same value as
-    /// `key.structural_hash`, kept for callers that only need identity).
-    pub structural_hash: u64,
     /// Fingerprint of the artifact that was serialized.
     pub fingerprint: u64,
     /// The fill-reducing permutation.
     pub permutation: Permutation,
-    /// The schedule body (unit geometry, predecessor lists, processor
-    /// map).
-    pub schedule: ScheduleDump,
 }
 
 /// Parses the `ordering {:?}` segment of a serialized key line.
@@ -431,7 +431,9 @@ fn parse_key_line(line: &str) -> Result<ScheduleKey, String> {
     })
 }
 
-/// Parses the text produced by [`ScheduleArtifact::write_text`].
+/// Parses the text produced by [`ScheduleArtifact::write_text`]: exactly
+/// its four lines. Another magic line (an earlier format version's
+/// included) or anything after the `perm` line is a typed error.
 pub fn read_artifact_text<R: Read>(r: R) -> Result<ArtifactDump, String> {
     let mut reader = BufReader::new(r);
     let read_line = |reader: &mut BufReader<R>, what: &str| -> Result<String, String> {
@@ -445,12 +447,11 @@ pub fn read_artifact_text<R: Read>(r: R) -> Result<ArtifactDump, String> {
         Ok(line.trim_end().to_string())
     };
     let magic = read_line(&mut reader, "header")?;
-    if magic != "spfactor-artifact v1" {
-        return Err(format!("not an artifact dump: {magic:?}"));
+    if magic != MAGIC {
+        return Err(format!("not an {MAGIC} text: {magic:?}"));
     }
     let key_line = read_line(&mut reader, "key")?;
     let key = parse_key_line(&key_line)?;
-    let structural_hash = key.structural_hash;
     let fp_line = read_line(&mut reader, "fingerprint")?;
     let fingerprint = fp_line
         .strip_prefix("fingerprint ")
@@ -465,13 +466,17 @@ pub fn read_artifact_text<R: Read>(r: R) -> Result<ArtifactDump, String> {
         .collect::<Result<_, _>>()?;
     let permutation =
         Permutation::from_vec(perm).map_err(|e| format!("invalid permutation: {e}"))?;
-    let schedule = read_schedule(reader)?;
+    let mut rest = String::new();
+    reader
+        .read_line(&mut rest)
+        .map_err(|e| format!("reading past perm: {e}"))?;
+    if !rest.is_empty() {
+        return Err(format!("unexpected line after perm: {:?}", rest.trim_end()));
+    }
     Ok(ArtifactDump {
         key,
-        structural_hash,
         fingerprint,
         permutation,
-        schedule,
     })
 }
 
@@ -507,15 +512,15 @@ pub fn plan(
 /// original (unpermuted) sparsity pattern.
 ///
 /// The dump persists the fill-reducing permutation — the one stage that
-/// is not re-run — plus the frozen schedule (unit geometry, dependency
-/// lists, processor map). The deterministic remainder is re-derived by
-/// [`plan`] from the pattern and the stored permutation and
-/// cross-checked against the dump line by line; any disagreement, and
-/// any fingerprint mismatch on the reassembled artifact, yields a typed
-/// error rather than a silently wrong schedule. A reconstructed artifact
-/// is therefore bit-identical to the one that was serialized — the
-/// caller can hand it straight to `Pipeline::try_run_planned` or a
-/// solver service.
+/// is not re-run. After checking the header against the pattern (hash,
+/// dimension, permutation length, a nonzero processor count), the
+/// deterministic remainder is re-derived by [`plan`] from the pattern and
+/// the stored permutation, exactly as the serve cache re-plans from a
+/// remembered ordering, and the reassembled artifact's fingerprint must
+/// equal the recorded one: a mismatch is a typed error rather than a
+/// silently wrong schedule. A reconstructed artifact is therefore
+/// bit-identical to the one that was serialized — the caller can hand it
+/// straight to `Pipeline::try_run_planned` or a solver service.
 pub fn rebuild_artifact(
     pattern: &SymmetricPattern,
     dump: &ArtifactDump,
@@ -542,12 +547,6 @@ pub fn rebuild_artifact(
             key.n
         ));
     }
-    if dump.schedule.nprocs != key.nprocs {
-        return Err(format!(
-            "schedule targets {} processors, key says {}",
-            dump.schedule.nprocs, key.nprocs
-        ));
-    }
     if key.nprocs == 0 {
         // The allocators assert on this; `Pipeline` validates it, a file
         // has not been through `Pipeline`.
@@ -559,37 +558,6 @@ pub fn rebuild_artifact(
         Some(dump.permutation.clone()),
         DepsEngine::Sweep,
     );
-    let (partition, deps) = (artifact.partition(), artifact.deps());
-    if partition.num_units() != dump.schedule.units.len() {
-        return Err(format!(
-            "partition rebuilt {} units, dump has {}",
-            partition.num_units(),
-            dump.schedule.units.len()
-        ));
-    }
-    for (want, got) in dump.schedule.units.iter().zip(&partition.units) {
-        let (cluster, shape, elements, work) = want;
-        if got.cluster != *cluster
-            || got.shape != *shape
-            || got.elements != *elements
-            || got.work != *work
-        {
-            return Err(format!(
-                "unit {} disagrees with the rebuilt partition (dump {:?}, rebuilt {:?})",
-                got.id, want, got
-            ));
-        }
-    }
-    for u in 0..partition.num_units() {
-        if deps.preds(u) != dump.schedule.preds[u].as_slice() {
-            return Err(format!(
-                "dependency list of unit {u} disagrees with the rebuilt graph"
-            ));
-        }
-    }
-    if artifact.assignment().proc_of_unit != dump.schedule.proc_of_unit {
-        return Err("processor map disagrees with the rebuilt allocation".into());
-    }
     let fp = artifact.fingerprint();
     if fp != dump.fingerprint {
         return Err(format!(
@@ -710,22 +678,34 @@ mod tests {
             let text = artifact.to_text();
             let dump = read_artifact_text(text.as_bytes()).expect("parses");
             assert_eq!(&dump.key, artifact.key());
-            assert_eq!(dump.structural_hash, artifact.key().structural_hash);
             assert_eq!(dump.fingerprint, artifact.fingerprint());
             assert_eq!(&dump.permutation, artifact.permutation());
-            assert_eq!(
-                dump.schedule.proc_of_unit,
-                artifact.assignment().proc_of_unit
-            );
-            assert_eq!(dump.schedule.nprocs, 3);
-            assert_eq!(dump.schedule.units.len(), artifact.partition().num_units());
         }
     }
 
     #[test]
     fn read_rejects_garbage() {
         assert!(read_artifact_text("not an artifact".as_bytes()).is_err());
-        assert!(read_artifact_text("spfactor-artifact v1\nkey nonsense".as_bytes()).is_err());
+        assert!(read_artifact_text("spfactor-artifact v2\nkey nonsense".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn the_text_has_no_line_per_unit() {
+        let p = gen::lap9(12, 12);
+        let artifact = build(&p, Scheme::Block, 4);
+        assert!(artifact.partition().num_units() > 4);
+        let text = artifact.to_text();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "{text}");
+        assert_eq!(lines[0], MAGIC);
+        assert!(lines[1].starts_with("key hash "));
+        assert!(lines[2].starts_with("fingerprint "));
+        assert!(lines[3].starts_with("perm "));
+        // Only the permutation grows with the matrix.
+        for line in &lines[..3] {
+            assert!(line.len() < 200, "{line}");
+        }
+        assert_eq!(lines[3].split_whitespace().count(), p.n() + 1);
     }
 
     #[test]

@@ -15,19 +15,19 @@
 //!   least-loaded) used for the ablation studies in `DESIGN.md`;
 //! * [`proportional`] — subtree-to-processor proportional mapping, the
 //!   "more sophisticated strategy" the paper's conclusion anticipates;
-//! * [`export`] — a plain-text schedule interchange format (the artifact
-//!   the paper's partitioner hands to its simulator);
 //! * [`order`] — the second half of scheduling the paper leaves open:
 //!   a deterministic topological execution order and the per-processor
 //!   work queues the `spfactor-mp` runtime executes;
 //! * [`artifact`] — [`plan`], the one function that runs the whole
 //!   pattern-only front end, and the frozen, hashable, shared
 //!   [`ScheduleArtifact`] it returns under a [`ScheduleKey`]: the unit
-//!   the `spfactor-serve` schedule cache stores and reuses.
+//!   the `spfactor-serve` schedule cache stores and reuses. Its text form
+//!   is the key, a fingerprint and the permutation — where the paper's
+//!   partitioner "generates and stores dependency information" for its
+//!   simulator, this one stores the ordering and re-derives the rest.
 
 pub mod alt;
 pub mod artifact;
-pub mod export;
 pub mod order;
 pub mod proportional;
 

@@ -87,36 +87,64 @@ pub struct CacheSnapshot {
     pub capacity: usize,
 }
 
-/// One in-flight build: completed at most once, then immutable. Waiters
-/// block on the condvar until `result` is populated.
+/// How an in-flight build ended.
+enum Landing {
+    Pending,
+    Built(Result<ScheduleArtifact, ServeError>),
+    /// The builder unwound: there is no result, and the key is free again.
+    Abandoned,
+}
+
+/// One in-flight build: landed at most once, then immutable. Waiters
+/// block on the condvar until it lands.
 struct Flight {
-    result: Mutex<Option<Result<ScheduleArtifact, ServeError>>>,
+    landing: Mutex<Landing>,
     done: Condvar,
 }
 
 impl Flight {
     fn new() -> Self {
         Flight {
-            result: Mutex::new(None),
+            landing: Mutex::new(Landing::Pending),
             done: Condvar::new(),
         }
     }
 
-    fn complete(&self, r: Result<ScheduleArtifact, ServeError>) {
-        let mut slot = lock_unpoisoned(&self.result);
-        debug_assert!(slot.is_none(), "flight completed twice");
-        *slot = Some(r);
+    fn land(&self, landing: Landing) {
+        let mut slot = lock_unpoisoned(&self.landing);
+        debug_assert!(matches!(*slot, Landing::Pending), "flight landed twice");
+        *slot = landing;
         self.done.notify_all();
     }
 
-    fn wait(&self) -> Result<ScheduleArtifact, ServeError> {
-        let mut slot = lock_unpoisoned(&self.result);
+    /// The build's result, or `None` if its builder unwound.
+    fn wait(&self) -> Option<Result<ScheduleArtifact, ServeError>> {
+        let mut slot = lock_unpoisoned(&self.landing);
         loop {
             match &*slot {
-                Some(r) => return r.clone(),
-                None => slot = self.done.wait(slot).unwrap_or_else(|p| p.into_inner()),
+                Landing::Pending => slot = self.done.wait(slot).unwrap_or_else(|p| p.into_inner()),
+                Landing::Built(r) => return Some(r.clone()),
+                Landing::Abandoned => return None,
             }
         }
+    }
+}
+
+/// Held by a builder while its `build` closure runs: if the closure
+/// panics, dropping it takes the `Building` placeholder out of the map and
+/// lands the flight as abandoned, so the waiters look the key up again
+/// instead of waiting on a build nobody will finish.
+struct Unwinding<'a> {
+    cache: &'a ScheduleCache,
+    key: ScheduleKey,
+    flight: &'a Flight,
+}
+
+impl Drop for Unwinding<'_> {
+    fn drop(&mut self) {
+        // Nothing else replaces a `Building` entry, so it is this flight's.
+        lock_unpoisoned(&self.cache.inner).map.remove(&self.key);
+        self.flight.land(Landing::Abandoned);
     }
 }
 
@@ -333,7 +361,10 @@ impl ScheduleCache {
     /// waiters alike — observes the same `Ok` artifact or the same
     /// cloned error. A failed build leaves the cache without the entry,
     /// so the next lookup retries. A successful one leaves its permutation
-    /// in the ordering tier.
+    /// in the ordering tier. A `build` that panics unwinds through its
+    /// caller and also leaves the key free: the callers waiting on it
+    /// look the key up again, and one of them builds it with its own
+    /// `build`.
     ///
     /// Under a recorder scope: cache traffic is mirrored as
     /// `serve.cache.{hit,miss,wait,evict}` counters, the resident counts
@@ -345,47 +376,60 @@ impl ScheduleCache {
         key: ScheduleKey,
         build: impl FnOnce() -> Result<ScheduleArtifact, ServeError>,
     ) -> Result<ScheduleArtifact, ServeError> {
-        let resolved = {
-            let mut inner = lock_unpoisoned(&self.inner);
-            inner.tick += 1;
-            let now = inner.tick;
-            match inner.map.get_mut(&key) {
-                Some(Entry::Ready {
-                    artifact,
-                    last_used,
-                }) => {
-                    *last_used = now;
-                    Resolved::Hit(artifact.clone())
-                }
-                Some(Entry::Building(flight)) => Resolved::Wait(flight.clone()),
-                None => {
-                    let flight = Arc::new(Flight::new());
-                    inner.map.insert(key, Entry::Building(flight.clone()));
-                    Resolved::Build(flight)
-                }
-            }
-        };
-
         let rec = trace::current();
-        match resolved {
-            Resolved::Hit(artifact) => {
-                self.hits.fetch_add(1, AtomicOrdering::Relaxed);
-                rec.incr("serve.cache.hit", 1);
-                Ok(artifact)
+        loop {
+            match self.resolve(key) {
+                Resolved::Hit(artifact) => {
+                    self.hits.fetch_add(1, AtomicOrdering::Relaxed);
+                    rec.incr("serve.cache.hit", 1);
+                    return Ok(artifact);
+                }
+                Resolved::Wait(flight) => {
+                    self.waits.fetch_add(1, AtomicOrdering::Relaxed);
+                    rec.incr("serve.cache.wait", 1);
+                    if let Some(result) = flight.wait() {
+                        return result;
+                    }
+                    // Its builder unwound; the key is free to build again.
+                }
+                Resolved::Build(flight) => {
+                    self.misses.fetch_add(1, AtomicOrdering::Relaxed);
+                    rec.incr("serve.cache.miss", 1);
+                    let unwinding = Unwinding {
+                        cache: self,
+                        key,
+                        flight: &flight,
+                    };
+                    let built = rec.time("serve.build", build);
+                    std::mem::forget(unwinding);
+                    let result = self.finish_build(&key, built);
+                    flight.land(Landing::Built(result.clone()));
+                    self.publish_size();
+                    return result;
+                }
             }
-            Resolved::Wait(flight) => {
-                self.waits.fetch_add(1, AtomicOrdering::Relaxed);
-                rec.incr("serve.cache.wait", 1);
-                flight.wait()
+        }
+    }
+
+    /// Looks `key` up under the map lock, installing a `Building`
+    /// placeholder on a miss.
+    fn resolve(&self, key: ScheduleKey) -> Resolved {
+        let mut inner = lock_unpoisoned(&self.inner);
+        inner.tick += 1;
+        let now = inner.tick;
+        match inner.map.get_mut(&key) {
+            Some(Entry::Ready {
+                artifact,
+                last_used,
+            }) => {
+                *last_used = now;
+                Resolved::Hit(artifact.clone())
             }
-            Resolved::Build(flight) => {
-                self.misses.fetch_add(1, AtomicOrdering::Relaxed);
-                rec.incr("serve.cache.miss", 1);
-                let built = rec.time("serve.build", build);
-                let result = self.finish_build(&key, built);
-                flight.complete(result.clone());
-                self.publish_size();
-                result
+            Some(Entry::Building(flight)) => Resolved::Wait(flight.clone()),
+            None => {
+                let flight = Arc::new(Flight::new());
+                inner.map.insert(key, Entry::Building(flight.clone()));
+                Resolved::Build(flight)
             }
         }
     }

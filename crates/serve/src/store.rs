@@ -2,23 +2,25 @@
 //!
 //! The schedule cache is the service's working set; this store is its
 //! persistence: every artifact built by the service is **spilled** to a
-//! store directory in the `spfactor-artifact v1` interchange format
-//! (atomic temp-file-and-rename writes), and a restarted service
-//! **reloads** the directory's index on startup — so previously-seen
-//! patterns skip the cold-build stampede and pay only the cheap
-//! deterministic reconstruction (`spfactor::sched::rebuild_artifact`),
-//! never the expensive ordering phase.
+//! store directory as the `spfactor-artifact v2` text — key, fingerprint
+//! and permutation, four lines (atomic temp-file-and-rename writes) — and
+//! a restarted service **reloads** the directory's index on startup — so
+//! previously-seen patterns skip the cold-build stampede and pay only the
+//! deterministic re-plan from the stored permutation
+//! (`spfactor::sched::rebuild_artifact`), never the ordering phase.
 //!
 //! Trust model: store files are bytes on disk, exactly like the HB/MM
 //! matrix files the hardened IO layer parses — they may be truncated,
 //! bit-flipped, or swapped between servers. Every load therefore
 //! re-verifies the file end to end: the parse must succeed, the parsed
-//! [`ScheduleKey`] must equal the requested one, the rebuilt partition,
-//! dependency graph, and assignment must agree with the dump line by
-//! line, and the reassembled artifact's fingerprint must equal the
-//! recorded one. Any disagreement is a typed [`StoreError`]; the file is
-//! dropped from the index and the service falls back to a fresh build.
-//! Corruption can cost a rebuild — it can never produce a wrong answer.
+//! [`ScheduleKey`] must equal the requested one and agree with the
+//! request's pattern, and the re-planned artifact's fingerprint — over
+//! the permutation, the factor, the assignment and every predecessor
+//! list — must equal the recorded one. Any disagreement is a typed
+//! [`StoreError`]; the file is dropped from the index and the service
+//! falls back to a fresh build. Corruption can cost a rebuild — it can
+//! never produce a wrong answer. A file of an earlier format version
+//! does not parse, so it costs one rebuild the same way.
 
 use crate::resilience::lock_unpoisoned;
 use spfactor::matrix::SymmetricPattern;
@@ -47,8 +49,8 @@ pub enum StoreError {
         message: String,
     },
     /// The file exists but failed parsing or end-to-end verification
-    /// (truncation, bit flips, fingerprint mismatch, schedule body that
-    /// disagrees with the deterministic rebuild).
+    /// (truncation, bit flips, an earlier format version, a header that
+    /// disagrees with the pattern, fingerprint mismatch).
     Corrupt {
         /// The offending file.
         path: PathBuf,
@@ -326,7 +328,7 @@ mod tests {
         ArtifactStore::open(&dir).unwrap().spill(&plan).unwrap();
         // What a crash between `write` and `rename` leaves behind.
         let leftover = dir.join(".0123456789abcdef.tmp");
-        std::fs::write(&leftover, "spfactor-artifact v1\n").unwrap();
+        std::fs::write(&leftover, "spfactor-artifact v2\n").unwrap();
 
         let store = ArtifactStore::open(&dir).unwrap();
         assert!(!leftover.exists(), "leftover temp file survived open");

@@ -6,9 +6,10 @@
 # Tier-1 (the gate every PR must keep green) plus the observability
 # checks: one instrumentation path (no twins, no compile-out build), one
 # unit-block kernel under both schedule executors, one plan value built
-# by one chain and scheduled on first use, no mp in the solver service
-# and no fault layer in mp, the metrics doc held to the code, and a
-# warning-free rustdoc surface.
+# by one chain and scheduled on first use, a stored plan that is a key, a
+# fingerprint and a permutation, no mp in the solver service and no fault
+# layer in mp, the metrics doc held to the code, and a warning-free
+# rustdoc surface.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -185,6 +186,22 @@ if [ "$(grep -c . <<<"$sites")" -ne 1 ]; then
   exit 1
 fi
 cargo test -q -p spfactor --test serve_cache a_sequential_solve_derives_no_schedule
+
+echo "==> a stored plan is a key, a fingerprint and a permutation"
+# Everything after the ordering is a deterministic function of the pattern
+# and the permutation, so the artifact text stores no schedule and a load
+# re-plans it and compares one fingerprint (docs/ARCHITECTURE.md, "The
+# artifact seam"); a schedule dump format coming back is the regression
+# this guards. (artifact_robustness.rs holds the previous version's text as
+# a fixture the reader must reject.)
+sites=$(call_sites 'spfactor-schedule|write_schedule|read_schedule|ScheduleDump|sched::export' \
+  crates examples tests | grep -v '^crates/sched/tests/artifact_robustness.rs:' || true)
+if [ -n "$sites" ]; then
+  echo "a schedule dump returned:"; echo "$sites"
+  exit 1
+fi
+cargo test -q -p spfactor-sched --test artifact_robustness
+cargo test -q -p spfactor --test serve_cache a_panicking_build_does_not_wedge_its_key
 
 echo "==> mp leaves serve: the solver service has no mp kernel, breaker or failover"
 # The message-passing runtime is the pipeline's executable check of the

@@ -491,6 +491,58 @@ fn build_failures_surface_typed_and_do_not_poison_the_key() {
 }
 
 #[test]
+fn a_panicking_build_does_not_wedge_its_key() {
+    // `get_or_build` takes any closure, and one may panic. The panic
+    // unwinds through its own caller; a lookup coalesced onto that flight
+    // must not wait for it forever, but build the key itself, after which
+    // the key is an ordinary hit.
+    let cache = Arc::new(ScheduleCache::new(2));
+    let pipeline = Arc::new(Pipeline::new(gen::lap9(6, 6)).processors(2));
+    let key = pipeline.key();
+    let (done, finished) = std::sync::mpsc::channel();
+    let scenario = {
+        let cache = cache.clone();
+        move || {
+            let builder = {
+                let cache = cache.clone();
+                std::thread::spawn(move || {
+                    cache.get_or_build(key, || {
+                        while cache.stats().waits == 0 {
+                            std::thread::yield_now();
+                        }
+                        panic!("a build that panics once a lookup waits on it")
+                    })
+                })
+            };
+            while cache.stats().misses == 0 {
+                std::thread::yield_now();
+            }
+            let waited = cache
+                .get_or_build(key, || {
+                    pipeline
+                        .try_plan()
+                        .map_err(|e| ServeError::Build(Arc::new(e)))
+                })
+                .map(|a| a.fingerprint());
+            let hit = cache
+                .get_or_build(key, || panic!("must hit"))
+                .map(|a| a.fingerprint());
+            let _ = done.send((builder.join().is_err(), waited, hit));
+        }
+    };
+    // Detached, so that a wedged key fails the test instead of hanging it.
+    std::thread::spawn(scenario);
+    let (builder_panicked, waited, hit) = finished
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("a lookup is still waiting on the panicked build");
+    assert!(builder_panicked, "the panic unwinds through its own caller");
+    let fingerprint = waited.expect("the waiter builds the key itself");
+    assert_eq!(hit.expect("then it is cached"), fingerprint);
+    let stats = cache.stats();
+    assert_eq!((stats.misses, stats.waits, stats.hits), (2, 1, 1));
+}
+
+#[test]
 fn a_re_miss_replans_from_the_remembered_permutation() {
     // Capacity 1: the second pattern evicts the first, whose permutation
     // stays. The re-miss must rebuild the very artifact a fresh plan gives,
