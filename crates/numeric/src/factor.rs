@@ -3,24 +3,40 @@
 use crate::NumericError;
 use spfactor_matrix::SymmetricCsc;
 use spfactor_symbolic::SymbolicFactor;
+use std::sync::Arc;
 
 /// The numeric Cholesky factor `L` (`A = L Lᵀ`), stored congruently with
-/// its [`SymbolicFactor`]: per column a diagonal value plus the values of
-/// the strict-lower entries in the symbolic structure's order.
+/// its [`SymbolicFactor`]: one value per factor entry, indexed by entry id
+/// ([`SymbolicFactor::entry_id`]: the diagonal `L(j, j)` at `j`, the
+/// strict-lower entries at `n +` their position in the column structure).
+/// The column structure itself is a handle on the symbolic factor's
+/// ([`SymbolicFactor::column_structure`]), not a copy: a factorization
+/// allocates its values and nothing else.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NumericFactor {
     n: usize,
-    /// Diagonal of L.
-    diag: Vec<f64>,
-    /// Strict-lower values, aligned with the symbolic factor's row lists.
-    vals: Vec<f64>,
-    /// Column start offsets into `vals` (copied from the symbolic factor).
-    colptr: Vec<usize>,
-    /// Row indices, aligned with `vals`.
-    rowidx: Vec<usize>,
+    /// Column start offsets into the strict-lower entries (shared).
+    colptr: Arc<[usize]>,
+    /// Row indices of the strict-lower entries (shared).
+    rowidx: Arc<[usize]>,
+    /// Values by entry id: `n` diagonals, then the strict-lower values.
+    values: Vec<f64>,
 }
 
 impl NumericFactor {
+    /// The factor with `values` (entry-id layout) on `symbolic`'s
+    /// structure — what every kernel in this crate returns.
+    pub(crate) fn new(symbolic: &SymbolicFactor, values: Vec<f64>) -> Self {
+        debug_assert_eq!(values.len(), symbolic.num_entries(), "one value per entry");
+        let (colptr, rowidx) = symbolic.column_structure();
+        NumericFactor {
+            n: symbolic.n(),
+            colptr,
+            rowidx,
+            values,
+        }
+    }
+
     /// Matrix dimension.
     pub fn n(&self) -> usize {
         self.n
@@ -29,7 +45,7 @@ impl NumericFactor {
     /// Diagonal entry `L(j, j)`.
     #[inline]
     pub fn diag(&self, j: usize) -> f64 {
-        self.diag[j]
+        self.values[j]
     }
 
     /// Strict-lower row indices of column `j`.
@@ -42,12 +58,12 @@ impl NumericFactor {
     /// [`Self::col_rows`].
     #[inline]
     pub fn col_vals(&self, j: usize) -> &[f64] {
-        &self.vals[self.colptr[j]..self.colptr[j + 1]]
+        &self.values[self.n + self.colptr[j]..self.n + self.colptr[j + 1]]
     }
 
     /// Number of stored nonzeros including the diagonal.
     pub fn nnz_lower(&self) -> usize {
-        self.n + self.vals.len()
+        self.values.len()
     }
 
     /// Computes `L Lᵀ x` — multiplication by the reconstructed matrix,
@@ -57,7 +73,7 @@ impl NumericFactor {
         // y = Lᵀ x
         let mut y = vec![0.0; self.n];
         for j in 0..self.n {
-            let mut acc = self.diag[j] * x[j];
+            let mut acc = self.diag(j) * x[j];
             for (&i, &v) in self.col_rows(j).iter().zip(self.col_vals(j)) {
                 acc += v * x[i];
             }
@@ -66,7 +82,7 @@ impl NumericFactor {
         // z = L y
         let mut z = vec![0.0; self.n];
         for j in 0..self.n {
-            z[j] += self.diag[j] * y[j];
+            z[j] += self.diag(j) * y[j];
             for (&i, &v) in self.col_rows(j).iter().zip(self.col_vals(j)) {
                 z[i] += v * y[j];
             }
@@ -74,11 +90,18 @@ impl NumericFactor {
         z
     }
 
-    /// Assembles a factor from its raw storage arrays, for the kernels
-    /// and executors in this crate that compute the values under their
-    /// own discipline; `diag` holds the `n` diagonal values, `vals` the
-    /// strict-lower values in the column-compressed layout described by
-    /// `colptr`/`rowidx`.
+    /// Assembles a factor from raw storage arrays, for code that computes
+    /// the values under its own discipline: `diag` holds the `n` diagonal
+    /// values, `vals` the strict-lower values in the column-compressed
+    /// layout described by `colptr`/`rowidx`. The arrays are copied into
+    /// a factor of their own; the kernels of this crate share the
+    /// symbolic factor's structure instead.
+    ///
+    /// # Panics
+    ///
+    /// If the arrays disagree in size: `diag.len() != n`,
+    /// `colptr.len() != n + 1`, `colptr[n] != rowidx.len()` or
+    /// `vals.len() != rowidx.len()`. The message names the array.
     pub fn from_parts(
         n: usize,
         diag: Vec<f64>,
@@ -86,12 +109,34 @@ impl NumericFactor {
         colptr: Vec<usize>,
         rowidx: Vec<usize>,
     ) -> Self {
+        assert_eq!(diag.len(), n, "diag has {} values for n = {n}", diag.len());
+        assert_eq!(
+            colptr.len(),
+            n + 1,
+            "colptr has {} entries for n = {n}",
+            colptr.len()
+        );
+        assert_eq!(
+            colptr[n],
+            rowidx.len(),
+            "colptr ends at {}, rowidx has {} entries",
+            colptr[n],
+            rowidx.len()
+        );
+        assert_eq!(
+            vals.len(),
+            rowidx.len(),
+            "vals has {} values, rowidx has {} entries",
+            vals.len(),
+            rowidx.len()
+        );
+        let mut values = diag;
+        values.extend_from_slice(&vals);
         NumericFactor {
             n,
-            diag,
-            vals,
-            colptr,
-            rowidx,
+            colptr: colptr.into(),
+            rowidx: rowidx.into(),
+            values,
         }
     }
 }
@@ -149,11 +194,10 @@ pub fn cholesky(
             symbolic.n()
         )));
     }
-    let colptr = symbolic.colptr().to_vec();
-    let rowidx = symbolic.rowidx().to_vec();
+    let (colptr, rowidx) = (symbolic.colptr(), symbolic.rowidx());
     let rows = symbolic.row_structure();
-    let mut diag = vec![0.0f64; n];
-    let mut vals = vec![0.0f64; rowidx.len()];
+    let mut values = vec![0.0f64; symbolic.num_entries()];
+    let (diag, vals) = values.split_at_mut(n);
     // Dense accumulator.
     let mut acc = vec![0.0f64; n];
 
@@ -199,15 +243,15 @@ pub fn cholesky(
             let tail = &rowidx[at(t) + 1..colptr[sources[t].0 as usize + 1]];
             while run_end - t >= 4 {
                 let p = [at(t), at(t + 1), at(t + 2), at(t + 3)];
-                dj = apply_sources(p, tail, &vals, &mut acc, dj);
+                dj = apply_sources(p, tail, vals, &mut acc, dj);
                 t += 4;
             }
             if run_end - t >= 2 {
-                dj = apply_sources([at(t), at(t + 1)], tail, &vals, &mut acc, dj);
+                dj = apply_sources([at(t), at(t + 1)], tail, vals, &mut acc, dj);
                 t += 2;
             }
             if run_end - t == 1 {
-                dj = apply_sources([at(t)], tail, &vals, &mut acc, dj);
+                dj = apply_sources([at(t)], tail, vals, &mut acc, dj);
                 t += 1;
             }
         }
@@ -224,7 +268,7 @@ pub fn cholesky(
         }
     }
 
-    Ok(NumericFactor::from_parts(n, diag, vals, colptr, rowidx))
+    Ok(NumericFactor::new(symbolic, values))
 }
 
 #[cfg(test)]
@@ -386,6 +430,40 @@ mod tests {
         let f = factor_setup(&a);
         let l = cholesky(&a, &f).unwrap();
         assert_eq!(l.nnz_lower(), f.nnz_lower());
+    }
+
+    /// The storage arrays of a consistent two-column factor: `L(1, 0)`
+    /// is its one strict entry.
+    fn parts() -> (Vec<f64>, Vec<f64>, Vec<usize>, Vec<usize>) {
+        (vec![2.0, 1.0], vec![0.5], vec![0, 1, 1], vec![1])
+    }
+
+    #[test]
+    #[should_panic(expected = "diag has 1 values for n = 2")]
+    fn from_parts_rejects_a_short_diag() {
+        let (_, vals, colptr, rowidx) = parts();
+        NumericFactor::from_parts(2, vec![2.0], vals, colptr, rowidx);
+    }
+
+    #[test]
+    #[should_panic(expected = "colptr has 2 entries for n = 2")]
+    fn from_parts_rejects_a_short_colptr() {
+        let (diag, vals, _, rowidx) = parts();
+        NumericFactor::from_parts(2, diag, vals, vec![0, 1], rowidx);
+    }
+
+    #[test]
+    #[should_panic(expected = "colptr ends at 2, rowidx has 1 entries")]
+    fn from_parts_rejects_a_colptr_past_rowidx() {
+        let (diag, vals, _, rowidx) = parts();
+        NumericFactor::from_parts(2, diag, vals, vec![0, 1, 2], rowidx);
+    }
+
+    #[test]
+    #[should_panic(expected = "vals has 2 values, rowidx has 1 entries")]
+    fn from_parts_rejects_vals_longer_than_rowidx() {
+        let (diag, _, colptr, rowidx) = parts();
+        NumericFactor::from_parts(2, diag, vec![0.5, 0.25], colptr, rowidx);
     }
 
     #[test]

@@ -29,20 +29,14 @@ pub fn cholesky_supernodal(
             symbolic.n()
         )));
     }
-    // Values aligned with the symbolic structure (diag separate).
-    let mut colptr = Vec::with_capacity(n + 1);
-    colptr.push(0usize);
-    let mut rowidx: Vec<usize> = Vec::with_capacity(symbolic.nnz_strict_lower());
-    for j in 0..n {
-        rowidx.extend_from_slice(symbolic.col(j));
-        colptr.push(rowidx.len());
-    }
-    let mut diag = vec![0.0f64; n];
-    let mut vals = vec![0.0f64; rowidx.len()];
+    // Values by entry id, on the symbolic factor's own structure.
+    let (colptr, rowidx) = (symbolic.colptr(), symbolic.rowidx());
+    let mut values = vec![0.0f64; symbolic.num_entries()];
+    let (diag, vals) = values.split_at_mut(n);
 
     // Scatter A into the factor storage (updates accumulate on top).
     // Positions located by binary search in the symbolic column.
-    let find = |rowidx: &[usize], colptr: &[usize], i: usize, j: usize| -> Option<usize> {
+    let find = |i: usize, j: usize| -> Option<usize> {
         let col = &rowidx[colptr[j]..colptr[j + 1]];
         col.binary_search(&i).ok().map(|off| colptr[j] + off)
     };
@@ -52,7 +46,7 @@ pub fn cholesky_supernodal(
         let avals = a.col_values(j);
         diag[j] = avals[0];
         for (&i, &v) in rows[1..].iter().zip(&avals[1..]) {
-            let pos = find(&rowidx, &colptr, i, j).ok_or_else(|| {
+            let pos = find(i, j).ok_or_else(|| {
                 NumericError::StructureMismatch(format!("A({i}, {j}) not in symbolic factor"))
             })?;
             vals[pos] = v;
@@ -134,7 +128,7 @@ pub fn cholesky_supernodal(
                     acc += panel[c * h + ri_slot] * panel[c * h + w + bj];
                 }
                 if acc != 0.0 {
-                    let pos = find(&rowidx, &colptr, ri, rj).ok_or_else(|| {
+                    let pos = find(ri, rj).ok_or_else(|| {
                         NumericError::StructureMismatch(format!(
                             "update target ({ri}, {rj}) missing from factor"
                         ))
@@ -145,7 +139,7 @@ pub fn cholesky_supernodal(
         }
     }
 
-    Ok(NumericFactor::from_parts(n, diag, vals, colptr, rowidx))
+    Ok(NumericFactor::new(symbolic, values))
 }
 
 #[cfg(test)]

@@ -291,18 +291,11 @@ impl<'a> UnitKernel<'a> {
             .unwrap_or(NumericError::NotPositiveDefinite(col))
     }
 
-    /// Repackages a finished value array (entry-id layout) as the factor.
-    pub fn into_factor(self, mut values: Vec<f64>) -> NumericFactor {
-        let n = self.symbolic.n();
-        let vals = values.split_off(n);
-        values.shrink_to_fit();
-        NumericFactor::from_parts(
-            n,
-            values,
-            vals,
-            self.symbolic.colptr().to_vec(),
-            self.symbolic.rowidx().to_vec(),
-        )
+    /// Repackages a finished value array (entry-id layout) as the factor:
+    /// the array is the factor's storage as it stands, the structure a
+    /// handle on the symbolic factor's.
+    pub fn into_factor(self, values: Vec<f64>) -> NumericFactor {
+        NumericFactor::new(self.symbolic, values)
     }
 }
 

@@ -32,14 +32,25 @@ pub fn col_counts(pattern: &SymmetricPattern, etree: &EliminationTree) -> Vec<us
     count
 }
 
+/// `len` zeros allocated straight into shared storage: `RepeatN` is
+/// `TrustedLen`, so the collect writes into the `Arc`'s own allocation
+/// with no staging `Vec` to copy from.
+fn shared_zeros(len: usize) -> Arc<[usize]> {
+    std::iter::repeat_n(0, len).collect()
+}
+
 /// The symbolic Cholesky factor of a (pre-ordered) symmetric matrix:
 /// the strict-lower-triangle structure of L, plus the elimination tree it
 /// was derived from. The diagonal of L is implicit (always nonzero).
+///
+/// The column structure (`colptr`, `rowidx`) sits in shared storage:
+/// clones of the factor and every numeric factor computed against it
+/// hold handles on the one copy ([`Self::column_structure`]).
 #[derive(Clone, Debug)]
 pub struct SymbolicFactor {
     n: usize,
-    colptr: Vec<usize>,
-    rowidx: Vec<usize>,
+    colptr: Arc<[usize]>,
+    rowidx: Arc<[usize]>,
     etree: EliminationTree,
     /// Strict-lower nonzeros of A (for fill accounting).
     nnz_a_strict: usize,
@@ -57,6 +68,7 @@ impl SymbolicFactor {
     /// closed form from the etree first ([`col_counts`]), so the CSC
     /// arrays are allocated exactly once at their final size and each
     /// column is merged in place — no per-column set is materialized.
+    /// Both arrays are built straight into their shared storage.
     /// `O(nnz(L))` amortized plus the per-column sorts.
     ///
     /// Under a recorder scope the construction is timed as the span
@@ -85,12 +97,13 @@ impl SymbolicFactor {
         let n = pattern.n();
         let etree = EliminationTree::from_pattern(pattern);
         let counts = col_counts(pattern, &etree);
-        let mut colptr = Vec::with_capacity(n + 1);
-        colptr.push(0usize);
+        let mut colptr_handle = shared_zeros(n + 1);
+        let colptr = Arc::get_mut(&mut colptr_handle).expect("a fresh handle is unique");
         for j in 0..n {
-            colptr.push(colptr[j] + counts[j]);
+            colptr[j + 1] = colptr[j] + counts[j];
         }
-        let mut rowidx = vec![0usize; colptr[n]];
+        let mut rowidx_handle = shared_zeros(colptr[n]);
+        let rowidx = Arc::get_mut(&mut rowidx_handle).expect("a fresh handle is unique");
         let children = etree.children();
         let mut marker = vec![usize::MAX; n];
         for j in 0..n {
@@ -123,8 +136,8 @@ impl SymbolicFactor {
         }
         SymbolicFactor {
             n,
-            colptr,
-            rowidx,
+            colptr: colptr_handle,
+            rowidx: rowidx_handle,
             etree,
             nnz_a_strict: pattern.nnz_strict_lower(),
             rows: Arc::default(),
@@ -153,6 +166,13 @@ impl SymbolicFactor {
     #[inline]
     pub fn rowidx(&self) -> &[usize] {
         &self.rowidx
+    }
+
+    /// Shared handles on [`Self::colptr`] and [`Self::rowidx`]. A numeric
+    /// factor holds these instead of a copy, so however many value sets
+    /// are factored against this structure, it is stored once.
+    pub fn column_structure(&self) -> (Arc<[usize]>, Arc<[usize]>) {
+        (Arc::clone(&self.colptr), Arc::clone(&self.rowidx))
     }
 
     /// The row structure of L — for each row `j` the columns `k < j` with
@@ -250,10 +270,10 @@ impl SymbolicFactor {
             }
         };
         fold(self.n as u64);
-        for &p in &self.colptr {
+        for &p in self.colptr.iter() {
             fold(p as u64);
         }
-        for &i in &self.rowidx {
+        for &i in self.rowidx.iter() {
             fold(i as u64);
         }
         h
@@ -261,7 +281,7 @@ impl SymbolicFactor {
 
     /// The factor structure as a [`SymmetricPattern`] (strict lower).
     pub fn to_pattern(&self) -> SymmetricPattern {
-        SymmetricPattern::from_parts(self.n, self.colptr.clone(), self.rowidx.clone())
+        SymmetricPattern::from_parts(self.n, self.colptr.to_vec(), self.rowidx.to_vec())
             .expect("factor columns are sorted, strict, in-bounds")
     }
 

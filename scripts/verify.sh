@@ -5,7 +5,8 @@
 #
 # Tier-1 (the gate every PR must keep green) plus the observability
 # checks: one instrumentation path (no twins, no compile-out build), one
-# unit-block kernel under both schedule executors, one plan value built
+# unit-block kernel under both schedule executors, numeric factors that
+# share the symbolic structure instead of copying it, one plan value built
 # by one chain and scheduled on first use, a stored plan that is a key, a
 # fingerprint and a permutation, no mp in the solver service and no fault
 # layer in mp, the metrics doc held to the code, and a warning-free
@@ -148,6 +149,18 @@ if grep -rnE 'for_each_update|entry_id\(|struct OpRec' \
 fi
 cargo test -q -p spfactor --test numeric_kernel_bits unit
 cargo test -q -p spfactor --test metrics_surface block_parallel_allocates_nothing_per_update_pair
+
+echo "==> a factorization allocates only its values"
+# Every numeric factor holds handles on its symbolic factor's column
+# structure (docs/ARCHITECTURE.md, "The row structure of L"); a kernel or
+# executor that copies colptr/rowidx into its factor again is the
+# regression this guards, and numeric_alloc bounds the heap each one adds.
+sites=$(call_sites 'colptr\(\)\.to_vec\(\)|rowidx\(\)\.to_vec\(\)' crates/numeric/src crates/mp/src)
+if [ -n "$sites" ]; then
+  echo "a numeric factor copies the symbolic structure again:"; echo "$sites"
+  exit 1
+fi
+cargo test -q -p spfactor --test numeric_alloc
 
 echo "==> one traffic replay: the simulator walks the update operations in one function"
 # The traffic report, the timed simulation's transfers and the
