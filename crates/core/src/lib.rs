@@ -355,9 +355,10 @@ impl Pipeline {
     /// Selects the dependency-analysis engine (default:
     /// [`DepsEngine::Element`], the per-operation oracle). All engines
     /// return bit-identical dependency graphs — same edge sets, same
-    /// per-category operation counts; `Sweep` / `SweepParallel` build
-    /// them by sorted-extent sweeps over unit-block geometry and are the
-    /// fast choice on large problems — see `docs/PERFORMANCE.md`.
+    /// per-category operation counts; `Sweep` builds them by a sweep over
+    /// unit-block geometry and is the fast choice on large problems
+    /// (`SweepParallel` is the same build under another span name) — see
+    /// `docs/PERFORMANCE.md`.
     ///
     /// ```
     /// use spfactor::{DepsEngine, Pipeline};
@@ -366,7 +367,7 @@ impl Pipeline {
     /// let slow = Pipeline::new(p.clone()).processors(4).run();
     /// let fast = Pipeline::new(p)
     ///     .processors(4)
-    ///     .deps_engine(DepsEngine::SweepParallel)
+    ///     .deps_engine(DepsEngine::Sweep)
     ///     .run();
     /// assert_eq!(slow.plan.deps(), fast.plan.deps());
     /// assert_eq!(slow.traffic, fast.traffic);

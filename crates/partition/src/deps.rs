@@ -34,6 +34,7 @@ use crate::block::UnitShape;
 use crate::units::Partition;
 use spfactor_symbolic::{ops, SymbolicFactor};
 use spfactor_trace::Current;
+use std::sync::OnceLock;
 
 /// The paper's ten dependency categories (§3.3, Figure 4).
 ///
@@ -182,22 +183,37 @@ pub fn category_of(externals: &[&UnitShape], target: &UnitShape) -> Option<DepCa
 
 /// The unit-level dependency graph of a partition.
 ///
-/// Equality compares the full graph — predecessor/successor sets and the
-/// per-category operation counts — which is what the engine-equivalence
-/// tests pin between the element oracle and the sweep engines.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// It stores what block allocation reads: the predecessor lists and the
+/// per-category operation counts. The successor lists, which only the
+/// schedule executors and the timed simulator walk, are derived from the
+/// predecessors on the first [`succs`](Self::succs) call and kept.
+///
+/// Equality compares the predecessor sets and the per-category operation
+/// counts — the successors are a function of the predecessors — which is
+/// what the engine-equivalence tests pin between the element oracle and
+/// the sweep engine.
+#[derive(Clone, Debug)]
 pub struct DepGraph {
     /// Predecessor lists in CSR form: unit `u` reads the data of the
     /// sorted, distinct units `pred_ids[pred_start[u]..pred_start[u + 1]]`.
     pred_start: Vec<usize>,
     pred_ids: Vec<u32>,
-    /// Successor lists, same layout: the units that read data of `u`.
-    succ_start: Vec<usize>,
-    succ_ids: Vec<u32>,
     /// Update-operation counts per category (paper numbering 1..=10 at
     /// index `number - 1`).
     category_ops: [usize; 10],
+    /// Successor lists, same layout: the units that read data of `u`.
+    succ: OnceLock<(Vec<usize>, Vec<u32>)>,
 }
+
+impl PartialEq for DepGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.pred_start == other.pred_start
+            && self.pred_ids == other.pred_ids
+            && self.category_ops == other.category_ops
+    }
+}
+
+impl Eq for DepGraph {}
 
 impl DepGraph {
     /// Predecessor units of `u` (sorted, distinct).
@@ -205,9 +221,45 @@ impl DepGraph {
         &self.pred_ids[self.pred_start[u]..self.pred_start[u + 1]]
     }
 
-    /// Successor units of `u` (sorted, distinct).
+    /// Successor units of `u` (sorted, distinct). The first call on a
+    /// graph derives the whole successor table.
     pub fn succs(&self, u: usize) -> &[u32] {
-        &self.succ_ids[self.succ_start[u]..self.succ_start[u + 1]]
+        let (start, ids) = self.succ_table();
+        &ids[start[u]..start[u + 1]]
+    }
+
+    /// Derives the successor table now, if no [`succs`](Self::succs) call
+    /// has yet — so a caller can pay for it at a point of its choosing.
+    pub fn derive_succs(&self) {
+        self.succ_table();
+    }
+
+    /// The successor table, transposed from the predecessors by counting.
+    fn succ_table(&self) -> &(Vec<usize>, Vec<u32>) {
+        self.succ.get_or_init(|| {
+            let nu = self.num_units();
+            let mut start = vec![0usize; nu + 1];
+            for &s in &self.pred_ids {
+                start[s as usize + 1] += 1;
+            }
+            for u in 0..nu {
+                start[u + 1] += start[u];
+            }
+            // Scattering targets in ascending order leaves every successor
+            // list sorted and distinct, like the predecessor lists it
+            // mirrors. `start[s]` is the cursor of list `s`, so it ends at
+            // the start of list `s + 1`; one shift restores it.
+            let mut ids = vec![0u32; self.pred_ids.len()];
+            for u in 0..nu {
+                for &s in self.preds(u) {
+                    ids[start[s as usize]] = u as u32;
+                    start[s as usize] += 1;
+                }
+            }
+            start.copy_within(0..nu, 1);
+            start[0] = 0;
+            (start, ids)
+        })
     }
 
     /// Number of units.
@@ -232,51 +284,52 @@ impl DepGraph {
     pub fn num_edges(&self) -> usize {
         self.pred_ids.len()
     }
+}
 
-    /// Assembles a graph from raw (unsorted, possibly duplicated)
-    /// predecessor lists plus the category tallies: sorts and
-    /// deduplicates each list into the flat predecessor table, then
-    /// derives the successor table by counting. Shared by the element and
-    /// sweep builders so both produce identical representations from
-    /// identical edge multisets.
-    pub(crate) fn assemble(mut preds: Vec<Vec<u32>>, category_ops: [usize; 10]) -> DepGraph {
-        let nu = preds.len();
-        let mut pred_start = Vec::with_capacity(nu + 1);
-        pred_start.push(0);
-        let mut edges = 0;
-        for l in &mut preds {
-            l.sort_unstable();
-            l.dedup();
-            edges += l.len();
-            pred_start.push(edges);
+/// Lays out a graph's predecessor table one unit at a time, in unit
+/// order, from raw (unsorted, possibly duplicated) lists. Shared by the
+/// element and sweep builders, so both produce identical representations
+/// from identical edge sets.
+pub(crate) struct PredTable {
+    units: usize,
+    start: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl PredTable {
+    pub(crate) fn new(num_units: usize) -> Self {
+        let mut start = Vec::with_capacity(num_units + 1);
+        start.push(0);
+        PredTable {
+            units: num_units,
+            start,
+            ids: Vec::new(),
         }
-        let mut pred_ids = Vec::with_capacity(edges);
-        let mut succ_start = vec![0usize; nu + 1];
-        for l in preds {
-            for &s in &l {
-                succ_start[s as usize + 1] += 1;
-            }
-            pred_ids.extend_from_slice(&l);
-        }
-        for u in 0..nu {
-            succ_start[u + 1] += succ_start[u];
-        }
-        // Scattering targets in ascending order leaves every successor
-        // list sorted and distinct, like the predecessor lists it mirrors.
-        let mut succ_ids = vec![0u32; edges];
-        let mut cursor = succ_start.clone();
-        for u in 0..nu {
-            for &s in &pred_ids[pred_start[u]..pred_start[u + 1]] {
-                succ_ids[cursor[s as usize]] = u as u32;
-                cursor[s as usize] += 1;
-            }
-        }
+    }
+
+    /// Units laid out so far: the next [`push`](Self::push) is this unit's.
+    pub(crate) fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Sorts and deduplicates `list` and lays it out as the next unit's
+    /// predecessors.
+    pub(crate) fn push(&mut self, mut list: Vec<u32>) {
+        list.sort_unstable();
+        list.dedup();
+        self.ids.extend_from_slice(&list);
+        self.start.push(self.ids.len());
+    }
+
+    /// The graph, once every unit's list is laid out.
+    pub(crate) fn finish(mut self, category_ops: [usize; 10]) -> DepGraph {
+        assert_eq!(self.len(), self.units, "a unit's list was not laid out");
+        self.ids.shrink_to_fit();
         DepGraph {
-            pred_start,
-            pred_ids,
-            succ_start,
-            succ_ids,
+            pred_start: self.start,
+            pred_ids: self.ids,
             category_ops,
+            succ: OnceLock::new(),
         }
     }
 }
@@ -349,7 +402,11 @@ fn enumerate(factor: &SymbolicFactor, partition: &Partition) -> DepGraph {
         record([s, 0], 1, tgt, &mut category_ops, &mut pred_sets);
     });
 
-    DepGraph::assemble(pred_sets, category_ops)
+    let mut table = PredTable::new(nu);
+    for list in pred_sets {
+        table.push(list);
+    }
+    table.finish(category_ops)
 }
 
 /// Records a built graph's shape — the `partition.deps.edges` /

@@ -26,7 +26,7 @@ pub mod units;
 pub use block::{Cluster, ClusterKind, UnitBlock, UnitShape};
 pub use cluster::identify_clusters;
 pub use deps::{dependencies, DepCategory, DepGraph};
-pub use sweep::{build_dependencies, sweep_dependencies, DepsEngine};
+pub use sweep::{build_dependencies, DepsEngine};
 pub use units::{Partition, TaggedRun, TargetScratch, UpdateTarget};
 
 /// Tunable parameters of the partitioner.

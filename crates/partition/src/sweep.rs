@@ -47,43 +47,42 @@
 //! no unit is examined that holds no target, and an edge is proposed
 //! about once — what remains is the size of the graph itself.
 //!
-//! **Parallelism.** Runs are independent. Their list is cut into
-//! items of at most a quarter of a thread's share of the estimated work,
-//! handed out dynamically; each worker proposes predecessors into lists
-//! of its own, `DepGraph::assemble` sorts and deduplicates the
-//! concatenation, and category counts merge by integer addition — the
-//! graph is bit-identical for every thread count (pinned by
-//! `tests/deps_equivalence.rs`).
+//! **Layout, cluster by cluster.** The runs are swept in column order,
+//! and an operation's target lies in a column at or right of its source
+//! columns. So once the sweep has passed a cluster's last column, nothing
+//! more is proposed into the lists of that cluster's units: before each
+//! run, the lists of every cluster passed are sorted, deduplicated,
+//! appended to the predecessor table and freed. The raw lists and the
+//! flat table are never all alive at once, and the graph is the one the
+//! element oracle lays out (pinned by `tests/deps_equivalence.rs`).
 
 use crate::block::UnitShape;
-use crate::deps::{category_of, dependencies, record_graph_stats, DepGraph};
+use crate::deps::{category_of, dependencies, record_graph_stats, DepGraph, PredTable};
 use crate::units::{
     advance, split_at, Partition, Segmentation, TaggedRun, TargetScratch, UpdateTarget,
 };
 use spfactor_interval::Interval;
 use spfactor_symbolic::{fundamental_supernodes, SymbolicFactor};
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Selects how the unit-block dependency graph is built.
 ///
 /// All engines return **bit-identical** [`DepGraph`] values — same
-/// predecessor/successor sets, same per-category operation counts —
-/// pinned by `tests/deps_equivalence.rs` on every paper matrix and by the
+/// predecessor sets, same per-category operation counts — pinned by
+/// `tests/deps_equivalence.rs` on every paper matrix and by the
 /// `prop_deps_engines_agree` property test on random SPD structures. The
 /// choice is purely a speed/observability trade-off:
 ///
-/// | engine | cost | threads |
-/// |---|---|---|
-/// | `Element` | `Θ(Σ_k c_k²)` operation replay | 1 |
-/// | `Sweep` | `Θ(Σ_runs (pieces + units holding a target) + edges)` geometry sweep | 1 |
-/// | `SweepParallel` | as `Sweep` | `available_parallelism` |
+/// | engine | cost |
+/// |---|---|
+/// | `Element` | `Θ(Σ_k c_k²)` operation replay |
+/// | `Sweep` | `Θ(Σ_runs (pieces + units holding a target) + edges)` geometry sweep |
+/// | `SweepParallel` | the same sweep: a second name for `Sweep` |
 ///
 /// `Element` is the oracle — the direct enumeration of the paper's §3.3
-/// operation set — and stays the pipeline-level default. Use `Sweep` or
-/// `SweepParallel` on large problems; `docs/PERFORMANCE.md` has measured
-/// speedups.
+/// operation set — and stays the pipeline-level default. Use `Sweep` on
+/// large problems; `docs/PERFORMANCE.md` has measured speedups. Every
+/// engine runs on the calling thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DepsEngine {
     /// Per-operation replay of every update and scaling (the oracle).
@@ -91,8 +90,7 @@ pub enum DepsEngine {
     Element,
     /// Source-run sweep over unit geometry, single-threaded.
     Sweep,
-    /// The same sweep with ranges of supernodes handed out dynamically to
-    /// crossbeam scoped threads.
+    /// The same sweep as [`Sweep`](Self::Sweep), under its own span name.
     SweepParallel,
 }
 
@@ -113,7 +111,8 @@ impl DepsEngine {
 /// `partition.deps` span; the sweep engines run under the spans
 /// `deps.engine.sweep` / `deps.engine.sweep_parallel` and emit the
 /// `deps.engine.columns` / `.pairs` / `.segments` / `.walked_segments`
-/// counters and the `deps.engine.threads` gauge (see `docs/METRICS.md`).
+/// counters and the `deps.engine.threads` gauge, always 1 (see
+/// `docs/METRICS.md`).
 /// All engines record the shared `partition.deps.edges` /
 /// `.independent_units` gauges and the `partition.deps.category.<n>`
 /// counters.
@@ -122,14 +121,14 @@ pub fn build_dependencies(
     factor: &SymbolicFactor,
     partition: &Partition,
 ) -> DepGraph {
-    let (threads, span) = match engine {
+    let span = match engine {
         DepsEngine::Element => return dependencies(factor, partition),
-        DepsEngine::Sweep => (1, "deps.engine.sweep"),
-        DepsEngine::SweepParallel => (default_threads(), "deps.engine.sweep_parallel"),
+        DepsEngine::Sweep => "deps.engine.sweep",
+        DepsEngine::SweepParallel => "deps.engine.sweep_parallel",
     };
     let rec = spfactor_trace::current();
-    let (graph, tallies) = rec.time(span, || sweep_impl(factor, partition, threads));
-    rec.gauge("deps.engine.threads", threads as f64);
+    let (graph, tallies) = rec.time(span, || sweep_impl(factor, partition));
+    rec.gauge("deps.engine.threads", 1.0);
     rec.incr("deps.engine.columns", tallies.columns);
     rec.incr("deps.engine.pairs", tallies.pairs);
     rec.incr("deps.engine.segments", tallies.segments);
@@ -138,25 +137,7 @@ pub fn build_dependencies(
     graph
 }
 
-/// The sweep construction with an explicit worker-thread count
-/// (`1` = serial). Exposed so tests can pin bit-equality across thread
-/// counts; [`build_dependencies`] picks the count from the engine.
-pub fn sweep_dependencies(
-    factor: &SymbolicFactor,
-    partition: &Partition,
-    nthreads: usize,
-) -> DepGraph {
-    sweep_impl(factor, partition, nthreads).0
-}
-
-/// Worker threads for [`DepsEngine::SweepParallel`].
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Immutable lookup tables shared by every worker thread.
+/// Immutable lookup tables of the sweep.
 struct SweepPlan<'a> {
     factor: &'a SymbolicFactor,
     partition: &'a Partition,
@@ -267,42 +248,6 @@ impl<'a> SweepPlan<'a> {
             cat2,
         }
     }
-
-    /// The work items of the sweep: contiguous ranges of runs (by
-    /// index), closed as soon as their estimated cost reaches `1 / parts`
-    /// of the total — so no item is heavier than that unless it is a
-    /// single run.
-    fn work_items(&self, parts: usize) -> Vec<Range<usize>> {
-        // A run's cost follows the units holding its targets, about one
-        // per `grain` of them, and at least one per row: the targets in
-        // the columns it sweeps into — up to `last_col`, against all its
-        // rows — and, for the run that closes a supernode, the clique of
-        // the rows below.
-        let grain = self.partition.params.grain_rectangle.max(1);
-        let weight = |run: &SourceRun| {
-            let kb = run.cols.end - 1;
-            let m = self.factor.col_count(kb);
-            let inside = run.last_col.saturating_sub(kb).min(m);
-            let below = m - inside;
-            let mut targets = inside * inside / 2 + inside * below;
-            if run.closes > 0 {
-                targets += below * below / 2;
-            }
-            1 + m + targets / grain
-        };
-        let total: usize = self.runs.iter().map(weight).sum();
-        let limit = total.div_ceil(parts.max(1));
-        let mut items = Vec::new();
-        let (mut start, mut acc) = (0, 0);
-        for (idx, run) in self.runs.iter().enumerate() {
-            acc += weight(run);
-            if acc >= limit || idx + 1 == self.runs.len() {
-                items.push(start..idx + 1);
-                (start, acc) = (idx + 1, 0);
-            }
-        }
-        items
-    }
 }
 
 /// Sweep work counters (the `deps.engine.*` metrics). `pairs` and
@@ -340,18 +285,29 @@ impl Owners<'_> {
     }
 }
 
-/// One worker's output: raw predecessor lists plus category tallies and
+/// The sweep's output: raw predecessor lists plus category tallies and
 /// work counters.
 struct SweepOut {
     /// `preds[u]` — proposed predecessors of unit `u` in first-seen order
-    /// ([`DepGraph::assemble`] sorts and deduplicates). An edge is
-    /// proposed about once per supernode it arises from, so the lists
-    /// stay within a small factor of their distinct size.
+    /// ([`PredTable::push`] sorts and deduplicates), emptied once laid
+    /// out. An edge is proposed about once per supernode it arises from,
+    /// so the lists stay within a small factor of their distinct size.
     preds: Vec<Vec<u32>>,
-    /// The most recently proposed `(target, source)` edge: neighbouring
-    /// pieces and neighbouring runs are often one owner's, so immediate
-    /// repeats are common.
-    last_key: u64,
+    /// Recently proposed `(target, source)` edges, one per slot of a
+    /// direct-mapped table hashed on the pair: an edge still in its slot is
+    /// not proposed again. Repeats come from the runs of one cluster — the
+    /// runs of the diagonal chunks one column chunk of a below-rectangle
+    /// spans have the same owners below the triangle, and a supernode's
+    /// runs swept as one propose every run's owner of a label together —
+    /// so they follow one another closely, and half a slot per unit (at
+    /// most 2¹⁶ slots) keeps most of them off the lists (lap9 70² at
+    /// grain 25: 263,671 proposals for 206,038 edges without the table,
+    /// 208,321 with it). Empty slots hold `u64::MAX`, which is no edge: a
+    /// unit is never its own source.
+    recent: Vec<u64>,
+    /// `64 − log2(recent.len())`: a pair's slot is the top bits of its
+    /// Fibonacci hash.
+    shift: u32,
     cats: [usize; 10],
     counters: SweepCounters,
     /// Scratch: the pieces of the rows being swept, for each the rows
@@ -364,9 +320,11 @@ struct SweepOut {
 
 impl SweepOut {
     fn new(nunits: usize) -> Self {
+        let slots = (nunits / 2).next_power_of_two().clamp(1 << 10, 1 << 16);
         SweepOut {
             preds: vec![Vec::new(); nunits],
-            last_key: u64::MAX,
+            recent: vec![u64::MAX; slots],
+            shift: 64 - slots.trailing_zeros(),
             cats: [0; 10],
             counters: SweepCounters::default(),
             pieces: Vec::new(),
@@ -380,8 +338,9 @@ impl SweepOut {
     fn push_edges(&mut self, tgt: u32, sources: &[u32]) {
         for &src in sources {
             let key = ((tgt as u64) << 32) | src as u64;
-            if src != tgt && key != self.last_key {
-                self.last_key = key;
+            let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+            if src != tgt && self.recent[slot] != key {
+                self.recent[slot] = key;
                 self.preds[tgt as usize].push(src);
             }
         }
@@ -615,86 +574,28 @@ fn sweep_below(plan: &SweepPlan, runs: &[SourceRun], out: &mut SweepOut) {
     out.owner_units = units;
 }
 
-fn sweep_impl(
-    factor: &SymbolicFactor,
-    partition: &Partition,
-    nthreads: usize,
-) -> (DepGraph, SweepCounters) {
+fn sweep_impl(factor: &SymbolicFactor, partition: &Partition) -> (DepGraph, SweepCounters) {
     let plan = SweepPlan::new(factor, partition);
-    let nthreads = nthreads.max(1);
-    // Items fine enough that the last one running cannot hold the others
-    // up for long, handed out dynamically.
-    let items = plan.work_items(4 * nthreads);
-    let next = AtomicUsize::new(0);
-    let work = || -> SweepOut {
-        let mut out = SweepOut::new(partition.num_units());
-        while let Some(item) = items.get(next.fetch_add(1, Ordering::Relaxed)) {
-            for idx in item.clone() {
-                let run = &plan.runs[idx];
-                sweep_run(&plan, run, &mut out);
-                if run.closes > 0 {
-                    sweep_below(&plan, &plan.runs[idx + 1 - run.closes..=idx], &mut out);
-                }
-            }
+    let nu = partition.num_units();
+    let mut out = SweepOut::new(nu);
+    let mut table = PredTable::new(nu);
+    // Units are numbered cluster by cluster, left to right: the ones left
+    // of column `col` are a prefix, and their lists are final.
+    let last_col = |u: usize| partition.clusters[partition.units[u].cluster].cols.hi;
+    let mut lay_out_before = |col: usize, out: &mut SweepOut| {
+        while table.len() < nu && last_col(table.len()) < col {
+            table.push(std::mem::take(&mut out.preds[table.len()]));
         }
-        out
     };
-    let mut outs: Vec<SweepOut> = if nthreads == 1 || items.len() <= 1 {
-        vec![work()]
-    } else {
-        crossbeam::scope(|s| {
-            let handles: Vec<_> = (0..nthreads.min(items.len()))
-                .map(|_| s.spawn(|_| work()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        })
-        .expect("sweep scope panicked")
-    };
-
-    // Stitch: every worker proposes into any unit, so lists are
-    // concatenated; `assemble` sorts and deduplicates, and tallies merge
-    // by addition — the graph does not depend on which worker ran what.
-    let mut total = outs.pop().expect("at least one worker");
-    for out in outs {
-        for (slot, list) in total.preds.iter_mut().zip(out.preds) {
-            if slot.is_empty() {
-                *slot = list;
-            } else {
-                slot.extend_from_slice(&list);
-            }
+    for (idx, run) in plan.runs.iter().enumerate() {
+        lay_out_before(run.cols.start, &mut out);
+        sweep_run(&plan, run, &mut out);
+        if run.closes > 0 {
+            sweep_below(&plan, &plan.runs[idx + 1 - run.closes..=idx], &mut out);
         }
-        for (acc, c) in total.cats.iter_mut().zip(out.cats) {
-            *acc += c;
-        }
-        total.counters.columns += out.counters.columns;
-        total.counters.pairs += out.counters.pairs;
-        total.counters.segments += out.counters.segments;
-        total.counters.walked_segments += out.counters.walked_segments;
     }
-    // Sorting the lists is most of what `assemble` does, and they are
-    // independent: with workers to spare they sort them in slices first
-    // (`assemble` then finds every list in order).
-    if nthreads > 1 {
-        let per_slice = total.preds.len().div_ceil(8 * nthreads).max(1);
-        let slices = Mutex::new(total.preds.chunks_mut(per_slice));
-        crossbeam::scope(|s| {
-            for _ in 0..nthreads {
-                s.spawn(|_| loop {
-                    let slice = slices.lock().expect("sort worker panicked").next();
-                    let Some(slice) = slice else { break };
-                    for list in slice {
-                        list.sort_unstable();
-                        list.dedup();
-                    }
-                });
-            }
-        })
-        .expect("sort scope panicked");
-    }
-    (DepGraph::assemble(total.preds, total.cats), total.counters)
+    lay_out_before(usize::MAX, &mut out);
+    (table.finish(out.cats), out.counters)
 }
 
 #[cfg(test)]
@@ -731,10 +632,8 @@ mod tests {
             params.min_cluster_width = width;
             let part = Partition::build(&f, &params);
             let oracle = dependencies(&f, &part);
-            for threads in [1usize, 2, 3, 7] {
-                let swept = sweep_dependencies(&f, &part, threads);
-                assert_eq!(swept, oracle, "grain {grain} width {width} T={threads}");
-            }
+            let (swept, _) = sweep_impl(&f, &part);
+            assert_eq!(swept, oracle, "grain {grain} width {width}");
         }
     }
 
@@ -744,9 +643,7 @@ mod tests {
         let f = factor_of(&p);
         let part = Partition::columns(&f);
         let oracle = dependencies(&f, &part);
-        for threads in [1usize, 4] {
-            assert_eq!(sweep_dependencies(&f, &part, threads), oracle);
-        }
+        assert_eq!(sweep_impl(&f, &part).0, oracle);
     }
 
     #[test]
@@ -766,18 +663,11 @@ mod tests {
         let p = gen::lap9(8, 8);
         let f = factor_of(&p);
         let part = Partition::build(&f, &PartitionParams::with_grain(4));
-        let (_, t) = sweep_impl(&f, &part, 1);
+        let (_, t) = sweep_impl(&f, &part);
         assert_eq!(t.columns, f.n() as u64);
         let nnz: usize = (0..f.n()).map(|j| f.col_count(j)).sum();
         assert_eq!(t.pairs, nnz as u64);
         assert!(t.segments >= t.pairs, "each pair walks >= 1 segment");
         assert!(t.walked_segments > 0 && t.walked_segments <= t.segments);
-        // What is covered and what is walked is a property of the
-        // partition, not of how the supernodes were dealt out.
-        let (_, t3) = sweep_impl(&f, &part, 3);
-        assert_eq!(
-            (t3.columns, t3.pairs, t3.segments, t3.walked_segments),
-            (t.columns, t.pairs, t.segments, t.walked_segments)
-        );
     }
 }

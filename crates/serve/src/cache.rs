@@ -159,8 +159,9 @@ enum Entry {
 /// Remembered permutations kept per artifact slot: the ordering tier holds
 /// at most `ORDERINGS_PER_SLOT * capacity` of them. At 16 bytes a column
 /// against about 400 a column of a factored artifact that was never
-/// scheduled (1,250 once scheduled), a full tier is at most about a third
-/// again of what full slots hold (docs/SERVING.md).
+/// scheduled (1,050 once scheduled, 1,250 once a block-parallel request
+/// has also derived the dependency graph's successors), a full tier is at
+/// most about a third again of what full slots hold (docs/SERVING.md).
 pub const ORDERINGS_PER_SLOT: usize = 8;
 
 /// What a fill-reducing ordering depends on: the pattern (hash and
@@ -191,9 +192,11 @@ struct Inner {
 
 impl Inner {
     /// Keeps (or refreshes) `artifact`'s permutation in the ordering tier,
-    /// dropping the least recently used ones beyond `bound`.
-    fn remember(&mut self, artifact: &ScheduleArtifact, bound: usize) {
+    /// and returns the least recently used ones beyond `bound`, for the
+    /// caller to free once it has released the lock.
+    fn remember(&mut self, artifact: &ScheduleArtifact, bound: usize) -> Vec<Remembered> {
         let now = self.tick;
+        let mut evicted = Vec::new();
         match self.orderings.entry(ordering_key(artifact.key())) {
             MapEntry::Occupied(mut held) => held.get_mut().last_used = now,
             MapEntry::Vacant(slot) => {
@@ -208,8 +211,9 @@ impl Inner {
             let Some(k) = coldest(&self.orderings, |held| Some(held.last_used)) else {
                 break;
             };
-            self.orderings.remove(&k);
+            evicted.extend(self.orderings.remove(&k));
         }
+        evicted
     }
 }
 
@@ -348,10 +352,16 @@ impl ScheduleCache {
     /// the stats counters.
     pub fn clear(&self) {
         let mut inner = lock_unpoisoned(&self.inner);
-        inner.map.retain(|_, e| matches!(e, Entry::Building(_)));
+        let (building, ready): (HashMap<_, _>, HashMap<_, _>) = std::mem::take(&mut inner.map)
+            .into_iter()
+            .partition(|(_, e)| matches!(e, Entry::Building(_)));
+        inner.map = building;
         inner.ready = 0;
-        inner.orderings.clear();
+        let orderings = std::mem::take(&mut inner.orderings);
         drop(inner);
+        // The cache usually holds an artifact's last handle: free them
+        // with the lock released, so no lookup waits on the deallocation.
+        drop((ready, orderings));
         self.publish_size();
     }
 
@@ -493,8 +503,8 @@ impl ScheduleCache {
                     },
                 );
                 inner.ready += 1;
-                inner.remember(&artifact, self.ordering_capacity());
-                let mut evicted = 0u64;
+                let forgotten = inner.remember(&artifact, self.ordering_capacity());
+                let mut victims = Vec::new();
                 while inner.ready > self.capacity {
                     // The entry just inserted is the most recent, so it is
                     // never its own victim; a build in flight is nobody's.
@@ -503,11 +513,13 @@ impl ScheduleCache {
                         Entry::Building(_) => None,
                     });
                     let Some(k) = victim else { break };
-                    inner.map.remove(&k);
+                    victims.extend(inner.map.remove(&k));
                     inner.ready -= 1;
-                    evicted += 1;
                 }
                 drop(inner);
+                // Freed with the lock released: see `clear`.
+                let evicted = victims.len() as u64;
+                drop((victims, forgotten));
                 if evicted > 0 {
                     self.evictions.fetch_add(evicted, AtomicOrdering::Relaxed);
                     trace::current().incr("serve.cache.evict", evicted);

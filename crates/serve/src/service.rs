@@ -400,10 +400,12 @@ impl Shared {
         // hits here: they got the artifact without building or loading
         // it. The cache's own stats keep the finer hit/wait distinction.
         let cache_hit = !built_here && !warm_start;
-        // The schedule half is derived on first use. A kernel that runs the
-        // schedule pays for it here, in the build stage; a sequential one never.
+        // The schedule half and the dependency graph's successor table are
+        // derived on first use. A kernel that runs the schedule pays for
+        // them here, in the build stage; a sequential one never.
         if request.kernel != KernelKind::Sequential {
             artifact.assignment();
+            artifact.deps().derive_succs();
         }
         spent.build_ms = build_started.elapsed().as_secs_f64() * 1e3;
         clock.check(DeadlineStage::Build, spent)?;

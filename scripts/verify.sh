@@ -6,7 +6,8 @@
 # Tier-1 (the gate every PR must keep green) plus the observability
 # checks: one instrumentation path (no twins, no compile-out build), one
 # unit-block kernel under both schedule executors, numeric factors that
-# share the symbolic structure instead of copying it, one plan value built
+# share the symbolic structure instead of copying it, a dependency graph
+# that keeps predecessors only, one plan value built
 # by one chain and scheduled on first use, a stored plan that is a key, a
 # fingerprint and a permutation, no mp in the solver service and no fault
 # layer in mp, the metrics doc held to the code, and a warning-free
@@ -59,7 +60,7 @@ cargo test -q -p spfactor --test mp_cross_validation
 echo "==> deps equivalence smoke: sweep engines vs element oracle"
 cargo test -q -p spfactor --test deps_equivalence deps_engines_identical_on_all_paper_matrices
 
-echo "==> benchmark-subject equivalence: lap9 70x70 g25 P=16, block + wrap, threads 1/2/5"
+echo "==> benchmark-subject equivalence: lap9 70x70 g25 P=16, block + wrap"
 cargo test -q -p spfactor --test deps_equivalence deps_engines_identical_on_the_benchmark_subject
 cargo test -q -p spfactor --test engine_equivalence engines_identical_on_the_benchmark_subject
 
@@ -161,6 +162,16 @@ if [ -n "$sites" ]; then
   exit 1
 fi
 cargo test -q -p spfactor --test numeric_alloc
+
+echo "==> the dependency graph keeps predecessors only"
+# A DepGraph stores the predecessor table and the category counts; the
+# successors are derived on the first succs() call, and the sweep lays the
+# table out cluster by cluster (docs/PERFORMANCE.md, "The three deps
+# engines"). deps_alloc bounds the heap a build adds and what the graph
+# keeps; the side-100 oracle check needs release (seconds per scheme).
+cargo test -q -p spfactor --test deps_alloc
+cargo test --release -q -p spfactor --test deps_equivalence \
+  deps_sweep_matches_the_oracle_at_side_100 -- --ignored
 
 echo "==> one traffic replay: the simulator walks the update operations in one function"
 # The traffic report, the timed simulation's transfers and the

@@ -43,9 +43,11 @@ fn check(name: &str, pattern: &SymmetricPattern, grain: usize) {
     let part = Partition::build(&f, &PartitionParams::with_grain(grain));
     let deps = partition::dependencies(&f, &part);
     let assign = sched::block_allocation(&part, &deps, P);
-    // The row structure is the symbolic factor's, built once and shared
-    // by every kernel below; build it before measuring.
+    // The row structure is the symbolic factor's and the successor table
+    // the dependency graph's, each built once and shared by every kernel
+    // below; build them before measuring.
     f.row_structure();
+    deps.derive_succs();
     let (n, entries, units) = (f.n(), f.num_entries(), part.num_units());
     let values = 8 * entries;
 
