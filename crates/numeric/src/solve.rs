@@ -85,13 +85,15 @@ impl SpdSolver {
     }
 }
 
-/// Max-norm of the residual `A x − b`.
+/// Max-norm of the residual `A x − b`; NaN if any component is NaN, so
+/// that a `residual_norm(..) < tol` check fails on it. (`f64::max`
+/// returns its other argument when one is NaN and would drop it.)
 pub fn residual_norm(a: &SymmetricCsc, x: &[f64], b: &[f64]) -> f64 {
     a.mul_vec(x)
         .iter()
         .zip(b)
         .map(|(ax, bi)| (ax - bi).abs())
-        .fold(0.0, f64::max)
+        .fold(0.0, |m, r| if r.is_nan() || r > m { r } else { m })
 }
 
 #[cfg(test)]
@@ -117,6 +119,22 @@ mod tests {
         upper_solve(&l, &mut y);
         // y = A^{-1} b
         assert!(residual_norm(&a, &y, &b) < 1e-12);
+    }
+
+    #[test]
+    fn a_nan_in_the_solution_fails_every_tolerance() {
+        let p = gen::lap9(4, 4);
+        let a = gen::spd_from_pattern(&p, 1);
+        let b: Vec<f64> = (0..a.n()).map(|i| i as f64 - 3.0).collect();
+        let s = SpdSolver::new(&a, Ordering::paper_default()).unwrap();
+        for at in [0, 7, a.n() - 1] {
+            let mut x = s.solve(&b);
+            assert!(residual_norm(&a, &x, &b) < 1e-9);
+            x[at] = f64::NAN;
+            let r = residual_norm(&a, &x, &b);
+            let passes = r < 1e-9;
+            assert!(r.is_nan() && !passes, "NaN at {at}: residual {r}");
+        }
     }
 
     #[test]

@@ -91,8 +91,16 @@ fi
 echo "==> partition equivalence smoke: closed-form ownership + work vs per-update oracle"
 cargo test -q -p spfactor --test partition_equivalence partition_matches_oracle_on_all_paper_matrices
 
-echo "==> numeric kernel bits: blocked cholesky + multi-RHS solves vs the kept oracles"
+echo "==> numeric kernel bits: paired-column cholesky + multi-RHS solves vs the kept oracles"
+# Every test in the file: the oracles on every subject, the panel paths
+# (runs reaching both columns, only the first, only the second; unpaired
+# columns; odd-width supernodes), signed zeros and exact cancellations,
+# and the error precedence inside a panel.
 cargo test -q -p spfactor --test numeric_kernel_bits
+# The oracle at n = 40,000 (lap9 200²), the block-parallel executor at
+# P = 2 and the solve's relative residual; ignored unoptimized.
+cargo test --release -q -p spfactor --test numeric_kernel_bits \
+  kernel_matches_the_oracle_at_side_200 -- --ignored
 
 echo "==> mp checks, it does not survive: no fault layer, mismatched schedules fail typed"
 # The message-passing runtime is the executable check of the simulator's

@@ -51,9 +51,9 @@ fn check(name: &str, pattern: &SymmetricPattern, grain: usize) {
     let (n, entries, units) = (f.n(), f.num_entries(), part.num_units());
     let values = 8 * entries;
 
-    // Sequential: one dense accumulator of n values.
+    // Sequential: one two-lane accumulator, a pair of values per row.
     let (seq, rise) = heap_rise(|| numeric::cholesky(&a, &f).expect("SPD"));
-    let scratch = 8 * n + SLACK;
+    let scratch = 16 * n + SLACK;
     assert!(
         rise <= values + scratch,
         "{name} cholesky: heap rose {rise} B, values {values} B + scratch {scratch} B"

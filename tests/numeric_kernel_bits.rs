@@ -1,14 +1,17 @@
-//! Pinned bits: the supernode-blocked `numeric::cholesky` and the
-//! lane-interleaved `solve_many(_permuted)` must return exactly what the
-//! kernels they replaced returned.
+//! Pinned bits: the supernode-blocked, column-pairing `numeric::cholesky`
+//! and the lane-interleaved `solve_many(_permuted)` must return exactly
+//! what the kernels they replaced returned.
 //!
 //! The oracles below are those kernels, kept verbatim: a left-looking
-//! factorization that applies one source column at a time from row lists
-//! it builds as columns finish, and one forward plus one backward
-//! substitution per right-hand side. Blocking by supernode only changes
-//! how many sources ride one gather of `acc[i]`, never the order in which
-//! one `acc[i]` receives its subtractions, so equality here is `==` on
-//! `NumericFactor` and on every solution vector — no tolerance.
+//! factorization that applies one source column at a time to one target
+//! column at a time, from row lists it builds as columns finish, and one
+//! forward plus one backward substitution per right-hand side. Blocking
+//! by supernode only changes how many sources ride one gather of an
+//! accumulator entry, and pairing two columns of a supernode only puts
+//! two target entries side by side in one register; neither changes the
+//! order in which one entry receives its subtractions, so equality here
+//! is `==` on `NumericFactor` and on every solution vector — no
+//! tolerance.
 //!
 //! The same goes for the unit-block kernel under both schedule executors
 //! (`numeric::unit`): the per-unit scripts the executors used to build by
@@ -16,8 +19,9 @@
 
 use proptest::prelude::*;
 use spfactor::matrix::gen::{self, paper};
+use spfactor::matrix::Coo;
 use spfactor::matrix::SymmetricCsc;
-use spfactor::numeric::solve::{lower_solve, upper_solve};
+use spfactor::numeric::solve::{lower_solve, residual_norm, upper_solve};
 use spfactor::numeric::unit::{Step, UnitKernel};
 use spfactor::numeric::{
     cholesky, cholesky_block_parallel, solve_many, solve_many_permuted, NumericFactor,
@@ -242,6 +246,80 @@ fn run_lengths(f: &SymbolicFactor, seen: &mut [bool; 6]) {
     }
 }
 
+/// The first columns of the kernel's two-column panels: `numeric::cholesky`
+/// pairs columns `j, j + 1` of one fundamental supernode, from the
+/// supernode's first column on, and factors every other column alone.
+fn panel_starts(f: &SymbolicFactor) -> Vec<usize> {
+    let rows = f.row_structure();
+    let (mut starts, mut j) = (Vec::new(), 0);
+    while j < f.n() {
+        if j + 1 < f.n() && rows.supernode_of(j) == rows.supernode_of(j + 1) {
+            starts.push(j);
+            j += 2;
+        } else {
+            j += 1;
+        }
+    }
+    starts
+}
+
+/// Which of the kernel's panel paths a factor reaches. A panel `(j, j+1)`
+/// merges the supernode runs of rows `j` and `j + 1` (the latter without
+/// its last source, column `j` itself). `seen`: a run that reaches both
+/// columns, one that reaches only the first, one that reaches only the
+/// second; a column factored alone; a supernode of odd width ≥ 3, whose
+/// last column is left over after its pairs.
+fn panel_paths(f: &SymbolicFactor, seen: &mut [bool; 5]) {
+    let rows = f.row_structure();
+    let ids = |list: &[(u32, u32)]| {
+        let mut ids: Vec<u32> = list
+            .iter()
+            .map(|&(k, _)| rows.supernode_of(k as usize))
+            .collect();
+        ids.dedup();
+        ids
+    };
+    let starts = panel_starts(f);
+    for &j in &starts {
+        let row = rows.row(j + 1);
+        assert_eq!(row.last(), Some(&(j as u32, 0)), "L(j+1, j) ends row j+1");
+        let (first, second) = (ids(rows.row(j)), ids(&row[..row.len() - 1]));
+        seen[0] |= first.iter().any(|id| second.contains(id));
+        seen[1] |= first.iter().any(|id| !second.contains(id));
+        seen[2] |= second.iter().any(|id| !first.contains(id));
+    }
+    seen[3] |= 2 * starts.len() < f.n();
+    let mut start = 0;
+    for j in 1..=f.n() {
+        if j == f.n() || rows.supernode_of(j) != rows.supernode_of(start) {
+            let width = j - start;
+            seen[4] |= width >= 3 && width % 2 == 1;
+            start = j;
+        }
+    }
+}
+
+/// `==` on `NumericFactor` and, value by value, on the bits: `==` on
+/// `f64` cannot tell `-0.0` from `0.0`.
+fn assert_same_bits(got: &NumericFactor, want: &NumericFactor, what: &str) {
+    assert!(got == want, "{what}: factor");
+    for j in 0..want.n() {
+        assert_eq!(
+            got.diag(j).to_bits(),
+            want.diag(j).to_bits(),
+            "{what}: L({j}, {j})"
+        );
+        for ((&i, g), w) in want
+            .col_rows(j)
+            .iter()
+            .zip(got.col_vals(j))
+            .zip(want.col_vals(j))
+        {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: L({i}, {j})");
+        }
+    }
+}
+
 /// Factor and solves of `pattern` under `method`, new against old;
 /// returns the symbolic factor they ran on.
 fn assert_bits(
@@ -312,6 +390,139 @@ fn kernel_matches_oracle_on_every_subject_and_ordering() {
 fn kernel_matches_oracle_on_the_benchmark_grid() {
     // lap9 80² under MMD: the repository benchmark's `factor_grid`.
     assert_bits(&gen::lap9(80, 80), Ordering::paper_default(), 5, "lap9 80²");
+}
+
+#[test]
+fn panel_paths_all_occur_on_the_subjects() {
+    let mut seen = [false; 5];
+    for (_, pattern) in subjects() {
+        for method in ORDERINGS {
+            let perm = order(&pattern, method);
+            panel_paths(
+                &SymbolicFactor::from_pattern(&pattern.permute(&perm)),
+                &mut seen,
+            );
+        }
+    }
+    assert_eq!(
+        seen, [true; 5],
+        "runs reaching both columns of a panel, only the first and only the second, \
+         columns factored alone and odd-width supernodes must all occur"
+    );
+}
+
+/// `A = L₀ L₀ᵀ` on `f`'s structure, pushed into a `Coo` one product at a
+/// time. `L₀` has 2 on the diagonal and 1, −1, 0.5, −0.0 below it in
+/// turn, so every sum is exact: duplicates cancel to zero wherever the
+/// products do, an entry whose only product is `−0.0 · 2` stays `−0.0`,
+/// and the factor is `L₀` up to the signs of its zeros — which the order
+/// of the subtractions decides.
+fn exact_product(f: &SymbolicFactor) -> SymmetricCsc {
+    const BELOW: [f64; 4] = [1.0, -1.0, 0.5, -0.0];
+    let mut coo = Coo::new(f.n());
+    let mut t = 0;
+    for k in 0..f.n() {
+        let mut col = vec![(k, 2.0)];
+        for &i in f.col(k) {
+            col.push((i, BELOW[t % 4]));
+            t += 1;
+        }
+        for (x, &(r, u)) in col.iter().enumerate() {
+            for &(c, v) in &col[..=x] {
+                coo.push(r, c, u * v).expect("in bounds");
+            }
+        }
+    }
+    coo.to_csc()
+}
+
+#[test]
+fn signed_zeros_and_exact_cancellations_keep_the_oracles_bits() {
+    for (name, pattern, method) in [
+        ("lap9 12²", gen::lap9(12, 12), Ordering::paper_default()),
+        ("DWT512", paper::dwt512().pattern, Ordering::paper_default()),
+        (
+            "grid5_fe(10,10)",
+            gen::grid5_fe(10, 10),
+            Ordering::NestedDissection,
+        ),
+    ] {
+        let perm = order(&pattern, method);
+        let f = SymbolicFactor::from_pattern(&pattern.permute(&perm));
+        let a = exact_product(&f);
+        let want = oracle_cholesky(&a, &f).expect("SPD");
+        assert_same_bits(&cholesky(&a, &f).expect("SPD"), &want, name);
+        let zeros: Vec<f64> = (0..f.n())
+            .flat_map(|j| want.col_vals(j).iter().copied())
+            .filter(|&v| v == 0.0)
+            .collect();
+        assert!(
+            zeros.iter().any(|v| v.is_sign_negative())
+                && zeros.iter().any(|v| v.is_sign_positive()),
+            "{name}: both signed zeros in the factor"
+        );
+    }
+}
+
+/// lap9 9² under MMD with good SPD values, its first panel `(j, j + 1)`
+/// with a row `i` outside column `j + 1`'s structure, and `A` rebuilt with
+/// an entry `(i, j + 1)` added and diagonal `j` replaced, if given.
+fn panel_with_foreign_entry() -> (SymbolicFactor, usize, impl Fn(Option<f64>) -> SymmetricCsc) {
+    let p = gen::lap9(9, 9);
+    let perm = order(&p, Ordering::paper_default());
+    let pp = p.permute(&perm);
+    let f = SymbolicFactor::from_pattern(&pp);
+    let good = gen::spd_from_pattern(&pp, 2);
+    let (j, i) = panel_starts(&f)
+        .into_iter()
+        .find_map(|j| {
+            ((j + 2)..f.n())
+                .find(|&i| !f.contains(i, j + 1))
+                .map(|i| (j, i))
+        })
+        .expect("a panel with a row outside its second column");
+    let with = move |diag_j: Option<f64>| {
+        let mut coo = Coo::new(good.n());
+        for c in 0..good.n() {
+            for (&r, &v) in good.col_rows(c).iter().zip(good.col_values(c)) {
+                let v = if (r, c) == (j, j) {
+                    diag_j.unwrap_or(v)
+                } else {
+                    v
+                };
+                coo.push(r, c, v).expect("in bounds");
+            }
+        }
+        coo.push(i, j + 1, 0.25).expect("in bounds");
+        coo.to_csc()
+    };
+    (f, j, with)
+}
+
+#[test]
+fn a_failing_first_pivot_outranks_the_second_columns_structure() {
+    let (f, j, with) = panel_with_foreign_entry();
+    for bad in [-1.0, 0.0, f64::NAN] {
+        let a = with(Some(bad));
+        let want = oracle_cholesky(&a, &f);
+        assert_eq!(want, Err(NumericError::NotPositiveDefinite(j)));
+        assert_eq!(cholesky(&a, &f), want, "diagonal {j} = {bad}");
+    }
+}
+
+#[test]
+fn the_second_columns_structure_fails_once_the_first_pivot_holds() {
+    let (f, j, with) = panel_with_foreign_entry();
+    let a = with(None);
+    let want = oracle_cholesky(&a, &f);
+    let Err(NumericError::StructureMismatch(msg)) = &want else {
+        panic!("oracle: {want:?}");
+    };
+    assert!(
+        msg.ends_with(&format!(", {}) not present in symbolic factor", j + 1)),
+        "{msg}"
+    );
+    assert_eq!(cholesky(&a, &f), want);
 }
 
 #[test]
@@ -600,6 +811,51 @@ fn sweep_engines_match_the_element_oracle_around_the_cached_rows() {
         assert_eq!(before.fingerprint(), f.fingerprint());
         assert!(std::ptr::eq(before.row_structure(), f.row_structure()));
     }
+}
+
+/// The numeric kernel against its oracle at benchmark size: lap9 200²
+/// (n = 40,000) under MMD — `cholesky` against the oracle,
+/// `cholesky_block_parallel` at P = 2 against `cholesky`, and the relative
+/// residual of a solve through `residual_norm`. Minutes unoptimized; run
+/// it with `cargo test --release -q -p spfactor --test
+/// numeric_kernel_bits at_side_200 -- --ignored`.
+#[test]
+#[ignore = "n = 40,000: run in release with --ignored"]
+fn kernel_matches_the_oracle_at_side_200() {
+    let p = gen::lap9(200, 200);
+    let perm = order(&p, Ordering::paper_default());
+    let a = gen::spd_from_pattern(&p.permute(&perm), 17);
+    let f = SymbolicFactor::from_pattern(&a.pattern());
+    f.row_structure();
+    let t = Instant::now();
+    let got = cholesky(&a, &f).expect("SPD");
+    let kernel = t.elapsed();
+    let t = Instant::now();
+    let want = oracle_cholesky(&a, &f).expect("SPD");
+    let oracle = t.elapsed();
+    assert!(got == want, "lap9 200²: cholesky differs from the oracle");
+
+    let part = Partition::build(&f, &PartitionParams::with_grain(25));
+    let deps = build_dependencies(DepsEngine::Sweep, &f, &part);
+    let assign = sched::block_allocation(&part, &deps, 2);
+    let t = Instant::now();
+    let block = cholesky_block_parallel(&a, &f, &part, &deps, &assign).expect("SPD");
+    let parallel = t.elapsed();
+    assert!(block == got, "lap9 200²: block-parallel P = 2 differs");
+
+    let b = &rhs_set(a.n(), 1)[0];
+    let mut x = b.clone();
+    lower_solve(&got, &mut x);
+    upper_solve(&got, &mut x);
+    let scale = b.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let r = residual_norm(&a, &x, b) / scale;
+    assert!(r <= 1e-10, "lap9 200²: relative residual {r:e}");
+    println!(
+        "lap9 200² (n = {}, {} entries): cholesky {kernel:.2?}, oracle {oracle:.2?}, \
+         block-parallel P = 2 {parallel:.2?}, relative residual {r:.3e}",
+        a.n(),
+        f.num_entries()
+    );
 }
 
 fn arb_pattern() -> impl Strategy<Value = SymmetricPattern> {
