@@ -331,9 +331,10 @@ impl Pipeline {
 
     /// Selects the simulation engine (default:
     /// [`SimulateEngine::Element`], the per-element oracle). All engines
-    /// return bit-identical reports; `Block` / `BlockParallel` compute
-    /// them analytically from unit-block geometry and are orders of
-    /// magnitude faster on large problems — see `docs/PERFORMANCE.md`.
+    /// return bit-identical reports; `Block` (also selected as
+    /// `BlockParallel`) computes them analytically from unit-block
+    /// geometry and is orders of magnitude faster on large problems — see
+    /// `docs/PERFORMANCE.md`.
     ///
     /// ```
     /// use spfactor::{Pipeline, SimulateEngine};

@@ -10,6 +10,7 @@
 //!   of its column). This is what the numerical factorization consumes.
 
 use crate::graph::Graph;
+use crate::hash::Fnv1a;
 use crate::perm::Permutation;
 use crate::MatrixError;
 
@@ -155,28 +156,20 @@ impl SymmetricPattern {
     /// A stable 64-bit hash of the structure (dimension, column pointers,
     /// row indices) — the cache key of the pattern-only front end.
     ///
-    /// FNV-1a over the CSC arrays: deterministic across runs, processes,
+    /// FNV-1a ([`Fnv1a`]) over the CSC arrays: deterministic across runs, processes,
     /// and platforms, and independent of how the pattern was assembled
     /// (two structurally equal patterns always hash alike because the
     /// representation is canonical — sorted, deduplicated columns).
     pub fn structural_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut fold = |x: u64| {
-            for byte in x.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        fold(self.n as u64);
+        let mut h = Fnv1a::new();
+        h.write_u64(self.n as u64);
         for &p in &self.colptr {
-            fold(p as u64);
+            h.write_u64(p as u64);
         }
         for &i in &self.rowidx {
-            fold(i as u64);
+            h.write_u64(i as u64);
         }
-        h
+        h.finish()
     }
 
     /// Symmetric permutation: entry `(i, j)` of the result is nonzero iff

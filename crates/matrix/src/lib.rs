@@ -35,6 +35,7 @@ pub mod csc;
 pub mod error;
 pub mod gen;
 pub mod graph;
+pub mod hash;
 // The IO parsers handle untrusted bytes: no unwrap/expect outside tests.
 #[cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod io;
@@ -46,4 +47,5 @@ pub use coo::Coo;
 pub use csc::{SymmetricCsc, SymmetricPattern};
 pub use error::MatrixError;
 pub use graph::Graph;
+pub use hash::Fnv1a;
 pub use perm::Permutation;

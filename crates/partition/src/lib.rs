@@ -10,7 +10,8 @@
 //!    sub-rectangles, whole columns) subject to a minimum *grain size*
 //!    ([`units`]);
 //! 3. computes the **block-level dependencies** between unit blocks,
-//!    classified into the paper's ten categories ([`deps`]).
+//!    classified into the paper's ten categories ([`deps`]), by default
+//!    through the geometry sweep over source runs ([`sweep`], [`runs`]).
 //!
 //! The tunable parameters are exactly the paper's: the grain size (minimum
 //! matrix elements per unit block, Tables 2–3 use 4 and 25), the minimum
@@ -20,14 +21,16 @@
 pub mod block;
 pub mod cluster;
 pub mod deps;
+pub mod runs;
 pub mod sweep;
 pub mod units;
 
 pub use block::{Cluster, ClusterKind, UnitBlock, UnitShape};
 pub use cluster::identify_clusters;
 pub use deps::{dependencies, DepCategory, DepGraph};
+pub use runs::{label_rows, source_runs, SourceRun};
 pub use sweep::{build_dependencies, DepsEngine};
-pub use units::{Partition, TaggedRun, TargetScratch, UpdateTarget};
+pub use units::{Partition, Segmentation, TaggedRun, TargetScratch, UpdateTarget};
 
 /// Tunable parameters of the partitioner.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -6,13 +6,11 @@
 //! the *same* ten-category graph from unit-block geometry alone, one
 //! **source run** at a time.
 //!
-//! A source run is a maximal set of consecutive columns `ka..=kb` of one
-//! fundamental supernode with one ownership segmentation (one diagonal
-//! chunk of a strip that also shares a column chunk in every
-//! below-rectangle; a single-column cluster is a run of its own). Its
-//! columns store the same rows `S` below `kb` (`struct(L_{k+1}) =
-//! struct(L_k) \ {k+1}`), owned alike, so everything they do to the
-//! columns right of the run is one computation taken `kb − ka + 1` times:
+//! A source run `ka..=kb` ([`runs`](crate::runs)) is a stretch of one
+//! fundamental supernode with one ownership segmentation. Its columns
+//! store the same rows `S` below `kb`, owned alike, so everything they do
+//! to the columns right of the run is one computation taken
+//! `kb − ka + 1` times:
 //!
 //! * `S` is cut into **pieces** of consecutive rows with one owner (the
 //!   run's segmentation against the gaps of `S`), each labelled with the
@@ -58,12 +56,10 @@
 
 use crate::block::UnitShape;
 use crate::deps::{category_of, dependencies, record_graph_stats, DepGraph, PredTable};
-use crate::units::{
-    advance, split_at, Partition, Segmentation, TaggedRun, TargetScratch, UpdateTarget,
-};
+use crate::runs::{label_rows, source_runs, SourceRun};
+use crate::units::{Partition, Segmentation, TaggedRun, TargetScratch, UpdateTarget};
 use spfactor_interval::Interval;
-use spfactor_symbolic::{fundamental_supernodes, SymbolicFactor};
-use std::ops::Range;
+use spfactor_symbolic::SymbolicFactor;
 
 /// Selects how the unit-block dependency graph is built.
 ///
@@ -159,20 +155,6 @@ struct SweepPlan<'a> {
     cat2: [u8; 27],
 }
 
-/// A maximal set of consecutive columns of one fundamental supernode
-/// (they store the same rows below the last of them) with one ownership
-/// segmentation, and how far right it sweeps by itself.
-struct SourceRun {
-    cols: Range<usize>,
-    /// The last column the run sweeps into: its cluster's last when the
-    /// rows below the cluster are swept once for the whole supernode,
-    /// else no limit.
-    last_col: usize,
-    /// For the last run of such a supernode, how many runs the supernode
-    /// has (they end with this one); otherwise 0.
-    closes: usize,
-}
-
 /// Tabulates [`category_of`] over the three shape variants.
 fn build_cat_tables() -> ([u8; 9], [u8; 27]) {
     let iv = Interval::new(0, 0);
@@ -211,33 +193,7 @@ impl<'a> SweepPlan<'a> {
             .collect();
         let (cat1, cat2) = build_cat_tables();
         let segs = partition.segmentation();
-        // When a supernode of several columns ends its cluster, the rows
-        // below it are below the cluster and every run owns them through
-        // the same trailing segments: swept once, by the last run.
-        let mut runs = Vec::new();
-        let mut cluster = 0;
-        for sn in fundamental_supernodes(factor) {
-            let last = sn.end - 1;
-            cluster += partition.clusters[cluster..].partition_point(|c| c.cols.hi < last);
-            let shared = sn.len() > 1 && partition.clusters[cluster].cols.hi == last;
-            let first_run = runs.len();
-            let mut k = sn.start;
-            while k < sn.end {
-                let end = (k + 1..sn.end)
-                    .find(|&c| segs.col(c) != segs.col(k))
-                    .unwrap_or(sn.end);
-                runs.push(SourceRun {
-                    cols: k..end,
-                    last_col: if shared { last } else { usize::MAX },
-                    closes: 0,
-                });
-                k = end;
-            }
-            if shared && factor.col_count(last) > 0 {
-                let count = runs.len() - first_run;
-                runs[first_run + count - 1].closes = count;
-            }
-        }
+        let runs = source_runs(factor, partition, &segs);
         SweepPlan {
             factor,
             partition,
@@ -366,36 +322,6 @@ impl SweepOut {
         };
         if c != 0 {
             self.cats[c as usize - 1] += count;
-        }
-    }
-}
-
-/// Cuts the ascending `rows` into maximal pieces of consecutive rows
-/// inside one segment of `segs` (which must cover them), each labelled
-/// with the segment's index.
-fn label_rows(rows: &[usize], segs: &[(Interval, u32)], pieces: &mut Vec<TaggedRun>) {
-    pieces.clear();
-    let mut si = 0;
-    let mut idx = 0;
-    while idx < rows.len() {
-        si = advance(segs, si, rows[idx]);
-        let end = split_at(rows, idx, rows.len(), segs[si].0.hi);
-        while idx < end {
-            // Dense blocks make the whole stretch one piece; otherwise
-            // find the gap.
-            let mut last = end - 1;
-            if rows[last] - rows[idx] != last - idx {
-                last = idx;
-                while rows[last + 1] == rows[last] + 1 {
-                    last += 1;
-                }
-            }
-            let piece = Interval {
-                lo: rows[idx],
-                hi: rows[last],
-            };
-            pieces.push((piece, si as u32));
-            idx = last + 1;
         }
     }
 }

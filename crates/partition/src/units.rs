@@ -337,17 +337,21 @@ fn rectangle_grid(h: usize, w: usize, g: usize) -> (usize, usize) {
     best
 }
 
-/// Flattened per-column ownership segmentations: column `j`'s segments
-/// are `segs[start[j]..start[j + 1]]`, ascending and disjoint.
-pub(crate) struct Segmentation {
+/// Flattened per-column ownership segmentations
+/// ([`Partition::segmentation`]): column `j`'s segments are
+/// `segs[start[j]..start[j + 1]]`, ascending and disjoint.
+#[derive(Debug)]
+pub struct Segmentation {
     start: Vec<usize>,
     segs: Vec<(Interval, u32)>,
 }
 
 impl Segmentation {
-    /// Column `j`'s segments.
+    /// Column `j`'s segments: row intervals, each with the unit owning
+    /// the column's stored entries in it
+    /// ([`Partition::column_ownership`]).
     #[inline]
-    pub(crate) fn col(&self, j: usize) -> &[(Interval, u32)] {
+    pub fn col(&self, j: usize) -> &[(Interval, u32)] {
         &self.segs[self.start[j]..self.start[j + 1]]
     }
 }
@@ -707,16 +711,19 @@ impl Partition {
 
     /// The ownership segmentation of every column
     /// ([`column_ownership`](Self::column_ownership)) in one flat table —
-    /// the geometry view the work tally and the deps sweep both walk.
-    /// Transient: callers build it, walk it and drop it.
-    pub(crate) fn segmentation(&self) -> Segmentation {
+    /// the geometry view the work tally, the deps sweep and the
+    /// simulator's block engine walk. Transient: callers build it, walk it
+    /// and drop it.
+    pub fn segmentation(&self) -> Segmentation {
         let n = self.clusters.last().map_or(0, |c| c.cols.hi + 1);
         let mut start = Vec::with_capacity(n + 1);
         let mut segs = Vec::new();
         start.push(0);
-        for j in 0..n {
-            self.column_ownership(j, &mut segs);
-            start.push(segs.len());
+        for (cid, cluster) in self.clusters.iter().enumerate() {
+            for j in cluster.cols.lo..=cluster.cols.hi {
+                self.ownership_in(cid, j, &mut segs);
+                start.push(segs.len());
+            }
         }
         Segmentation { start, segs }
     }
@@ -750,6 +757,12 @@ impl Partition {
     /// views can never disagree.
     pub fn column_ownership(&self, j: usize, out: &mut Vec<(Interval, u32)>) {
         let cid = self.clusters.partition_point(|c| c.cols.hi < j);
+        self.ownership_in(cid, j, out);
+    }
+
+    /// [`column_ownership`](Self::column_ownership) of column `j` in
+    /// cluster `cid`.
+    fn ownership_in(&self, cid: usize, j: usize, out: &mut Vec<(Interval, u32)>) {
         debug_assert!(self.clusters[cid].cols.contains(j));
         match &self.layouts[cid] {
             ClusterLayout::Single { unit } => {
@@ -813,11 +826,15 @@ impl Partition {
         };
         let mut col = first.lo;
         let mut ri = 0; // first run reaching `col`
-        let mut cid = 0;
+        let mut cid = self.cluster_of(col);
         while col <= last_col {
             if self.clusters[cid].cols.hi < col {
-                cid += 1;
-                cid += self.clusters[cid..].partition_point(|c| c.cols.hi < col);
+                // Usually the next cluster; else found in O(1).
+                cid = if self.clusters[cid + 1].cols.hi >= col {
+                    cid + 1
+                } else {
+                    self.cluster_of(col)
+                };
             }
             let cols = self.clusters[cid].cols;
             debug_assert!(cols.hi <= last_col, "last_col splits a cluster");
@@ -831,6 +848,13 @@ impl Partition {
             let Some((run, _)) = runs.get(ri) else { return };
             col = run.lo.max(cols.hi + 1);
         }
+    }
+
+    /// The cluster holding column `col`: the one of the unit owning its
+    /// diagonal.
+    #[inline]
+    fn cluster_of(&self, col: usize) -> usize {
+        self.units[self.owner[col] as usize].cluster
     }
 
     /// Number of unit blocks.

@@ -32,7 +32,7 @@
 //!   fingerprint rather than reading a stored schedule.
 
 use crate::{block_allocation, wrap_allocation, Assignment};
-use spfactor_matrix::{Permutation, SymmetricPattern};
+use spfactor_matrix::{Fnv1a, Permutation, SymmetricPattern};
 use spfactor_order::{order_with_engine, OrderEngine, Ordering};
 use spfactor_partition::{build_dependencies, DepGraph, DepsEngine, Partition, PartitionParams};
 use spfactor_symbolic::SymbolicFactor;
@@ -276,15 +276,8 @@ impl ScheduleArtifact {
     /// a different one. Derives the schedule if nothing has yet.
     pub fn fingerprint(&self) -> u64 {
         let schedule = self.schedule();
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut fold = |x: u64| {
-            for byte in x.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = Fnv1a::new();
+        let mut fold = |x: u64| h.write_u64(x);
         fold(self.0.key.structural_hash);
         fold(self.0.key.n as u64);
         fold(self.0.key.nprocs as u64);
@@ -302,7 +295,7 @@ impl ScheduleArtifact {
             }
             fold(u64::MAX); // per-unit terminator keeps lists unambiguous
         }
-        h
+        h.finish()
     }
 
     /// Serializes the artifact as four lines: the `spfactor-artifact v2`

@@ -23,7 +23,7 @@
 //! does not parse, so it costs one rebuild the same way.
 
 use crate::resilience::lock_unpoisoned;
-use spfactor::matrix::SymmetricPattern;
+use spfactor::matrix::{Fnv1a, SymmetricPattern};
 use spfactor::sched::{read_artifact_text, rebuild_artifact, ScheduleArtifact, ScheduleKey};
 use spfactor::trace;
 use std::collections::HashMap;
@@ -127,25 +127,18 @@ impl std::fmt::Debug for ArtifactStore {
 /// Stable FNV-1a spill file name for a key: every field folded, so two
 /// parameterizations of one pattern land in different files.
 fn file_stem(key: &ScheduleKey) -> String {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut fold_bytes = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    fold_bytes(&key.structural_hash.to_le_bytes());
-    fold_bytes(&(key.n as u64).to_le_bytes());
-    fold_bytes(format!("{:?}", key.ordering).as_bytes());
-    fold_bytes(key.order_engine.name().as_bytes());
-    fold_bytes(&(key.params.grain_triangle as u64).to_le_bytes());
-    fold_bytes(&(key.params.grain_rectangle as u64).to_le_bytes());
-    fold_bytes(&(key.params.min_cluster_width as u64).to_le_bytes());
-    fold_bytes(&(key.params.relax_zeros as u64).to_le_bytes());
-    fold_bytes(key.scheme.name().as_bytes());
-    fold_bytes(&(key.nprocs as u64).to_le_bytes());
+    let mut h = Fnv1a::new();
+    h.write_u64(key.structural_hash);
+    h.write_u64(key.n as u64);
+    h.write_bytes(format!("{:?}", key.ordering).as_bytes());
+    h.write_bytes(key.order_engine.name().as_bytes());
+    h.write_u64(key.params.grain_triangle as u64);
+    h.write_u64(key.params.grain_rectangle as u64);
+    h.write_u64(key.params.min_cluster_width as u64);
+    h.write_u64(key.params.relax_zeros as u64);
+    h.write_bytes(key.scheme.name().as_bytes());
+    h.write_u64(key.nprocs as u64);
+    let h = h.finish();
     format!("{h:016x}")
 }
 

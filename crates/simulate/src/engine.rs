@@ -1,4 +1,5 @@
-//! Fast simulation engines: block-closed-form and multi-threaded drivers.
+//! The block engine: the oracle's reports in closed form, one source run
+//! at a time.
 //!
 //! The per-element oracle in the crate root replays every update
 //! operation — `O(Σ_k c_k²)` bitset touches — which is exact but far too
@@ -30,50 +31,71 @@
 //! `S`. A processor's read set is a bitmask over the positions of `S`:
 //! a piece sets a range of bits, the union over its units is the OR, and
 //! the distinct remote elements are the set bits under each other
-//! processor's ownership segment of column `k`.
+//! processor's ownership segment.
 //!
-//! # Parallelism and determinism
+//! # One computation per source run
 //!
-//! Because the tally is independent per source column, the
-//! [`SimulateEngine::BlockParallel`] driver hands dynamic chunks of
-//! columns to crossbeam scoped worker threads (the same harness as
-//! `spfactor-numeric`'s parallel executor), each accumulating a private
-//! `Partial`, and merges them by elementwise addition — associative and
-//! commutative over integers, so the reports are bit-identical to the
-//! serial engines for every thread count.
+//! The columns are not walked one by one but in the deps sweep's
+//! [source runs](spfactor_partition::runs): stretches `ka..=kb` of one
+//! fundamental supernode with one ownership segmentation. Column `k` of
+//! a run has rows `{k+1..=kb} ∪ S` with `S = rows(kb)`, so, with
+//! `copies = kb − ka + 1`:
+//!
+//! * **across the run's columns** the targets of the `S × S` clique and
+//!   the owners of `(i, k)`, `i ∈ S`, are the same for every `k`: each
+//!   processor's read set over `S` is computed once, and its counts are
+//!   taken `copies` times;
+//! * **inside the run** the first segment's unit `own` owns every
+//!   `(j, k)` with `k < j ≤ kb` and every diagonal, and a target
+//!   `(i, j)`, `i ∈ S`, has the owner of `(i, k)`; so the only remote
+//!   reads are `(j, k)` and `(k, k)`: every processor `p ≠ P(own)` owning
+//!   a piece of `S` reads `copies·(copies−1)/2` elements and `copies`
+//!   diagonals, all from `P(own)`;
+//! * **below the cluster**, when a supernode ends its cluster, its runs
+//!   sweep only up to the cluster's last column and share the rows `B`
+//!   below it, whose clique has the same targets for every run. The read
+//!   sets are indexed from the end of the column, so `B` is the same
+//!   prefix of every run's bits: the `B × B` sets are built once per
+//!   supernode and ORed into each run's own, which is then counted
+//!   against that run's owners.
+//!
+//! Everything runs on the calling thread; the reports are bit-identical
+//! to the oracle's (pinned by `tests/engine_equivalence.rs`).
 
 use crate::{data_traffic, record_traffic, record_work, work_distribution, work_report};
 use crate::{TrafficReport, WorkReport};
 use spfactor_interval::Interval;
-use spfactor_partition::{Partition, TaggedRun, TargetScratch, UpdateTarget};
+use spfactor_partition::{
+    label_rows, source_runs, Partition, Segmentation, SourceRun, TaggedRun, TargetScratch,
+    UpdateTarget,
+};
 use spfactor_sched::Assignment;
 use spfactor_symbolic::SymbolicFactor;
 use spfactor_trace::Current;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which implementation computes the traffic and work reports.
 ///
-/// All three produce **bit-identical** [`TrafficReport`]/[`WorkReport`]s
+/// All engines produce **bit-identical** [`TrafficReport`]/[`WorkReport`]s
 /// (pinned by `tests/engine_equivalence.rs`); they differ only in cost:
 ///
-/// | Engine | Complexity | Threads |
-/// |---|---|---|
-/// | `Element` | `O(Σ_k c_k²)` element touches | 1 |
-/// | `Block` | `O(Σ_k (c_k + units holding a target of k))` bit-range ops | 1 |
-/// | `BlockParallel` | as `Block` | `available_parallelism` |
+/// | Engine | Cost |
+/// |---|---|
+/// | `Element` | `O(Σ_k c_k²)` element touches |
+/// | `Block` | `O(Σ_runs (pieces + units holding a target))` bit-range ops |
+/// | `BlockParallel` | the same engine: a second name for `Block` |
 ///
 /// `Element` is the oracle — the direct transcription of the paper's §4
-/// method — and stays the pipeline-level default. Use `Block` or
-/// `BlockParallel` for large problems; `docs/PERFORMANCE.md` has measured
-/// crossover points.
+/// method — and stays the pipeline-level default. Use `Block` for large
+/// problems; `docs/PERFORMANCE.md` has measured crossover points. Every
+/// engine runs on the calling thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SimulateEngine {
     /// Per-element replay of every update operation (the oracle).
     #[default]
     Element,
-    /// Block-closed-form interval sweep, single-threaded.
+    /// Block-closed-form sweep over source runs.
     Block,
-    /// Block-closed-form sweep fanned out over worker threads.
+    /// The same sweep as [`Block`](Self::Block), under its own span name.
     BlockParallel,
 }
 
@@ -92,163 +114,119 @@ impl SimulateEngine {
 ///
 /// Under a recorder scope the element engine emits its historical
 /// `simulate.data_traffic` / `simulate.work_distribution` surface; the
-/// block engines run under the spans `simulate.engine.block` /
-/// `simulate.engine.block_parallel` and emit the `simulate.engine.*`
-/// counters (see `docs/METRICS.md`). All engines record the shared
-/// `simulate.traffic.*` / `simulate.work.*` gauges.
+/// block engine runs under the span `simulate.engine.block` (or
+/// `simulate.engine.block_parallel`, by the name it was selected under)
+/// and emits the `simulate.engine.*` counters and the
+/// `simulate.engine.threads` gauge, always 1 (see `docs/METRICS.md`).
+/// All engines record the shared `simulate.traffic.*` /
+/// `simulate.work.*` gauges.
+///
+/// Panics if `assignment` does not cover `partition` or names a
+/// processor at or above its `nprocs`.
 pub fn simulate(
     engine: SimulateEngine,
     factor: &SymbolicFactor,
     partition: &Partition,
     assignment: &Assignment,
 ) -> (TrafficReport, WorkReport) {
-    let (threads, span) = match engine {
+    let span = match engine {
         SimulateEngine::Element => {
             return (
                 data_traffic(factor, partition, assignment),
                 work_distribution(partition, assignment),
             )
         }
-        SimulateEngine::Block => (1, "simulate.engine.block"),
-        SimulateEngine::BlockParallel => (default_threads(), "simulate.engine.block_parallel"),
+        SimulateEngine::Block => "simulate.engine.block",
+        SimulateEngine::BlockParallel => "simulate.engine.block_parallel",
     };
+    crate::check_assignment(partition, assignment);
     let rec = spfactor_trace::current();
-    let (traffic, work) = rec.time(span, || {
-        block_reports(factor, partition, assignment, threads, &rec)
-    });
-    rec.gauge("simulate.engine.threads", threads as f64);
+    let (traffic, work) = rec.time(span, || block_reports(factor, partition, assignment, &rec));
+    rec.gauge("simulate.engine.threads", 1.0);
     record_traffic(&rec, &traffic);
     record_work(&rec, &work);
     (traffic, work)
 }
 
-/// The block engine with an explicit worker-thread count (`1` = serial),
-/// recording nothing. Exposed so tests can pin bit-equality across
-/// thread counts; [`simulate`] picks the count from the engine.
-pub fn simulate_block(
-    factor: &SymbolicFactor,
-    partition: &Partition,
-    assignment: &Assignment,
-    nthreads: usize,
-) -> (TrafficReport, WorkReport) {
-    block_reports(factor, partition, assignment, nthreads, &Current::default())
+/// Per-processor read sets over the positions of one column's rows,
+/// counted **from the end**: bit `i` of processor `p`'s words is set when
+/// `p` reads the row `i` places before the last. All clear between uses.
+struct ReadSets {
+    bits: Vec<u64>,
+    /// Words per processor.
+    words: usize,
+    /// Positions the sets span: the longest row set walked or merged
+    /// since the last clear.
+    len: usize,
+    /// Per processor, how many positions from the end its column units
+    /// read (each reads a suffix of the rows); folded into `bits` by
+    /// [`close`](Self::close).
+    reach: Vec<usize>,
+    /// Processors that read anything, each once.
+    dirty: Vec<u32>,
+    marked: Vec<bool>,
 }
 
-/// Worker threads for [`SimulateEngine::BlockParallel`].
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Immutable lookup tables shared by every worker thread.
-struct Plan<'a> {
-    factor: &'a SymbolicFactor,
-    partition: &'a Partition,
-    /// `owner[entry_id] = unit id`.
-    owner: &'a [u32],
-    /// `proc_of_unit[unit] = processor`.
-    proc_of_unit: &'a [u32],
-    nprocs: usize,
-}
-
-impl<'a> Plan<'a> {
-    fn new(
-        factor: &'a SymbolicFactor,
-        partition: &'a Partition,
-        assignment: &'a Assignment,
-    ) -> Self {
-        Plan {
-            factor,
-            partition,
-            owner: partition.owner_map(),
-            proc_of_unit: &assignment.proc_of_unit,
-            nprocs: assignment.nprocs,
+impl ReadSets {
+    fn new(nprocs: usize, words: usize) -> Self {
+        ReadSets {
+            bits: vec![0; nprocs * words],
+            words,
+            len: 0,
+            reach: vec![0; nprocs],
+            dirty: Vec::new(),
+            marked: vec![false; nprocs],
         }
     }
 
     #[inline]
-    fn proc_of_entry(&self, eid: usize) -> u32 {
-        self.proc_of_unit[self.owner[eid] as usize]
-    }
-}
-
-/// Per-thread tallies; merged by elementwise addition (deterministic).
-struct Partial {
-    per_proc: Vec<usize>,
-    pair: Vec<usize>,
-    columns: u64,
-    unit_visits: u64,
-    pieces: u64,
-}
-
-impl Partial {
-    fn new(nprocs: usize) -> Self {
-        Partial {
-            per_proc: vec![0; nprocs],
-            pair: vec![0; nprocs * nprocs],
-            columns: 0,
-            unit_visits: 0,
-            pieces: 0,
+    fn mark(&mut self, p: usize) {
+        if !self.marked[p] {
+            self.marked[p] = true;
+            self.dirty.push(p as u32);
         }
     }
 
-    fn absorb(&mut self, other: &Partial) {
-        for (a, b) in self.per_proc.iter_mut().zip(&other.per_proc) {
-            *a += b;
-        }
-        for (a, b) in self.pair.iter_mut().zip(&other.pair) {
-            *a += b;
-        }
-        self.columns += other.columns;
-        self.unit_visits += other.unit_visits;
-        self.pieces += other.pieces;
+    /// Processor `p`'s words, marking it dirty.
+    #[inline]
+    fn of(&mut self, p: usize) -> &mut [u64] {
+        self.mark(p);
+        &mut self.bits[p * self.words..(p + 1) * self.words]
     }
-}
 
-/// Reusable per-thread scratch buffers.
-struct Scratch {
-    /// Maximal runs of the current source column's row set `S`, each
-    /// labelled with `run.lo − (rows of S before the run)`: a row `r` of
-    /// a piece labelled `t` is the `(r − t)`-th row of `S`.
-    runs: Vec<TaggedRun>,
-    /// Ownership segments of the current column: positions in `S`
-    /// (inclusive) and the owning processor.
-    segs: Vec<(usize, usize, u32)>,
-    /// Buffers of the partition's target walk.
-    targets: TargetScratch,
-    /// Read sets: bit `i` of processor `p`'s words is set when `p` reads
-    /// the `i`-th row of `S`. `words` per processor, all clear between
-    /// columns.
-    read: Vec<u64>,
-    words: usize,
-    /// Per-processor lowest position read from on by a column unit (its
-    /// read set is a suffix of `S`): `usize::MAX` while the processor
-    /// reads nothing, `usize::MAX - 1` once it reads but no suffix.
-    suffix_from: Vec<usize>,
-    /// Processors that read anything this column.
-    dirty: Vec<u32>,
-    /// Per-processor stamp for diagonal-read deduplication.
-    stamp: Vec<usize>,
-}
-
-impl Scratch {
-    fn new(plan: &Plan<'_>) -> Self {
-        let longest = (0..plan.factor.n())
-            .map(|k| plan.factor.col_count(k))
-            .max()
-            .unwrap_or(0);
-        let words = longest.div_ceil(64);
-        Scratch {
-            runs: Vec::new(),
-            segs: Vec::new(),
-            targets: TargetScratch::default(),
-            read: vec![0; words * plan.nprocs],
-            words,
-            suffix_from: vec![usize::MAX; plan.nprocs],
-            dirty: Vec::new(),
-            stamp: vec![usize::MAX; plan.nprocs],
+    /// Folds the column units' suffix reads into the bits.
+    fn close(&mut self) {
+        for &p in &self.dirty {
+            let p = p as usize;
+            let reach = std::mem::take(&mut self.reach[p]);
+            if reach > 0 {
+                set_bits(&mut self.bits[p * self.words..], 0, reach - 1);
+            }
         }
+    }
+
+    /// ORs `other`'s sets into these.
+    fn merge(&mut self, other: &ReadSets) {
+        self.len = self.len.max(other.len);
+        let used = other.len.div_ceil(64);
+        for &p in &other.dirty {
+            let p = p as usize;
+            let from = &other.bits[p * other.words..][..used];
+            for (a, b) in self.of(p).iter_mut().zip(from) {
+                *a |= b;
+            }
+        }
+    }
+
+    /// Clears the sets.
+    fn clear(&mut self) {
+        let used = std::mem::take(&mut self.len).div_ceil(64);
+        for &p in &self.dirty {
+            let p = p as usize;
+            self.bits[p * self.words..][..used].fill(0);
+            self.marked[p] = false;
+        }
+        self.dirty.clear();
     }
 }
 
@@ -280,208 +258,242 @@ fn count_bits(words: &[u64], lo: usize, hi: usize) -> usize {
     ((words[wl] & first).count_ones() + inner + (words[wh] & last).count_ones()) as usize
 }
 
-/// Processes source column `k`: diagonal traffic for the column's
-/// scalings, then the read sets of the update clique over its row set.
-fn process_column(plan: &Plan<'_>, k: usize, scratch: &mut Scratch, out: &mut Partial) {
-    let rows = plan.factor.col(k);
-    out.columns += 1;
-    if rows.is_empty() {
-        return;
-    }
-    let np = plan.nprocs;
-    // Entry ids are contiguous per column, row-ascending, after the
-    // diagonals.
-    let base = plan.factor.n() + plan.factor.colptr()[k];
-    // Split the scratch borrows so the buffers can be used together.
-    let Scratch {
-        runs,
-        segs,
-        targets,
-        read,
-        words,
-        suffix_from,
-        dirty,
-        stamp,
-    } = scratch;
-    let words = *words;
-
-    // --- Ownership segments of column k and the maximal runs of its row
-    // set, in one pass over the column. ---
-    segs.clear();
-    runs.clear();
-    {
-        let mut seg_start = 0;
-        let mut run_start = 0;
-        let mut cur = plan.proc_of_entry(base);
-        for off in 1..rows.len() {
-            let p = plan.proc_of_entry(base + off);
-            if p != cur {
-                segs.push((seg_start, off - 1, cur));
-                seg_start = off;
-                cur = p;
-            }
-            if rows[off] != rows[off - 1] + 1 {
-                let run = Interval {
-                    lo: rows[run_start],
-                    hi: rows[off - 1],
-                };
-                runs.push((run, (run.lo - run_start) as u32));
-                run_start = off;
-            }
-        }
-        segs.push((seg_start, rows.len() - 1, cur));
-        let run = Interval {
-            lo: rows[run_start],
-            hi: rows[rows.len() - 1],
-        };
-        runs.push((run, (run.lo - run_start) as u32));
-    }
-
-    // --- Diagonal reads: every processor owning a strict-lower entry of
-    // column k fetches (k, k) once. ---
-    {
-        let q = plan.proc_of_entry(k); // diagonal entry id is k
-        for &(_, _, p) in segs.iter() {
-            let p = p as usize;
-            if p as u32 != q && stamp[p] != k {
-                stamp[p] = k;
-                out.per_proc[p] += 1;
-                out.pair[q as usize * np + p] += 1;
-            }
-        }
-    }
-
-    // --- Update clique: the units owning targets, straight from the
-    // partition's chunk tables; each marks, for its processor, the
-    // pieces of S inside its row and column extents as read. ---
-    let proc_of_unit = plan.proc_of_unit;
-    let mut visits = 0u64;
-    let mut npieces = 0u64;
-    plan.partition
-        .for_each_update_target(runs, usize::MAX, targets, |target| {
-            visits += 1;
-            let (unit, rows, cols): (u32, &[TaggedRun], &[TaggedRun]) = match target {
-                UpdateTarget::Column { unit, col, run } => {
-                    // Reads the suffix of S from `col`: per processor only
-                    // the lowest such column matters.
-                    let p = proc_of_unit[unit as usize] as usize;
-                    if suffix_from[p] == usize::MAX {
-                        dirty.push(p as u32);
-                    }
-                    suffix_from[p] = suffix_from[p].min(col - runs[run].1 as usize);
-                    return;
-                }
-                UpdateTarget::Triangle { unit, pieces } => (unit, pieces, &[]),
-                UpdateTarget::Rectangle { unit, rows, cols } => (unit, rows, cols),
+/// Appends the maximal runs of consecutive rows of the ascending `rows`
+/// to `out`, each labelled `run.lo − (rows before the run)`: row `r` of a
+/// run labelled `t` is `rows[r − t]`.
+fn tag_runs(rows: &[usize], out: &mut Vec<TaggedRun>) {
+    out.clear();
+    let mut start = 0;
+    for end in 1..=rows.len() {
+        if end == rows.len() || rows[end] != rows[end - 1] + 1 {
+            let run = Interval {
+                lo: rows[start],
+                hi: rows[end - 1],
             };
-            let p = proc_of_unit[unit as usize] as usize;
-            let mine = &mut read[p * words..(p + 1) * words];
-            if suffix_from[p] == usize::MAX {
-                suffix_from[p] = usize::MAX - 1;
-                dirty.push(p as u32);
-            }
-            for &(piece, offset) in rows.iter().chain(cols) {
-                set_bits(mine, piece.lo - offset as usize, piece.hi - offset as usize);
-            }
-            npieces += (rows.len() + cols.len()) as u64;
-        });
-    out.unit_visits += visits;
-    out.pieces += npieces;
-
-    // --- Per processor: every distinct element read counts one unit of
-    // traffic from the processor owning it, unless that is the reader. ---
-    for &p in dirty.iter() {
-        let p = p as usize;
-        let mine = &mut read[p * words..(p + 1) * words];
-        let from = std::mem::replace(&mut suffix_from[p], usize::MAX);
-        if from < rows.len() {
-            set_bits(mine, from, rows.len() - 1);
+            out.push((run, (run.lo - start) as u32));
+            start = end;
         }
-        for &(lo, hi, q) in segs.iter() {
-            let q = q as usize;
-            if q != p {
-                let c = count_bits(mine, lo, hi);
-                out.per_proc[p] += c;
-                out.pair[q * np + p] += c;
-            }
-        }
-        mine[..rows.len().div_ceil(64)].fill(0);
     }
-    dirty.clear();
 }
 
-/// Block-closed-form computation of both reports, fanned out over
-/// `nthreads` workers (1 = serial). Bit-identical to the element oracle
-/// for every thread count.
+/// The unit-target walk and what it reported.
+struct Walker<'a> {
+    partition: &'a Partition,
+    proc_of_unit: &'a [u32],
+    targets: TargetScratch,
+    /// Units reported, and the pieces they read.
+    unit_visits: u64,
+    pieces: u64,
+}
+
+impl Walker<'_> {
+    /// Marks in `sets`, for the processor of every unit holding an update
+    /// target in a column up to `last_col` of a source column with rows
+    /// `runs` (labelled as by [`tag_runs`]), the rows its updates read.
+    fn walk(&mut self, runs: &[TaggedRun], last_col: usize, sets: &mut ReadSets) {
+        let Some(&(last_run, t)) = runs.last() else {
+            return;
+        };
+        // A row `r` labelled `t` is `last − (r − t)` places from the end.
+        let last = last_run.hi - t as usize;
+        sets.len = sets.len.max(last + 1);
+        let rev = |r: usize, t: u32| last + t as usize - r;
+        let proc_of_unit = self.proc_of_unit;
+        let (mut visits, mut npieces) = (0, 0);
+        self.partition
+            .for_each_update_target(runs, last_col, &mut self.targets, |target| {
+                visits += 1;
+                let (unit, rows, cols): (u32, &[TaggedRun], &[TaggedRun]) = match target {
+                    UpdateTarget::Column { unit, col, run } => {
+                        // Reads the rows from `col` on: per processor only
+                        // the lowest such column matters.
+                        let p = proc_of_unit[unit as usize] as usize;
+                        sets.mark(p);
+                        sets.reach[p] = sets.reach[p].max(rev(col, runs[run].1) + 1);
+                        return;
+                    }
+                    UpdateTarget::Triangle { unit, pieces } => (unit, pieces, &[]),
+                    UpdateTarget::Rectangle { unit, rows, cols } => (unit, rows, cols),
+                };
+                let mine = sets.of(proc_of_unit[unit as usize] as usize);
+                for &(piece, t) in rows {
+                    set_bits(mine, rev(piece.hi, t), rev(piece.lo, t));
+                }
+                for &(piece, t) in cols {
+                    set_bits(mine, rev(piece.hi, t), rev(piece.lo, t));
+                }
+                npieces += (rows.len() + cols.len()) as u64;
+            });
+        self.unit_visits += visits;
+        self.pieces += npieces;
+        sets.close();
+    }
+}
+
+/// The block engine's state: the geometry it walks, scratch and tallies.
+struct Engine<'a> {
+    factor: &'a SymbolicFactor,
+    segs: Segmentation,
+    proc_of_unit: &'a [u32],
+    nprocs: usize,
+    walker: Walker<'a>,
+    /// The current run's rows: cut at its segments (labelled with the
+    /// segment), and as maximal runs (labelled as by [`tag_runs`]).
+    pieces: Vec<TaggedRun>,
+    runs: Vec<TaggedRun>,
+    /// The current run's owners by processor: from-end position ranges
+    /// `lo..=hi` of its rows and their processor.
+    owners: Vec<(usize, usize, u32)>,
+    /// The current run's read sets.
+    read: ReadSets,
+    /// The read sets of the clique below the cluster whose last column is
+    /// `below_of` (`usize::MAX`: none yet).
+    below: ReadSets,
+    below_of: usize,
+    /// Per-processor stamp: the last run it was counted a reader in.
+    stamp: Vec<usize>,
+    per_proc: Vec<usize>,
+    pair: Vec<usize>,
+}
+
+impl<'a> Engine<'a> {
+    fn new(
+        factor: &'a SymbolicFactor,
+        partition: &'a Partition,
+        assignment: &'a Assignment,
+    ) -> Self {
+        let longest = (0..factor.n()).map(|k| factor.col_count(k)).max();
+        let words = longest.unwrap_or(0).div_ceil(64);
+        let nprocs = assignment.nprocs;
+        Engine {
+            factor,
+            segs: partition.segmentation(),
+            proc_of_unit: &assignment.proc_of_unit,
+            nprocs,
+            walker: Walker {
+                partition,
+                proc_of_unit: &assignment.proc_of_unit,
+                targets: TargetScratch::default(),
+                unit_visits: 0,
+                pieces: 0,
+            },
+            pieces: Vec::new(),
+            runs: Vec::new(),
+            owners: Vec::new(),
+            read: ReadSets::new(nprocs, words),
+            below: ReadSets::new(nprocs, words),
+            below_of: usize::MAX,
+            stamp: vec![usize::MAX; nprocs],
+            per_proc: vec![0; nprocs],
+            pair: vec![0; nprocs * nprocs],
+        }
+    }
+
+    /// Counts `count` elements fetched by `p` from `q`.
+    #[inline]
+    fn fetch(&mut self, q: usize, p: usize, count: usize) {
+        self.per_proc[p] += count;
+        self.pair[q * self.nprocs + p] += count;
+    }
+
+    /// Tallies every read sourced from the columns of `run`, the `idx`-th
+    /// (see the module docs).
+    fn sweep_run(&mut self, idx: usize, run: &SourceRun) {
+        // The clique below the run's cluster, once per supernode: the rows
+        // `B` of its last column, to any column.
+        if run.last_col != usize::MAX && self.below_of != run.last_col {
+            self.below_of = run.last_col;
+            self.below.clear();
+            tag_runs(self.factor.col(run.last_col), &mut self.runs);
+            self.walker.walk(&self.runs, usize::MAX, &mut self.below);
+        }
+        let kb = run.cols.end - 1;
+        let copies = run.cols.len();
+        let rows = self.factor.col(kb);
+        if rows.is_empty() {
+            return;
+        }
+        let segs = self.segs.col(kb);
+        let own = self.proc_of_unit[segs[0].1 as usize] as usize;
+        let last = rows.len() - 1;
+
+        // The rows as maximal runs, and their owners by processor.
+        label_rows(rows, segs, &mut self.pieces);
+        self.runs.clear();
+        self.owners.clear();
+        let mut pos = 0;
+        for &(piece, seg) in &self.pieces {
+            let q = self.proc_of_unit[segs[seg as usize].1 as usize];
+            let (lo, hi) = (last - (pos + piece.len() - 1), last - pos);
+            match self.owners.last_mut() {
+                Some((end, _, p)) if *p == q => *end = lo,
+                _ => self.owners.push((lo, hi, q)),
+            }
+            match self.runs.last_mut() {
+                Some((run, _)) if run.hi + 1 == piece.lo => run.hi = piece.hi,
+                _ => self.runs.push((piece, (piece.lo - pos) as u32)),
+            }
+            pos += piece.len();
+        }
+
+        // Inside the run: every other processor owning rows reads the
+        // copies·(copies+1)/2 entries (j, k), k ≤ j ≤ kb, from `own`.
+        for o in 0..self.owners.len() {
+            let p = self.owners[o].2 as usize;
+            if p != own && self.stamp[p] != idx {
+                self.stamp[p] = idx;
+                self.fetch(own, p, copies * (copies + 1) / 2);
+            }
+        }
+
+        // The clique of the rows up to the run's last column, and the
+        // shared one below it.
+        self.walker.walk(&self.runs, run.last_col, &mut self.read);
+        if run.last_col != usize::MAX {
+            self.read.merge(&self.below);
+        }
+
+        // Per processor: every distinct element read counts one unit of
+        // traffic from the processor owning it, unless that is the
+        // reader — once per column of the run.
+        for d in 0..self.read.dirty.len() {
+            let p = self.read.dirty[d] as usize;
+            let words = &self.read.bits[p * self.read.words..][..self.read.words];
+            for &(lo, hi, q) in &self.owners {
+                let q = q as usize;
+                let c = if q == p { 0 } else { count_bits(words, lo, hi) };
+                if c > 0 {
+                    self.per_proc[p] += copies * c;
+                    self.pair[q * self.nprocs + p] += copies * c;
+                }
+            }
+        }
+        self.read.clear();
+    }
+}
+
+/// Block-closed-form computation of both reports, bit-identical to the
+/// element oracle.
 fn block_reports(
     factor: &SymbolicFactor,
     partition: &Partition,
     assignment: &Assignment,
-    nthreads: usize,
     rec: &Current,
 ) -> (TrafficReport, WorkReport) {
-    let n = factor.n();
-    let nprocs = assignment.nprocs;
-    let plan = Plan::new(factor, partition, assignment);
-    let nthreads = nthreads.clamp(1, n.max(1));
-
-    let total_partial = if nthreads <= 1 || n == 0 {
-        let mut scratch = Scratch::new(&plan);
-        let mut out = Partial::new(nprocs);
-        for k in 0..n {
-            process_column(&plan, k, &mut scratch, &mut out);
-        }
-        out
-    } else {
-        // Dynamic chunks keep the load balanced (column costs are
-        // skewed); partials are summed in thread spawn order, and integer
-        // addition commutes, so the result does not depend on the actual
-        // interleaving.
-        let chunk = (n / (nthreads * 8)).clamp(16, 2048);
-        let next = AtomicUsize::new(0);
-        let plan_ref = &plan;
-        let partials: Vec<Partial> = crossbeam::scope(|s| {
-            let handles: Vec<_> = (0..nthreads)
-                .map(|_| {
-                    let next = &next;
-                    s.spawn(move |_| {
-                        let mut scratch = Scratch::new(plan_ref);
-                        let mut out = Partial::new(nprocs);
-                        loop {
-                            let start = next.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= n {
-                                break;
-                            }
-                            for k in start..(start + chunk).min(n) {
-                                process_column(plan_ref, k, &mut scratch, &mut out);
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulate worker panicked"))
-                .collect()
-        })
-        .expect("simulate scope panicked");
-        let mut total = Partial::new(nprocs);
-        for p in &partials {
-            total.absorb(p);
-        }
-        total
-    };
-
-    rec.incr("simulate.engine.columns", total_partial.columns);
-    rec.incr("simulate.engine.unit_visits", total_partial.unit_visits);
-    rec.incr("simulate.engine.interval_pieces", total_partial.pieces);
+    let mut engine = Engine::new(factor, partition, assignment);
+    let runs = source_runs(factor, partition, &engine.segs);
+    for (idx, run) in runs.iter().enumerate() {
+        engine.sweep_run(idx, run);
+    }
+    rec.incr("simulate.engine.columns", factor.n() as u64);
+    rec.incr("simulate.engine.unit_visits", engine.walker.unit_visits);
+    rec.incr("simulate.engine.interval_pieces", engine.walker.pieces);
 
     let traffic = TrafficReport {
-        total: total_partial.per_proc.iter().sum(),
-        per_proc: total_partial.per_proc,
-        pair_matrix: total_partial.pair,
-        nprocs,
+        total: engine.per_proc.iter().sum(),
+        per_proc: engine.per_proc,
+        pair_matrix: engine.pair,
+        nprocs: assignment.nprocs,
     };
     (traffic, work_report(partition, assignment))
 }
@@ -504,9 +516,9 @@ mod tests {
         let (tb, wb) = simulate(SimulateEngine::Block, f, part, a);
         assert_eq!(te, tb, "block traffic diverged from element oracle");
         assert_eq!(we, wb, "block work diverged from element oracle");
-        let (tp, wp) = simulate_block(f, part, a, 4);
-        assert_eq!(te, tp, "parallel traffic diverged");
-        assert_eq!(we, wp, "parallel work diverged");
+        let (tp, wp) = simulate(SimulateEngine::BlockParallel, f, part, a);
+        assert_eq!(te, tp, "block_parallel traffic diverged");
+        assert_eq!(we, wp, "block_parallel work diverged");
     }
 
     #[test]
@@ -600,6 +612,8 @@ mod tests {
         assert_engines_agree(&f, &part, &a);
     }
 
+    /// There is no thread count any more: `BlockParallel` is `Block` under
+    /// another span name, and both are the oracle.
     #[test]
     fn thread_count_does_not_change_reports() {
         let p = gen::lap9(10, 10);
@@ -607,12 +621,11 @@ mod tests {
         let part = Partition::build(&f, &PartitionParams::with_grain(4));
         let deps = dependencies(&f, &part);
         let a = block_allocation(&part, &deps, 8);
-        let (t1, w1) = simulate_block(&f, &part, &a, 1);
-        for threads in [2, 3, 5, 13] {
-            let (t, w) = simulate_block(&f, &part, &a, threads);
-            assert_eq!(t, t1);
-            assert_eq!(w, w1);
-        }
+        let element = simulate(SimulateEngine::Element, &f, &part, &a);
+        let block = simulate(SimulateEngine::Block, &f, &part, &a);
+        let parallel = simulate(SimulateEngine::BlockParallel, &f, &part, &a);
+        assert_eq!(block, element);
+        assert_eq!(parallel, block);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod consolidate;
 pub mod engine;
 pub mod timed;
 
-pub use engine::{simulate, simulate_block, SimulateEngine};
+pub use engine::{simulate, SimulateEngine};
 
 use bitset::BitSet;
 use spfactor_partition::Partition;
@@ -96,11 +96,15 @@ impl TrafficReport {
 /// already fetched) and `simulate.traffic.local_accesses` — and records
 /// the report's totals as `simulate.traffic.*` gauges (see
 /// `docs/METRICS.md`).
+///
+/// Panics if `assignment` does not cover `partition` or names a
+/// processor at or above its `nprocs`.
 pub fn data_traffic(
     factor: &SymbolicFactor,
     partition: &Partition,
     assignment: &Assignment,
 ) -> TrafficReport {
+    check_assignment(partition, assignment);
     let rec = spfactor_trace::current();
     let (report, accesses) = rec.time("simulate.data_traffic", || {
         element_traffic(factor, partition, assignment)
@@ -110,6 +114,27 @@ pub fn data_traffic(
     rec.incr("simulate.traffic.local_accesses", accesses[2]);
     record_traffic(&rec, &report);
     report
+}
+
+/// Panics unless `assignment` maps exactly the units of `partition`, each
+/// to a processor below its `nprocs`: the reports of another partition's
+/// assignment would be wrong, not merely slow.
+pub(crate) fn check_assignment(partition: &Partition, assignment: &Assignment) {
+    assert_eq!(
+        assignment.proc_of_unit.len(),
+        partition.num_units(),
+        "the assignment maps {} units, the partition has {}",
+        assignment.proc_of_unit.len(),
+        partition.num_units()
+    );
+    let nprocs = assignment.nprocs;
+    if let Some(&p) = assignment
+        .proc_of_unit
+        .iter()
+        .find(|&&p| p as usize >= nprocs)
+    {
+        panic!("the assignment names processor {p}, but has {nprocs} processors");
+    }
 }
 
 /// The `simulate.traffic.*` gauges every engine records.
@@ -243,7 +268,11 @@ impl WorkReport {
 /// report's headline numbers — `simulate.work.total`, `.max`,
 /// `.imbalance` (the paper's Δ) and `.efficiency` — as gauges (see
 /// `docs/METRICS.md`).
+///
+/// Panics if `assignment` does not cover `partition` or names a
+/// processor at or above its `nprocs`.
 pub fn work_distribution(partition: &Partition, assignment: &Assignment) -> WorkReport {
+    check_assignment(partition, assignment);
     let rec = spfactor_trace::current();
     let report = rec.time("simulate.work_distribution", || {
         work_report(partition, assignment)
@@ -418,6 +447,70 @@ mod tests {
         let w16 = work_distribution(&part, &block_allocation(&part, &deps, 16));
         assert_eq!(w4.total, w16.total);
         assert_eq!(w4.total, f.paper_work());
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("an assignment of another partition must be refused");
+        match err.downcast::<String>() {
+            Ok(s) => *s,
+            Err(e) => e
+                .downcast::<&str>()
+                .map(|s| s.to_string())
+                .unwrap_or_default(),
+        }
+    }
+
+    #[test]
+    fn another_partitions_assignment_is_refused() {
+        // The grain-4 partition of lap9 12² has 220 units, the grain-25
+        // one 130: every engine, and both element phases, must name both
+        // counts rather than answer (or index out of bounds).
+        let f = factor_of(&gen::lap9(12, 12));
+        let fine = Partition::build(&f, &PartitionParams::with_grain(4));
+        let coarse = Partition::build(&f, &PartitionParams::with_grain(25));
+        let (nf, nc) = (fine.num_units(), coarse.num_units());
+        assert_ne!(nf, nc);
+        let longer = block_allocation(&fine, &dependencies(&f, &fine), 16);
+        let shorter = block_allocation(&coarse, &dependencies(&f, &coarse), 16);
+        for (part, a) in [(&coarse, &longer), (&fine, &shorter)] {
+            let counts = [
+                a.proc_of_unit.len().to_string(),
+                part.num_units().to_string(),
+            ];
+            let mut messages = vec![
+                panic_message(|| drop(data_traffic(&f, part, a))),
+                panic_message(|| drop(work_distribution(part, a))),
+            ];
+            for engine in [
+                SimulateEngine::Element,
+                SimulateEngine::Block,
+                SimulateEngine::BlockParallel,
+            ] {
+                messages.push(panic_message(|| drop(simulate(engine, &f, part, a))));
+            }
+            for m in messages {
+                assert!(counts.iter().all(|c| m.contains(c.as_str())), "{m}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_processor_id_past_nprocs_is_refused() {
+        let f = factor_of(&gen::lap9(8, 8));
+        let part = Partition::columns(&f);
+        let mut a = wrap_allocation(&part, 4);
+        a.proc_of_unit[3] = 4;
+        for engine in [SimulateEngine::Element, SimulateEngine::Block] {
+            let m = panic_message(|| drop(simulate(engine, &f, &part, &a)));
+            assert!(
+                m.contains("processor 4") && m.contains("4 processors"),
+                "{m}"
+            );
+        }
+        let m = panic_message(|| drop(work_distribution(&part, &a)));
+        assert!(m.contains("processor 4"), "{m}");
     }
 
     #[test]

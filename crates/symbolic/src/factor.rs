@@ -1,7 +1,7 @@
 //! Structure of the Cholesky factor L.
 
 use crate::rows::RowStructure;
-use spfactor_matrix::SymmetricPattern;
+use spfactor_matrix::{Fnv1a, SymmetricPattern};
 use spfactor_order::etree::{rows_of, EliminationTree, NONE};
 use std::sync::{Arc, OnceLock};
 
@@ -254,29 +254,21 @@ impl SymbolicFactor {
     }
 
     /// A stable 64-bit fingerprint of the factor structure (dimension,
-    /// column pointers, row indices) — FNV-1a, deterministic across runs
+    /// column pointers, row indices) — FNV-1a ([`Fnv1a`]), deterministic across runs
     /// and platforms. Two symbolic factors with the same fingerprint have
     /// the same structure, so a cached factor can be pinned against a
     /// freshly computed one without a full comparison (the serve layer's
     /// artifact integrity check).
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut fold = |x: u64| {
-            for byte in x.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        fold(self.n as u64);
+        let mut h = Fnv1a::new();
+        h.write_u64(self.n as u64);
         for &p in self.colptr.iter() {
-            fold(p as u64);
+            h.write_u64(p as u64);
         }
         for &i in self.rowidx.iter() {
-            fold(i as u64);
+            h.write_u64(i as u64);
         }
-        h
+        h.finish()
     }
 
     /// The factor structure as a [`SymmetricPattern`] (strict lower).

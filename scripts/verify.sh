@@ -194,6 +194,27 @@ for call in 'ops::for_each_update\(' 'ops::for_each_scaling\('; do
 done
 cargo test -q -p spfactor --test engine_equivalence traffic_views_agree_on_all_paper_matrices
 
+echo "==> one set of source runs: deps and simulate sweep the same runs, on one thread"
+# The deps sweep and the simulator's block engine handle a supernode's
+# columns in the same source runs (docs/PERFORMANCE.md, "One traversal
+# under both analysis engines"): built by one function in partition, and
+# no thread fan-out in the simulator.
+sites=$(call_sites 'fn source_runs\(' crates/partition/src)
+if [ "$(grep -c . <<<"$sites")" -ne 1 ]; then
+  echo "expected exactly one definition of source_runs under crates/partition/src, found:"; echo "$sites"
+  exit 1
+fi
+if [ -z "$(call_sites 'source_runs\(' crates/simulate/src)" ]; then
+  echo "crates/simulate/src no longer walks partition::source_runs"
+  exit 1
+fi
+sites=$(call_sites 'crossbeam::scope' crates/simulate/src)
+if [ -n "$sites" ]; then
+  echo "a thread fan-out returned to crates/simulate/src:"; echo "$sites"
+  exit 1
+fi
+cargo test -q -p spfactor --test engine_equivalence grouped
+
 echo "==> one plan: the front-end chain is spelled out once, the plan is shared"
 # sched::plan is the chain; Scheme::partition / Scheme::allocate are the
 # only block-vs-wrap fans in library code (docs/ARCHITECTURE.md, "The

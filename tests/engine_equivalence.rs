@@ -1,11 +1,12 @@
-//! Pinned equivalence: all three simulation engines must return
-//! bit-identical traffic and work reports on every paper matrix.
+//! Pinned equivalence: every simulation engine must return bit-identical
+//! traffic and work reports on every paper matrix.
 //!
 //! The element engine is the oracle — it walks each update operation and
-//! deduplicates remote fetches one element at a time. The block engines
-//! compute the same tallies in closed form from unit-block geometry, so
-//! any divergence here means the interval algebra (or its parallel
-//! merge) miscounts. This test is the repo-level witness behind the
+//! deduplicates remote fetches one element at a time. The block engine
+//! (`Block`, also selected as `BlockParallel`) computes the same tallies
+//! in closed form from unit-block geometry, one source run at a time, so
+//! any divergence here means the interval algebra or the grouping by runs
+//! miscounts. This test is the repo-level witness behind the
 //! `BENCH_pipeline.json` baseline, which only checks the matrices it
 //! happens to time.
 
@@ -60,8 +61,7 @@ fn engines_identical_on_figure2_and_scaled_grid() {
 #[test]
 fn engines_identical_on_the_benchmark_subject() {
     // `plan_grid` of the repository benchmark: lap9 70 x 70 at grain 25,
-    // P = 16 — and the wrap partition of the same factor — with the
-    // worker count pinned, not left to the machine.
+    // P = 16 — and the wrap partition of the same factor.
     let grid = spfactor::matrix::gen::lap9(70, 70);
     for scheme in [Scheme::Block, Scheme::Wrap] {
         let base = Pipeline::new(grid.clone())
@@ -71,15 +71,145 @@ fn engines_identical_on_the_benchmark_subject() {
             .order_engine(spfactor::OrderEngine::Compressed)
             .deps_engine(spfactor::DepsEngine::SweepParallel)
             .run();
-        for threads in [1usize, 2, 5] {
-            let (traffic, work) = spfactor::simulate::simulate_block(
+        for engine in [SimulateEngine::Block, SimulateEngine::BlockParallel] {
+            let (traffic, work) = spfactor::simulate::simulate(
+                engine,
                 base.plan.factor(),
                 base.plan.partition(),
                 base.plan.assignment(),
-                threads,
             );
-            assert_eq!(traffic, base.traffic, "{scheme:?} T={threads}: traffic");
-            assert_eq!(work, base.work, "{scheme:?} T={threads}: work");
+            assert_eq!(traffic, base.traffic, "{scheme:?} {engine:?}: traffic");
+            assert_eq!(work, base.work, "{scheme:?} {engine:?}: work");
+        }
+    }
+}
+
+/// One subject of the grouped-path tests: a factor and a partition of it.
+struct Subject {
+    label: String,
+    factor: spfactor::SymbolicFactor,
+    partition: spfactor::Partition,
+    wrap: bool,
+}
+
+/// Block partitions at every minimum cluster width the paper's Table 4
+/// sweeps (and 1), relaxed clusters, a dense factor (one wide supernode)
+/// and wrap partitions of wide supernodes.
+fn grouped_subjects() -> Vec<Subject> {
+    use spfactor::matrix::gen;
+    use spfactor::{order, Partition, PartitionParams, SymbolicFactor};
+    let factor_of = |p: &spfactor::SymmetricPattern| {
+        let perm = order::order(p, spfactor::Ordering::paper_default());
+        SymbolicFactor::from_pattern(&p.permute(&perm))
+    };
+    let dense = spfactor::SymmetricPattern::from_edges(
+        12,
+        (0..12usize).flat_map(|a| (a + 1..12).map(move |b| (b, a))),
+    );
+    let factors = [
+        ("lap9 16x16", factor_of(&gen::lap9(16, 16))),
+        ("grid5 9x9", factor_of(&gen::grid5(9, 9))),
+        ("dense 12", SymbolicFactor::from_pattern(&dense)),
+    ];
+    let mut subjects = Vec::new();
+    for (name, factor) in factors {
+        for grain in [4, 25] {
+            for width in [1, 2, 4, 8] {
+                for relax in [0, 1, 3] {
+                    let params = PartitionParams {
+                        grain_triangle: grain,
+                        grain_rectangle: grain,
+                        min_cluster_width: width,
+                        relax_zeros: relax,
+                    };
+                    subjects.push(Subject {
+                        label: format!("{name} grain {grain} width {width} relax {relax}"),
+                        partition: Partition::build(&factor, &params),
+                        factor: factor.clone(),
+                        wrap: false,
+                    });
+                }
+            }
+        }
+        subjects.push(Subject {
+            label: format!("{name} wrap"),
+            partition: Partition::columns(&factor),
+            factor,
+            wrap: true,
+        });
+    }
+    for n in [0, 2] {
+        let pattern = spfactor::SymmetricPattern::from_edges(n, (1..n).map(|i| (i, 0)));
+        let factor = SymbolicFactor::from_pattern(&pattern);
+        subjects.push(Subject {
+            label: format!("{n} columns"),
+            partition: Partition::columns(&factor),
+            factor,
+            wrap: true,
+        });
+    }
+    subjects
+}
+
+/// The subjects reach every grouped path of the block engine: runs of
+/// one, two and five or more columns, runs whose supernode shares the
+/// clique below its cluster, supernodes split over several clusters, and
+/// wrap partitions of wide supernodes (single-column runs sharing their
+/// supernode's rows below).
+#[test]
+fn grouped_paths_all_occur_on_the_subjects() {
+    use spfactor::partition::source_runs;
+    use spfactor::symbolic::fundamental_supernodes;
+    let (mut lengths, mut closing, mut split, mut wide_wrap) = ([false; 3], false, false, false);
+    for s in grouped_subjects() {
+        let segs = s.partition.segmentation();
+        for run in source_runs(&s.factor, &s.partition, &segs) {
+            match run.cols.len() {
+                1 => lengths[0] = true,
+                2 => lengths[1] = true,
+                5.. => lengths[2] = true,
+                _ => {}
+            }
+            closing |= run.closes > 0;
+            wide_wrap |= s.wrap && run.closes >= 5;
+        }
+        let clusters = &s.partition.clusters;
+        let cluster_of = |j: usize| clusters.partition_point(|c| c.cols.hi < j);
+        split |= fundamental_supernodes(&s.factor)
+            .iter()
+            .any(|sn| cluster_of(sn.start) != cluster_of(sn.end - 1));
+    }
+    assert_eq!(lengths, [true; 3], "run lengths 1, 2, 5+");
+    assert!(closing, "no run shares a below-cluster clique");
+    assert!(split, "no supernode spans several clusters");
+    assert!(wide_wrap, "no wrap partition of a wide supernode");
+}
+
+/// `Block` (and `BlockParallel`) equal the element oracle — every field
+/// of both reports, `pair_matrix` included — on every grouped-path
+/// subject at P = 1 (no traffic), 2 and 16.
+#[test]
+fn block_engine_equals_the_oracle_on_the_grouped_subjects() {
+    use spfactor::partition::{build_dependencies, DepsEngine};
+    use spfactor::sched::{block_allocation, wrap_allocation};
+    use spfactor::simulate::simulate;
+    for s in grouped_subjects() {
+        let deps = build_dependencies(DepsEngine::Sweep, &s.factor, &s.partition);
+        for nprocs in [1, 2, 16] {
+            let a = if s.wrap {
+                wrap_allocation(&s.partition, nprocs)
+            } else {
+                block_allocation(&s.partition, &deps, nprocs)
+            };
+            let label = format!("{} P={nprocs}", s.label);
+            let oracle = simulate(SimulateEngine::Element, &s.factor, &s.partition, &a);
+            if nprocs == 1 {
+                assert_eq!(oracle.0.total, 0, "{label}");
+            }
+            for engine in [SimulateEngine::Block, SimulateEngine::BlockParallel] {
+                let got = simulate(engine, &s.factor, &s.partition, &a);
+                assert_eq!(got, oracle, "{label} {engine:?}");
+            }
         }
     }
 }
