@@ -39,7 +39,7 @@ fn bench_timed(c: &mut Criterion) {
         .grain(4)
         .processors(16)
         .run();
-    let model = spfactor::simulate::timed::CommModel::default();
+    let model = spfactor::simulate::timed::NetworkModel::default();
     group.bench_function("lap30_g4_p16", |b| {
         b.iter(|| {
             spfactor::simulate::timed::simulate_timed(

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use spfactor::simulate::timed::{simulate_timed, CommModel, OrderPolicy};
+use spfactor::simulate::timed::{simulate_timed, NetworkModel, OrderPolicy};
 use spfactor::{numeric, trace, Pipeline, Recorder};
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         result.plan.partition(),
         result.plan.deps(),
         result.plan.assignment(),
-        &CommModel::default(),
+        &NetworkModel::default(),
         OrderPolicy::ScanOrder,
         None,
     );

@@ -26,7 +26,7 @@
 
 use spfactor::trace::timeline::validate_chrome_trace;
 use spfactor::trace::{json, Timeline};
-use spfactor::{ExecutionBackend, NetworkModel, Pipeline, Scheme};
+use spfactor::{ExecutionBackend, Pipeline, Scheme};
 
 fn write_validated(path: &std::path::Path, trace: &str) {
     let t0 = std::time::Instant::now();
@@ -69,7 +69,7 @@ fn main() {
             .scheme(scheme)
             .grain(4)
             .processors(nprocs)
-            .backend(ExecutionBackend::MessagePassing(NetworkModel::default()))
+            .backend(ExecutionBackend::MessagePassing)
             .timeline(true)
             .run();
         let tl = result.timeline.as_ref().expect("timeline captured");

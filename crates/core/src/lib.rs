@@ -69,16 +69,16 @@ pub use spfactor_trace::Recorder;
 use std::sync::Arc;
 
 pub use spfactor_matrix::{MatrixError, Permutation, SymmetricPattern};
-pub use spfactor_mp::{MpError, MpReport, NetworkModel};
+pub use spfactor_mp::{MpError, MpReport};
 pub use spfactor_numeric::NumericError;
 pub use spfactor_order::{OrderEngine, Ordering};
 pub use spfactor_partition::{DepGraph, DepsEngine, Partition, PartitionParams};
 pub use spfactor_sched::{Assignment, ScheduleArtifact, ScheduleKey};
-pub use spfactor_simulate::{SimulateEngine, TrafficReport, WorkReport};
+pub use spfactor_simulate::{NetworkModel, SimulateEngine, TrafficReport, WorkReport};
 pub use spfactor_symbolic::SymbolicFactor;
 pub use spfactor_trace::{CriticalPathReport, Timeline, TimelineSink};
 
-use spfactor_simulate::timed::{simulate_timed, CommModel, OrderPolicy, TimedReport};
+use spfactor_simulate::timed::{simulate_timed, OrderPolicy, TimedReport};
 
 /// Workspace-wide error taxonomy: every way the stack can fail, as a
 /// value. Matrix construction and IO failures, numeric factorization
@@ -172,11 +172,12 @@ pub enum ExecutionBackend {
     /// Additionally run the schedule on the [`mp`] virtual
     /// distributed-memory machine — one thread per processor exchanging
     /// explicit messages — on SPD values synthesized deterministically
-    /// from the permuted pattern. Yields the executed factor, observed
-    /// traffic/work (which cross-validate the analytic reports), message
-    /// statistics, and a parallel-time estimate under the given
-    /// [`NetworkModel`].
-    MessagePassing(NetworkModel),
+    /// from the permuted pattern. Yields the executed factor and the
+    /// observed traffic, work and message statistics, which
+    /// cross-validate the analytic reports and
+    /// [`simulate::messages()`]. What the run costs is
+    /// [`simulate::timed::simulate_timed`] under a [`NetworkModel`].
+    MessagePassing,
 }
 
 /// Seed for the SPD values the message-passing backend synthesizes from
@@ -314,11 +315,11 @@ impl Pipeline {
     /// [`ExecutionBackend::Analytic`]).
     ///
     /// ```
-    /// use spfactor::{ExecutionBackend, NetworkModel, Pipeline};
+    /// use spfactor::{ExecutionBackend, Pipeline};
     ///
     /// let r = Pipeline::new(spfactor::matrix::gen::lap9(6, 6))
     ///     .processors(4)
-    ///     .backend(ExecutionBackend::MessagePassing(NetworkModel::default()))
+    ///     .backend(ExecutionBackend::MessagePassing)
     ///     .run();
     /// let exec = r.execution.as_ref().unwrap();
     /// // The runtime's observed traffic is the analytic prediction.
@@ -408,7 +409,7 @@ impl Pipeline {
 
     /// Enables event-timeline capture (default: off). The pipeline then
     /// additionally runs the event-driven timed simulator
-    /// ([`simulate::timed`], default [`simulate::timed::CommModel`],
+    /// ([`simulate::timed`], default [`NetworkModel`],
     /// scan-order policy) with a [`TimelineSink`] attached and stores a
     /// [`TimelineCapture`] in [`PipelineResult::timeline`]: the
     /// virtual-clock [`Timeline`], its [`TimedReport`], and the
@@ -671,7 +672,7 @@ impl Pipeline {
                 partition,
                 deps,
                 assignment,
-                &CommModel::default(),
+                &NetworkModel::default(),
                 OrderPolicy::ScanOrder,
                 Some(&sink),
             );
@@ -689,7 +690,7 @@ impl Pipeline {
         let mp_sink = self.timeline.then(TimelineSink::new);
         let execution = match self.execution {
             ExecutionBackend::Analytic => None,
-            ExecutionBackend::MessagePassing(model) => {
+            ExecutionBackend::MessagePassing => {
                 let _phase = rec.phase("execute");
                 let permuted = self.pattern.permute(artifact.permutation());
                 let a = matrix::gen::spd_from_pattern(&permuted, EXECUTION_VALUES_SEED);
@@ -699,7 +700,6 @@ impl Pipeline {
                     partition,
                     deps,
                     assignment,
-                    &model,
                     mp_sink.as_ref(),
                 )?;
                 Some(report)
@@ -795,12 +795,11 @@ mod tests {
         let p = gen::lap9(8, 8);
         let r = Pipeline::new(p)
             .processors(4)
-            .backend(ExecutionBackend::MessagePassing(NetworkModel::default()))
+            .backend(ExecutionBackend::MessagePassing)
             .run();
         let exec = r.execution.as_ref().expect("backend ran");
         assert_eq!(exec.traffic_report(), r.traffic);
         assert_eq!(exec.work_report(), r.work);
-        assert!(exec.estimated_time > 0.0);
         assert_eq!(exec.factor.n(), r.plan.factor().n());
     }
 
@@ -895,7 +894,7 @@ mod tests {
     fn timeline_capture_includes_mp_run_under_message_passing() {
         let r = Pipeline::new(gen::lap9(8, 8))
             .processors(4)
-            .backend(ExecutionBackend::MessagePassing(NetworkModel::default()))
+            .backend(ExecutionBackend::MessagePassing)
             .timeline(true)
             .run();
         let tl = r.timeline.as_ref().expect("timeline captured");
@@ -979,7 +978,7 @@ mod tests {
         let p = gen::lap9(8, 8);
         let pipeline = Pipeline::new(p)
             .processors(4)
-            .backend(ExecutionBackend::MessagePassing(NetworkModel::default()));
+            .backend(ExecutionBackend::MessagePassing);
         let artifact = pipeline.try_plan().expect("plans");
         let a = pipeline.try_run_planned(&artifact).expect("runs");
         let b = pipeline.try_run_planned(&artifact).expect("runs again");

@@ -32,14 +32,12 @@
 //! per-processor traffic equals [`spfactor_simulate::data_traffic`]'s
 //! prediction **exactly**
 //! (asserted element-for-element in `tests/mp_cross_validation.rs` and by
-//! property tests here). The two models validate each other: a missed
-//! dependency edge deadlocks or corrupts the runtime, a miscounted
-//! traffic rule breaks the equality.
-//!
-//! A pluggable [`NetworkModel`] (per-message latency, per-element
-//! transfer time, per-work-unit compute time) converts the observed
-//! message and work tallies into an estimated parallel time, like the
-//! paper ignoring dependency stalls.
+//! property tests here), as do its message and byte counters and
+//! [`spfactor_simulate::messages()`]. The two models validate each other: a
+//! missed dependency edge deadlocks or corrupts the runtime, a miscounted
+//! traffic rule breaks the equality. The runtime prices nothing: what a
+//! run of the schedule costs is [`spfactor_simulate::timed::simulate_timed`]
+//! under the one [`NetworkModel`], dependency stalls included.
 //!
 //! ## Checking, not surviving
 //!
@@ -68,14 +66,19 @@
 //! let assign = block_allocation(&part, &deps, 4);
 //!
 //! let report = spfactor_mp::execute(
-//!     &a, &f, &part, &deps, &assign, &spfactor_mp::NetworkModel::default(),
+//!     &a, &f, &part, &deps, &assign, &spfactor_simulate::NetworkModel::free(),
 //! ).unwrap();
 //! // The executed factor is the sequential factor, bit for bit.
 //! assert_eq!(report.factor, spfactor_numeric::cholesky(&a, &f).unwrap());
-//! // Observed traffic is the analytic prediction, element for element.
+//! // Observed traffic is the analytic prediction, element for element,
+//! // and so is every message counter, processor by processor.
 //! assert_eq!(
 //!     report.traffic_report(),
 //!     spfactor_simulate::data_traffic(&f, &part, &assign),
+//! );
+//! assert_eq!(
+//!     report.message_counts(),
+//!     spfactor_simulate::messages(&f, &part, &deps, &assign),
 //! );
 //! ```
 
@@ -92,62 +95,9 @@ use spfactor_matrix::SymmetricCsc;
 use spfactor_numeric::NumericFactor;
 use spfactor_partition::{DepGraph, Partition};
 use spfactor_sched::Assignment;
-use spfactor_simulate::{TrafficReport, WorkReport};
+use spfactor_simulate::{MessageCounts, NetworkModel, TrafficReport, WorkReport};
 use spfactor_symbolic::SymbolicFactor;
 use spfactor_trace::Current;
-
-/// Cost model of the virtual network and processors.
-///
-/// The estimate charges each processor for what it *observably* did:
-/// `latency` per message it originated, `per_element` per payload
-/// element it sent or received, and `flop_time` per unit of paper work
-/// it executed. The estimated parallel time is the maximum over
-/// processors — dependency stalls are ignored, matching the paper's "we
-/// … do not take into account data dependency delays" scoping (the
-/// event-driven [`spfactor_simulate::timed`] model covers those).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NetworkModel {
-    /// Fixed cost per message, in seconds.
-    pub latency: f64,
-    /// Transfer cost per payload element (8-byte value), in seconds.
-    pub per_element: f64,
-    /// Compute cost per unit of paper work, in seconds.
-    pub flop_time: f64,
-}
-
-impl NetworkModel {
-    /// A model with explicit constants.
-    pub fn new(latency: f64, per_element: f64, flop_time: f64) -> Self {
-        NetworkModel {
-            latency,
-            per_element,
-            flop_time,
-        }
-    }
-
-    /// Free communication: only compute time counts (1 s per work unit),
-    /// isolating the load-balance component of the estimate.
-    pub fn free() -> Self {
-        NetworkModel::new(0.0, 0.0, 1.0)
-    }
-
-    /// Time processor `p` spends busy under this model, from its
-    /// observed statistics.
-    pub fn proc_time(&self, stats: &ProcStats) -> f64 {
-        self.flop_time * stats.work as f64
-            + self.latency * stats.msgs_sent as f64
-            + self.per_element * (stats.traffic + stats.elements_served) as f64
-    }
-}
-
-impl Default for NetworkModel {
-    /// Constants in the spirit of the paper's era of distributed-memory
-    /// machines: 100 µs message latency, 1 µs per transferred element,
-    /// 0.1 µs per work unit (communication ~1000× a flop).
-    fn default() -> Self {
-        NetworkModel::new(1e-4, 1e-6, 1e-7)
-    }
-}
 
 /// What one virtual processor observably did during an execution.
 ///
@@ -195,10 +145,6 @@ pub struct MpReport {
     /// `pair_matrix[src * nprocs + dst]` — distinct elements owned by
     /// `src` fetched by `dst`, same layout as [`TrafficReport`].
     pub pair_matrix: Vec<usize>,
-    /// The cost model the estimate was computed with.
-    pub network: NetworkModel,
-    /// Estimated parallel time under [`Self::network`], seconds.
-    pub estimated_time: f64,
 }
 
 impl MpReport {
@@ -224,6 +170,21 @@ impl MpReport {
         }
     }
 
+    /// The observed message counters, shaped as
+    /// [`spfactor_simulate::messages()`]' prediction.
+    pub fn message_counts(&self) -> Vec<MessageCounts> {
+        self.per_proc
+            .iter()
+            .map(|s| MessageCounts {
+                requests_sent: s.requests_sent,
+                replies_served: s.replies_served,
+                elements_served: s.elements_served,
+                msgs_sent: s.msgs_sent,
+                bytes_sent: s.bytes_sent,
+            })
+            .collect()
+    }
+
     /// Total messages sent across all processors.
     pub fn msgs_total(&self) -> usize {
         self.per_proc.iter().map(|s| s.msgs_sent).sum()
@@ -237,16 +198,6 @@ impl MpReport {
     /// Total cache hits across all processors.
     pub fn cache_hits_total(&self) -> usize {
         self.per_proc.iter().map(|s| s.cache_hits).sum()
-    }
-
-    /// Re-evaluates the parallel-time estimate under a different network
-    /// cost model (the model is pluggable after the fact: the estimate
-    /// is a pure function of the observed statistics).
-    pub fn estimate(&self, model: &NetworkModel) -> f64 {
-        self.per_proc
-            .iter()
-            .map(|s| model.proc_time(s))
-            .fold(0.0, f64::max)
     }
 }
 
@@ -262,15 +213,19 @@ impl MpReport {
 /// [`spfactor_numeric::NumericError::StructureMismatch`]).
 /// [`execute_with_timeline`] is the same run with an optional timeline
 /// sink; both record the same `mp.*` metrics under a recorder scope.
+///
+/// `_network` is ignored: the run is priced by
+/// [`spfactor_simulate::timed::simulate_timed`]. The argument stays only
+/// because the harness under `benchmark/` still passes it.
 pub fn execute(
     a: &SymmetricCsc,
     symbolic: &SymbolicFactor,
     partition: &Partition,
     deps: &DepGraph,
     assignment: &Assignment,
-    network: &NetworkModel,
+    _network: &NetworkModel,
 ) -> Result<MpReport, MpError> {
-    execute_with_timeline(a, symbolic, partition, deps, assignment, network, None)
+    execute_with_timeline(a, symbolic, partition, deps, assignment, None)
 }
 
 /// Bumps the `mp.*` counters and gauges for a completed run (the metric
@@ -299,31 +254,9 @@ pub(crate) fn record_mp_metrics(rec: &Current, report: &MpReport) {
         "mp.work.max",
         report.per_proc.iter().map(|s| s.work).max().unwrap_or(0) as f64,
     );
-    rec.gauge("mp.estimated_time", report.estimated_time);
     for (p, s) in report.per_proc.iter().enumerate() {
         rec.gauge(&format!("mp.proc.{p}.traffic"), s.traffic as f64);
         rec.gauge(&format!("mp.proc.{p}.work"), s.work as f64);
         rec.gauge(&format!("mp.proc.{p}.msgs_sent"), s.msgs_sent as f64);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn network_model_proc_time_formula() {
-        let m = NetworkModel::new(10.0, 2.0, 1.0);
-        let s = ProcStats {
-            work: 5,
-            msgs_sent: 3,
-            traffic: 4,
-            elements_served: 6,
-            ..ProcStats::default()
-        };
-        // 1*5 + 10*3 + 2*(4+6) = 55.
-        assert_eq!(m.proc_time(&s), 55.0);
-        // Free model sees only work.
-        assert_eq!(NetworkModel::free().proc_time(&s), 5.0);
     }
 }

@@ -66,19 +66,19 @@
 //!
 //! ## Modeled message sizes
 //!
-//! The byte accounting charges 4 bytes per id or header word and 8 per
-//! value: a [`Msg::Done`] is 4 bytes, a request `4 + 4·k` for `k` ids, a
-//! reply `12·k` (id + value per element). These feed the `mp.bytes`
-//! counter; the [`crate::NetworkModel`] charges per *element* and per
-//! *message*, so the estimate is independent of this convention.
+//! A [`Msg::Done`] is [`DONE_BYTES`], a request of `k` ids
+//! [`request_bytes`]`(k)` and a reply of `k` elements [`reply_bytes`]`(k)`
+//! — the one definition [`spfactor_simulate::messages()`] predicts the
+//! `mp.msgs_sent` and `mp.bytes` counters with.
 
 use crate::error::ProcLastEvent;
-use crate::{MpError, MpReport, NetworkModel, ProcStats};
+use crate::{MpError, MpReport, ProcStats};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use spfactor_matrix::SymmetricCsc;
 use spfactor_numeric::unit::{Step, UnitKernel};
 use spfactor_partition::{DepGraph, Partition};
 use spfactor_sched::{processor_queues, Assignment};
+use spfactor_simulate::{reply_bytes, request_bytes, DONE_BYTES};
 use spfactor_symbolic::SymbolicFactor;
 use spfactor_trace::{EventKind, StartEdge, TimelineEvent, TimelineSink};
 use std::sync::Mutex;
@@ -94,19 +94,6 @@ const WATCHDOG: Duration = Duration::from_secs(10);
 /// One processor's watchdog slot: the protocol step it last entered,
 /// the unit concerned, and seconds since the run epoch.
 type LastSeen = (&'static str, u32, f64);
-
-/// Modeled wire size of a [`Msg::Done`] notification (one unit id).
-pub const DONE_BYTES: usize = 4;
-
-/// Modeled wire size of a block request carrying `k` element ids.
-pub fn request_bytes(k: usize) -> usize {
-    4 + 4 * k
-}
-
-/// Modeled wire size of a block reply carrying `k` (id, value) pairs.
-pub fn reply_bytes(k: usize) -> usize {
-    12 * k
-}
 
 /// The typed mailbox protocol of the virtual machine.
 #[derive(Clone, Debug)]
@@ -532,8 +519,7 @@ impl Worker<'_> {
 /// bumps the `mp.*` counters (`mp.msgs_sent`, `mp.bytes`,
 /// `mp.cache_hits`, `mp.remote_fetches`, `mp.local_accesses`,
 /// `mp.idle_ns`, `mp.busy_ns`, `mp.units_run`) and records the headline
-/// gauges `mp.traffic.total`, `mp.work.max`, `mp.estimated_time` plus
-/// per-processor gauges `mp.proc.<p>.traffic`, `mp.proc.<p>.work` and
+/// gauges `mp.traffic.total`, `mp.work.max` plus per-processor gauges `mp.proc.<p>.traffic`, `mp.proc.<p>.work` and
 /// `mp.proc.<p>.msgs_sent` (see `docs/METRICS.md`).
 ///
 /// When `sink` is supplied, every worker records [`TimelineEvent`]s
@@ -547,12 +533,11 @@ pub fn execute_with_timeline(
     partition: &Partition,
     deps: &DepGraph,
     assignment: &Assignment,
-    network: &NetworkModel,
     sink: Option<&TimelineSink>,
 ) -> Result<MpReport, MpError> {
     let rec = spfactor_trace::current();
     let report = rec.time("mp.execute", || {
-        run(a, symbolic, partition, deps, assignment, network, sink)
+        run(a, symbolic, partition, deps, assignment, sink)
     })?;
     crate::record_mp_metrics(&rec, &report);
     Ok(report)
@@ -564,7 +549,6 @@ fn run(
     partition: &Partition,
     deps: &DepGraph,
     assignment: &Assignment,
-    network: &NetworkModel,
     sink: Option<&TimelineSink>,
 ) -> Result<MpReport, MpError> {
     let nprocs = assignment.nprocs;
@@ -735,19 +719,11 @@ fn run(
             pair_matrix[src * nprocs + dst] = count;
         }
     }
-    let per_proc: Vec<ProcStats> = outcomes.into_iter().map(|o| o.stats).collect();
-    let estimated_time = per_proc
-        .iter()
-        .map(|s| network.proc_time(s))
-        .fold(0.0, f64::max);
-
     Ok(MpReport {
         factor,
         nprocs,
-        per_proc,
+        per_proc: outcomes.into_iter().map(|o| o.stats).collect(),
         pair_matrix,
-        network: *network,
-        estimated_time,
     })
 }
 
@@ -760,7 +736,7 @@ mod tests {
     use spfactor_order::{order, Ordering};
     use spfactor_partition::{dependencies, PartitionParams};
     use spfactor_sched::{block_allocation, wrap_allocation};
-    use spfactor_simulate::{data_traffic, work_distribution};
+    use spfactor_simulate::{data_traffic, messages, work_distribution, NetworkModel};
 
     fn setup_block(
         p: &SymmetricPattern,
@@ -810,8 +786,7 @@ mod tests {
         deps: &DepGraph,
         assign: &Assignment,
     ) -> MpReport {
-        let report =
-            execute(a, f, part, deps, assign, &NetworkModel::default()).expect("mp execute");
+        let report = execute(a, f, part, deps, assign, &NetworkModel::free()).expect("mp execute");
         // Factor is the sequential factor, bit for bit (stronger than
         // the 1e-10 acceptance bound).
         let seq = spfactor_numeric::cholesky(a, f).unwrap();
@@ -819,6 +794,7 @@ mod tests {
         // Observed traffic and work match the analytic simulator exactly.
         assert_eq!(report.traffic_report(), data_traffic(f, part, assign));
         assert_eq!(report.work_report(), work_distribution(part, assign));
+        assert_eq!(report.message_counts(), messages(f, part, deps, assign));
         report
     }
 
@@ -888,18 +864,6 @@ mod tests {
     }
 
     #[test]
-    fn estimated_time_responds_to_the_network_model() {
-        let (a, f, part, deps, assign) = setup_wrap(&gen::lap9(8, 8), 4, 9);
-        let report = check(&a, &f, &part, &deps, &assign);
-        let slow = NetworkModel::new(1.0, 0.1, 1e-9);
-        let fast = NetworkModel::new(1e-9, 1e-10, 1e-9);
-        assert!(report.estimate(&slow) > report.estimate(&fast));
-        // Free network reduces to the work bottleneck.
-        let wmax = report.work_report().max();
-        assert_eq!(report.estimate(&NetworkModel::free()), wmax as f64);
-    }
-
-    #[test]
     fn indefinite_matrix_aborts_cleanly_across_processors() {
         use spfactor_matrix::Coo;
         let mut coo = Coo::new(3);
@@ -913,7 +877,7 @@ mod tests {
         let deps = dependencies(&f, &part);
         let assign = block_allocation(&part, &deps, 2);
         assert_eq!(
-            execute(&a, &f, &part, &deps, &assign, &NetworkModel::default()).unwrap_err(),
+            execute(&a, &f, &part, &deps, &assign, &NetworkModel::free()).unwrap_err(),
             MpError::Numeric(NumericError::NotPositiveDefinite(1))
         );
     }
@@ -924,7 +888,7 @@ mod tests {
         let (a, _, part, deps, assign) = setup_block(&p, 4, 2, 1);
         let other = SymbolicFactor::from_pattern(&gen::lap9(3, 3));
         assert!(matches!(
-            execute(&a, &other, &part, &deps, &assign, &NetworkModel::default()),
+            execute(&a, &other, &part, &deps, &assign, &NetworkModel::free()),
             Err(MpError::Numeric(NumericError::StructureMismatch(_)))
         ));
     }
@@ -933,16 +897,8 @@ mod tests {
     fn timeline_capture_reconciles_with_proc_stats() {
         let (a, f, part, deps, assign) = setup_wrap(&gen::lap9(8, 8), 4, 9);
         let sink = TimelineSink::new();
-        let report = execute_with_timeline(
-            &a,
-            &f,
-            &part,
-            &deps,
-            &assign,
-            &NetworkModel::default(),
-            Some(&sink),
-        )
-        .expect("observed mp execute");
+        let report = execute_with_timeline(&a, &f, &part, &deps, &assign, Some(&sink))
+            .expect("observed mp execute");
         // Capture must not perturb the computation.
         assert_eq!(report.factor, spfactor_numeric::cholesky(&a, &f).unwrap());
         assert_eq!(report.traffic_report(), data_traffic(&f, &part, &assign));
@@ -1010,16 +966,8 @@ mod tests {
     #[test]
     fn unobserved_run_records_no_events() {
         let (a, f, part, deps, assign) = setup_block(&gen::lap9(6, 6), 4, 2, 5);
-        let report = execute_with_timeline(
-            &a,
-            &f,
-            &part,
-            &deps,
-            &assign,
-            &NetworkModel::default(),
-            None,
-        )
-        .expect("mp execute");
+        let report =
+            execute_with_timeline(&a, &f, &part, &deps, &assign, None).expect("mp execute");
         assert_eq!(report.factor, spfactor_numeric::cholesky(&a, &f).unwrap());
     }
 }

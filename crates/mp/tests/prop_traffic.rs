@@ -1,16 +1,16 @@
 //! Property test: the traffic the message-passing runtime *observes*
 //! equals the traffic the analytic simulator *predicts* — exactly, per
-//! processor and per processor pair — on random SPD matrices under the
-//! wrap mapping (and, as a bonus, the block mapping). Matrices come from
-//! deterministic seeds so failures replay.
+//! processor and per processor pair — and so do its message and byte
+//! counters, on random SPD matrices under the wrap mapping (and, as a
+//! bonus, the block mapping). Matrices come from deterministic seeds so
+//! failures replay.
 
 use proptest::prelude::*;
 use spfactor_matrix::gen;
-use spfactor_mp::NetworkModel;
 use spfactor_order::{order, Ordering};
 use spfactor_partition::{dependencies, Partition, PartitionParams};
 use spfactor_sched::{block_allocation, wrap_allocation};
-use spfactor_simulate::{data_traffic, work_distribution};
+use spfactor_simulate::{data_traffic, messages, work_distribution, NetworkModel};
 use spfactor_symbolic::SymbolicFactor;
 
 fn random_spd(n: usize, deg: f64, seed: u64) -> spfactor_matrix::SymmetricCsc {
@@ -23,9 +23,10 @@ fn random_spd(n: usize, deg: f64, seed: u64) -> spfactor_matrix::SymmetricCsc {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Wrap mapping: per-processor and pair-matrix message counts of the
-    /// executed runtime equal the analytic prediction exactly, and every
-    /// reply element corresponds to one unit of predicted traffic.
+    /// Wrap mapping: per-processor and pair-matrix traffic and the
+    /// message counters of the executed runtime equal the analytic
+    /// prediction exactly, and every reply element corresponds to one
+    /// unit of predicted traffic.
     #[test]
     fn prop_wrap_observed_traffic_equals_analytic(
         n in 5usize..45,
@@ -39,17 +40,18 @@ proptest! {
         let deps = dependencies(&f, &part);
         let assign = wrap_allocation(&part, nprocs);
         let report = spfactor_mp::execute(
-            &a, &f, &part, &deps, &assign, &NetworkModel::default(),
+            &a, &f, &part, &deps, &assign, &NetworkModel::free(),
         ).expect("random SPD matrix must factor");
         let predicted = data_traffic(&f, &part, &assign);
         prop_assert_eq!(&report.traffic_report(), &predicted);
         let served: usize = report.per_proc.iter().map(|s| s.elements_served).sum();
         prop_assert_eq!(served, predicted.total);
         prop_assert_eq!(&report.work_report(), &work_distribution(&part, &assign));
+        prop_assert_eq!(report.message_counts(), messages(&f, &part, &deps, &assign));
     }
 
     /// Block mapping: same exact agreement on the paper's partitioned
-    /// scheme.
+    /// scheme, message counters included.
     #[test]
     fn prop_block_observed_traffic_equals_analytic(
         n in 5usize..40,
@@ -63,9 +65,10 @@ proptest! {
         let deps = dependencies(&f, &part);
         let assign = block_allocation(&part, &deps, nprocs);
         let report = spfactor_mp::execute(
-            &a, &f, &part, &deps, &assign, &NetworkModel::default(),
+            &a, &f, &part, &deps, &assign, &NetworkModel::free(),
         ).expect("random SPD matrix must factor");
         prop_assert_eq!(&report.traffic_report(), &data_traffic(&f, &part, &assign));
+        prop_assert_eq!(report.message_counts(), messages(&f, &part, &deps, &assign));
         prop_assert_eq!(&report.factor, &spfactor_numeric::cholesky(&a, &f).unwrap());
     }
 }

@@ -347,9 +347,14 @@ pub struct Segmentation {
 }
 
 impl Segmentation {
-    /// Column `j`'s segments: row intervals, each with the unit owning
-    /// the column's stored entries in it
-    /// ([`Partition::column_ownership`]).
+    /// Column `j`'s *ownership segmentation*: disjoint row intervals in
+    /// ascending order, each tagged with the unit that owns every stored
+    /// entry `(i, j)` with `i` in the interval. Together the segments
+    /// cover all rows `i >= j` that can hold a stored entry of column `j`
+    /// (the first segment may extend above `j`; ownership queries are
+    /// only meaningful at stored entries). Within one segment the owner
+    /// is constant, so per-element resolution collapses to binary
+    /// searches over segment boundaries.
     #[inline]
     pub fn col(&self, j: usize) -> &[(Interval, u32)] {
         &self.segs[self.start[j]..self.start[j + 1]]
@@ -709,8 +714,8 @@ impl Partition {
         tally
     }
 
-    /// The ownership segmentation of every column
-    /// ([`column_ownership`](Self::column_ownership)) in one flat table —
+    /// The ownership segmentation of every column ([`Segmentation::col`])
+    /// in one flat table —
     /// the geometry view the work tally, the deps sweep and the
     /// simulator's block engine walk. Transient: callers build it, walk it
     /// and drop it.
@@ -741,27 +746,10 @@ impl Partition {
         &self.owner
     }
 
-    /// Appends the *ownership segmentation* of column `j` to `out`:
-    /// disjoint row intervals in ascending order, each tagged with the
-    /// unit that owns every stored entry `(i, j)` with `i` in the
-    /// interval. Together the segments cover all rows `i >= j` that can
-    /// hold a stored entry of column `j` (the first segment may extend
-    /// above `j`; ownership queries are only meaningful at stored
-    /// entries).
-    ///
-    /// This is the closed-form view of [`unit_of`](Self::unit_of) that
-    /// the sweep dependency engine walks: within one segment the owner is
-    /// constant, so per-element resolution collapses to binary searches
-    /// over segment boundaries. The segments are derived from the same
-    /// retained layout tables that built the ownership map, so the two
-    /// views can never disagree.
-    pub fn column_ownership(&self, j: usize, out: &mut Vec<(Interval, u32)>) {
-        let cid = self.clusters.partition_point(|c| c.cols.hi < j);
-        self.ownership_in(cid, j, out);
-    }
-
-    /// [`column_ownership`](Self::column_ownership) of column `j` in
-    /// cluster `cid`.
+    /// Appends the ownership segmentation of column `j`, in cluster
+    /// `cid`, to `out`. The segments are derived from the same retained
+    /// layout tables that built the ownership map, so the two views can
+    /// never disagree.
     fn ownership_in(&self, cid: usize, j: usize, out: &mut Vec<(Interval, u32)>) {
         debug_assert!(self.clusters[cid].cols.contains(j));
         match &self.layouts[cid] {
@@ -1194,10 +1182,9 @@ mod tests {
             .collect();
         parts.push(Partition::columns(&f));
         for part in &parts {
-            let mut segs: Vec<(Interval, u32)> = Vec::new();
+            let segmentation = part.segmentation();
             for j in 0..f.n() {
-                segs.clear();
-                part.column_ownership(j, &mut segs);
+                let segs = segmentation.col(j);
                 for w in segs.windows(2) {
                     assert!(w[0].0.hi < w[1].0.lo, "segments overlap or misorder");
                 }

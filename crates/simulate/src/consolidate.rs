@@ -9,9 +9,8 @@
 //! * **volume** — total elements moved (identical to
 //!   [`crate::data_traffic`]'s total by construction), and
 //! * **messages** — distinct `(source unit, destination processor)`
-//!   pairs, i.e. the message count after perfect per-block consolidation,
-//!   and, for comparison, the unconsolidated count (one message per
-//!   element).
+//!   pairs, i.e. the message count after perfect per-block consolidation
+//!   (unconsolidated, every element is a message of its own: `volume`).
 
 use crate::BitSet;
 use spfactor_partition::Partition;
@@ -26,8 +25,6 @@ pub struct ConsolidationReport {
     /// Messages after consolidating per (source unit, destination
     /// processor).
     pub messages: usize,
-    /// Messages without consolidation (= volume; one element each).
-    pub unconsolidated: usize,
 }
 
 impl ConsolidationReport {
@@ -42,11 +39,15 @@ impl ConsolidationReport {
 }
 
 /// Computes the consolidation report for a partition/assignment.
+///
+/// Panics if `assignment` does not cover `partition` or names a
+/// processor at or above its `nprocs`.
 pub fn consolidated_traffic(
     factor: &SymbolicFactor,
     partition: &Partition,
     assignment: &Assignment,
 ) -> ConsolidationReport {
+    crate::check_assignment(partition, assignment);
     // Per destination processor, the source units that messaged it. A
     // pair's first touch is always some element's first fetch, so the
     // first-fetch events reach every pair.
@@ -62,11 +63,7 @@ pub fn consolidated_traffic(
         }
     });
 
-    ConsolidationReport {
-        volume,
-        messages,
-        unconsolidated: volume,
-    }
+    ConsolidationReport { volume, messages }
 }
 
 #[cfg(test)]
@@ -93,7 +90,6 @@ mod tests {
         let c = consolidated_traffic(&f, &part, &a);
         let t = data_traffic(&f, &part, &a);
         assert_eq!(c.volume, t.total);
-        assert_eq!(c.unconsolidated, c.volume);
     }
 
     #[test]

@@ -14,21 +14,26 @@
 //!   [`work_distribution`].
 //!
 //! Beyond the paper's metrics this crate adds processor-pair hot-spot
-//! analysis ([`TrafficReport::pair_matrix`]) and an event-driven *timed*
+//! analysis ([`TrafficReport::pair_matrix`]), an event-driven *timed*
 //! simulation with dependency delays ([`timed`]), which the paper
 //! explicitly scopes out ("we ... do not take into account data
 //! dependency delays") — useful to check that the allocation provides
-//! enough parallelism to keep idle time low.
+//! enough parallelism to keep idle time low — under the one machine cost
+//! model, [`NetworkModel`], and the message counts the message-passing
+//! executor sends ([`messages()`]).
 
 mod bitset;
 pub mod consolidate;
 pub mod engine;
+pub mod messages;
 pub mod timed;
 
 pub use engine::{simulate, SimulateEngine};
+pub use messages::{messages, reply_bytes, request_bytes, MessageCounts, DONE_BYTES};
+pub use timed::NetworkModel;
 
 use bitset::BitSet;
-use spfactor_partition::Partition;
+use spfactor_partition::{DepGraph, Partition};
 use spfactor_sched::Assignment;
 use spfactor_symbolic::{ops, SymbolicFactor};
 use spfactor_trace::Current;
@@ -137,6 +142,17 @@ pub(crate) fn check_assignment(partition: &Partition, assignment: &Assignment) {
     }
 }
 
+/// Panics unless `deps` was built for `partition` (same unit count).
+pub(crate) fn check_deps(partition: &Partition, deps: &DepGraph) {
+    assert_eq!(
+        deps.num_units(),
+        partition.num_units(),
+        "the dependency graph has {} units, the partition has {}",
+        deps.num_units(),
+        partition.num_units()
+    );
+}
+
 /// The `simulate.traffic.*` gauges every engine records.
 pub(crate) fn record_traffic(rec: &Current, report: &TrafficReport) {
     if rec.is_recording() {
@@ -170,15 +186,41 @@ fn element_traffic(
     (report, accesses)
 }
 
-/// The one replay of the §4 traffic rule: every update and diagonal
-/// scaling makes the target element's processor read its source
-/// elements, in the oracle's enumeration order ([`ops::for_each_update`],
-/// then [`ops::for_each_scaling`]); the first read of a remote element
-/// is a fetch, later ones hit the processor's cache. Each first fetch is
-/// handed to `on_first_fetch(src_unit, tgt_unit)` — the traffic report,
-/// the timed simulation's per-unit transfers and the consolidation
-/// analysis differ only in what they tally there. Returns the access
-/// counts `[remote fetch, cache hit, local]`.
+/// Every read of the §4 traffic rule: each update and diagonal scaling
+/// makes the target element's processor read its source elements, in
+/// the oracle's enumeration order ([`ops::for_each_update`], then
+/// [`ops::for_each_scaling`]). Each read is handed to
+/// `on_read(src_entry, (tgt_unit, tgt_proc))`.
+pub(crate) fn replay_reads(
+    factor: &SymbolicFactor,
+    partition: &Partition,
+    assignment: &Assignment,
+    mut on_read: impl FnMut(usize, (usize, usize)),
+) {
+    let owner = partition.owner_map();
+    let eid = |i: usize, j: usize| factor.entry_id(i, j).expect("factor entry");
+    // A target element as (its unit, that unit's processor).
+    let target = |i: usize, j: usize| {
+        let unit = owner[eid(i, j)] as usize;
+        (unit, assignment.proc_of(unit))
+    };
+    ops::for_each_update(factor, |op| {
+        let t = target(op.i, op.j);
+        on_read(eid(op.i, op.k), t);
+        if op.i != op.j {
+            on_read(eid(op.j, op.k), t);
+        }
+    });
+    ops::for_each_scaling(factor, |i, j| on_read(eid(j, j), target(i, j)));
+}
+
+/// The one replay of the §4 traffic rule over [`replay_reads`]: the
+/// first read of a remote element is a fetch, later ones hit the
+/// processor's cache. Each first fetch is handed to
+/// `on_first_fetch(src_unit, tgt_unit)` — the traffic report, the timed
+/// simulation's per-unit transfers and the consolidation analysis differ
+/// only in what they tally there. Returns the access counts
+/// `[remote fetch, cache hit, local]`.
 pub(crate) fn replay_fetches(
     factor: &SymbolicFactor,
     partition: &Partition,
@@ -190,13 +232,7 @@ pub(crate) fn replay_fetches(
         .map(|_| BitSet::new(factor.num_entries()))
         .collect();
     let mut accesses = [0u64; 3];
-    let eid = |i: usize, j: usize| factor.entry_id(i, j).expect("factor entry");
-    // A target element as (its unit, that unit's processor).
-    let target = |i: usize, j: usize| {
-        let unit = owner[eid(i, j)] as usize;
-        (unit, assignment.proc_of(unit))
-    };
-    let mut touch = |src: usize, (tgt_unit, tp): (usize, usize)| {
+    replay_reads(factor, partition, assignment, |src, (tgt_unit, tp)| {
         let src_unit = owner[src] as usize;
         if assignment.proc_of(src_unit) == tp {
             accesses[2] += 1;
@@ -206,15 +242,7 @@ pub(crate) fn replay_fetches(
         } else {
             accesses[1] += 1;
         }
-    };
-    ops::for_each_update(factor, |op| {
-        let t = target(op.i, op.j);
-        touch(eid(op.i, op.k), t);
-        if op.i != op.j {
-            touch(eid(op.j, op.k), t);
-        }
     });
-    ops::for_each_scaling(factor, |i, j| touch(eid(j, j), target(i, j)));
     accesses
 }
 
@@ -465,32 +493,53 @@ mod tests {
     #[test]
     fn another_partitions_assignment_is_refused() {
         // The grain-4 partition of lap9 12² has 220 units, the grain-25
-        // one 130: every engine, and both element phases, must name both
-        // counts rather than answer (or index out of bounds).
+        // one 130: every entry point must name both counts rather than
+        // answer (or index out of bounds), and the two that read a
+        // dependency graph must refuse another partition's graph too.
         let f = factor_of(&gen::lap9(12, 12));
         let fine = Partition::build(&f, &PartitionParams::with_grain(4));
         let coarse = Partition::build(&f, &PartitionParams::with_grain(25));
         let (nf, nc) = (fine.num_units(), coarse.num_units());
         assert_ne!(nf, nc);
-        let longer = block_allocation(&fine, &dependencies(&f, &fine), 16);
-        let shorter = block_allocation(&coarse, &dependencies(&f, &coarse), 16);
-        for (part, a) in [(&coarse, &longer), (&fine, &shorter)] {
-            let counts = [
-                a.proc_of_unit.len().to_string(),
-                part.num_units().to_string(),
-            ];
-            let mut messages = vec![
+        let (fine_deps, coarse_deps) = (dependencies(&f, &fine), dependencies(&f, &coarse));
+        let longer = block_allocation(&fine, &fine_deps, 16);
+        let shorter = block_allocation(&coarse, &coarse_deps, 16);
+        let timed = |part, deps, a| {
+            let model = timed::NetworkModel::default();
+            drop(timed::simulate_timed(
+                &f,
+                part,
+                deps,
+                a,
+                &model,
+                timed::OrderPolicy::ScanOrder,
+                None,
+            ))
+        };
+        for (part, deps, own, a, other_deps) in [
+            (&coarse, &coarse_deps, &shorter, &longer, &fine_deps),
+            (&fine, &fine_deps, &longer, &shorter, &coarse_deps),
+        ] {
+            let counts = [nf.to_string(), nc.to_string()];
+            let mut refusals = vec![
                 panic_message(|| drop(data_traffic(&f, part, a))),
                 panic_message(|| drop(work_distribution(part, a))),
+                panic_message(|| timed(part, deps, a)),
+                panic_message(|| {
+                    consolidate::consolidated_traffic(&f, part, a);
+                }),
+                panic_message(|| drop(messages(&f, part, deps, a))),
+                panic_message(|| timed(part, other_deps, own)),
+                panic_message(|| drop(messages(&f, part, other_deps, own))),
             ];
             for engine in [
                 SimulateEngine::Element,
                 SimulateEngine::Block,
                 SimulateEngine::BlockParallel,
             ] {
-                messages.push(panic_message(|| drop(simulate(engine, &f, part, a))));
+                refusals.push(panic_message(|| drop(simulate(engine, &f, part, a))));
             }
-            for m in messages {
+            for m in refusals {
                 assert!(counts.iter().all(|c| m.contains(c.as_str())), "{m}");
             }
         }

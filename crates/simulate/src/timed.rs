@@ -74,9 +74,11 @@ impl Ord for Rdy {
     }
 }
 
-/// Machine timing parameters (arbitrary time units).
+/// The one machine cost model (arbitrary time units): what a run of a
+/// schedule costs is [`simulate_timed`] under it, dependency stalls
+/// included.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CommModel {
+pub struct NetworkModel {
     /// Fixed latency per remote predecessor message.
     pub latency: f64,
     /// Transfer time per remote element fetched.
@@ -85,13 +87,25 @@ pub struct CommModel {
     pub per_work: f64,
 }
 
-impl Default for CommModel {
+impl NetworkModel {
+    /// Free communication: only compute counts (1 per work unit), which
+    /// isolates the load-balance and dependency components of a run.
+    pub fn free() -> Self {
+        NetworkModel {
+            latency: 0.0,
+            per_element: 0.0,
+            per_work: 1.0,
+        }
+    }
+}
+
+impl Default for NetworkModel {
     /// Communication an order of magnitude more expensive than compute —
     /// the "systems such as message passing architectures, where
     /// communication overhead is much more expensive than computation"
     /// regime the paper targets.
     fn default() -> Self {
-        CommModel {
+        NetworkModel {
             latency: 10.0,
             per_element: 1.0,
             per_work: 0.1,
@@ -130,15 +144,21 @@ pub struct TimedReport {
 /// it. The timeline reconciles exactly with the returned [`TimedReport`]:
 /// per-processor event durations sum to `busy` (bitwise: same additions
 /// in the same order) and the latest `UnitEnd` is the makespan.
+///
+/// Panics if `deps` or `assignment` was built for a partition with
+/// another unit count, or `assignment` names a processor at or above its
+/// `nprocs`.
 pub fn simulate_timed(
     factor: &SymbolicFactor,
     partition: &Partition,
     deps: &DepGraph,
     assignment: &Assignment,
-    model: &CommModel,
+    model: &NetworkModel,
     policy: OrderPolicy,
     sink: Option<&TimelineSink>,
 ) -> TimedReport {
+    crate::check_assignment(partition, assignment);
+    crate::check_deps(partition, deps);
     let rec = spfactor_trace::current();
     let _span = rec.span("simulate.timed");
     let nu = partition.num_units();
@@ -441,7 +461,7 @@ mod tests {
         part: &Partition,
         deps: &DepGraph,
         a: &Assignment,
-        model: &CommModel,
+        model: &NetworkModel,
     ) -> TimedReport {
         simulate_timed(f, part, deps, a, model, OrderPolicy::ScanOrder, None)
     }
@@ -450,7 +470,7 @@ mod tests {
     fn one_processor_makespan_is_sequential_time() {
         let (f, part, deps) = setup(8);
         let a = block_allocation(&part, &deps, 1);
-        let model = CommModel {
+        let model = NetworkModel {
             latency: 5.0,
             per_element: 1.0,
             per_work: 0.5,
@@ -464,11 +484,7 @@ mod tests {
     #[test]
     fn more_processors_do_not_slow_down_with_free_comm() {
         let (f, part, deps) = setup(10);
-        let free = CommModel {
-            latency: 0.0,
-            per_element: 0.0,
-            per_work: 1.0,
-        };
+        let free = NetworkModel::free();
         let m1 = scan(&f, &part, &deps, &block_allocation(&part, &deps, 1), &free);
         let m8 = scan(&f, &part, &deps, &block_allocation(&part, &deps, 8), &free);
         assert!(
@@ -484,7 +500,7 @@ mod tests {
     fn makespan_at_least_critical_and_work_bounds() {
         let (f, part, deps) = setup(9);
         let a = block_allocation(&part, &deps, 4);
-        let model = CommModel::default();
+        let model = NetworkModel::default();
         let r = scan(&f, &part, &deps, &a, &model);
         // Lower bound: busiest processor's compute time.
         let wmax = a.work_per_proc(&part).into_iter().max().unwrap() as f64 * model.per_work;
@@ -497,12 +513,8 @@ mod tests {
     fn expensive_communication_hurts_makespan() {
         let (f, part, deps) = setup(8);
         let a = block_allocation(&part, &deps, 8);
-        let cheap = CommModel {
-            latency: 0.0,
-            per_element: 0.0,
-            per_work: 1.0,
-        };
-        let pricey = CommModel {
+        let cheap = NetworkModel::free();
+        let pricey = NetworkModel {
             latency: 50.0,
             per_element: 5.0,
             per_work: 1.0,
@@ -537,11 +549,7 @@ mod tests {
     fn cp_first_policy_is_valid_and_competitive() {
         let (f, part, deps) = setup(10);
         let a = block_allocation(&part, &deps, 8);
-        let model = CommModel {
-            latency: 0.0,
-            per_element: 0.0,
-            per_work: 1.0,
-        };
+        let model = NetworkModel::free();
         let by_scan = scan(&f, &part, &deps, &a, &model);
         let cp = simulate_timed(
             &f,
@@ -567,7 +575,7 @@ mod tests {
         let (f, part, deps) = setup(10);
         for nprocs in [1, 4, 8] {
             let a = block_allocation(&part, &deps, nprocs);
-            let model = CommModel::default();
+            let model = NetworkModel::default();
             let sink = TimelineSink::new();
             let r = simulate_timed(
                 &f,
@@ -593,7 +601,7 @@ mod tests {
     fn timeline_transfer_events_sum_to_transfer_time() {
         let (f, part, deps) = setup(9);
         let a = block_allocation(&part, &deps, 4);
-        let model = CommModel::default();
+        let model = NetworkModel::default();
         let sink = TimelineSink::new();
         simulate_timed(
             &f,
@@ -641,7 +649,7 @@ mod tests {
         let part = Partition::build(&f, &PartitionParams::with_grain(4));
         let deps = dependencies(&f, &part);
         let a = block_allocation(&part, &deps, 2);
-        let r = scan(&f, &part, &deps, &a, &CommModel::default());
+        let r = scan(&f, &part, &deps, &a, &NetworkModel::default());
         assert!(r.makespan >= 0.0);
     }
 }

@@ -54,9 +54,6 @@ grep -q "deny(clippy::unwrap_used, clippy::expect_used)" crates/matrix/src/lib.r
 grep -q "deny(clippy::unwrap_used, clippy::expect_used)" crates/serve/src/lib.rs \
   || { echo "crates/serve lost its unwrap/expect lint gate"; exit 1; }
 
-echo "==> mp cross-validation: executed runtime vs analytic simulator"
-cargo test -q -p spfactor --test mp_cross_validation
-
 echo "==> deps equivalence smoke: sweep engines vs element oracle"
 cargo test -q -p spfactor --test deps_equivalence deps_engines_identical_on_all_paper_matrices
 
@@ -115,6 +112,23 @@ if [ -n "$sites" ]; then
 fi
 cargo test -q -p spfactor --test numeric_kernel_bits executors_reject_mismatched_schedule_inputs
 cargo test -q -p spfactor-matrix --test io_robustness
+
+echo "==> one machine model, mp counters predicted"
+# A run of a schedule is priced by simulate_timed under the one
+# NetworkModel (crates/simulate/src/timed.rs); the runtime prices nothing,
+# and every mp message counter equals simulate::messages, per processor.
+sites=$(grep -rEn --include='*.rs' 'CommModel|proc_time|estimated_time' crates tests examples || true)
+if [ -n "$sites" ]; then
+  echo "a second cost model or the runtime's own estimate returned:"; echo "$sites"
+  exit 1
+fi
+models=$(grep -rEn --include='*.rs' 'pub struct (CommModel|NetworkModel)\b' crates | cut -d: -f1)
+if [ "$models" != "crates/simulate/src/timed.rs" ]; then
+  echo "expected one cost model, NetworkModel in crates/simulate/src/timed.rs:"; echo "$models"
+  exit 1
+fi
+cargo test -q -p spfactor --test mp_cross_validation
+cargo test -q -p spfactor-mp --test prop_traffic
 
 echo "==> chaos-serve smoke: warm-restart drill + zero-deadline request"
 # A restarted service must reload its artifact store with zero cold

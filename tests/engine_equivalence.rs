@@ -283,7 +283,7 @@ fn a_lazily_scheduled_plan_equals_the_eager_chain() {
 #[test]
 fn traffic_views_agree_on_all_paper_matrices() {
     use spfactor::simulate::consolidate::consolidated_traffic;
-    use spfactor::simulate::timed::{simulate_timed, CommModel, OrderPolicy};
+    use spfactor::simulate::timed::{simulate_timed, NetworkModel, OrderPolicy};
     use spfactor::symbolic::ops;
     use spfactor::trace::timeline::{EventKind, TimelineSink};
 
@@ -303,7 +303,7 @@ fn traffic_views_agree_on_all_paper_matrices() {
                 partition,
                 r.plan.deps(),
                 assignment,
-                &CommModel::default(),
+                &NetworkModel::default(),
                 OrderPolicy::ScanOrder,
                 Some(&sink),
             );

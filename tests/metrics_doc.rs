@@ -7,7 +7,7 @@
 //! `<placeholder>` segments (`order.alg.<name>`, `mp.proc.<p>.work`)
 //! match any one dot-free segment.
 
-use spfactor::simulate::timed::{simulate_timed, CommModel, OrderPolicy};
+use spfactor::simulate::timed::{simulate_timed, OrderPolicy};
 use spfactor::trace::{self, json, regress};
 use spfactor::{
     numeric, DepsEngine, ExecutionBackend, NetworkModel, OrderEngine, Pipeline, Recorder, Scheme,
@@ -99,7 +99,7 @@ fn drive_pipelines(rec: &Arc<Recorder>) {
     pipeline(&spfactor::matrix::gen::grid5_fe(6, 6))
         .order_engine(OrderEngine::Compressed)
         .run();
-    let mp = ExecutionBackend::MessagePassing(NetworkModel::default());
+    let mp = ExecutionBackend::MessagePassing;
     pipeline(&grid).backend(mp).timeline(true).run();
     pipeline(&grid).backend(mp).run();
 }
@@ -115,7 +115,7 @@ fn drive_metrics_bin_extras(rec: &Arc<Recorder>) {
         result.plan.partition(),
         result.plan.deps(),
         result.plan.assignment(),
-        &CommModel::default(),
+        &NetworkModel::default(),
         OrderPolicy::ScanOrder,
         None,
     );

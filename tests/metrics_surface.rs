@@ -166,9 +166,7 @@ mod enabled {
         let result = Pipeline::new(spfactor::matrix::gen::lap9(8, 8))
             .grain(4)
             .processors(4)
-            .backend(spfactor::ExecutionBackend::MessagePassing(
-                spfactor::NetworkModel::default(),
-            ))
+            .backend(spfactor::ExecutionBackend::MessagePassing)
             .with_recorder(rec.clone())
             .run();
         let exec = result.execution.as_ref().expect("backend ran");
@@ -199,10 +197,15 @@ mod enabled {
             rec.gauge_value("mp.work.max"),
             Some(result.work.max() as f64)
         );
-        assert_eq!(
-            rec.gauge_value("mp.estimated_time"),
-            Some(exec.estimated_time)
+        // The message counters are the plan's prediction.
+        let plan = &result.plan;
+        let predicted = spfactor::simulate::messages(
+            plan.factor(),
+            plan.partition(),
+            plan.deps(),
+            plan.assignment(),
         );
+        assert_eq!(exec.message_counts(), predicted);
         for p in 0..4 {
             assert_eq!(
                 rec.gauge_value(&format!("mp.proc.{p}.traffic")),
@@ -363,9 +366,7 @@ mod enabled {
         let result = Pipeline::new(spfactor::matrix::gen::lap9(8, 8))
             .grain(4)
             .processors(4)
-            .backend(spfactor::ExecutionBackend::MessagePassing(
-                spfactor::NetworkModel::default(),
-            ))
+            .backend(spfactor::ExecutionBackend::MessagePassing)
             .timeline(true)
             .with_recorder(rec.clone())
             .run();

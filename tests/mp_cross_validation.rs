@@ -1,20 +1,23 @@
 //! Cross-validation of the message-passing runtime against the analytic
 //! simulator and the sequential factorization, on the paper's LAP30
-//! problem (9-point Laplacian on a 30×30 grid) for both mapping schemes.
+//! problem (9-point Laplacian on a 30×30 grid) for both mapping schemes,
+//! and on all five paper matrices for the message counters.
 //!
 //! This is the acceptance test of the `spfactor-mp` subsystem: the
 //! executed factor must match `spfactor_numeric::cholesky` to 1e-10 (it
-//! is in fact bit-identical), and the *observed* per-processor traffic
-//! must equal `data_traffic`'s prediction exactly — totals, per
-//! processor, and per processor pair.
+//! is in fact bit-identical), the *observed* per-processor traffic must
+//! equal `data_traffic`'s prediction exactly — totals, per processor,
+//! and per processor pair — and every processor's message and byte
+//! counters must equal `simulate::messages`' prediction.
 
 use spfactor::{
-    matrix::gen, mp, numeric, partition, sched, simulate, ExecutionBackend, NetworkModel, Ordering,
-    Partition, PartitionParams, Pipeline, Scheme, SymbolicFactor,
+    matrix::{gen, SymmetricPattern},
+    mp, numeric, partition, sched, simulate, ExecutionBackend, NetworkModel, Ordering, Partition,
+    PartitionParams, Pipeline, Scheme, SymbolicFactor,
 };
 
 struct Case {
-    name: &'static str,
+    name: String,
     a: spfactor::matrix::SymmetricCsc,
     factor: SymbolicFactor,
     partition: Partition,
@@ -22,10 +25,9 @@ struct Case {
     assignment: spfactor::Assignment,
 }
 
-fn lap30_case(scheme: Scheme, nprocs: usize) -> Case {
-    let m = gen::paper::lap30();
-    let perm = spfactor::order::order(&m.pattern, Ordering::paper_default());
-    let permuted = m.pattern.permute(&perm);
+fn case(matrix: &str, pattern: &SymmetricPattern, scheme: Scheme, nprocs: usize) -> Case {
+    let perm = spfactor::order::order(pattern, Ordering::paper_default());
+    let permuted = pattern.permute(&perm);
     let a = gen::spd_from_pattern(&permuted, 7);
     let factor = SymbolicFactor::from_pattern(&permuted);
     let (partition, assignment);
@@ -43,10 +45,7 @@ fn lap30_case(scheme: Scheme, nprocs: usize) -> Case {
         }
     }
     Case {
-        name: match scheme {
-            Scheme::Block => "block",
-            Scheme::Wrap => "wrap",
-        },
+        name: format!("{matrix} {} P = {nprocs}", scheme.name()),
         a,
         factor,
         partition,
@@ -55,16 +54,30 @@ fn lap30_case(scheme: Scheme, nprocs: usize) -> Case {
     }
 }
 
-fn check_case(c: &Case) {
-    let report = mp::execute(
+fn execute(c: &Case) -> mp::MpReport {
+    mp::execute(
         &c.a,
         &c.factor,
         &c.partition,
         &c.deps,
         &c.assignment,
-        &NetworkModel::default(),
+        &NetworkModel::free(),
     )
-    .unwrap_or_else(|e| panic!("{} mapping failed to execute: {e}", c.name));
+    .unwrap_or_else(|e| panic!("{} mapping failed to execute: {e}", c.name))
+}
+
+/// Every processor's observed message counters equal the prediction.
+fn check_messages(c: &Case, report: &mp::MpReport) {
+    assert_eq!(
+        report.message_counts(),
+        simulate::messages(&c.factor, &c.partition, &c.deps, &c.assignment),
+        "{}: message counters",
+        c.name
+    );
+}
+
+fn check_case(c: &Case) {
+    let report = execute(c);
 
     // (a) Numeric correctness: within 1e-10 of the sequential factor —
     // and actually bit-identical, which implies it.
@@ -116,24 +129,40 @@ fn check_case(c: &Case) {
         c.name
     );
 
-    // (c) The network model yields a positive, re-evaluable estimate.
-    assert!(report.estimated_time > 0.0);
-    assert_eq!(
-        report.estimate(&report.network),
-        report.estimated_time,
-        "{}: estimate not reproducible",
-        c.name
-    );
+    // (c) Every message counter is the plan's prediction.
+    check_messages(c, &report);
 }
 
 #[test]
 fn lap30_block_mapping_cross_validates() {
-    check_case(&lap30_case(Scheme::Block, 16));
+    check_case(&case(
+        "LAP30",
+        &gen::paper::lap30().pattern,
+        Scheme::Block,
+        16,
+    ));
 }
 
 #[test]
 fn lap30_wrap_mapping_cross_validates() {
-    check_case(&lap30_case(Scheme::Wrap, 16));
+    check_case(&case(
+        "LAP30",
+        &gen::paper::lap30().pattern,
+        Scheme::Wrap,
+        16,
+    ));
+}
+
+#[test]
+fn paper_matrices_message_counters_are_predicted() {
+    for m in gen::paper::all() {
+        for scheme in [Scheme::Block, Scheme::Wrap] {
+            for nprocs in [4, 16] {
+                let c = case(m.name, &m.pattern, scheme, nprocs);
+                check_messages(&c, &execute(&c));
+            }
+        }
+    }
 }
 
 #[test]
@@ -145,7 +174,7 @@ fn pipeline_backend_reports_match_analytic_phase() {
         let r = Pipeline::new(gen::paper::lap30().pattern)
             .scheme(scheme)
             .processors(16)
-            .backend(ExecutionBackend::MessagePassing(NetworkModel::default()))
+            .backend(ExecutionBackend::MessagePassing)
             .run();
         let exec = r.execution.as_ref().expect("message-passing backend ran");
         assert_eq!(exec.traffic_report(), r.traffic, "{scheme:?}");

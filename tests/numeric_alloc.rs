@@ -77,7 +77,7 @@ fn check(name: &str, pattern: &SymmetricPattern, grain: usize) {
     // every entry and the unit kernel's entry lists (4 B each), per-unit
     // state on every processor, and the messages in flight.
     let (report, rise) = heap_rise(|| {
-        mp::execute(&a, &f, &part, &deps, &assign, &NetworkModel::default()).expect("SPD")
+        mp::execute(&a, &f, &part, &deps, &assign, &NetworkModel::free()).expect("SPD")
     });
     let scratch = (8 + 9 * P + 4 + 4) * entries + 16 * P * units + SLACK;
     assert!(

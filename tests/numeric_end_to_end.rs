@@ -126,7 +126,7 @@ fn timed_simulation_runs_on_real_factorization_schedule() {
         .grain(4)
         .processors(4)
         .run();
-    let model = spfactor::simulate::timed::CommModel {
+    let model = spfactor::NetworkModel {
         latency: 1.0,
         per_element: 0.1,
         per_work: 1.0,

@@ -605,7 +605,7 @@ fn executors_report_the_sequential_kernels_pivot() {
     }
     for run in 0..200 {
         assert_eq!(
-            mp::execute(&a, &f, &part, &deps, &assign, &NetworkModel::default()).map(|r| r.factor),
+            mp::execute(&a, &f, &part, &deps, &assign, &NetworkModel::free()).map(|r| r.factor),
             Err(MpError::Numeric(NumericError::NotPositiveDefinite(9))),
             "mp run {run}"
         );
@@ -672,7 +672,7 @@ fn executors_reject_mismatched_schedule_inputs() {
             t.elapsed()
         );
         let t = Instant::now();
-        let got = mp::execute(&a, &f, part, deps, assign, &NetworkModel::default());
+        let got = mp::execute(&a, &f, part, deps, assign, &NetworkModel::free());
         assert!(
             matches!(
                 got,

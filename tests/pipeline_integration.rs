@@ -110,11 +110,7 @@ fn timed_simulation_agrees_with_untimed_bounds() {
         .grain(4)
         .processors(8)
         .run();
-    let model = spfactor::simulate::timed::CommModel {
-        latency: 0.0,
-        per_element: 0.0,
-        per_work: 1.0,
-    };
+    let model = spfactor::NetworkModel::free();
     let t = spfactor::simulate::timed::simulate_timed(
         r.plan.factor(),
         r.plan.partition(),

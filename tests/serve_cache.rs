@@ -12,8 +12,8 @@ use spfactor::matrix::gen;
 use spfactor::matrix::Permutation;
 use spfactor::numeric::solve::SpdSolver;
 use spfactor::{
-    DepGraph, ExecutionBackend, NetworkModel, Ordering, Pipeline, Recorder, ScheduleArtifact,
-    Scheme, SymbolicFactor,
+    DepGraph, ExecutionBackend, Ordering, Pipeline, Recorder, ScheduleArtifact, Scheme,
+    SymbolicFactor,
 };
 use spfactor_serve::{
     KernelKind, ScheduleCache, ServeConfig, ServeError, SolveRequest, SolverService, ValueBatch,
@@ -374,7 +374,7 @@ fn served_factor_matches_pipeline_run_executed_factor() {
     let pattern = gen::lap9(8, 8);
     let pipeline = Pipeline::new(pattern.clone())
         .processors(4)
-        .backend(ExecutionBackend::MessagePassing(NetworkModel::default()));
+        .backend(ExecutionBackend::MessagePassing);
     let fresh = pipeline.clone().run();
     let executed = fresh.execution.as_ref().expect("mp backend ran");
 

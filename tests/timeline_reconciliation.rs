@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use spfactor::trace::timeline::validate_chrome_trace;
 use spfactor::trace::{json, EventKind, Timeline};
-use spfactor::{ExecutionBackend, NetworkModel, Pipeline, Scheme, TimelineCapture};
+use spfactor::{ExecutionBackend, Pipeline, Scheme, TimelineCapture};
 
 /// Runs LAP30 with timeline capture and the mp backend under `scheme`.
 fn run_lap30(scheme: Scheme, nprocs: usize) -> (spfactor::PipelineResult, TimelineCapture) {
@@ -18,7 +18,7 @@ fn run_lap30(scheme: Scheme, nprocs: usize) -> (spfactor::PipelineResult, Timeli
         .scheme(scheme)
         .grain(4)
         .processors(nprocs)
-        .backend(ExecutionBackend::MessagePassing(NetworkModel::default()))
+        .backend(ExecutionBackend::MessagePassing)
         .timeline(true)
         .run();
     let tl = result.timeline.clone().expect("timeline captured");
@@ -227,7 +227,7 @@ proptest! {
             .scheme(scheme)
             .grain(grain)
             .processors(nprocs)
-            .backend(ExecutionBackend::MessagePassing(NetworkModel::default()))
+            .backend(ExecutionBackend::MessagePassing)
             .timeline(true)
             .run();
         let tl = r.timeline.as_ref().expect("timeline captured");
