@@ -1,12 +1,14 @@
-//! Perf-regression gate over `bench_pipeline` JSON documents.
+//! Perf-regression gate over the bench JSON documents.
 //!
 //! Compares every time-like leaf (any dotted path with a segment ending
 //! `_ms`: the `phases_ms.*`, `deps_ms.*` and `simulate_ms.*` families)
-//! of a committed baseline against a fresh run and fails when a leaf
-//! got more than `--threshold` times slower while sitting above the
-//! `--min-ms` noise floor. Missing baseline leaves also fail — a
-//! shrunk benchmark cannot masquerade as a fast one. The comparison
-//! logic is `spfactor_trace::regress`; this binary is the CLI.
+//! and every heap leaf (`BENCH_scale.json`'s `peak_bytes.*` and
+//! `max_peak_bytes`) of a committed baseline against a fresh run, and
+//! fails when a leaf grew more than `--threshold` times — a time leaf
+//! only while above the `--min-ms` noise floor. Missing baseline leaves
+//! also fail — a shrunk benchmark cannot masquerade as a fast or a small
+//! one. The comparison logic is `spfactor_trace::regress`; this binary
+//! is the CLI.
 //!
 //! ```text
 //! cargo run --release -p spfactor-bench --bin bench_regression -- \

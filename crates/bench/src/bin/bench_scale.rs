@@ -6,7 +6,9 @@
 //! [`SimulateEngine::BlockParallel`], grain 25, 16 processors) and
 //! writes `BENCH_scale.json`: per size, the column count, factor
 //! entries, end-to-end wall time, per-phase milliseconds, the
-//! `deps.engine.*` / `simulate.engine.*` cost counters and — because
+//! `deps.engine.*` / `simulate.engine.*` cost counters, the deps
+//! heap-owner gauges (`heap_owners`: the kept predecessor lists and the
+//! most the raw lists held) and — because
 //! this binary installs [`spfactor::trace::alloc::TrackingAllocator`]
 //! as its global allocator — the per-phase heap high-water marks the
 //! pipeline publishes as `phase.*.peak_bytes` gauges; over the sizes,
@@ -63,6 +65,10 @@ const COUNTERS: [&str; 7] = [
     "simulate.engine.interval_pieces",
 ];
 
+/// The heap-owner gauges recorded per size: what the deps peak is made
+/// of (`docs/METRICS.md`).
+const OWNERS: [&str; 2] = ["heap.deps.preds.bytes", "heap.deps.pending.bytes"];
+
 /// Grid sides for the full sweep: n = side^2 columns, 10^4 → 10^6.
 const FULL_SIDES: [usize; 5] = [100, 200, 400, 700, 1000];
 
@@ -79,6 +85,7 @@ struct SizeResult {
     phases_ms: Vec<(&'static str, f64)>,
     peak_bytes: Vec<(&'static str, u64)>,
     counters: Vec<(&'static str, u64)>,
+    heap_owners: Vec<(&'static str, u64)>,
 }
 
 /// Asserts what must hold of any correct result and costs next to
@@ -148,6 +155,14 @@ fn bench_side(side: usize) -> SizeResult {
         peak_bytes.push((phase, peak as u64));
     }
     let counters = COUNTERS.map(|name| (name, rec.counter(name))).to_vec();
+    let heap_owners = OWNERS
+        .map(|name| {
+            let bytes = rec
+                .gauge_value(name)
+                .unwrap_or_else(|| panic!("{name} gauge missing"));
+            (name, bytes as u64)
+        })
+        .to_vec();
     let (n, factor_entries) = check_identities(result);
     SizeResult {
         side,
@@ -157,6 +172,7 @@ fn bench_side(side: usize) -> SizeResult {
         phases_ms,
         peak_bytes,
         counters,
+        heap_owners,
     }
 }
 
@@ -252,6 +268,12 @@ fn json_document(mode: &str, results: &[SizeResult]) -> String {
             let comma = if j + 1 < r.counters.len() { "," } else { "" };
             writeln!(s, "        \"{name}\": {v}{comma}").unwrap();
         }
+        writeln!(s, "      }},").unwrap();
+        writeln!(s, "      \"heap_owners\": {{").unwrap();
+        for (j, (name, b)) in r.heap_owners.iter().enumerate() {
+            let comma = if j + 1 < r.heap_owners.len() { "," } else { "" };
+            writeln!(s, "        \"{name}\": {b}{comma}").unwrap();
+        }
         writeln!(s, "      }}").unwrap();
         let comma = if i + 1 < results.len() { "," } else { "" };
         writeln!(s, "    }}{comma}").unwrap();
@@ -298,10 +320,15 @@ fn main() {
                 .join(", ")
         );
         eprintln!(
-            "  peak heap: {}",
+            "  peak heap: {}; deps owners: {}",
             r.peak_bytes
                 .iter()
                 .map(|(p, b)| format!("{p} {:.1}MB", *b as f64 / 1e6))
+                .collect::<Vec<_>>()
+                .join(", "),
+            r.heap_owners
+                .iter()
+                .map(|(o, b)| format!("{o} {:.1}MB", *b as f64 / 1e6))
                 .collect::<Vec<_>>()
                 .join(", ")
         );

@@ -183,10 +183,11 @@ pub fn category_of(externals: &[&UnitShape], target: &UnitShape) -> Option<DepCa
 
 /// The unit-level dependency graph of a partition.
 ///
-/// It stores what block allocation reads: the predecessor lists and the
-/// per-category operation counts. The successor lists, which only the
-/// schedule executors and the timed simulator walk, are derived from the
-/// predecessors on the first [`succs`](Self::succs) call and kept.
+/// It stores what block allocation reads: the predecessor lists, in
+/// storage of exactly their length, and the per-category operation
+/// counts. The successor lists, which only the schedule executors and the
+/// timed simulator walk, are derived from the predecessors on the first
+/// [`succs`](Self::succs) call and kept.
 ///
 /// Equality compares the predecessor sets and the per-category operation
 /// counts — the successors are a function of the predecessors — which is
@@ -194,10 +195,17 @@ pub fn category_of(externals: &[&UnitShape], target: &UnitShape) -> Option<DepCa
 /// the sweep engine.
 #[derive(Clone, Debug)]
 pub struct DepGraph {
-    /// Predecessor lists in CSR form: unit `u` reads the data of the
-    /// sorted, distinct units `pred_ids[pred_start[u]..pred_start[u + 1]]`.
-    pred_start: Vec<usize>,
-    pred_ids: Vec<u32>,
+    /// Predecessor lists: unit `u` reads the data of the sorted, distinct
+    /// units of its list. The lists are laid out a batch of units at a
+    /// time — the clusters the sweep has just passed — back to back in
+    /// unit order, one allocation of exactly their length per batch.
+    chunks: Box<[Box<[u32]>]>,
+    /// Unit `u`'s list starts at `at[u] = (chunk, offset)` and ends where
+    /// the next unit's starts in the same chunk, else at the chunk's end;
+    /// `at[units]` names no chunk.
+    at: Box<[(u32, u32)]>,
+    /// Total length of the lists.
+    edges: usize,
     /// Update-operation counts per category (paper numbering 1..=10 at
     /// index `number - 1`).
     category_ops: [usize; 10],
@@ -207,8 +215,8 @@ pub struct DepGraph {
 
 impl PartialEq for DepGraph {
     fn eq(&self, other: &Self) -> bool {
-        self.pred_start == other.pred_start
-            && self.pred_ids == other.pred_ids
+        self.num_units() == other.num_units()
+            && (0..self.num_units()).all(|u| self.preds(u) == other.preds(u))
             && self.category_ops == other.category_ops
     }
 }
@@ -218,7 +226,14 @@ impl Eq for DepGraph {}
 impl DepGraph {
     /// Predecessor units of `u` (sorted, distinct).
     pub fn preds(&self, u: usize) -> &[u32] {
-        &self.pred_ids[self.pred_start[u]..self.pred_start[u + 1]]
+        let ((chunk, start), (next, end)) = (self.at[u], self.at[u + 1]);
+        let ids = &self.chunks[chunk as usize];
+        let end = if next == chunk {
+            end as usize
+        } else {
+            ids.len()
+        };
+        &ids[start as usize..end]
     }
 
     /// Successor units of `u` (sorted, distinct). The first call on a
@@ -239,7 +254,7 @@ impl DepGraph {
         self.succ.get_or_init(|| {
             let nu = self.num_units();
             let mut start = vec![0usize; nu + 1];
-            for &s in &self.pred_ids {
+            for &s in self.chunks.iter().flatten() {
                 start[s as usize + 1] += 1;
             }
             for u in 0..nu {
@@ -249,7 +264,7 @@ impl DepGraph {
             // list sorted and distinct, like the predecessor lists it
             // mirrors. `start[s]` is the cursor of list `s`, so it ends at
             // the start of list `s + 1`; one shift restores it.
-            let mut ids = vec![0u32; self.pred_ids.len()];
+            let mut ids = vec![0u32; self.edges];
             for u in 0..nu {
                 for &s in self.preds(u) {
                     ids[start[s as usize]] = u as u32;
@@ -264,7 +279,7 @@ impl DepGraph {
 
     /// Number of units.
     pub fn num_units(&self) -> usize {
-        self.pred_start.len() - 1
+        self.at.len() - 1
     }
 
     /// Units with no predecessors — the paper's *independent* units,
@@ -282,52 +297,85 @@ impl DepGraph {
 
     /// Total dependency edges.
     pub fn num_edges(&self) -> usize {
-        self.pred_ids.len()
+        self.edges
+    }
+
+    /// Heap bytes of the predecessor lists, all exactly sized: 4 per id,
+    /// 8 per unit (and one more) where its list starts, 16 per batch's
+    /// allocation (the `heap.deps.preds.bytes` gauge).
+    pub fn pred_bytes(&self) -> usize {
+        std::mem::size_of_val::<[Box<[u32]>]>(&self.chunks)
+            + std::mem::size_of_val::<[(u32, u32)]>(&self.at)
+            + 4 * self.edges
     }
 }
 
-/// Lays out a graph's predecessor table one unit at a time, in unit
-/// order, from raw (unsorted, possibly duplicated) lists. Shared by the
-/// element and sweep builders, so both produce identical representations
-/// from identical edge sets.
+/// Lays out a graph's predecessor lists a batch of units at a time, in
+/// unit order, from raw (unsorted, possibly duplicated) lists. Shared by
+/// the element and sweep builders, so both produce identical graphs from
+/// identical edge sets.
+///
+/// A batch's lists are sorted, deduplicated and trimmed where they stand
+/// (so the copy never sits beside their growth room), then copied into
+/// one allocation of exactly their total length. No storage grows by
+/// doubling: the table's heap is its ids, 8 bytes a unit laid out and 16
+/// a batch at every moment, and the lists a reader walks in unit order
+/// lie back to back.
 pub(crate) struct PredTable {
     units: usize,
-    start: Vec<usize>,
-    ids: Vec<u32>,
+    chunks: Vec<Box<[u32]>>,
+    at: Vec<(u32, u32)>,
+    edges: usize,
 }
 
 impl PredTable {
-    pub(crate) fn new(num_units: usize) -> Self {
-        let mut start = Vec::with_capacity(num_units + 1);
-        start.push(0);
+    /// A table for `num_units` lists laid out in at most `max_batches`
+    /// batches.
+    pub(crate) fn new(num_units: usize, max_batches: usize) -> Self {
         PredTable {
             units: num_units,
-            start,
-            ids: Vec::new(),
+            chunks: Vec::with_capacity(max_batches),
+            at: Vec::with_capacity(num_units + 1),
+            edges: 0,
         }
     }
 
-    /// Units laid out so far: the next [`push`](Self::push) is this unit's.
+    /// Units laid out so far: the next batch starts with this unit.
     pub(crate) fn len(&self) -> usize {
-        self.start.len() - 1
+        self.at.len()
     }
 
-    /// Sorts and deduplicates `list` and lays it out as the next unit's
-    /// predecessors.
-    pub(crate) fn push(&mut self, mut list: Vec<u32>) {
-        list.sort_unstable();
-        list.dedup();
-        self.ids.extend_from_slice(&list);
-        self.start.push(self.ids.len());
+    /// Lays out `lists` as the next units' predecessors, each sorted and
+    /// deduplicated, and frees them.
+    pub(crate) fn push_batch(&mut self, lists: &mut [Vec<u32>]) {
+        let mut total = 0;
+        for list in lists.iter_mut() {
+            list.sort_unstable();
+            list.dedup();
+            list.shrink_to_fit();
+            total += list.len();
+        }
+        let chunk_id = u32::try_from(self.chunks.len()).expect("fewer than 2^32 batches");
+        let mut chunk = Vec::with_capacity(total);
+        for list in lists {
+            let start = u32::try_from(chunk.len()).expect("a batch holds fewer than 2^32 ids");
+            self.at.push((chunk_id, start));
+            chunk.extend_from_slice(list);
+            *list = Vec::new();
+        }
+        self.edges += total;
+        self.chunks.push(chunk.into_boxed_slice());
     }
 
     /// The graph, once every unit's list is laid out.
     pub(crate) fn finish(mut self, category_ops: [usize; 10]) -> DepGraph {
         assert_eq!(self.len(), self.units, "a unit's list was not laid out");
-        self.ids.shrink_to_fit();
+        let past = u32::try_from(self.chunks.len()).expect("fewer than 2^32 batches");
+        self.at.push((past, 0));
         DepGraph {
-            pred_start: self.start,
-            pred_ids: self.ids,
+            chunks: self.chunks.into_boxed_slice(),
+            at: self.at.into_boxed_slice(),
+            edges: self.edges,
             category_ops,
             succ: OnceLock::new(),
         }
@@ -344,13 +392,14 @@ impl PredTable {
 /// `partition.deps.category.1` … `.10` (see `docs/METRICS.md`).
 pub fn dependencies(factor: &SymbolicFactor, partition: &Partition) -> DepGraph {
     let rec = spfactor_trace::current();
-    let graph = rec.time("partition.deps", || enumerate(factor, partition));
-    record_graph_stats(&graph, &rec);
+    let (graph, pending) = rec.time("partition.deps", || enumerate(factor, partition));
+    record_graph_stats(&graph, pending, &rec);
     graph
 }
 
 /// The element oracle itself: one visit per update and scaling operation.
-fn enumerate(factor: &SymbolicFactor, partition: &Partition) -> DepGraph {
+/// Returns the graph and the bytes its raw lists held before layout.
+fn enumerate(factor: &SymbolicFactor, partition: &Partition) -> (DepGraph, usize) {
     let nu = partition.num_units();
     let owner = partition.owner_map();
     let eid = |i: usize, j: usize| factor.entry_id(i, j).expect("factor entry");
@@ -402,21 +451,24 @@ fn enumerate(factor: &SymbolicFactor, partition: &Partition) -> DepGraph {
         record([s, 0], 1, tgt, &mut category_ops, &mut pred_sets);
     });
 
-    let mut table = PredTable::new(nu);
-    for list in pred_sets {
-        table.push(list);
-    }
-    table.finish(category_ops)
+    let pending = 4 * pred_sets.iter().map(Vec::capacity).sum::<usize>();
+    let mut table = PredTable::new(nu, 1);
+    table.push_batch(&mut pred_sets);
+    (table.finish(category_ops), pending)
 }
 
 /// Records a built graph's shape — the `partition.deps.edges` /
 /// `partition.deps.independent_units` gauges and the per-category
-/// operation counters `partition.deps.category.1` … `.10` — identically
-/// for every engine (see `docs/METRICS.md`).
-pub(crate) fn record_graph_stats(graph: &DepGraph, rec: &Current) {
+/// operation counters `partition.deps.category.1` … `.10` — and the heap
+/// its lists took — `heap.deps.preds.bytes` kept, `heap.deps.pending.bytes`
+/// the most the raw lists not yet laid out held at once — identically for
+/// every engine (see `docs/METRICS.md`).
+pub(crate) fn record_graph_stats(graph: &DepGraph, pending_bytes: usize, rec: &Current) {
     if !rec.is_recording() {
         return;
     }
+    rec.gauge("heap.deps.preds.bytes", graph.pred_bytes() as f64);
+    rec.gauge("heap.deps.pending.bytes", pending_bytes as f64);
     rec.gauge("partition.deps.edges", graph.num_edges() as f64);
     rec.gauge(
         "partition.deps.independent_units",

@@ -28,9 +28,9 @@ pub mod units;
 pub use block::{Cluster, ClusterKind, UnitBlock, UnitShape};
 pub use cluster::identify_clusters;
 pub use deps::{dependencies, DepCategory, DepGraph};
-pub use runs::{label_rows, source_runs, SourceRun};
+pub use runs::{label_rows, source_runs, SourceRun, SourceRuns};
 pub use sweep::{build_dependencies, DepsEngine};
-pub use units::{Partition, Segmentation, TaggedRun, TargetScratch, UpdateTarget};
+pub use units::{Partition, TaggedRun, TargetScratch, UpdateTarget};
 
 /// Tunable parameters of the partitioner.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

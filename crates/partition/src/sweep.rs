@@ -49,15 +49,16 @@
 //! and an operation's target lies in a column at or right of its source
 //! columns. So once the sweep has passed a cluster's last column, nothing
 //! more is proposed into the lists of that cluster's units: before each
-//! run, the lists of every cluster passed are sorted, deduplicated,
-//! appended to the predecessor table and freed. The raw lists and the
-//! flat table are never all alive at once, and the graph is the one the
-//! element oracle lays out (pinned by `tests/deps_equivalence.rs`).
+//! run, the lists of the clusters just passed are sorted, deduplicated,
+//! copied into one allocation of exactly their length and freed. The raw
+//! lists and the laid-out ones are never all alive at once, nothing grows
+//! by doubling, and the graph is the one the element oracle lays out
+//! (pinned by `tests/deps_equivalence.rs`).
 
 use crate::block::UnitShape;
 use crate::deps::{category_of, dependencies, record_graph_stats, DepGraph, PredTable};
 use crate::runs::{label_rows, source_runs, SourceRun};
-use crate::units::{Partition, Segmentation, TaggedRun, TargetScratch, UpdateTarget};
+use crate::units::{Partition, TaggedRun, TargetScratch, UpdateTarget};
 use spfactor_interval::Interval;
 use spfactor_symbolic::SymbolicFactor;
 
@@ -129,7 +130,7 @@ pub fn build_dependencies(
     rec.incr("deps.engine.pairs", tallies.pairs);
     rec.incr("deps.engine.segments", tallies.segments);
     rec.incr("deps.engine.walked_segments", tallies.walked_segments);
-    record_graph_stats(&graph, &rec);
+    record_graph_stats(&graph, tallies.pending_bytes, &rec);
     graph
 }
 
@@ -137,10 +138,6 @@ pub fn build_dependencies(
 struct SweepPlan<'a> {
     factor: &'a SymbolicFactor,
     partition: &'a Partition,
-    /// Every column's ownership segmentation (ascending, disjoint).
-    segs: Segmentation,
-    /// The source runs, ascending.
-    runs: Vec<SourceRun>,
     /// Shape class per unit (0 = column, 1 = triangle, 2 = rectangle):
     /// classification touches this dense byte table instead of the much
     /// larger `units` array.
@@ -192,13 +189,9 @@ impl<'a> SweepPlan<'a> {
             })
             .collect();
         let (cat1, cat2) = build_cat_tables();
-        let segs = partition.segmentation();
-        let runs = source_runs(factor, partition, &segs);
         SweepPlan {
             factor,
             partition,
-            segs,
-            runs,
             class,
             cat1,
             cat2,
@@ -210,13 +203,15 @@ impl<'a> SweepPlan<'a> {
 /// `segments` count what the sweep *covers* — every `(k, j)` pair, and
 /// for each the pieces of column `k` from row `j` on, whether handled
 /// once or multiplied through a run — `walked_segments` the pieces it
-/// actually handled.
+/// actually handled. `pending_bytes` is the most the raw lists not yet
+/// laid out held at once.
 #[derive(Clone, Copy, Default)]
 struct SweepCounters {
     columns: u64,
     pairs: u64,
     segments: u64,
     walked_segments: u64,
+    pending_bytes: usize,
 }
 
 /// The owners behind the labels of a set of pieces: label `t` stands for
@@ -249,6 +244,9 @@ struct SweepOut {
     /// out. An edge is proposed about once per supernode it arises from,
     /// so the lists stay within a small factor of their distinct size.
     preds: Vec<Vec<u32>>,
+    /// Ids the lists not yet laid out have room for, now and at most.
+    pending: usize,
+    pending_peak: usize,
     /// Recently proposed `(target, source)` edges, one per slot of a
     /// direct-mapped table hashed on the pair: an edge still in its slot is
     /// not proposed again. Repeats come from the runs of one cluster — the
@@ -272,6 +270,7 @@ struct SweepOut {
     rows_from: Vec<usize>,
     owner_units: Vec<u32>,
     targets: TargetScratch,
+    below: Below,
 }
 
 impl SweepOut {
@@ -279,6 +278,8 @@ impl SweepOut {
         let slots = (nunits / 2).next_power_of_two().clamp(1 << 10, 1 << 16);
         SweepOut {
             preds: vec![Vec::new(); nunits],
+            pending: 0,
+            pending_peak: 0,
             recent: vec![u64::MAX; slots],
             shift: 64 - slots.trailing_zeros(),
             cats: [0; 10],
@@ -287,6 +288,7 @@ impl SweepOut {
             rows_from: Vec::new(),
             owner_units: Vec::new(),
             targets: TargetScratch::default(),
+            below: Below::default(),
         }
     }
 
@@ -297,7 +299,14 @@ impl SweepOut {
             let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
             if src != tgt && self.recent[slot] != key {
                 self.recent[slot] = key;
-                self.preds[tgt as usize].push(src);
+                let list = &mut self.preds[tgt as usize];
+                if list.len() == list.capacity() {
+                    let had = list.capacity();
+                    list.reserve(1);
+                    self.pending += list.capacity() - had;
+                    self.pending_peak = self.pending_peak.max(self.pending);
+                }
+                list.push(src);
             }
         }
     }
@@ -419,15 +428,16 @@ fn sweep_clique(
     out.rows_from = rows_from;
 }
 
-/// Sweeps every operation sourced from the columns `run` of one source
-/// run (see the module docs) into the columns up to `last_col`: their
+/// Sweeps every operation sourced from the columns of one source `run`
+/// (see the module docs) into the columns up to `run.last_col`: their
 /// scalings, their updates of one another, and — once, taken
-/// `run.len()` times — their updates of the columns right of the run.
+/// `run.cols.len()` times — their updates of the columns right of the
+/// run.
 fn sweep_run(plan: &SweepPlan, run: &SourceRun, out: &mut SweepOut) {
     let kb = run.cols.end - 1;
     let copies = run.cols.len();
     let rows = plan.factor.col(kb);
-    let ssegs = plan.segs.col(kb);
+    let ssegs = run.segs;
     let mut pieces = std::mem::take(&mut out.pieces);
     let mut units = std::mem::take(&mut out.owner_units);
     label_rows(rows, ssegs, &mut pieces);
@@ -462,66 +472,117 @@ fn sweep_run(plan: &SweepPlan, run: &SourceRun, out: &mut SweepOut) {
     out.owner_units = units;
 }
 
-/// Sweeps, once for all the `runs` of a supernode that ends its
-/// cluster, their updates of the columns right of the cluster: the clique
-/// of the rows below it. Every run owns those rows through the same
-/// trailing segments — the row chunks of the below-rectangles, or a
-/// single column's one segment — so a piece is labelled with its trailing
-/// segment, and an edge goes out from every run's owner of it.
-fn sweep_below(plan: &SweepPlan, runs: &[SourceRun], out: &mut SweepOut) {
-    let first = runs[0].cols.start;
-    let last = runs[runs.len() - 1].cols.end - 1;
-    let ssegs = plan.segs.col(last);
-    // All of a single column's segments trail; a strip's past the last
-    // diagonal chunk do.
-    let single = plan.class[ssegs[0].1 as usize] == 0;
-    let trailing = ssegs.len() - usize::from(!single);
+/// The owners of the rows below a cluster, collected from the runs of
+/// the supernode that ends it as they go by. Every run owns those rows
+/// through the same trailing segments — the row chunks of the
+/// below-rectangles, or a single column's one segment.
+#[derive(Default)]
+struct Below {
+    /// The cluster's last column, and the first column of the supernode
+    /// ending it.
+    of: Option<usize>,
+    first: usize,
+    /// Trailing segments per run, and their units run by run.
+    trailing: usize,
+    units: Vec<u32>,
+    /// Scratch: the last column's segmentation.
+    segs: Vec<(Interval, u32)>,
+}
+
+impl Below {
+    /// Notes the trailing owners of `run`, of a supernode ending its
+    /// cluster.
+    fn collect(&mut self, plan: &SweepPlan, run: &SourceRun) {
+        if self.of != Some(run.last_col) {
+            self.of = Some(run.last_col);
+            self.first = run.cols.start;
+            self.units.clear();
+            // All of a single column's segments trail; a strip's past the
+            // last diagonal chunk do.
+            plan.partition.ownership_of(run.last_col, &mut self.segs);
+            let single = plan.class[self.segs[0].1 as usize] == 0;
+            self.trailing = self.segs.len() - usize::from(!single);
+        }
+        let trail = &run.segs[run.segs.len() - self.trailing..];
+        self.units.extend(trail.iter().map(|s| s.1));
+    }
+}
+
+/// Sweeps, once for all the runs of a supernode that ends its cluster —
+/// the last of them `run` — their updates of the columns right of the
+/// cluster: the clique of the rows below it. A piece is labelled with its
+/// trailing segment, and an edge goes out from every run's owner of it.
+fn sweep_below(plan: &SweepPlan, run: &SourceRun, out: &mut SweepOut) {
+    let below = std::mem::take(&mut out.below);
+    let (runs, trailing) = (run.closes, below.trailing);
+    debug_assert_eq!(below.units.len(), runs * trailing);
+    let last = run.cols.end - 1;
     let mut pieces = std::mem::take(&mut out.pieces);
     let mut units = std::mem::take(&mut out.owner_units);
     label_rows(
         plan.factor.col(last),
-        &ssegs[ssegs.len() - trailing..],
+        &run.segs[run.segs.len() - trailing..],
         &mut pieces,
     );
     units.clear();
     for label in 0..trailing {
-        units.extend(runs.iter().map(|run| {
-            let segs = plan.segs.col(run.cols.start);
-            segs[segs.len() - trailing + label].1
-        }));
+        units.extend((0..runs).map(|r| below.units[r * trailing + label]));
     }
     let owners = Owners {
         units: &units,
-        per_label: runs.len(),
+        per_label: runs,
     };
     out.counters.walked_segments += pieces.len() as u64;
-    sweep_clique(plan, &pieces, owners, last + 1 - first, usize::MAX, out);
+    sweep_clique(
+        plan,
+        &pieces,
+        owners,
+        last + 1 - below.first,
+        usize::MAX,
+        out,
+    );
     out.pieces = pieces;
     out.owner_units = units;
+    out.below = below;
 }
 
 fn sweep_impl(factor: &SymbolicFactor, partition: &Partition) -> (DepGraph, SweepCounters) {
     let plan = SweepPlan::new(factor, partition);
     let nu = partition.num_units();
     let mut out = SweepOut::new(nu);
-    let mut table = PredTable::new(nu);
+    let mut table = PredTable::new(nu, partition.clusters.len());
     // Units are numbered cluster by cluster, left to right: the ones left
     // of column `col` are a prefix, and their lists are final.
     let last_col = |u: usize| partition.clusters[partition.units[u].cluster].cols.hi;
     let mut lay_out_before = |col: usize, out: &mut SweepOut| {
-        while table.len() < nu && last_col(table.len()) < col {
-            table.push(std::mem::take(&mut out.preds[table.len()]));
+        let first = table.len();
+        let mut end = first;
+        while end < nu && last_col(end) < col {
+            end += 1;
+        }
+        if end > first {
+            let lists = &mut out.preds[first..end];
+            out.pending -= lists.iter().map(Vec::capacity).sum::<usize>();
+            table.push_batch(lists);
         }
     };
-    for (idx, run) in plan.runs.iter().enumerate() {
+    let mut runs = source_runs(factor, partition);
+    while let Some(run) = runs.next_run() {
         lay_out_before(run.cols.start, &mut out);
-        sweep_run(&plan, run, &mut out);
+        sweep_run(&plan, &run, &mut out);
+        if run.last_col != usize::MAX {
+            out.below.collect(&plan, &run);
+        }
         if run.closes > 0 {
-            sweep_below(&plan, &plan.runs[idx + 1 - run.closes..=idx], &mut out);
+            sweep_below(&plan, &run, &mut out);
         }
     }
     lay_out_before(usize::MAX, &mut out);
-    (table.finish(out.cats), out.counters)
+    let counters = SweepCounters {
+        pending_bytes: 4 * out.pending_peak,
+        ..out.counters
+    };
+    (table.finish(out.cats), counters)
 }
 
 #[cfg(test)]

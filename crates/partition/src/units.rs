@@ -341,7 +341,7 @@ fn rectangle_grid(h: usize, w: usize, g: usize) -> (usize, usize) {
 /// ([`Partition::segmentation`]): column `j`'s segments are
 /// `segs[start[j]..start[j + 1]]`, ascending and disjoint.
 #[derive(Debug)]
-pub struct Segmentation {
+pub(crate) struct Segmentation {
     start: Vec<usize>,
     segs: Vec<(Interval, u32)>,
 }
@@ -356,7 +356,7 @@ impl Segmentation {
     /// is constant, so per-element resolution collapses to binary
     /// searches over segment boundaries.
     #[inline]
-    pub fn col(&self, j: usize) -> &[(Interval, u32)] {
+    pub(crate) fn col(&self, j: usize) -> &[(Interval, u32)] {
         &self.segs[self.start[j]..self.start[j + 1]]
     }
 }
@@ -715,11 +715,11 @@ impl Partition {
     }
 
     /// The ownership segmentation of every column ([`Segmentation::col`])
-    /// in one flat table —
-    /// the geometry view the work tally, the deps sweep and the
-    /// simulator's block engine walk. Transient: callers build it, walk it
-    /// and drop it.
-    pub fn segmentation(&self) -> Segmentation {
+    /// in one flat table — the geometry view the work tally walks.
+    /// Transient: the partition builds it, walks it and drops it. The
+    /// analysis engines derive one column at a time instead
+    /// ([`ownership_of`](Self::ownership_of)).
+    pub(crate) fn segmentation(&self) -> Segmentation {
         let n = self.clusters.last().map_or(0, |c| c.cols.hi + 1);
         let mut start = Vec::with_capacity(n + 1);
         let mut segs = Vec::new();
@@ -746,11 +746,23 @@ impl Partition {
         &self.owner
     }
 
+    /// Replaces `out` with the *ownership segmentation* of column `j`:
+    /// disjoint row intervals in ascending order, each tagged with the
+    /// unit that owns every stored entry `(i, j)` with `i` in the
+    /// interval. Together the segments cover all rows `i >= j` that can
+    /// hold a stored entry of column `j` (the first segment may extend
+    /// above `j`). Derived from the cluster layout into the caller's
+    /// scratch, with no table of every column.
+    pub(crate) fn ownership_of(&self, j: usize, out: &mut Vec<(Interval, u32)>) {
+        out.clear();
+        self.ownership_in(self.cluster_of(j), j, out);
+    }
+
     /// Appends the ownership segmentation of column `j`, in cluster
     /// `cid`, to `out`. The segments are derived from the same retained
     /// layout tables that built the ownership map, so the two views can
     /// never disagree.
-    fn ownership_in(&self, cid: usize, j: usize, out: &mut Vec<(Interval, u32)>) {
+    pub(crate) fn ownership_in(&self, cid: usize, j: usize, out: &mut Vec<(Interval, u32)>) {
         debug_assert!(self.clusters[cid].cols.contains(j));
         match &self.layouts[cid] {
             ClusterLayout::Single { unit } => {

@@ -66,8 +66,7 @@ use crate::{data_traffic, record_traffic, record_work, work_distribution, work_r
 use crate::{TrafficReport, WorkReport};
 use spfactor_interval::Interval;
 use spfactor_partition::{
-    label_rows, source_runs, Partition, Segmentation, SourceRun, TaggedRun, TargetScratch,
-    UpdateTarget,
+    label_rows, source_runs, Partition, SourceRun, TaggedRun, TargetScratch, UpdateTarget,
 };
 use spfactor_sched::Assignment;
 use spfactor_symbolic::SymbolicFactor;
@@ -333,7 +332,6 @@ impl Walker<'_> {
 /// The block engine's state: the geometry it walks, scratch and tallies.
 struct Engine<'a> {
     factor: &'a SymbolicFactor,
-    segs: Segmentation,
     proc_of_unit: &'a [u32],
     nprocs: usize,
     walker: Walker<'a>,
@@ -367,7 +365,6 @@ impl<'a> Engine<'a> {
         let nprocs = assignment.nprocs;
         Engine {
             factor,
-            segs: partition.segmentation(),
             proc_of_unit: &assignment.proc_of_unit,
             nprocs,
             walker: Walker {
@@ -413,7 +410,7 @@ impl<'a> Engine<'a> {
         if rows.is_empty() {
             return;
         }
-        let segs = self.segs.col(kb);
+        let segs = run.segs;
         let own = self.proc_of_unit[segs[0].1 as usize] as usize;
         let last = rows.len() - 1;
 
@@ -481,9 +478,11 @@ fn block_reports(
     rec: &Current,
 ) -> (TrafficReport, WorkReport) {
     let mut engine = Engine::new(factor, partition, assignment);
-    let runs = source_runs(factor, partition, &engine.segs);
-    for (idx, run) in runs.iter().enumerate() {
-        engine.sweep_run(idx, run);
+    let mut runs = source_runs(factor, partition);
+    let mut idx = 0;
+    while let Some(run) = runs.next_run() {
+        engine.sweep_run(idx, &run);
+        idx += 1;
     }
     rec.incr("simulate.engine.columns", factor.n() as u64);
     rec.incr("simulate.engine.unit_visits", engine.walker.unit_visits);

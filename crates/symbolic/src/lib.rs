@@ -23,4 +23,4 @@ pub mod supernode;
 pub use factor::{col_counts, SymbolicFactor};
 pub use ops::{for_each_scaling, for_each_update, UpdateOp};
 pub use rows::RowStructure;
-pub use supernode::{fundamental_supernodes, relaxed_supernodes};
+pub use supernode::{fundamental_supernode_at, fundamental_supernodes, relaxed_supernodes};

@@ -22,6 +22,17 @@ pub fn fundamental_supernodes(factor: &SymbolicFactor) -> Vec<Range<usize>> {
     relaxed_supernodes(factor, 0)
 }
 
+/// The fundamental supernode that starts at column `start` (which must
+/// start one): one entry of [`fundamental_supernodes`], found without
+/// building the others, so a walk can take the supernodes one at a time.
+pub fn fundamental_supernode_at(factor: &SymbolicFactor, start: usize) -> Range<usize> {
+    let mut end = start + 1;
+    while end < factor.n() && extends(factor, end - 1, 0) {
+        end += 1;
+    }
+    start..end
+}
+
 /// Supernodes with zero-relaxation: column `j+1` extends the current strip
 /// if it is the etree parent of `j` and `struct(L_{j+1})` has at most
 /// `max_zeros` rows that are **not** in `struct(L_j) \ {j+1}`. Those extra
@@ -101,6 +112,9 @@ mod tests {
             covered = sn.end;
         }
         assert_eq!(covered, 64);
+        for sn in sns {
+            assert_eq!(fundamental_supernode_at(&f, sn.start), sn);
+        }
     }
 
     #[test]

@@ -1,19 +1,27 @@
 //! Performance-regression comparison over metric JSON documents.
 //!
 //! Compares two parsed JSON documents (a committed baseline such as
-//! `BENCH_pipeline.json` and a fresh run) leaf by leaf and flags
-//! time-like values that got slower than an allowed ratio. A leaf is
-//! *time-like* when any key segment on its dotted path ends in `_ms` —
-//! this matches the bench schema's `phases_ms.*`, `deps_ms.*` and
-//! `simulate_ms` families while ignoring speedups, counts and
-//! configuration echoes, which are not monotone "lower is better".
+//! `BENCH_pipeline.json` and a fresh run) leaf by leaf and flags gated
+//! values that grew past an allowed ratio. Two kinds of leaf are gated,
+//! both "lower is better":
+//!
+//! * *time* — any key segment on its dotted path ends in `_ms`: the
+//!   bench schema's `phases_ms.*`, `deps_ms.*` and `simulate_ms`
+//!   families;
+//! * *heap* — a segment is `peak_bytes` or `max_peak_bytes`:
+//!   `BENCH_scale.json`'s per-phase `peak_bytes.*` and its
+//!   `max_peak_bytes` (not the fitted `slopes.deps_peak_bytes`).
+//!
+//! Speedups, counts, slopes and configuration echoes are not monotone
+//! "lower is better" and are ignored.
 //!
 //! The comparison is symmetric in structure but one-sided in judgment:
-//! only slowdowns (candidate > threshold x baseline) are regressions;
-//! speedups and values under the noise floor pass. Baseline leaves
-//! missing from the candidate are counted in
+//! only growth (candidate > threshold x baseline) is a regression;
+//! improvements pass, and so do time leaves under the noise floor (a heap
+//! leaf has none: bytes do not jitter like a timer). Gated baseline
+//! leaves missing from the candidate are counted in
 //! [`RegressionReport::missing`] so a silently shrunk benchmark cannot
-//! masquerade as a fast one.
+//! masquerade as a fast or a small one.
 //!
 //! ```
 //! use spfactor_trace::{json, regress};
@@ -33,8 +41,8 @@ use std::fmt::Write as _;
 pub struct RegressOptions {
     /// Slowdown ratio above which a leaf is a regression (1.15 = +15%).
     pub threshold: f64,
-    /// Noise floor: a candidate value below this (in the leaf's own
-    /// unit, milliseconds for `_ms` families) never regresses.
+    /// Noise floor: a time leaf's candidate value below this many
+    /// milliseconds never regresses. Heap leaves have none.
     pub min_value: f64,
 }
 
@@ -47,7 +55,7 @@ impl Default for RegressOptions {
     }
 }
 
-/// One flagged slowdown.
+/// One flagged slowdown or heap growth.
 #[derive(Clone, Debug)]
 pub struct Regression {
     /// Dotted path of the leaf, e.g. `LAP200.phases_ms.order`.
@@ -63,11 +71,11 @@ pub struct Regression {
 /// Outcome of [`compare`].
 #[derive(Clone, Debug, Default)]
 pub struct RegressionReport {
-    /// Time-like leaves present in both documents and compared.
+    /// Gated leaves present in both documents and compared.
     pub checked: usize,
-    /// Time-like baseline leaves absent (or non-numeric) in the candidate.
+    /// Gated baseline leaves absent (or non-numeric) in the candidate.
     pub missing: usize,
-    /// Leaves that exceeded the slowdown threshold.
+    /// Leaves that exceeded the threshold.
     pub regressions: Vec<Regression>,
     /// Largest `candidate / baseline` ratio seen over compared leaves
     /// above the noise floor (1.0 when nothing qualified).
@@ -101,9 +109,13 @@ impl RegressionReport {
             self.max_ratio
         );
         for r in &self.regressions {
+            let what = match leaf_kind(&r.path) {
+                Some(Leaf::Heap) => "LARGER",
+                _ => "SLOWER",
+            };
             let _ = writeln!(
                 out,
-                "  SLOWER {}: {:.3} -> {:.3}  ({:.2}x)",
+                "  {what} {}: {:.3} -> {:.3}  ({:.2}x)",
                 r.path, r.baseline, r.candidate, r.ratio
             );
         }
@@ -111,11 +123,26 @@ impl RegressionReport {
     }
 }
 
-/// `true` when a dotted path addresses a time-like leaf: some key
-/// segment ends in `_ms` (so both `simulate_ms` and children of
-/// `phases_ms` qualify).
-fn is_time_path(path: &str) -> bool {
-    path.split('.').any(|seg| seg.ends_with("_ms"))
+/// The two kinds of gated leaf.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Leaf {
+    Time,
+    Heap,
+}
+
+/// What a dotted path addresses: a time leaf when some key segment ends
+/// in `_ms` (so both `simulate_ms` and children of `phases_ms` qualify),
+/// a heap leaf when some segment is `peak_bytes` or `max_peak_bytes`,
+/// else nothing gated.
+fn leaf_kind(path: &str) -> Option<Leaf> {
+    let segs = || path.split('.');
+    if segs().any(|seg| seg.ends_with("_ms")) {
+        Some(Leaf::Time)
+    } else if segs().any(|seg| seg == "peak_bytes" || seg == "max_peak_bytes") {
+        Some(Leaf::Heap)
+    } else {
+        None
+    }
 }
 
 fn numeric_leaves(value: &Value, prefix: &str, out: &mut Vec<(String, f64)>) {
@@ -161,8 +188,9 @@ fn lookup(doc: &Value, path: &str) -> Option<f64> {
     cur.as_f64()
 }
 
-/// Compares every time-like numeric leaf of `baseline` against the same
-/// path in `candidate`. See the module docs for the judgment rule.
+/// Compares every gated numeric leaf of `baseline` — time and heap —
+/// against the same path in `candidate`. See the module docs for the
+/// judgment rule.
 pub fn compare(baseline: &Value, candidate: &Value, opts: &RegressOptions) -> RegressionReport {
     let mut leaves = Vec::new();
     numeric_leaves(baseline, "", &mut leaves);
@@ -171,15 +199,15 @@ pub fn compare(baseline: &Value, candidate: &Value, opts: &RegressOptions) -> Re
         ..RegressionReport::default()
     };
     for (path, base) in leaves {
-        if !is_time_path(&path) {
+        let Some(kind) = leaf_kind(&path) else {
             continue;
-        }
+        };
         let Some(cand) = lookup(candidate, &path) else {
             report.missing += 1;
             continue;
         };
         report.checked += 1;
-        if cand < opts.min_value {
+        if kind == Leaf::Time && cand < opts.min_value {
             continue; // below the noise floor either way
         }
         let ratio = if base > 0.0 {
@@ -260,6 +288,64 @@ mod tests {
         let cand = parse(r#"{"matrices": []}"#).unwrap();
         let report = compare(&base, &cand, &RegressOptions::default());
         assert_eq!(report.missing, 3);
+        assert!(!report.passed());
+    }
+
+    const SCALE: &str = r#"{
+        "max_peak_bytes": 1000,
+        "slopes": {"deps": 1.5, "deps_peak_bytes": 1.3},
+        "sizes": [
+            {"side": 100, "phases_ms": {"deps": 40.0},
+             "peak_bytes": {"deps": 1000, "sched": 400}}
+        ]
+    }"#;
+
+    #[test]
+    fn heap_leaves_are_gated_and_slopes_are_not() {
+        let base = parse(SCALE).unwrap();
+        let report = compare(&base, &base, &RegressOptions::default());
+        // deps time, two phase peaks and max_peak_bytes; no slope.
+        assert_eq!(report.checked, 4);
+        assert!(report.passed());
+        // A fitted slope that grew is not a heap leaf.
+        let cand =
+            parse(&SCALE.replace("\"deps_peak_bytes\": 1.3", "\"deps_peak_bytes\": 9.0")).unwrap();
+        assert!(compare(&base, &cand, &RegressOptions::default()).passed());
+    }
+
+    #[test]
+    fn heap_growth_above_threshold_is_flagged() {
+        let base = parse(SCALE).unwrap();
+        // The sched peak grows 20 %, past the default 15 %; the deps
+        // peak shrinks. A heap leaf has no noise floor: 480 B counts.
+        let cand = parse(&SCALE.replace("\"sched\": 400", "\"sched\": 480")).unwrap();
+        let opts = RegressOptions {
+            threshold: 1.15,
+            min_value: 1e9,
+        };
+        let report = compare(&base, &cand, &opts);
+        assert_eq!(report.regressions.len(), 1, "{:?}", report.regressions);
+        assert_eq!(report.regressions[0].path, "sizes[0].peak_bytes.sched");
+        assert!((report.regressions[0].ratio - 1.2).abs() < 1e-12);
+        assert!(!report.passed());
+        assert!(report
+            .to_text()
+            .contains("LARGER sizes[0].peak_bytes.sched"));
+        // The same growth inside a looser threshold passes.
+        let loose = RegressOptions {
+            threshold: 1.25,
+            ..opts
+        };
+        assert!(compare(&base, &cand, &loose).passed());
+    }
+
+    #[test]
+    fn a_missing_heap_leaf_fails() {
+        let base = parse(SCALE).unwrap();
+        let cand = parse(&SCALE.replace("\"max_peak_bytes\": 1000,", "")).unwrap();
+        let report = compare(&base, &cand, &RegressOptions::default());
+        assert_eq!(report.missing, 1);
+        assert!(report.regressions.is_empty());
         assert!(!report.passed());
     }
 

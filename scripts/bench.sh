@@ -22,8 +22,9 @@
 #   scripts/bench.sh --scale --smoke     # one tiny grid, schema validation only
 #
 # Gate modes run a fresh full benchmark into a temp file and diff every
-# time-like leaf against the committed baseline with bench_regression,
-# failing on >15% slowdowns or missing leaves:
+# time-like leaf, and the scale baseline's heap peaks, against the
+# committed baseline with bench_regression, failing on >15% growth or
+# missing leaves:
 #
 #   scripts/bench.sh --gate                # pipeline baseline, exit 1 on regression
 #   scripts/bench.sh --gate-report         # same diff, never fails the build

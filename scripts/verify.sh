@@ -7,7 +7,8 @@
 # checks: one instrumentation path (no twins, no compile-out build), one
 # unit-block kernel under both schedule executors, numeric factors that
 # share the symbolic structure instead of copying it, a dependency graph
-# that keeps predecessors only, one plan value built
+# that keeps exactly its predecessor edges and analysis engines that hold
+# no partition-wide table, one plan value built
 # by one chain and scheduled on first use, a stored plan that is a key, a
 # fingerprint and a permutation, no mp in the solver service and no fault
 # layer in mp, the metrics doc held to the code, and a warning-free
@@ -186,14 +187,27 @@ fi
 cargo test -q -p spfactor --test numeric_alloc
 
 echo "==> the dependency graph keeps predecessors only"
-# A DepGraph stores the predecessor table and the category counts; the
+# A DepGraph stores the predecessor lists and the category counts; the
 # successors are derived on the first succs() call, and the sweep lays the
-# table out cluster by cluster (docs/PERFORMANCE.md, "The three deps
-# engines"). deps_alloc bounds the heap a build adds and what the graph
-# keeps; the side-100 oracle check needs release (seconds per scheme).
-cargo test -q -p spfactor --test deps_alloc
+# lists out cluster by cluster (docs/PERFORMANCE.md, "The three deps
+# engines"). The side-100 oracle check needs release (seconds per scheme).
 cargo test --release -q -p spfactor --test deps_equivalence \
   deps_sweep_matches_the_oracle_at_side_100 -- --ignored
+
+echo "==> deps keeps exactly its edges; the analysis engines hold no partition-wide table"
+# Each predecessor list is boxed at its length, and the deps sweep and the
+# block simulator derive a column's ownership segments when their walk of
+# partition::source_runs reaches it (docs/PERFORMANCE.md, "Deps keeps
+# exactly its edges"); the flat all-columns segmentation is the partition
+# work tally's alone. deps_alloc bounds the heap a build adds and what the
+# graph keeps, simulate_alloc the heap the block engine adds.
+sites=$(call_sites 'segmentation\(\)' crates/simulate/src crates/partition/src/sweep.rs)
+if [ -n "$sites" ]; then
+  echo "an analysis engine builds the all-columns segmentation again:"; echo "$sites"
+  exit 1
+fi
+cargo test -q -p spfactor --test deps_alloc
+cargo test -q -p spfactor --test simulate_alloc
 
 echo "==> one traffic replay: the simulator walks the update operations in one function"
 # The traffic report, the timed simulation's transfers and the
@@ -211,9 +225,9 @@ cargo test -q -p spfactor --test engine_equivalence traffic_views_agree_on_all_p
 echo "==> one set of source runs: deps and simulate sweep the same runs, on one thread"
 # The deps sweep and the simulator's block engine handle a supernode's
 # columns in the same source runs (docs/PERFORMANCE.md, "One traversal
-# under both analysis engines"): built by one function in partition, and
+# under both analysis engines"): walked by one function in partition, and
 # no thread fan-out in the simulator.
-sites=$(call_sites 'fn source_runs\(' crates/partition/src)
+sites=$(call_sites 'fn source_runs[(<]' crates/partition/src)
 if [ "$(grep -c . <<<"$sites")" -ne 1 ]; then
   echo "expected exactly one definition of source_runs under crates/partition/src, found:"; echo "$sites"
   exit 1

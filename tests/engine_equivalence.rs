@@ -162,8 +162,8 @@ fn grouped_paths_all_occur_on_the_subjects() {
     use spfactor::symbolic::fundamental_supernodes;
     let (mut lengths, mut closing, mut split, mut wide_wrap) = ([false; 3], false, false, false);
     for s in grouped_subjects() {
-        let segs = s.partition.segmentation();
-        for run in source_runs(&s.factor, &s.partition, &segs) {
+        let mut runs = source_runs(&s.factor, &s.partition);
+        while let Some(run) = runs.next_run() {
             match run.cols.len() {
                 1 => lengths[0] = true,
                 2 => lengths[1] = true,

@@ -306,6 +306,18 @@ mod enabled {
             rec.gauge_value("partition.deps.independent_units"),
             Some(result.plan.deps().independent_units().len() as f64)
         );
+        // The heap owners: the kept lists — 4 B an id, 8 B a unit and 16
+        // B a batch of clusters, at most one a cluster — and the raw lists
+        // that waited for layout.
+        let deps = result.plan.deps();
+        let lists = deps.pred_bytes();
+        let index = lists - 4 * deps.num_edges() - 8 * (deps.num_units() + 1);
+        assert!(index % 16 == 0 && index <= 16 * result.plan.partition().clusters.len());
+        assert_eq!(rec.gauge_value("heap.deps.preds.bytes"), Some(lists as f64));
+        let pending = rec
+            .gauge_value("heap.deps.pending.bytes")
+            .expect("pending gauge");
+        assert!(pending > 0.0 && pending <= 4.0 * deps.num_edges() as f64);
         for c in spfactor::partition::DepCategory::all() {
             assert_eq!(
                 rec.counter(&format!("partition.deps.category.{}", c.number())),
