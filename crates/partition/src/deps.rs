@@ -237,21 +237,10 @@ impl DepGraph {
     }
 
     /// Successor units of `u` (sorted, distinct). The first call on a
-    /// graph derives the whole successor table.
+    /// graph derives the whole successor table, transposed from the
+    /// predecessors by counting.
     pub fn succs(&self, u: usize) -> &[u32] {
-        let (start, ids) = self.succ_table();
-        &ids[start[u]..start[u + 1]]
-    }
-
-    /// Derives the successor table now, if no [`succs`](Self::succs) call
-    /// has yet — so a caller can pay for it at a point of its choosing.
-    pub fn derive_succs(&self) {
-        self.succ_table();
-    }
-
-    /// The successor table, transposed from the predecessors by counting.
-    fn succ_table(&self) -> &(Vec<usize>, Vec<u32>) {
-        self.succ.get_or_init(|| {
+        let (start, ids) = self.succ.get_or_init(|| {
             let nu = self.num_units();
             let mut start = vec![0usize; nu + 1];
             for &s in self.chunks.iter().flatten() {
@@ -274,7 +263,8 @@ impl DepGraph {
             start.copy_within(0..nu, 1);
             start[0] = 0;
             (start, ids)
-        })
+        });
+        &ids[start[u]..start[u + 1]]
     }
 
     /// Number of units.

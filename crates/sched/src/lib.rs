@@ -2,7 +2,8 @@
 //!
 //! The scheduling process has two parts — allocating unit blocks to
 //! processors and ordering work within each processor; like the paper,
-//! this crate implements the first. Three allocators are provided:
+//! this crate implements the first. Six allocators are provided, two at
+//! the crate root and four in two modules:
 //!
 //! * [`block_allocation`] — the paper's locality-driven heuristic: a
 //!   global round-robin pool `Pg` with a moving marker, a per-triangle set
@@ -11,10 +12,14 @@
 //!   `Pt` for the rectangles below it;
 //! * [`wrap_allocation`] — the classic wrap-mapped column scheme the paper
 //!   compares against (column `j` on processor `j mod P`);
-//! * [`alt`] — simpler allocators (pure round-robin over blocks, greedy
-//!   least-loaded) used for the ablation studies in `DESIGN.md`;
+//! * [`alt`] — three simpler allocators (pure round-robin over blocks,
+//!   greedy least-loaded, locality-first) used for the ablation studies
+//!   in `DESIGN.md`;
 //! * [`proportional`] — subtree-to-processor proportional mapping, the
-//!   "more sophisticated strategy" the paper's conclusion anticipates;
+//!   "more sophisticated strategy" the paper's conclusion anticipates.
+//!
+//! Two more modules carry what surrounds an allocation:
+//!
 //! * [`order`] — the second half of scheduling the paper leaves open:
 //!   a deterministic topological execution order and the per-processor
 //!   work queues the `spfactor-mp` runtime executes;

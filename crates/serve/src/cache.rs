@@ -159,9 +159,9 @@ enum Entry {
 /// Remembered permutations kept per artifact slot: the ordering tier holds
 /// at most `ORDERINGS_PER_SLOT * capacity` of them. At 16 bytes a column
 /// against about 400 a column of a factored artifact that was never
-/// scheduled (1,050 once scheduled, 1,250 once a block-parallel request
-/// has also derived the dependency graph's successors), a full tier is at
-/// most about a third again of what full slots hold (docs/SERVING.md).
+/// scheduled (1,050 once a store's fingerprint has scheduled it), a full
+/// tier is at most about a third again of what full slots hold
+/// (docs/SERVING.md).
 pub const ORDERINGS_PER_SLOT: usize = 8;
 
 /// What a fill-reducing ordering depends on: the pattern (hash and

@@ -7,8 +7,8 @@
 //!
 //! Everything the pipeline computes before numeric values enter depends
 //! only on the sparsity pattern, so this crate pays that front-end cost
-//! — ordering, symbolic factorization, partitioning, dependency
-//! analysis, scheduling — **once per pattern** and amortizes it:
+//! — ordering and symbolic factorization, all the sequential kernel
+//! reads — **once per pattern** and amortizes it:
 //!
 //! * [`ScheduleCache`] — a concurrent, pattern-keyed cache of frozen
 //!   [`ScheduleArtifact`](spfactor::sched::ScheduleArtifact)s (keyed by
@@ -21,14 +21,13 @@
 //!   the permutation instead of ordering the pattern again;
 //! * [`SolverService`] — a batched solver: each [`SolveRequest`] carries
 //!   many value sets and many right-hand sides, all executed against the
-//!   one cached artifact through the existing numeric kernels
-//!   (sequential, or the schedule-driven block-parallel executor);
+//!   one cached artifact through the sequential `numeric::cholesky`;
 //! * an **admission-controlled request queue** — [`SolverService::submit`]
 //!   enqueues onto a bounded queue drained by worker threads and rejects
 //!   with [`ServeError::Overloaded`] when the queue is full, so overload
 //!   sheds load instead of growing latency without bound;
 //! * per-request **deadlines** ([`ServeConfig::default_deadline`], or the
-//!   request's own) enforced at the queue/build/solve stage boundaries
+//!   request's own) enforced at the queue and build stage boundaries
 //!   ([`ServeError::DeadlineExceeded`] carries a per-stage budget
 //!   breakdown);
 //! * a **warm-restart artifact store** ([`ArtifactStore`], enabled by
@@ -44,9 +43,11 @@
 //! Factors produced through the cache are **bit-identical** to a fresh
 //! one-shot `Pipeline` run on the same inputs — `tests/serve_cache.rs`
 //! pins this — because the artifact *is* the pipeline front end, frozen.
-//! The message-passing runtime is not a serve kernel: it is the
-//! pipeline's execution backend (`Pipeline::backend`), where it checks
-//! executed traffic and work against the simulator.
+//! Neither schedule executor is a serve kernel: the message-passing
+//! runtime is the pipeline's execution backend (`Pipeline::backend`),
+//! where it checks executed traffic and work against the simulator, and
+//! the shared-memory block executor is the schedule's executability
+//! check in the test suite.
 //!
 //! ```
 //! use spfactor_serve::{ServeConfig, SolveRequest, SolverService, ValueBatch};
@@ -76,7 +77,7 @@ pub mod service;
 pub mod store;
 
 pub use cache::{CacheSnapshot, CacheStats, ScheduleCache};
-pub use resilience::{BudgetBreakdown, DeadlineStage, KernelKind};
+pub use resilience::{BudgetBreakdown, DeadlineStage};
 pub use service::{
     BatchResult, ServeConfig, SolveRequest, SolveResponse, SolverService, Ticket, ValueBatch,
 };
@@ -101,7 +102,7 @@ pub enum ServeError {
     /// failed build.
     Build(Arc<PipelineError>),
     /// A numeric factorization failure while solving against a
-    /// (successfully built) artifact — the matrix's, from either kernel.
+    /// (successfully built) artifact — the matrix's.
     Solve(Arc<PipelineError>),
     /// A batch's value matrix does not have the pattern the request was
     /// keyed under.
@@ -160,11 +161,10 @@ impl std::fmt::Display for ServeError {
             } => write!(
                 f,
                 "deadline of {budget_ms:.1}ms exceeded at the {} stage \
-                 (queue {:.1}ms, build {:.1}ms, solve {:.1}ms)",
+                 (queue {:.1}ms, build {:.1}ms)",
                 stage.name(),
                 spent.queue_ms,
-                spent.build_ms,
-                spent.solve_ms
+                spent.build_ms
             ),
             ServeError::ShuttingDown => write!(f, "service is shutting down"),
         }

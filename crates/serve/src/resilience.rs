@@ -1,16 +1,15 @@
-//! Per-request deadlines for the solver service, and the kernel a
-//! request asks for.
+//! Per-request deadlines for the solver service.
 //!
 //! A **deadline** travels with the request through admission, queue
-//! wait, schedule build, and solve, and is enforced at each stage
-//! boundary — a request that can no longer make its budget fails fast
-//! with [`ServeError::DeadlineExceeded`](crate::ServeError) carrying
-//! where the budget went.
+//! wait and schedule build, and is enforced at each stage boundary
+//! before the factorization — a request that can no longer make its
+//! budget fails fast with
+//! [`ServeError::DeadlineExceeded`](crate::ServeError) carrying where the
+//! budget went.
 //!
-//! Both kernels fail only on the matrix (a numeric error, reported as
-//! [`ServeError::Solve`](crate::ServeError)), which no other kernel
-//! could rescue, so there is nothing to fail over to and nothing to
-//! break a circuit on.
+//! The one kernel, `numeric::cholesky`, fails only on the matrix (a
+//! numeric error, reported as [`ServeError::Solve`](crate::ServeError)),
+//! so there is nothing to fail over to and nothing to break a circuit on.
 
 use crate::ServeError;
 use spfactor::trace;
@@ -24,17 +23,6 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// Which numeric kernel executes a request's factorizations. Both
-/// produce bit-identical factors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum KernelKind {
-    /// The schedule-driven shared-memory executor: one thread per
-    /// scheduled processor running the cached dependency graph.
-    BlockParallel,
-    /// Left-looking sequential factorization — the reference kernel.
-    Sequential,
-}
-
 /// Which stage boundary a deadline was discovered to be blown at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeadlineStage {
@@ -43,8 +31,6 @@ pub enum DeadlineStage {
     /// The schedule build (cache miss, single-flight wait, or store
     /// load) consumed the rest of the budget.
     Build,
-    /// The numeric solve consumed the rest of the budget.
-    Solve,
 }
 
 impl DeadlineStage {
@@ -53,7 +39,6 @@ impl DeadlineStage {
         match self {
             DeadlineStage::Queue => "queue",
             DeadlineStage::Build => "build",
-            DeadlineStage::Solve => "solve",
         }
     }
 }
@@ -67,14 +52,11 @@ pub struct BudgetBreakdown {
     pub queue_ms: f64,
     /// Time resolving the schedule artifact (build, wait, or store).
     pub build_ms: f64,
-    /// Time in the numeric kernels.
-    pub solve_ms: f64,
 }
 
 /// The deadline clock of one in-flight request: admission instant plus
 /// the (optional) budget. All stage checks measure from admission, so
-/// queue wait counts against the budget exactly like build and solve
-/// time do.
+/// queue wait counts against the budget exactly like build time does.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DeadlineClock {
     admitted: Instant,
@@ -140,7 +122,7 @@ mod tests {
         }
         let unbounded = DeadlineClock::new(Instant::now(), None);
         assert!(unbounded
-            .check(DeadlineStage::Solve, BudgetBreakdown::default())
+            .check(DeadlineStage::Build, BudgetBreakdown::default())
             .is_ok());
     }
 }

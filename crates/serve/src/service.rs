@@ -1,5 +1,5 @@
 //! The batched solver service: admission-controlled queue in front of a
-//! schedule cache and the numeric kernels.
+//! schedule cache and the sequential numeric kernel.
 //!
 //! A [`SolveRequest`] names a sparsity pattern plus front-end parameters
 //! (the [`ScheduleKey`] identity) and carries any number of
@@ -9,9 +9,8 @@
 //! 1. resolves the frozen [`ScheduleArtifact`] through the
 //!    [`ScheduleCache`] (building it once per key, single-flight);
 //! 2. factors every value batch against the cached symbolic factor with
-//!    the requested [`KernelKind`] — the sequential reference or the
-//!    schedule-driven block-parallel executor, bit-identical by the
-//!    workspace's cross-validation invariant;
+//!    the sequential `numeric::cholesky`, which reads nothing of the
+//!    artifact's schedule half;
 //! 3. solves every right-hand side through [`spfactor::numeric::batch`],
 //!    returning solutions of the *original* system (the fill-reducing
 //!    permutation is applied around each solve).
@@ -23,9 +22,7 @@
 //! load instead of stretching every caller's latency.
 
 use crate::cache::{CacheStats, ScheduleCache};
-use crate::resilience::{
-    lock_unpoisoned, BudgetBreakdown, DeadlineClock, DeadlineStage, KernelKind,
-};
+use crate::resilience::{lock_unpoisoned, BudgetBreakdown, DeadlineClock, DeadlineStage};
 use crate::store::{ArtifactStore, StoreStats};
 use crate::ServeError;
 use spfactor::matrix::{SymmetricCsc, SymmetricPattern};
@@ -132,9 +129,6 @@ pub struct SolveRequest {
     pub scheme: Scheme,
     /// Processor count (part of the cache key).
     pub nprocs: usize,
-    /// Numeric kernel for the factorizations (not part of the cache
-    /// key: both kernels produce bit-identical factors).
-    pub kernel: KernelKind,
     /// Per-request deadline measured from admission; overrides the
     /// service's [`ServeConfig::default_deadline`]. Not part of the
     /// cache key.
@@ -153,7 +147,6 @@ impl SolveRequest {
             params: PartitionParams::default(),
             scheme: Scheme::Block,
             nprocs: 4,
-            kernel: KernelKind::Sequential,
             deadline: None,
             batches: Vec::new(),
         }
@@ -186,12 +179,6 @@ impl SolveRequest {
     /// Sets the processor count.
     pub fn processors(mut self, n: usize) -> Self {
         self.nprocs = n;
-        self
-    }
-
-    /// Sets the numeric kernel.
-    pub fn kernel(mut self, k: KernelKind) -> Self {
-        self.kernel = k;
         self
     }
 
@@ -230,7 +217,7 @@ impl SolveRequest {
 #[derive(Clone, Debug)]
 pub struct BatchResult {
     /// The Cholesky factor of the batch's (permuted) value matrix —
-    /// bit-identical across kernels and to a fresh `Pipeline` run.
+    /// bit-identical to a fresh `Pipeline` run.
     pub factor: NumericFactor,
     /// One solution per right-hand side, original coordinates.
     pub solutions: Vec<Vec<f64>>,
@@ -314,8 +301,8 @@ impl Shared {
 
     /// The whole request path: validate, enforce the queue-stage
     /// deadline, resolve the artifact (cache, remembered permutation,
-    /// store, then a full build) and its schedule if the kernel reads one,
-    /// enforce the build-stage deadline, then run the requested kernel.
+    /// store, then a full build), enforce the build-stage deadline, then
+    /// factor and solve every batch.
     /// Called from workers (with the job's admission instant) and from the
     /// synchronous entry point (admitted = now) alike, both under the
     /// service's recorder scope.
@@ -400,20 +387,12 @@ impl Shared {
         // hits here: they got the artifact without building or loading
         // it. The cache's own stats keep the finer hit/wait distinction.
         let cache_hit = !built_here && !warm_start;
-        // The schedule half and the dependency graph's successor table are
-        // derived on first use. A kernel that runs the schedule pays for
-        // them here, in the build stage; a sequential one never.
-        if request.kernel != KernelKind::Sequential {
-            artifact.assignment();
-            artifact.deps().derive_succs();
-        }
         spent.build_ms = build_started.elapsed().as_secs_f64() * 1e3;
+        // The last boundary: a factor that has been computed is returned,
+        // not thrown away.
         clock.check(DeadlineStage::Build, spent)?;
 
         let solve_started = Instant::now();
-        // Checked before the kernel, like every boundary: a factor that has
-        // been computed is returned, not thrown away.
-        clock.check(DeadlineStage::Solve, spent)?;
         let results = run_kernel(request, &artifact)?;
         rec.record_span_ns("serve.solve", solve_started.elapsed().as_nanos() as u64);
         rec.incr("serve.requests", 1);
@@ -430,8 +409,8 @@ impl Shared {
     }
 }
 
-/// Runs every batch of `request` on its kernel. An error is the
-/// matrix's, the same from either kernel: [`ServeError::Solve`].
+/// Factors and solves every batch of `request`. An error is the
+/// matrix's: [`ServeError::Solve`].
 fn run_kernel(
     request: &SolveRequest,
     artifact: &ScheduleArtifact,
@@ -439,17 +418,8 @@ fn run_kernel(
     let mut results = Vec::with_capacity(request.batches.len());
     for batch in &request.batches {
         let permuted = batch.values.permute(artifact.permutation());
-        let factor = match request.kernel {
-            KernelKind::Sequential => numeric::cholesky(&permuted, artifact.factor()),
-            KernelKind::BlockParallel => numeric::cholesky_block_parallel(
-                &permuted,
-                artifact.factor(),
-                artifact.partition(),
-                artifact.deps(),
-                artifact.assignment(),
-            ),
-        }
-        .map_err(ServeError::solve_numeric)?;
+        let factor =
+            numeric::cholesky(&permuted, artifact.factor()).map_err(ServeError::solve_numeric)?;
         let solutions =
             numeric::batch::solve_many_permuted(&factor, artifact.permutation(), &batch.rhs);
         results.push(BatchResult { factor, solutions });
@@ -633,10 +603,10 @@ impl SolverService {
         self.shared.cold_builds.load(AtomicOrdering::Relaxed)
     }
 
-    /// Always 0: no request is served below its requested kernel, since
-    /// neither kernel fails for a reason another could rescue. Kept only
-    /// because the frozen `benchmark/` crate reports it as
-    /// `serve.degraded`; it goes when that crate is re-baselined.
+    /// Always 0: there is one kernel, so no request is served below the
+    /// one it asked for. Kept only because the frozen `benchmark/` crate
+    /// reports it as `serve.degraded`; it goes when that crate is
+    /// re-baselined.
     pub fn degraded(&self) -> u64 {
         0
     }
@@ -694,22 +664,6 @@ mod tests {
             assert!(residual_norm(&a, x, &b) < 1e-9);
         }
         assert_eq!(service.completed(), 1);
-    }
-
-    #[test]
-    fn kernels_agree_bit_for_bit() {
-        let service = SolverService::start(ServeConfig::default());
-        let base = request(7, 5, 1);
-        let seq = service.solve(base.clone()).unwrap();
-        let par = service
-            .solve(base.kernel(KernelKind::BlockParallel))
-            .unwrap();
-        assert_eq!(seq.batches[0].factor, par.batches[0].factor);
-        assert_eq!(seq.batches[0].solutions, par.batches[0].solutions);
-        // One build, one hit: the kernel is not part of the cache key.
-        let s = service.cache_stats();
-        assert_eq!((s.misses, s.hits), (1, 1));
-        assert!(par.cache_hit);
     }
 
     #[test]

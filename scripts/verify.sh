@@ -10,9 +10,9 @@
 # that keeps exactly its predecessor edges and analysis engines that hold
 # no partition-wide table, one plan value built
 # by one chain and scheduled on first use, a stored plan that is a key, a
-# fingerprint and a permutation, no mp in the solver service and no fault
-# layer in mp, the metrics doc held to the code, and a warning-free
-# rustdoc surface.
+# fingerprint and a permutation, one kernel and no mp in the solver
+# service, no fault layer in mp, the metrics doc held to the code, and a
+# warning-free rustdoc surface.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -286,16 +286,35 @@ cargo test -q -p spfactor --test serve_cache a_panicking_build_does_not_wedge_it
 
 echo "==> mp leaves serve: the solver service has no mp kernel, breaker or failover"
 # The message-passing runtime is the pipeline's executable check of the
-# simulator (ExecutionBackend::MessagePassing), not a serve kernel; both
-# serve kernels fail only on the matrix, so there is nothing to break a
-# circuit on or fail over to (docs/SERVING.md, "Deadlines").
+# simulator (ExecutionBackend::MessagePassing), not a serve kernel; the
+# one serve kernel fails only on the matrix, so there is nothing to break
+# a circuit on or fail over to (docs/SERVING.md, "Deadlines").
 # (`mp::` as a path segment of its own: `std::cmp::Reverse` is not one.)
 sites=$(call_sites '(^|[^[:alnum:]_])mp::|MpError|breaker|failover' crates/serve/src)
 if [ -n "$sites" ]; then
   echo "mp, a breaker or failover returned to crates/serve:"; echo "$sites"
   exit 1
 fi
-cargo test -q -p spfactor --test chaos_serve a_non_spd_batch_fails_typed_with_the_sequential_pivot_on_both_kernels
+cargo test -q -p spfactor --test chaos_serve a_non_spd_batch_fails_typed_with_the_sequential_pivot
+
+echo "==> serve runs one kernel: no kernel choice, no successor table derived up front"
+# Every served request is factored by numeric::cholesky, which reads the
+# permutation and the symbolic factor alone (docs/SERVING.md, "What a cold
+# request costs"); the shared-memory executor is the schedule's
+# executability check in tests/numeric_kernel_bits.rs, not a serve kernel.
+# (The bracketed letters keep these patterns from naming what they forbid.)
+sites=$(grep -rnE 'Kernel[K]ind|cholesky_block_parallel' crates/serve || true)
+if [ -n "$sites" ]; then
+  echo "a kernel choice returned to crates/serve:"; echo "$sites"
+  exit 1
+fi
+sites=$(grep -rn 'derive_[s]uccs' crates tests examples || true)
+if [ -n "$sites" ]; then
+  echo "the up-front successor derivation returned:"; echo "$sites"
+  exit 1
+fi
+cargo test -q -p spfactor --test chaos_serve
+cargo test -q -p spfactor --test serve_cache
 
 echo "==> metrics doc: docs/METRICS.md rows == recorded names"
 cargo test -q -p spfactor --test metrics_doc

@@ -5,8 +5,8 @@
 //!
 //! * a request that completes is **correct** — its factor is
 //!   bit-identical to a fresh from-scratch `Pipeline` plan factored
-//!   sequentially, whichever kernel served it and whether the artifact
-//!   was built, waited on, or reloaded from the store;
+//!   sequentially, whether the artifact was built, waited on, or
+//!   reloaded from the store;
 //! * a request that fails does so with a **typed** `ServeError` — a blown
 //!   deadline says at which stage, a matrix that is not positive definite
 //!   names the pivot `numeric::cholesky` names — never a panic, and the
@@ -17,18 +17,13 @@
 use spfactor::matrix::gen;
 use spfactor::matrix::SymmetricCsc;
 use spfactor::{numeric, NumericError, Pipeline, PipelineError};
-use spfactor_serve::{
-    KernelKind, ServeConfig, ServeError, SolveRequest, SolverService, Ticket, ValueBatch,
-};
+use spfactor_serve::{ServeConfig, ServeError, SolveRequest, SolverService, Ticket, ValueBatch};
 use std::path::PathBuf;
 use std::time::Duration;
 
 const NPROCS: usize = 3;
 
-/// Both kernels a request can ask for.
-const KERNELS: [KernelKind; 2] = [KernelKind::Sequential, KernelKind::BlockParallel];
-
-/// A small paper-style request on the default kernel.
+/// A small paper-style request.
 fn request(cols: usize, rows: usize, seed: u64) -> SolveRequest {
     let pattern = gen::lap9(cols, rows);
     let n = pattern.n();
@@ -55,8 +50,8 @@ fn reference_factor(req: &SolveRequest) -> numeric::NumericFactor {
     reference(req).expect("reference factorization")
 }
 
-/// The same values with every sign flipped: negative definite, so each
-/// kernel stops at a pivot with a numeric error.
+/// The same values with every sign flipped: negative definite, so the
+/// factorization stops at a pivot with a numeric error.
 fn negated(a: &SymmetricCsc) -> SymmetricCsc {
     let (mut colptr, mut rowidx, mut values) = (vec![0], Vec::new(), Vec::new());
     for j in 0..a.n() {
@@ -76,9 +71,9 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn concurrent_load_on_both_kernels_serves_identical_bits() {
-    // Four workers, one pattern, both kernels interleaved: every response
-    // is the sequential reference's factor, bit for bit.
+fn concurrent_load_serves_identical_bits() {
+    // Four workers, one pattern: every response is the sequential
+    // reference's factor, bit for bit.
     let service = SolverService::start(ServeConfig {
         workers: 4,
         queue_depth: 64,
@@ -88,7 +83,7 @@ fn concurrent_load_on_both_kernels_serves_identical_bits() {
     let reference = reference_factor(&base);
 
     let tickets: Vec<Ticket> = (0..8)
-        .map(|k| service.submit(base.clone().kernel(KERNELS[k % 2])).unwrap())
+        .map(|_| service.submit(base.clone()).unwrap())
         .collect();
     for t in tickets {
         let resp = t.wait().expect("a healthy request must complete");
@@ -98,7 +93,7 @@ fn concurrent_load_on_both_kernels_serves_identical_bits() {
 }
 
 #[test]
-fn a_non_spd_batch_fails_typed_with_the_sequential_pivot_on_both_kernels() {
+fn a_non_spd_batch_fails_typed_with_the_sequential_pivot() {
     let service = SolverService::start(ServeConfig::default());
     let healthy = request(5, 5, 13);
     let mut bad = healthy.clone();
@@ -107,22 +102,20 @@ fn a_non_spd_batch_fails_typed_with_the_sequential_pivot_on_both_kernels() {
         Err(NumericError::NotPositiveDefinite(j)) => j,
         other => panic!("the negated matrix must fail the reference: {other:?}"),
     };
-    for kernel in KERNELS {
-        match service.solve(bad.clone().kernel(kernel)) {
-            Err(ServeError::Solve(e)) => assert!(
-                matches!(
-                    e.as_ref(),
-                    PipelineError::Numeric(NumericError::NotPositiveDefinite(j)) if *j == pivot
-                ),
-                "{kernel:?}: {e}"
+    match service.solve(bad) {
+        Err(ServeError::Solve(e)) => assert!(
+            matches!(
+                e.as_ref(),
+                PipelineError::Numeric(NumericError::NotPositiveDefinite(j)) if *j == pivot
             ),
-            other => panic!("{kernel:?}: expected ServeError::Solve, got {other:?}"),
-        }
-        // The matrix failed, not the service: the next request is served.
-        let resp = service.solve(healthy.clone().kernel(kernel)).unwrap();
-        assert_eq!(resp.batches[0].factor, reference_factor(&healthy));
+            "{e}"
+        ),
+        other => panic!("expected ServeError::Solve, got {other:?}"),
     }
-    assert_eq!(service.completed(), 2);
+    // The matrix failed, not the service: the next request is served.
+    let resp = service.solve(healthy.clone()).unwrap();
+    assert_eq!(resp.batches[0].factor, reference_factor(&healthy));
+    assert_eq!(service.completed(), 1);
 }
 
 #[test]
@@ -139,7 +132,7 @@ fn zero_deadline_fails_typed_at_the_queue_stage() {
         } => {
             assert_eq!(stage.name(), "queue");
             assert_eq!(budget_ms, 0.0);
-            assert!(spent.build_ms == 0.0 && spent.solve_ms == 0.0);
+            assert_eq!(spent.build_ms, 0.0);
         }
         other => panic!("expected DeadlineExceeded, got {other}"),
     }

@@ -47,7 +47,7 @@ fn check(name: &str, pattern: &SymmetricPattern, grain: usize) {
     // the dependency graph's, each built once and shared by every kernel
     // below; build them before measuring.
     f.row_structure();
-    deps.derive_succs();
+    deps.succs(0);
     let (n, entries, units) = (f.n(), f.num_entries(), part.num_units());
     let values = 8 * entries;
 

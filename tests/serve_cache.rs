@@ -16,7 +16,7 @@ use spfactor::{
     SymbolicFactor,
 };
 use spfactor_serve::{
-    KernelKind, ScheduleCache, ServeConfig, ServeError, SolveRequest, SolverService, ValueBatch,
+    ScheduleCache, ServeConfig, ServeError, SolveRequest, SolverService, ValueBatch,
 };
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -269,43 +269,47 @@ fn cached_artifact_factors_are_bit_identical_to_fresh_runs() {
             "served solution diverged from the fresh solver"
         );
     }
-    // Both kernels serve the same bits from the same artifact.
-    let resp = service
-        .solve(request.kernel(KernelKind::BlockParallel))
-        .unwrap();
-    assert!(resp.cache_hit, "kernel choice must not change the key");
-    assert_eq!(resp.batches[0].factor, fresh_factor);
-    assert_eq!(resp.batches[0].solutions[0], fresh_x);
 }
 
 #[test]
 fn a_sequential_solve_derives_no_schedule() {
     // The sequential kernel reads the permutation and the symbolic factor
-    // alone, so a miss that serves it stops there. The first request whose
-    // kernel runs the schedule derives it on the resident artifact, once,
-    // and gets the factor bits the sequential request got.
-    let (service, rec) = recorded_service(ServeConfig::default());
-    let request = grid_request(9, 9, 2);
-    let seq = service.solve(request.clone()).unwrap();
-    assert!(!seq.cache_hit);
-    assert_eq!(phase_runs(&rec, "order"), 1);
-    assert_eq!(phase_runs(&rec, "symbolic"), 1);
-    for phase in SCHEDULE_PHASES {
-        assert_eq!(phase_runs(&rec, phase), 0, "a sequential miss ran {phase}");
-    }
+    // alone, so no served request derives the schedule half: not a miss on
+    // the caller's thread, not a hit, not a miss on a worker, and not a
+    // re-miss re-planned from a remembered permutation.
+    let (service, rec) = recorded_service(ServeConfig {
+        cache_capacity: 1,
+        ..ServeConfig::default()
+    });
+    let no_schedule = |case: &str| {
+        for phase in SCHEDULE_PHASES {
+            assert_eq!(phase_runs(&rec, phase), 0, "{case} ran {phase}");
+        }
+    };
+    let a = grid_request(9, 9, 2);
+    let b = grid_request(7, 6, 4);
+    let first = service.solve(a.clone()).unwrap();
+    assert!(!first.cache_hit);
+    no_schedule("a miss");
+    let hit = service.solve(a.clone()).unwrap();
+    assert!(hit.cache_hit && hit.artifact.ptr_eq(&first.artifact));
+    no_schedule("a hit");
 
-    let parallel = request.clone().kernel(KernelKind::BlockParallel);
-    let par = service.solve(parallel).unwrap();
-    assert!(par.cache_hit && par.artifact.ptr_eq(&seq.artifact));
-    assert_eq!(par.batches[0].factor, seq.batches[0].factor);
-    for phase in SCHEDULE_PHASES {
-        assert_eq!(phase_runs(&rec, phase), 1, "{phase}");
-    }
-    assert_eq!(phase_runs(&rec, "symbolic"), 1);
-    assert_eq!(
-        seq.artifact.fingerprint(),
-        fresh_plan(&request).fingerprint()
-    );
+    // Through the queue: a miss on a worker, which evicts `a`.
+    let queued = service.submit(b).unwrap().wait().unwrap();
+    assert!(!queued.cache_hit);
+    assert!(!service.cache().contains(&a.key()) && service.cache().remembers(&a.key()));
+    no_schedule("a submitted miss");
+
+    let again = service.solve(a.clone()).unwrap();
+    assert!(!again.cache_hit && !again.warm_start);
+    assert_eq!(service.cache_stats().replans, 1);
+    assert_eq!(again.batches[0].factor, first.batches[0].factor);
+    no_schedule("a re-miss");
+    assert_eq!(phase_runs(&rec, "order"), 2);
+    assert_eq!(phase_runs(&rec, "symbolic"), 3);
+    // Outside the service's scope: the artifact is the fresh plan.
+    assert_eq!(again.artifact.fingerprint(), fresh_plan(&a).fingerprint());
 }
 
 #[test]
