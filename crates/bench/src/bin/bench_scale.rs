@@ -6,9 +6,10 @@
 //! [`SimulateEngine::BlockParallel`], grain 25, 16 processors) and
 //! writes `BENCH_scale.json`: per size, the column count, factor
 //! entries, end-to-end wall time, per-phase milliseconds, the
-//! `deps.engine.*` / `simulate.engine.*` cost counters, the deps
-//! heap-owner gauges (`heap_owners`: the kept predecessor lists and the
-//! most the raw lists held) and — because
+//! `deps.engine.*` / `simulate.engine.*` cost counters, the heap-owner
+//! gauges (`heap_owners`: what the partition keeps and the segmentation
+//! table its work tally walked, the kept predecessor lists and the most
+//! the raw lists held) and — because
 //! this binary installs [`spfactor::trace::alloc::TrackingAllocator`]
 //! as its global allocator — the per-phase heap high-water marks the
 //! pipeline publishes as `phase.*.peak_bytes` gauges; over the sizes,
@@ -65,9 +66,14 @@ const COUNTERS: [&str; 7] = [
     "simulate.engine.interval_pieces",
 ];
 
-/// The heap-owner gauges recorded per size: what the deps peak is made
-/// of (`docs/METRICS.md`).
-const OWNERS: [&str; 2] = ["heap.deps.preds.bytes", "heap.deps.pending.bytes"];
+/// The heap-owner gauges recorded per size: what the partition and deps
+/// peaks are made of (`docs/METRICS.md`).
+const OWNERS: [&str; 4] = [
+    "heap.partition.kept.bytes",
+    "heap.partition.segmentation.bytes",
+    "heap.deps.preds.bytes",
+    "heap.deps.pending.bytes",
+];
 
 /// Grid sides for the full sweep: n = side^2 columns, 10^4 → 10^6.
 const FULL_SIDES: [usize; 5] = [100, 200, 400, 700, 1000];
@@ -320,7 +326,7 @@ fn main() {
                 .join(", ")
         );
         eprintln!(
-            "  peak heap: {}; deps owners: {}",
+            "  peak heap: {}; owners: {}",
             r.peak_bytes
                 .iter()
                 .map(|(p, b)| format!("{p} {:.1}MB", *b as f64 / 1e6))

@@ -176,7 +176,6 @@ struct Worker<'a> {
     assignment: &'a Assignment,
     kernel: &'a UnitKernel<'a>,
     proc_of_entry: &'a [u32],
-    unit_of_entry: &'a [u32],
     /// Private value store: owned entries seeded with `A`, remote
     /// entries installed by replies (zero until then).
     vals: Vec<f64>,
@@ -278,10 +277,6 @@ impl Worker<'_> {
                         debug_assert_eq!(
                             self.proc_of_entry[id as usize] as usize, self.me,
                             "request for an element not owned here"
-                        );
-                        debug_assert!(
-                            self.done_units[self.unit_of_entry[id as usize] as usize],
-                            "request for an element that is not final yet"
                         );
                         self.vals[id as usize]
                     })
@@ -557,12 +552,14 @@ fn run(
     let seed = kernel.seed(a)?;
     let nu = partition.num_units();
     let entries = seed.len();
-    let owner = partition.owner_map();
-
-    let proc_of_entry: Vec<u32> = owner
-        .iter()
-        .map(|&u| assignment.proc_of(u as usize) as u32)
-        .collect();
+    // The processor of every entry, from the kernel's per-unit lists.
+    let mut proc_of_entry = vec![0u32; entries];
+    for u in 0..nu {
+        let p = assignment.proc_of(u) as u32;
+        for &id in kernel.entries_of(u) {
+            proc_of_entry[id as usize] = p;
+        }
+    }
     let queues = processor_queues(deps, assignment);
     let preds_len: Vec<usize> = (0..nu).map(|u| deps.preds(u).len()).collect();
 
@@ -601,7 +598,6 @@ fn run(
                     assignment,
                     kernel: &kernel,
                     proc_of_entry: &proc_of_entry,
-                    unit_of_entry: owner,
                     vals,
                     cached: vec![false; entries],
                     remaining: preds_len.clone(),

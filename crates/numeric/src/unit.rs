@@ -64,33 +64,62 @@ pub struct UnitKernel<'a> {
 }
 
 impl<'a> UnitKernel<'a> {
-    /// Groups the factor's entries by owning unit (one counting sort).
-    /// Fails if `partition` was not built for `symbolic`'s structure.
+    /// Groups the factor's entries by owning unit: the units' element
+    /// counts size the groups, then each column is split by owner
+    /// ([`Partition::split_column`]) into them. Fails if `partition` was
+    /// not built for `symbolic`'s structure: another column count or
+    /// entry total, a stored row outside its layout, or a unit handed
+    /// more entries than it counted.
     pub fn new(symbolic: &'a SymbolicFactor, partition: &Partition) -> Result<Self, NumericError> {
-        let owner = partition.owner_map();
-        if owner.len() != symbolic.num_entries() || u32::try_from(owner.len()).is_err() {
-            return Err(NumericError::StructureMismatch(format!(
-                "partition owns {} entries, symbolic factor has {}",
-                owner.len(),
-                symbolic.num_entries()
+        let mismatch = NumericError::StructureMismatch;
+        let (n, entries) = (symbolic.n(), symbolic.num_entries());
+        if partition.num_cols() != n {
+            return Err(mismatch(format!(
+                "partition has {} columns, symbolic factor has {n}",
+                partition.num_cols()
             )));
         }
-        let mut start = vec![0usize; partition.num_units() + 1];
-        for &u in owner {
-            start[u as usize + 1] += 1;
+        let owned: usize = partition.units.iter().map(|u| u.elements).sum();
+        if owned != entries || u32::try_from(entries).is_err() {
+            return Err(mismatch(format!(
+                "partition owns {owned} entries, symbolic factor has {entries}"
+            )));
         }
-        for u in 1..start.len() {
-            start[u] += start[u - 1];
+        let mut start = Vec::with_capacity(partition.num_units() + 1);
+        start.push(0);
+        for u in &partition.units {
+            start.push(start[start.len() - 1] + u.elements);
         }
+        // The element counts sum to the entry total, so a column handing
+        // some unit more than it counted would leave another short: the
+        // cursor check below is the whole consistency check.
         let mut cursor = start.clone();
-        let mut entries = vec![0u32; owner.len()];
-        let (n, colptr) = (symbolic.n(), symbolic.colptr());
+        let mut entries = vec![0u32; entries];
+        let mut overfull = None;
+        let mut segs = Vec::new();
         for j in 0..n {
-            for id in std::iter::once(j).chain(n + colptr[j]..n + colptr[j + 1]) {
-                let at = &mut cursor[owner[id] as usize];
-                entries[*at] = id as u32;
-                *at += 1;
-            }
+            partition
+                .split_column(symbolic, j, &mut segs, |u, ids| {
+                    let (u, at) = (u as usize, cursor[u as usize]);
+                    let end = at + ids.len();
+                    if end > start[u + 1] {
+                        overfull.get_or_insert(u);
+                        return;
+                    }
+                    for (slot, id) in entries[at..end].iter_mut().zip(ids) {
+                        *slot = id as u32;
+                    }
+                    cursor[u] = end;
+                })
+                .map_err(|row| {
+                    mismatch(format!("row {row} of column {j} is outside the partition"))
+                })?;
+        }
+        if let Some(u) = overfull {
+            return Err(mismatch(format!(
+                "unit {u} owns more entries than the {} it counted",
+                partition.units[u].elements
+            )));
         }
         Ok(UnitKernel {
             symbolic,
@@ -98,6 +127,11 @@ impl<'a> UnitKernel<'a> {
             start,
             entries,
         })
+    }
+
+    /// The entry ids unit `u` owns, in `(column, id)` order.
+    pub fn entries_of(&self, u: usize) -> &[u32] {
+        &self.entries[self.start[u]..self.start[u + 1]]
     }
 
     /// Checks that `deps` and `assignment` were built for `partition`:
@@ -168,7 +202,7 @@ impl<'a> UnitKernel<'a> {
     pub fn walk<E>(&self, u: usize, mut visit: impl FnMut(Step) -> Result<(), E>) -> Result<(), E> {
         let n = self.symbolic.n();
         let (colptr, rowidx) = (self.symbolic.colptr(), self.symbolic.rowidx());
-        let mut owned = &self.entries[self.start[u]..self.start[u + 1]];
+        let mut owned = self.entries_of(u);
         while let Some(&first) = owned.first() {
             let j = self.symbolic.entry_coords(first as usize).1;
             let strict_ids = n + colptr[j]..n + colptr[j + 1];
@@ -302,17 +336,61 @@ impl<'a> UnitKernel<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spfactor_matrix::gen;
+    use spfactor_matrix::{gen, SymmetricPattern};
+    use spfactor_partition::PartitionParams;
 
     // The walk and `run` are pinned in tests/numeric_kernel_bits.rs.
+
+    /// What `UnitKernel::new` says about a partition it must refuse.
+    fn mismatch(symbolic: &SymbolicFactor, partition: &Partition) -> String {
+        match UnitKernel::new(symbolic, partition) {
+            Err(NumericError::StructureMismatch(what)) => what,
+            Err(e) => panic!("{e:?}"),
+            Ok(_) => panic!("a foreign partition was accepted"),
+        }
+    }
+
+    /// The factor of a ten-vertex graph, in its natural order.
+    fn factor(edges: Vec<(usize, usize)>) -> SymbolicFactor {
+        SymbolicFactor::from_pattern(&SymmetricPattern::from_edges(10, edges))
+    }
+
     #[test]
     fn a_partition_of_another_factor_is_a_typed_error() {
         let f = SymbolicFactor::from_pattern(&gen::lap9(4, 4));
         let other = SymbolicFactor::from_pattern(&gen::lap9(3, 3));
         let part = Partition::columns(&f);
-        assert!(matches!(
-            UnitKernel::new(&other, &part),
-            Err(NumericError::StructureMismatch(_))
-        ));
+        assert!(mismatch(&other, &part).contains("columns"));
+    }
+
+    #[test]
+    fn a_same_sized_foreign_partition_is_a_typed_error() {
+        // A 4-clique joined to vertex `far`: the factors for far = 8 and
+        // far = 9 have the same columns and entry count.
+        let clique_to = |far: usize| {
+            let mut edges = vec![(far, 0), (far, 1), (far, 2), (far, 3)];
+            for a in 0..4 {
+                edges.extend((a + 1..4).map(|b| (b, a)));
+            }
+            factor(edges)
+        };
+        let (to8, to9) = (clique_to(8), clique_to(9));
+        assert_eq!(to8.num_entries(), to9.num_entries());
+        let mut params = PartitionParams::with_grain(100);
+        params.min_cluster_width = 2;
+        // The strip's layout covers rows 0-3 and 9, not row 8.
+        let part = Partition::build(&to9, &params);
+        let what = mismatch(&to8, &part);
+        assert!(what.contains("row 8 of column 0"), "{what}");
+
+        // A chain and a triangle-then-chain: nine strict entries each,
+        // but column 0 of the second stores two.
+        let chain = factor((1..10).map(|i| (i, i - 1)).collect());
+        let mut edges = vec![(1, 0), (2, 0), (2, 1)];
+        edges.extend((4..10).map(|i| (i, i - 1)));
+        let triangle = factor(edges);
+        assert_eq!(chain.num_entries(), triangle.num_entries());
+        let what = mismatch(&triangle, &Partition::columns(&chain));
+        assert!(what.contains("unit 0 owns more entries"), "{what}");
     }
 }

@@ -391,7 +391,7 @@ pub fn dependencies(factor: &SymbolicFactor, partition: &Partition) -> DepGraph 
 /// Returns the graph and the bytes its raw lists held before layout.
 fn enumerate(factor: &SymbolicFactor, partition: &Partition) -> (DepGraph, usize) {
     let nu = partition.num_units();
-    let owner = partition.owner_map();
+    let owner = partition.ownership(factor);
     let eid = |i: usize, j: usize| factor.entry_id(i, j).expect("factor entry");
     let mut pred_sets: Vec<Vec<u32>> = vec![Vec::new(); nu];
     let mut category_ops = [0usize; 10];
@@ -565,7 +565,7 @@ mod tests {
         let part = Partition::build(&f, &PartitionParams::with_grain(4));
         let g = dependencies(&f, &part);
         // Total classified ops equals total external ops. Re-count.
-        let owner = part.owner_map();
+        let owner = part.ownership(&f);
         let mut external_ops = 0usize;
         ops::for_each_update(&f, |op| {
             let t = owner[f.entry_id(op.i, op.j).unwrap()];

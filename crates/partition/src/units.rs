@@ -20,7 +20,8 @@ use spfactor_trace::Current;
 use std::ops::Range;
 
 /// The result of partitioning a symbolic factor: clusters, unit blocks in
-/// allocation scan order, and the element → unit ownership map.
+/// allocation scan order, and the geometry that says which unit owns
+/// each factor entry — no table with a row per entry.
 #[derive(Clone, Debug)]
 pub struct Partition {
     /// Clusters, left to right.
@@ -29,12 +30,12 @@ pub struct Partition {
     pub units: Vec<UnitBlock>,
     /// Parameters used.
     pub params: PartitionParams,
-    /// `owner[entry_id] = unit id` for every factor entry.
-    owner: Vec<u32>,
-    /// Per-cluster geometry tables, parallel to `clusters` — retained so
-    /// geometry-level engines (the deps sweep) can map `(row, column)` to
-    /// its owning unit without per-element work, using the *same* tables
-    /// the ownership map was built from.
+    /// `col_cluster[j]` is the cluster holding column `j`.
+    col_cluster: Vec<u32>,
+    /// Per-cluster geometry tables, parallel to `clusters`: every
+    /// ownership query — a column's segmentation, the entry → unit map
+    /// ([`Partition::ownership`]), the units an update reaches — is
+    /// answered from these.
     layouts: Vec<ClusterLayout>,
 }
 
@@ -53,9 +54,8 @@ pub(crate) struct RectGrid {
 
 /// The geometry lookup table of one cluster: which unit owns `(i, j)` for
 /// any stored entry with `j` in the cluster. Built once by
-/// [`Partition::from_clusters`] and kept on the [`Partition`] so both the
-/// ownership map and the sweep-based dependency engine resolve ownership
-/// from identical data.
+/// [`Partition::from_clusters`] and kept on the [`Partition`]; a
+/// single-column cluster's is 16 bytes.
 #[derive(Clone, Debug)]
 pub(crate) enum ClusterLayout {
     /// Single-column cluster: one unit owns the whole column.
@@ -64,17 +64,48 @@ pub(crate) enum ClusterLayout {
         unit: u32,
     },
     /// A supernodal strip: a split dense triangle plus below-rectangles.
-    Strip {
-        /// Diagonal chunk extents of the triangle, ascending.
-        tri_chunks: Vec<Interval>,
-        /// Unit id of diagonal sub-triangle `d`.
-        tri_unit: Vec<u32>,
-        /// Unit id of interior sub-rectangle `(r, c)`, `r > c`, indexed
-        /// `r * t + c` (`u32::MAX` where `r <= c`).
-        tri_rect_unit: Vec<u32>,
-        /// Below-rectangle grids, in ascending row order.
-        rects: Vec<RectGrid>,
-    },
+    Strip(Box<StripLayout>),
+}
+
+/// The geometry of a strip: its triangle's diagonal chunks and its
+/// below-rectangle grids. The triangle's units come first in scan order:
+/// the `t` diagonal sub-triangles top to bottom, then the interior
+/// sub-rectangles `(r, c)`, `r > c`, row by row.
+#[derive(Clone, Debug)]
+pub(crate) struct StripLayout {
+    /// Diagonal chunk extents of the triangle, ascending.
+    tri_chunks: Vec<Interval>,
+    /// Unit id of the first diagonal sub-triangle.
+    first_unit: u32,
+    /// Below-rectangle grids, in ascending row order.
+    rects: Vec<RectGrid>,
+}
+
+impl StripLayout {
+    /// Unit id of diagonal sub-triangle `d`.
+    #[inline]
+    fn tri_unit(&self, d: usize) -> u32 {
+        self.first_unit + d as u32
+    }
+
+    /// Unit id of the triangle's interior sub-rectangle `(r, c)`, `r > c`.
+    #[inline]
+    fn tri_rect_unit(&self, r: usize, c: usize) -> u32 {
+        debug_assert!(c < r);
+        self.first_unit + (self.tri_chunks.len() + r * (r - 1) / 2 + c) as u32
+    }
+
+    /// Capacity of the strip's heap: the box and the vectors it holds.
+    fn heap_bytes(&self) -> usize {
+        let grids: usize = self
+            .rects
+            .iter()
+            .map(|g| g.row_chunks.capacity() + g.col_chunks.capacity())
+            .sum();
+        size_of::<StripLayout>()
+            + (self.tri_chunks.capacity() + grids) * size_of::<Interval>()
+            + self.rects.capacity() * size_of::<RectGrid>()
+    }
 }
 
 impl RectGrid {
@@ -186,15 +217,12 @@ fn strip_targets(
     scratch: &mut TargetScratch,
     f: &mut impl FnMut(UpdateTarget<'_>),
 ) {
-    let ClusterLayout::Strip {
-        tri_chunks,
-        tri_unit,
-        tri_rect_unit,
-        rects,
-    } = layout
-    else {
+    let ClusterLayout::Strip(strip) = layout else {
         unreachable!("single-column clusters are reported by the caller");
     };
+    let StripLayout {
+        tri_chunks, rects, ..
+    } = &**strip;
     let TargetScratch {
         pieces,
         col_runs,
@@ -216,17 +244,16 @@ fn strip_targets(
         split_run(clipped, tag, tri_chunks, tri_hits, pieces);
         below += usize::from(run.hi <= cols.hi);
     }
-    let t = tri_chunks.len();
     for &(d, ref range) in tri_hits.iter() {
         f(UpdateTarget::Triangle {
-            unit: tri_unit[d as usize],
+            unit: strip.tri_unit(d as usize),
             pieces: &pieces[range.clone()],
         });
     }
     for (b, &(r, ref below_piece)) in tri_hits.iter().enumerate().skip(1) {
         for &(c, ref left_piece) in &tri_hits[..b] {
             f(UpdateTarget::Rectangle {
-                unit: tri_rect_unit[r as usize * t + c as usize],
+                unit: strip.tri_rect_unit(r as usize, c as usize),
                 rows: &pieces[below_piece.clone()],
                 cols: &pieces[left_piece.clone()],
             });
@@ -359,15 +386,24 @@ impl Segmentation {
     pub(crate) fn col(&self, j: usize) -> &[(Interval, u32)] {
         &self.segs[self.start[j]..self.start[j + 1]]
     }
+
+    /// Capacity of the table's two arrays, in bytes.
+    fn heap_bytes(&self) -> usize {
+        self.start.capacity() * size_of::<usize>()
+            + self.segs.capacity() * size_of::<(Interval, u32)>()
+    }
 }
 
-/// What the work tally walked (the `partition.work.*` counters).
+/// What the work tally walked (the `partition.work.*` counters and the
+/// `heap.partition.segmentation.bytes` gauge).
 struct WorkTally {
     /// Non-empty sorted row runs split against a segmentation: one scaling
     /// run per column plus one update tail per (supernode, target column).
     pairs: u64,
     /// Pieces those runs fell into.
     segments: u64,
+    /// Capacity of the segmentation table walked.
+    segmentation_bytes: usize,
 }
 
 /// Returns the end of the prefix of `rows[idx..end]` with values `<= hi`,
@@ -410,27 +446,35 @@ pub(crate) fn advance(segs: &[(Interval, u32)], mut idx: usize, i: usize) -> usi
     idx
 }
 
-/// Splits the ascending `rows` at the boundaries of `segs` (which must
-/// cover every row) and calls `f(unit, piece)` for each non-empty piece,
-/// `piece` an index range into `rows`. Returns the number of pieces.
+/// Splits the ascending `rows` at the boundaries of `segs` and calls
+/// `f(unit, piece)` for each non-empty piece, `piece` an index range into
+/// `rows`. Returns the number of pieces, or the first row no segment
+/// covers — `rows` is not a column of the factor `segs` was laid out for.
 #[inline]
 fn split_rows(
     rows: &[usize],
     segs: &[(Interval, u32)],
     mut f: impl FnMut(u32, Range<usize>),
-) -> u64 {
+) -> Result<u64, usize> {
+    match (rows.last(), segs.last()) {
+        (None, _) => return Ok(0),
+        (Some(&last), Some(seg)) if last <= seg.0.hi => {}
+        (Some(&last), _) => return Err(last),
+    }
     let mut pieces = 0;
     let mut si = 0;
     let mut idx = 0;
     while idx < rows.len() {
         si = advance(segs, si, rows[idx]);
-        debug_assert!(segs[si].0.contains(rows[idx]));
+        if segs[si].0.lo > rows[idx] {
+            return Err(rows[idx]);
+        }
         let end = split_at(rows, idx, rows.len(), segs[si].0.hi);
         f(segs[si].1, idx..end);
         pieces += 1;
         idx = end;
     }
-    pieces
+    Ok(pieces)
 }
 
 impl Partition {
@@ -440,9 +484,12 @@ impl Partition {
     /// (`partition.identify_clusters`) and unit layout
     /// (`partition.split_units`) separately, counts the tails and segment
     /// pieces the work tally walked (`partition.work.pairs` /
-    /// `partition.work.segments`) and records the resulting shape of the
-    /// partition — cluster counts by kind, unit counts by shape, total
-    /// work — as `partition.*` gauges (see `docs/METRICS.md`).
+    /// `partition.work.segments`), records the heap the partition keeps
+    /// and the transient table the tally walked
+    /// (`heap.partition.kept.bytes` / `heap.partition.segmentation.bytes`)
+    /// and the resulting shape of the partition — cluster counts by kind,
+    /// unit counts by shape, total work — as `partition.*` gauges (see
+    /// `docs/METRICS.md`).
     pub fn build(factor: &SymbolicFactor, params: &PartitionParams) -> Partition {
         let rec = spfactor_trace::current();
         let clusters = rec.time("partition.identify_clusters", || {
@@ -453,15 +500,21 @@ impl Partition {
         });
         rec.incr("partition.work.pairs", tally.pairs);
         rec.incr("partition.work.segments", tally.segments);
-        part.record_stats(&rec);
+        part.record_stats(&rec, tally.segmentation_bytes);
         part
     }
 
-    /// Records this partition's shape as `partition.*` gauges.
-    fn record_stats(&self, rec: &Current) {
+    /// Records this partition's heap and shape as `heap.partition.*` and
+    /// `partition.*` gauges.
+    fn record_stats(&self, rec: &Current, segmentation_bytes: usize) {
         if !rec.is_recording() {
             return;
         }
+        rec.gauge("heap.partition.kept.bytes", self.heap_bytes() as f64);
+        rec.gauge(
+            "heap.partition.segmentation.bytes",
+            segmentation_bytes as f64,
+        );
         let strips = self.clusters.iter().filter(|c| !c.is_single()).count();
         rec.gauge("partition.clusters", self.clusters.len() as f64);
         rec.gauge("partition.clusters.strip", strips as f64);
@@ -484,27 +537,53 @@ impl Partition {
         rec.gauge("partition.total_work", self.total_work() as f64);
     }
 
+    /// The heap this partition keeps, in bytes: the capacity of the unit
+    /// list, of the clusters with their rectangle row extents, of the
+    /// layouts with their boxed strips, and of the column → cluster
+    /// table. Nothing in it grows with the factor's entry count.
+    pub fn heap_bytes(&self) -> usize {
+        let rect_rows: usize = self
+            .clusters
+            .iter()
+            .map(|c| match &c.kind {
+                ClusterKind::Strip { rect_rows } => rect_rows.capacity(),
+                ClusterKind::SingleColumn => 0,
+            })
+            .sum();
+        let strips: usize = self
+            .layouts
+            .iter()
+            .map(|l| match l {
+                ClusterLayout::Strip(strip) => strip.heap_bytes(),
+                ClusterLayout::Single { .. } => 0,
+            })
+            .sum();
+        self.units.capacity() * size_of::<UnitBlock>()
+            + self.clusters.capacity() * size_of::<Cluster>()
+            + rect_rows * size_of::<Interval>()
+            + self.layouts.capacity() * size_of::<ClusterLayout>()
+            + strips
+            + self.col_cluster.capacity() * size_of::<u32>()
+    }
+
     /// A degenerate partition with one column unit per column — the layout
     /// the *wrap-mapped* baseline scheme assigns processors over. Column
     /// `j`'s unit owns the whole column and does the work landing in it
     /// ([`ops::column_work`]), so there is no geometry to lay out:
-    /// `O(nnz(L))`. Under a recorder scope: the `partition.columns` span
-    /// and the same `partition.*` shape gauges as [`build`](Self::build).
+    /// `O(n)` beside the work count. Under a recorder scope: the
+    /// `partition.columns` span and the same `heap.partition.*` and
+    /// `partition.*` gauges as [`build`](Self::build) (no segmentation
+    /// table: 0).
     pub fn columns(factor: &SymbolicFactor) -> Partition {
         let rec = spfactor_trace::current();
         let part = rec.time("partition.columns", || Self::column_units(factor));
-        part.record_stats(&rec);
+        part.record_stats(&rec, 0);
         part
     }
 
     fn column_units(factor: &SymbolicFactor) -> Partition {
         let n = factor.n();
         let work = ops::column_work(factor);
-        let mut owner: Vec<u32> = Vec::with_capacity(factor.num_entries());
-        owner.extend(0..n as u32);
-        for j in 0..n {
-            owner.extend(std::iter::repeat_n(j as u32, factor.col_count(j)));
-        }
         Partition {
             clusters: (0..n)
                 .map(|j| Cluster {
@@ -528,133 +607,122 @@ impl Partition {
                 min_cluster_width: usize::MAX,
                 relax_zeros: 0,
             },
-            owner,
+            col_cluster: (0..n as u32).collect(),
             layouts: (0..n)
                 .map(|j| ClusterLayout::Single { unit: j as u32 })
                 .collect(),
         }
     }
 
-    /// Lays `clusters` out into unit blocks, then fills ownership and
-    /// work ([`fill_ownership_and_work`](Self::fill_ownership_and_work)).
+    /// Lays `clusters` out into unit blocks, then fills every unit's
+    /// element count and work
+    /// ([`fill_elements_and_work`](Self::fill_elements_and_work)).
     fn from_clusters(
         factor: &SymbolicFactor,
         clusters: Vec<Cluster>,
         params: PartitionParams,
     ) -> (Partition, WorkTally) {
-        let mut units: Vec<UnitBlock> = Vec::new();
-        let mut layouts: Vec<ClusterLayout> = Vec::with_capacity(clusters.len());
-
-        for cl in &clusters {
-            match &cl.kind {
+        // The geometry first, handing unit ids out in scan order.
+        let mut next = 0u32;
+        let layouts: Vec<ClusterLayout> = clusters
+            .iter()
+            .map(|cl| match &cl.kind {
                 ClusterKind::SingleColumn => {
-                    let id = units.len();
-                    units.push(UnitBlock {
-                        id,
-                        cluster: cl.id,
-                        shape: UnitShape::Column { col: cl.cols.lo },
-                        elements: 0,
-                        work: 0,
-                    });
-                    layouts.push(ClusterLayout::Single { unit: id as u32 });
+                    next += 1;
+                    ClusterLayout::Single { unit: next - 1 }
                 }
                 ClusterKind::Strip { rect_rows } => {
                     let w = cl.width();
                     let t = triangle_chunk_count(w, params.grain_triangle);
-                    let tri_chunks = chunks(cl.cols, t);
-                    // Triangle units: diagonal sub-triangles top to bottom.
-                    let mut tri_unit = Vec::with_capacity(t);
-                    for &c in &tri_chunks {
-                        let id = units.len();
-                        units.push(UnitBlock {
-                            id,
-                            cluster: cl.id,
-                            shape: UnitShape::Triangle { extent: c },
-                            elements: 0,
-                            work: 0,
-                        });
-                        tri_unit.push(id as u32);
-                    }
-                    // Interior sub-rectangles, top to bottom then left to
-                    // right: rows r = 1..t, cols c = 0..r.
-                    let mut tri_rect_unit = vec![u32::MAX; t * t];
-                    for r in 1..t {
-                        for c in 0..r {
-                            let id = units.len();
-                            units.push(UnitBlock {
-                                id,
-                                cluster: cl.id,
-                                shape: UnitShape::Rectangle {
-                                    cols: tri_chunks[c],
-                                    rows: tri_chunks[r],
-                                },
-                                elements: 0,
-                                work: 0,
-                            });
-                            tri_rect_unit[r * t + c] = id as u32;
-                        }
-                    }
-                    // Below-rectangles, top to bottom; each split into a
-                    // pr × pc grid laid out row-major.
-                    let mut rects = Vec::with_capacity(rect_rows.len());
-                    for &rr in rect_rows {
-                        let (pr, pc) = rectangle_grid(rr.len(), w, params.grain_rectangle);
-                        let row_chunks = chunks(rr, pr);
-                        let col_chunks = chunks(cl.cols, pc);
-                        let first = units.len();
-                        for rc in &row_chunks {
-                            for cc in &col_chunks {
-                                let id = units.len();
-                                units.push(UnitBlock {
-                                    id,
-                                    cluster: cl.id,
-                                    shape: UnitShape::Rectangle {
-                                        cols: *cc,
-                                        rows: *rc,
-                                    },
-                                    elements: 0,
-                                    work: 0,
-                                });
-                            }
-                        }
-                        rects.push(RectGrid {
-                            row_chunks,
-                            col_chunks,
-                            first_unit: first as u32,
-                        });
-                    }
-                    layouts.push(ClusterLayout::Strip {
-                        tri_chunks,
-                        tri_unit,
-                        tri_rect_unit,
+                    let first_unit = next;
+                    next += (t * (t + 1) / 2) as u32;
+                    // Each below-rectangle split into a pr × pc grid.
+                    let rects = rect_rows
+                        .iter()
+                        .map(|&rr| {
+                            let (pr, pc) = rectangle_grid(rr.len(), w, params.grain_rectangle);
+                            let grid = RectGrid {
+                                row_chunks: chunks(rr, pr),
+                                col_chunks: chunks(cl.cols, pc),
+                                first_unit: next,
+                            };
+                            next += (pr * pc) as u32;
+                            grid
+                        })
+                        .collect();
+                    ClusterLayout::Strip(Box::new(StripLayout {
+                        tri_chunks: chunks(cl.cols, t),
+                        first_unit,
                         rects,
-                    });
+                    }))
+                }
+            })
+            .collect();
+
+        // Then the units, read off the geometry in the same order: a
+        // strip's diagonal sub-triangles top to bottom, its interior
+        // sub-rectangles (r, c), r > c, row by row, then each
+        // below-rectangle's grid row-major.
+        let mut units: Vec<UnitBlock> = Vec::with_capacity(next as usize);
+        let mut push = |cluster: usize, shape: UnitShape| {
+            units.push(UnitBlock {
+                id: units.len(),
+                cluster,
+                shape,
+                elements: 0,
+                work: 0,
+            })
+        };
+        for (cl, layout) in clusters.iter().zip(&layouts) {
+            let ClusterLayout::Strip(strip) = layout else {
+                push(cl.id, UnitShape::Column { col: cl.cols.lo });
+                continue;
+            };
+            let tri = &strip.tri_chunks;
+            for &extent in tri {
+                push(cl.id, UnitShape::Triangle { extent });
+            }
+            for r in 1..tri.len() {
+                for &cols in &tri[..r] {
+                    push(cl.id, UnitShape::Rectangle { cols, rows: tri[r] });
+                }
+            }
+            for grid in &strip.rects {
+                for &rows in &grid.row_chunks {
+                    for &cols in &grid.col_chunks {
+                        push(cl.id, UnitShape::Rectangle { cols, rows });
+                    }
                 }
             }
         }
+        debug_assert_eq!(units.len(), next as usize);
 
+        let n = clusters.last().map_or(0, |c| c.cols.hi + 1);
+        let mut col_cluster = Vec::with_capacity(n);
+        for cl in &clusters {
+            col_cluster.extend(std::iter::repeat_n(cl.id as u32, cl.width()));
+        }
         let mut part = Partition {
             clusters,
             units,
             params,
-            owner: Vec::new(),
+            col_cluster,
             layouts,
         };
-        let tally = part.fill_ownership_and_work(factor);
+        let tally = part.fill_elements_and_work(factor);
         (part, tally)
     }
 
-    /// Fills the ownership map and every unit's `elements` and `work`
-    /// from the ownership segmentation alone — no update pair is
-    /// enumerated.
+    /// Fills every unit's `elements` and `work` from the ownership
+    /// segmentation alone — no update pair is enumerated.
     ///
     /// Within one segment of a target column the owning unit is constant,
     /// so a sorted run of target rows is counted by splitting it at the
     /// segment boundaries ([`split_rows`]):
     ///
-    /// * *Ownership and scalings.* Column `j`'s strict-lower entries have
-    ///   consecutive entry ids; each piece of `col(j)` fills its id range
-    ///   with the owning unit and adds one scaling per entry.
+    /// * *Elements and scalings.* Each piece of `col(j)` adds its length
+    ///   to its owner's elements and one scaling per entry; the diagonal
+    ///   belongs to the first segment's unit.
     /// * *Updates*, grouped by fundamental supernode `S = [k0..=k1]` on
     ///   the source side. Every column `k ∈ S` stores `{k+1..=k1} ∪ B`
     ///   with `B = col(k1)`, so the update pairs `(i, j, k)` of the whole
@@ -666,34 +734,29 @@ impl Partition {
     ///
     /// `Θ(Σ_S |rows(k0_S)| · segments)` against the per-pair replay's
     /// `Θ(Σ_k c_k² · log c)`.
-    fn fill_ownership_and_work(&mut self, factor: &SymbolicFactor) -> WorkTally {
-        let n = factor.n();
+    fn fill_elements_and_work(&mut self, factor: &SymbolicFactor) -> WorkTally {
+        const COVERED: &str = "a partition's layout covers its own factor";
         let segs = self.segmentation();
-        let mut owner = vec![u32::MAX; factor.num_entries()];
         let mut elements = vec![0usize; self.units.len()];
         let mut work = vec![0usize; self.units.len()];
         let mut tally = WorkTally {
             pairs: 0,
             segments: 0,
+            segmentation_bytes: segs.heap_bytes(),
         };
 
-        let mut base = n;
-        for j in 0..n {
+        for j in 0..factor.n() {
             let col_segs = segs.col(j);
             // The first segment always contains row j.
-            let diag = col_segs[0].1;
-            owner[j] = diag;
-            elements[diag as usize] += 1;
+            elements[col_segs[0].1 as usize] += 1;
             let rows = factor.col(j);
             tally.pairs += u64::from(!rows.is_empty());
             tally.segments += split_rows(rows, col_segs, |unit, piece| {
-                owner[base + piece.start..base + piece.end].fill(unit);
                 elements[unit as usize] += piece.len();
                 work[unit as usize] += piece.len();
-            });
-            base += rows.len();
+            })
+            .expect(COVERED);
         }
-        debug_assert!(owner.iter().all(|&u| u != u32::MAX));
 
         for sn in fundamental_supernodes(factor) {
             let rows = factor.col(sn.start);
@@ -702,11 +765,11 @@ impl Partition {
                 let weight = 2 * (b + 1).min(sn.len());
                 tally.segments += split_rows(&rows[b..], segs.col(j), |unit, piece| {
                     work[unit as usize] += weight * piece.len();
-                });
+                })
+                .expect(COVERED);
             }
         }
 
-        self.owner = owner;
         for ((u, e), w) in self.units.iter_mut().zip(elements).zip(work) {
             u.elements = e;
             u.work = w;
@@ -720,7 +783,7 @@ impl Partition {
     /// analysis engines derive one column at a time instead
     /// ([`ownership_of`](Self::ownership_of)).
     pub(crate) fn segmentation(&self) -> Segmentation {
-        let n = self.clusters.last().map_or(0, |c| c.cols.hi + 1);
+        let n = self.col_cluster.len();
         let mut start = Vec::with_capacity(n + 1);
         let mut segs = Vec::new();
         start.push(0);
@@ -734,16 +797,65 @@ impl Partition {
     }
 
     /// The unit owning factor entry `(i, j)` (`i >= j`, must be a stored
-    /// entry).
+    /// entry), read off column `j`'s ownership segmentation.
     pub fn unit_of(&self, factor: &SymbolicFactor, i: usize, j: usize) -> usize {
-        self.owner[factor
+        factor
             .entry_id(i, j)
-            .expect("(i, j) must be a factor nonzero")] as usize
+            .expect("(i, j) must be a factor nonzero");
+        let mut segs = Vec::new();
+        self.ownership_of(j, &mut segs);
+        segs[segs.partition_point(|s| s.0.hi < i)].1 as usize
     }
 
-    /// The raw ownership map, indexed by factor entry id.
-    pub fn owner_map(&self) -> &[u32] {
-        &self.owner
+    /// Splits column `j` of `factor` by owning unit: calls `f(unit, ids)`
+    /// for the diagonal entry (`ids = j..j + 1`), then for each maximal
+    /// piece of the column's strict entries one unit owns, `ids` the
+    /// piece's entry ids (ascending rows). `segs` is the caller's
+    /// scratch for the column's segmentation. Fails with the first
+    /// stored row the layout does not cover — `factor` is not the one
+    /// this partition was built for. `j` must be one of the partition's
+    /// columns.
+    pub fn split_column(
+        &self,
+        factor: &SymbolicFactor,
+        j: usize,
+        segs: &mut Vec<(Interval, u32)>,
+        mut f: impl FnMut(u32, Range<usize>),
+    ) -> Result<(), usize> {
+        self.ownership_of(j, segs);
+        f(segs[0].1, j..j + 1);
+        let base = factor.n() + factor.colptr()[j];
+        split_rows(factor.col(j), segs, |unit, piece| {
+            f(unit, base + piece.start..base + piece.end)
+        })
+        .map(drop)
+    }
+
+    /// The entry → unit map, indexed by factor entry id, derived from the
+    /// layout column by column ([`split_column`](Self::split_column)).
+    /// Nothing keeps it: the element oracles and tests build it when they
+    /// need it, the executors group entries from the columns directly.
+    ///
+    /// # Panics
+    ///
+    /// If `factor` is not the one this partition was built for (another
+    /// column count, or a stored row outside the layout).
+    pub fn ownership(&self, factor: &SymbolicFactor) -> Vec<u32> {
+        assert_eq!(
+            factor.n(),
+            self.num_cols(),
+            "the factor's column count is not the partition's"
+        );
+        let mut owner = vec![0u32; factor.num_entries()];
+        let mut segs = Vec::new();
+        for j in 0..factor.n() {
+            if let Err(row) =
+                self.split_column(factor, j, &mut segs, |unit, ids| owner[ids].fill(unit))
+            {
+                panic!("row {row} of column {j} is outside the partition's layout");
+            }
+        }
+        owner
     }
 
     /// Replaces `out` with the *ownership segmentation* of column `j`:
@@ -759,33 +871,22 @@ impl Partition {
     }
 
     /// Appends the ownership segmentation of column `j`, in cluster
-    /// `cid`, to `out`. The segments are derived from the same retained
-    /// layout tables that built the ownership map, so the two views can
-    /// never disagree.
+    /// `cid`, to `out`, derived from the retained layout tables every
+    /// ownership view is read from.
     pub(crate) fn ownership_in(&self, cid: usize, j: usize, out: &mut Vec<(Interval, u32)>) {
         debug_assert!(self.clusters[cid].cols.contains(j));
         match &self.layouts[cid] {
             ClusterLayout::Single { unit } => {
-                let n = self.clusters.last().map_or(j, |c| c.cols.hi);
-                out.push((Interval::new(j, n), *unit));
+                out.push((Interval::new(j, self.col_cluster.len() - 1), *unit));
             }
-            ClusterLayout::Strip {
-                tri_chunks,
-                tri_unit,
-                tri_rect_unit,
-                rects,
-            } => {
-                let t = tri_chunks.len();
-                let jc = tri_chunks.partition_point(|c| c.hi < j);
-                for r in jc..t {
-                    let unit = if r == jc {
-                        tri_unit[r]
-                    } else {
-                        tri_rect_unit[r * t + jc]
-                    };
-                    out.push((tri_chunks[r], unit));
+            ClusterLayout::Strip(strip) => {
+                let tri = &strip.tri_chunks;
+                let jc = tri.partition_point(|c| c.hi < j);
+                out.push((tri[jc], strip.tri_unit(jc)));
+                for (r, &chunk) in tri.iter().enumerate().skip(jc + 1) {
+                    out.push((chunk, strip.tri_rect_unit(r, jc)));
                 }
-                for g in rects {
+                for g in &strip.rects {
                     let c = g.col_chunks.partition_point(|cc| cc.hi < j);
                     debug_assert!(g.col_chunks[c].contains(j));
                     let pc = g.col_chunks.len();
@@ -850,11 +951,15 @@ impl Partition {
         }
     }
 
-    /// The cluster holding column `col`: the one of the unit owning its
-    /// diagonal.
+    /// The cluster holding column `col`.
     #[inline]
     fn cluster_of(&self, col: usize) -> usize {
-        self.units[self.owner[col] as usize].cluster
+        self.col_cluster[col] as usize
+    }
+
+    /// Number of columns partitioned.
+    pub fn num_cols(&self) -> usize {
+        self.col_cluster.len()
     }
 
     /// Number of unit blocks.
@@ -921,6 +1026,12 @@ mod tests {
         let (pr, pc) = rectangle_grid(1, 8, 2);
         assert_eq!(pr, 1);
         assert!(pc <= 4);
+    }
+
+    #[test]
+    fn a_single_column_layout_is_sixteen_bytes() {
+        // One per single-column cluster: the strip tables stay boxed.
+        assert_eq!(size_of::<ClusterLayout>(), 16);
     }
 
     #[test]
@@ -1183,9 +1294,9 @@ mod tests {
 
     #[test]
     fn column_ownership_matches_unit_of() {
-        // The segmentation view must agree with the per-entry ownership
-        // map at every stored entry, for several grains and the wrap
-        // (per-column) layout.
+        // The flat segmentation the work tally walks, the derived entry
+        // map and `unit_of` must agree at every stored entry, for
+        // several grains and the wrap (per-column) layout.
         let p = gen::lap9(10, 10);
         let f = factor_of(&p);
         let mut parts: Vec<Partition> = [1usize, 4, 25]
@@ -1195,6 +1306,7 @@ mod tests {
         parts.push(Partition::columns(&f));
         for part in &parts {
             let segmentation = part.segmentation();
+            let owner = part.ownership(&f);
             for j in 0..f.n() {
                 let segs = segmentation.col(j);
                 for w in segs.windows(2) {
@@ -1206,8 +1318,11 @@ mod tests {
                     segs[s].1 as usize
                 };
                 assert_eq!(lookup(j), part.unit_of(&f, j, j), "diag ({j},{j})");
+                assert_eq!(lookup(j), owner[j] as usize, "diag ({j},{j})");
                 for &i in f.col(j) {
                     assert_eq!(lookup(i), part.unit_of(&f, i, j), "({i},{j})");
+                    let id = f.entry_id(i, j).unwrap();
+                    assert_eq!(lookup(i), owner[id] as usize, "({i},{j})");
                 }
             }
         }

@@ -189,15 +189,15 @@ fn element_traffic(
 /// Every read of the §4 traffic rule: each update and diagonal scaling
 /// makes the target element's processor read its source elements, in
 /// the oracle's enumeration order ([`ops::for_each_update`], then
-/// [`ops::for_each_scaling`]). Each read is handed to
+/// [`ops::for_each_scaling`]). `owner` is the partition's entry → unit
+/// map ([`Partition::ownership`]). Each read is handed to
 /// `on_read(src_entry, (tgt_unit, tgt_proc))`.
 pub(crate) fn replay_reads(
     factor: &SymbolicFactor,
-    partition: &Partition,
+    owner: &[u32],
     assignment: &Assignment,
     mut on_read: impl FnMut(usize, (usize, usize)),
 ) {
-    let owner = partition.owner_map();
     let eid = |i: usize, j: usize| factor.entry_id(i, j).expect("factor entry");
     // A target element as (its unit, that unit's processor).
     let target = |i: usize, j: usize| {
@@ -227,12 +227,12 @@ pub(crate) fn replay_fetches(
     assignment: &Assignment,
     mut on_first_fetch: impl FnMut(usize, usize),
 ) -> [u64; 3] {
-    let owner = partition.owner_map();
+    let owner = partition.ownership(factor);
     let mut seen: Vec<BitSet> = (0..assignment.nprocs)
         .map(|_| BitSet::new(factor.num_entries()))
         .collect();
     let mut accesses = [0u64; 3];
-    replay_reads(factor, partition, assignment, |src, (tgt_unit, tp)| {
+    replay_reads(factor, &owner, assignment, |src, (tgt_unit, tp)| {
         let src_unit = owner[src] as usize;
         if assignment.proc_of(src_unit) == tp {
             accesses[2] += 1;

@@ -65,7 +65,7 @@ pub fn messages(
     crate::check_deps(partition, deps);
     let nprocs = assignment.nprocs;
     let entries = factor.num_entries();
-    let owner = partition.owner_map();
+    let owner = partition.ownership(factor);
     let owner_proc = |e: usize| assignment.proc_of(owner[e] as usize);
 
     let mut pos = vec![0u32; partition.num_units()];
@@ -77,7 +77,7 @@ pub fn messages(
     // `first[p * entries + e]`: the queue position of the first unit on
     // processor `p` that reads remote element `e` — the unit that fetches it.
     let mut first = vec![u32::MAX; nprocs * entries];
-    crate::replay_reads(factor, partition, assignment, |src, (tgt_unit, tp)| {
+    crate::replay_reads(factor, &owner, assignment, |src, (tgt_unit, tp)| {
         if owner_proc(src) != tp {
             let slot = &mut first[tp * entries + src];
             *slot = (*slot).min(pos[tgt_unit]);

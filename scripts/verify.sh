@@ -6,7 +6,8 @@
 # Tier-1 (the gate every PR must keep green) plus the observability
 # checks: one instrumentation path (no twins, no compile-out build), one
 # unit-block kernel under both schedule executors, numeric factors that
-# share the symbolic structure instead of copying it, a dependency graph
+# share the symbolic structure instead of copying it, a partition that
+# keeps its geometry and no per-entry map, a dependency graph
 # that keeps exactly its predecessor edges and analysis engines that hold
 # no partition-wide table, one plan value built
 # by one chain and scheduled on first use, a stored plan that is a key, a
@@ -88,6 +89,22 @@ fi
 
 echo "==> partition equivalence smoke: closed-form ownership + work vs per-update oracle"
 cargo test -q -p spfactor --test partition_equivalence partition_matches_oracle_on_all_paper_matrices
+
+echo "==> a partition keeps its geometry"
+# Who owns an entry follows from the cluster layout (docs/ARCHITECTURE.md,
+# "ownership segmentation"); the entry -> unit map is derived on call by
+# Partition::ownership for the oracles, and the executors group entries
+# from the columns. partition_alloc holds what a partition keeps to its
+# geometry, numeric_alloc what the executors add, and
+# partition_equivalence the derived map to the oracle's.
+sites=$(call_sites 'fn owner_map|^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?owner[[:space:]]*:[[:space:]]*(Vec|Box)<' crates/partition/src)
+if [ -n "$sites" ]; then
+  echo "a partition keeps a per-entry owner map again:"; echo "$sites"
+  exit 1
+fi
+cargo test -q -p spfactor --test partition_alloc
+cargo test -q -p spfactor --test numeric_alloc
+cargo test -q -p spfactor --test partition_equivalence
 
 echo "==> numeric kernel bits: paired-column cholesky + multi-RHS solves vs the kept oracles"
 # Every test in the file: the oracles on every subject, the panel paths

@@ -317,7 +317,7 @@ fn traffic_views_agree_on_all_paper_matrices() {
             assert_eq!(transferred as usize, r.traffic.total, "{label}: timed");
             assert_eq!(consolidated.volume, r.traffic.total, "{label}: volume");
 
-            let owner = partition.owner_map();
+            let owner = partition.ownership(factor);
             let unit_of = |i, j| owner[factor.entry_id(i, j).expect("factor entry")] as usize;
             let mut pairs = std::collections::HashSet::new();
             let mut read = |src_unit: usize, tgt_unit: usize| {

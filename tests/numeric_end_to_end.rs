@@ -74,7 +74,7 @@ fn unit_block_dag_is_consistent_with_column_dag() {
         }
     }
     assert_eq!(next, n, "unit DAG must be acyclic");
-    let owner = r.plan.partition().owner_map();
+    let owner = r.plan.partition().ownership(r.plan.factor());
     let eid = |i: usize, j: usize| r.plan.factor().entry_id(i, j).unwrap();
     spfactor::symbolic::ops::for_each_update(r.plan.factor(), |op| {
         let t = owner[eid(op.i, op.j)] as usize;

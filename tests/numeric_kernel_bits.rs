@@ -140,7 +140,7 @@ fn oracle_solve_many_permuted(
 fn oracle_unit_scripts(symbolic: &SymbolicFactor, partition: &Partition) -> Vec<Vec<Step>> {
     let nu = partition.num_units();
     let entries = symbolic.num_entries();
-    let owner = partition.owner_map();
+    let owner = partition.ownership(symbolic);
     let eid = |i: usize, j: usize| symbolic.entry_id(i, j).expect("factor entry");
     let mut unit_ops: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); nu];
     ops::for_each_update(symbolic, |op| {
@@ -631,7 +631,21 @@ fn executors_reject_mismatched_schedule_inputs() {
     let assign_cols = sched::wrap_allocation(&cols, 4);
     let mut beyond = assign_block.clone();
     beyond.proc_of_unit[0] = 4;
-    let cases: [(&str, &Partition, &DepGraph, &Assignment); 5] = [
+    // The same grid in its natural order: as many columns, another
+    // structure, and a schedule consistent with its own partition.
+    let natural = SymbolicFactor::from_pattern(&p);
+    assert_eq!(natural.n(), f.n());
+    assert_ne!(natural.num_entries(), f.num_entries());
+    let other = Partition::build(&natural, &PartitionParams::with_grain(4));
+    let deps_other = dependencies(&natural, &other);
+    let assign_other = sched::block_allocation(&other, &deps_other, 4);
+    let cases: [(&str, &Partition, &DepGraph, &Assignment); 6] = [
+        (
+            "partition of another factor",
+            &other,
+            &deps_other,
+            &assign_other,
+        ),
         (
             "dependency graph of another partition",
             &block,

@@ -79,7 +79,7 @@ fn oracle_work(factor: &SymbolicFactor, owner: &[u32], units: usize) -> Vec<usiz
 
 fn assert_matches_oracle(factor: &SymbolicFactor, part: &Partition, what: &str) {
     let owner = oracle_owner(factor, part);
-    assert_eq!(part.owner_map(), &owner[..], "{what}: owner map");
+    assert_eq!(part.ownership(factor), owner, "{what}: owner map");
     let mut elements = vec![0usize; part.num_units()];
     for &u in &owner {
         elements[u as usize] += 1;
