@@ -1,17 +1,16 @@
 //! The table/figure regenerators (the source of `EXPERIMENTS.md`'s
 //! measured columns): Tables 1–5 and Figures 2–3 of the paper, printed
-//! side by side with the published values, and the five studies behind
+//! side by side with the published values, and the four studies behind
 //! the "beyond the paper" entries — `ablation`, `orderings`, `hotspot`,
-//! `consolidation`, `mp`.
+//! `mp`.
 //!
 //! ```text
-//! cargo run --release -p spfactor-bench --bin all_tables                  # all twelve
+//! cargo run --release -p spfactor-bench --bin all_tables                  # all eleven
 //! cargo run --release -p spfactor-bench --bin all_tables -- table2 fig3   # the named ones
 //! cargo run --release -p spfactor-bench --bin all_tables -- hotspot:LAP30:8
 //! ```
 //!
-//! `ablation` and `hotspot` take `:MATRIX:P`, `consolidation` takes `:P`
-//! (defaults LAP30 and 16).
+//! `ablation` and `hotspot` take `:MATRIX:P` (defaults LAP30 and 16).
 
 use spfactor::matrix::gen::paper::TestMatrix;
 use spfactor::matrix::plot::ascii_lower_exact;
@@ -20,7 +19,6 @@ use spfactor::partition::{identify_clusters, ClusterKind, Partition, PartitionPa
 use spfactor::sched::{
     alt, block_allocation, proportional::proportional_allocation, wrap_allocation,
 };
-use spfactor::simulate::consolidate::consolidated_traffic;
 use spfactor::simulate::timed::{simulate_timed, OrderPolicy};
 use spfactor::{
     ExecutionBackend, NetworkModel, Ordering, Pipeline, Scheme, SymbolicFactor, SymmetricPattern,
@@ -32,7 +30,7 @@ use std::time::Instant;
 /// A section and the `:`-separated arguments its name was given.
 type Section = fn(&[&str]);
 
-const SECTIONS: [(&str, Section); 12] = [
+const SECTIONS: [(&str, Section); 11] = [
     ("table1", |_| table1()),
     ("table2", |_| table2()),
     ("table3", |_| table3()),
@@ -43,7 +41,6 @@ const SECTIONS: [(&str, Section); 12] = [
     ("ablation", ablation),
     ("orderings", |_| orderings()),
     ("hotspot", hotspot),
-    ("consolidation", consolidation),
     ("mp", |_| mp()),
 ];
 
@@ -88,11 +85,8 @@ fn matrix_and_procs(args: &[&str]) -> (TestMatrix, usize) {
             eprintln!("unknown matrix {name:?}");
             std::process::exit(2);
         });
-    (m, procs(args.get(1)))
-}
-
-fn procs(arg: Option<&&str>) -> usize {
-    arg.and_then(|s| s.parse().ok()).unwrap_or(16)
+    let nprocs = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(16);
+    (m, nprocs)
 }
 
 /// Table 1: the test matrices and their factor sizes under the paper's
@@ -499,20 +493,6 @@ fn orderings() {
     println!("critical path; 'work' uses the paper's 2-per-pair cost model.");
 }
 
-/// The block (g = 25) and wrap runs the hot-spot and consolidation
-/// studies compare.
-fn block_and_wrap(pattern: &SymmetricPattern, nprocs: usize) -> [spfactor::PipelineResult; 2] {
-    let block = Pipeline::new(pattern.clone())
-        .grain(25)
-        .processors(nprocs)
-        .run();
-    let wrap = Pipeline::new(pattern.clone())
-        .scheme(Scheme::Wrap)
-        .processors(nprocs)
-        .run();
-    [block, wrap]
-}
-
 fn heat(t: &TrafficReport) -> String {
     let p = t.nprocs;
     let max = t.max_pair().max(1);
@@ -547,7 +527,14 @@ fn heat(t: &TrafficReport) -> String {
 /// hot-spots", while block schemes confine communication to small groups.
 fn hotspot(args: &[&str]) {
     let (m, nprocs) = matrix_and_procs(args);
-    let [block, wrap] = block_and_wrap(&m.pattern, nprocs);
+    let block = Pipeline::new(m.pattern.clone())
+        .grain(25)
+        .processors(nprocs)
+        .run();
+    let wrap = Pipeline::new(m.pattern)
+        .scheme(Scheme::Wrap)
+        .processors(nprocs)
+        .run();
     for (label, t) in [("block (g=25)", &block.traffic), ("wrap", &wrap.traffic)] {
         let partners: Vec<usize> = (0..nprocs).map(|p| t.partners(p)).collect();
         let mean_partners = partners.iter().sum::<usize>() as f64 / nprocs.max(1) as f64;
@@ -563,46 +550,15 @@ fn hotspot(args: &[&str]) {
     println!("rows = owners (senders), cols = fetchers; darker = more elements.");
 }
 
-/// Message-consolidation analysis (the paper's step 5: "consolidate the
-/// non-local memory access information for each processor so as to
-/// minimize communication overhead"). Compares volume (elements) against
-/// message count after per-source-block consolidation for the block and
-/// wrap schemes.
-fn consolidation(args: &[&str]) {
-    let nprocs = procs(args.first());
-    println!("P = {nprocs}, block grain 25");
-    println!(
-        "{:>9} | {:>9} {:>9} {:>7} | {:>9} {:>9} {:>7}",
-        "matrix", "blk vol", "blk msgs", "blk sz", "wrp vol", "wrp msgs", "wrp sz"
-    );
-    for m in spfactor::matrix::gen::paper::all() {
-        let [cb, cw] = block_and_wrap(&m.pattern, nprocs).map(|r| {
-            consolidated_traffic(r.plan.factor(), r.plan.partition(), r.plan.assignment())
-        });
-        println!(
-            "{:>9} | {:>9} {:>9} {:>7.1} | {:>9} {:>9} {:>7.1}",
-            m.name,
-            cb.volume,
-            cb.messages,
-            cb.mean_message_size(),
-            cw.volume,
-            cw.messages,
-            cw.mean_message_size(),
-        );
-    }
-    println!();
-    println!("'msgs' counts distinct (source unit, destination processor) pairs —");
-    println!("what remains after perfect consolidation; 'sz' is elements/message.");
-    println!("Big blocks mean fewer, larger messages: the amortization the paper's");
-    println!("step 5 is after.");
-}
-
 /// Message-passing runtime study: executes the schedule on the virtual
 /// machine for every paper matrix at several processor counts and
 /// reports the observed communication, the `simulate_timed` makespan of
 /// the same schedule, and the wall time of the (threaded) execution
 /// itself — the two wall-clock columns are the only output here that
-/// varies by run.
+/// varies by run. `msgs` is the paper's step 5 ("consolidate the
+/// non-local memory access information for each processor"), block
+/// against wrap: the executor batches one request per (fetching unit,
+/// owner processor).
 fn mp() {
     let model = NetworkModel::default();
     println!("Message-passing execution (grain 25 for block mapping)");

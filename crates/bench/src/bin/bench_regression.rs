@@ -1,8 +1,7 @@
 //! Perf-regression gate over the bench JSON documents.
 //!
 //! Compares every time-like leaf (any dotted path with a segment ending
-//! `_ms`: the `phases_ms.*`, `deps_ms.*` and `simulate_ms.*` families)
-//! and every heap leaf (`BENCH_scale.json`'s `peak_bytes.*` and
+//! `_ms`: `phases_ms.*`, `total_ms`, `cold_ms`, …) and every heap leaf (`BENCH_scale.json`'s `peak_bytes.*` and
 //! `max_peak_bytes`) of a committed baseline against a fresh run, and
 //! fails when a leaf grew more than `--threshold` times — a time leaf
 //! only while above the `--min-ms` noise floor. Missing baseline leaves
@@ -12,15 +11,16 @@
 //!
 //! ```text
 //! cargo run --release -p spfactor-bench --bin bench_regression -- \
-//!     --baseline BENCH_pipeline.json --new /tmp/fresh.json
+//!     --baseline BENCH_scale.json --new /tmp/fresh.json
 //! cargo run --release -p spfactor-bench --bin bench_regression -- \
-//!     --baseline BENCH_pipeline.json --new /tmp/fresh.json --report-only
+//!     --baseline BENCH_scale.json --new /tmp/fresh.json --report-only
 //! ```
 //!
 //! Exit status: 0 when the candidate passes (or `--report-only` was
 //! given), 1 on regressions or missing leaves, 2 on usage errors.
-//! `scripts/bench.sh --gate` wires this against a fresh full run;
-//! `scripts/verify.sh` runs a report-only smoke diff.
+//! `scripts/bench.sh --gate-scale` / `--gate-serve` wire this against a
+//! fresh full run; `scripts/verify.sh` runs a report-only diff of the
+//! scale smoke run.
 
 use spfactor_trace::{json, regress};
 

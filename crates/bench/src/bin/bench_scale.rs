@@ -78,8 +78,8 @@ const OWNERS: [&str; 4] = [
 /// Grid sides for the full sweep: n = side^2 columns, 10^4 → 10^6.
 const FULL_SIDES: [usize; 5] = [100, 200, 400, 700, 1000];
 
-/// Production-style configuration (matches the repo's large-grid rows
-/// in `BENCH_pipeline.json`).
+/// Production-style configuration (the repository benchmark's
+/// `plan_grid` grain and processor count).
 const GRAIN: usize = 25;
 const NPROCS: usize = 16;
 

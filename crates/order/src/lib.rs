@@ -26,9 +26,10 @@
 //! | `MinimumFill` | often lowest fill | much slower — simulates fill per candidate | small matrices; fill-quality reference |
 //! | `Natural` | none | free | pre-ordered inputs; debugging |
 //!
-//! Measured numbers back these rows: `BENCH_pipeline.json` records
-//! MMD's wall time per paper matrix under `order_ms` (regenerate with
-//! `scripts/bench.sh`), and the `orderings` section of `all_tables`
+//! Measured numbers back these rows: the repository benchmark records
+//! MMD's wall time as `order.ms` / `order.direct_ms`, `cargo bench -p
+//! spfactor-bench --bench ordering` times the oracle beside the driver,
+//! and the `orderings` section of `all_tables`
 //! (`cargo run --release -p spfactor-bench --bin all_tables --
 //! orderings`) sweeps fill across every method. A pipeline run tagged
 //! with a recorder reports the method it used via the `order.alg.<name>`

@@ -23,7 +23,6 @@
 //! executor sends ([`messages()`]).
 
 mod bitset;
-pub mod consolidate;
 pub mod engine;
 pub mod messages;
 pub mod timed;
@@ -217,9 +216,9 @@ pub(crate) fn replay_reads(
 /// The one replay of the §4 traffic rule over [`replay_reads`]: the
 /// first read of a remote element is a fetch, later ones hit the
 /// processor's cache. Each first fetch is handed to
-/// `on_first_fetch(src_unit, tgt_unit)` — the traffic report, the timed
-/// simulation's per-unit transfers and the consolidation analysis differ
-/// only in what they tally there. Returns the access counts
+/// `on_first_fetch(src_unit, tgt_unit)` — the traffic report and the
+/// timed simulation's per-unit transfers differ only in what they tally
+/// there. Returns the access counts
 /// `[remote fetch, cache hit, local]`.
 pub(crate) fn replay_fetches(
     factor: &SymbolicFactor,
@@ -525,9 +524,6 @@ mod tests {
                 panic_message(|| drop(data_traffic(&f, part, a))),
                 panic_message(|| drop(work_distribution(part, a))),
                 panic_message(|| timed(part, deps, a)),
-                panic_message(|| {
-                    consolidate::consolidated_traffic(&f, part, a);
-                }),
                 panic_message(|| drop(messages(&f, part, deps, a))),
                 panic_message(|| timed(part, other_deps, own)),
                 panic_message(|| drop(messages(&f, part, other_deps, own))),

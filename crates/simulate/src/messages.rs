@@ -123,3 +123,73 @@ pub fn messages(
     }
     counts
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::data_traffic;
+    use spfactor_matrix::{gen, SymmetricPattern};
+    use spfactor_order::{order, Ordering};
+    use spfactor_partition::{dependencies, PartitionParams};
+    use spfactor_sched::{block_allocation, wrap_allocation};
+
+    fn factor_of(p: &SymmetricPattern) -> SymbolicFactor {
+        let perm = order(p, Ordering::paper_default());
+        SymbolicFactor::from_pattern(&p.permute(&perm))
+    }
+
+    /// Requests, elements served and all messages, summed over processors.
+    fn totals(f: &SymbolicFactor, part: &Partition, a: &Assignment) -> [usize; 3] {
+        let counts = messages(f, part, &dependencies(f, part), a);
+        let sum = |g: fn(&MessageCounts) -> usize| counts.iter().map(g).sum();
+        [
+            sum(|c| c.requests_sent),
+            sum(|c| c.elements_served),
+            sum(|c| c.msgs_sent),
+        ]
+    }
+
+    #[test]
+    fn elements_served_are_the_data_traffic() {
+        let f = factor_of(&gen::lap9(10, 10));
+        let part = Partition::build(&f, &PartitionParams::with_grain(4));
+        let a = block_allocation(&part, &dependencies(&f, &part), 8);
+        assert_eq!(totals(&f, &part, &a)[1], data_traffic(&f, &part, &a).total);
+    }
+
+    #[test]
+    fn a_request_carries_many_elements() {
+        let f = factor_of(&gen::lap9(12, 12));
+        let part = Partition::build(&f, &PartitionParams::with_grain(25));
+        let a = block_allocation(&part, &dependencies(&f, &part), 8);
+        let [requests, elements, _] = totals(&f, &part, &a);
+        assert!(
+            elements as f64 > 1.5 * requests as f64,
+            "{elements} elements in {requests} requests"
+        );
+    }
+
+    #[test]
+    fn block_sends_fewer_messages_than_wrap() {
+        // Large source blocks mean fewer, bigger messages — the paper's
+        // motivation for step 5.
+        let f = factor_of(&gen::lap9(15, 15));
+        let part = Partition::build(&f, &PartitionParams::with_grain(25));
+        let [br, be, bm] = totals(
+            &f,
+            &part,
+            &block_allocation(&part, &dependencies(&f, &part), 8),
+        );
+        let cols = Partition::columns(&f);
+        let [wr, we, wm] = totals(&f, &cols, &wrap_allocation(&cols, 8));
+        assert!(bm < wm, "block msgs {bm} !< wrap msgs {wm}");
+        assert!(be * wr > we * br, "block requests are not the larger ones");
+    }
+
+    #[test]
+    fn one_processor_sends_nothing() {
+        let f = factor_of(&gen::lap9(6, 6));
+        let part = Partition::columns(&f);
+        assert_eq!(totals(&f, &part, &wrap_allocation(&part, 1)), [0, 0, 0]);
+    }
+}

@@ -1,7 +1,7 @@
 //! A minimal JSON reader for observability tooling.
 //!
 //! The workspace deliberately carries no serialization dependency: every
-//! JSON artifact (metric exports, `BENCH_pipeline.json`, Chrome traces)
+//! JSON artifact (metric exports, `BENCH_scale.json`, Chrome traces)
 //! is written by hand-rolled emitters. This module supplies the other
 //! half — a small recursive-descent parser — so tests and tooling can
 //! *validate* those artifacts (Chrome-trace schema checks, bench

@@ -1,13 +1,13 @@
 //! Performance-regression comparison over metric JSON documents.
 //!
 //! Compares two parsed JSON documents (a committed baseline such as
-//! `BENCH_pipeline.json` and a fresh run) leaf by leaf and flags gated
+//! `BENCH_scale.json` and a fresh run) leaf by leaf and flags gated
 //! values that grew past an allowed ratio. Two kinds of leaf are gated,
 //! both "lower is better":
 //!
 //! * *time* — any key segment on its dotted path ends in `_ms`: the
-//!   bench schema's `phases_ms.*`, `deps_ms.*` and `simulate_ms`
-//!   families;
+//!   scale schema's `phases_ms.*` and `total_ms`, the serve schema's
+//!   `cold_ms`, `p99_ms`, …;
 //! * *heap* — a segment is `peak_bytes` or `max_peak_bytes`:
 //!   `BENCH_scale.json`'s per-phase `peak_bytes.*` and its
 //!   `max_peak_bytes` (not the fitted `slopes.deps_peak_bytes`).

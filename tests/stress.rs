@@ -65,3 +65,59 @@ fn block_schedule_executes_at_scale() {
     .unwrap();
     assert_eq!(seq, par);
 }
+
+/// The engines agree at 40,000 columns: `OrderEngine::Direct` returns the
+/// `mmd` oracle's permutation, `Compressed` stays within 5 % of its factor
+/// entries, and the three deps engines' graphs and the three simulate
+/// engines' traffic and work reports are equal, on lap9 200² and CANN1072
+/// at grain 25, P = 16 (block scheme).
+#[test]
+#[ignore = "large; run with --ignored in release mode"]
+fn engines_agree_on_lap200_and_cann1072() {
+    use spfactor::matrix::gen::paper;
+    use spfactor::order::{mmd::multiple_minimum_degree, order_with_engine};
+    use spfactor::partition::{build_dependencies, DepsEngine};
+    use spfactor::simulate::{simulate, SimulateEngine};
+    use spfactor::{OrderEngine, Ordering, Partition, PartitionParams, SymbolicFactor};
+
+    for m in [paper::lap_grid(200), paper::cann1072()] {
+        let name = m.name;
+        let factor_of = |engine| {
+            let perm = order_with_engine(&m.pattern, Ordering::paper_default(), engine);
+            (
+                SymbolicFactor::from_pattern(&m.pattern.permute(&perm)),
+                perm,
+            )
+        };
+        let (factor, perm) = factor_of(OrderEngine::Direct);
+        assert_eq!(
+            perm,
+            multiple_minimum_degree(&m.pattern, 0),
+            "{name}: Direct"
+        );
+        let (direct, compressed) = (factor.num_entries(), factor_of(OrderEngine::Compressed).0);
+        let delta = compressed.num_entries().abs_diff(direct) as f64 / direct as f64;
+        assert!(delta <= 0.05, "{name}: Compressed is {delta:.3} off Direct");
+
+        let partition = Partition::build(&factor, &PartitionParams::with_grain(25));
+        let [element, sweep, sweep_parallel] = [
+            DepsEngine::Element,
+            DepsEngine::Sweep,
+            DepsEngine::SweepParallel,
+        ]
+        .map(|e| build_dependencies(e, &factor, &partition));
+        assert!(element == sweep && sweep == sweep_parallel, "{name}: deps");
+
+        let assignment = spfactor::sched::block_allocation(&partition, &element, 16);
+        let [element, block, block_parallel] = [
+            SimulateEngine::Element,
+            SimulateEngine::Block,
+            SimulateEngine::BlockParallel,
+        ]
+        .map(|e| simulate(e, &factor, &partition, &assignment));
+        assert!(
+            element == block && block == block_parallel,
+            "{name}: simulate"
+        );
+    }
+}
