@@ -278,10 +278,9 @@ impl Pipeline {
         self
     }
 
-    /// Sets both grain sizes (minimum elements per unit block).
+    /// Sets the grain size (minimum elements per unit block).
     pub fn grain(mut self, g: usize) -> Self {
-        self.params.grain_triangle = g;
-        self.params.grain_rectangle = g;
+        self.params.grain = g;
         self
     }
 
@@ -470,10 +469,10 @@ impl Pipeline {
                 message: "need at least one processor".into(),
             });
         }
-        if self.params.grain_triangle == 0 || self.params.grain_rectangle == 0 {
+        if self.params.grain == 0 {
             return Err(SpfactorError::InvalidParameter {
                 param: "grain",
-                message: "grain sizes must be at least 1".into(),
+                message: "the grain size must be at least 1".into(),
             });
         }
         if self.params.min_cluster_width == 0 {
@@ -591,6 +590,11 @@ impl Pipeline {
     pub fn plan(&self) -> ScheduleArtifact {
         self.try_plan()
             .unwrap_or_else(|e| panic!("pipeline plan failed: {e}"))
+    }
+
+    /// The sparsity pattern the pipeline plans.
+    pub fn pattern(&self) -> &SymmetricPattern {
+        &self.pattern
     }
 
     /// The [`ScheduleKey`] this pipeline's front end would be cached
@@ -1025,7 +1029,7 @@ mod tests {
             .min_cluster_width(8)
             .processors(2)
             .run();
-        assert_eq!(r.plan.partition().params.grain_triangle, 25);
+        assert_eq!(r.plan.partition().params.grain, 25);
         assert_eq!(r.plan.partition().params.min_cluster_width, 8);
         assert_eq!(r.plan.assignment().nprocs, 2);
     }

@@ -35,13 +35,11 @@ pub use units::{Partition, TaggedRun, TargetScratch, UpdateTarget};
 /// Tunable parameters of the partitioner.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PartitionParams {
-    /// Minimum number of matrix elements in a triangular unit block
-    /// (the paper's *grain size*).
-    pub grain_triangle: usize,
-    /// Minimum number of matrix elements in a rectangular unit block.
-    /// The paper allows a separate value; its tables use a single grain
-    /// size for both.
-    pub grain_rectangle: usize,
+    /// Minimum number of matrix elements in a unit block, triangular or
+    /// rectangular: the paper's *grain size* g. One value, because the
+    /// paper cuts both shapes by the one g and every table and caller
+    /// sets a single grain.
+    pub grain: usize,
     /// Minimum acceptable cluster width: strips narrower than this are
     /// broken into single columns (Table 4; default 4).
     pub min_cluster_width: usize,
@@ -56,8 +54,7 @@ impl PartitionParams {
     /// `grain`, minimum width 4, no zero relaxation.
     pub fn with_grain(grain: usize) -> Self {
         PartitionParams {
-            grain_triangle: grain,
-            grain_rectangle: grain,
+            grain,
             min_cluster_width: 4,
             relax_zeros: 0,
         }
@@ -78,8 +75,7 @@ mod tests {
     #[test]
     fn params_constructors() {
         let p = PartitionParams::with_grain(25);
-        assert_eq!(p.grain_triangle, 25);
-        assert_eq!(p.grain_rectangle, 25);
+        assert_eq!(p.grain, 25);
         assert_eq!(p.min_cluster_width, 4);
         assert_eq!(p.relax_zeros, 0);
         assert_eq!(PartitionParams::default(), PartitionParams::with_grain(4));

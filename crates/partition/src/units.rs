@@ -602,8 +602,7 @@ impl Partition {
                 })
                 .collect(),
             params: PartitionParams {
-                grain_triangle: 1,
-                grain_rectangle: 1,
+                grain: 1,
                 min_cluster_width: usize::MAX,
                 relax_zeros: 0,
             },
@@ -633,14 +632,14 @@ impl Partition {
                 }
                 ClusterKind::Strip { rect_rows } => {
                     let w = cl.width();
-                    let t = triangle_chunk_count(w, params.grain_triangle);
+                    let t = triangle_chunk_count(w, params.grain);
                     let first_unit = next;
                     next += (t * (t + 1) / 2) as u32;
                     // Each below-rectangle split into a pr × pc grid.
                     let rects = rect_rows
                         .iter()
                         .map(|&rr| {
-                            let (pr, pc) = rectangle_grid(rr.len(), w, params.grain_rectangle);
+                            let (pr, pc) = rectangle_grid(rr.len(), w, params.grain);
                             let grid = RectGrid {
                                 row_chunks: chunks(rr, pr),
                                 col_chunks: chunks(cl.cols, pc),
@@ -1390,8 +1389,7 @@ mod proptests {
             relax in 0usize..3,
         ) {
             let params = PartitionParams {
-                grain_triangle: grain,
-                grain_rectangle: grain,
+                grain,
                 min_cluster_width: width,
                 relax_zeros: relax,
             };

@@ -53,6 +53,10 @@ pub enum Scheme {
 }
 
 impl Scheme {
+    /// Every scheme: the artifact text reads a scheme back by its
+    /// [`name`](Self::name).
+    const ALL: [Scheme; 2] = [Scheme::Block, Scheme::Wrap];
+
     /// Stable lowercase name used in serialized artifacts and bench JSON.
     pub fn name(&self) -> &'static str {
         match self {
@@ -99,7 +103,7 @@ pub struct ScheduleKey {
     /// good) permutation, and a cache must never serve a schedule
     /// planned under one engine to a request for the other.
     pub order_engine: OrderEngine,
-    /// The partitioner parameters (grains, minimum cluster width, zero
+    /// The partitioner parameters (grain, minimum cluster width, zero
     /// relaxation).
     pub params: PartitionParams,
     /// Block or wrap mapping.
@@ -298,25 +302,34 @@ impl ScheduleArtifact {
         h.finish()
     }
 
-    /// Serializes the artifact as four lines: the `spfactor-artifact v2`
+    /// Serializes the artifact as four lines: the `spfactor-artifact v3`
     /// magic, the key, the fingerprint (which derives the schedule) and
     /// the permutation. No line per unit: [`rebuild_artifact`] re-derives
     /// the schedule from the pattern and the permutation.
+    ///
+    /// The key line is the key's one text form: every field after its
+    /// label, the ordering, order engine and scheme by their `name()`s
+    /// (minimum degree's `delta` after its name), and
+    /// [`read_artifact_text`] reads it back through the same names.
     pub fn write_text<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
+        let key = &self.0.key;
+        let delta = match key.ordering {
+            Ordering::MultipleMinimumDegree { delta } => format!(" delta {delta}"),
+            _ => String::new(),
+        };
         writeln!(w, "{MAGIC}")?;
         writeln!(
             w,
-            "key hash {:016x} n {} ordering {:?} engine {} grain {} {} width {} relax {} scheme {} procs {}",
-            self.0.key.structural_hash,
-            self.0.key.n,
-            self.0.key.ordering,
-            self.0.key.order_engine.name(),
-            self.0.key.params.grain_triangle,
-            self.0.key.params.grain_rectangle,
-            self.0.key.params.min_cluster_width,
-            self.0.key.params.relax_zeros,
-            self.0.key.scheme.name(),
-            self.0.key.nprocs,
+            "key hash {:016x} n {} ordering {}{delta} engine {} grain {} width {} relax {} scheme {} procs {}",
+            key.structural_hash,
+            key.n,
+            key.ordering.name(),
+            key.order_engine.name(),
+            key.params.grain,
+            key.params.min_cluster_width,
+            key.params.relax_zeros,
+            key.scheme.name(),
+            key.nprocs,
         )?;
         writeln!(w, "fingerprint {:016x}", self.fingerprint())?;
         write!(w, "perm")?;
@@ -336,7 +349,7 @@ impl ScheduleArtifact {
 }
 
 /// The first line of an artifact's text form.
-const MAGIC: &str = "spfactor-artifact v2";
+const MAGIC: &str = "spfactor-artifact v3";
 
 /// A parsed artifact text: the key, the fingerprint and the permutation.
 /// Nothing else is serialized — the symbolic factor and the schedule are
@@ -352,73 +365,61 @@ pub struct ArtifactDump {
     pub permutation: Permutation,
 }
 
-/// Parses the `ordering {:?}` segment of a serialized key line.
-fn parse_ordering(s: &str) -> Result<Ordering, String> {
-    let s = s.trim();
-    match s {
-        "Natural" => Ok(Ordering::Natural),
-        "ReverseCuthillMcKee" => Ok(Ordering::ReverseCuthillMcKee),
-        "NestedDissection" => Ok(Ordering::NestedDissection),
-        "MinimumFill" => Ok(Ordering::MinimumFill),
-        _ => {
-            // `MultipleMinimumDegree { delta: N }` (the Debug form).
-            let delta = s
-                .strip_prefix("MultipleMinimumDegree")
-                .map(|rest| rest.trim())
-                .and_then(|rest| rest.strip_prefix('{'))
-                .and_then(|rest| rest.trim_end().strip_suffix('}'))
-                .map(|rest| rest.trim())
-                .and_then(|rest| rest.strip_prefix("delta:"))
-                .and_then(|d| d.trim().parse::<usize>().ok())
-                .ok_or_else(|| format!("unknown ordering {s:?}"))?;
-            Ok(Ordering::MultipleMinimumDegree { delta })
-        }
-    }
+/// Every ordering and order engine: the key line reads one back as the
+/// variant whose `name()` it is (minimum degree then reads its `delta`).
+const ORDERINGS: [Ordering; 5] = [
+    Ordering::Natural,
+    Ordering::ReverseCuthillMcKee,
+    Ordering::MultipleMinimumDegree { delta: 0 },
+    Ordering::NestedDissection,
+    Ordering::MinimumFill,
+];
+const ORDER_ENGINES: [OrderEngine; 2] = [OrderEngine::Direct, OrderEngine::Compressed];
+
+/// The variant of `all` whose `name` is `s`.
+fn named<T: Copy>(all: &[T], name: fn(&T) -> &'static str, s: &str) -> Result<T, String> {
+    all.iter()
+        .copied()
+        .find(|v| name(v) == s)
+        .ok_or_else(|| format!("unknown name {s:?} in the key line"))
 }
 
-/// Parses the full key line written by [`ScheduleArtifact::write_text`].
+/// Parses the key line written by [`ScheduleArtifact::write_text`]: its
+/// labels in order, one space apart, and nothing after the last value.
 fn parse_key_line(line: &str) -> Result<ScheduleKey, String> {
     let err = || format!("malformed key line: {line:?}");
-    let rest = line.strip_prefix("key hash ").ok_or_else(err)?;
-    let (hash_s, rest) = rest.split_once(" n ").ok_or_else(err)?;
-    let (n_s, rest) = rest.split_once(" ordering ").ok_or_else(err)?;
-    let (ord_s, rest) = rest.split_once(" engine ").ok_or_else(err)?;
-    let (eng_s, rest) = rest.split_once(" grain ").ok_or_else(err)?;
-    let (grain_s, rest) = rest.split_once(" width ").ok_or_else(err)?;
-    let (width_s, rest) = rest.split_once(" relax ").ok_or_else(err)?;
-    let (relax_s, rest) = rest.split_once(" scheme ").ok_or_else(err)?;
-    let (scheme_s, procs_s) = rest.split_once(" procs ").ok_or_else(err)?;
-
-    let structural_hash = u64::from_str_radix(hash_s.trim(), 16).map_err(|_| err())?;
-    let n: usize = n_s.trim().parse().map_err(|_| err())?;
-    let ordering = parse_ordering(ord_s)?;
-    let order_engine = match eng_s.trim() {
-        "direct" => OrderEngine::Direct,
-        "compressed" => OrderEngine::Compressed,
-        other => return Err(format!("unknown order engine {other:?}")),
+    let mut tokens = line.strip_prefix("key ").ok_or_else(err)?.split(' ');
+    let mut field = |label: &str| match (tokens.next(), tokens.next()) {
+        (Some(l), Some(value)) if l == label => Ok(value),
+        _ => Err(err()),
     };
-    let grains: Vec<&str> = grain_s.split_whitespace().collect();
-    if grains.len() != 2 {
+    let num = |s: &str| s.parse::<usize>().map_err(|_| err());
+
+    let structural_hash = u64::from_str_radix(field("hash")?, 16).map_err(|_| err())?;
+    let n = num(field("n")?)?;
+    let mut ordering = named(&ORDERINGS, Ordering::name, field("ordering")?)?;
+    if let Ordering::MultipleMinimumDegree { delta } = &mut ordering {
+        *delta = num(field("delta")?)?;
+    }
+    let order_engine = named(&ORDER_ENGINES, OrderEngine::name, field("engine")?)?;
+    let grain = num(field("grain")?)?;
+    let min_cluster_width = num(field("width")?)?;
+    let relax_zeros = num(field("relax")?)?;
+    let scheme = named(&Scheme::ALL, Scheme::name, field("scheme")?)?;
+    let nprocs = num(field("procs")?)?;
+    if tokens.next().is_some() {
         return Err(err());
     }
-    let params = PartitionParams {
-        grain_triangle: grains[0].parse().map_err(|_| err())?,
-        grain_rectangle: grains[1].parse().map_err(|_| err())?,
-        min_cluster_width: width_s.trim().parse().map_err(|_| err())?,
-        relax_zeros: relax_s.trim().parse().map_err(|_| err())?,
-    };
-    let scheme = match scheme_s.trim() {
-        "block" => Scheme::Block,
-        "wrap" => Scheme::Wrap,
-        other => return Err(format!("unknown scheme {other:?}")),
-    };
-    let nprocs: usize = procs_s.trim().parse().map_err(|_| err())?;
     Ok(ScheduleKey {
         structural_hash,
         n,
         ordering,
         order_engine,
-        params,
+        params: PartitionParams {
+            grain,
+            min_cluster_width,
+            relax_zeros,
+        },
         scheme,
         nprocs,
     })
@@ -566,88 +567,46 @@ mod tests {
     use super::*;
     use spfactor_matrix::gen;
 
+    /// The key of `pattern` under the paper's defaults.
+    fn paper_key(pattern: &SymmetricPattern, scheme: Scheme, nprocs: usize) -> ScheduleKey {
+        let params = PartitionParams::default();
+        let (ordering, engine) = (Ordering::paper_default(), OrderEngine::Direct);
+        ScheduleKey::new(pattern, ordering, engine, params, scheme, nprocs)
+    }
+
     fn build(pattern: &SymmetricPattern, scheme: Scheme, nprocs: usize) -> ScheduleArtifact {
-        let key = ScheduleKey::new(
+        plan(
             pattern,
-            Ordering::paper_default(),
-            OrderEngine::Direct,
-            PartitionParams::default(),
-            scheme,
-            nprocs,
-        );
-        plan(pattern, key, None, DepsEngine::Element)
+            paper_key(pattern, scheme, nprocs),
+            None,
+            DepsEngine::Element,
+        )
     }
 
     #[test]
     fn keys_separate_every_parameter() {
         let p = gen::lap9(6, 6);
-        let q = gen::lap9(6, 7);
-        let base = ScheduleKey::new(
-            &p,
-            Ordering::paper_default(),
-            OrderEngine::Direct,
-            PartitionParams::default(),
-            Scheme::Block,
-            4,
-        );
-        let same = ScheduleKey::new(
-            &p,
-            Ordering::paper_default(),
-            OrderEngine::Direct,
-            PartitionParams::default(),
-            Scheme::Block,
-            4,
-        );
-        assert_eq!(base, same);
+        let base = paper_key(&p, Scheme::Block, 4);
+        assert_eq!(base, paper_key(&p, Scheme::Block, 4));
         for other in [
-            ScheduleKey::new(
-                &q,
-                Ordering::paper_default(),
-                OrderEngine::Direct,
-                PartitionParams::default(),
-                Scheme::Block,
-                4,
-            ),
-            ScheduleKey::new(
-                &p,
-                Ordering::ReverseCuthillMcKee,
-                OrderEngine::Direct,
-                PartitionParams::default(),
-                Scheme::Block,
-                4,
-            ),
-            ScheduleKey::new(
-                &p,
-                Ordering::paper_default(),
-                OrderEngine::Compressed,
-                PartitionParams::default(),
-                Scheme::Block,
-                4,
-            ),
-            ScheduleKey::new(
-                &p,
-                Ordering::paper_default(),
-                OrderEngine::Direct,
-                PartitionParams::with_grain(25),
-                Scheme::Block,
-                4,
-            ),
-            ScheduleKey::new(
-                &p,
-                Ordering::paper_default(),
-                OrderEngine::Direct,
-                PartitionParams::default(),
-                Scheme::Wrap,
-                4,
-            ),
-            ScheduleKey::new(
-                &p,
-                Ordering::paper_default(),
-                OrderEngine::Direct,
-                PartitionParams::default(),
-                Scheme::Block,
-                8,
-            ),
+            paper_key(&gen::lap9(6, 7), Scheme::Block, 4),
+            ScheduleKey {
+                ordering: Ordering::ReverseCuthillMcKee,
+                ..base
+            },
+            ScheduleKey {
+                order_engine: OrderEngine::Compressed,
+                ..base
+            },
+            ScheduleKey {
+                params: PartitionParams::with_grain(25),
+                ..base
+            },
+            ScheduleKey {
+                scheme: Scheme::Wrap,
+                ..base
+            },
+            ScheduleKey { nprocs: 8, ..base },
         ] {
             assert_ne!(base, other);
         }
@@ -679,7 +638,7 @@ mod tests {
     #[test]
     fn read_rejects_garbage() {
         assert!(read_artifact_text("not an artifact".as_bytes()).is_err());
-        assert!(read_artifact_text("spfactor-artifact v2\nkey nonsense".as_bytes()).is_err());
+        assert!(read_artifact_text(format!("{MAGIC}\nkey nonsense").as_bytes()).is_err());
     }
 
     #[test]

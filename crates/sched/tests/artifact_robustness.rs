@@ -9,7 +9,8 @@
 //! offset, fingerprint flips, a permutation that is valid but not the
 //! stored one, an artifact whose parts its scheme would not derive, key
 //! mismatches (a valid artifact presented for the wrong pattern), and the
-//! previous format version.
+//! previous format versions. Every ordering, order engine and scheme
+//! writes a key line that reads back to the same plan.
 //!
 //! The text is four lines — magic, key, fingerprint, permutation — and the
 //! schedule is re-derived on load, so the fingerprint is the one check
@@ -128,8 +129,8 @@ fn a_schedule_for_zero_processors_is_a_typed_error() {
     let pattern = SymmetricPattern::from_edges(0, []);
     let hash = pattern.structural_hash();
     let text = format!(
-        "spfactor-artifact v2\n\
-         key hash {hash:016x} n 0 ordering Natural engine direct grain 4 4 width 4 relax 0 scheme block procs 0\n\
+        "spfactor-artifact v3\n\
+         key hash {hash:016x} n 0 ordering natural engine direct grain 4 width 4 relax 0 scheme block procs 0\n\
          fingerprint 0000000000000000\nperm\n"
     );
     let dump = read_artifact_text(text.as_bytes()).expect("parses");
@@ -199,24 +200,73 @@ A 4 0
 A 5 0
 ";
 
+/// The v2 text of the same plan: v1's first four lines, the ordering in
+/// its `Debug` form and two grains.
+const V2_TEXT: &str = "spfactor-artifact v2
+key hash fae7b7b2c0a878c0 n 6 ordering MultipleMinimumDegree { delta: 0 } engine direct grain 4 4 width 4 relax 0 scheme block procs 2
+fingerprint 4e4e75a8eb94b815
+perm 0 4 1 5 2 3
+";
+
+/// The current text of the same plan: the ordering by name, one grain,
+/// and the fingerprint the earlier versions recorded.
+const V3_TEXT: &str = "spfactor-artifact v3
+key hash fae7b7b2c0a878c0 n 6 ordering mmd delta 0 engine direct grain 4 width 4 relax 0 scheme block procs 2
+fingerprint 4e4e75a8eb94b815
+perm 0 4 1 5 2 3
+";
+
 #[test]
 fn a_previous_version_text_is_a_typed_parse_error() {
-    let err = read_artifact_text(V1_TEXT.as_bytes()).expect_err("v1 is not read");
-    assert!(err.contains("spfactor-artifact v1"), "{err}");
-    // The body alone under the current magic is refused too: a v2 text
-    // ends at its perm line.
-    let relabelled = V1_TEXT.replacen("v1", "v2", 1);
-    assert!(read_artifact_text(relabelled.as_bytes()).is_err());
-    // The fingerprint did not change with the format: the v1 header's
-    // four lines are the v2 text of the same plan.
+    for (version, text) in [("v1", V1_TEXT), ("v2", V2_TEXT)] {
+        let err = read_artifact_text(text.as_bytes()).expect_err("an earlier version is not read");
+        assert!(
+            err.contains(&format!("spfactor-artifact {version}")),
+            "{err}"
+        );
+        // Its body under the current magic is refused too: the key line
+        // names the ordering by `Debug` and carries two grains.
+        let relabelled = text.replacen(version, "v3", 1);
+        assert!(read_artifact_text(relabelled.as_bytes()).is_err());
+    }
+    // The fingerprint did not change with the format.
     let (pattern, artifact) = build_on(gen::lap9(2, 3), 2);
-    let header: String = relabelled
-        .lines()
-        .take(4)
-        .map(|l| format!("{l}\n"))
-        .collect();
-    assert_eq!(header, artifact.to_text());
-    let dump = read_artifact_text(header.as_bytes()).expect("parses");
+    assert_eq!(artifact.to_text(), V3_TEXT);
+    let dump = read_artifact_text(V3_TEXT.as_bytes()).expect("parses");
     let rebuilt = rebuild_artifact(&pattern, &dump).expect("rebuilds");
+    assert_eq!(rebuilt.fingerprint(), 0x4e4e_75a8_eb94_b815);
     assert_eq!(rebuilt.fingerprint(), artifact.fingerprint());
+}
+
+#[test]
+fn every_ordering_engine_and_scheme_round_trips() {
+    let (pattern, planned) = build_on(gen::lap9(5, 4), 3);
+    let base = *planned.key();
+    let orderings = [
+        Ordering::Natural,
+        Ordering::ReverseCuthillMcKee,
+        Ordering::MultipleMinimumDegree { delta: 0 },
+        Ordering::MultipleMinimumDegree { delta: 2 },
+        Ordering::NestedDissection,
+        Ordering::MinimumFill,
+    ];
+    for ordering in orderings {
+        for order_engine in [OrderEngine::Direct, OrderEngine::Compressed] {
+            for scheme in [Scheme::Block, Scheme::Wrap] {
+                let key = ScheduleKey {
+                    ordering,
+                    order_engine,
+                    scheme,
+                    ..base
+                };
+                let written = plan(&pattern, key, None, DepsEngine::Sweep);
+                let text = written.to_text();
+                let dump = read_artifact_text(text.as_bytes()).expect("parses");
+                assert_eq!(dump.key, key, "{text}");
+                let rebuilt = rebuild_artifact(&pattern, &dump).expect("rebuilds");
+                assert_eq!(rebuilt.fingerprint(), written.fingerprint(), "{text}");
+                assert_eq!(rebuilt.to_text(), text);
+            }
+        }
+    }
 }

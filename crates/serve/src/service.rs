@@ -1,8 +1,9 @@
 //! The batched solver service: admission-controlled queue in front of a
 //! schedule cache and the sequential numeric kernel.
 //!
-//! A [`SolveRequest`] names a sparsity pattern plus front-end parameters
-//! (the [`ScheduleKey`] identity) and carries any number of
+//! A [`SolveRequest`] carries the [`Pipeline`] whose front end it is
+//! served from (a sparsity pattern plus front-end parameters: the
+//! [`ScheduleKey`] identity) and any number of
 //! [`ValueBatch`]es — value matrices sharing that pattern, each with any
 //! number of right-hand sides. The service:
 //!
@@ -113,22 +114,13 @@ impl ValueBatch {
 }
 
 /// A batched solve request: one schedule identity, many value sets,
-/// many right-hand sides.
+/// many right-hand sides. The identity is the request's [`Pipeline`]: a
+/// cache miss plans with it, and its [`Pipeline::key`] is the cache key.
 #[derive(Clone, Debug)]
 pub struct SolveRequest {
-    /// The sparsity pattern every batch's values must share.
-    pub pattern: SymmetricPattern,
-    /// Ordering algorithm (part of the cache key).
-    pub ordering: Ordering,
-    /// Ordering engine (part of the cache key: a schedule planned under
-    /// one engine must never be served to a request for another).
-    pub order_engine: OrderEngine,
-    /// Partitioning parameters (part of the cache key).
-    pub params: PartitionParams,
-    /// Block or wrap mapping (part of the cache key).
-    pub scheme: Scheme,
-    /// Processor count (part of the cache key).
-    pub nprocs: usize,
+    /// The pattern every batch's values must share, and the front-end
+    /// parameters a miss plans with.
+    pipeline: Pipeline,
     /// Per-request deadline measured from admission; overrides the
     /// service's [`ServeConfig::default_deadline`]. Not part of the
     /// cache key.
@@ -138,15 +130,12 @@ pub struct SolveRequest {
 }
 
 impl SolveRequest {
-    /// A request with the pipeline's paper defaults and no batches.
+    /// A request with the pipeline's paper defaults and no batches, whose
+    /// misses build dependencies by the serial sweep: the engine of
+    /// `sched::rebuild_artifact`, so one key has one origin.
     pub fn new(pattern: SymmetricPattern) -> Self {
         SolveRequest {
-            pattern,
-            ordering: Ordering::paper_default(),
-            order_engine: OrderEngine::Direct,
-            params: PartitionParams::default(),
-            scheme: Scheme::Block,
-            nprocs: 4,
+            pipeline: Pipeline::new(pattern).deps_engine(DepsEngine::Sweep),
             deadline: None,
             batches: Vec::new(),
         }
@@ -154,31 +143,31 @@ impl SolveRequest {
 
     /// Sets the ordering algorithm.
     pub fn ordering(mut self, o: Ordering) -> Self {
-        self.ordering = o;
+        self.pipeline = self.pipeline.ordering(o);
         self
     }
 
     /// Sets the ordering engine.
     pub fn order_engine(mut self, e: OrderEngine) -> Self {
-        self.order_engine = e;
+        self.pipeline = self.pipeline.order_engine(e);
         self
     }
 
     /// Sets the partitioning parameters.
     pub fn params(mut self, p: PartitionParams) -> Self {
-        self.params = p;
+        self.pipeline = self.pipeline.params(p);
         self
     }
 
     /// Sets block or wrap mapping.
     pub fn scheme(mut self, s: Scheme) -> Self {
-        self.scheme = s;
+        self.pipeline = self.pipeline.scheme(s);
         self
     }
 
     /// Sets the processor count.
     pub fn processors(mut self, n: usize) -> Self {
-        self.nprocs = n;
+        self.pipeline = self.pipeline.processors(n);
         self
     }
 
@@ -194,22 +183,14 @@ impl SolveRequest {
         self
     }
 
-    /// The [`ScheduleKey`] this request resolves through the cache.
-    pub fn key(&self) -> ScheduleKey {
-        self.key_for_hash(self.pattern.structural_hash())
+    /// The pipeline a cache miss plans with.
+    pub fn pipeline(&self) -> &Pipeline {
+        &self.pipeline
     }
 
-    /// [`Self::key`] for a caller that has already hashed the pattern.
-    fn key_for_hash(&self, structural_hash: u64) -> ScheduleKey {
-        ScheduleKey {
-            structural_hash,
-            n: self.pattern.n(),
-            ordering: self.ordering,
-            order_engine: self.order_engine,
-            params: self.params,
-            scheme: self.scheme,
-            nprocs: self.nprocs,
-        }
+    /// The [`ScheduleKey`] this request resolves through the cache.
+    pub fn key(&self) -> ScheduleKey {
+        self.pipeline.key()
     }
 }
 
@@ -320,15 +301,16 @@ impl Shared {
         };
         clock.check(DeadlineStage::Queue, spent)?;
 
-        let n = request.pattern.n();
+        let pattern = request.pipeline().pattern();
+        let n = pattern.n();
         // The one hash of the request: the cache key, and `expected` below.
-        let expected_hash = request.pattern.structural_hash();
+        let key = request.pipeline().key();
         for batch in &request.batches {
             // Compared array against array; only a mismatch pays for the
             // pattern and hash its error reports.
-            if !batch.values.has_pattern(&request.pattern) {
+            if !batch.values.has_pattern(pattern) {
                 return Err(ServeError::ValuesMismatch {
-                    expected: expected_hash,
+                    expected: key.structural_hash,
                     got: batch.values.pattern().structural_hash(),
                 });
             }
@@ -342,7 +324,6 @@ impl Shared {
             }
         }
 
-        let key = request.key_for_hash(expected_hash);
         let mut built_here = false;
         let mut warm_start = false;
         let build_started = Instant::now();
@@ -353,26 +334,16 @@ impl Shared {
             // then the warm-restart store; any store failure (missing,
             // corrupt, key mismatch) degrades to a build.
             if let (None, Some(store)) = (&remembered, &self.store) {
-                if let Ok(Some(a)) = store.load(&key, &request.pattern) {
+                if let Ok(Some(a)) = store.load(&key, pattern) {
                     warm_start = true;
                     return Ok(a);
                 }
             }
             built_here = true;
             self.cold_builds.fetch_add(1, AtomicOrdering::Relaxed);
-            let pipeline = Pipeline::new(request.pattern.clone())
-                .ordering(request.ordering)
-                .order_engine(request.order_engine)
-                .params(request.params)
-                .scheme(request.scheme)
-                .processors(request.nprocs)
-                // The engine `sched::rebuild_artifact` uses on the
-                // store-load path, so one key has one origin. Serial:
-                // the worker threads already fill the cores.
-                .deps_engine(DepsEngine::Sweep);
             let artifact = match remembered {
-                Some(permutation) => pipeline.try_plan_ordered(permutation),
-                None => pipeline.try_plan(),
+                Some(permutation) => request.pipeline().try_plan_ordered(permutation),
+                None => request.pipeline().try_plan(),
             }
             .map_err(|e| ServeError::Build(Arc::new(e)))?;
             // What the store already holds is this artifact: one key, one

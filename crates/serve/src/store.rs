@@ -2,7 +2,7 @@
 //!
 //! The schedule cache is the service's working set; this store is its
 //! persistence: every artifact built by the service is **spilled** to a
-//! store directory as the `spfactor-artifact v2` text — key, fingerprint
+//! store directory as the `spfactor-artifact v3` text — key, fingerprint
 //! and permutation, four lines (atomic temp-file-and-rename writes) — and
 //! a restarted service **reloads** the directory's index on startup — so
 //! previously-seen patterns skip the cold-build stampede and pay only the
@@ -124,22 +124,14 @@ impl std::fmt::Debug for ArtifactStore {
     }
 }
 
-/// Stable FNV-1a spill file name for a key: every field folded, so two
-/// parameterizations of one pattern land in different files.
-fn file_stem(key: &ScheduleKey) -> String {
+/// Stable spill file name for an artifact text: the FNV-1a of its key
+/// line, which names every key field, so two parameterizations of one
+/// pattern land in different files.
+fn file_stem(text: &str) -> String {
+    let key_line = text.lines().nth(1).unwrap_or_default();
     let mut h = Fnv1a::new();
-    h.write_u64(key.structural_hash);
-    h.write_u64(key.n as u64);
-    h.write_bytes(format!("{:?}", key.ordering).as_bytes());
-    h.write_bytes(key.order_engine.name().as_bytes());
-    h.write_u64(key.params.grain_triangle as u64);
-    h.write_u64(key.params.grain_rectangle as u64);
-    h.write_u64(key.params.min_cluster_width as u64);
-    h.write_u64(key.params.relax_zeros as u64);
-    h.write_bytes(key.scheme.name().as_bytes());
-    h.write_u64(key.nprocs as u64);
-    let h = h.finish();
-    format!("{h:016x}")
+    h.write_bytes(key_line.as_bytes());
+    format!("{:016x}", h.finish())
 }
 
 impl ArtifactStore {
@@ -238,16 +230,15 @@ impl ArtifactStore {
     /// indexes it. An IO failure is returned but leaves the store
     /// consistent — the artifact is simply not persisted.
     pub fn spill(&self, artifact: &ScheduleArtifact) -> Result<(), StoreError> {
-        let stem = file_stem(artifact.key());
-        let path = self.dir.join(format!("{stem}.{EXT}"));
-        let tmp = self.dir.join(format!(".{stem}.{TMP_EXT}"));
         let io_err = |path: &Path, e: std::io::Error| StoreError::Io {
             path: path.to_path_buf(),
             message: e.to_string(),
         };
-        let mut buf = Vec::new();
-        artifact.write_text(&mut buf).map_err(|e| io_err(&tmp, e))?;
-        std::fs::write(&tmp, &buf).map_err(|e| io_err(&tmp, e))?;
+        let text = artifact.to_text();
+        let stem = file_stem(&text);
+        let path = self.dir.join(format!("{stem}.{EXT}"));
+        let tmp = self.dir.join(format!(".{stem}.{TMP_EXT}"));
+        std::fs::write(&tmp, &text).map_err(|e| io_err(&tmp, e))?;
         std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
         lock_unpoisoned(&self.index).insert(*artifact.key(), path);
         self.spilled.fetch_add(1, AtomicOrdering::Relaxed);
@@ -321,7 +312,7 @@ mod tests {
         ArtifactStore::open(&dir).unwrap().spill(&plan).unwrap();
         // What a crash between `write` and `rename` leaves behind.
         let leftover = dir.join(".0123456789abcdef.tmp");
-        std::fs::write(&leftover, "spfactor-artifact v2\n").unwrap();
+        std::fs::write(&leftover, "spfactor-artifact v3\n").unwrap();
 
         let store = ArtifactStore::open(&dir).unwrap();
         assert!(!leftover.exists(), "leftover temp file survived open");

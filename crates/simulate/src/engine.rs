@@ -573,8 +573,7 @@ mod tests {
         let f = factor_of(&p);
         for relax in [1, 3] {
             let params = PartitionParams {
-                grain_triangle: 4,
-                grain_rectangle: 4,
+                grain: 4,
                 min_cluster_width: 3,
                 relax_zeros: relax,
             };

@@ -11,9 +11,11 @@
 # that keeps exactly its predecessor edges and analysis engines that hold
 # no partition-wide table, one plan value built
 # by one chain and scheduled on first use, a stored plan that is a key, a
-# fingerprint and a permutation, one kernel and no mp in the solver
-# service, no fault layer in mp, the metrics doc held to the code, and a
-# warning-free rustdoc surface.
+# fingerprint and a permutation, one description of a front end (a
+# solve request carries its pipeline, a partition has one grain), one
+# kernel and no mp in the solver service, no fault layer in mp, a
+# regression gate that fails on a seeded regression, the metrics doc
+# held to the code, and a warning-free rustdoc surface.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -301,6 +303,24 @@ fi
 cargo test -q -p spfactor-sched --test artifact_robustness
 cargo test -q -p spfactor --test serve_cache a_panicking_build_does_not_wedge_its_key
 
+echo "==> one front-end description: a request carries its pipeline, a partition one grain"
+# The paper cuts unit blocks by one grain size g, so PartitionParams has
+# one grain; a SolveRequest carries the Pipeline a cache miss plans with,
+# so the serve library builds no pipeline but SolveRequest::new's
+# (docs/SERVING.md, "Cache keying").
+sites=$(grep -rnE 'grain_(triangle|rectangle)' crates tests examples || true)
+if [ -n "$sites" ]; then
+  echo "a second grain returned:"; echo "$sites"
+  exit 1
+fi
+sites=$(call_sites 'Pipeline::new\(' crates/serve/src)
+if [ "$(grep -c . <<<"$sites")" -ne 1 ] || ! grep -q 'pipeline: Pipeline::new(' <<<"$sites"; then
+  echo "expected SolveRequest::new's one library call site of Pipeline::new( in crates/serve/src, found:"
+  echo "$sites"
+  exit 1
+fi
+cargo test -q -p spfactor --test serve_cache serve_plans_what_its_request_describes
+
 echo "==> mp leaves serve: the solver service has no mp kernel, breaker or failover"
 # The message-passing runtime is the pipeline's executable check of the
 # simulator (ExecutionBackend::MessagePassing), not a serve kernel; the
@@ -390,10 +410,26 @@ cargo run --release -q -p spfactor-bench --bin bench_regression -- \
   --baseline BENCH_scale.json --new "$scale_json" --report-only \
   | tail -n 2
 rm -f "$scale_json"
-# The committed scale baseline must self-compare clean through the gate.
-cargo run --release -q -p spfactor-bench --bin bench_regression -- \
-  --baseline BENCH_scale.json --new BENCH_scale.json > /dev/null \
-  || { echo "bench_regression failed a scale self-compare"; exit 1; }
+
+echo "==> bench regression gate: a seeded regression fails and names its leaves"
+# A file compared with itself cannot fail the gate; a copy of the scale
+# baseline with one heap leaf 20 % larger and one time leaf 30 % slower
+# must, and the report must name both.
+seeded_json="$(mktemp)"
+jq '.sizes[0].peak_bytes.deps *= 1.2 | .sizes[0].phases_ms.deps *= 1.3' \
+  BENCH_scale.json > "$seeded_json"
+gate_status=0
+gate_out=$(cargo run --release -q -p spfactor-bench --bin bench_regression -- \
+  --baseline BENCH_scale.json --new "$seeded_json") || gate_status=$?
+rm -f "$seeded_json"
+if [ "$gate_status" -ne 1 ]; then
+  echo "bench_regression exited $gate_status on a seeded regression, not 1:"; echo "$gate_out"
+  exit 1
+fi
+for leaf in 'LARGER sizes[0].peak_bytes.deps:' 'SLOWER sizes[0].phases_ms.deps:'; do
+  grep -qF "$leaf" <<<"$gate_out" \
+    || { echo "the seeded regression report does not name $leaf"; echo "$gate_out"; exit 1; }
+done
 
 echo "==> serve smoke: schedule cache + bench_serve schema of BENCH_serve.json"
 # The serve integration suite is the cache's executable contract
@@ -412,10 +448,6 @@ for field in '"schema": "spfactor-bench-serve/3"' \
     || { echo "serve bench JSON missing $field"; exit 1; }
 done
 rm -f "$serve_json"
-# The committed serve baseline must self-compare clean through the gate.
-cargo run --release -q -p spfactor-bench --bin bench_regression -- \
-  --baseline BENCH_serve.json --new BENCH_serve.json > /dev/null \
-  || { echo "bench_regression failed a serve self-compare"; exit 1; }
 
 echo "==> timeline smoke: LAP30 traces export, validate, and reconcile"
 # The timeline binary self-checks every export: the virtual-clock

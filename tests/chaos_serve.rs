@@ -16,7 +16,7 @@
 
 use spfactor::matrix::gen;
 use spfactor::matrix::SymmetricCsc;
-use spfactor::{numeric, NumericError, Pipeline, PipelineError};
+use spfactor::{numeric, DepsEngine, NumericError, PipelineError};
 use spfactor_serve::{ServeConfig, ServeError, SolveRequest, SolverService, Ticket, ValueBatch};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -34,12 +34,14 @@ fn request(cols: usize, rows: usize, seed: u64) -> SolveRequest {
         .batch(ValueBatch::new(values).with_rhs(rhs))
 }
 
-/// A fresh from-scratch `Pipeline` plan (same front-end parameters)
-/// factored by the sequential reference kernel: the ground truth for a
-/// request, or the matrix's numeric error.
+/// A fresh from-scratch plan of the request's pipeline (element
+/// dependency oracle) factored by the sequential reference kernel: the
+/// ground truth for a request, or the matrix's numeric error.
 fn reference(req: &SolveRequest) -> Result<numeric::NumericFactor, NumericError> {
-    let plan = Pipeline::new(req.pattern.clone())
-        .processors(req.nprocs)
+    let plan = req
+        .pipeline()
+        .clone()
+        .deps_engine(DepsEngine::Element)
         .try_plan()
         .expect("reference plan");
     let permuted = req.batches[0].values.permute(plan.permutation());

@@ -116,8 +116,7 @@ fn grouped_subjects() -> Vec<Subject> {
             for width in [1, 2, 4, 8] {
                 for relax in [0, 1, 3] {
                     let params = PartitionParams {
-                        grain_triangle: grain,
-                        grain_rectangle: grain,
+                        grain,
                         min_cluster_width: width,
                         relax_zeros: relax,
                     };

@@ -12,8 +12,8 @@ use spfactor::matrix::gen;
 use spfactor::matrix::Permutation;
 use spfactor::numeric::solve::SpdSolver;
 use spfactor::{
-    DepGraph, ExecutionBackend, Ordering, Pipeline, Recorder, ScheduleArtifact, Scheme,
-    SymbolicFactor,
+    DepGraph, DepsEngine, ExecutionBackend, OrderEngine, Ordering, PartitionParams, Pipeline,
+    Recorder, ScheduleArtifact, Scheme, SymbolicFactor,
 };
 use spfactor_serve::{
     ScheduleCache, ServeConfig, ServeError, SolveRequest, SolverService, ValueBatch,
@@ -36,14 +36,13 @@ fn grid_request(cols: usize, rows: usize, seed: u64) -> SolveRequest {
         .batch(ValueBatch::new(values).with_rhs(rhs))
 }
 
-/// The plan a from-scratch `Pipeline` makes for `request`.
+/// The plan a from-scratch run of `request`'s pipeline makes with the
+/// element dependency oracle, not the sweep a served build uses.
 fn fresh_plan(request: &SolveRequest) -> ScheduleArtifact {
-    Pipeline::new(request.pattern.clone())
-        .ordering(request.ordering)
-        .order_engine(request.order_engine)
-        .params(request.params)
-        .scheme(request.scheme)
-        .processors(request.nprocs)
+    request
+        .pipeline()
+        .clone()
+        .deps_engine(DepsEngine::Element)
         .plan()
 }
 
@@ -126,9 +125,7 @@ fn ordering_engine_is_pinned_in_the_cache_key() {
     // key (miss), while re-asking with the same engine hits.
     let service = SolverService::start(ServeConfig::default());
     let direct = grid_request(6, 6, 1);
-    let compressed = direct
-        .clone()
-        .order_engine(spfactor::OrderEngine::Compressed);
+    let compressed = direct.clone().order_engine(OrderEngine::Compressed);
     assert_ne!(direct.key(), compressed.key());
 
     let first = service.solve(direct.clone()).unwrap();
@@ -348,21 +345,18 @@ fn cold_built_artifact_equals_an_element_planned_one() {
         assert!(!resp.cache_hit);
         let served = &resp.artifact;
         let oracle = spfactor::partition::build_dependencies(
-            spfactor::DepsEngine::Element,
+            DepsEngine::Element,
             served.factor(),
             served.partition(),
         );
         assert_eq!(served.deps(), &oracle, "{scheme:?}: cold-built deps");
-        let planned = Pipeline::new(request.pattern.clone())
-            .scheme(scheme)
-            .processors(4)
-            .deps_engine(spfactor::DepsEngine::Element)
-            .plan();
+        let planned = fresh_plan(&request);
         assert_eq!(served.key(), planned.key());
         assert_eq!(served.fingerprint(), planned.fingerprint(), "{scheme:?}");
         // And the one a store load re-derives from the served text.
         let dump = spfactor::sched::read_artifact_text(served.to_text().as_bytes()).unwrap();
-        let rebuilt = spfactor::sched::rebuild_artifact(&request.pattern, &dump).unwrap();
+        let pattern = request.pipeline().pattern();
+        let rebuilt = spfactor::sched::rebuild_artifact(pattern, &dump).unwrap();
         assert_eq!(rebuilt.to_text(), planned.to_text(), "{scheme:?}");
     }
 }
@@ -577,6 +571,41 @@ fn a_re_miss_replans_from_the_remembered_permutation() {
     assert_eq!((stats.misses, stats.replans), (3, 1));
     assert_eq!(rec.counter("serve.cache.replan"), 1);
     assert_eq!(service.cold_builds(), 3, "a replan is still a build");
+}
+
+#[test]
+fn serve_plans_what_its_request_describes() {
+    // Every front-end parameter off its default under either scheme, and
+    // capacity 1: a cold build, a hit, and after an eviction a re-miss
+    // from the remembered permutation each serve the plan the request's
+    // own pipeline makes.
+    let params = PartitionParams::with_grain(9);
+    for scheme in [Scheme::Block, Scheme::Wrap] {
+        let service = SolverService::start(ServeConfig {
+            cache_capacity: 1,
+            ..ServeConfig::default()
+        });
+        let a = grid_request(9, 8, 3)
+            .ordering(Ordering::MultipleMinimumDegree { delta: 1 })
+            .order_engine(OrderEngine::Compressed)
+            .params(PartitionParams {
+                min_cluster_width: 2,
+                ..params
+            })
+            .scheme(scheme)
+            .processors(5);
+        let cold = service.solve(a.clone()).unwrap();
+        let hit = service.solve(a.clone()).unwrap();
+        service.solve(grid_request(7, 6, 4)).unwrap(); // evicts `a`
+        let re_miss = service.solve(a.clone()).unwrap();
+        assert!(!cold.cache_hit && hit.cache_hit && !re_miss.cache_hit);
+        assert_eq!(service.cache_stats().replans, 1);
+        let expected = fresh_plan(&a).fingerprint();
+        for resp in [&cold, &hit, &re_miss] {
+            assert_eq!(resp.key, a.key());
+            assert_eq!(resp.artifact.fingerprint(), expected, "{scheme:?}");
+        }
+    }
 }
 
 #[test]
