@@ -1,8 +1,9 @@
 //! Perf-regression gate over the bench JSON documents.
 //!
 //! Compares every time-like leaf (any dotted path with a segment ending
-//! `_ms`: `phases_ms.*`, `total_ms`, `cold_ms`, …) and every heap leaf (`BENCH_scale.json`'s `peak_bytes.*` and
-//! `max_peak_bytes`) of a committed baseline against a fresh run, and
+//! `_ms`: `phases_ms.*`, `total_ms`, …) and every heap leaf
+//! (`peak_bytes.*` and `max_peak_bytes`) of the committed scale
+//! baseline, `BENCH_scale.json`, against a fresh run, and
 //! fails when a leaf grew more than `--threshold` times — a time leaf
 //! only while above the `--min-ms` noise floor. Missing baseline leaves
 //! also fail — a shrunk benchmark cannot masquerade as a fast or a small
@@ -18,9 +19,9 @@
 //!
 //! Exit status: 0 when the candidate passes (or `--report-only` was
 //! given), 1 on regressions or missing leaves, 2 on usage errors.
-//! `scripts/bench.sh --gate-scale` / `--gate-serve` wire this against a
-//! fresh full run; `scripts/verify.sh` runs a report-only diff of the
-//! scale smoke run.
+//! `scripts/bench.sh --gate-scale` wires this against a fresh full
+//! sweep; `scripts/verify.sh` runs a report-only diff of the scale smoke
+//! run and requires a seeded regression to fail.
 
 use spfactor_trace::{json, regress};
 

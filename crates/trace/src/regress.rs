@@ -5,9 +5,9 @@
 //! values that grew past an allowed ratio. Two kinds of leaf are gated,
 //! both "lower is better":
 //!
-//! * *time* — any key segment on its dotted path ends in `_ms`: the
-//!   scale schema's `phases_ms.*` and `total_ms`, the serve schema's
-//!   `cold_ms`, `p99_ms`, …;
+//! * *time* — any key segment on its dotted path ends in `_ms`:
+//!   `BENCH_scale.json`'s `phases_ms.*` and `total_ms`, and any other
+//!   document's `…_ms` leaves;
 //! * *heap* — a segment is `peak_bytes` or `max_peak_bytes`:
 //!   `BENCH_scale.json`'s per-phase `peak_bytes.*` and its
 //!   `max_peak_bytes` (not the fitted `slopes.deps_peak_bytes`).

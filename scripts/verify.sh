@@ -431,23 +431,10 @@ for leaf in 'LARGER sizes[0].peak_bytes.deps:' 'SLOWER sizes[0].phases_ms.deps:'
     || { echo "the seeded regression report does not name $leaf"; echo "$gate_out"; exit 1; }
 done
 
-echo "==> serve smoke: schedule cache + bench_serve schema of BENCH_serve.json"
+echo "==> serve cache contract"
 # The serve integration suite is the cache's executable contract
 # (single-flight, LRU order, bit-identical cached solves, Overloaded).
 cargo test -q -p spfactor --test serve_cache
-serve_json="$(mktemp)"
-scripts/bench.sh --serve --smoke --out "$serve_json" > /dev/null
-for field in '"schema": "spfactor-bench-serve/3"' \
-             '"amortized_speedup"' '"amortized_hit_rate"' \
-             '"cold_ms"' '"amortized_ms"' \
-             '"throughput_rps"' '"hit_rate"' \
-             '"p50_ms"' '"p99_ms"' '"rejected"' \
-             '"schemes"' '"cache_sweep"' '"capacity"' \
-             '"replans"' '"miss_ms"'; do
-  grep -qF "$field" "$serve_json" \
-    || { echo "serve bench JSON missing $field"; exit 1; }
-done
-rm -f "$serve_json"
 
 echo "==> timeline smoke: LAP30 traces export, validate, and reconcile"
 # The timeline binary self-checks every export: the virtual-clock
@@ -462,15 +449,15 @@ for f in lap30_block_sim lap30_block_mp lap30_wrap_sim lap30_wrap_mp; do
 done
 rm -rf "$timeline_dir"
 
-echo "==> one benchmark of record: the retired pipeline baseline stays retired"
+echo "==> one benchmark of record: the retired pipeline and serve baselines stay retired"
 # Speed claims are made against the repository benchmark (benchmark/);
-# the per-phase and per-engine times the old pipeline baseline recorded
-# are its per-layer metrics (docs/PERFORMANCE.md, "Where the old pipeline
-# baseline's numbers are measured now"). (The bracketed letters keep the
-# pattern from naming what it forbids.)
-sites=$(grep -rnE '(bench|BENCH)_[p]ipeline' crates tests scripts docs examples README.md || true)
+# what the old pipeline and serve baselines recorded is measured by its
+# per-layer metrics (docs/PERFORMANCE.md, "Where the retired baselines'
+# numbers are measured now"). (The bracketed letters keep the pattern
+# from naming what it forbids.)
+sites=$(grep -rnE '(bench|BENCH)_([p]ipeline|[s]erve)' crates tests scripts docs examples README.md || true)
 if [ -n "$sites" ]; then
-  echo "the retired pipeline benchmark is named again:"; echo "$sites"
+  echo "a retired benchmark is named again:"; echo "$sites"
   exit 1
 fi
 

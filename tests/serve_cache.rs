@@ -614,6 +614,7 @@ fn one_pattern_is_ordered_once_across_scheme_and_processor_count() {
     let block = grid_request(8, 8, 1);
     let wrap = block.clone().scheme(Scheme::Wrap);
     let wider = block.clone().processors(7);
+    let mut served = Vec::new();
     for request in [&block, &wrap, &wider] {
         let resp = service.solve(request.clone()).unwrap();
         assert!(!resp.cache_hit, "three keys, three misses");
@@ -621,6 +622,14 @@ fn one_pattern_is_ordered_once_across_scheme_and_processor_count() {
             resp.artifact.fingerprint(),
             fresh_plan(request).fingerprint()
         );
+        served.push(resp);
+    }
+    // A served request reads only the permutation and the symbolic
+    // factor: the scheme and the processor count change nothing it
+    // computes.
+    for resp in &served[1..] {
+        assert_eq!(resp.batches[0].factor, served[0].batches[0].factor);
+        assert_eq!(resp.batches[0].solutions, served[0].batches[0].solutions);
     }
     assert_eq!(phase_runs(&rec, "order"), 1);
     assert_eq!(service.cache_stats().replans, 2);
