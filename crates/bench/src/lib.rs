@@ -2,8 +2,8 @@
 //!
 //! One binary regenerates every table/figure of the paper and the
 //! studies beyond it (one section with e.g. `cargo run --release -p
-//! spfactor-bench --bin all_tables -- table2`), plus Criterion benches
-//! for the pipeline stages. The [`paper`] module embeds the
+//! spfactor-bench --bin all_tables -- table2`); the pipeline stages are
+//! timed by the repository benchmark. The [`paper`] module embeds the
 //! published numbers so every regenerated table prints *paper vs measured*
 //! side by side — `EXPERIMENTS.md` is written from these outputs.
 

@@ -27,9 +27,9 @@
 //! | `Natural` | none | free | pre-ordered inputs; debugging |
 //!
 //! Measured numbers back these rows: the repository benchmark records
-//! MMD's wall time as `order.ms` / `order.direct_ms`, `cargo bench -p
-//! spfactor-bench --bench ordering` times the oracle beside the driver,
-//! and the `orderings` section of `all_tables`
+//! MMD's wall time as `order.ms` / `order.direct_ms` (`bash
+//! benchmark/run.sh --workload plan_grid --trace 1`), and the
+//! `orderings` section of `all_tables`
 //! (`cargo run --release -p spfactor-bench --bin all_tables --
 //! orderings`) sweeps fill across every method. A pipeline run tagged
 //! with a recorder reports the method it used via the `order.alg.<name>`

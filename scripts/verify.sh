@@ -351,7 +351,6 @@ if [ -n "$sites" ]; then
   exit 1
 fi
 cargo test -q -p spfactor --test chaos_serve
-cargo test -q -p spfactor --test serve_cache
 
 echo "==> metrics doc: docs/METRICS.md rows == recorded names"
 cargo test -q -p spfactor --test metrics_doc
@@ -449,15 +448,28 @@ for f in lap30_block_sim lap30_block_mp lap30_wrap_sim lap30_wrap_mp; do
 done
 rm -rf "$timeline_dir"
 
-echo "==> one benchmark of record: the retired pipeline and serve baselines stay retired"
+echo "==> one benchmark of record: the retired baselines and stage benches stay retired"
 # Speed claims are made against the repository benchmark (benchmark/);
-# what the old pipeline and serve baselines recorded is measured by its
-# per-layer metrics (docs/PERFORMANCE.md, "Where the retired baselines'
-# numbers are measured now"). (The bracketed letters keep the pattern
-# from naming what it forbids.)
+# what the old pipeline and serve baselines and the stage benches timed is
+# measured by its per-layer metrics (docs/PERFORMANCE.md, "Where the
+# retired baselines' numbers are measured now"). (The bracketed letters
+# keep the patterns from naming what they forbid.)
 sites=$(grep -rnE '(bench|BENCH)_([p]ipeline|[s]erve)' crates tests scripts docs examples README.md || true)
 if [ -n "$sites" ]; then
   echo "a retired benchmark is named again:"; echo "$sites"
+  exit 1
+fi
+sites=$(find . -name Cargo.toml -not -path './vendor/*' -not -path './benchmark/*' \
+    -not -path '*/target/*' -print0 \
+  | xargs -0 grep -HnE '^[[:space:]]*\[\[[b]ench\]\]|^[[:space:]]*[c]riterion[[:space:]]*[.=]|dependencies\.[c]riterion' \
+  || true)
+if [ -n "$sites" ]; then
+  echo "a side bench harness returned:"; echo "$sites"
+  exit 1
+fi
+sites=$(grep -rn 'cargo [b]ench' README.md EXPERIMENTS.md DESIGN.md docs .claude/skills || true)
+if [ -n "$sites" ]; then
+  echo "the docs point at a side bench harness:"; echo "$sites"
   exit 1
 fi
 
