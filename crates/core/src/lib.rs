@@ -66,7 +66,7 @@ pub use spfactor_trace as trace;
 
 pub use spfactor_trace::Recorder;
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use spfactor_matrix::{MatrixError, Permutation, SymmetricPattern};
 pub use spfactor_mp::{MpError, MpReport};
@@ -209,6 +209,9 @@ pub struct TimelineCapture {
 #[derive(Clone, Debug)]
 pub struct Pipeline {
     pattern: SymmetricPattern,
+    /// The pattern's structural hash, taken by the first [`Pipeline::key`]:
+    /// no builder method changes the pattern.
+    hash: OnceLock<u64>,
     ordering: Ordering,
     order_engine: OrderEngine,
     params: PartitionParams,
@@ -228,6 +231,7 @@ impl Pipeline {
     pub fn new(pattern: SymmetricPattern) -> Self {
         Pipeline {
             pattern,
+            hash: OnceLock::new(),
             ordering: Ordering::paper_default(),
             order_engine: OrderEngine::Direct,
             params: PartitionParams::default(),
@@ -599,16 +603,18 @@ impl Pipeline {
 
     /// The [`ScheduleKey`] this pipeline's front end would be cached
     /// under: the structural hash of the input pattern plus the
-    /// ordering/grain/scheme/processor parameters.
+    /// ordering/grain/scheme/processor parameters. The pattern is hashed
+    /// once per pipeline, by the first call.
     pub fn key(&self) -> ScheduleKey {
-        ScheduleKey::new(
-            &self.pattern,
-            self.ordering,
-            self.order_engine,
-            self.params,
-            self.scheme,
-            self.nprocs,
-        )
+        ScheduleKey {
+            structural_hash: *self.hash.get_or_init(|| self.pattern.structural_hash()),
+            n: self.pattern.n(),
+            ordering: self.ordering,
+            order_engine: self.order_engine,
+            params: self.params,
+            scheme: self.scheme,
+            nprocs: self.nprocs,
+        }
     }
 
     /// Runs only the back end — simulation, optional timeline capture,
@@ -1018,6 +1024,19 @@ mod tests {
         assert_ne!(a, Pipeline::new(p.clone()).processors(5).key());
         assert_ne!(a, Pipeline::new(p.clone()).grain(25).processors(4).key());
         assert_ne!(a, Pipeline::new(p).scheme(Scheme::Wrap).processors(4).key());
+    }
+
+    #[test]
+    fn a_key_taken_before_the_builder_changes_is_a_fresh_pipelines_key() {
+        let p = gen::lap9(6, 6);
+        let early = Pipeline::new(p.clone());
+        assert_eq!(early.key().structural_hash, p.structural_hash());
+        let late = early.grain(25).scheme(Scheme::Wrap).processors(7);
+        let fresh = Pipeline::new(p)
+            .grain(25)
+            .scheme(Scheme::Wrap)
+            .processors(7);
+        assert_eq!(late.key(), fresh.key());
     }
 
     #[test]

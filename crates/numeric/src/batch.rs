@@ -78,8 +78,28 @@ fn solve_batch(l: &NumericFactor, perm: Option<&Permutation>, rhs: &[Vec<f64>]) 
 /// [`lower_solve`] then [`upper_solve`] on [`LANES`] interleaved vectors
 /// at once: every lane sees the scalar solves' operations in their order,
 /// and each entry of L is read once per triangle instead of once per
-/// right-hand side.
+/// right-hand side. On a CPU with AVX2 the same body runs compiled for
+/// it, a row of lanes in two registers, with the same bits: a
+/// multiplication and a subtraction are rounded on their own (no fused
+/// multiply-add) in both.
 fn solve_lanes(l: &NumericFactor, x: &mut [[f64; LANES]]) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        /// # Safety
+        /// The CPU running it must have AVX2.
+        #[target_feature(enable = "avx2")]
+        unsafe fn avx2(l: &NumericFactor, x: &mut [[f64; LANES]]) {
+            solve_lanes_portable(l, x)
+        }
+        // SAFETY: the CPU running this has AVX2.
+        return unsafe { avx2(l, x) };
+    }
+    solve_lanes_portable(l, x)
+}
+
+/// The body of [`solve_lanes`], for the baseline target.
+#[inline(always)]
+fn solve_lanes_portable(l: &NumericFactor, x: &mut [[f64; LANES]]) {
     for j in 0..l.n() {
         let d = l.diag(j);
         let yj = x[j].map(|b| b / d);
@@ -106,6 +126,8 @@ fn solve_lanes(l: &NumericFactor, x: &mut [[f64; LANES]]) {
 mod tests {
     use super::*;
     use crate::factor::cholesky;
+    #[cfg(target_arch = "x86_64")]
+    use crate::factor::tests::{bits, on_avx2_subjects};
     use crate::solve::{residual_norm, SpdSolver};
     use spfactor_matrix::gen;
     use spfactor_order::{order, Ordering};
@@ -145,5 +167,23 @@ mod tests {
             upper_solve(&l, &mut manual);
             assert_eq!(x, &manual);
         }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn the_avx2_instance_has_the_portable_bodys_bits() {
+        on_avx2_subjects(|name, a, f| {
+            let l = cholesky(a, f).expect("SPD");
+            let x: Vec<[f64; LANES]> = (0..l.n())
+                .map(|i| std::array::from_fn(|k| ((i * (k + 3)) as f64 * 0.37).sin()))
+                .collect();
+            let (mut want, mut got) = (x.clone(), x);
+            solve_lanes_portable(&l, &mut want);
+            solve_lanes(&l, &mut got);
+            assert!(
+                bits(want.as_flattened()) == bits(got.as_flattened()),
+                "{name}"
+            );
+        });
     }
 }

@@ -1,4 +1,9 @@
-//! Sequential left-looking sparse Cholesky.
+//! Sequential left-looking sparse Cholesky, in panels of the factor's
+//! fundamental supernodes: four columns at a time, a supernode's last two
+//! or three two at a time, and a column without a partner alone. The body
+//! is compiled twice, for the baseline target and for AVX2, and
+//! [`cholesky`] runs the instance the CPU supports; both give the same
+//! bits.
 
 use crate::NumericError;
 use spfactor_matrix::SymmetricCsc;
@@ -142,64 +147,40 @@ impl NumericFactor {
 }
 
 /// Subtracts the contributions of `W` source columns that share the row
-/// tail `tail` from one lane of the accumulator and from the pivot `dj`:
-/// `p[w]` is the position of `L(j, k_w)` in `vals`, the entries below it
-/// pair up with `tail`, and row `i` of the target lives at
-/// `acc[i * S + LANE]` — `S = 1` for a column factored alone, `S = 2` for
-/// one lane of a panel. Each accumulator entry is gathered once and
-/// receives its `W` subtractions in the order of `p` (ascending `k`).
-/// Returns the pivot.
+/// tail `tail` from `L` adjacent lanes, columns `j, j + 1, …` of one
+/// supernode: `p[w]` is the position of `L(j, k_w)` in `vals`, so
+/// `L(j + m, k_w)` is at `p[w] + m`, and lane `m` of row `i` is
+/// `acc[i * S + lane + m]`. The tail starts at row `j + B`: with `B = 0`
+/// lane `m` of row `j + m` is column `j + m`'s pivot (above it, scratch);
+/// with `B = 1` column `j`'s pivot is `dj`, which is returned. Each
+/// accumulator row is gathered once and receives its `W` subtractions in
+/// the order of `p` (ascending `k`).
 #[inline(always)]
-fn apply_sources<const W: usize, const S: usize, const LANE: usize>(
+fn apply_sources<const W: usize, const L: usize, const S: usize, const B: usize>(
     p: [usize; W],
     tail: &[usize],
     vals: &[f64],
     acc: &mut [f64],
+    lane: usize,
     mut dj: f64,
 ) -> f64 {
-    let l = p.map(|p| vals[p]);
-    for ljk in l {
-        dj -= ljk * ljk;
-    }
-    let below = p.map(|p| &vals[p + 1..][..tail.len()]);
-    for (r, &i) in tail.iter().enumerate() {
-        let mut x = acc[i * S + LANE];
-        for w in 0..W {
-            x -= l[w] * below[w][r];
+    let l: [[f64; L]; W] = p.map(|p| std::array::from_fn(|m| vals[p + m]));
+    if B == 1 {
+        for l in &l {
+            dj -= l[0] * l[0];
         }
-        acc[i * S + LANE] = x;
     }
-    dj
-}
-
-/// [`apply_sources`] for `W` sources that hold both rows of a panel
-/// `(j, j + 1)`: `p[w]` is the position of `L(j, k_w)`, `L(j+1, k_w)`
-/// follows it, and `tail` — the rows below `j`, `j + 1` first — pairs up
-/// with the entries after `L(j, k_w)`. One load of `L(i, k_w)` updates
-/// both lanes of `acc[i]`. Lane 1 of row `j + 1` is column `j + 1`'s
-/// pivot, so the same loop subtracts `L(j+1, k)·L(j+1, k)` from it.
-/// Returns column `j`'s pivot.
-#[inline(always)]
-fn apply_pair_sources<const W: usize>(
-    p: [usize; W],
-    tail: &[usize],
-    vals: &[f64],
-    acc: &mut [[f64; 2]],
-    mut dj: f64,
-) -> f64 {
-    let l = p.map(|p| [vals[p], vals[p + 1]]);
-    for [ljk, _] in l {
-        dj -= ljk * ljk;
-    }
-    let below = p.map(|p| &vals[p + 1..][..tail.len()]);
+    let below: [&[f64]; W] = std::array::from_fn(|w| &vals[p[w] + B..][..tail.len()]);
     for (r, &i) in tail.iter().enumerate() {
-        let mut x = acc[i];
+        let row = &mut acc[i * S + lane..][..L];
+        let mut x: [f64; L] = std::array::from_fn(|m| row[m]);
         for w in 0..W {
             let v = below[w][r];
-            x[0] -= l[w][0] * v;
-            x[1] -= l[w][1] * v;
+            for m in 0..L {
+                x[m] -= l[w][m] * v;
+            }
         }
-        acc[i] = x;
+        row.copy_from_slice(&x);
     }
     dj
 }
@@ -251,74 +232,46 @@ impl<'a> Structure<'a> {
         self.colptr[k as usize] + pos as usize
     }
 
-    /// The rows of column `k` below row `j` for a source `(k, pos)` of
+    /// The rows of column `k` from row `j` on for a source `(k, pos)` of
     /// row `j`: the tail every source of its run shares.
     #[inline]
     fn tail(&self, (k, pos): (u32, u32)) -> &'a [usize] {
-        &self.rowidx[self.at((k, pos)) + 1..self.colptr[k as usize + 1]]
+        &self.rowidx[self.at((k, pos))..self.colptr[k as usize + 1]]
     }
 
-    /// Applies one supernode run of sources to lane `LANE` of a panel's
-    /// accumulator (`acc` flattened), four (two, one) per gather. Returns
-    /// the pivot.
+    /// Applies one supernode run of sources, from the row list of lane
+    /// `lane`, to lanes `lane..lane + L` of a panel's accumulator, `S`
+    /// lanes a row, four (two, one) sources per gather.
     #[inline(always)]
-    fn apply_lane_run<const LANE: usize>(
+    fn apply_run<const L: usize, const S: usize>(
         &self,
         run: &[(u32, u32)],
         vals: &[f64],
         acc: &mut [f64],
-        mut dj: f64,
-    ) -> f64 {
+        lane: usize,
+    ) {
         let tail = self.tail(run[0]);
         let at = |s: usize| self.at(run[s]);
         let mut t = 0;
         while run.len() - t >= 4 {
             let p = [at(t), at(t + 1), at(t + 2), at(t + 3)];
-            dj = apply_sources::<4, 2, LANE>(p, tail, vals, acc, dj);
+            apply_sources::<4, L, S, 0>(p, tail, vals, acc, lane, 0.0);
             t += 4;
         }
         if run.len() - t >= 2 {
-            dj = apply_sources::<2, 2, LANE>([at(t), at(t + 1)], tail, vals, acc, dj);
+            apply_sources::<2, L, S, 0>([at(t), at(t + 1)], tail, vals, acc, lane, 0.0);
             t += 2;
         }
         if run.len() - t == 1 {
-            dj = apply_sources::<1, 2, LANE>([at(t)], tail, vals, acc, dj);
+            apply_sources::<1, L, S, 0>([at(t)], tail, vals, acc, lane, 0.0);
         }
-        dj
-    }
-
-    /// [`Self::apply_lane_run`] for a run that reaches both columns of a
-    /// panel, taken from the first column's row list.
-    #[inline(always)]
-    fn apply_pair_run(
-        &self,
-        run: &[(u32, u32)],
-        vals: &[f64],
-        acc: &mut [[f64; 2]],
-        mut dj: f64,
-    ) -> f64 {
-        let tail = self.tail(run[0]);
-        let at = |s: usize| self.at(run[s]);
-        let mut t = 0;
-        while run.len() - t >= 4 {
-            let p = [at(t), at(t + 1), at(t + 2), at(t + 3)];
-            dj = apply_pair_sources(p, tail, vals, acc, dj);
-            t += 4;
-        }
-        if run.len() - t >= 2 {
-            dj = apply_pair_sources([at(t), at(t + 1)], tail, vals, acc, dj);
-            t += 2;
-        }
-        if run.len() - t == 1 {
-            dj = apply_pair_sources([at(t)], tail, vals, acc, dj);
-        }
-        dj
     }
 }
 
 /// Factors column `j` alone, `acc` a dense scalar accumulator. One
-/// straight body, not the panel's helpers: on a matrix with little fill
-/// most columns come here, and the helper-built form measured slower.
+/// straight body, not the panel's run helper, and the pivot apart from
+/// the accumulator: on a matrix with little fill most columns come here,
+/// with tails of a row or two, and either other form measured slower.
 #[inline(always)]
 fn factor_column(
     s: Structure<'_>,
@@ -334,31 +287,10 @@ fn factor_column(
         rows,
     } = s;
     let struct_j = &rowidx[colptr[j]..colptr[j + 1]];
-    // Scatter A's column j; both row lists ascend, so membership in the
-    // symbolic structure is one merge walk.
-    let a_rows = a.col_rows(j);
-    let a_vals = a.col_values(j);
-    if a_rows.first() != Some(&j) {
-        return Err(NumericError::StructureMismatch(format!(
-            "column {j} of A does not start with its diagonal"
-        )));
-    }
-    let mut dj = a_vals[0];
-    let mut cursor = 0;
-    for (&i, &v) in a_rows[1..].iter().zip(&a_vals[1..]) {
-        while cursor < struct_j.len() && struct_j[cursor] < i {
-            cursor += 1;
-        }
-        if struct_j.get(cursor) != Some(&i) {
-            return Err(NumericError::StructureMismatch(format!(
-                "A({i}, {j}) not present in symbolic factor"
-            )));
-        }
-        acc[i] = v;
-    }
+    let mut dj = scatter::<1>(a, j, struct_j, acc, 0)?;
     // Left-looking update: for every k with L(j, k) != 0, subtract
     // L(j, k) * L(:, k) from the accumulator (rows > j) and from the
-    // diagonal, one supernode run of sources at a time.
+    // pivot, one supernode run of sources at a time.
     let sources = rows.row(j);
     let mut t = 0;
     while t < sources.len() {
@@ -373,23 +305,19 @@ fn factor_column(
         let tail = &rowidx[at(t) + 1..colptr[sources[t].0 as usize + 1]];
         while run_end - t >= 4 {
             let p = [at(t), at(t + 1), at(t + 2), at(t + 3)];
-            dj = apply_sources::<4, 1, 0>(p, tail, vals, acc, dj);
+            dj = apply_sources::<4, 1, 1, 1>(p, tail, vals, acc, 0, dj);
             t += 4;
         }
         if run_end - t >= 2 {
-            dj = apply_sources::<2, 1, 0>([at(t), at(t + 1)], tail, vals, acc, dj);
+            dj = apply_sources::<2, 1, 1, 1>([at(t), at(t + 1)], tail, vals, acc, 0, dj);
             t += 2;
         }
         if run_end - t == 1 {
-            dj = apply_sources::<1, 1, 0>([at(t)], tail, vals, acc, dj);
+            dj = apply_sources::<1, 1, 1, 1>([at(t)], tail, vals, acc, 0, dj);
             t += 1;
         }
     }
-    // NaN-safe: a plain `dj <= 0.0` would let a NaN pivot through.
-    if dj.is_nan() || dj <= 0.0 {
-        return Err(NumericError::NotPositiveDefinite(j));
-    }
-    let ljj = dj.sqrt();
+    let ljj = pivot(j, dj)?;
     diag[j] = ljj;
     // Gather and scale.
     for (v, &i) in vals[colptr[j]..colptr[j + 1]].iter_mut().zip(struct_j) {
@@ -399,14 +327,15 @@ fn factor_column(
     Ok(())
 }
 
-/// Scatters A's column `j` into lane `lane` of a panel's accumulator and
-/// returns `A(j, j)`. Both row lists ascend, so membership in the
-/// symbolic column `struct_j` is one merge walk.
-fn scatter(
+/// Scatters A's column `j` into lane `lane` of an accumulator with `S`
+/// lanes a row and returns `A(j, j)`. Both row lists ascend, so
+/// membership in the symbolic column `struct_j` is one merge walk.
+#[inline(always)]
+fn scatter<const S: usize>(
     a: &SymmetricCsc,
     j: usize,
     struct_j: &[usize],
-    acc: &mut [[f64; 2]],
+    acc: &mut [f64],
     lane: usize,
 ) -> Result<f64, NumericError> {
     let a_rows = a.col_rows(j);
@@ -426,12 +355,13 @@ fn scatter(
                 "A({i}, {j}) not present in symbolic factor"
             )));
         }
-        acc[i][lane] = v;
+        acc[i * S + lane] = v;
     }
     Ok(a_vals[0])
 }
 
-/// `L(j, j)` from the updated pivot `dj`, by [`factor_column`]'s test.
+/// `L(j, j)` from the updated pivot `dj`. NaN-safe: a plain `dj <= 0.0`
+/// would let a NaN pivot through.
 fn pivot(j: usize, dj: f64) -> Result<f64, NumericError> {
     if dj.is_nan() || dj <= 0.0 {
         return Err(NumericError::NotPositiveDefinite(j));
@@ -439,90 +369,102 @@ fn pivot(j: usize, dj: f64) -> Result<f64, NumericError> {
     Ok(dj.sqrt())
 }
 
-/// Factors the panel `(j, j + 1)`, two consecutive columns of one
-/// fundamental supernode: `struct(L_j) = {j + 1} ∪ struct(L_{j+1})`.
-/// Lane 0 of `acc` accumulates column `j`, lane 1 column `j + 1`, whose
-/// pivot sits at lane 1 of row `j + 1`.
+/// Factors the panel `j..j + L`, consecutive columns of one fundamental
+/// supernode: `struct(L_{j+m}) = {j+m+1, …, j+L-1} ∪ struct(L_{j+L-1})`.
+/// Lane `m` of row `i`, `acc[i * L + m]`, accumulates column `j + m`,
+/// whose pivot sits in its own row. A source supernode holds each row of
+/// the panel in all of its columns or in none, so a run of its sources
+/// holds all `L` rows, and updates every lane from one load of each
+/// `L(i, k)`, or a subset of them, not necessarily adjacent, whose lanes
+/// it updates one at a time.
 #[inline(always)]
-fn factor_pair(
+fn factor_panel<const L: usize>(
     s: Structure<'_>,
     a: &SymmetricCsc,
     j: usize,
     diag: &mut [f64],
     vals: &mut [f64],
-    acc: &mut [[f64; 2]],
+    acc: &mut [f64],
 ) -> Result<(), NumericError> {
-    let (struct_j, struct_next) = (s.col(j), s.col(j + 1));
-    debug_assert_eq!(struct_j.first(), Some(&(j + 1)));
-    let mut dj = scatter(a, j, struct_j, acc, 0)?;
-    // Column j + 1's entries of A must be in place before any update
-    // reaches them; a failure among them is reported only after column
-    // j's pivot, where a column-by-column walk would have met it.
-    let late = match scatter(a, j + 1, struct_next, acc, 1) {
-        Ok(d) => {
-            acc[j + 1][1] = d;
-            None
+    // A's columns must be in place before any update reaches them; a
+    // failure in a later column is reported once the pivots before it
+    // hold, where a column-by-column walk would have met it.
+    let (mut lanes, mut late) = (L, Ok(()));
+    for m in 0..L {
+        match scatter::<L>(a, j + m, s.col(j + m), acc, m) {
+            Ok(d) => acc[(j + m) * L + m] = d,
+            Err(e) if m == 0 => return Err(e),
+            Err(e) => {
+                (lanes, late) = (m, Err(e));
+                break;
+            }
         }
-        Err(e) => Some(e),
-    };
-    // Row j + 1's last source is column j itself, applied once j is
-    // final; the rest merge with row j's list by supernode, ascending.
-    let first = s.rows.row(j);
-    let second = s.rows.row(j + 1);
-    debug_assert_eq!(second.last(), Some(&(j as u32, 0)));
-    let second = &second[..second.len() - 1];
-    let (mut t, mut x) = (0, s.snode_at(first, 0));
-    let (mut u, mut y) = (0, s.snode_at(second, 0));
-    while t < first.len() || u < second.len() {
-        if x < y {
-            let (end, next) = s.run_end(first, t, x);
-            dj = s.apply_lane_run::<0>(&first[t..end], vals, acc.as_flattened_mut(), dj);
-            (t, x) = (end, next);
-        } else if y < x {
-            let (end, next) = s.run_end(second, u, y);
-            let d = acc[j + 1][1];
-            acc[j + 1][1] = s.apply_lane_run::<1>(&second[u..end], vals, acc.as_flattened_mut(), d);
-            (u, y) = (end, next);
+    }
+    // Row j + m ends with its sources in the panel, columns j..j + m,
+    // applied as they become final; the rest merge by supernode,
+    // ascending.
+    let lists: [&[(u32, u32)]; L] = std::array::from_fn(|m| {
+        let row = s.rows.row(j + m);
+        &row[..row.len() - m]
+    });
+    let (mut t, mut ids) = ([0; L], lists.map(|list| s.snode_at(list, 0)));
+    loop {
+        let id = ids.into_iter().fold(u32::MAX, u32::min);
+        if id == u32::MAX {
+            break;
+        }
+        if ids == [id; L] {
+            let (end, _) = s.run_end(lists[0], t[0], id);
+            let len = end - t[0];
+            s.apply_run::<L, L>(&lists[0][t[0]..end], vals, acc, 0);
+            for m in 0..L {
+                t[m] += len;
+                ids[m] = s.snode_at(lists[m], t[m]);
+            }
         } else {
-            // A supernode other than j's holds both rows in all of its
-            // columns, and j's own holds both in every column before j:
-            // the two runs are the same sources.
-            let (end, next) = s.run_end(first, t, x);
-            let len = end - t;
-            debug_assert!(first[t..end]
-                .iter()
-                .zip(&second[u..u + len])
-                .all(|(p, q)| p.0 == q.0 && p.1 + 1 == q.1));
-            dj = s.apply_pair_run(&first[t..end], vals, acc, dj);
-            (t, x) = (end, next);
-            (u, y) = (u + len, s.snode_at(second, u + len));
+            // Each lane the run holds, alone.
+            for m in 0..L {
+                if ids[m] == id {
+                    let (end, next) = s.run_end(lists[m], t[m], id);
+                    s.apply_run::<1, L>(&lists[m][t[m]..end], vals, acc, m);
+                    (t[m], ids[m]) = (end, next);
+                }
+            }
         }
     }
-    let ljj = pivot(j, dj)?;
-    if let Some(e) = late {
-        return Err(e);
+    // Gather and scale. The panel's own rows first, column by column:
+    // the pivots, lk[m][q] = L(j + q, j + m) below them, and their updates
+    // to the later columns, the last subtractions their entries receive.
+    let (mut ljj, mut lk) = ([0.0; L], [[0.0; L]; L]);
+    for m in 0..lanes {
+        ljj[m] = pivot(j + m, acc[(j + m) * L + m])?;
+        diag[j + m] = ljj[m];
+        for q in m + 1..L {
+            let x = acc[(j + q) * L + m] / ljj[m];
+            lk[m][q] = x;
+            vals[s.colptr[j + m] + q - m - 1] = x;
+            for r in m + 1..=q {
+                acc[(j + q) * L + r] -= lk[m][r] * x;
+            }
+        }
     }
-    diag[j] = ljj;
-    // Gather and scale column j; its update to column j + 1 rides the
-    // same pass, the last subtraction every entry of j + 1 receives.
-    let (col_j, col_next) = vals[s.colptr[j]..s.colptr[j + 2]].split_at_mut(struct_j.len());
-    let l = acc[j + 1][0] / ljj;
-    col_j[0] = l;
-    let mut d = acc[j + 1][1];
-    d -= l * l;
-    acc[j + 1] = [0.0, 0.0];
-    for (v, &i) in col_j[1..].iter_mut().zip(&struct_j[1..]) {
-        let [x, y] = acc[i];
-        let x = x / ljj;
-        *v = x;
-        acc[i] = [0.0, y - l * x];
+    late?;
+    // Then every row below, once: column j + m's entry, then its updates
+    // to the later columns, m = 0, 1, ….
+    let at: [usize; L] = std::array::from_fn(|m| s.colptr[j + m] + L - 1 - m);
+    for (t, &i) in s.col(j + L - 1).iter().enumerate() {
+        let row = &mut acc[i * L..][..L];
+        for m in 0..L {
+            let x = row[m] / ljj[m];
+            vals[at[m] + t] = x;
+            for r in m + 1..L {
+                row[r] -= lk[m][r] * x;
+            }
+        }
+        row.fill(0.0);
     }
-    let ljj = pivot(j + 1, d)?;
-    diag[j + 1] = ljj;
-    for (v, &i) in col_next.iter_mut().zip(struct_next) {
-        *v = acc[i][1] / ljj;
-        acc[i][1] = 0.0;
-    }
+    // The pivots, and the scratch lanes above each row's own column.
+    acc[j * L..(j + L) * L].fill(0.0);
     Ok(())
 }
 
@@ -534,17 +476,39 @@ fn factor_pair(
 ///
 /// Column `j` is updated by the columns of row `j` of L, read from the
 /// factor's shared [`row structure`](SymbolicFactor::row_structure) in
-/// ascending `k`. Consecutive sources from one fundamental supernode have
-/// the same row indices below `j`, so they are applied four (two, one) at
-/// a time to each gathered accumulator entry. The columns go in panels:
-/// two consecutive columns of one fundamental supernode share their rows,
-/// so a source holding both updates them together — one load of each
-/// `L(i, k)` for the two lanes of `acc[i]` — and a column without a
-/// partner is factored alone. Every entry still receives its subtractions
-/// one by one in ascending `k`, which keeps the result bit-identical to
-/// the one-source-at-a-time kernel and to the parallel executors pinned
-/// against it; errors name the same column as that kernel.
+/// ascending `k`; consecutive sources from one fundamental supernode share
+/// their rows below `j` and are applied four (two, one) per gather of an
+/// accumulator entry. A panel's columns share their rows too, so a source
+/// holding all of them updates them together, one load of each `L(i, k)`
+/// for the lanes of `acc[i]` (one register under AVX2). Every entry still
+/// receives its subtractions one by one in ascending `k`, a multiplication
+/// and a subtraction each, rounded apart (no fused multiply-add): the
+/// result is bit-identical to the one-source-at-a-time kernel and to the
+/// parallel executors pinned against it, and errors name its column.
 pub fn cholesky(
+    a: &SymmetricCsc,
+    symbolic: &SymbolicFactor,
+) -> Result<NumericFactor, NumericError> {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        /// # Safety
+        /// The CPU running it must have AVX2.
+        #[target_feature(enable = "avx2")]
+        unsafe fn avx2(
+            a: &SymmetricCsc,
+            s: &SymbolicFactor,
+        ) -> Result<NumericFactor, NumericError> {
+            cholesky_portable(a, s)
+        }
+        // SAFETY: the CPU running this has AVX2.
+        return unsafe { avx2(a, symbolic) };
+    }
+    cholesky_portable(a, symbolic)
+}
+
+/// The body of [`cholesky`], for the baseline target.
+#[inline(always)]
+fn cholesky_portable(
     a: &SymmetricCsc,
     symbolic: &SymbolicFactor,
 ) -> Result<NumericFactor, NumericError> {
@@ -562,16 +526,23 @@ pub fn cholesky(
     };
     let mut values = vec![0.0f64; symbolic.num_entries()];
     let (diag, vals) = values.split_at_mut(n);
-    // Two-lane accumulator, zero between panels; a column factored alone
-    // uses its first n values as a plain dense one.
-    let mut acc = vec![[0.0f64; 2]; n];
+    // Accumulator, zero between panels: a panel of L columns keeps L
+    // lanes a row in its first L·n values, a column factored alone its
+    // rows in the first n.
+    let mut acc = vec![0.0f64; 4 * n];
+    // Whether columns j..j + w are all in j's supernode.
+    let spans =
+        |j: usize, w: usize| j + w <= n && s.rows.supernode_of(j + w - 1) == s.rows.supernode_of(j);
     let mut j = 0;
     while j < n {
-        if j + 1 < n && s.rows.supernode_of(j) == s.rows.supernode_of(j + 1) {
-            factor_pair(s, a, j, diag, vals, &mut acc)?;
+        if spans(j, 4) {
+            factor_panel::<4>(s, a, j, diag, vals, &mut acc)?;
+            j += 4;
+        } else if spans(j, 2) {
+            factor_panel::<2>(s, a, j, diag, vals, &mut acc)?;
             j += 2;
         } else {
-            factor_column(s, a, j, diag, vals, &mut acc.as_flattened_mut()[..n])?;
+            factor_column(s, a, j, diag, vals, &mut acc[..n])?;
             j += 1;
         }
     }
@@ -580,9 +551,49 @@ pub fn cholesky(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use spfactor_matrix::{gen, Coo, SymmetricPattern};
+    use spfactor_order::{order, Ordering};
+
+    /// Runs `check` on the paper's matrices and lap9 grids up to 80²
+    /// under MMD, where the dispatched entries run the AVX2 instances.
+    /// Unoptimized, an instance may call its portable body, not inline it.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn on_avx2_subjects(check: impl Fn(&str, &SymmetricCsc, &SymbolicFactor)) {
+        if !is_x86_feature_detected!("avx2") {
+            return eprintln!("no AVX2 on this CPU: the AVX2 instances are not compared");
+        }
+        let paper = gen::paper::all()
+            .into_iter()
+            .map(|m| (m.name.to_string(), m.pattern));
+        let grids = [20, 40, 80].map(|side| (format!("lap9 {side}²"), gen::lap9(side, side)));
+        for (seed, (name, p)) in paper.chain(grids).enumerate() {
+            let a = gen::spd_from_pattern(
+                &p.permute(&order(&p, Ordering::paper_default())),
+                seed as u64,
+            );
+            check(&name, &a, &factor_setup(&a));
+        }
+    }
+
+    /// The bits of `v`, which tell `-0.0` from `0.0`.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn the_avx2_instance_has_the_portable_bodys_bits() {
+        on_avx2_subjects(|name, a, f| {
+            let want = cholesky_portable(a, f).expect("SPD");
+            assert!(
+                bits(&cholesky(a, f).expect("SPD").values) == bits(&want.values),
+                "{name}"
+            );
+        });
+    }
 
     fn factor_setup(a: &SymmetricCsc) -> SymbolicFactor {
         SymbolicFactor::from_pattern(&a.pattern())
@@ -688,36 +699,35 @@ mod tests {
     fn failures_name_the_first_failing_column() {
         // Non-SPD and NaN diagonals deep in the matrix fail at their own
         // column, not earlier and not later — a column factored alone and
-        // either column of a panel alike.
+        // any lane of a panel alike.
         let p = gen::lap9(6, 6);
         let f = SymbolicFactor::from_pattern(&p);
         let good = gen::spd_from_pattern(&p, 4);
         let cases = [
             (0usize, -1.0),
-            (13, 0.0),
+            (30, 0.0),
             (16, -2.0),
-            (20, f64::NAN),
+            (17, f64::NAN),
             (28, 0.0),
             (35, -3.0),
         ];
-        // Panels pair a fundamental supernode's columns from its first.
+        // Each column's lane in its panel, None for a column alone: a
+        // supernode's columns go four, then two, from its first on.
         let rows = f.row_structure();
-        let (mut firsts, mut seconds, mut j) = (Vec::new(), Vec::new(), 0);
+        let (mut lane, mut j) = (vec![None; f.n()], 0);
         while j < f.n() {
-            if j + 1 < f.n() && rows.supernode_of(j) == rows.supernode_of(j + 1) {
-                firsts.push(j);
-                seconds.push(j + 1);
-                j += 2;
-            } else {
-                j += 1;
+            let spans =
+                |w: usize| j + w <= f.n() && rows.supernode_of(j + w - 1) == rows.supernode_of(j);
+            let w = [4, 2].into_iter().find(|&w| spans(w)).unwrap_or(1);
+            if w > 1 {
+                (0..w).for_each(|m| lane[j + m] = Some(m));
             }
+            j += w;
         }
-        let cols: Vec<usize> = cases.iter().map(|c| c.0).collect();
-        assert!(cols.iter().any(|c| firsts.contains(c)));
-        assert!(cols.iter().any(|c| seconds.contains(c)));
-        assert!(cols
-            .iter()
-            .any(|c| !firsts.contains(c) && !seconds.contains(c)));
+        let lanes: Vec<Option<usize>> = cases.iter().map(|c| lane[c.0]).collect();
+        for want in [None, Some(0), Some(1), Some(2), Some(3)] {
+            assert!(lanes.contains(&want), "no case in lane {want:?}");
+        }
         for (col, bad) in cases {
             let mut coo = Coo::new(good.n());
             for j in 0..good.n() {

@@ -6,7 +6,8 @@
 # Tier-1 (the gate every PR must keep green) plus the observability
 # checks: one instrumentation path (no twins, no compile-out build), one
 # unit-block kernel under both schedule executors, numeric factors that
-# share the symbolic structure instead of copying it, a partition that
+# share the symbolic structure instead of copying it, numeric kernels
+# whose AVX2 instances keep the portable bodies' bits, a partition that
 # keeps its geometry and no per-entry map, a dependency graph
 # that keeps exactly its predecessor edges and analysis engines that hold
 # no partition-wide table, one plan value built
@@ -108,16 +109,49 @@ cargo test -q -p spfactor --test partition_alloc
 cargo test -q -p spfactor --test numeric_alloc
 cargo test -q -p spfactor --test partition_equivalence
 
-echo "==> numeric kernel bits: paired-column cholesky + multi-RHS solves vs the kept oracles"
+echo "==> numeric kernel bits: four-column panels and the AVX2 instances vs the kept oracles"
+# The bits rest on every subtraction being a multiplication and a
+# subtraction rounded apart: no fused multiply-add in the numeric crate,
+# no target feature but AVX2 (which has none), none for the whole build,
+# and the CPU asked only where cholesky and solve_lanes pick an instance.
+if grep -rn 'mul_add' crates/numeric/src; then
+  echo "mul_add in crates/numeric/src: a fused multiply-add rounds once, not twice"
+  exit 1
+fi
+if grep -rn 'target_feature' crates/numeric/src | grep -v '#\[target_feature(enable = "avx2")\]'; then
+  echo "a target feature other than avx2 in crates/numeric/src"
+  exit 1
+fi
+if grep -n 'target-feature\|target-cpu' .cargo/config.toml; then
+  echo ".cargo/config.toml sets target features for the whole build"
+  exit 1
+fi
+sites=$(for f in $(find crates -name '*.rs'); do
+  awk -v f="$f" '
+    /#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    /is_x86_feature_detected!/ { print f ":" fn }' "$f"
+done | sort)
+want=$'crates/numeric/src/batch.rs:solve_lanes\ncrates/numeric/src/factor.rs:cholesky'
+if [ "$sites" != "$want" ]; then
+  echo "is_x86_feature_detected! outside the two dispatch sites (cholesky, solve_lanes):"
+  echo "$sites"
+  exit 1
+fi
 # Every test in the file: the oracles on every subject, the panel paths
-# (runs reaching both columns, only the first, only the second; unpaired
-# columns; odd-width supernodes), signed zeros and exact cancellations,
-# and the error precedence inside a panel.
+# (four- and two-lane runs holding every row, runs holding some rows and
+# non-adjacent ones, columns alone, supernode widths 1-9), signed zeros
+# and exact cancellations, and the error precedence inside a panel.
 cargo test -q -p spfactor --test numeric_kernel_bits
 # The oracle at n = 40,000 (lap9 200²), the block-parallel executor at
 # P = 2 and the solve's relative residual; ignored unoptimized.
 cargo test --release -q -p spfactor --test numeric_kernel_bits \
   kernel_matches_the_oracle_at_side_200 -- --ignored
+# The AVX2 instances of cholesky and solve_lanes against their portable
+# bodies, bit for bit (optimized, where the instances are compiled apart;
+# skipped with a note on a CPU without AVX2).
+cargo test --release -q -p spfactor-numeric the_avx2_instance_has_the_portable_bodys_bits
 
 echo "==> mp checks, it does not survive: no fault layer, mismatched schedules fail typed"
 # The message-passing runtime is the executable check of the simulator's

@@ -37,6 +37,7 @@ fn assert_shares_structure(what: &str, l: &NumericFactor, f: &SymbolicFactor) {
 fn check(name: &str, pattern: &SymmetricPattern, grain: usize) {
     const P: usize = 2;
     const SLACK: usize = 64 << 10;
+    const SEQ_SLACK: usize = 4 << 10;
     let perm = spfactor::order::order(pattern, Ordering::paper_default());
     let a = gen::spd_from_pattern(&pattern.permute(&perm), 7);
     let f = SymbolicFactor::from_pattern(&a.pattern());
@@ -51,9 +52,12 @@ fn check(name: &str, pattern: &SymmetricPattern, grain: usize) {
     let (n, entries, units) = (f.n(), f.num_entries(), part.num_units());
     let values = 8 * entries;
 
-    // Sequential: one two-lane accumulator, a pair of values per row.
+    // Sequential: one four-lane accumulator, four values a row, and no
+    // other scratch. The slack stays under 16 B a row, so a scratch that
+    // grows by two values a row fails.
     let (seq, rise) = heap_rise(|| numeric::cholesky(&a, &f).expect("SPD"));
-    let scratch = 16 * n + SLACK;
+    assert!(SEQ_SLACK < 16 * n, "{name}: the slack hides 16 B a row");
+    let scratch = 32 * n + SEQ_SLACK;
     assert!(
         rise <= values + scratch,
         "{name} cholesky: heap rose {rise} B, values {values} B + scratch {scratch} B"

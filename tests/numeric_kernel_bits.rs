@@ -1,15 +1,17 @@
-//! Pinned bits: the supernode-blocked, column-pairing `numeric::cholesky`
+//! Pinned bits: the supernode-blocked, four-column-panel `numeric::cholesky`
 //! and the lane-interleaved `solve_many(_permuted)` must return exactly
-//! what the kernels they replaced returned.
+//! what the kernels they replaced returned, in whichever instance (the
+//! baseline target's or AVX2's) the CPU running them selects.
 //!
 //! The oracles below are those kernels, kept verbatim: a left-looking
 //! factorization that applies one source column at a time to one target
 //! column at a time, from row lists it builds as columns finish, and one
 //! forward plus one backward substitution per right-hand side. Blocking
 //! by supernode only changes how many sources ride one gather of an
-//! accumulator entry, and pairing two columns of a supernode only puts
-//! two target entries side by side in one register; neither changes the
-//! order in which one entry receives its subtractions, so equality here
+//! accumulator entry, and a panel of four (two) columns of a supernode
+//! only puts four (two) target entries side by side in one register;
+//! neither changes the order in which one entry receives its
+//! subtractions, nor fuses a multiplication into one, so equality here
 //! is `==` on `NumericFactor` and on every solution vector — no
 //! tolerance.
 //!
@@ -33,6 +35,7 @@ use spfactor::{
     mp, sched, Assignment, DepGraph, DepsEngine, MpError, NetworkModel, NumericError, Partition,
     PartitionParams, Permutation, SymbolicFactor, SymmetricPattern,
 };
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 /// The kernel `numeric::cholesky` had before it read the factor's row
@@ -246,54 +249,66 @@ fn run_lengths(f: &SymbolicFactor, seen: &mut [bool; 6]) {
     }
 }
 
-/// The first columns of the kernel's two-column panels: `numeric::cholesky`
-/// pairs columns `j, j + 1` of one fundamental supernode, from the
-/// supernode's first column on, and factors every other column alone.
-fn panel_starts(f: &SymbolicFactor) -> Vec<usize> {
+/// The kernel's panels as `(first column, width)`: `numeric::cholesky`
+/// takes the columns of each fundamental supernode, from its first on,
+/// four at a time, then two for its last two or three, and factors every
+/// other column alone.
+fn panels(f: &SymbolicFactor) -> Vec<(usize, usize)> {
     let rows = f.row_structure();
-    let (mut starts, mut j) = (Vec::new(), 0);
+    let spans =
+        |j: usize, w: usize| j + w <= f.n() && rows.supernode_of(j + w - 1) == rows.supernode_of(j);
+    let (mut panels, mut j) = (Vec::new(), 0);
     while j < f.n() {
-        if j + 1 < f.n() && rows.supernode_of(j) == rows.supernode_of(j + 1) {
-            starts.push(j);
-            j += 2;
-        } else {
-            j += 1;
+        let width = [4, 2, 1].into_iter().find(|&w| spans(j, w)).expect("w = 1");
+        if width > 1 {
+            panels.push((j, width));
         }
+        j += width;
     }
-    starts
+    panels
 }
 
-/// Which of the kernel's panel paths a factor reaches. A panel `(j, j+1)`
-/// merges the supernode runs of rows `j` and `j + 1` (the latter without
-/// its last source, column `j` itself). `seen`: a run that reaches both
-/// columns, one that reaches only the first, one that reaches only the
-/// second; a column factored alone; a supernode of odd width ≥ 3, whose
-/// last column is left over after its pairs.
-fn panel_paths(f: &SymbolicFactor, seen: &mut [bool; 5]) {
+/// Which of the kernel's panel paths a factor reaches, by name. A panel
+/// `j..j + L` merges the supernode runs of rows `j + m` (each without its
+/// last `m` sources, the panel's own columns); a source supernode's run
+/// holds all `L` rows or a subset of them, whose lanes are updated one at
+/// a time.
+fn panel_paths(f: &SymbolicFactor, seen: &mut BTreeSet<String>) {
     let rows = f.row_structure();
-    let ids = |list: &[(u32, u32)]| {
-        let mut ids: Vec<u32> = list
-            .iter()
-            .map(|&(k, _)| rows.supernode_of(k as usize))
-            .collect();
-        ids.dedup();
-        ids
-    };
-    let starts = panel_starts(f);
-    for &j in &starts {
-        let row = rows.row(j + 1);
-        assert_eq!(row.last(), Some(&(j as u32, 0)), "L(j+1, j) ends row j+1");
-        let (first, second) = (ids(rows.row(j)), ids(&row[..row.len() - 1]));
-        seen[0] |= first.iter().any(|id| second.contains(id));
-        seen[1] |= first.iter().any(|id| !second.contains(id));
-        seen[2] |= second.iter().any(|id| !first.contains(id));
+    let ps = panels(f);
+    for &(j, width) in &ps {
+        // Lanes of the panel holding each source supernode, as a mask.
+        let mut masks: BTreeMap<u32, u32> = BTreeMap::new();
+        for m in 0..width {
+            let row = rows.row(j + m);
+            let own: Vec<u32> = row[row.len() - m..].iter().map(|&(k, _)| k).collect();
+            assert_eq!(own, (j as u32..(j + m) as u32).collect::<Vec<_>>());
+            for &(k, _) in &row[..row.len() - m] {
+                *masks.entry(rows.supernode_of(k as usize)).or_default() |= 1 << m;
+            }
+        }
+        let all = (1u32 << width) - 1;
+        for mask in masks.into_values() {
+            if mask == all {
+                seen.insert(format!("{width}-lane run holding every row"));
+            } else {
+                seen.insert("run holding some rows".into());
+                // Bits with a gap between them: not adjacent lanes.
+                if (mask >> mask.trailing_zeros()) & ((mask >> mask.trailing_zeros()) + 1) != 0 {
+                    seen.insert("run holding non-adjacent rows".into());
+                }
+            }
+        }
     }
-    seen[3] |= 2 * starts.len() < f.n();
+    if ps.iter().map(|p| p.1).sum::<usize>() < f.n() {
+        seen.insert("column alone".into());
+    }
     let mut start = 0;
     for j in 1..=f.n() {
         if j == f.n() || rows.supernode_of(j) != rows.supernode_of(start) {
-            let width = j - start;
-            seen[4] |= width >= 3 && width % 2 == 1;
+            if j - start <= 9 {
+                seen.insert(format!("supernode width {}", j - start));
+            }
             start = j;
         }
     }
@@ -394,7 +409,7 @@ fn kernel_matches_oracle_on_the_benchmark_grid() {
 
 #[test]
 fn panel_paths_all_occur_on_the_subjects() {
-    let mut seen = [false; 5];
+    let mut seen = BTreeSet::new();
     for (_, pattern) in subjects() {
         for method in ORDERINGS {
             let perm = order(&pattern, method);
@@ -404,11 +419,17 @@ fn panel_paths_all_occur_on_the_subjects() {
             );
         }
     }
-    assert_eq!(
-        seen, [true; 5],
-        "runs reaching both columns of a panel, only the first and only the second, \
-         columns factored alone and odd-width supernodes must all occur"
-    );
+    let mut want: BTreeSet<String> = [
+        "4-lane run holding every row",
+        "2-lane run holding every row",
+        "run holding some rows",
+        "run holding non-adjacent rows",
+        "column alone",
+    ]
+    .map(String::from)
+    .into();
+    want.extend((1..=9).map(|w| format!("supernode width {w}")));
+    assert_eq!(seen, want);
 }
 
 /// `A = L₀ L₀ᵀ` on `f`'s structure, pushed into a `Coo` one product at a
@@ -464,65 +485,105 @@ fn signed_zeros_and_exact_cancellations_keep_the_oracles_bits() {
     }
 }
 
-/// lap9 9² under MMD with good SPD values, its first panel `(j, j + 1)`
-/// with a row `i` outside column `j + 1`'s structure, and `A` rebuilt with
-/// an entry `(i, j + 1)` added and diagonal `j` replaced, if given.
-fn panel_with_foreign_entry() -> (SymbolicFactor, usize, impl Fn(Option<f64>) -> SymmetricCsc) {
-    let p = gen::lap9(9, 9);
-    let perm = order(&p, Ordering::paper_default());
-    let pp = p.permute(&perm);
-    let f = SymbolicFactor::from_pattern(&pp);
-    let good = gen::spd_from_pattern(&pp, 2);
-    let (j, i) = panel_starts(&f)
-        .into_iter()
-        .find_map(|j| {
-            ((j + 2)..f.n())
-                .find(|&i| !f.contains(i, j + 1))
-                .map(|i| (j, i))
-        })
-        .expect("a panel with a row outside its second column");
-    let with = move |diag_j: Option<f64>| {
+/// lap9 12² under MMD with good SPD values, and its first four-column
+/// panel `j..j + 4` with a row `i` below it outside the panel's structure.
+struct FourPanel {
+    f: SymbolicFactor,
+    good: SymmetricCsc,
+    j: usize,
+    i: usize,
+}
+
+impl FourPanel {
+    fn new() -> Self {
+        let p = gen::lap9(12, 12);
+        let pp = p.permute(&order(&p, Ordering::paper_default()));
+        let f = SymbolicFactor::from_pattern(&pp);
+        let good = gen::spd_from_pattern(&pp, 2);
+        let (j, i) = panels(&f)
+            .into_iter()
+            .filter(|p| p.1 == 4)
+            .find_map(|(j, _)| {
+                ((j + 4)..f.n())
+                    .find(|&i| !f.contains(i, j + 3))
+                    .map(|i| (j, i))
+            })
+            .expect("a four-column panel with a row outside its structure");
+        FourPanel { f, good, j, i }
+    }
+
+    /// `A` with an entry `(i, j + lane)` added, if `lane` is given, and
+    /// diagonal `j + m` set to `bad`, if `(m, bad)` is given.
+    fn a(&self, lane: Option<usize>, diag: Option<(usize, f64)>) -> SymmetricCsc {
+        let (good, j) = (&self.good, self.j);
         let mut coo = Coo::new(good.n());
         for c in 0..good.n() {
             for (&r, &v) in good.col_rows(c).iter().zip(good.col_values(c)) {
-                let v = if (r, c) == (j, j) {
-                    diag_j.unwrap_or(v)
-                } else {
-                    v
+                let v = match diag {
+                    Some((m, bad)) if (r, c) == (j + m, j + m) => bad,
+                    _ => v,
                 };
                 coo.push(r, c, v).expect("in bounds");
             }
         }
-        coo.push(i, j + 1, 0.25).expect("in bounds");
+        if let Some(lane) = lane {
+            coo.push(self.i, j + lane, 0.25).expect("in bounds");
+        }
         coo.to_csc()
-    };
-    (f, j, with)
-}
-
-#[test]
-fn a_failing_first_pivot_outranks_the_second_columns_structure() {
-    let (f, j, with) = panel_with_foreign_entry();
-    for bad in [-1.0, 0.0, f64::NAN] {
-        let a = with(Some(bad));
-        let want = oracle_cholesky(&a, &f);
-        assert_eq!(want, Err(NumericError::NotPositiveDefinite(j)));
-        assert_eq!(cholesky(&a, &f), want, "diagonal {j} = {bad}");
     }
 }
 
 #[test]
-fn the_second_columns_structure_fails_once_the_first_pivot_holds() {
-    let (f, j, with) = panel_with_foreign_entry();
-    let a = with(None);
-    let want = oracle_cholesky(&a, &f);
-    let Err(NumericError::StructureMismatch(msg)) = &want else {
-        panic!("oracle: {want:?}");
-    };
-    assert!(
-        msg.ends_with(&format!(", {}) not present in symbolic factor", j + 1)),
-        "{msg}"
-    );
-    assert_eq!(cholesky(&a, &f), want);
+fn every_lane_of_a_four_panel_reports_its_own_pivot() {
+    let panel = FourPanel::new();
+    let (f, j) = (&panel.f, panel.j);
+    for m in 0..4 {
+        for bad in [-1.0, 0.0, f64::NAN] {
+            let a = panel.a(None, Some((m, bad)));
+            let want = oracle_cholesky(&a, f);
+            assert_eq!(want, Err(NumericError::NotPositiveDefinite(j + m)));
+            assert_eq!(cholesky(&a, f), want, "diagonal {} = {bad}", j + m);
+        }
+    }
+}
+
+#[test]
+fn a_failing_earlier_pivot_outranks_a_later_columns_structure() {
+    let panel = FourPanel::new();
+    let (f, j) = (&panel.f, panel.j);
+    for lane in 1..4 {
+        for m in 0..lane {
+            for bad in [-1.0, 0.0, f64::NAN] {
+                let a = panel.a(Some(lane), Some((m, bad)));
+                let want = oracle_cholesky(&a, f);
+                assert_eq!(want, Err(NumericError::NotPositiveDefinite(j + m)));
+                assert_eq!(
+                    cholesky(&a, f),
+                    want,
+                    "lane {lane}, diagonal {} = {bad}",
+                    j + m
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_later_columns_structure_fails_once_the_pivots_before_it_hold() {
+    let panel = FourPanel::new();
+    let (f, j) = (&panel.f, panel.j);
+    for lane in 1..4 {
+        let a = panel.a(Some(lane), None);
+        let want = oracle_cholesky(&a, f);
+        let Err(NumericError::StructureMismatch(msg)) = &want else {
+            panic!("oracle: {want:?}");
+        };
+        assert!(
+            msg.ends_with(&format!(", {}) not present in symbolic factor", j + lane)),
+            "{msg}"
+        );
+        assert_eq!(cholesky(&a, f), want, "lane {lane}");
+    }
 }
 
 #[test]
