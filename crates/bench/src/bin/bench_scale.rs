@@ -7,7 +7,8 @@
 //! writes `BENCH_scale.json`: per size, the column count, factor
 //! entries, end-to-end wall time, per-phase milliseconds, the
 //! `deps.engine.*` / `simulate.engine.*` cost counters, the heap-owner
-//! gauges (`heap_owners`: what the partition keeps and the segmentation
+//! gauges (`heap_owners`: what the symbolic factor keeps, what the
+//! partition keeps and the segmentation
 //! table its work tally walked, the kept predecessor lists and the most
 //! the raw lists held) and — because
 //! this binary installs [`spfactor::trace::alloc::TrackingAllocator`]
@@ -66,9 +67,10 @@ const COUNTERS: [&str; 7] = [
     "simulate.engine.interval_pieces",
 ];
 
-/// The heap-owner gauges recorded per size: what the partition and deps
-/// peaks are made of (`docs/METRICS.md`).
-const OWNERS: [&str; 4] = [
+/// The heap-owner gauges recorded per size: what the symbolic, partition
+/// and deps peaks are made of (`docs/METRICS.md`).
+const OWNERS: [&str; 5] = [
+    "heap.symbolic.kept.bytes",
     "heap.partition.kept.bytes",
     "heap.partition.segmentation.bytes",
     "heap.deps.preds.bytes",

@@ -224,6 +224,23 @@ pub struct Pipeline {
     timeline: bool,
 }
 
+/// Whether a pattern of `n` columns and `nnz` strict-lower entries fits
+/// the 32-bit indices `ordering` runs on: every ordering needs its
+/// columns to fit the symbolic factor's `u32` row indices, and the
+/// minimum-degree driver (also nested dissection's leaf ordering) needs
+/// its edge offsets to fit too. A pattern beyond them is refused here
+/// rather than truncated downstream.
+fn check_pattern_range(ordering: Ordering, n: usize, nnz: usize) -> Result<(), String> {
+    match ordering {
+        Ordering::MultipleMinimumDegree { .. } | Ordering::NestedDissection => {
+            order::compress::check_index_range(n, nnz)
+        }
+        Ordering::Natural | Ordering::ReverseCuthillMcKee | Ordering::MinimumFill => {
+            order::compress::check_column_range(n)
+        }
+    }
+}
+
 impl Pipeline {
     /// Starts a pipeline on a symmetric sparsity structure with the
     /// paper's defaults: MMD ordering, grain 4, minimum cluster width 4,
@@ -452,21 +469,13 @@ impl Pipeline {
                 message: "matrix has zero columns".into(),
             });
         }
-        // The minimum-degree driver (also nested dissection's leaf
-        // ordering) keeps 32-bit ids and offsets; a pattern beyond them is
-        // refused here rather than truncated there.
-        if matches!(
-            self.ordering,
-            Ordering::MultipleMinimumDegree { .. } | Ordering::NestedDissection
-        ) {
-            let (n, nnz) = (self.pattern.n(), self.pattern.nnz_strict_lower());
-            order::compress::check_index_range(n, nnz).map_err(|message| {
-                SpfactorError::InvalidParameter {
-                    param: "pattern",
-                    message,
-                }
-            })?;
-        }
+        let (n, nnz) = (self.pattern.n(), self.pattern.nnz_strict_lower());
+        check_pattern_range(self.ordering, n, nnz).map_err(|message| {
+            SpfactorError::InvalidParameter {
+                param: "pattern",
+                message,
+            }
+        })?;
         if self.nprocs == 0 {
             return Err(SpfactorError::InvalidParameter {
                 param: "processors",
@@ -871,6 +880,33 @@ mod tests {
                 }
                 other => panic!("expected InvalidParameter({want}), got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn every_ordering_checks_the_column_range() {
+        // The bound is tested through the pure check: a pattern with
+        // 2^32 columns would take tens of gigabytes to build.
+        let big = u32::MAX as usize;
+        let edges = (u32::MAX / 2) as usize + 1;
+        for ordering in [
+            Ordering::Natural,
+            Ordering::ReverseCuthillMcKee,
+            Ordering::MultipleMinimumDegree { delta: 0 },
+            Ordering::NestedDissection,
+            Ordering::MinimumFill,
+        ] {
+            assert!(
+                check_pattern_range(ordering, big - 1, 0).is_ok(),
+                "{ordering:?}"
+            );
+            let err = check_pattern_range(ordering, big, 0).unwrap_err();
+            assert!(err.contains("32-bit column ids"), "{ordering:?}: {err}");
+            let driver = matches!(
+                ordering,
+                Ordering::MultipleMinimumDegree { .. } | Ordering::NestedDissection
+            );
+            assert_eq!(check_pattern_range(ordering, 10, edges).is_err(), driver);
         }
     }
 

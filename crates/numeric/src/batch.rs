@@ -105,7 +105,7 @@ fn solve_lanes_portable(l: &NumericFactor, x: &mut [[f64; LANES]]) {
         let yj = x[j].map(|b| b / d);
         x[j] = yj;
         for (&i, &v) in l.col_rows(j).iter().zip(l.col_vals(j)) {
-            for (b, y) in x[i].iter_mut().zip(yj) {
+            for (b, y) in x[i as usize].iter_mut().zip(yj) {
                 *b -= v * y;
             }
         }
@@ -113,7 +113,7 @@ fn solve_lanes_portable(l: &NumericFactor, x: &mut [[f64; LANES]]) {
     for j in (0..l.n()).rev() {
         let mut acc = x[j];
         for (&i, &v) in l.col_rows(j).iter().zip(l.col_vals(j)) {
-            for (a, b) in acc.iter_mut().zip(x[i]) {
+            for (a, b) in acc.iter_mut().zip(x[i as usize]) {
                 *a -= v * b;
             }
         }

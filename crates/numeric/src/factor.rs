@@ -23,7 +23,7 @@ pub struct NumericFactor {
     /// Column start offsets into the strict-lower entries (shared).
     colptr: Arc<[usize]>,
     /// Row indices of the strict-lower entries (shared).
-    rowidx: Arc<[usize]>,
+    rowidx: Arc<[u32]>,
     /// Values by entry id: `n` diagonals, then the strict-lower values.
     values: Vec<f64>,
 }
@@ -55,7 +55,7 @@ impl NumericFactor {
 
     /// Strict-lower row indices of column `j`.
     #[inline]
-    pub fn col_rows(&self, j: usize) -> &[usize] {
+    pub fn col_rows(&self, j: usize) -> &[u32] {
         &self.rowidx[self.colptr[j]..self.colptr[j + 1]]
     }
 
@@ -80,7 +80,7 @@ impl NumericFactor {
         for j in 0..self.n {
             let mut acc = self.diag(j) * x[j];
             for (&i, &v) in self.col_rows(j).iter().zip(self.col_vals(j)) {
-                acc += v * x[i];
+                acc += v * x[i as usize];
             }
             y[j] = acc;
         }
@@ -89,7 +89,7 @@ impl NumericFactor {
         for j in 0..self.n {
             z[j] += self.diag(j) * y[j];
             for (&i, &v) in self.col_rows(j).iter().zip(self.col_vals(j)) {
-                z[i] += v * y[j];
+                z[i as usize] += v * y[j];
             }
         }
         z
@@ -112,7 +112,7 @@ impl NumericFactor {
         diag: Vec<f64>,
         vals: Vec<f64>,
         colptr: Vec<usize>,
-        rowidx: Vec<usize>,
+        rowidx: Vec<u32>,
     ) -> Self {
         assert_eq!(diag.len(), n, "diag has {} values for n = {n}", diag.len());
         assert_eq!(
@@ -158,7 +158,7 @@ impl NumericFactor {
 #[inline(always)]
 fn apply_sources<const W: usize, const L: usize, const S: usize, const B: usize>(
     p: [usize; W],
-    tail: &[usize],
+    tail: &[u32],
     vals: &[f64],
     acc: &mut [f64],
     lane: usize,
@@ -172,7 +172,7 @@ fn apply_sources<const W: usize, const L: usize, const S: usize, const B: usize>
     }
     let below: [&[f64]; W] = std::array::from_fn(|w| &vals[p[w] + B..][..tail.len()]);
     for (r, &i) in tail.iter().enumerate() {
-        let row = &mut acc[i * S + lane..][..L];
+        let row = &mut acc[i as usize * S + lane..][..L];
         let mut x: [f64; L] = std::array::from_fn(|m| row[m]);
         for w in 0..W {
             let v = below[w][r];
@@ -189,14 +189,14 @@ fn apply_sources<const W: usize, const L: usize, const S: usize, const B: usize>
 #[derive(Clone, Copy)]
 struct Structure<'a> {
     colptr: &'a [usize],
-    rowidx: &'a [usize],
+    rowidx: &'a [u32],
     rows: &'a RowStructure,
 }
 
 impl<'a> Structure<'a> {
     /// Strict-lower rows of column `j`.
     #[inline]
-    fn col(&self, j: usize) -> &'a [usize] {
+    fn col(&self, j: usize) -> &'a [u32] {
         &self.rowidx[self.colptr[j]..self.colptr[j + 1]]
     }
 
@@ -235,7 +235,7 @@ impl<'a> Structure<'a> {
     /// The rows of column `k` from row `j` on for a source `(k, pos)` of
     /// row `j`: the tail every source of its run shares.
     #[inline]
-    fn tail(&self, (k, pos): (u32, u32)) -> &'a [usize] {
+    fn tail(&self, (k, pos): (u32, u32)) -> &'a [u32] {
         &self.rowidx[self.at((k, pos))..self.colptr[k as usize + 1]]
     }
 
@@ -321,6 +321,7 @@ fn factor_column(
     diag[j] = ljj;
     // Gather and scale.
     for (v, &i) in vals[colptr[j]..colptr[j + 1]].iter_mut().zip(struct_j) {
+        let i = i as usize;
         *v = acc[i] / ljj;
         acc[i] = 0.0;
     }
@@ -334,7 +335,7 @@ fn factor_column(
 fn scatter<const S: usize>(
     a: &SymmetricCsc,
     j: usize,
-    struct_j: &[usize],
+    struct_j: &[u32],
     acc: &mut [f64],
     lane: usize,
 ) -> Result<f64, NumericError> {
@@ -347,10 +348,10 @@ fn scatter<const S: usize>(
     }
     let mut cursor = 0;
     for (&i, &v) in a_rows[1..].iter().zip(&a_vals[1..]) {
-        while cursor < struct_j.len() && struct_j[cursor] < i {
+        while cursor < struct_j.len() && (struct_j[cursor] as usize) < i {
             cursor += 1;
         }
-        if struct_j.get(cursor) != Some(&i) {
+        if struct_j.get(cursor).map(|&r| r as usize) != Some(i) {
             return Err(NumericError::StructureMismatch(format!(
                 "A({i}, {j}) not present in symbolic factor"
             )));
@@ -453,7 +454,7 @@ fn factor_panel<const L: usize>(
     // to the later columns, m = 0, 1, ….
     let at: [usize; L] = std::array::from_fn(|m| s.colptr[j + m] + L - 1 - m);
     for (t, &i) in s.col(j + L - 1).iter().enumerate() {
-        let row = &mut acc[i * L..][..L];
+        let row = &mut acc[i as usize * L..][..L];
         for m in 0..L {
             let x = row[m] / ljj[m];
             vals[at[m] + t] = x;
@@ -779,7 +780,7 @@ pub(crate) mod tests {
 
     /// The storage arrays of a consistent two-column factor: `L(1, 0)`
     /// is its one strict entry.
-    fn parts() -> (Vec<f64>, Vec<f64>, Vec<usize>, Vec<usize>) {
+    fn parts() -> (Vec<f64>, Vec<f64>, Vec<usize>, Vec<u32>) {
         (vec![2.0, 1.0], vec![0.5], vec![0, 1, 1], vec![1])
     }
 

@@ -16,7 +16,7 @@ pub fn lower_solve(l: &NumericFactor, b: &mut [f64]) {
         b[j] /= l.diag(j);
         let yj = b[j];
         for (&i, &v) in l.col_rows(j).iter().zip(l.col_vals(j)) {
-            b[i] -= v * yj;
+            b[i as usize] -= v * yj;
         }
     }
 }
@@ -27,7 +27,7 @@ pub fn upper_solve(l: &NumericFactor, b: &mut [f64]) {
     for j in (0..l.n()).rev() {
         let mut acc = b[j];
         for (&i, &v) in l.col_rows(j).iter().zip(l.col_vals(j)) {
-            acc -= v * b[i];
+            acc -= v * b[i as usize];
         }
         b[j] = acc / l.diag(j);
     }

@@ -38,7 +38,9 @@ pub fn cholesky_supernodal(
     // Positions located by binary search in the symbolic column.
     let find = |i: usize, j: usize| -> Option<usize> {
         let col = &rowidx[colptr[j]..colptr[j + 1]];
-        col.binary_search(&i).ok().map(|off| colptr[j] + off)
+        col.binary_search(&(i as u32))
+            .ok()
+            .map(|off| colptr[j] + off)
     };
     #[allow(clippy::needless_range_loop)] // j indexes matrix columns and diag together
     for j in 0..n {
@@ -77,7 +79,7 @@ pub fn cholesky_supernodal(
         for (c, j) in sn.clone().enumerate() {
             panel[c * h + c] = diag[j];
             for idx in colptr[j]..colptr[j + 1] {
-                panel[c * h + row_slot(rowidx[idx])] = vals[idx];
+                panel[c * h + row_slot(rowidx[idx] as usize)] = vals[idx];
             }
         }
         // Dense Cholesky of the w×w triangle + panel solve, column by
@@ -107,7 +109,7 @@ pub fn cholesky_supernodal(
         for (c, j) in sn.clone().enumerate() {
             diag[j] = panel[c * h + c];
             for idx in colptr[j]..colptr[j + 1] {
-                vals[idx] = panel[c * h + row_slot(rowidx[idx])];
+                vals[idx] = panel[c * h + row_slot(rowidx[idx] as usize)];
             }
         }
         // Outer-product update of the ancestors: for below rows

@@ -62,16 +62,22 @@ fn mix(x: usize) -> u64 {
     y ^ (y >> 29)
 }
 
+/// Whether `n` columns fit 32-bit ids: the minimum-degree driver's
+/// vertex ids and the symbolic factor's row indices, so every ordering
+/// needs it. The `n` half of [`check_index_range`].
+pub fn check_column_range(n: usize) -> Result<(), String> {
+    if n >= NONE as usize {
+        return Err(format!("{n} columns exceed 32-bit column ids"));
+    }
+    Ok(())
+}
+
 /// Whether a graph of `n` vertices and `nnz_strict_lower` edges fits the
 /// driver's `u32` ids and offsets; the message names the limit that does
 /// not. `Pipeline` turns it into a typed `InvalidParameter`; the bare
 /// [`crate::order`] entry panics with it.
 pub fn check_index_range(n: usize, nnz_strict_lower: usize) -> Result<(), String> {
-    if n >= NONE as usize {
-        return Err(format!(
-            "{n} columns exceed the ordering driver's 32-bit ids"
-        ));
-    }
+    check_column_range(n)?;
     if nnz_strict_lower > (u32::MAX / 2) as usize {
         return Err(format!(
             "{nnz_strict_lower} off-diagonal nonzeros exceed the ordering driver's 32-bit offsets"
@@ -1151,6 +1157,9 @@ mod tests {
         assert!(check_index_range(4_000_000_000, 10).is_ok());
         assert!(check_index_range(u32::MAX as usize - 1, 0).is_ok());
         assert!(check_index_range(u32::MAX as usize, 0).is_err());
+        assert!(check_column_range(u32::MAX as usize - 1).is_ok());
+        let err = check_column_range(u32::MAX as usize).unwrap_err();
+        assert!(err.contains("32-bit column ids"), "{err}");
         assert!(check_index_range(10, (u32::MAX / 2) as usize).is_ok());
         let err = check_index_range(10, (u32::MAX / 2) as usize + 1).unwrap_err();
         assert!(err.contains("32-bit offsets"), "{err}");

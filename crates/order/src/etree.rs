@@ -96,6 +96,11 @@ impl EliminationTree {
         EliminationTree { parent }
     }
 
+    /// Capacity of the parent array, in bytes.
+    pub fn heap_bytes(&self) -> usize {
+        self.parent.capacity() * std::mem::size_of::<usize>()
+    }
+
     /// Number of columns.
     pub fn n(&self) -> usize {
         self.parent.len()

@@ -143,7 +143,12 @@ mod tests {
                     rect_rows.iter().flat_map(|iv| iv.lo..=iv.hi).collect();
                 let mut expected = std::collections::BTreeSet::new();
                 for j in c.cols.lo..=c.cols.hi {
-                    expected.extend(f.col(j).iter().copied().filter(|&i| i > c.cols.hi));
+                    expected.extend(
+                        f.col(j)
+                            .iter()
+                            .map(|&i| i as usize)
+                            .filter(|&i| i > c.cols.hi),
+                    );
                 }
                 assert_eq!(covered, expected, "cluster {}", c.id);
             }

@@ -149,26 +149,26 @@ pub fn source_runs<'a>(factor: &'a SymbolicFactor, partition: &'a Partition) -> 
 /// Cuts the ascending `rows` into maximal pieces of consecutive rows
 /// inside one segment of `segs` (which must cover them), each labelled
 /// with the segment's index.
-pub fn label_rows(rows: &[usize], segs: &[(Interval, u32)], pieces: &mut Vec<TaggedRun>) {
+pub fn label_rows(rows: &[u32], segs: &[(Interval, u32)], pieces: &mut Vec<TaggedRun>) {
     pieces.clear();
     let mut si = 0;
     let mut idx = 0;
     while idx < rows.len() {
-        si = advance(segs, si, rows[idx]);
+        si = advance(segs, si, rows[idx] as usize);
         let end = split_at(rows, idx, rows.len(), segs[si].0.hi);
         while idx < end {
             // Dense blocks make the whole stretch one piece; otherwise
             // find the gap.
             let mut last = end - 1;
-            if rows[last] - rows[idx] != last - idx {
+            if (rows[last] - rows[idx]) as usize != last - idx {
                 last = idx;
                 while rows[last + 1] == rows[last] + 1 {
                     last += 1;
                 }
             }
             let piece = Interval {
-                lo: rows[idx],
-                hi: rows[last],
+                lo: rows[idx] as usize,
+                hi: rows[last] as usize,
             };
             pieces.push((piece, si as u32));
             idx = last + 1;

@@ -413,19 +413,19 @@ struct WorkTally {
 /// galloped to from `idx`, since a piece is a handful of rows (one chunk
 /// of a dense block) however long the remainder is.
 #[inline]
-pub(crate) fn split_at(rows: &[usize], idx: usize, end: usize, hi: usize) -> usize {
-    debug_assert!(rows[idx] <= hi);
-    if rows[end - 1] <= hi {
+pub(crate) fn split_at(rows: &[u32], idx: usize, end: usize, hi: usize) -> usize {
+    debug_assert!(rows[idx] as usize <= hi);
+    if rows[end - 1] as usize <= hi {
         return end;
     }
     let mut lo = idx;
     let mut step = 1;
-    while lo + step < end && rows[lo + step] <= hi {
+    while lo + step < end && rows[lo + step] as usize <= hi {
         lo += step;
         step *= 2;
     }
     let upper = (lo + step).min(end);
-    lo + 1 + rows[lo + 1..upper].partition_point(|&r| r <= hi)
+    lo + 1 + rows[lo + 1..upper].partition_point(|&r| r as usize <= hi)
 }
 
 /// Advances `idx` to the first segment whose interval reaches row `i`
@@ -452,22 +452,23 @@ pub(crate) fn advance(segs: &[(Interval, u32)], mut idx: usize, i: usize) -> usi
 /// covers — `rows` is not a column of the factor `segs` was laid out for.
 #[inline]
 fn split_rows(
-    rows: &[usize],
+    rows: &[u32],
     segs: &[(Interval, u32)],
     mut f: impl FnMut(u32, Range<usize>),
 ) -> Result<u64, usize> {
-    match (rows.last(), segs.last()) {
+    match (rows.last().map(|&i| i as usize), segs.last()) {
         (None, _) => return Ok(0),
-        (Some(&last), Some(seg)) if last <= seg.0.hi => {}
-        (Some(&last), _) => return Err(last),
+        (Some(last), Some(seg)) if last <= seg.0.hi => {}
+        (Some(last), _) => return Err(last),
     }
     let mut pieces = 0;
     let mut si = 0;
     let mut idx = 0;
     while idx < rows.len() {
-        si = advance(segs, si, rows[idx]);
-        if segs[si].0.lo > rows[idx] {
-            return Err(rows[idx]);
+        let row = rows[idx] as usize;
+        si = advance(segs, si, row);
+        if segs[si].0.lo > row {
+            return Err(row);
         }
         let end = split_at(rows, idx, rows.len(), segs[si].0.hi);
         f(segs[si].1, idx..end);
@@ -762,7 +763,7 @@ impl Partition {
             tally.pairs += rows.len() as u64;
             for (b, &j) in rows.iter().enumerate() {
                 let weight = 2 * (b + 1).min(sn.len());
-                tally.segments += split_rows(&rows[b..], segs.col(j), |unit, piece| {
+                tally.segments += split_rows(&rows[b..], segs.col(j as usize), |unit, piece| {
                     work[unit as usize] += weight * piece.len();
                 })
                 .expect(COVERED);
@@ -1049,7 +1050,7 @@ mod tests {
         let f = factor_of(&p);
         let part = Partition::build(&f, &PartitionParams::with_grain(4));
         for j in 0..f.n() {
-            for &i in f.col(j) {
+            for i in f.col(j).iter().map(|&i| i as usize) {
                 let u = &part.units[part.unit_of(&f, i, j)];
                 match &u.shape {
                     UnitShape::Column { col } => assert_eq!(*col, j),
@@ -1151,8 +1152,9 @@ mod tests {
 
     /// Maximal runs of an ascending row list, each labelled with its
     /// ordinal.
-    fn runs_of(rows: &[usize]) -> Vec<TaggedRun> {
-        spfactor_interval::runs_of_sorted(rows)
+    fn runs_of(rows: &[u32]) -> Vec<TaggedRun> {
+        let rows: Vec<usize> = rows.iter().map(|&i| i as usize).collect();
+        spfactor_interval::runs_of_sorted(&rows)
             .into_iter()
             .zip(0..)
             .collect()
@@ -1243,7 +1245,7 @@ mod tests {
                 for k in 0..f.n() {
                     let runs = runs_of(f.col(k));
                     // No limit, then the cluster of the column's middle row.
-                    let mid = f.col(k).get(f.col_count(k) / 2).copied().unwrap_or(k);
+                    let mid = f.col(k).get(f.col_count(k) / 2).map_or(k, |&i| i as usize);
                     let cluster = part.clusters.partition_point(|c| c.cols.hi < mid);
                     let limits = [usize::MAX, part.clusters[cluster].cols.hi];
                     for &last_col in &limits[..1 + usize::from(*limited)] {
@@ -1318,7 +1320,7 @@ mod tests {
                 };
                 assert_eq!(lookup(j), part.unit_of(&f, j, j), "diag ({j},{j})");
                 assert_eq!(lookup(j), owner[j] as usize, "diag ({j},{j})");
-                for &i in f.col(j) {
+                for i in f.col(j).iter().map(|&i| i as usize) {
                     assert_eq!(lookup(i), part.unit_of(&f, i, j), "({i},{j})");
                     let id = f.entry_id(i, j).unwrap();
                     assert_eq!(lookup(i), owner[id] as usize, "({i},{j})");
@@ -1398,7 +1400,7 @@ mod proptests {
             prop_assert_eq!(covered, f.num_entries());
             prop_assert_eq!(part.total_work(), f.paper_work());
             for j in 0..f.n() {
-                for &i in f.col(j) {
+                for i in f.col(j).iter().map(|&i| i as usize) {
                     let u = &part.units[part.unit_of(&f, i, j)];
                     match &u.shape {
                         UnitShape::Column { col } => prop_assert_eq!(*col, j),

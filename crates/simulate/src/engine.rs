@@ -260,14 +260,14 @@ fn count_bits(words: &[u64], lo: usize, hi: usize) -> usize {
 /// Appends the maximal runs of consecutive rows of the ascending `rows`
 /// to `out`, each labelled `run.lo − (rows before the run)`: row `r` of a
 /// run labelled `t` is `rows[r − t]`.
-fn tag_runs(rows: &[usize], out: &mut Vec<TaggedRun>) {
+fn tag_runs(rows: &[u32], out: &mut Vec<TaggedRun>) {
     out.clear();
     let mut start = 0;
     for end in 1..=rows.len() {
         if end == rows.len() || rows[end] != rows[end - 1] + 1 {
             let run = Interval {
-                lo: rows[start],
-                hi: rows[end - 1],
+                lo: rows[start] as usize,
+                hi: rows[end - 1] as usize,
             };
             out.push((run, (run.lo - start) as u32));
             start = end;

@@ -3,6 +3,7 @@
 use crate::rows::RowStructure;
 use spfactor_matrix::{Fnv1a, SymmetricPattern};
 use spfactor_order::etree::{rows_of, EliminationTree, NONE};
+use std::alloc::Layout;
 use std::sync::{Arc, OnceLock};
 
 /// Strict-lower column counts of the Cholesky factor of `pattern`,
@@ -35,8 +36,20 @@ pub fn col_counts(pattern: &SymmetricPattern, etree: &EliminationTree) -> Vec<us
 /// `len` zeros allocated straight into shared storage: `RepeatN` is
 /// `TrustedLen`, so the collect writes into the `Arc`'s own allocation
 /// with no staging `Vec` to copy from.
-fn shared_zeros(len: usize) -> Arc<[usize]> {
-    std::iter::repeat_n(0, len).collect()
+fn shared_zeros<T: Copy + Default>(len: usize) -> Arc<[T]> {
+    std::iter::repeat_n(T::default(), len).collect()
+}
+
+/// Size of the allocation behind an `Arc` holding a value of `layout`:
+/// the two reference counts, then the value, padded to their alignment.
+fn arc_bytes(layout: Layout) -> usize {
+    let counts = Layout::new::<[usize; 2]>();
+    counts
+        .extend(layout)
+        .expect("a valid layout")
+        .0
+        .pad_to_align()
+        .size()
 }
 
 /// The symbolic Cholesky factor of a (pre-ordered) symmetric matrix:
@@ -45,12 +58,14 @@ fn shared_zeros(len: usize) -> Arc<[usize]> {
 ///
 /// The column structure (`colptr`, `rowidx`) sits in shared storage:
 /// clones of the factor and every numeric factor computed against it
-/// hold handles on the one copy ([`Self::column_structure`]).
+/// hold handles on the one copy ([`Self::column_structure`]). A row index
+/// is below `n`, which fits `u32`, so it takes four bytes; a column
+/// offset counts entries, which can pass `u32::MAX`, so it stays `usize`.
 #[derive(Clone, Debug)]
 pub struct SymbolicFactor {
     n: usize,
     colptr: Arc<[usize]>,
-    rowidx: Arc<[usize]>,
+    rowidx: Arc<[u32]>,
     etree: EliminationTree,
     /// Strict-lower nonzeros of A (for fill accounting).
     nnz_a_strict: usize,
@@ -74,12 +89,14 @@ impl SymbolicFactor {
     /// Under a recorder scope the construction is timed as the span
     /// `symbolic.from_pattern` and the factor's headline statistics are
     /// recorded as `symbolic.*` gauges — `n`, `nnz_lower`, `fill_in`,
-    /// `flops`, `paper_work` and the fundamental supernode count (see
-    /// `docs/METRICS.md`).
+    /// `flops`, `paper_work` and the fundamental supernode count, and
+    /// the heap the factor keeps as `heap.symbolic.kept.bytes`
+    /// ([`Self::heap_bytes`]; see `docs/METRICS.md`).
     pub fn from_pattern(pattern: &SymmetricPattern) -> Self {
         let rec = spfactor_trace::current();
         let factor = rec.time("symbolic.from_pattern", || Self::build(pattern));
         if rec.is_recording() {
+            rec.gauge("heap.symbolic.kept.bytes", factor.heap_bytes() as f64);
             rec.gauge("symbolic.n", factor.n() as f64);
             rec.gauge("symbolic.nnz_lower", factor.nnz_lower() as f64);
             rec.gauge("symbolic.fill_in", factor.fill_in() as f64);
@@ -95,6 +112,10 @@ impl SymbolicFactor {
 
     fn build(pattern: &SymmetricPattern) -> Self {
         let n = pattern.n();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "the factor stores row indices as u32"
+        );
         let etree = EliminationTree::from_pattern(pattern);
         let counts = col_counts(pattern, &etree);
         let mut colptr_handle = shared_zeros(n + 1);
@@ -113,7 +134,7 @@ impl SymbolicFactor {
             for &i in pattern.col(j) {
                 if marker[i] != j {
                     marker[i] = j;
-                    rowidx[cursor] = i;
+                    rowidx[cursor] = i as u32;
                     cursor += 1;
                 }
             }
@@ -122,11 +143,11 @@ impl SymbolicFactor {
             // copies suffice.
             for &c in children.of(j) {
                 for r in colptr[c]..colptr[c + 1] {
-                    let i = rowidx[r];
+                    let i = rowidx[r] as usize;
                     if i != j && marker[i] != j {
                         debug_assert!(i > j, "child structure must lie below parent");
                         marker[i] = j;
-                        rowidx[cursor] = i;
+                        rowidx[cursor] = i as u32;
                         cursor += 1;
                     }
                 }
@@ -152,7 +173,7 @@ impl SymbolicFactor {
 
     /// Strict-lower row indices of factor column `j`, ascending.
     #[inline]
-    pub fn col(&self, j: usize) -> &[usize] {
+    pub fn col(&self, j: usize) -> &[u32] {
         &self.rowidx[self.colptr[j]..self.colptr[j + 1]]
     }
 
@@ -164,15 +185,27 @@ impl SymbolicFactor {
 
     /// Strict-lower row indices of every column, concatenated.
     #[inline]
-    pub fn rowidx(&self) -> &[usize] {
+    pub fn rowidx(&self) -> &[u32] {
         &self.rowidx
     }
 
     /// Shared handles on [`Self::colptr`] and [`Self::rowidx`]. A numeric
     /// factor holds these instead of a copy, so however many value sets
     /// are factored against this structure, it is stored once.
-    pub fn column_structure(&self) -> (Arc<[usize]>, Arc<[usize]>) {
+    pub fn column_structure(&self) -> (Arc<[usize]>, Arc<[u32]>) {
         (Arc::clone(&self.colptr), Arc::clone(&self.rowidx))
+    }
+
+    /// Bytes the factor keeps on the heap: the shared `colptr` (8 B a
+    /// column and one more) and `rowidx` (4 B a strict-lower entry), each
+    /// behind its reference counts, the elimination tree's parent array
+    /// and the empty cell the row structure is built into. A row
+    /// structure built later ([`Self::row_structure`]) is not counted.
+    pub fn heap_bytes(&self) -> usize {
+        arc_bytes(Layout::for_value(&*self.colptr))
+            + arc_bytes(Layout::for_value(&*self.rowidx))
+            + arc_bytes(Layout::new::<OnceLock<RowStructure>>())
+            + self.etree.heap_bytes()
     }
 
     /// The row structure of L — for each row `j` the columns `k < j` with
@@ -214,9 +247,10 @@ impl SymbolicFactor {
         &self.etree
     }
 
-    /// `true` if `(i, j)`, `i > j`, is a factor nonzero.
+    /// `true` if `(i, j)`, `i > j`, is a factor nonzero. A row past
+    /// `u32::MAX` is past `n`, so it is not one.
     pub fn contains(&self, i: usize, j: usize) -> bool {
-        self.col(j).binary_search(&i).is_ok()
+        u32::try_from(i).is_ok_and(|i| self.col(j).binary_search(&i).is_ok())
     }
 
     /// Total number of factor entries including the implicit diagonal:
@@ -235,6 +269,7 @@ impl SymbolicFactor {
         if i == j {
             return (j < self.n).then_some(j);
         }
+        let i = u32::try_from(i).ok()?;
         let base = self.colptr[j];
         self.col(j)
             .binary_search(&i)
@@ -250,7 +285,7 @@ impl SymbolicFactor {
         let pos = id - self.n;
         debug_assert!(pos < self.rowidx.len());
         let j = self.colptr.partition_point(|&p| p <= pos) - 1;
-        (self.rowidx[pos], j)
+        (self.rowidx[pos] as usize, j)
     }
 
     /// A stable 64-bit fingerprint of the factor structure (dimension,
@@ -273,7 +308,8 @@ impl SymbolicFactor {
 
     /// The factor structure as a [`SymmetricPattern`] (strict lower).
     pub fn to_pattern(&self) -> SymmetricPattern {
-        SymmetricPattern::from_parts(self.n, self.colptr.to_vec(), self.rowidx.to_vec())
+        let rowidx = self.rowidx.iter().map(|&i| i as usize).collect();
+        SymmetricPattern::from_parts(self.n, self.colptr.to_vec(), rowidx)
             .expect("factor columns are sorted, strict, in-bounds")
     }
 
@@ -338,7 +374,7 @@ mod tests {
         assert_eq!(f.col(0), &[1, 2]);
         assert_eq!(f.col(1), &[2, 3]);
         assert_eq!(f.col(2), &[3]);
-        assert_eq!(f.col(3), &[] as &[usize]);
+        assert_eq!(f.col(3), &[] as &[u32]);
         assert_eq!(f.fill_in(), 1);
         assert_eq!(f.nnz_lower(), 4 + 5);
     }
@@ -414,7 +450,7 @@ mod tests {
         let f = SymbolicFactor::from_pattern(&pp);
         for j in 0..pp.n() {
             match f.col(j).first() {
-                Some(&i) => assert_eq!(f.etree().parent(j), i),
+                Some(&i) => assert_eq!(f.etree().parent(j), i as usize),
                 None => assert_eq!(f.etree().parent(j), spfactor_order::etree::NONE),
             }
         }
@@ -463,6 +499,7 @@ mod tests {
             seen[d] = true;
             assert_eq!(f.entry_coords(d), (j, j));
             for &i in f.col(j) {
+                let i = i as usize;
                 let id = f.entry_id(i, j).unwrap();
                 assert!(!seen[id]);
                 seen[id] = true;
@@ -482,13 +519,24 @@ mod tests {
     }
 
     #[test]
+    fn a_row_past_u32_is_not_a_stored_row() {
+        // (1, 0) is stored; row 2^32 + 1 would truncate onto it.
+        let f = SymbolicFactor::from_pattern(&SymmetricPattern::from_edges(3, [(1, 0)]));
+        let past = (1usize << 32) + 1;
+        assert!(f.contains(1, 0) && f.entry_id(1, 0).is_some());
+        assert!(!f.contains(past, 0));
+        assert_eq!(f.entry_id(past, 0), None);
+    }
+
+    #[test]
     fn to_pattern_round_trips() {
         let p = gen::lap9(4, 4);
         let f = SymbolicFactor::from_pattern(&p);
         let fp = f.to_pattern();
         assert_eq!(fp.nnz_strict_lower(), f.nnz_strict_lower());
         for j in 0..p.n() {
-            assert_eq!(fp.col(j), f.col(j));
+            let col: Vec<usize> = f.col(j).iter().map(|&i| i as usize).collect();
+            assert_eq!(fp.col(j), col);
         }
     }
 }

@@ -32,7 +32,11 @@ pub fn for_each_update(factor: &SymbolicFactor, mut f: impl FnMut(UpdateOp)) {
         let rows = factor.col(k);
         for (b, &j) in rows.iter().enumerate() {
             for &i in &rows[b..] {
-                f(UpdateOp { i, j, k });
+                f(UpdateOp {
+                    i: i as usize,
+                    j: j as usize,
+                    k,
+                });
             }
         }
     }
@@ -43,7 +47,7 @@ pub fn for_each_update(factor: &SymbolicFactor, mut f: impl FnMut(UpdateOp)) {
 pub fn for_each_scaling(factor: &SymbolicFactor, mut f: impl FnMut(usize, usize)) {
     for j in 0..factor.n() {
         for &i in factor.col(j) {
-            f(i, j);
+            f(i as usize, j);
         }
     }
 }
@@ -69,7 +73,7 @@ pub fn column_work(factor: &SymbolicFactor) -> Vec<usize> {
     for k in 0..factor.n() {
         let rows = factor.col(k);
         for (b, &j) in rows.iter().enumerate() {
-            w[j] += 2 * (rows.len() - b);
+            w[j as usize] += 2 * (rows.len() - b);
         }
     }
     w

@@ -41,7 +41,7 @@ impl RowStructure {
         );
         let mut row_start = vec![0usize; n + 1];
         for &i in factor.rowidx() {
-            row_start[i + 1] += 1;
+            row_start[i as usize + 1] += 1;
         }
         for j in 0..n {
             row_start[j + 1] += row_start[j];
@@ -50,6 +50,7 @@ impl RowStructure {
         let mut cursor = row_start.clone();
         for k in 0..n {
             for (pos, &i) in factor.col(k).iter().enumerate() {
+                let i = i as usize;
                 entries[cursor[i]] = (k as u32, pos as u32);
                 cursor[i] += 1;
             }
@@ -97,7 +98,7 @@ mod tests {
             for j in 0..f.n() {
                 let want: Vec<(u32, u32)> = (0..j)
                     .filter_map(|k| {
-                        let pos = f.col(k).binary_search(&j).ok()?;
+                        let pos = f.col(k).binary_search(&(j as u32)).ok()?;
                         Some((k as u32, pos as u32))
                     })
                     .collect();

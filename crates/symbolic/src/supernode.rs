@@ -71,7 +71,7 @@ fn extends(factor: &SymbolicFactor, j: usize, max_zeros: usize) -> bool {
     let b = factor.col(next);
     // |b \ (a \ {next})| = |b| - (|a| - [next ∈ a]); next ∈ a always
     // (it is the first sub-diagonal entry of column j).
-    debug_assert_eq!(a.first(), Some(&next));
+    debug_assert_eq!(a.first(), Some(&(next as u32)));
     let extras = b.len() + 1 - a.len();
     extras <= max_zeros
 }
@@ -84,7 +84,13 @@ fn extends(factor: &SymbolicFactor, j: usize, max_zeros: usize) -> bool {
 pub fn below_rows(factor: &SymbolicFactor, sn: &Range<usize>) -> Vec<usize> {
     let mut rows: Vec<usize> = sn
         .clone()
-        .flat_map(|j| factor.col(j).iter().copied().filter(|&i| i >= sn.end))
+        .flat_map(|j| {
+            factor
+                .col(j)
+                .iter()
+                .map(|&i| i as usize)
+                .filter(|&i| i >= sn.end)
+        })
         .collect();
     rows.sort_unstable();
     rows.dedup();
@@ -159,7 +165,12 @@ mod tests {
             for j in sn.start..sn.end - 1 {
                 // struct(L_j) \ {j+1} == struct(L_{j+1}) up to rows < end:
                 // check the defining subset property.
-                let a: Vec<usize> = f.col(j).iter().copied().filter(|&r| r != j + 1).collect();
+                let a: Vec<u32> = f
+                    .col(j)
+                    .iter()
+                    .copied()
+                    .filter(|&r| r as usize != j + 1)
+                    .collect();
                 let b = f.col(j + 1);
                 for r in &a {
                     assert!(b.contains(r), "row {r} lost between cols {j} and {}", j + 1);
@@ -210,7 +221,7 @@ mod tests {
             assert!(rows.iter().all(|&r| r >= sn.end));
             // For fundamental supernodes this equals the last column's
             // structure.
-            let last: Vec<usize> = f.col(sn.end - 1).to_vec();
+            let last: Vec<usize> = f.col(sn.end - 1).iter().map(|&i| i as usize).collect();
             assert_eq!(rows, last);
         }
     }

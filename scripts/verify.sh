@@ -239,6 +239,19 @@ if [ -n "$sites" ]; then
 fi
 cargo test -q -p spfactor --test numeric_alloc
 
+echo "==> a factor keeps 32-bit row indices"
+# A row index is below n, which fits u32 (Pipeline::validate refuses a
+# larger pattern for every ordering), so the symbolic factor and the numeric
+# factor sharing its structure store it in four bytes; only colptr, which
+# counts entries, is usize (docs/ARCHITECTURE.md, "The row structure of
+# L"). symbolic_alloc holds what a factor keeps to 4 B a row index.
+sites=$(call_sites 'rowidx[[:space:]]*:[[:space:]]*(Arc<\[usize\]>|Vec<usize>)' crates/symbolic/src crates/numeric/src)
+if [ -n "$sites" ]; then
+  echo "a factor stores 8 B row indices again:"; echo "$sites"
+  exit 1
+fi
+cargo test -q -p spfactor --test symbolic_alloc
+
 echo "==> the dependency graph keeps predecessors only"
 # A DepGraph stores the predecessor lists and the category counts; the
 # successors are derived on the first succs() call, and the sweep lays the

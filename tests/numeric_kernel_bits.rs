@@ -53,7 +53,7 @@ fn oracle_cholesky(
     }
     let mut colptr = Vec::with_capacity(n + 1);
     colptr.push(0);
-    let mut rowidx: Vec<usize> = Vec::with_capacity(symbolic.nnz_strict_lower());
+    let mut rowidx: Vec<u32> = Vec::with_capacity(symbolic.nnz_strict_lower());
     for j in 0..n {
         rowidx.extend_from_slice(symbolic.col(j));
         colptr.push(rowidx.len());
@@ -86,7 +86,7 @@ fn oracle_cholesky(
             dj -= ljk * ljk;
             let e = colptr[k + 1];
             for idx in (pos + 1)..e {
-                let i = rowidx[idx];
+                let i = rowidx[idx] as usize;
                 acc[i] -= ljk * vals[idx];
             }
         }
@@ -96,6 +96,7 @@ fn oracle_cholesky(
         let ljj = dj.sqrt();
         diag[j] = ljj;
         for (off, &i) in struct_j.iter().enumerate() {
+            let i = i as usize;
             let pos = colptr[j] + off;
             let v = acc[i] / ljj;
             vals[pos] = v;
@@ -445,7 +446,7 @@ fn exact_product(f: &SymbolicFactor) -> SymmetricCsc {
     for k in 0..f.n() {
         let mut col = vec![(k, 2.0)];
         for &i in f.col(k) {
-            col.push((i, BELOW[t % 4]));
+            col.push((i as usize, BELOW[t % 4]));
             t += 1;
         }
         for (x, &(r, u)) in col.iter().enumerate() {
@@ -847,7 +848,7 @@ fn row_structure_is_the_naive_transpose() {
         let mut naive: Vec<Vec<(u32, u32)>> = vec![Vec::new(); f.n()];
         for k in 0..f.n() {
             for (pos, &i) in f.col(k).iter().enumerate() {
-                naive[i].push((k as u32, pos as u32));
+                naive[i as usize].push((k as u32, pos as u32));
             }
         }
         let rows = f.row_structure();

@@ -38,21 +38,25 @@ fn oracle_owner(factor: &SymbolicFactor, part: &Partition) -> Vec<u32> {
             UnitShape::Column { col } => {
                 claim(col, col, u.id);
                 for &i in factor.col(col) {
-                    claim(i, col, u.id);
+                    claim(i as usize, col, u.id);
                 }
             }
             UnitShape::Triangle { extent } => {
                 for j in extent.lo..=extent.hi {
                     claim(j, j, u.id);
-                    for &i in factor.col(j).iter().filter(|&&i| extent.contains(i)) {
-                        claim(i, j, u.id);
+                    for i in factor.col(j).iter().map(|&i| i as usize) {
+                        if extent.contains(i) {
+                            claim(i, j, u.id);
+                        }
                     }
                 }
             }
             UnitShape::Rectangle { cols, rows } => {
                 for j in cols.lo..=cols.hi {
-                    for &i in factor.col(j).iter().filter(|&&i| rows.contains(i)) {
-                        claim(i, j, u.id);
+                    for i in factor.col(j).iter().map(|&i| i as usize) {
+                        if rows.contains(i) {
+                            claim(i, j, u.id);
+                        }
                     }
                 }
             }

@@ -1,7 +1,8 @@
 //! Cross-crate integration tests: the full pipeline from pattern to
 //! simulation, checked for conservation laws and determinism.
 
-use spfactor::{Ordering, Pipeline, Scheme};
+use spfactor::matrix::gen;
+use spfactor::{OrderEngine, Ordering, Pipeline, Scheme};
 
 #[test]
 fn work_is_conserved_across_schemes_and_processor_counts() {
@@ -197,4 +198,72 @@ fn io_round_trip_through_pipeline() {
     let a = Pipeline::new(p).processors(4).run();
     let b = Pipeline::new(back).processors(4).run();
     assert_eq!(a.traffic, b.traffic);
+}
+
+/// The factor structure and the plans built on it, pinned by fingerprint:
+/// how the structure is stored may change, what it hashes to may not.
+#[test]
+fn factor_and_artifact_fingerprints_are_pinned() {
+    for (m, want) in [
+        (gen::paper::lap30(), 0x7f2d_ec0e_19c3_fdd8),
+        (gen::paper::cann1072(), 0x4958_e618_8d43_6f19),
+    ] {
+        let factor = Pipeline::new(m.pattern).plan().factor().fingerprint();
+        assert_eq!(
+            factor, want,
+            "{}: symbolic fingerprint {factor:016x}",
+            m.name
+        );
+    }
+    // `plan_grid`'s subject (lap9 70 x 70, grain 25) and the five Table-1
+    // matrices at grain 4, P = 16, under the benchmark's order engine.
+    let subjects = [
+        (
+            gen::lap9(70, 70),
+            25,
+            [0x7944_1d00_ee32_02d6, 0x3274_ff8a_3c34_9d02],
+        ),
+        (
+            gen::paper::bus1138().pattern,
+            4,
+            [0xa712_998a_4382_f55f, 0x6dc9_4613_01ca_056b],
+        ),
+        (
+            gen::paper::cann1072().pattern,
+            4,
+            [0xb1f5_8298_e023_f24d, 0xd66c_e064_83b1_5791],
+        ),
+        (
+            gen::paper::dwt512().pattern,
+            4,
+            [0x43a8_5d5f_3dd7_c220, 0xd94a_753f_6e59_7de1],
+        ),
+        (
+            gen::paper::lap30().pattern,
+            4,
+            [0xd978_bf20_b98b_307d, 0x3870_d8da_3b4e_9290],
+        ),
+        (
+            gen::paper::lshp1009().pattern,
+            4,
+            [0x16ae_d50c_ef2f_9db3, 0x388d_6080_b842_7d5d],
+        ),
+    ];
+    for (pattern, grain, wants) in subjects {
+        for (scheme, want) in [Scheme::Block, Scheme::Wrap].into_iter().zip(wants) {
+            let plan = Pipeline::new(pattern.clone())
+                .grain(grain)
+                .scheme(scheme)
+                .processors(16)
+                .order_engine(OrderEngine::Compressed)
+                .plan();
+            let got = plan.fingerprint();
+            assert_eq!(
+                got,
+                want,
+                "n = {} {scheme:?}: artifact {got:016x}",
+                pattern.n()
+            );
+        }
+    }
 }
